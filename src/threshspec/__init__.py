@@ -46,13 +46,15 @@ from .spectrum import (
     ScanRow,
     Spectrum,
     block_eigenvalues,
+    block_profile,
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
     full_spectrum_numeric,
     jacobi_eigenvalues,
-    pair_edges_ending_in_block,
-    pair_edges_within_ones_block,
+    profile_frobenius_sq,
+    quotient_eigenvalues,
+    quotient_inertia,
     quotient_matrix,
     scan_quotient_simplicity,
     symmetrize_quotient,

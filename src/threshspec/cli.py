@@ -1,18 +1,20 @@
 """Command-line interface.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 bad input, 2 a verification disagreed, 3 a resource budget was hit.
-Identical invocations produce byte-identical output.
+1 bad input, 2 a verification disagreed, 3 a resource budget or the
+precision limit (an exact count beyond 2**53) was hit.  Identical
+invocations produce byte-identical output.
 """
 
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import TextIO
 
-from .errors import ResourceLimitError, SequenceError
+from .errors import CountTooLargeError, ResourceLimitError, SequenceError
 from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph
 from .sequences import format_binary, format_short, parse_sequence, to_binary, to_short
 from .spectrum import (
@@ -132,11 +134,15 @@ def cmd_spectrum(args, cfg: Config, out: TextIO, err: TextIO) -> int:
     verify_info = None
     code = EXIT_OK
     if args.verify:
-        numeric = full_spectrum_numeric(h)
+        # unclustered dense eigenvalues: clustering would average distinct
+        # values; deviations are relative to max(1, |A|_F), |A|_F exact
+        mat = h.adjacency()
+        dense = full_spectrum_numeric(h, cluster_tol=0.0, adjacency=mat)
+        scale = max(1.0, math.sqrt(mat.frobenius_sq()))
         deviations = [
-            abs(x - y) for x, y in zip(spec.expanded(), numeric.expanded())
+            abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())
         ]
-        max_dev = max(deviations, default=0.0)
+        max_dev = max(deviations, default=0.0) / scale
         ok = max_dev <= args.tol
         verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
         if not ok:
@@ -265,6 +271,26 @@ def cmd_scan(args, cfg: Config, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
+def _positive_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> _Parser:
     common = _Parser(add_help=False)
     common.add_argument("--format", choices=FORMATS, default="text")
@@ -276,8 +302,18 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("spectrum", parents=[common], help="closed-form spectrum")
     p.add_argument("sequence")
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument(
+        "--verify",
+        action="store_true",
+        help="compare with the eigenvalues of the dense matrix (exit 2 on mismatch)",
+    )
+    p.add_argument(
+        "--tol",
+        type=_positive_float,
+        default=1e-8,
+        help="--verify tolerance on max_dev, the largest deviation divided by "
+        "max(1, |A|_F) (default 1e-8)",
+    )
     p.set_defaults(handler=cmd_spectrum)
 
     p = sub.add_parser("edges", parents=[common], help="edge list")
@@ -289,9 +325,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_adjacency)
 
     p = sub.add_parser("verify", parents=[common], help="exhaustive sweeps")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("family", parents=[common], help="catalogued families")
@@ -302,10 +338,10 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("scan", parents=[common], help="quotient gap report")
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--budget", type=int, default=DEFAULT_SEQUENCE_BUDGET)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
     p.set_defaults(handler=cmd_scan)
 
     return parser
@@ -324,6 +360,9 @@ def main(argv: list[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except CountTooLargeError as exc:
+        print(f"error: precision limit: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
     except (SequenceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

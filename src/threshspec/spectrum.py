@@ -1,19 +1,21 @@
 """Eigenvalues of threshold hypergraph adjacency matrices.
 
-Two routes are implemented.  The closed route reads eigenvalues off the
-creation sequence: every block of b >= 2 equal consecutive bits contributes
-the negated pair count of its leading twin vertices with multiplicity
-b - 1, and the remaining r eigenvalues come from the r x r quotient matrix
-of block row sums, made symmetric by a similarity scaling.  The numeric
-route diagonalizes the full n x n matrix directly.  Both share one dense
-symmetric eigensolver, a deterministic cyclic Jacobi iteration, and must
-agree to tight tolerance; the test-suite sweeps that agreement
-exhaustively on small instances.
+Two routes are implemented.  The closed route never builds the n x n
+matrix.  For i < j the pair count A[i][j] depends only on the block of j,
+so r exact integers, the block profile gamma, fix the whole matrix.  Every
+block of b >= 2 twin vertices contributes -gamma of that block with
+multiplicity b - 1, and the remaining r eigenvalues are those of the
+equitable quotient.  They are found by bisection and safeguarded Newton
+steps on an O(r) inertia count of a tridiagonal pencil congruent to the
+quotient problem.  The numeric route diagonalizes the full n x n matrix
+with a deterministic cyclic Jacobi iteration and serves as the oracle; the
+test-suite sweeps the agreement of the two routes exhaustively on small
+instances.
 """
 
 import math
+import sys
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .combinatorics import as_float, binomial
@@ -29,6 +31,7 @@ from .sequences import (
     ShortSequence,
     count_valid_sequences,
     format_binary,
+    format_short,
     iter_valid_sequences,
     to_binary,
     to_short,
@@ -41,10 +44,12 @@ __all__ = [
     "Spectrum",
     "QuotientMatrix",
     "ScanRow",
-    "pair_edges_ending_in_block",
-    "pair_edges_within_ones_block",
+    "block_profile",
+    "profile_frobenius_sq",
     "block_eigenvalues",
     "quotient_matrix",
+    "quotient_inertia",
+    "quotient_eigenvalues",
     "symmetrize_quotient",
     "jacobi_eigenvalues",
     "full_spectrum_closed",
@@ -58,30 +63,52 @@ __all__ = [
 DEFAULT_SEQUENCE_BUDGET = 100_000
 
 
-def pair_edges_ending_in_block(ss: ShortSequence, block: int) -> int:
-    """Edges through two fixed earlier vertices that peak inside `block`.
+def block_profile(ss: ShortSequence) -> tuple[int, ...]:
+    """Pair count gamma_s of any vertex pair whose later vertex is in block s.
 
-    For a vertex pair living before the block, an edge ending at position
-    p inside it needs k-3 more vertices below p, so each position
-    contributes binomial(p-3, k-3).  Positions too early to host an edge
-    contribute zero through the binomial conventions, which also covers
-    the merged first run.  Meaningful when `block` is a ones block; the
-    sum is evaluated as is for any block index.
+    For i < j the count depends on j alone: j closes binomial(j-2, k-2)
+    edges through i when its bit is 1, and every later pseudodominant p
+    closes binomial(p-3, k-3).  These column values agree across a block
+    (Pascal's rule across twin vertices), so A[i][j] = gamma of the block
+    of max(i, j).  Every column value is evaluated once, O(n) exact integer
+    work, and a block whose values differ raises: the block partition must
+    be equitable.  A block with no pair ending in it (a lone first vertex)
+    reports 0.
     """
-    lo = ss.prefix_sum(block - 1)
-    hi = ss.prefix_sum(block)
-    return sum(binomial(p - 3, ss.k - 3) for p in range(lo + 1, hi + 1))
+    k = ss.k
+    out = [0] * ss.r
+    after = 0  # edges through a fixed pair closed beyond the current vertex
+    last = ss.n
+    for s in range(ss.r - 1, -1, -1):
+        first = last - ss.runs[s] + 1
+        ones = ss.block_is_ones(s + 1)
+        columns = set()
+        for j in range(last, max(first, 2) - 1, -1):
+            columns.add(after + binomial(j - 2, k - 2) if ones else after)
+            if ones:
+                after += binomial(j - 3, k - 3)
+        if len(columns) > 1:
+            raise RuntimeError(
+                f"internal: block {s + 1} of {format_short(ss)} has unequal "
+                f"pair counts {sorted(columns)}"
+            )
+        out[s] = columns.pop() if columns else 0
+        last = first - 1
+    return tuple(out)
 
 
-def pair_edges_within_ones_block(ss: ShortSequence, block: int) -> int:
-    """Edges through the leading twins of ones block `block` that also peak
-    inside it.
+def profile_frobenius_sq(profile: Sequence[int], sizes: Sequence[int]) -> int:
+    """Exact squared Frobenius norm of the adjacency matrix from gamma.
 
-    Equal to binomial(P - 2, k - 2) with P the last position of the block:
-    interchangeability of the block's vertices lets every such edge be
-    counted as one peaking at P and containing the block's first vertex.
+    Vertex j pairs with its j - 1 predecessors at count gamma of its block,
+    and every such pair appears twice in the symmetric matrix.
     """
-    return binomial(ss.prefix_sum(block) - 2, ss.k - 2)
+    total = 0
+    before = 0
+    for g, a in zip(profile, sizes):
+        total += g * g * (a * before + a * (a - 1) // 2)
+        before += a
+    return 2 * total
 
 
 @dataclass(frozen=True)
@@ -94,22 +121,26 @@ class BlockEigenvalue:
     source: str
 
 
-def block_eigenvalues(ss: ShortSequence) -> list[BlockEigenvalue]:
+def block_eigenvalues(
+    ss: ShortSequence, profile: Sequence[int] | None = None
+) -> list[BlockEigenvalue]:
     """Closed-form eigenvalues contributed by blocks of size >= 2.
 
-    Each qualifying block j yields -(pair count of its first two vertices)
-    with multiplicity a_j - 1.  The pair count is assembled from the block
-    formulas (later ones blocks, plus the within-block term for ones
-    blocks) and cross-checked against the direct closed-form pair count;
-    the two routes are independent and a mismatch is a bug, not bad input.
+    Each qualifying block j yields -gamma_j with multiplicity a_j - 1: the
+    difference of two twin indicator vectors is an eigenvector.  `profile`
+    passes gamma when the caller has already computed it.  Each value is
+    cross-checked against the direct closed-form pair count of the block's
+    first two vertices; the two routes are independent and a mismatch is a
+    bug, not bad input.
     """
     if not ss.connected:
         raise DisconnectedError(
             "disconnected sequence: closed-form eigenvalues need the last "
             "creation bit to be 1"
         )
+    if profile is None:
+        profile = block_profile(ss)
     h = ThresholdHypergraph(to_binary(ss))
-    ones_blocks = [j for j in range(1, ss.r + 1) if ss.block_is_ones(j)]
     out = []
     first = 1
     for j, size in enumerate(ss.runs, start=1):
@@ -117,15 +148,11 @@ def block_eigenvalues(ss: ShortSequence) -> list[BlockEigenvalue]:
         first += size
         if size < 2:
             continue
-        later = sum(
-            pair_edges_ending_in_block(ss, j2) for j2 in ones_blocks if j2 > j
-        )
-        own = pair_edges_within_ones_block(ss, j) if ss.block_is_ones(j) else 0
-        value = -(later + own)
+        value = -profile[j - 1]
         direct = -h.pair_count(s, s + 1)
         if value != direct:
             raise RuntimeError(
-                f"internal: block {j} formula gives {value} but the direct "
+                f"internal: block {j} profile gives {value} but the direct "
                 f"pair count gives {direct} on {format_binary(h.sequence)}"
             )
         if ss.first_run_has_ones and j == 1:
@@ -175,29 +202,20 @@ class QuotientMatrix:
 
 
 def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
-    """Collapse the adjacency matrix along the block partition.
+    """Block row sums of the adjacency matrix, read off the block profile.
 
-    Within a block every column is constant off the diagonal, so block row
-    sums do not depend on which row of the block is read; that constancy
-    is verified here rather than assumed.
+    A vertex of block s sees a_t vertices of block t != s, all at count
+    gamma of the later block, and a_s - 1 twins at gamma_s:
+    Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
     ss = to_short(h.sequence)
-    rows = h.adjacency().entries
-    cuts = [0] + list(accumulate(ss.runs))
-    entries = []
-    for bi in range(ss.r):
-        i0, i1 = cuts[bi], cuts[bi + 1]
-        sums = [
-            [sum(rows[p][cuts[bj] : cuts[bj + 1]]) for bj in range(ss.r)]
-            for p in range(i0, i1)
-        ]
-        if any(s != sums[0] for s in sums[1:]):
-            raise RuntimeError(
-                f"internal: block {bi + 1} rows collapse unevenly on "
-                f"{format_binary(h.sequence)}"
-            )
-        entries.append(tuple(sums[0]))
-    return QuotientMatrix(tuple(entries), tuple(ss.runs))
+    profile = block_profile(ss)
+    sizes = ss.runs
+    entries = tuple(
+        tuple((sizes[t] - (s == t)) * profile[max(s, t)] for t in range(ss.r))
+        for s in range(ss.r)
+    )
+    return QuotientMatrix(entries, sizes)
 
 
 def symmetrize_quotient(q: QuotientMatrix) -> list[list[float]]:
@@ -276,6 +294,188 @@ def jacobi_eigenvalues(
     )
 
 
+#: Machine epsilon; the pencil solver's tolerances are multiples of it
+#: times the Frobenius norm.
+_EPS = sys.float_info.epsilon
+
+
+class _Pencil:
+    """Tridiagonal pencil T(lam) whose inertia counts quotient eigenvalues.
+
+    With m_s(lam) = (gamma_s + lam) / a_s and gamma_{r+1} = m_{r+1} = 0,
+    T(lam) has diagonal (gamma_s - gamma_{s+1}) - m_s - m_{s+1} and
+    off-diagonal m_{s+1}.  It is congruent to P^T A P - lam D, where P
+    maps each vertex to its block and D = diag(a_s), so by Sylvester's law
+    its negative pivots count the quotient eigenvalues below lam, and
+    det T(lam) is a degree-r polynomial whose roots are exactly those
+    eigenvalues.
+
+    T is factored from the last block up.  With h_r = gamma_r, the pivots
+    are p_s = h_s - m_s and h_{s-1} = (gamma_{s-1} - gamma_s) - h_s m_s / p_s,
+    which is the textbook p_{s-1} = T_{s-1,s-1} - T_{s-1,s}^2 / p_s regrouped.
+    The grouping never subtracts the large terms that a tiny pivot creates;
+    the top-down textbook order loses up to 1e-13 |A|_F at r = 60, this one
+    stays within a few units of roundoff times |A|_F.
+    """
+
+    def __init__(self, profile: Sequence[int], sizes: Sequence[int]) -> None:
+        if len(profile) != len(sizes) or not sizes or min(sizes) < 1:
+            raise ValueError("need one positive block size per profile value")
+        gamma = [as_float(g) for g in profile]
+        self.r = len(sizes)
+        self.top = gamma[-1]
+        # block s from the last up: (gamma_{s-1} - gamma_s, gamma_s, 1 / a_s)
+        self.rows = [
+            (gamma[s - 1] - gamma[s] if s else 0.0, gamma[s], 1.0 / sizes[s])
+            for s in range(self.r - 1, -1, -1)
+        ]
+        self.scale = max(1.0, math.sqrt(profile_frobenius_sq(profile, sizes)))
+
+    def count(self, lam: float) -> int:
+        """Negative pivots of T(lam).
+
+        An exact zero pivot p_s is read as -0: it counts, and when m_s is
+        nonzero the next pivot is +inf, which does not count, and
+        h_{s-2} = (gamma_{s-2} - gamma_{s-1}) - m_{s-1}.
+        """
+        h = self.top
+        below = 0
+        skip = False
+        for w, g, inv in self.rows:
+            m = (g + lam) * inv
+            if skip:
+                h = w - m
+                skip = False
+                continue
+            p = h - m
+            if p <= 0.0:
+                below += 1
+                if p == 0.0:
+                    skip = m != 0.0
+                    h = w
+                    continue
+            h = w - h * m / p
+        return below
+
+    def newton(self, lam: float) -> tuple[int, float | None]:
+        """Count at lam and the Newton step -det T / (det T)' there.
+
+        The log-derivative of det T is the sum of p_s'/p_s, carried by the
+        same recurrence.  At an exact zero pivot, or a zero derivative,
+        there is no step.
+        """
+        h = self.top
+        dh = 0.0
+        below = 0
+        total = 0.0
+        for w, g, inv in self.rows:
+            m = (g + lam) * inv
+            p = h - m
+            if p <= 0.0:
+                if p == 0.0:
+                    return self.count(lam), None
+                below += 1
+            dp = dh - inv
+            t = m / p
+            ratio = h / p
+            total += dp / p
+            dh = -(dh * t + ratio * (inv - t * dp))
+            h = w - h * t
+        return below, (-1.0 / total if total else None)
+
+    def eigenvalues(self) -> list[float]:
+        """All r eigenvalues, descending.
+
+        Bisection on [-|A|_F - 1, |A|_F + 1] isolates each eigenvalue, then
+        safeguarded Newton steps refine it.  Eigenvalues that stay together
+        in an interval of width 8 eps |A|_F are reported at its midpoint.
+        """
+        delta = 4.0 * _EPS * self.scale
+        lo, hi = -self.scale - 1.0, self.scale + 1.0
+        if self.count(lo) != 0 or self.count(hi) != self.r:
+            raise RuntimeError(
+                "internal: quotient eigenvalues escape the Frobenius bound"
+            )
+        out: list[float] = []
+        stack = [(lo, 0, hi, self.r)]
+        while stack:
+            lo, below_lo, hi, below_hi = stack.pop()
+            if below_hi - below_lo == 1:
+                out.append(self._refine(lo, hi, below_lo, delta))
+                continue
+            if hi - lo <= 2.0 * delta:
+                out.extend([0.5 * (lo + hi)] * (below_hi - below_lo))
+                continue
+            mid = 0.5 * (lo + hi)
+            below = min(max(self.count(mid), below_lo), below_hi)
+            if below > below_lo:
+                stack.append((lo, below_lo, mid, below))
+            if below_hi > below:
+                stack.append((mid, below, hi, below_hi))
+        out.sort(reverse=True)
+        return out
+
+    def _refine(self, lo: float, hi: float, below: int, delta: float) -> float:
+        """The one eigenvalue in (lo, hi], where count(lo) = below and
+        count(hi) = below + 1.
+
+        A Newton step is taken when it stays inside the bracket and at most
+        halves the previous step; otherwise the bracket is bisected.  Newton
+        has converged when its step, or the next step that quadratic
+        convergence predicts from two successive Newton steps, is below
+        eps |A|_F.  The value is accepted only when the counts at
+        value -/+ delta bracket it, even when rounding puts it on the
+        bracket edge; otherwise bisection finishes the job.
+        """
+        tol = _EPS * self.scale
+        use_newton = True
+        x = 0.5 * (lo + hi)
+        last = hi - lo
+        prev = 0.0
+        while True:
+            if use_newton:
+                below_x, step = self.newton(x)
+            else:
+                below_x, step = self.count(x), None
+            if below_x <= below:
+                lo = x
+            else:
+                hi = x
+            if step is not None:
+                size = abs(step)
+                if size <= tol or size * size * size <= tol * prev * prev:
+                    x += step
+                    if self.count(x - delta) <= below < self.count(x + delta):
+                        return x
+                    use_newton = False
+                elif lo < x + step < hi and size <= 0.5 * last:
+                    last = prev = size
+                    x += step
+                    continue
+            if hi - lo <= 2.0 * delta:
+                return 0.5 * (lo + hi)
+            last = 0.5 * (hi - lo)
+            prev = 0.0
+            x = lo + last
+
+
+def quotient_inertia(
+    profile: Sequence[int], sizes: Sequence[int], lam: float
+) -> int:
+    """Number of quotient eigenvalues below lam, by an O(r) pivot count.
+
+    An eigenvalue equal to lam may count either way.
+    """
+    return _Pencil(profile, sizes).count(lam)
+
+
+def quotient_eigenvalues(
+    profile: Sequence[int], sizes: Sequence[int]
+) -> list[float]:
+    """The r quotient eigenvalues from the block profile, descending."""
+    return _Pencil(profile, sizes).eigenvalues()
+
+
 @dataclass(frozen=True)
 class EigenPair:
     value: float
@@ -349,14 +549,12 @@ def full_spectrum_closed(
             "creation bit to be 1"
         )
     ss = to_short(h.sequence)
+    profile = block_profile(ss)
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
-        for b in block_eigenvalues(ss)
+        for b in block_eigenvalues(ss, profile)
     ]
-    entries.extend(
-        (v, 1, "quotient")
-        for v in jacobi_eigenvalues(symmetrize_quotient(quotient_matrix(h)))
-    )
+    entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(profile, ss.runs))
     pairs = _merge_entries(entries, merge_tol)
     total = sum(p.multiplicity for p in pairs)
     if total != h.n:
@@ -522,8 +720,8 @@ def scan_quotient_simplicity(
     for k in k_set:
         for n in range(k, n_max + 1):
             for s in iter_valid_sequences(n, k, connected_only=True):
-                h = ThresholdHypergraph(s)
-                values = jacobi_eigenvalues(symmetrize_quotient(quotient_matrix(h)))
+                ss = to_short(s)
+                values = quotient_eigenvalues(block_profile(ss), ss.runs)
                 if len(values) > 1:
                     gap = min(
                         values[i] - values[i + 1] for i in range(len(values) - 1)

@@ -1,6 +1,10 @@
 import json
+import math
 
+import threshspec.cli as cli
 from threshspec.cli import main
+from threshspec.hypergraph import ThresholdHypergraph
+from threshspec.spectrum import EigenPair, Spectrum
 
 
 def run(capsys, *args):
@@ -43,6 +47,46 @@ class TestSpectrumCommand:
         assert lines[4].startswith("max_dev=")
         assert lines[4].endswith("tol=1e-08 status=ok")
 
+    def test_verify_has_no_false_mismatch(self, capsys):
+        # each of these exited 2 on a correct spectrum when the dense
+        # eigenvalues were clustered and the tolerance was absolute
+        for text in (
+            "k=6;0,0,0,0,0,0,1,1,0,0,1,1,0,0,1,0,1,0,1,0,"
+            "0,1,1,1,0,0,1,0,0,1,0,0,1,1,0,0,1,1,1,1",
+            "k=6;0,0,0,0,0,0,1,0,1,1,1,0,0,1,0,1,1,0,1,1,"
+            "1,1,0,0,0,1,1,0,0,0,0,0,1,0,0,1,0,1,1,1",
+            "k=6;" + ",".join(["0"] * 5 + ["1", "0"] * 37 + ["1"]),
+            "C(40,40)_6",
+        ):
+            code, out, err = run(capsys, "spectrum", text, "--verify")
+            assert code == 0, text
+            assert out.splitlines()[-1].endswith("tol=1e-08 status=ok")
+
+    def test_verify_catches_a_shifted_eigenvalue(self, capsys, monkeypatch):
+        closed = cli.full_spectrum_closed
+        adjacency = ThresholdHypergraph.from_text("C(3,2)_3").adjacency()
+        scale = math.sqrt(adjacency.frobenius_sq())
+
+        def shifted(h, merge_tol):
+            spec = closed(h, merge_tol)
+            top, *rest = spec.pairs
+            moved = EigenPair(top.value + 1e-6 * scale, top.multiplicity, top.source)
+            return Spectrum((moved, *rest), spec.merge_tol)
+
+        monkeypatch.setattr(cli, "full_spectrum_closed", shifted)
+        code, out, err = run(capsys, "spectrum", "C(3,2)_3", "--verify")
+        assert code == 2
+        assert out.splitlines()[-1].endswith("status=mismatch")
+
+    def test_precision_limit_exits_3(self, capsys):
+        for args in (
+            ["spectrum", "C(50,50)_20"],
+            ["family", "1", "--n", "100", "--k", "20"],
+        ):
+            code, out, err = run(capsys, *args)
+            assert code == 3, args
+            assert err.startswith("error: precision limit:")
+
     def test_csv_output(self, capsys):
         code, out, err = run(capsys, "spectrum", "C(3,1,1)_3", "--format", "csv")
         assert code == 0
@@ -78,6 +122,15 @@ class TestSpectrumCommand:
             ["spectrum", "C(2,1)_4"],  # first run below position k
             ["spectrum", "k=3;0,0,1", "--format", "yaml"],
             ["spectrum", "k=3;0,0,1", "--merge-tol", "-1"],
+            ["spectrum", "k=3;0,0,1", "--verify", "--tol", "nan"],
+            ["spectrum", "k=3;0,0,1", "--verify", "--tol", "inf"],
+            ["spectrum", "k=3;0,0,1", "--verify", "--tol", "0"],
+            ["verify", "--n-max", "-3", "--k", "3"],
+            ["verify", "--n-max", "0", "--k", "3"],
+            ["verify", "--n-max", "4", "--k", "3", "--budget", "0"],
+            ["scan", "--n-max", "-3", "--k", "3"],
+            ["scan", "--n-max", "4", "--k", "3", "--budget", "0"],
+            ["scan", "--n-max", "4", "--k", "3", "--tol", "nan"],
         ):
             code, out, err = run(capsys, *args)
             assert code == 1, args

@@ -10,6 +10,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
+from threshspec.cli import main
 from threshspec.hypergraph import ThresholdHypergraph, adjacency_bruteforce
 from threshspec.sequences import (
     ShortSequence,
@@ -21,13 +22,15 @@ from threshspec.sequences import (
 from threshspec.spectrum import (
     QuotientMatrix,
     block_eigenvalues,
+    block_profile,
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
     full_spectrum_numeric,
     jacobi_eigenvalues,
-    pair_edges_ending_in_block,
-    pair_edges_within_ones_block,
+    profile_frobenius_sq,
+    quotient_eigenvalues,
+    quotient_inertia,
     quotient_matrix,
     scan_quotient_simplicity,
     symmetrize_quotient,
@@ -45,22 +48,118 @@ def connected_hypergraphs(n_max, k_range=range(2, 8)):
                 yield ThresholdHypergraph(seq)
 
 
-class TestBlockPairCounts:
-    def test_ending_in_block(self):
-        assert pair_edges_ending_in_block(ShortSequence(3, (4, 1)), 2) == 1
-        assert pair_edges_ending_in_block(ShortSequence(3, (3, 2)), 2) == 2
-        assert pair_edges_ending_in_block(ShortSequence(4, (4, 2)), 2) == 5
-        merged = ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
-        assert pair_edges_ending_in_block(merged, 1) == 1
-        assert pair_edges_ending_in_block(merged, 3) == 1
+def block_collapse(entries, sizes):
+    """Quotient of a dense matrix: row sums of each block's first vertex."""
+    cuts = [0]
+    for a in sizes:
+        cuts.append(cuts[-1] + a)
+    return tuple(
+        tuple(sum(entries[cuts[s]][cuts[t] : cuts[t + 1]]) for t in range(len(sizes)))
+        for s in range(len(sizes))
+    )
 
-    def test_within_ones_block(self):
-        assert pair_edges_within_ones_block(ShortSequence(3, (4, 1)), 2) == 3
-        assert pair_edges_within_ones_block(ShortSequence(3, (3, 2)), 2) == 3
-        assert pair_edges_within_ones_block(ShortSequence(4, (4, 2)), 2) == 6
+
+class TestBlockProfile:
+    def test_later_ones_block_counts(self):
+        # a zeros block sees only the edges its pair closes in later ones
+        # blocks: sum of binomial(p - 3, k - 3) over their positions p
+        assert block_profile(ShortSequence(3, (4, 1)))[0] == 1
+        assert block_profile(ShortSequence(3, (3, 2)))[0] == 2
+        assert block_profile(ShortSequence(4, (4, 2)))[0] == 5
         merged = ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
-        assert pair_edges_within_ones_block(merged, 1) == 1
-        assert pair_edges_within_ones_block(merged, 3) == 3
+        assert block_profile(merged)[1] == 1
+
+    def test_ones_block_counts(self):
+        # a ones block adds binomial(P - 2, k - 2), P its last position
+        assert block_profile(ShortSequence(3, (4, 1)))[1] == 3
+        assert block_profile(ShortSequence(3, (3, 2)))[1] == 3
+        assert block_profile(ShortSequence(4, (4, 2)))[1] == 6
+        merged = ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
+        assert block_profile(merged) == (1 + 1, 1, 3)
+
+    def test_matches_bruteforce_collapse(self):
+        # every connected sequence with n <= 9, k = 2..5, against the
+        # edge-list recount and numpy
+        checked = 0
+        for h in connected_hypergraphs(9, range(2, 6)):
+            ss = to_short(h.sequence)
+            brute = adjacency_bruteforce(h)
+            profile = block_profile(ss)
+            q = quotient_matrix(h)
+            assert q.entries == block_collapse(brute.entries, ss.runs)
+            fro_sq = profile_frobenius_sq(profile, ss.runs)
+            assert fro_sq == brute.frobenius_sq()
+            root = np.sqrt(np.array(ss.runs, dtype=float))
+            sym = np.array(q.entries, dtype=float) * root[:, None] / root[None, :]
+            want = np.linalg.eigvalsh((sym + sym.T) / 2)[::-1]
+            got = quotient_eigenvalues(profile, ss.runs)
+            assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * math.sqrt(fro_sq)
+            checked += 1
+        assert checked == sum(2 ** (n - k) for k in range(2, 6) for n in range(k, 10))
+
+    def test_unequal_block_raises(self, monkeypatch):
+        # Pascal's rule makes every block equitable, so break the counts:
+        # the guard must notice that a block's column values differ
+        import threshspec.spectrum as spectrum
+
+        monkeypatch.setattr(
+            spectrum, "binomial", lambda n, k: math.comb(n, k) + n if 0 <= k <= n else 0
+        )
+        with pytest.raises(RuntimeError, match="unequal pair counts"):
+            block_profile(ShortSequence(3, (3, 3)))
+
+
+class TestInertia:
+    def test_counts_bracket_every_eigenvalue(self):
+        eps = np.finfo(float).eps
+        for h in connected_hypergraphs(8, range(2, 6)):
+            ss = to_short(h.sequence)
+            profile = block_profile(ss)
+            delta = 4 * eps * math.sqrt(profile_frobenius_sq(profile, ss.runs))
+            ascending = sorted(quotient_eigenvalues(profile, ss.runs))
+            for i, v in enumerate(ascending):
+                assert quotient_inertia(profile, ss.runs, v - delta) <= i
+                assert quotient_inertia(profile, ss.runs, v + delta) > i
+
+    def test_exact_zero_pivot(self):
+        # at lam = gamma_r (a_r - 1) the first pivot gamma_r - m_r is exactly
+        # zero when a_r is a power of two; the count must still be right
+        hits = 0
+        for h in connected_hypergraphs(9, range(2, 6)):
+            ss = to_short(h.sequence)
+            a, g = ss.runs[-1], block_profile(ss)[-1]
+            if a not in (1, 2, 4):
+                continue
+            lam = float(g * (a - 1))
+            assert g - (g + lam) * (1.0 / a) == 0.0
+            q = np.array(quotient_matrix(h).entries, dtype=float)
+            w = np.linalg.eigvals(q).real
+            if np.min(np.abs(w - lam)) < 1e-6:
+                continue  # lam is an eigenvalue (always so for r = 1)
+            want = int(np.sum(w < lam))
+            assert quotient_inertia(block_profile(ss), ss.runs, lam) == want
+            hits += 1
+        assert hits > 100
+        # k=2;0,0,1,1: quotient [[0, 2], [2, 1]] has one eigenvalue below 1
+        assert quotient_inertia((0, 1), (2, 2), 1.0) == 1
+
+    def test_rejects_mismatched_sizes(self):
+        with pytest.raises(ValueError):
+            quotient_inertia((1, 2), (3,), 0.0)
+        with pytest.raises(ValueError):
+            quotient_eigenvalues((1,), (0,))
+
+
+class TestClosedRouteStaysOffDense:
+    def test_no_adjacency_on_closed_route(self, monkeypatch, capsys):
+        def refuse(self):
+            raise AssertionError("the closed route built the dense matrix")
+
+        monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
+        sp = full_spectrum_closed(hg("C(1500,1500)_3"))
+        assert sp.total_multiplicity() == 3000
+        assert main(["scan", "--n-max", "8", "--k", "3"]) == 0
+        assert capsys.readouterr().err.startswith("sequences=63 ")
 
 
 class TestBlockEigenvalues:
@@ -136,7 +235,7 @@ class TestQuotient:
         assert q.block_sizes == (3, 1, 1)
 
     def test_quotient_rows_collapse_for_all(self):
-        # quotient_matrix raises internally if any block is inhomogeneous
+        # block_profile raises internally if any block is inhomogeneous
         for h in connected_hypergraphs(7):
             q = quotient_matrix(h)
             assert sum(q.block_sizes) == h.n
