@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import TextIO
 
 from .errors import CountTooLargeError, ResourceLimitError, SequenceError
@@ -34,21 +33,6 @@ EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
 
 FORMATS = ("text", "csv", "structured")
-
-
-@dataclass
-class Config:
-    output_format: str = "text"
-    merge_tol: float = 1e-9
-    edge_cap: int = DEFAULT_EDGE_CAP
-
-    def __post_init__(self) -> None:
-        if self.output_format not in FORMATS:
-            raise SequenceError(f"unknown format {self.output_format!r}")
-        if not self.merge_tol > 0:
-            raise SequenceError("merge tolerance must be positive")
-        if self.edge_cap < 1:
-            raise SequenceError("edge cap must be positive")
 
 
 class _UsageError(Exception):
@@ -84,12 +68,12 @@ def _spectrum_rows(spec: Spectrum) -> list[tuple[str, str, str]]:
 def _emit_spectrum(
     spec: Spectrum,
     h: ThresholdHypergraph,
-    cfg: Config,
+    output_format: str,
     out: TextIO,
     err: TextIO,
     verify_info: dict | None = None,
 ) -> None:
-    if cfg.output_format == "text":
+    if output_format == "text":
         for value, mult, source in _spectrum_rows(spec):
             print(f"lambda={value} mult={mult} source={source}", file=out)
         if verify_info is not None:
@@ -99,7 +83,7 @@ def _emit_spectrum(
                 f"tol={fmt(verify_info['tol'])} status={status}",
                 file=out,
             )
-    elif cfg.output_format == "csv":
+    elif output_format == "csv":
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["lambda", "mult", "source"])
         writer.writerows(_spectrum_rows(spec))
@@ -128,9 +112,9 @@ def _emit_spectrum(
         print(json.dumps(doc, indent=2), file=out)
 
 
-def cmd_spectrum(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     h = ThresholdHypergraph(parse_sequence(args.sequence))
-    spec = full_spectrum_closed(h, cfg.merge_tol)
+    spec = full_spectrum_closed(h, args.merge_tol)
     verify_info = None
     code = EXIT_OK
     if args.verify:
@@ -147,14 +131,14 @@ def cmd_spectrum(args, cfg: Config, out: TextIO, err: TextIO) -> int:
         verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
         if not ok:
             code = EXIT_DISAGREE
-    _emit_spectrum(spec, h, cfg, out, err, verify_info)
+    _emit_spectrum(spec, h, args.format, out, err, verify_info)
     return code
 
 
-def cmd_edges(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_edges(args, out: TextIO, err: TextIO) -> int:
     h = ThresholdHypergraph(parse_sequence(args.sequence))
-    edges = h.edges(cfg.edge_cap)
-    if cfg.output_format == "structured":
+    edges = h.edges(args.edge_cap)
+    if args.format == "structured":
         doc = {
             "n": h.n,
             "k": h.k,
@@ -168,10 +152,10 @@ def cmd_edges(args, cfg: Config, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_adjacency(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
     h = ThresholdHypergraph(parse_sequence(args.sequence))
     mat = h.adjacency()
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         doc = {
             "n": h.n,
             "k": h.k,
@@ -185,12 +169,12 @@ def cmd_adjacency(args, cfg: Config, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_verify(args, out: TextIO, err: TextIO) -> int:
     results = run_all_sweeps(
-        args.n_max, _parse_k_list(args.k), cfg.edge_cap, args.budget
+        args.n_max, _parse_k_list(args.k), args.edge_cap, args.budget
     )
     all_ok = all(r.passed for r in results)
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         doc = {
             "sweeps": [
                 {"name": r.name, "checked": r.checked, "failed": len(r.failures)}
@@ -212,27 +196,27 @@ def cmd_verify(args, cfg: Config, out: TextIO, err: TextIO) -> int:
     return EXIT_OK if all_ok else EXIT_DISAGREE
 
 
-def cmd_family(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_family(args, out: TextIO, err: TextIO) -> int:
     ss = family_sequence(args.family, args.n, args.k, args.j)
-    spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j, cfg.merge_tol)
+    spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j, args.merge_tol)
     h = ThresholdHypergraph(to_binary(ss))
-    if cfg.output_format == "text":
+    if args.format == "text":
         print(f"short={format_short(ss)}", file=out)
         print(f"sequence={format_binary(h.sequence)}", file=out)
-    elif cfg.output_format == "csv":
+    elif args.format == "csv":
         print(f"short={format_short(ss)}", file=err)
         print(f"sequence={format_binary(h.sequence)}", file=err)
-    _emit_spectrum(spec, h, cfg, out, err)
+    _emit_spectrum(spec, h, args.format, out, err)
     return EXIT_OK
 
 
-def cmd_scan(args, cfg: Config, out: TextIO, err: TextIO) -> int:
+def cmd_scan(args, out: TextIO, err: TextIO) -> int:
     rows = scan_quotient_simplicity(
         args.n_max, _parse_k_list(args.k), args.tol, args.budget
     )
     flagged = sum(1 for row in rows if row.flagged)
     min_gap = min((row.min_quotient_gap for row in rows), default=float("inf"))
-    if cfg.output_format == "structured":
+    if args.format == "structured":
         doc = {
             "rows": [
                 {
@@ -292,15 +276,19 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> _Parser:
-    common = _Parser(add_help=False)
-    common.add_argument("--format", choices=FORMATS, default="text")
-    common.add_argument("--merge-tol", type=float, default=1e-9)
-    common.add_argument("--edge-cap", type=int, default=DEFAULT_EDGE_CAP)
+    output = _Parser(add_help=False)
+    output.add_argument("--format", choices=FORMATS, default="text")
+    merging = _Parser(add_help=False)
+    merging.add_argument("--merge-tol", type=_positive_float, default=1e-9)
+    capping = _Parser(add_help=False)
+    capping.add_argument("--edge-cap", type=_positive_int, default=DEFAULT_EDGE_CAP)
 
     parser = _Parser(prog="threshspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", parents=[common], help="closed-form spectrum")
+    p = sub.add_parser(
+        "spectrum", parents=[output, merging], help="closed-form spectrum"
+    )
     p.add_argument("sequence")
     p.add_argument(
         "--verify",
@@ -316,28 +304,28 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("edges", parents=[common], help="edge list")
+    p = sub.add_parser("edges", parents=[output, capping], help="edge list")
     p.add_argument("sequence")
     p.set_defaults(handler=cmd_edges)
 
-    p = sub.add_parser("adjacency", parents=[common], help="pair-count matrix")
+    p = sub.add_parser("adjacency", parents=[output], help="pair-count matrix")
     p.add_argument("sequence")
     p.set_defaults(handler=cmd_adjacency)
 
-    p = sub.add_parser("verify", parents=[common], help="exhaustive sweeps")
+    p = sub.add_parser("verify", parents=[output, capping], help="exhaustive sweeps")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
     p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("family", parents=[common], help="catalogued families")
+    p = sub.add_parser("family", parents=[output, merging], help="catalogued families")
     p.add_argument("family", type=int, choices=(1, 2, 3))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--j", type=int, default=None)
     p.set_defaults(handler=cmd_family)
 
-    p = sub.add_parser("scan", parents=[common], help="quotient gap report")
+    p = sub.add_parser("scan", parents=[output], help="quotient gap report")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
@@ -351,12 +339,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cfg = Config(
-            output_format=args.format,
-            merge_tol=args.merge_tol,
-            edge_cap=args.edge_cap,
-        )
-        return args.handler(args, cfg, sys.stdout, sys.stderr)
+        return args.handler(args, sys.stdout, sys.stderr)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -2,10 +2,13 @@
 
 Everything here is exact.  Edges are k-subsets whose largest vertex has
 creation bit 1, and the adjacency matrix counts, for each vertex pair, the
-edges containing both.  `ThresholdHypergraph.adjacency` computes those
-counts in closed form; `adjacency_bruteforce` recounts them by walking the
-edge list, and the two must agree entry for entry, which the test-suite
-exploits as an oracle.
+edges containing both.  For i < j that count depends on j alone, and
+`ThresholdHypergraph.column_counts` computes those n values in closed form;
+`adjacency` expands them into the matrix and the closed spectral route
+(`spectrum.block_profile`) groups them by block.  `adjacency_bruteforce`
+recounts every pair by walking the edge list, and `pair_count` sums the
+edges of one pair directly; both stay independent of `column_counts` and
+serve as its oracles.
 """
 
 from dataclasses import dataclass
@@ -143,22 +146,34 @@ class ThresholdHypergraph:
         )
         return own + later
 
-    def adjacency(self) -> AdjacencyMatrix:
-        """Closed-form adjacency matrix, O(n^2) binomial evaluations."""
-        n, k = self.n, self.k
+    def column_counts(self) -> tuple[int, ...]:
+        """Pair count c_j shared by every pair (i, j) with i < j, for j = 1..n.
+
+        For i < j the count depends on j alone: j closes binomial(j-2, k-2)
+        edges through i when its bit is 1, and every later pseudodominant p
+        closes binomial(p-3, k-3).  One pass from the last vertex down,
+        O(n) binomial evaluations.  The first vertex has no earlier partner
+        and gets 0.
+        """
+        k = self.k
         bits = self.sequence.bits
-        # after[v] = edges through a fixed pair closed by pseudodominants
-        # strictly beyond vertex v (1-based).
-        after = [0] * (n + 2)
-        for v in range(n - 1, 0, -1):
-            contrib = binomial(v + 1 - 3, k - 3) if bits[v] else 0
-            after[v] = after[v + 1] + contrib
-        rows = [[0] * n for _ in range(n)]
-        for j in range(2, n + 1):
-            column = (binomial(j - 2, k - 2) if bits[j - 1] else 0) + after[j]
-            for i in range(j - 1):
-                rows[i][j - 1] = rows[j - 1][i] = column
-        return AdjacencyMatrix(tuple(tuple(row) for row in rows))
+        out = [0] * self.n
+        after = 0  # edges through a fixed pair closed beyond vertex j
+        for j in range(self.n, 1, -1):
+            if bits[j - 1]:
+                out[j - 1] = after + binomial(j - 2, k - 2)
+                after += binomial(j - 3, k - 3)
+            else:
+                out[j - 1] = after
+        return tuple(out)
+
+    def adjacency(self) -> AdjacencyMatrix:
+        """Closed-form adjacency matrix: A[i][j] = c[max(i, j)] off the
+        diagonal, expanded from `column_counts`."""
+        c = self.column_counts()
+        return AdjacencyMatrix(
+            tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(self.n))
+        )
 
     def split_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """(independent part, clique part): zero bits never finish an edge,

@@ -1,16 +1,17 @@
 """Eigenvalues of threshold hypergraph adjacency matrices.
 
 Two routes are implemented.  The closed route never builds the n x n
-matrix.  For i < j the pair count A[i][j] depends only on the block of j,
-so r exact integers, the block profile gamma, fix the whole matrix.  Every
-block of b >= 2 twin vertices contributes -gamma of that block with
-multiplicity b - 1, and the remaining r eigenvalues are those of the
-equitable quotient.  They are found by bisection and safeguarded Newton
-steps on an O(r) inertia count of a tridiagonal pencil congruent to the
-quotient problem.  The numeric route diagonalizes the full n x n matrix
-with a deterministic cyclic Jacobi iteration and serves as the oracle; the
-test-suite sweeps the agreement of the two routes exhaustively on small
-instances.
+matrix.  For i < j the pair count A[i][j] depends only on the block of j:
+`block_profile` groups the column counts of `ThresholdHypergraph` by block
+into r exact integers, gamma, that fix the whole matrix.  Every block of
+b >= 2 twin vertices contributes -gamma of that block with multiplicity
+b - 1, and the remaining r eigenvalues are those of the equitable quotient.
+They are found by bisection and safeguarded Newton steps on an O(r)
+inertia count of a tridiagonal pencil congruent to the quotient problem;
+the family-3 closed forms use the same solver.  The numeric route
+diagonalizes the full n x n matrix with a deterministic cyclic Jacobi
+iteration and serves as the oracle; the verify sweeps and the test-suite
+check the agreement of the two routes exhaustively on small instances.
 """
 
 import math
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .hypergraph import ThresholdHypergraph
 from .sequences import (
-    BinarySequence,
     ShortSequence,
     count_valid_sequences,
     format_binary,
@@ -63,37 +63,33 @@ __all__ = [
 DEFAULT_SEQUENCE_BUDGET = 100_000
 
 
-def block_profile(ss: ShortSequence) -> tuple[int, ...]:
+def block_profile(
+    ss: ShortSequence, columns: Sequence[int] | None = None
+) -> tuple[int, ...]:
     """Pair count gamma_s of any vertex pair whose later vertex is in block s.
 
-    For i < j the count depends on j alone: j closes binomial(j-2, k-2)
-    edges through i when its bit is 1, and every later pseudodominant p
-    closes binomial(p-3, k-3).  These column values agree across a block
-    (Pascal's rule across twin vertices), so A[i][j] = gamma of the block
-    of max(i, j).  Every column value is evaluated once, O(n) exact integer
-    work, and a block whose values differ raises: the block partition must
-    be equitable.  A block with no pair ending in it (a lone first vertex)
-    reports 0.
+    The column counts c_j of `ThresholdHypergraph.column_counts` agree
+    across a block (Pascal's rule across twin vertices), so
+    A[i][j] = gamma of the block of max(i, j).  O(n) exact integer work;
+    a block whose column counts differ raises: the block partition must be
+    equitable.  A block with no pair ending in it (a lone first vertex)
+    reports 0.  `columns` passes the column counts when the caller already
+    holds the hypergraph.
     """
-    k = ss.k
-    out = [0] * ss.r
-    after = 0  # edges through a fixed pair closed beyond the current vertex
-    last = ss.n
-    for s in range(ss.r - 1, -1, -1):
-        first = last - ss.runs[s] + 1
-        ones = ss.block_is_ones(s + 1)
-        columns = set()
-        for j in range(last, max(first, 2) - 1, -1):
-            columns.add(after + binomial(j - 2, k - 2) if ones else after)
-            if ones:
-                after += binomial(j - 3, k - 3)
-        if len(columns) > 1:
+    if columns is None:
+        columns = ThresholdHypergraph(to_binary(ss)).column_counts()
+    out = []
+    last = 0
+    for s, size in enumerate(ss.runs):
+        # the first vertex has no earlier partner, so it carries no count
+        values = set(columns[max(last, 1) : last + size])
+        if len(values) > 1:
             raise RuntimeError(
                 f"internal: block {s + 1} of {format_short(ss)} has unequal "
-                f"pair counts {sorted(columns)}"
+                f"pair counts {sorted(values)}"
             )
-        out[s] = columns.pop() if columns else 0
-        last = first - 1
+        out.append(values.pop() if values else 0)
+        last += size
     return tuple(out)
 
 
@@ -128,10 +124,9 @@ def block_eigenvalues(
 
     Each qualifying block j yields -gamma_j with multiplicity a_j - 1: the
     difference of two twin indicator vectors is an eigenvector.  `profile`
-    passes gamma when the caller has already computed it.  Each value is
-    cross-checked against the direct closed-form pair count of the block's
-    first two vertices; the two routes are independent and a mismatch is a
-    bug, not bad input.
+    passes gamma when the caller has already computed it.  The two-route
+    verify sweep checks each value against the direct pair count of the
+    block's first two vertices.
     """
     if not ss.connected:
         raise DisconnectedError(
@@ -140,28 +135,17 @@ def block_eigenvalues(
         )
     if profile is None:
         profile = block_profile(ss)
-    h = ThresholdHypergraph(to_binary(ss))
     out = []
-    first = 1
     for j, size in enumerate(ss.runs, start=1):
-        s = first
-        first += size
         if size < 2:
             continue
-        value = -profile[j - 1]
-        direct = -h.pair_count(s, s + 1)
-        if value != direct:
-            raise RuntimeError(
-                f"internal: block {j} profile gives {value} but the direct "
-                f"pair count gives {direct} on {format_binary(h.sequence)}"
-            )
         if ss.first_run_has_ones and j == 1:
             tag = "merged-block"
         elif ss.block_is_ones(j):
             tag = "ones-block"
         else:
             tag = "zeros-block"
-        out.append(BlockEigenvalue(value, size - 1, j, tag))
+        out.append(BlockEigenvalue(-profile[j - 1], size - 1, j, tag))
     return out
 
 
@@ -209,7 +193,7 @@ def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
     ss = to_short(h.sequence)
-    profile = block_profile(ss)
+    profile = block_profile(ss, h.column_counts())
     sizes = ss.runs
     entries = tuple(
         tuple((sizes[t] - (s == t)) * profile[max(s, t)] for t in range(ss.r))
@@ -549,7 +533,7 @@ def full_spectrum_closed(
             "creation bit to be 1"
         )
     ss = to_short(h.sequence)
-    profile = block_profile(ss)
+    profile = block_profile(ss, h.column_counts())
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
         for b in block_eigenvalues(ss, profile)
@@ -599,6 +583,8 @@ def family_sequence(
     """
     if k < 2:
         raise SequenceError(f"uniformity must be at least 2, got {k}")
+    if j is not None and family != 2:
+        raise SequenceError(f"only family 2 takes j, got j={j} for family {family}")
     if family == 1:
         if n < k:
             raise SequenceError(f"family 1 needs n >= k, got n={n}, k={k}")
@@ -644,9 +630,11 @@ def family_spectrum_symbolic(
     """Spectrum of a family member from its catalogued closed forms.
 
     The two-run families get their quotient eigenvalues from an explicit
-    quadratic; family 3 symmetrizes its 3 x 3 quotient and reuses the
-    Jacobi path.  Complete-hypergraph boundaries fall back to the general
-    closed route.  Always agrees with `full_spectrum_closed`.
+    quadratic; family 3 passes its hand-entered profile
+    (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)) to the
+    quotient solver of the closed route.  Complete-hypergraph boundaries
+    fall back to the general closed route.  Always agrees with
+    `full_spectrum_closed`.
     """
     ss = family_sequence(family, n, k, j)
     if ss.r == 1:
@@ -669,15 +657,7 @@ def family_spectrum_symbolic(
         entries.append((as_float(-(a_cnt + 1)), k - 1, "block1"))
         if n - k - 2 >= 1:
             entries.append((as_float(-a_cnt), n - k - 2, "block2"))
-        quotient = QuotientMatrix(
-            (
-                ((a_cnt + 1) * (k - 1), a_cnt * (n - k - 1), b_cnt),
-                (a_cnt * k, a_cnt * (n - k - 2), b_cnt),
-                (b_cnt * k, b_cnt * (n - k - 1), 0),
-            ),
-            (k, n - k - 1, 1),
-        )
-        roots = jacobi_eigenvalues(symmetrize_quotient(quotient))
+        roots = quotient_eigenvalues((a_cnt + 1, a_cnt, b_cnt), (k, n - k - 1, 1))
     entries.extend((v, 1, "quotient") for v in roots)
     pairs = _merge_entries(entries, merge_tol)
     total = sum(p.multiplicity for p in pairs)
@@ -721,7 +701,8 @@ def scan_quotient_simplicity(
         for n in range(k, n_max + 1):
             for s in iter_valid_sequences(n, k, connected_only=True):
                 ss = to_short(s)
-                values = quotient_eigenvalues(block_profile(ss), ss.runs)
+                columns = ThresholdHypergraph(s).column_counts()
+                values = quotient_eigenvalues(block_profile(ss, columns), ss.runs)
                 if len(values) > 1:
                     gap = min(
                         values[i] - values[i + 1] for i in range(len(values) - 1)

@@ -24,7 +24,7 @@ from .sequences import (
     iter_valid_sequences,
     to_short,
 )
-from .spectrum import DEFAULT_SEQUENCE_BUDGET, block_eigenvalues
+from .spectrum import DEFAULT_SEQUENCE_BUDGET, block_eigenvalues, block_profile
 
 __all__ = [
     "SweepResult",
@@ -79,20 +79,31 @@ def sweep_adjacency_oracle(
 
 
 def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
-    """Block formulas agree with direct pair counts on connected sequences.
+    """Block eigenvalues agree with direct pair counts on connected sequences.
 
-    `block_eigenvalues` computes both routes and raises on mismatch; the
-    sweep also confirms the block eigenvalue count is n - r.
+    This is where the two routes meet: each block eigenvalue -gamma_s, read
+    off the column counts, must equal minus `pair_count` of the block's
+    first two vertices, an independent direct sum.  The sweep also confirms
+    the block eigenvalue count is n - r.
     """
     res = SweepResult("two_route")
     for s in _sequences(n_max, k_values, connected_only=True):
         ss = to_short(s)
+        h = ThresholdHypergraph(s)
         res.checked += 1
         try:
-            values = block_eigenvalues(ss)
+            values = block_eigenvalues(ss, block_profile(ss, h.column_counts()))
         except RuntimeError as exc:
             res.record(f"{format_binary(s)}: {exc}")
             continue
+        for b in values:
+            first = ss.prefix_sum(b.block_index - 1) + 1
+            direct = -h.pair_count(first, first + 1)
+            if b.value != direct:
+                res.record(
+                    f"{format_binary(s)}: block {b.block_index} gives "
+                    f"{b.value} but the direct pair count gives {direct}"
+                )
         if sum(b.multiplicity_lower_bound for b in values) != s.n - ss.r:
             res.record(f"{format_binary(s)}: block multiplicities missed n-r")
     return res

@@ -122,6 +122,13 @@ class TestSpectrumCommand:
             ["spectrum", "C(2,1)_4"],  # first run below position k
             ["spectrum", "k=3;0,0,1", "--format", "yaml"],
             ["spectrum", "k=3;0,0,1", "--merge-tol", "-1"],
+            ["spectrum", "k=3;0,0,1", "--merge-tol", "inf"],
+            ["edges", "k=3;0,0,1", "--edge-cap", "0"],
+            # options a subcommand does not read are refused, not ignored
+            ["spectrum", "k=3;0,0,1", "--edge-cap", "5"],
+            ["adjacency", "k=3;0,0,1", "--merge-tol", "1"],
+            ["verify", "--n-max", "4", "--k", "3", "--merge-tol", "1"],
+            ["scan", "--n-max", "4", "--k", "3", "--edge-cap", "5"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "nan"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "inf"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "0"],
@@ -226,9 +233,17 @@ class TestFamilyCommand:
         )
 
     def test_matches_spectrum_command(self, capsys):
-        _, fam_out, _ = run(capsys, "family", "2", "--n", "5", "--k", "3", "--j", "4")
-        _, spec_out, _ = run(capsys, "spectrum", "C(3,2)_3")
-        assert fam_out.splitlines()[2:] == spec_out.splitlines()
+        cases = [("2", "5", "3", "--j", "4")]
+        # family 3 hands its profile to the quotient solver of the closed
+        # route, so it prints the same digits as spectrum
+        cases += [
+            ("3", str(n), str(k)) for k in range(2, 7) for n in range(k + 2, 31)
+        ]
+        for family, n, k, *j in cases:
+            _, fam_out, _ = run(capsys, "family", family, "--n", n, "--k", k, *j)
+            lines = fam_out.splitlines()
+            _, spec_out, _ = run(capsys, "spectrum", lines[1][len("sequence=") :])
+            assert lines[2:] == spec_out.splitlines(), (family, n, k)
 
     def test_bad_parameters_exit_1(self, capsys):
         for args in (
@@ -236,6 +251,7 @@ class TestFamilyCommand:
             ["family", "2", "--n", "6", "--k", "3"],  # j is required
             ["family", "9", "--n", "6", "--k", "3"],
             ["family", "1", "--n", "2", "--k", "3"],
+            ["family", "3", "--n", "5", "--k", "3", "--j", "4"],  # j is family 2's
         ):
             code, out, err = run(capsys, *args)
             assert code == 1, args

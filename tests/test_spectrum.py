@@ -98,13 +98,14 @@ class TestBlockProfile:
         assert checked == sum(2 ** (n - k) for k in range(2, 6) for n in range(k, 10))
 
     def test_unequal_block_raises(self, monkeypatch):
-        # Pascal's rule makes every block equitable, so break the counts:
-        # the guard must notice that a block's column values differ
-        import threshspec.spectrum as spectrum
+        # Pascal's rule makes every block equitable, so break the column
+        # counts: the guard must notice that a block's values differ
+        import threshspec.hypergraph as hypergraph
 
-        monkeypatch.setattr(
-            spectrum, "binomial", lambda n, k: math.comb(n, k) + n if 0 <= k <= n else 0
-        )
+        def broken(n, k):
+            return math.comb(n, k) + n if 0 <= k <= n else 0
+
+        monkeypatch.setattr(hypergraph, "binomial", broken)
         with pytest.raises(RuntimeError, match="unequal pair counts"):
             block_profile(ShortSequence(3, (3, 3)))
 
@@ -152,14 +153,24 @@ class TestInertia:
 
 class TestClosedRouteStaysOffDense:
     def test_no_adjacency_on_closed_route(self, monkeypatch, capsys):
-        def refuse(self):
-            raise AssertionError("the closed route built the dense matrix")
+        # the dense matrix and Jacobi belong to the numeric oracle and the
+        # direct pair count to the two-route sweep; none runs on this route
+        import threshspec.spectrum as spectrum
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route left its own code path")
 
         monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
+        monkeypatch.setattr(ThresholdHypergraph, "pair_count", refuse)
+        monkeypatch.setattr(spectrum, "jacobi_eigenvalues", refuse)
         sp = full_spectrum_closed(hg("C(1500,1500)_3"))
         assert sp.total_multiplicity() == 3000
         assert main(["scan", "--n-max", "8", "--k", "3"]) == 0
         assert capsys.readouterr().err.startswith("sequences=63 ")
+        assert main(["family", "3", "--n", "9", "--k", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "short=C(3,5,1)_3"
+        assert sum(int(line.split()[1][5:]) for line in lines[2:]) == 9
 
 
 class TestBlockEigenvalues:
@@ -188,13 +199,13 @@ class TestBlockEigenvalues:
             block_eigenvalues(ShortSequence(3, (4, 1, 1)))
 
     def test_counts_and_direct_pair_agreement(self):
-        # the library cross-checks internally; recheck here from the
-        # adjacency matrix so the test does not trust that code path
+        # block_eigenvalues and adjacency() share the column counts, so
+        # recheck against the edge-list recount, which shares nothing
         for h in connected_hypergraphs(7):
             ss = to_short(h.sequence)
             values = block_eigenvalues(ss)
             assert sum(b.multiplicity_lower_bound for b in values) == h.n - ss.r
-            a = h.adjacency().entries
+            a = adjacency_bruteforce(h).entries
             by_block = {b.block_index: b for b in values}
             first = 1
             for j, size in enumerate(ss.runs, start=1):
@@ -390,6 +401,8 @@ class TestFamilies:
             family_sequence(3, 4, 3)
         with pytest.raises(SequenceError):
             family_sequence(4, 6, 3)
+        with pytest.raises(SequenceError):
+            family_sequence(1, 6, 3, j=4)  # only family 2 takes j
 
     def test_lone_pseudodominant_star_case(self):
         # k = 2 member is the star on n vertices

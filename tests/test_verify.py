@@ -53,3 +53,29 @@ def test_checked_counts_match_sequence_space():
 def test_budget_guard():
     with pytest.raises(ResourceLimitError):
         run_all_sweeps(30, [3], budget=1000)
+
+
+def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
+    # the direct pair count is the sweep's reference, so a profile that is
+    # off by one in a block of twins must fail the sweep and the CLI
+    import threshspec.verify as verify
+    from threshspec.cli import main
+
+    real = verify.block_profile
+
+    def off_by_one(ss, columns=None):
+        profile = list(real(ss, columns))
+        for s, size in enumerate(ss.runs):
+            if size >= 2:
+                profile[s] += 1
+                break
+        return tuple(profile)
+
+    monkeypatch.setattr(verify, "block_profile", off_by_one)
+    res = sweep_two_route(6, [3])
+    assert not res.passed
+    assert "direct pair count" in res.failures[0]
+    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "sweep=two_route checked=15 failed=" in out
+    assert out.splitlines()[-1] == "FAILED"
