@@ -17,6 +17,7 @@ from .errors import (
 )
 from .hypergraph import (
     DEFAULT_EDGE_CAP,
+    DENSE_CELL_CAP,
     AdjacencyMatrix,
     GeneralHypergraph,
     ThresholdHypergraph,
@@ -33,6 +34,7 @@ from .sequences import (
     format_short,
     iter_valid_sequences,
     parse_binary,
+    parse_runs,
     parse_sequence,
     parse_short,
     to_binary,

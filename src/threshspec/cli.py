@@ -8,6 +8,7 @@ invocations produce byte-identical output.
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -15,7 +16,14 @@ from typing import TextIO
 
 from .errors import CountTooLargeError, ResourceLimitError, SequenceError
 from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph
-from .sequences import format_binary, format_short, parse_sequence, to_binary, to_short
+from .sequences import (
+    ShortSequence,
+    format_binary,
+    format_short,
+    parse_runs,
+    parse_sequence,
+    to_binary,
+)
 from .spectrum import (
     DEFAULT_SEQUENCE_BUDGET,
     Spectrum,
@@ -67,7 +75,7 @@ def _spectrum_rows(spec: Spectrum) -> list[tuple[str, str, str]]:
 
 def _emit_spectrum(
     spec: Spectrum,
-    h: ThresholdHypergraph,
+    ss: ShortSequence,
     output_format: str,
     out: TextIO,
     err: TextIO,
@@ -96,10 +104,10 @@ def _emit_spectrum(
             )
     else:
         doc = {
-            "n": h.n,
-            "k": h.k,
-            "sequence": format_binary(h.sequence),
-            "short": format_short(to_short(h.sequence)),
+            "n": ss.n,
+            "k": ss.k,
+            "sequence": format_binary(to_binary(ss)),
+            "short": format_short(ss),
             "pairs": [
                 {"value": p.value, "multiplicity": p.multiplicity, "source": p.source}
                 for p in spec.pairs
@@ -113,13 +121,16 @@ def _emit_spectrum(
 
 
 def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
-    h = ThresholdHypergraph(parse_sequence(args.sequence))
-    spec = full_spectrum_closed(h, args.merge_tol)
+    # short-form text is never expanded to bits unless --verify or the
+    # structured output needs them
+    ss = parse_runs(args.sequence)
+    spec = full_spectrum_closed(ss, args.merge_tol)
     verify_info = None
     code = EXIT_OK
     if args.verify:
         # unclustered dense eigenvalues: clustering would average distinct
         # values; deviations are relative to max(1, |A|_F), |A|_F exact
+        h = ThresholdHypergraph(to_binary(ss))
         mat = h.adjacency()
         dense = full_spectrum_numeric(h, cluster_tol=0.0, adjacency=mat)
         scale = max(1.0, math.sqrt(mat.frobenius_sq()))
@@ -131,7 +142,7 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
         verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
         if not ok:
             code = EXIT_DISAGREE
-    _emit_spectrum(spec, h, args.format, out, err, verify_info)
+    _emit_spectrum(spec, ss, args.format, out, err, verify_info)
     return code
 
 
@@ -199,14 +210,11 @@ def cmd_verify(args, out: TextIO, err: TextIO) -> int:
 def cmd_family(args, out: TextIO, err: TextIO) -> int:
     ss = family_sequence(args.family, args.n, args.k, args.j)
     spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j, args.merge_tol)
-    h = ThresholdHypergraph(to_binary(ss))
-    if args.format == "text":
-        print(f"short={format_short(ss)}", file=out)
-        print(f"sequence={format_binary(h.sequence)}", file=out)
-    elif args.format == "csv":
-        print(f"short={format_short(ss)}", file=err)
-        print(f"sequence={format_binary(h.sequence)}", file=err)
-    _emit_spectrum(spec, h, args.format, out, err)
+    if args.format != "structured":
+        stream = out if args.format == "text" else err
+        print(f"short={format_short(ss)}", file=stream)
+        print(f"sequence={format_binary(to_binary(ss))}", file=stream)
+    _emit_spectrum(spec, ss, args.format, out, err)
     return EXIT_OK
 
 
@@ -335,10 +343,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser, built on the first call rather than at import: each
+    build costs about a millisecond, more than a small `spectrum` call."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.handler(args, sys.stdout, sys.stderr)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,12 +2,12 @@
 
 Everything here is exact.  Edges are k-subsets whose largest vertex has
 creation bit 1, and the adjacency matrix counts, for each vertex pair, the
-edges containing both.  For i < j that count depends on j alone, and
-`ThresholdHypergraph.column_counts` computes those n values in closed form;
-`adjacency` expands them into the matrix and the closed spectral route
-(`spectrum.block_profile`) groups them by block.  `adjacency_bruteforce`
+edges containing both.  For i < j that count depends only on the block
+(run) of j, and `block_profile` computes those r values, gamma, straight
+from the run lengths; `adjacency` expands them into the matrix and the
+closed spectral route works from them alone.  `adjacency_bruteforce`
 recounts every pair by walking the edge list, and `pair_count` sums the
-edges of one pair directly; both stay independent of `column_counts` and
+edges of one pair directly; both stay independent of `block_profile` and
 serve as its oracles.
 """
 
@@ -18,19 +18,89 @@ from typing import Iterable
 
 from .combinatorics import as_float, binomial
 from .errors import ResourceLimitError, SequenceError
-from .sequences import BinarySequence, parse_sequence
+from .sequences import (
+    BinarySequence,
+    ShortSequence,
+    check_first_run,
+    format_short,
+    parse_sequence,
+    to_short,
+)
 
 __all__ = [
     "DEFAULT_EDGE_CAP",
+    "DENSE_CELL_CAP",
     "AdjacencyMatrix",
     "ThresholdHypergraph",
     "GeneralHypergraph",
+    "block_profile",
     "adjacency_bruteforce",
     "load_replaceable_non_threshold_7_4",
 ]
 
 #: Default cap on materialized edges and on brute-force subset iteration.
 DEFAULT_EDGE_CAP = 10**7
+
+#: Cap on the n * n cells of a dense matrix, checked before it is allocated.
+DENSE_CELL_CAP = 10**7
+
+
+def _check_dense(n: int) -> None:
+    if n * n > DENSE_CELL_CAP:
+        raise ResourceLimitError(
+            f"a dense {n}x{n} matrix has {n * n} cells, over the cap of "
+            f"{DENSE_CELL_CAP}"
+        )
+
+
+def block_profile(ss: ShortSequence) -> tuple[int, ...]:
+    """Pair count gamma_s of any vertex pair whose later vertex is in block s.
+
+    For i < j the count depends on j alone: j closes binomial(j-2, k-2)
+    edges through i when its bit is 1, and every later pseudodominant p
+    closes binomial(p-3, k-3).  Over a ones block on positions a..b the
+    hockey-stick identity sums the second kind to
+    binomial(b-2, k-2) - binomial(a-3, k-2), so every vertex j of the
+    block sees `after` + binomial(b-2, k-2), where `after` sums the later
+    blocks, and a zeros block sees `after` alone.  One pass from the last
+    block up: O(r) exact binomials, whatever n is.  A block with no pair
+    ending in it (a lone first vertex) reports 0.
+
+    The result is checked against an identity from the other binomial
+    family: summed over all pairs, gamma counts every edge binomial(k, 2)
+    times, and the edges ending in a ones block number
+    binomial(b, k) - binomial(a-1, k).  A mismatch raises RuntimeError.
+    Raises SequenceError when no bit sequence has this short form.
+    """
+    check_first_run(ss)
+    k, runs = ss.k, ss.runs
+    head_ones = ss.first_run_has_ones
+    profile = [0] * len(runs)
+    after = 0  # edges through a fixed pair closed in the later blocks
+    pairs = edges = 0
+    end = sum(runs)
+    for s in range(len(runs) - 1, -1, -1):
+        size = runs[s]
+        before = end - size
+        if (s % 2 == 0) == head_ones:
+            # in the merged head the ones start at k, but no earlier
+            # block reads the `after` it leaves
+            top = binomial(end - 2, k - 2)
+            g = profile[s] = after + top
+            after += top - binomial(before - 2, k - 2)
+            edges += binomial(end, k) - binomial(before, k)
+        else:
+            g = profile[s] = after
+        pairs += g * (size * before + size * (size - 1) // 2)
+        end = before
+    if runs[0] == 1:
+        profile[0] = 0  # no pair ends in it; its weight above is 0
+    if pairs != k * (k - 1) // 2 * edges:
+        raise RuntimeError(
+            f"internal: pair counts of {format_short(ss)} sum to {pairs}, "
+            f"but its {edges} edges give {k * (k - 1) // 2 * edges}"
+        )
+    return tuple(profile)
 
 
 @dataclass(frozen=True)
@@ -40,21 +110,18 @@ class AdjacencyMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries)
-        )
-        n = len(self.entries)
-        for i, row in enumerate(self.entries):
+        entries = tuple(tuple(map(int, row)) for row in self.entries)
+        object.__setattr__(self, "entries", entries)
+        n = len(entries)
+        for i, row in enumerate(entries):
             if len(row) != n:
                 raise ValueError("adjacency matrix must be square")
             if row[i] != 0:
                 raise ValueError("adjacency diagonal must be zero")
-            if any(x < 0 for x in row):
+            if min(row) < 0:
                 raise ValueError("pair counts cannot be negative")
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.entries[i][j] != self.entries[j][i]:
-                    raise ValueError("adjacency matrix must be symmetric")
+        if entries != tuple(zip(*entries)):
+            raise ValueError("adjacency matrix must be symmetric")
 
     @property
     def n(self) -> int:
@@ -146,31 +213,15 @@ class ThresholdHypergraph:
         )
         return own + later
 
-    def column_counts(self) -> tuple[int, ...]:
-        """Pair count c_j shared by every pair (i, j) with i < j, for j = 1..n.
-
-        For i < j the count depends on j alone: j closes binomial(j-2, k-2)
-        edges through i when its bit is 1, and every later pseudodominant p
-        closes binomial(p-3, k-3).  One pass from the last vertex down,
-        O(n) binomial evaluations.  The first vertex has no earlier partner
-        and gets 0.
-        """
-        k = self.k
-        bits = self.sequence.bits
-        out = [0] * self.n
-        after = 0  # edges through a fixed pair closed beyond vertex j
-        for j in range(self.n, 1, -1):
-            if bits[j - 1]:
-                out[j - 1] = after + binomial(j - 2, k - 2)
-                after += binomial(j - 3, k - 3)
-            else:
-                out[j - 1] = after
-        return tuple(out)
-
     def adjacency(self) -> AdjacencyMatrix:
-        """Closed-form adjacency matrix: A[i][j] = c[max(i, j)] off the
-        diagonal, expanded from `column_counts`."""
-        c = self.column_counts()
+        """Closed-form adjacency matrix: A[i][j] = gamma of the block of
+        max(i, j) off the diagonal, expanded from `block_profile`."""
+        _check_dense(self.n)
+        ss = to_short(self.sequence)
+        columns: list[int] = []
+        for g, a in zip(block_profile(ss), ss.runs):
+            columns += [g] * a
+        c = tuple(columns)
         return AdjacencyMatrix(
             tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(self.n))
         )
@@ -192,6 +243,7 @@ def adjacency_bruteforce(
 ) -> AdjacencyMatrix:
     """Recount every pair by walking the edge list.  Oracle for `adjacency`."""
     n = h.n
+    _check_dense(n)
     rows = [[0] * n for _ in range(n)]
     for e in h.edges(cap):
         for a, b in combinations(e, 2):

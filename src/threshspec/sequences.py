@@ -31,9 +31,11 @@ __all__ = [
     "ShortSequence",
     "to_short",
     "to_binary",
+    "check_first_run",
     "parse_binary",
     "parse_short",
     "parse_sequence",
+    "parse_runs",
     "format_binary",
     "format_short",
     "complement_sequence",
@@ -91,7 +93,8 @@ class ShortSequence:
 
     Only the shape is validated here.  Whether the runs describe an actual
     bit sequence (the first run must reach position k) is checked by
-    `to_binary`, so the run-length counting formulas stay total.
+    `check_first_run`, which `to_binary`, `parse_runs` and the block
+    profile call.
     """
 
     k: int
@@ -154,28 +157,40 @@ def to_short(s: BinarySequence) -> ShortSequence:
     return ShortSequence(s.k, tuple(runs), merged)
 
 
+def check_first_run(ss: ShortSequence) -> None:
+    """Raise SequenceError unless some bit sequence has this short form.
+
+    That fails exactly when the first run stops short of position k (or,
+    for a lone zero run, short of position k-1).  O(1): only the first run
+    is read.
+    """
+    k, first = ss.k, ss.runs[0]
+    if ss.first_run_has_ones:
+        if first < k:
+            raise SequenceError(
+                f"first run {first} cannot hold {k - 1} zeros plus a one"
+            )
+        return
+    floor = k - 1 if ss.r == 1 else k
+    if first < floor:
+        raise SequenceError(
+            f"first zero run {first} must reach position {floor} "
+            f"for uniformity {k}"
+        )
+
+
 def to_binary(ss: ShortSequence) -> BinarySequence:
     """Expand runs back to bits; the unique preimage of `to_short`.
 
-    Raises SequenceError when no bit sequence has this short form, which
-    happens exactly when the first run stops short of position k (or, for
-    a lone zero run, short of position k-1).
+    Raises SequenceError when no bit sequence has this short form
+    (`check_first_run`).
     """
+    check_first_run(ss)
     k, runs = ss.k, ss.runs
     if ss.first_run_has_ones:
-        if runs[0] < k:
-            raise SequenceError(
-                f"first run {runs[0]} cannot hold {k - 1} zeros plus a one"
-            )
         bits = [0] * (k - 1) + [1] * (runs[0] - k + 1)
         tail_value = 0
     else:
-        floor = k - 1 if ss.r == 1 else k
-        if runs[0] < floor:
-            raise SequenceError(
-                f"first zero run {runs[0]} must reach position {floor} "
-                f"for uniformity {k}"
-            )
         bits = [0] * runs[0]
         tail_value = 1
     for length in runs[1:]:
@@ -222,6 +237,20 @@ def parse_sequence(text: str) -> BinarySequence:
     raise SequenceError(
         f"expected 'k=K;b1,...' or 'C(a1,...)_K', got {text!r}"
     )
+
+
+def parse_runs(text: str) -> ShortSequence:
+    """Read either encoding, returning the run-length form.
+
+    Short-form text is checked with `check_first_run` and never expanded
+    to bits, so the cost grows with the number of runs, not of vertices.
+    """
+    stripped = text.strip()
+    if stripped.startswith("C"):
+        ss = parse_short(stripped)
+        check_first_run(ss)
+        return ss
+    return to_short(parse_sequence(stripped))
 
 
 def format_binary(s: BinarySequence) -> str:

@@ -1,17 +1,18 @@
 """Eigenvalues of threshold hypergraph adjacency matrices.
 
-Two routes are implemented.  The closed route never builds the n x n
-matrix.  For i < j the pair count A[i][j] depends only on the block of j:
-`block_profile` groups the column counts of `ThresholdHypergraph` by block
-into r exact integers, gamma, that fix the whole matrix.  Every block of
-b >= 2 twin vertices contributes -gamma of that block with multiplicity
-b - 1, and the remaining r eigenvalues are those of the equitable quotient.
-They are found by bisection and safeguarded Newton steps on an O(r)
-inertia count of a tridiagonal pencil congruent to the quotient problem;
-the family-3 closed forms use the same solver.  The numeric route
-diagonalizes the full n x n matrix with a deterministic cyclic Jacobi
-iteration and serves as the oracle; the verify sweeps and the test-suite
-check the agreement of the two routes exhaustively on small instances.
+Two routes are implemented.  The closed route builds neither the n x n
+matrix nor the n creation bits.  For i < j the pair count A[i][j] depends
+only on the block of j: `block_profile` (from `hypergraph`) computes those
+r exact integers, gamma, from the run lengths in O(r), and they fix the
+whole matrix.  Every block of b >= 2 twin vertices contributes -gamma of
+that block with multiplicity b - 1, and the remaining r eigenvalues are
+those of the equitable quotient.  They are found by bisection and
+safeguarded Newton steps on an O(r) inertia count of a tridiagonal pencil
+congruent to the quotient problem; the family-3 closed forms use the same
+solver.  The numeric route diagonalizes the full n x n matrix with a
+deterministic cyclic Jacobi iteration and serves as the oracle; the verify
+sweeps and the test-suite check the agreement of the two routes
+exhaustively on small instances.
 """
 
 import math
@@ -26,14 +27,12 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import ThresholdHypergraph
+from .hypergraph import ThresholdHypergraph, block_profile
 from .sequences import (
     ShortSequence,
     count_valid_sequences,
     format_binary,
-    format_short,
     iter_valid_sequences,
-    to_binary,
     to_short,
 )
 
@@ -61,36 +60,6 @@ __all__ = [
 
 #: Default cap on the number of sequences a sweep may visit.
 DEFAULT_SEQUENCE_BUDGET = 100_000
-
-
-def block_profile(
-    ss: ShortSequence, columns: Sequence[int] | None = None
-) -> tuple[int, ...]:
-    """Pair count gamma_s of any vertex pair whose later vertex is in block s.
-
-    The column counts c_j of `ThresholdHypergraph.column_counts` agree
-    across a block (Pascal's rule across twin vertices), so
-    A[i][j] = gamma of the block of max(i, j).  O(n) exact integer work;
-    a block whose column counts differ raises: the block partition must be
-    equitable.  A block with no pair ending in it (a lone first vertex)
-    reports 0.  `columns` passes the column counts when the caller already
-    holds the hypergraph.
-    """
-    if columns is None:
-        columns = ThresholdHypergraph(to_binary(ss)).column_counts()
-    out = []
-    last = 0
-    for s, size in enumerate(ss.runs):
-        # the first vertex has no earlier partner, so it carries no count
-        values = set(columns[max(last, 1) : last + size])
-        if len(values) > 1:
-            raise RuntimeError(
-                f"internal: block {s + 1} of {format_short(ss)} has unequal "
-                f"pair counts {sorted(values)}"
-            )
-        out.append(values.pop() if values else 0)
-        last += size
-    return tuple(out)
 
 
 def profile_frobenius_sq(profile: Sequence[int], sizes: Sequence[int]) -> int:
@@ -193,7 +162,7 @@ def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
     ss = to_short(h.sequence)
-    profile = block_profile(ss, h.column_counts())
+    profile = block_profile(ss)
     sizes = ss.runs
     entries = tuple(
         tuple((sizes[t] - (s == t)) * profile[max(s, t)] for t in range(ss.r))
@@ -493,9 +462,17 @@ def _merge_entries(
     entries: Iterable[tuple[float, int, str]], tol: float
 ) -> tuple[EigenPair, ...]:
     """Cluster (value, multiplicity, source) triples within tol of the
-    cluster anchor.  Exact block values win as representatives; otherwise
-    the multiplicity-weighted mean is used."""
+    cluster anchor.
+
+    An exact block value represents its cluster only when every member
+    lies within 8 eps |A|_F of it, the accuracy the quotient solver
+    certifies; otherwise the cluster is reported at its
+    multiplicity-weighted mean, which keeps the trace whatever tol is.
+    |A|_F is read off the entries: the sum of m * v**2 is |A|_F**2.
+    """
     ordered = sorted(entries, key=lambda t: -t[0])
+    norm = math.sqrt(sum(m * v * v for v, m, _ in ordered))
+    certified = 8.0 * _EPS * max(1.0, norm)
     clusters: list[list[tuple[float, int, str]]] = []
     for item in ordered:
         if clusters and clusters[-1][0][0] - item[0] <= tol:
@@ -506,7 +483,7 @@ def _merge_entries(
     for members in clusters:
         total = sum(m for _, m, _ in members)
         exact = [v for v, _, src in members if src.startswith("block")]
-        if exact:
+        if exact and all(abs(v - exact[0]) <= certified for v, _, _ in members):
             rep = exact[0]
         else:
             rep = sum(v * m for v, m, _ in members) / total
@@ -519,21 +496,23 @@ def _merge_entries(
 
 
 def full_spectrum_closed(
-    h: ThresholdHypergraph, merge_tol: float = 1e-9
+    seq: ShortSequence | ThresholdHypergraph, merge_tol: float = 1e-9
 ) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
-    Blocks of size a_j contribute a_j - 1 eigenvalues each and the
-    quotient contributes r, which accounts for all n.  Values closer than
-    merge_tol are reported once with summed multiplicity.
+    Takes the run-length form; a hypergraph is converted to it once, and
+    all work after that grows with r, not n.  Blocks of size a_j
+    contribute a_j - 1 eigenvalues each and the quotient contributes r,
+    which accounts for all n.  Values closer than merge_tol are reported
+    once with summed multiplicity.
     """
-    if not h.sequence.connected:
+    ss = to_short(seq.sequence) if isinstance(seq, ThresholdHypergraph) else seq
+    if not ss.connected:
         raise DisconnectedError(
             "disconnected sequence: the closed-form spectrum needs the last "
             "creation bit to be 1"
         )
-    ss = to_short(h.sequence)
-    profile = block_profile(ss, h.column_counts())
+    profile = block_profile(ss)
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
         for b in block_eigenvalues(ss, profile)
@@ -541,9 +520,9 @@ def full_spectrum_closed(
     entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(profile, ss.runs))
     pairs = _merge_entries(entries, merge_tol)
     total = sum(p.multiplicity for p in pairs)
-    if total != h.n:
+    if total != ss.n:
         raise RuntimeError(
-            f"internal: multiplicities sum to {total}, expected {h.n}"
+            f"internal: multiplicities sum to {total}, expected {ss.n}"
         )
     return Spectrum(pairs, merge_tol)
 
@@ -638,7 +617,7 @@ def family_spectrum_symbolic(
     """
     ss = family_sequence(family, n, k, j)
     if ss.r == 1:
-        return full_spectrum_closed(ThresholdHypergraph(to_binary(ss)), merge_tol)
+        return full_spectrum_closed(ss, merge_tol)
     a_cnt = binomial(n - 3, k - 3)
     b_cnt = binomial(n - 2, k - 2)
     entries: list[tuple[float, int, str]] = []
@@ -701,8 +680,7 @@ def scan_quotient_simplicity(
         for n in range(k, n_max + 1):
             for s in iter_valid_sequences(n, k, connected_only=True):
                 ss = to_short(s)
-                columns = ThresholdHypergraph(s).column_counts()
-                values = quotient_eigenvalues(block_profile(ss, columns), ss.runs)
+                values = quotient_eigenvalues(block_profile(ss), ss.runs)
                 if len(values) > 1:
                     gap = min(
                         values[i] - values[i + 1] for i in range(len(values) - 1)

@@ -81,8 +81,8 @@ def sweep_adjacency_oracle(
 def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Block eigenvalues agree with direct pair counts on connected sequences.
 
-    This is where the two routes meet: each block eigenvalue -gamma_s, read
-    off the column counts, must equal minus `pair_count` of the block's
+    This is where the two routes meet: each block eigenvalue -gamma_s, from
+    `block_profile`, must equal minus `pair_count` of the block's
     first two vertices, an independent direct sum.  The sweep also confirms
     the block eigenvalue count is n - r.
     """
@@ -92,7 +92,7 @@ def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
         h = ThresholdHypergraph(s)
         res.checked += 1
         try:
-            values = block_eigenvalues(ss, block_profile(ss, h.column_counts()))
+            values = block_eigenvalues(ss, block_profile(ss))
         except RuntimeError as exc:
             res.record(f"{format_binary(s)}: {exc}")
             continue

@@ -113,6 +113,48 @@ class TestSpectrumCommand:
         assert doc["pairs"][1]["value"] == -2.0
         assert doc["pairs"][1]["source"] == "block1"
 
+    def test_wide_merge_keeps_the_trace(self, capsys):
+        # a cluster far wider than the solver's accuracy is reported at its
+        # mean, not at an exact block value inside it, so merging all six
+        # eigenvalues keeps the trace 0 (it printed lambda=-3 mult=6)
+        for args in (
+            ["family", "2", "--n", "6", "--k", "3", "--j", "4"],
+            ["spectrum", "C(3,3)_3"],
+        ):
+            code, out, err = run(capsys, *args, "--merge-tol", "100")
+            assert code == 0, args
+            rows = [line.split() for line in out.splitlines() if "mult=" in line]
+            assert [row[1] for row in rows] == ["mult=6"]
+            trace = sum(float(v[7:]) * int(m[5:]) for v, m, _ in rows)
+            assert abs(trace) <= 1e-12, args
+
+    def test_dense_size_cap_exits_3(self, capsys):
+        for args in (
+            ["adjacency", "C(5000,5000)_3"],
+            ["spectrum", "C(50000,50000)_3", "--verify"],
+        ):
+            code, out, err = run(capsys, *args)
+            assert code == 3, args
+            assert "over the cap" in err
+
+    def test_reused_parser_keeps_no_state(self, capsys):
+        # main builds its parser once per process; two calls in a row must
+        # print what two calls with freshly built parsers print
+        plain = ["spectrum", "C(3,1,1)_3"]
+        calls = [
+            (plain + ["--verify"], plain),
+            (plain + ["--format", "csv"], plain),
+            (plain + ["--format", "yaml"], plain),  # a usage error first
+        ]
+        for first, second in calls:
+            fresh = []
+            for args in (first, second):
+                cli._parser.cache_clear()
+                fresh.append(run(capsys, *args))
+            assert [run(capsys, *first), run(capsys, *second)] == fresh
+            assert "max_dev" not in fresh[1][1]
+        assert cli._parser() is cli._parser()
+
     def test_bad_inputs_exit_1(self, capsys):
         for args in (
             [],

@@ -1,9 +1,12 @@
+import math
 from itertools import combinations
 
 import pytest
 
 from threshspec.errors import ResourceLimitError, SequenceError
 from threshspec.hypergraph import (
+    DEFAULT_EDGE_CAP,
+    DENSE_CELL_CAP,
     AdjacencyMatrix,
     GeneralHypergraph,
     ThresholdHypergraph,
@@ -102,6 +105,16 @@ class TestThresholdHypergraph:
         with pytest.raises(ResourceLimitError):
             h.edges(cap=6)
         assert len(h.edges(cap=7)) == 7
+
+    def test_dense_cap(self):
+        # one vertex past the cell cap: both dense builders refuse before
+        # allocating, although the edge count stays under the edge cap
+        n = math.isqrt(DENSE_CELL_CAP) + 1
+        h = ThresholdHypergraph(BinarySequence(3, (0,) * (n - 1) + (1,)))
+        assert h.edge_count() < DEFAULT_EDGE_CAP
+        for build in (h.adjacency, lambda: adjacency_bruteforce(h)):
+            with pytest.raises(ResourceLimitError, match="over the cap"):
+                build()
 
     def test_pair_count_examples(self):
         h = hg("k=4;0,0,0,1,1,0")

@@ -98,15 +98,16 @@ class TestBlockProfile:
         assert checked == sum(2 ** (n - k) for k in range(2, 6) for n in range(k, 10))
 
     def test_unequal_block_raises(self, monkeypatch):
-        # Pascal's rule makes every block equitable, so break the column
-        # counts: the guard must notice that a block's values differ
+        # gamma and the edge count come from two binomial families that
+        # agree only through the hockey-stick identity, so break binomial:
+        # the identity check must notice that the pair total is off
         import threshspec.hypergraph as hypergraph
 
         def broken(n, k):
             return math.comb(n, k) + n if 0 <= k <= n else 0
 
         monkeypatch.setattr(hypergraph, "binomial", broken)
-        with pytest.raises(RuntimeError, match="unequal pair counts"):
+        with pytest.raises(RuntimeError, match="pair counts of C.3,3._3 sum to"):
             block_profile(ShortSequence(3, (3, 3)))
 
 
@@ -171,6 +172,16 @@ class TestClosedRouteStaysOffDense:
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "short=C(3,5,1)_3"
         assert sum(int(line.split()[1][5:]) for line in lines[2:]) == 9
+        # gamma comes from the runs, so short-form text is never expanded
+        # to bits; the patched __post_init__ catches every bit sequence,
+        # whichever module builds it
+        import threshspec.sequences as sequences
+
+        monkeypatch.setattr(sequences, "to_binary", refuse)
+        monkeypatch.setattr(sequences.BinarySequence, "__post_init__", refuse)
+        assert main(["spectrum", "C(500000,500000)_3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert sum(int(line.split()[1][5:]) for line in lines) == 10**6
 
 
 class TestBlockEigenvalues:

@@ -63,8 +63,8 @@ def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
 
     real = verify.block_profile
 
-    def off_by_one(ss, columns=None):
-        profile = list(real(ss, columns))
+    def off_by_one(ss):
+        profile = list(real(ss))
         for s, size in enumerate(ss.runs):
             if size >= 2:
                 profile[s] += 1
