@@ -59,6 +59,11 @@ def fmt(value: float) -> str:
     return format(float(value), ".12g")
 
 
+def _json_number(value: float) -> float | None:
+    """JSON has no infinity (RFC 8259): an infinite gap is written null."""
+    return value if math.isfinite(value) else None
+
+
 def _parse_k_list(text: str) -> list[int]:
     try:
         values = [int(p) for p in text.split(",") if p.strip() != ""]
@@ -232,14 +237,14 @@ def cmd_scan(args, out: TextIO, err: TextIO) -> int:
                     "n": row.n,
                     "k": row.k,
                     "r": row.r,
-                    "min_quotient_gap": row.min_quotient_gap,
+                    "min_quotient_gap": _json_number(row.min_quotient_gap),
                     "flagged": row.flagged,
                 }
                 for row in rows
             ],
             "sequences": len(rows),
             "flagged": flagged,
-            "min_gap": min_gap,
+            "min_gap": _json_number(min_gap),
         }
         print(json.dumps(doc, indent=2), file=out)
     else:

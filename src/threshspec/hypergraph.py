@@ -263,6 +263,12 @@ class GeneralHypergraph:
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
+        used = frozenset().union(*self.edges)
+        if {self.k}.issuperset(map(len, self.edges)) and used.issubset(
+            range(1, self.n + 1)
+        ):
+            return
+        # some edge is bad: name the first one, as the loop meets it
         for e in self.edges:
             if len(e) != self.k:
                 raise ValueError(f"edge {sorted(e)} does not have {self.k} vertices")
@@ -290,6 +296,21 @@ class GeneralHypergraph:
     def is_edge(self, vertices: Iterable[int]) -> bool:
         return frozenset(vertices) in self.edges
 
+    def links(self) -> list[set[int]]:
+        """link(v) = {e - {v} : v in e} for every vertex v, indexed by v.
+
+        Each member is a vertex bitmask, bit v standing for vertex v (entry
+        0 is empty).  One pass over the edges builds all n links.
+        """
+        links: list[set[int]] = [set() for _ in range(self.n + 1)]
+        for e in self.edges:
+            mask = 0
+            for v in e:
+                mask |= 1 << v
+            for v in e:
+                links[v].add(mask ^ 1 << v)
+        return links
+
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
@@ -299,18 +320,32 @@ class GeneralHypergraph:
         for v in (x, y):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        for e in self.edges:
-            if x in e and y not in e:
-                if (e - {x}) | {y} not in self.edges:
-                    return False
-        return True
+        return _replaces(self.links(), x, y)
 
     def is_totally_replaceable(self) -> bool:
-        """Every vertex pair is comparable under replaceability."""
+        """Every vertex pair is comparable under replaceability.
+
+        If y replaces x, the swap e -> e - {x} + {y} maps the edges through
+        x that avoid y one-to-one into the edges through y that avoid x, so
+        y has at least x's degree, and at equal degrees the map is onto and
+        x replaces y as well.  A pair is therefore comparable exactly when
+        the vertex of larger degree (|link|) replaces the other: one set
+        difference per pair.
+        """
+        links = self.links()
         for x, y in combinations(range(1, self.n + 1), 2):
-            if not (self.replaceable(x, y) or self.replaceable(y, x)):
+            if len(links[x]) > len(links[y]):
+                x, y = y, x
+            if not _replaces(links, x, y):
                 return False
         return True
+
+
+def _replaces(links: list[set[int]], x: int, y: int) -> bool:
+    """y replaces x, read off the links: an edge e through x that avoids y
+    maps to the edge e - {x} + {y} exactly when e - {x} is in link(y), so
+    every member of link(x) - link(y) must be one that contains y."""
+    return all(map((1 << y).__and__, links[x] - links[y]))
 
 
 def load_replaceable_non_threshold_7_4() -> GeneralHypergraph:

@@ -587,18 +587,6 @@ def family_sequence(
     raise SequenceError(f"unknown family {family}; expected 1, 2 or 3")
 
 
-def _monic_quadratic_roots(b: int, c: int) -> list[float]:
-    """Real roots of x^2 + b x + c, descending; exact integer discriminant."""
-    disc = b * b - 4 * c
-    if disc < 0:
-        raise RuntimeError("internal: quotient quadratic has complex roots")
-    root = math.sqrt(as_float(disc))
-    head = -0.5 * (as_float(b) + math.copysign(root, as_float(b)))
-    if head == 0.0:
-        return [0.0, 0.0]
-    return sorted([head, as_float(c) / head], reverse=True)
-
-
 def family_spectrum_symbolic(
     family: int,
     n: int,
@@ -608,12 +596,14 @@ def family_spectrum_symbolic(
 ) -> Spectrum:
     """Spectrum of a family member from its catalogued closed forms.
 
-    The two-run families get their quotient eigenvalues from an explicit
-    quadratic; family 3 passes its hand-entered profile
-    (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)) to the
-    quotient solver of the closed route.  Complete-hypergraph boundaries
-    fall back to the general closed route.  Always agrees with
-    `full_spectrum_closed`.
+    Each family's block profile is entered by hand and passed to the
+    quotient solver of the closed route: family 1 has
+    (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
+    (sum over the pseudodominants p of binomial(p-3, k-3),
+    binomial(n-2, k-2)), and family 3 has
+    (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
+    Complete-hypergraph boundaries fall back to the general closed route.
+    Always agrees with `full_spectrum_closed`.
     """
     ss = family_sequence(family, n, k, j)
     if ss.r == 1:
@@ -622,21 +612,19 @@ def family_spectrum_symbolic(
     b_cnt = binomial(n - 2, k - 2)
     entries: list[tuple[float, int, str]] = []
     if family == 1:
+        profile: tuple[int, ...] = (a_cnt, b_cnt)
         entries.append((as_float(-a_cnt), n - 2, "block1"))
-        roots = _monic_quadratic_roots(-a_cnt * (n - 2), -b_cnt * b_cnt * (n - 1))
     elif family == 2:
-        q = n - j + 1
-        a_cnt = sum(binomial(n - (i + 2), k - 3) for i in range(1, q + 1))
+        a_cnt = sum(binomial(p - 3, k - 3) for p in range(j, n + 1))
+        profile = (a_cnt, b_cnt)
         entries.append((as_float(-a_cnt), j - 2, "block1"))
-        entries.append((as_float(-b_cnt), q - 1, "block2"))
-        lin = -(a_cnt * (n - q - 1) + b_cnt * (q - 1))
-        const = a_cnt * (n - q - 1) * b_cnt * (q - 1) - b_cnt * b_cnt * q * (n - q)
-        roots = _monic_quadratic_roots(lin, const)
+        entries.append((as_float(-b_cnt), n - j, "block2"))
     else:
+        profile = (a_cnt + 1, a_cnt, b_cnt)
         entries.append((as_float(-(a_cnt + 1)), k - 1, "block1"))
         if n - k - 2 >= 1:
             entries.append((as_float(-a_cnt), n - k - 2, "block2"))
-        roots = quotient_eigenvalues((a_cnt + 1, a_cnt, b_cnt), (k, n - k - 1, 1))
+    roots = quotient_eigenvalues(profile, ss.runs)
     entries.extend((v, 1, "quotient") for v in roots)
     pairs = _merge_entries(entries, merge_tol)
     total = sum(p.multiplicity for p in pairs)

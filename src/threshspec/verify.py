@@ -6,6 +6,7 @@ identity whose two sides are computed by unrelated code paths.  The CLI
 the bounds it pins.
 """
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -144,14 +145,15 @@ def sweep_complement_partition(
 ) -> SweepResult:
     """A hypergraph and its complement split the k-subsets exactly."""
     res = SweepResult("complement_partition")
+    # every sequence of one size shares the k-subsets; built once per call
+    universe = functools.cache(lambda n, k: set(combinations(range(1, n + 1), k)))
     for s in _sequences(n_max, k_values):
         res.checked += 1
         h = ThresholdHypergraph(s)
         hc = ThresholdHypergraph(complement_sequence(s))
         ours = set(h.edges(edge_cap))
         theirs = set(hc.edges(edge_cap))
-        everything = set(combinations(range(1, s.n + 1), s.k))
-        if ours & theirs or ours | theirs != everything:
+        if ours & theirs or ours | theirs != universe(s.n, s.k):
             res.record(format_binary(s))
     return res
 

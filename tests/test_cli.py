@@ -275,9 +275,20 @@ class TestFamilyCommand:
         )
 
     def test_matches_spectrum_command(self, capsys):
-        cases = [("2", "5", "3", "--j", "4")]
-        # family 3 hands its profile to the quotient solver of the closed
-        # route, so it prints the same digits as spectrum
+        # every family hands its profile to the quotient solver of the
+        # closed route, so it prints the same digits as spectrum; the two
+        # n = 400 cases have quotient coefficients beyond 2**53, but counts
+        # below it
+        cases = [("1", "400", "6"), ("2", "400", "6", "--j", "200")]
+        cases += [
+            ("1", str(n), str(k)) for k in range(2, 7) for n in range(k, 31, 3)
+        ]
+        cases += [
+            ("2", str(n), str(k), "--j", str(j))
+            for k in range(2, 7)
+            for n in range(k + 1, 31, 4)
+            for j in range(k, n, 2)
+        ]
         cases += [
             ("3", str(n), str(k)) for k in range(2, 7) for n in range(k + 2, 31)
         ]
@@ -320,6 +331,29 @@ class TestScanCommand:
         assert doc["flagged"] == 0
         assert len(doc["rows"]) == 7
         assert doc["rows"][0]["r"] == 1
+
+    def test_structured_is_strict_json(self, capsys):
+        # JSON has no Infinity: a single-block row and an empty scan have
+        # no quotient gap and say null, while text and CSV keep inf
+        def refuse(name):
+            raise ValueError(f"non-standard JSON constant {name}")
+
+        code, out, err = run(
+            capsys, "scan", "--n-max", "3", "--k", "2", "--format", "structured"
+        )
+        doc = json.loads(out, parse_constant=refuse)
+        assert [row["min_quotient_gap"] for row in doc["rows"]] == [
+            None,
+            2.8284271247461903,
+            None,
+        ]
+        assert doc["min_gap"] == 2.8284271247461903
+        code, out, err = run(
+            capsys, "scan", "--n-max", "1", "--k", "2", "--format", "structured"
+        )
+        doc = json.loads(out, parse_constant=refuse)
+        assert doc["rows"] == [] and doc["min_gap"] is None
+        assert err == "sequences=0 flagged=0 min_gap=inf\n"
 
     def test_budget_exits_3(self, capsys):
         code, out, err = run(

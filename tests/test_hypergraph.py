@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import pytest
@@ -18,6 +19,41 @@ from threshspec.sequences import BinarySequence, iter_valid_sequences
 
 def hg(text):
     return ThresholdHypergraph.from_text(text)
+
+
+def edge_walk_replaceable(g, x, y):
+    """Reference: y replaces x when swapping y for x in every edge that
+    holds x and avoids y lands on another edge, checked edge by edge."""
+    return all(
+        (e - {x}) | {y} in g.edges for e in g.edges if x in e and y not in e
+    )
+
+
+def edge_walk_totally_replaceable(g):
+    return all(
+        edge_walk_replaceable(g, x, y) or edge_walk_replaceable(g, y, x)
+        for x, y in combinations(range(1, g.n + 1), 2)
+    )
+
+
+def random_general_hypergraphs(count, seed):
+    """Seeded k-uniform hypergraphs with n <= 8 and k <= 4: half keep each
+    k-subset with a random density, half are threshold hypergraphs with a
+    few k-subsets toggled, so both outcomes of totality are frequent."""
+    rng = random.Random(seed)
+    for i in range(count):
+        k = rng.randint(2, 4)
+        n = rng.randint(k, 8)
+        subsets = [frozenset(c) for c in combinations(range(1, n + 1), k)]
+        if i % 2:
+            density = rng.random()
+            edges = {e for e in subsets if rng.random() < density}
+        else:
+            bits = [0] * (k - 1) + [rng.randint(0, 1) for _ in range(n - k + 1)]
+            h = ThresholdHypergraph(BinarySequence(k, tuple(bits)))
+            edges = set(h.to_general().edges)
+            edges ^= set(rng.sample(subsets, rng.randint(0, min(2, len(subsets)))))
+        yield GeneralHypergraph(n, k, frozenset(edges))
 
 
 def all_hypergraphs(n_max, k_range=range(2, 8)):
@@ -210,6 +246,42 @@ class TestGeneralHypergraph:
         assert g.replaceable(3, 1)
         assert not g.replaceable(1, 3)
         assert g.is_totally_replaceable()
+
+    def test_replaceability_matches_the_edge_walk(self):
+        graphs = list(random_general_hypergraphs(3000, seed=20261018))
+        graphs.append(load_replaceable_non_threshold_7_4())
+        pairs = incomparable = 0
+        for g in graphs:
+            for x in range(1, g.n + 1):
+                for y in range(1, g.n + 1):
+                    if x != y:
+                        assert g.replaceable(x, y) == edge_walk_replaceable(
+                            g, x, y
+                        ), (g.sorted_edges(), x, y)
+                        pairs += 1
+            total = edge_walk_totally_replaceable(g)
+            assert g.is_totally_replaceable() == total, g.sorted_edges()
+            incomparable += not total
+        assert pairs > 50_000
+        assert 500 < incomparable < len(graphs) - 500
+
+    def test_links(self):
+        g = GeneralHypergraph.from_edge_lines("1,2,3\n2,3,4", 4, 3)
+        # bit v stands for vertex v: link(2) = {{1, 3}, {3, 4}}
+        assert g.links() == [
+            set(),
+            {0b1100},
+            {0b1010, 0b11000},
+            {0b110, 0b10100},
+            {0b1100},
+        ]
+
+    def test_post_init_names_the_first_bad_edge(self):
+        with pytest.raises(ValueError, match=r"edge \[1, 2\] does not have 3"):
+            GeneralHypergraph(4, 3, frozenset({frozenset({1, 2})}))
+        with pytest.raises(ValueError, match=r"edge \[0, 1, 2\] leaves the vertex"):
+            GeneralHypergraph(4, 3, frozenset({frozenset({0, 1, 2})}))
+        assert GeneralHypergraph(0, 2, frozenset()).is_totally_replaceable()
 
     def test_threshold_to_general_round_trip(self):
         h = hg("k=3;0,0,1,0,1")

@@ -1,6 +1,7 @@
 import pytest
 
 from threshspec.errors import ResourceLimitError
+from threshspec.sequences import format_binary
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
@@ -78,4 +79,40 @@ def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
     assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
     out, err = capsys.readouterr()
     assert "sweep=two_route checked=15 failed=" in out
+    assert out.splitlines()[-1] == "FAILED"
+
+
+def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
+    # the sweep reads replaceability off the explicit edge set, so an edge
+    # set that lost one edge and with it the comparability of some pair
+    # must fail the sweep and the CLI
+    from test_hypergraph import edge_walk_totally_replaceable
+
+    from threshspec.cli import main
+    from threshspec.hypergraph import (
+        DEFAULT_EDGE_CAP,
+        GeneralHypergraph,
+        ThresholdHypergraph,
+    )
+
+    real = ThresholdHypergraph.to_general
+    broken = []
+
+    def drop_an_edge(self, cap=DEFAULT_EDGE_CAP):
+        g = real(self, cap)
+        for e in g.sorted_edges():
+            smaller = GeneralHypergraph(g.n, g.k, g.edges - {frozenset(e)})
+            if not edge_walk_totally_replaceable(smaller):
+                broken.append(self.sequence)
+                return smaller
+        return g
+
+    monkeypatch.setattr(ThresholdHypergraph, "to_general", drop_an_edge)
+    res = sweep_replaceability(6, [3])
+    assert broken
+    assert not res.passed
+    assert res.failures[0] == format_binary(broken[0])
+    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "sweep=replaceability_totality checked=31 failed=" in out
     assert out.splitlines()[-1] == "FAILED"
