@@ -86,28 +86,7 @@ def _emit_spectrum(
     err: TextIO,
     verify_info: dict | None = None,
 ) -> None:
-    if output_format == "text":
-        for value, mult, source in _spectrum_rows(spec):
-            print(f"lambda={value} mult={mult} source={source}", file=out)
-        if verify_info is not None:
-            status = "ok" if verify_info["ok"] else "mismatch"
-            print(
-                f"max_dev={fmt(verify_info['max_dev'])} "
-                f"tol={fmt(verify_info['tol'])} status={status}",
-                file=out,
-            )
-    elif output_format == "csv":
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["lambda", "mult", "source"])
-        writer.writerows(_spectrum_rows(spec))
-        if verify_info is not None:
-            status = "ok" if verify_info["ok"] else "mismatch"
-            print(
-                f"max_dev={fmt(verify_info['max_dev'])} "
-                f"tol={fmt(verify_info['tol'])} status={status}",
-                file=err,
-            )
-    else:
+    if output_format == "structured":
         doc = {
             "n": ss.n,
             "k": ss.k,
@@ -123,6 +102,21 @@ def _emit_spectrum(
         if verify_info is not None:
             doc["verify"] = verify_info
         print(json.dumps(doc, indent=2), file=out)
+        return
+    if output_format == "text":
+        for value, mult, source in _spectrum_rows(spec):
+            print(f"lambda={value} mult={mult} source={source}", file=out)
+    else:
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["lambda", "mult", "source"])
+        writer.writerows(_spectrum_rows(spec))
+    if verify_info is not None:
+        status = "ok" if verify_info["ok"] else "mismatch"
+        print(
+            f"max_dev={fmt(verify_info['max_dev'])} "
+            f"tol={fmt(verify_info['tol'])} status={status}",
+            file=out if output_format == "text" else err,
+        )
 
 
 def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:

@@ -263,16 +263,11 @@ class GeneralHypergraph:
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
-        used = frozenset().union(*self.edges)
-        if {self.k}.issuperset(map(len, self.edges)) and used.issubset(
-            range(1, self.n + 1)
-        ):
-            return
-        # some edge is bad: name the first one, as the loop meets it
+        vertices = frozenset(range(1, self.n + 1))
         for e in self.edges:
             if len(e) != self.k:
                 raise ValueError(f"edge {sorted(e)} does not have {self.k} vertices")
-            if not all(1 <= v <= self.n for v in e):
+            if not e <= vertices:
                 raise ValueError(f"edge {sorted(e)} leaves the vertex range")
 
     @classmethod
@@ -304,9 +299,7 @@ class GeneralHypergraph:
         """
         links: list[set[int]] = [set() for _ in range(self.n + 1)]
         for e in self.edges:
-            mask = 0
-            for v in e:
-                mask |= 1 << v
+            mask = _mask(e)
             for v in e:
                 links[v].add(mask ^ 1 << v)
         return links
@@ -314,13 +307,18 @@ class GeneralHypergraph:
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
-        edges."""
+        edges.  Builds link(x) and link(y) only."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
         for v in (x, y):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return _replaces(self.links(), x, y)
+        return _replaces(self._link(x), self._link(y), y)
+
+    def _link(self, v: int) -> set[int]:
+        """link(v) alone, as in `links`, from the edges through v."""
+        bit = 1 << v
+        return {_mask(e) ^ bit for e in self.edges if v in e}
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability.
@@ -336,16 +334,24 @@ class GeneralHypergraph:
         for x, y in combinations(range(1, self.n + 1), 2):
             if len(links[x]) > len(links[y]):
                 x, y = y, x
-            if not _replaces(links, x, y):
+            if not _replaces(links[x], links[y], y):
                 return False
         return True
 
 
-def _replaces(links: list[set[int]], x: int, y: int) -> bool:
+def _mask(vertices: Iterable[int]) -> int:
+    """Vertex bitmask, bit v standing for vertex v."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def _replaces(link_x: set[int], link_y: set[int], y: int) -> bool:
     """y replaces x, read off the links: an edge e through x that avoids y
     maps to the edge e - {x} + {y} exactly when e - {x} is in link(y), so
     every member of link(x) - link(y) must be one that contains y."""
-    return all(map((1 << y).__and__, links[x] - links[y]))
+    return all(map((1 << y).__and__, link_x - link_y))
 
 
 def load_replaceable_non_threshold_7_4() -> GeneralHypergraph:

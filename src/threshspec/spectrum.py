@@ -8,11 +8,11 @@ whole matrix.  Every block of b >= 2 twin vertices contributes -gamma of
 that block with multiplicity b - 1, and the remaining r eigenvalues are
 those of the equitable quotient.  They are found by bisection and
 safeguarded Newton steps on an O(r) inertia count of a tridiagonal pencil
-congruent to the quotient problem; the family-3 closed forms use the same
-solver.  The numeric route diagonalizes the full n x n matrix with a
-deterministic cyclic Jacobi iteration and serves as the oracle; the verify
-sweeps and the test-suite check the agreement of the two routes
-exhaustively on small instances.
+congruent to the quotient problem.  The catalogued families enter their
+gamma by hand and share the rest of the route.  The numeric route
+diagonalizes the full n x n matrix with a deterministic cyclic Jacobi
+iteration and serves as the oracle; the verify sweeps and the test-suite
+check the agreement of the two routes exhaustively on small instances.
 """
 
 import math
@@ -83,7 +83,6 @@ class BlockEigenvalue:
     value: int
     multiplicity_lower_bound: int
     block_index: int
-    source: str
 
 
 def block_eigenvalues(
@@ -104,18 +103,11 @@ def block_eigenvalues(
         )
     if profile is None:
         profile = block_profile(ss)
-    out = []
-    for j, size in enumerate(ss.runs, start=1):
-        if size < 2:
-            continue
-        if ss.first_run_has_ones and j == 1:
-            tag = "merged-block"
-        elif ss.block_is_ones(j):
-            tag = "ones-block"
-        else:
-            tag = "zeros-block"
-        out.append(BlockEigenvalue(-profile[j - 1], size - 1, j, tag))
-    return out
+    return [
+        BlockEigenvalue(-profile[j - 1], size - 1, j)
+        for j, size in enumerate(ss.runs, start=1)
+        if size >= 2
+    ]
 
 
 @dataclass(frozen=True)
@@ -495,24 +487,15 @@ def _merge_entries(
     return tuple(pairs)
 
 
-def full_spectrum_closed(
-    seq: ShortSequence | ThresholdHypergraph, merge_tol: float = 1e-9
+def _assemble(
+    ss: ShortSequence, profile: Sequence[int], merge_tol: float
 ) -> Spectrum:
-    """Complete spectrum from block eigenvalues plus the quotient.
+    """Spectrum of a connected sequence from its gamma.
 
-    Takes the run-length form; a hypergraph is converted to it once, and
-    all work after that grows with r, not n.  Blocks of size a_j
-    contribute a_j - 1 eigenvalues each and the quotient contributes r,
-    which accounts for all n.  Values closer than merge_tol are reported
-    once with summed multiplicity.
+    Blocks of size a_j contribute -gamma_j with multiplicity a_j - 1 and
+    the quotient contributes r values, which accounts for all n.  Values
+    closer than merge_tol are reported once with summed multiplicity.
     """
-    ss = to_short(seq.sequence) if isinstance(seq, ThresholdHypergraph) else seq
-    if not ss.connected:
-        raise DisconnectedError(
-            "disconnected sequence: the closed-form spectrum needs the last "
-            "creation bit to be 1"
-        )
-    profile = block_profile(ss)
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
         for b in block_eigenvalues(ss, profile)
@@ -525,6 +508,19 @@ def full_spectrum_closed(
             f"internal: multiplicities sum to {total}, expected {ss.n}"
         )
     return Spectrum(pairs, merge_tol)
+
+
+def full_spectrum_closed(
+    seq: ShortSequence | ThresholdHypergraph, merge_tol: float = 1e-9
+) -> Spectrum:
+    """Complete spectrum from block eigenvalues plus the quotient.
+
+    Takes the run-length form; a hypergraph is converted to it once, and
+    all work after that grows with r, not n.  Values closer than merge_tol
+    are reported once with summed multiplicity.
+    """
+    ss = to_short(seq.sequence) if isinstance(seq, ThresholdHypergraph) else seq
+    return _assemble(ss, block_profile(ss), merge_tol)
 
 
 def full_spectrum_numeric(
@@ -596,43 +592,28 @@ def family_spectrum_symbolic(
 ) -> Spectrum:
     """Spectrum of a family member from its catalogued closed forms.
 
-    Each family's block profile is entered by hand and passed to the
-    quotient solver of the closed route: family 1 has
+    Each family's block profile is entered by hand and handed to the
+    assembler of the closed route: family 1 has
     (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
     (sum over the pseudodominants p of binomial(p-3, k-3),
     binomial(n-2, k-2)), and family 3 has
     (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
-    Complete-hypergraph boundaries fall back to the general closed route.
-    Always agrees with `full_spectrum_closed`.
+    The complete-hypergraph boundaries (family 1 with n = k, family 2
+    with j = k) are one block with (binomial(n-2, k-2),).  Always agrees
+    with `full_spectrum_closed`.
     """
     ss = family_sequence(family, n, k, j)
-    if ss.r == 1:
-        return full_spectrum_closed(ss, merge_tol)
     a_cnt = binomial(n - 3, k - 3)
     b_cnt = binomial(n - 2, k - 2)
-    entries: list[tuple[float, int, str]] = []
-    if family == 1:
-        profile: tuple[int, ...] = (a_cnt, b_cnt)
-        entries.append((as_float(-a_cnt), n - 2, "block1"))
-    elif family == 2:
-        a_cnt = sum(binomial(p - 3, k - 3) for p in range(j, n + 1))
+    if ss.r == 1:
+        profile: tuple[int, ...] = (b_cnt,)
+    elif family == 1:
         profile = (a_cnt, b_cnt)
-        entries.append((as_float(-a_cnt), j - 2, "block1"))
-        entries.append((as_float(-b_cnt), n - j, "block2"))
+    elif family == 2:
+        profile = (sum(binomial(p - 3, k - 3) for p in range(j, n + 1)), b_cnt)
     else:
         profile = (a_cnt + 1, a_cnt, b_cnt)
-        entries.append((as_float(-(a_cnt + 1)), k - 1, "block1"))
-        if n - k - 2 >= 1:
-            entries.append((as_float(-a_cnt), n - k - 2, "block2"))
-    roots = quotient_eigenvalues(profile, ss.runs)
-    entries.extend((v, 1, "quotient") for v in roots)
-    pairs = _merge_entries(entries, merge_tol)
-    total = sum(p.multiplicity for p in pairs)
-    if total != n:
-        raise RuntimeError(
-            f"internal: family multiplicities sum to {total}, expected {n}"
-        )
-    return Spectrum(pairs, merge_tol)
+    return _assemble(ss, profile, merge_tol)
 
 
 @dataclass(frozen=True)

@@ -184,6 +184,8 @@ class TestSpectrumCommand:
             code, out, err = run(capsys, *args)
             assert code == 1, args
             assert err.startswith("error:")
+            if args == ["spectrum", "k=3;0,0,1,0"]:
+                assert err.startswith("error: disconnected sequence")
 
 
 class TestEdgesCommand:

@@ -10,6 +10,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
+from threshspec import spectrum
 from threshspec.cli import main
 from threshspec.hypergraph import ThresholdHypergraph, adjacency_bruteforce
 from threshspec.sequences import (
@@ -189,13 +190,12 @@ class TestBlockEigenvalues:
         (b,) = block_eigenvalues(ShortSequence(3, (4, 1)))
         assert (b.value, b.multiplicity_lower_bound) == (-1, 3)
         assert b.block_index == 1
-        assert b.source == "zeros-block"
 
     def test_zero_and_one_blocks(self):
         pairs = block_eigenvalues(ShortSequence(3, (3, 2)))
-        assert [(b.value, b.multiplicity_lower_bound, b.source) for b in pairs] == [
-            (-2, 2, "zeros-block"),
-            (-3, 1, "ones-block"),
+        assert [(b.value, b.multiplicity_lower_bound) for b in pairs] == [
+            (-2, 2),
+            (-3, 1),
         ]
 
     def test_merged_head_block(self):
@@ -203,7 +203,6 @@ class TestBlockEigenvalues:
             ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
         )
         assert (b.value, b.multiplicity_lower_bound) == (-2, 2)
-        assert b.source == "merged-block"
 
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
@@ -466,6 +465,24 @@ class TestFamilies:
             assert sym.total_multiplicity() == n
             got, want = sym.expanded(), ref.expanded()
             assert all(abs(a - b) < 1e-8 for a, b in zip(got, want))
+
+    def test_symbolic_route_uses_only_the_hand_entered_gamma(self, monkeypatch):
+        cases = []
+        for k in range(2, 6):
+            for n in range(k, 13):
+                cases.append((1, n, k, None))
+                cases.extend((2, n, k, j) for j in range(k, n))
+                if n >= k + 2:
+                    cases.append((3, n, k, None))
+        assert (1, 4, 4, None) in cases and (2, 9, 3, 3) in cases
+        want = [full_spectrum_closed(family_sequence(*c)) for c in cases]
+
+        def refuse(ss):
+            raise AssertionError("family route computed gamma from the runs")
+
+        monkeypatch.setattr(spectrum, "block_profile", refuse)
+        for case, ref in zip(cases, want):
+            assert family_spectrum_symbolic(*case) == ref, case
 
     def test_distinct_value_caps(self):
         for k in range(2, 6):
