@@ -42,6 +42,7 @@ from .sequences import (
 )
 from .spectrum import (
     DEFAULT_SEQUENCE_BUDGET,
+    DENSE_SOLVE_CAP,
     BlockEigenvalue,
     EigenPair,
     QuotientMatrix,
@@ -53,6 +54,7 @@ from .spectrum import (
     family_spectrum_symbolic,
     full_spectrum_closed,
     full_spectrum_numeric,
+    householder_ql_eigenvalues,
     jacobi_eigenvalues,
     profile_frobenius_sq,
     quotient_eigenvalues,

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 bad input, 2 a verification disagreed, 3 a resource budget or the
-precision limit (an exact count beyond 2**53) was hit.  Identical
-invocations produce byte-identical output.
+1 bad input, 2 a verification disagreed, 3 a resource budget (a size or
+work cap, or an eigensolver's iteration cap) or the precision limit (an
+exact count beyond 2**53) was hit.  Identical invocations produce
+byte-identical output.
 """
 
 import argparse
@@ -14,7 +15,12 @@ import math
 import sys
 from typing import TextIO
 
-from .errors import CountTooLargeError, ResourceLimitError, SequenceError
+from .errors import (
+    ConvergenceError,
+    CountTooLargeError,
+    ResourceLimitError,
+    SequenceError,
+)
 from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph
 from .sequences import (
     ShortSequence,
@@ -27,6 +33,7 @@ from .sequences import (
 from .spectrum import (
     DEFAULT_SEQUENCE_BUDGET,
     Spectrum,
+    check_dense_solve,
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
@@ -129,6 +136,7 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     if args.verify:
         # unclustered dense eigenvalues: clustering would average distinct
         # values; deviations are relative to max(1, |A|_F), |A|_F exact
+        check_dense_solve(ss.n)
         h = ThresholdHypergraph(to_binary(ss))
         mat = h.adjacency()
         dense = full_spectrum_numeric(h, cluster_tol=0.0, adjacency=mat)
@@ -362,7 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except (SequenceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except ResourceLimitError as exc:
+    except (ResourceLimitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
 

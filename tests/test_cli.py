@@ -1,10 +1,20 @@
 import json
 import math
+import random
+
+import pytest
 
 import threshspec.cli as cli
+import threshspec.spectrum as spectrum
 from threshspec.cli import main
-from threshspec.hypergraph import ThresholdHypergraph
-from threshspec.spectrum import EigenPair, Spectrum
+from threshspec.errors import ResourceLimitError
+from threshspec.hypergraph import DENSE_CELL_CAP, ThresholdHypergraph
+from threshspec.spectrum import (
+    DENSE_SOLVE_CAP,
+    EigenPair,
+    Spectrum,
+    full_spectrum_numeric,
+)
 
 
 def run(capsys, *args):
@@ -136,6 +146,46 @@ class TestSpectrumCommand:
             code, out, err = run(capsys, *args)
             assert code == 3, args
             assert "over the cap" in err
+
+    def test_dense_work_cap_exits_3_before_the_matrix(self, capsys, monkeypatch):
+        # n = 1201 passes the cell cap, but n**3 is over the work cap, and
+        # neither --verify nor the numeric route may build the matrix first
+        assert 1201**2 <= DENSE_CELL_CAP and 1201**3 > DENSE_SOLVE_CAP
+
+        def refuse(self):
+            raise AssertionError("the dense matrix was built past the work cap")
+
+        monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
+        code, out, err = run(capsys, "spectrum", "C(600,601)_3", "--verify")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: a dense eigensolve of a 1201x1201 matrix")
+        assert "over the cap" in err
+        with pytest.raises(ResourceLimitError, match="over the cap"):
+            full_spectrum_numeric(ThresholdHypergraph.from_text("C(600,601)_3"))
+
+    def test_solver_iteration_cap_exits_3(self, capsys, monkeypatch):
+        # an iteration budget is a resource budget: exit 3, no traceback
+        solve = spectrum.householder_ql_eigenvalues
+        monkeypatch.setattr(
+            spectrum,
+            "householder_ql_eigenvalues",
+            lambda matrix: solve(matrix, max_iterations=0),
+        )
+        code, out, err = run(capsys, "spectrum", "C(3,2)_3", "--verify")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: QL iteration did not converge in 0 ")
+        assert err.endswith(" of 5\n") and "Traceback" not in err
+
+    def test_verify_at_larger_n(self, capsys):
+        rng = random.Random(20261018)
+        for n, k in ((120, 3), (120, 6), (200, 3)):
+            bits = [0] * (k - 1) + [rng.randint(0, 1) for _ in range(n - k)] + [1]
+            text = f"k={k};" + ",".join(map(str, bits))
+            code, out, err = run(capsys, "spectrum", text, "--verify")
+            assert code == 0, (n, k)
+            assert out.splitlines()[-1].endswith("tol=1e-08 status=ok")
 
     def test_reused_parser_keeps_no_state(self, capsys):
         # main builds its parser once per process; two calls in a row must

@@ -28,6 +28,7 @@ from threshspec.spectrum import (
     family_spectrum_symbolic,
     full_spectrum_closed,
     full_spectrum_numeric,
+    householder_ql_eigenvalues,
     jacobi_eigenvalues,
     profile_frobenius_sq,
     quotient_eigenvalues,
@@ -155,8 +156,9 @@ class TestInertia:
 
 class TestClosedRouteStaysOffDense:
     def test_no_adjacency_on_closed_route(self, monkeypatch, capsys):
-        # the dense matrix and Jacobi belong to the numeric oracle and the
-        # direct pair count to the two-route sweep; none runs on this route
+        # the dense matrix and the dense solvers belong to the numeric
+        # oracle and the direct pair count to the two-route sweep; none runs
+        # on this route
         import threshspec.spectrum as spectrum
 
         def refuse(*args, **kwargs):
@@ -165,6 +167,7 @@ class TestClosedRouteStaysOffDense:
         monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
         monkeypatch.setattr(ThresholdHypergraph, "pair_count", refuse)
         monkeypatch.setattr(spectrum, "jacobi_eigenvalues", refuse)
+        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
         sp = full_spectrum_closed(hg("C(1500,1500)_3"))
         assert sp.total_multiplicity() == 3000
         assert main(["scan", "--n-max", "8", "--k", "3"]) == 0
@@ -316,6 +319,92 @@ class TestJacobi:
     def test_sweep_budget(self):
         with pytest.raises(ConvergenceError):
             jacobi_eigenvalues([[0.0, 1.0], [1.0, 0.0]], max_sweeps=0)
+
+
+def assert_matches_eigvalsh(m):
+    """Householder plus QL agrees with LAPACK within 1e-13 |A|_F."""
+    got = householder_ql_eigenvalues(m)
+    want = sorted(np.linalg.eigvalsh(np.array(m, dtype=float)), reverse=True)
+    bound = 1e-13 * max(1.0, float(np.linalg.norm(np.array(m, dtype=float))))
+    assert len(got) == len(want)
+    assert all(abs(a - b) <= bound for a, b in zip(got, want)), m
+
+
+class TestHouseholderQL:
+    def test_tiny_cases(self):
+        assert householder_ql_eigenvalues([]) == []
+        assert householder_ql_eigenvalues([[2.5]]) == [2.5]
+        zero = [[0.0] * 3 for _ in range(3)]
+        assert householder_ql_eigenvalues(zero) == [0.0, 0.0, 0.0]
+
+    def test_diagonal_passthrough(self):
+        diagonal = [[5, 0, 0], [0, 2, 0], [0, 0, 2]]
+        assert householder_ql_eigenvalues(diagonal) == [5, 2, 2]
+
+    def test_two_by_two(self):
+        lo, hi = sorted(householder_ql_eigenvalues([[0.0, 1.0], [1.0, 0.0]]))
+        assert abs(hi - 1.0) < 1e-15 and abs(lo + 1.0) < 1e-15
+        vals = householder_ql_eigenvalues([[3.0, 6.0], [6.0, 0.0]])
+        expect = [(3 + math.sqrt(153)) / 2, (3 - math.sqrt(153)) / 2]
+        assert all(abs(a - b) < 1e-14 for a, b in zip(vals, expect))
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            householder_ql_eigenvalues([[1.0, 2.0]])
+        with pytest.raises(ValueError):
+            householder_ql_eigenvalues([[0.0, 1.0], [2.0, 0.0]])
+
+    def test_iteration_cap(self):
+        with pytest.raises(ConvergenceError):
+            householder_ql_eigenvalues([[0.0, 1.0], [1.0, 0.0]], max_iterations=0)
+
+    def test_matches_numpy_on_random_symmetric(self):
+        rng = random.Random(20261018)
+        for n in range(1, 13):
+            for _ in range(3):
+                m = [[0.0] * n for _ in range(n)]
+                for i in range(n):
+                    for j in range(i, n):
+                        m[i][j] = m[j][i] = rng.uniform(-10, 10)
+                assert_matches_eigvalsh(m)
+
+    def test_matches_numpy_where_the_matrix_splits(self):
+        rng = random.Random(7)
+
+        def sym(n):
+            m = [[0.0] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i, n):
+                    m[i][j] = m[j][i] = float(rng.randint(-5, 5))
+            return m
+
+        def block_diagonal(*blocks):
+            n = sum(len(b) for b in blocks)
+            m = [[0.0] * n for _ in range(n)]
+            at = 0
+            for b in blocks:
+                for i, row in enumerate(b):
+                    m[at + i][at : at + len(b)] = row
+                at += len(b)
+            return m
+
+        assert_matches_eigvalsh(block_diagonal(sym(3), sym(1), sym(4)))
+        assert_matches_eigvalsh(block_diagonal(sym(5), [[0.0]], sym(2)))
+        zero_row = sym(6)
+        for i in range(6):
+            zero_row[2][i] = zero_row[i][2] = 0.0
+        assert_matches_eigvalsh(zero_row)
+        # repeated eigenvalues: J - I has -1 with multiplicity n - 1
+        for n in (2, 5, 9):
+            assert_matches_eigvalsh(
+                [[float(i != j) for j in range(n)] for i in range(n)]
+            )
+        twice = sym(4)
+        assert_matches_eigvalsh(block_diagonal(twice, twice))
+
+    def test_matches_numpy_on_threshold_adjacency(self):
+        for h in connected_hypergraphs(9, range(2, 6)):
+            assert_matches_eigvalsh(h.adjacency().to_float_rows())
 
 
 class TestFullSpectrum:
