@@ -3,8 +3,9 @@
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 bad input, 2 a verification disagreed, 3 a resource budget (a size or
 work cap, or an eigensolver's iteration cap) or the precision limit (an
-exact count beyond 2**53) was hit.  Identical invocations produce
-byte-identical output.
+exact count beyond 2**53) was hit, 141 the reader closed stdout before
+all output was written (128 + SIGPIPE, the status of a tool SIGPIPE ends).
+Identical invocations produce byte-identical output.
 """
 
 import argparse
@@ -12,6 +13,7 @@ import csv
 import functools
 import json
 import math
+import os
 import sys
 from typing import TextIO
 
@@ -46,8 +48,7 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
-
-FORMATS = ("text", "csv", "structured")
+EXIT_PIPE = 141
 
 
 class _UsageError(Exception):
@@ -290,9 +291,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _add_format(parser: _Parser, *choices: str) -> None:
+    """`--format` over the formats a subcommand writes, the first the default."""
+    parser.add_argument("--format", choices=choices, default=choices[0])
+
+
 def build_parser() -> _Parser:
     output = _Parser(add_help=False)
-    output.add_argument("--format", choices=FORMATS, default="text")
+    _add_format(output, "text", "csv", "structured")
     merging = _Parser(add_help=False)
     merging.add_argument("--merge-tol", type=_positive_float, default=1e-9)
     capping = _Parser(add_help=False)
@@ -327,7 +333,8 @@ def build_parser() -> _Parser:
     p.add_argument("sequence")
     p.set_defaults(handler=cmd_adjacency)
 
-    p = sub.add_parser("verify", parents=[output, capping], help="exhaustive sweeps")
+    p = sub.add_parser("verify", parents=[capping], help="exhaustive sweeps")
+    _add_format(p, "text", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
@@ -340,7 +347,8 @@ def build_parser() -> _Parser:
     p.add_argument("--j", type=int, default=None)
     p.set_defaults(handler=cmd_family)
 
-    p = sub.add_parser("scan", parents=[output], help="quotient gap report")
+    p = sub.add_parser("scan", help="quotient gap report")
+    _add_format(p, "csv", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
@@ -360,7 +368,9 @@ def _parser() -> _Parser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = _parser().parse_args(argv)
-        return args.handler(args, sys.stdout, sys.stderr)
+        code = args.handler(args, sys.stdout, sys.stderr)
+        sys.stdout.flush()  # a closed pipe shows here when the output is short
+        return code
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -373,6 +383,13 @@ def main(argv: list[str] | None = None) -> int:
     except (ResourceLimitError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # interpreter exit does not fail a second time
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

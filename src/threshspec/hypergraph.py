@@ -21,7 +21,6 @@ from .errors import ResourceLimitError, SequenceError
 from .sequences import (
     BinarySequence,
     ShortSequence,
-    check_first_run,
     format_short,
     parse_sequence,
     to_short,
@@ -70,9 +69,7 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
     family: summed over all pairs, gamma counts every edge binomial(k, 2)
     times, and the edges ending in a ones block number
     binomial(b, k) - binomial(a-1, k).  A mismatch raises RuntimeError.
-    Raises SequenceError when no bit sequence has this short form.
     """
-    check_first_run(ss)
     k, runs = ss.k, ss.runs
     head_ones = ss.first_run_has_ones
     profile = [0] * len(runs)
@@ -93,8 +90,6 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
             g = profile[s] = after
         pairs += g * (size * before + size * (size - 1) // 2)
         end = before
-    if runs[0] == 1:
-        profile[0] = 0  # no pair ends in it; its weight above is 0
     if pairs != k * (k - 1) // 2 * edges:
         raise RuntimeError(
             f"internal: pair counts of {format_short(ss)} sum to {pairs}, "

@@ -15,7 +15,7 @@ first run of ones merge into a single first run (`first_run_has_ones`).
 Short-form text is read with the parity rule (an even run count means the
 k-th bit is 0), which is unambiguous exactly for connected hypergraphs;
 the in-memory type keeps the marker explicit so conversions round-trip
-for disconnected sequences as well.
+for disconnected sequences as well, and refuses runs no bit sequence has.
 """
 
 import re
@@ -31,7 +31,6 @@ __all__ = [
     "ShortSequence",
     "to_short",
     "to_binary",
-    "check_first_run",
     "parse_binary",
     "parse_short",
     "parse_sequence",
@@ -91,10 +90,8 @@ class ShortSequence:
     means the first run is the merged one (k-1 zeros followed by ones) and
     the alternation continues with a zero run.
 
-    Only the shape is validated here.  Whether the runs describe an actual
-    bit sequence (the first run must reach position k) is checked by
-    `check_first_run`, which `to_binary`, `parse_runs` and the block
-    profile call.
+    Construction refuses runs that no bit sequence has: a first run short
+    of position k (of position k-1 for a lone zero run).
     """
 
     k: int
@@ -109,6 +106,19 @@ class ShortSequence:
             raise SequenceError("a short sequence needs at least one run")
         if any(a < 1 for a in self.runs):
             raise SequenceError("run lengths must be positive")
+        k, first = self.k, self.runs[0]
+        if self.first_run_has_ones:
+            if first < k:
+                raise SequenceError(
+                    f"first run {first} cannot hold {k - 1} zeros plus a one"
+                )
+            return
+        floor = k - 1 if self.r == 1 else k
+        if first < floor:
+            raise SequenceError(
+                f"first zero run {first} must reach position {floor} "
+                f"for uniformity {k}"
+            )
 
     @property
     def r(self) -> int:
@@ -157,46 +167,13 @@ def to_short(s: BinarySequence) -> ShortSequence:
     return ShortSequence(s.k, tuple(runs), merged)
 
 
-def check_first_run(ss: ShortSequence) -> None:
-    """Raise SequenceError unless some bit sequence has this short form.
-
-    That fails exactly when the first run stops short of position k (or,
-    for a lone zero run, short of position k-1).  O(1): only the first run
-    is read.
-    """
-    k, first = ss.k, ss.runs[0]
-    if ss.first_run_has_ones:
-        if first < k:
-            raise SequenceError(
-                f"first run {first} cannot hold {k - 1} zeros plus a one"
-            )
-        return
-    floor = k - 1 if ss.r == 1 else k
-    if first < floor:
-        raise SequenceError(
-            f"first zero run {first} must reach position {floor} "
-            f"for uniformity {k}"
-        )
-
-
 def to_binary(ss: ShortSequence) -> BinarySequence:
-    """Expand runs back to bits; the unique preimage of `to_short`.
-
-    Raises SequenceError when no bit sequence has this short form
-    (`check_first_run`).
-    """
-    check_first_run(ss)
-    k, runs = ss.k, ss.runs
-    if ss.first_run_has_ones:
-        bits = [0] * (k - 1) + [1] * (runs[0] - k + 1)
-        tail_value = 0
-    else:
-        bits = [0] * runs[0]
-        tail_value = 1
-    for length in runs[1:]:
-        bits.extend([tail_value] * length)
-        tail_value = 1 - tail_value
-    return BinarySequence(k, tuple(bits))
+    """Expand runs back to bits; the unique preimage of `to_short`."""
+    bits = []
+    for t, length in enumerate(ss.runs, start=1):
+        bits += [int(ss.block_is_ones(t))] * length
+    bits[: ss.k - 1] = [0] * (ss.k - 1)  # the merged head's forced zeros
+    return BinarySequence(ss.k, tuple(bits))
 
 
 _BIT_RE = re.compile(r"^\s*k\s*=\s*(\d+)\s*;\s*([01](?:\s*,\s*[01])*)\s*$")
@@ -242,14 +219,12 @@ def parse_sequence(text: str) -> BinarySequence:
 def parse_runs(text: str) -> ShortSequence:
     """Read either encoding, returning the run-length form.
 
-    Short-form text is checked with `check_first_run` and never expanded
-    to bits, so the cost grows with the number of runs, not of vertices.
+    Short-form text is never expanded to bits, so the cost grows with the
+    number of runs, not of vertices.
     """
     stripped = text.strip()
     if stripped.startswith("C"):
-        ss = parse_short(stripped)
-        check_first_run(ss)
-        return ss
+        return parse_short(stripped)
     return to_short(parse_sequence(stripped))
 
 

@@ -6,7 +6,6 @@ identity whose two sides are computed by unrelated code paths.  The CLI
 the bounds it pins.
 """
 
-import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator
@@ -143,17 +142,17 @@ def sweep_replaceability(
 def sweep_complement_partition(
     n_max: int, k_values: Iterable[int], edge_cap: int = DEFAULT_EDGE_CAP
 ) -> SweepResult:
-    """A hypergraph and its complement split the k-subsets exactly."""
+    """A hypergraph and its complement split the k-subsets exactly.
+
+    Both edge lists hold distinct sorted tuples, so they split the
+    k-subsets exactly when their merged sort lists each k-subset once.
+    """
     res = SweepResult("complement_partition")
-    # every sequence of one size shares the k-subsets; built once per call
-    universe = functools.cache(lambda n, k: set(combinations(range(1, n + 1), k)))
     for s in _sequences(n_max, k_values):
         res.checked += 1
-        h = ThresholdHypergraph(s)
-        hc = ThresholdHypergraph(complement_sequence(s))
-        ours = set(h.edges(edge_cap))
-        theirs = set(hc.edges(edge_cap))
-        if ours & theirs or ours | theirs != universe(s.n, s.k):
+        ours = ThresholdHypergraph(s).edges(edge_cap)
+        theirs = ThresholdHypergraph(complement_sequence(s)).edges(edge_cap)
+        if sorted(ours + theirs) != list(combinations(range(1, s.n + 1), s.k)):
             res.record(format_binary(s))
     return res
 

@@ -1,6 +1,10 @@
 import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -221,6 +225,9 @@ class TestSpectrumCommand:
             ["adjacency", "k=3;0,0,1", "--merge-tol", "1"],
             ["verify", "--n-max", "4", "--k", "3", "--merge-tol", "1"],
             ["scan", "--n-max", "4", "--k", "3", "--edge-cap", "5"],
+            # and so are formats a subcommand does not write
+            ["verify", "--n-max", "4", "--k", "3", "--format", "csv"],
+            ["scan", "--n-max", "4", "--k", "3", "--format", "text"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "nan"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "inf"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "0"],
@@ -413,3 +420,30 @@ class TestScanCommand:
         )
         assert code == 3
         assert "over the budget" in err
+
+
+@pytest.mark.parametrize(
+    "args, lines",
+    [
+        (["scan", "--n-max", "14", "--k", "3"], 1),
+        (["edges", "C(200,1)_3"], 1),
+        # short output stays in the stdout buffer until the final flush
+        (["spectrum", "C(3,1)_3"], 0),
+    ],
+)
+def test_closed_stdout_exits_141(args, lines):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is block-buffered
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "threshspec.cli", *args],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    for _ in range(lines):
+        proc.stdout.readline()
+    proc.stdout.close()
+    with proc.stderr:
+        err = proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
+    assert err == b""

@@ -51,6 +51,16 @@ def test_short_shape_validation():
         ShortSequence(3, (4, 0, 1))
     with pytest.raises(SequenceError):
         ShortSequence(1, (4, 1))
+    # runs that no bit sequence has: the first run stops short of position k
+    with pytest.raises(SequenceError, match="must reach position 4"):
+        ShortSequence(4, (2, 1))
+    with pytest.raises(SequenceError, match="cannot hold 3 zeros plus a one"):
+        ShortSequence(4, (3, 1), first_run_has_ones=True)
+    with pytest.raises(SequenceError, match="must reach position 2"):
+        ShortSequence(3, (1,))
+    # a lone zero run may stop at k-1; the lone vertex is the smallest
+    ShortSequence(4, (3,))
+    ShortSequence(2, (1,))
 
 
 def test_short_block_geometry():
