@@ -23,13 +23,18 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph
+from .hypergraph import (
+    DEFAULT_EDGE_CAP,
+    ThresholdHypergraph,
+    check_dense,
+    check_edge_cap,
+    edge_total,
+)
 from .sequences import (
     ShortSequence,
     format_binary,
     format_short,
     parse_runs,
-    parse_sequence,
     to_binary,
 )
 from .spectrum import (
@@ -155,7 +160,10 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_edges(args, out: TextIO, err: TextIO) -> int:
-    h = ThresholdHypergraph(parse_sequence(args.sequence))
+    # the caps of edges and adjacency are checked before a short form expands
+    ss = parse_runs(args.sequence)
+    check_edge_cap(edge_total(ss), args.edge_cap)
+    h = ThresholdHypergraph(to_binary(ss))
     edges = h.edges(args.edge_cap)
     if args.format == "structured":
         doc = {
@@ -172,7 +180,9 @@ def cmd_edges(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
-    h = ThresholdHypergraph(parse_sequence(args.sequence))
+    ss = parse_runs(args.sequence)
+    check_dense(ss.n)
+    h = ThresholdHypergraph(to_binary(ss))
     mat = h.adjacency()
     if args.format == "structured":
         doc = {
@@ -189,9 +199,7 @@ def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_verify(args, out: TextIO, err: TextIO) -> int:
-    results = run_all_sweeps(
-        args.n_max, _parse_k_list(args.k), args.edge_cap, args.budget
-    )
+    results = run_all_sweeps(args.n_max, _parse_k_list(args.k), budget=args.budget)
     all_ok = all(r.passed for r in results)
     if args.format == "structured":
         doc = {
@@ -301,8 +309,6 @@ def build_parser() -> _Parser:
     _add_format(output, "text", "csv", "structured")
     merging = _Parser(add_help=False)
     merging.add_argument("--merge-tol", type=_positive_float, default=1e-9)
-    capping = _Parser(add_help=False)
-    capping.add_argument("--edge-cap", type=_positive_int, default=DEFAULT_EDGE_CAP)
 
     parser = _Parser(prog="threshspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -325,15 +331,16 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("edges", parents=[output, capping], help="edge list")
+    p = sub.add_parser("edges", parents=[output], help="edge list")
     p.add_argument("sequence")
+    p.add_argument("--edge-cap", type=_positive_int, default=DEFAULT_EDGE_CAP)
     p.set_defaults(handler=cmd_edges)
 
     p = sub.add_parser("adjacency", parents=[output], help="pair-count matrix")
     p.add_argument("sequence")
     p.set_defaults(handler=cmd_adjacency)
 
-    p = sub.add_parser("verify", parents=[capping], help="exhaustive sweeps")
+    p = sub.add_parser("verify", help="exhaustive sweeps")
     _add_format(p, "text", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)

@@ -33,6 +33,9 @@ __all__ = [
     "ThresholdHypergraph",
     "GeneralHypergraph",
     "block_profile",
+    "edge_total",
+    "check_dense",
+    "check_edge_cap",
     "adjacency_bruteforce",
     "load_replaceable_non_threshold_7_4",
 ]
@@ -44,12 +47,33 @@ DEFAULT_EDGE_CAP = 10**7
 DENSE_CELL_CAP = 10**7
 
 
-def _check_dense(n: int) -> None:
+def check_dense(n: int) -> None:
+    """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
     if n * n > DENSE_CELL_CAP:
         raise ResourceLimitError(
             f"a dense {n}x{n} matrix has {n * n} cells, over the cap of "
             f"{DENSE_CELL_CAP}"
         )
+
+
+def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
+    """Refuse to list `total` edges when that is over `cap`."""
+    if total > cap:
+        raise ResourceLimitError(
+            f"{total} edges exceed the cap of {cap}; raise the cap to enumerate"
+        )
+
+
+def edge_total(ss: ShortSequence) -> int:
+    """Number of edges, from the runs: by the hockey stick, the edges
+    ending in a ones block on positions a..b number
+    binomial(b, k) - binomial(a-1, k)."""
+    total = end = 0
+    for s, size in enumerate(ss.runs):
+        end += size
+        if (s % 2 == 0) == ss.first_run_has_ones:
+            total += binomial(end, ss.k) - binomial(end - size, ss.k)
+    return total
 
 
 def block_profile(ss: ShortSequence) -> tuple[int, ...]:
@@ -67,14 +91,14 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
 
     The result is checked against an identity from the other binomial
     family: summed over all pairs, gamma counts every edge binomial(k, 2)
-    times, and the edges ending in a ones block number
-    binomial(b, k) - binomial(a-1, k).  A mismatch raises RuntimeError.
+    times, and `edge_total` counts the edges.  A mismatch raises
+    RuntimeError.
     """
     k, runs = ss.k, ss.runs
     head_ones = ss.first_run_has_ones
     profile = [0] * len(runs)
     after = 0  # edges through a fixed pair closed in the later blocks
-    pairs = edges = 0
+    pairs = 0
     end = sum(runs)
     for s in range(len(runs) - 1, -1, -1):
         size = runs[s]
@@ -85,11 +109,11 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
             top = binomial(end - 2, k - 2)
             g = profile[s] = after + top
             after += top - binomial(before - 2, k - 2)
-            edges += binomial(end, k) - binomial(before, k)
         else:
             g = profile[s] = after
         pairs += g * (size * before + size * (size - 1) // 2)
         end = before
+    edges = edge_total(ss)
     if pairs != k * (k - 1) // 2 * edges:
         raise RuntimeError(
             f"internal: pair counts of {format_short(ss)} sum to {pairs}, "
@@ -166,8 +190,7 @@ class ThresholdHypergraph:
 
     def edge_count(self) -> int:
         """Total number of edges, in closed form."""
-        k = self.k
-        return sum(binomial(v - 1, k - 1) for v in self.pseudodominants())
+        return edge_total(to_short(self.sequence))
 
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
@@ -175,11 +198,7 @@ class ThresholdHypergraph:
         The closed-form count is checked against `cap` before anything is
         materialized.
         """
-        total = self.edge_count()
-        if total > cap:
-            raise ResourceLimitError(
-                f"{total} edges exceed the cap of {cap}; raise the cap to enumerate"
-            )
+        check_edge_cap(self.edge_count(), cap)
         k = self.k
         out = []
         for v in self.pseudodominants():
@@ -211,7 +230,7 @@ class ThresholdHypergraph:
     def adjacency(self) -> AdjacencyMatrix:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
         max(i, j) off the diagonal, expanded from `block_profile`."""
-        _check_dense(self.n)
+        check_dense(self.n)
         ss = to_short(self.sequence)
         columns: list[int] = []
         for g, a in zip(block_profile(ss), ss.runs):
@@ -238,7 +257,7 @@ def adjacency_bruteforce(
 ) -> AdjacencyMatrix:
     """Recount every pair by walking the edge list.  Oracle for `adjacency`."""
     n = h.n
-    _check_dense(n)
+    check_dense(n)
     rows = [[0] * n for _ in range(n)]
     for e in h.edges(cap):
         for a, b in combinations(e, 2):

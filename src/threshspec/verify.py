@@ -11,11 +11,7 @@ from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
-from .hypergraph import (
-    DEFAULT_EDGE_CAP,
-    ThresholdHypergraph,
-    adjacency_bruteforce,
-)
+from .hypergraph import ThresholdHypergraph, adjacency_bruteforce
 from .sequences import (
     BinarySequence,
     complement_sequence,
@@ -65,15 +61,13 @@ def _sequences(
             yield from iter_valid_sequences(n, k, connected_only)
 
 
-def sweep_adjacency_oracle(
-    n_max: int, k_values: Iterable[int], edge_cap: int = DEFAULT_EDGE_CAP
-) -> SweepResult:
+def sweep_adjacency_oracle(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Closed-form adjacency equals the edge-list recount, entry for entry."""
     res = SweepResult("oracle_equivalence")
     for s in _sequences(n_max, k_values):
         h = ThresholdHypergraph(s)
         res.checked += 1
-        if h.adjacency() != adjacency_bruteforce(h, edge_cap):
+        if h.adjacency() != adjacency_bruteforce(h):
             res.record(format_binary(s))
     return res
 
@@ -126,22 +120,18 @@ def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
     return res
 
 
-def sweep_replaceability(
-    n_max: int, k_values: Iterable[int], edge_cap: int = DEFAULT_EDGE_CAP
-) -> SweepResult:
+def sweep_replaceability(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Every vertex pair of a sequence hypergraph is replaceability-comparable."""
     res = SweepResult("replaceability_totality")
     for s in _sequences(n_max, k_values):
         res.checked += 1
-        g = ThresholdHypergraph(s).to_general(edge_cap)
+        g = ThresholdHypergraph(s).to_general()
         if not g.is_totally_replaceable():
             res.record(format_binary(s))
     return res
 
 
-def sweep_complement_partition(
-    n_max: int, k_values: Iterable[int], edge_cap: int = DEFAULT_EDGE_CAP
-) -> SweepResult:
+def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """A hypergraph and its complement split the k-subsets exactly.
 
     Both edge lists hold distinct sorted tuples, so they split the
@@ -150,20 +140,18 @@ def sweep_complement_partition(
     res = SweepResult("complement_partition")
     for s in _sequences(n_max, k_values):
         res.checked += 1
-        ours = ThresholdHypergraph(s).edges(edge_cap)
-        theirs = ThresholdHypergraph(complement_sequence(s)).edges(edge_cap)
+        ours = ThresholdHypergraph(s).edges()
+        theirs = ThresholdHypergraph(complement_sequence(s)).edges()
         if sorted(ours + theirs) != list(combinations(range(1, s.n + 1), s.k)):
             res.record(format_binary(s))
     return res
 
 
 def run_all_sweeps(
-    n_max: int,
-    k_values: Iterable[int],
-    edge_cap: int = DEFAULT_EDGE_CAP,
-    budget: int = DEFAULT_SEQUENCE_BUDGET,
+    n_max: int, k_values: Iterable[int], *, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> list[SweepResult]:
-    """All five sweeps, guarded by the sequence budget."""
+    """All five sweeps, guarded up front by the sequence budget; the edge
+    lists inside them keep `ThresholdHypergraph.edges`' default cap."""
     k_set = sorted(set(k_values))
     total = count_valid_sequences(n_max, k_set)
     if total > budget:
@@ -171,9 +159,9 @@ def run_all_sweeps(
             f"sweeps would visit {total} sequences, over the budget of {budget}"
         )
     return [
-        sweep_adjacency_oracle(n_max, k_set, edge_cap),
+        sweep_adjacency_oracle(n_max, k_set),
         sweep_two_route(n_max, k_set),
         sweep_uniqueness(n_max, k_set),
-        sweep_replaceability(n_max, k_set, edge_cap),
-        sweep_complement_partition(n_max, k_set, edge_cap),
+        sweep_replaceability(n_max, k_set),
+        sweep_complement_partition(n_max, k_set),
     ]

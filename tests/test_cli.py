@@ -27,6 +27,15 @@ def run(capsys, *args):
     return code, captured.out, captured.err
 
 
+def strict_json(text):
+    """Parse JSON that must not use the non-standard NaN or Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 class TestSpectrumCommand:
     def test_text_output(self, capsys):
         code, out, err = run(capsys, "spectrum", "k=3;0,0,0,0,1")
@@ -60,6 +69,13 @@ class TestSpectrumCommand:
         ]
         assert lines[4].startswith("max_dev=")
         assert lines[4].endswith("tol=1e-08 status=ok")
+        code, out, err = run(
+            capsys, "spectrum", "C(3,2)_3", "--verify", "--format", "structured"
+        )
+        assert code == 0
+        info = strict_json(out)["verify"]
+        assert sorted(info) == ["max_dev", "ok", "tol"]
+        assert info["ok"] is True and info["tol"] == 1e-8
 
     def test_verify_has_no_false_mismatch(self, capsys):
         # each of these exited 2 on a correct spectrum when the dense
@@ -91,6 +107,13 @@ class TestSpectrumCommand:
         code, out, err = run(capsys, "spectrum", "C(3,2)_3", "--verify")
         assert code == 2
         assert out.splitlines()[-1].endswith("status=mismatch")
+        code, out, err = run(
+            capsys, "spectrum", "C(3,2)_3", "--verify", "--format", "structured"
+        )
+        assert code == 2
+        info = strict_json(out)["verify"]
+        assert sorted(info) == ["max_dev", "ok", "tol"]
+        assert info["ok"] is False and info["max_dev"] > info["tol"]
 
     def test_precision_limit_exits_3(self, capsys):
         for args in (
@@ -237,6 +260,12 @@ class TestSpectrumCommand:
             ["scan", "--n-max", "-3", "--k", "3"],
             ["scan", "--n-max", "4", "--k", "3", "--budget", "0"],
             ["scan", "--n-max", "4", "--k", "3", "--tol", "nan"],
+            ["verify", "--n-max", "4", "--k", "x"],
+            ["scan", "--n-max", "4", "--k", "1"],
+            ["spectrum", "k=3;0,0,1", "--verify", "--tol", "abc"],
+            ["verify", "--n-max", "abc", "--k", "3"],
+            # verify sweeps under the default edge cap and takes no other
+            ["verify", "--n-max", "4", "--k", "3", "--edge-cap", "5"],
         ):
             code, out, err = run(capsys, *args)
             assert code == 1, args
@@ -268,6 +297,30 @@ class TestEdgesCommand:
         code, out, err = run(capsys, "edges", "C(9,1)_3", "--edge-cap", "5")
         assert code == 3
         assert "36 edges exceed the cap of 5" in err
+
+
+def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
+    # edges and adjacency check their caps on the runs: a short form over
+    # a cap is refused without its n bits ever being built
+    import threshspec.sequences as sequences
+
+    def no_expansion(ss):
+        raise AssertionError("short form expanded to bits")
+
+    monkeypatch.setattr(sequences, "to_binary", no_expansion)
+    monkeypatch.setattr(cli, "to_binary", no_expansion)
+    assert run(capsys, "adjacency", "C(5000,1)_3") == (
+        3,
+        "",
+        "error: a dense 5001x5001 matrix has 25010001 cells, over the cap of "
+        "10000000\n",
+    )
+    assert run(capsys, "edges", "C(5000,1)_3") == (
+        3,
+        "",
+        "error: 12497500 edges exceed the cap of 10000000; raise the cap to "
+        "enumerate\n",
+    )
 
 
 class TestAdjacencyCommand:

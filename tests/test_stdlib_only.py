@@ -1,0 +1,30 @@
+"""The runtime imports nothing outside the standard library.
+
+numpy is installed for the tests, so an accidental third-party import in
+the package would still run here; this reads the imports instead.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).parents[1] / "src" / "threshspec").glob("*.py"))
+
+
+def _absolute_imports(path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_package_imports_only_the_standard_library():
+    assert SOURCES
+    outside = {
+        (path.name, name)
+        for path in SOURCES
+        for name in _absolute_imports(path)
+        if name.split(".")[0] not in sys.stdlib_module_names
+    }
+    assert not outside

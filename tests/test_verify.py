@@ -1,6 +1,8 @@
 import pytest
 
+import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
+from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph
 from threshspec.sequences import format_binary
 from threshspec.verify import (
     MAX_REPORTED,
@@ -116,3 +118,79 @@ def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "sweep=replaceability_totality checked=31 failed=" in out
     assert out.splitlines()[-1] == "FAILED"
+
+
+def _raise_one_pair(monkeypatch):
+    real = verify.adjacency_bruteforce
+
+    def recount(h):
+        rows = [list(row) for row in real(h).entries]
+        rows[0][1] += 1
+        rows[1][0] += 1
+        return AdjacencyMatrix(rows)
+
+    monkeypatch.setattr(verify, "adjacency_bruteforce", recount)
+
+
+def _failing_profile(monkeypatch):
+    def refuse(ss):
+        raise RuntimeError("internal: injected profile failure")
+
+    monkeypatch.setattr(verify, "block_profile", refuse)
+
+
+def _zero_adjacency(monkeypatch):
+    def zero(self):
+        return AdjacencyMatrix([[0] * self.n for _ in range(self.n)])
+
+    monkeypatch.setattr(ThresholdHypergraph, "adjacency", zero)
+
+
+def _identity_complement(monkeypatch):
+    monkeypatch.setattr(verify, "complement_sequence", lambda s: s)
+
+
+@pytest.mark.parametrize(
+    "inject, sweep, name, first",
+    [
+        (_raise_one_pair, sweep_adjacency_oracle, "oracle_equivalence", "k=3;0,0"),
+        (
+            _failing_profile,
+            sweep_two_route,
+            "two_route",
+            "k=3;0,0,1: internal: injected profile failure",
+        ),
+        (
+            _zero_adjacency,
+            sweep_uniqueness,
+            "uniqueness",
+            "k=3;0,0,0 collides with k=3;0,0,1",
+        ),
+        (
+            _identity_complement,
+            sweep_complement_partition,
+            "complement_partition",
+            "k=3;0,0,0",
+        ),
+    ],
+)
+def test_sweep_records_an_injected_fault(
+    monkeypatch, capsys, inject, sweep, name, first
+):
+    # each sweep must record the fault it exists to catch, and the CLI must
+    # report it on that sweep's line and exit 2
+    from threshspec.cli import main
+
+    inject(monkeypatch)
+    res = sweep(6, [3])
+    assert not res.passed
+    assert res.failures[0] == first
+    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    lines = out.splitlines()
+    assert lines[-1] == "FAILED"
+    failed = {
+        line.split()[0]: int(line.split("failed=")[1]) for line in lines[:-1]
+    }
+    assert failed[f"sweep={name}"] > 0
+    assert f"{name}: {first}\n" in err
