@@ -33,6 +33,7 @@ from .hypergraph import (
 from .sequences import (
     ShortSequence,
     format_binary,
+    format_bits,
     format_short,
     parse_runs,
     to_binary,
@@ -103,7 +104,7 @@ def _emit_spectrum(
         doc = {
             "n": ss.n,
             "k": ss.k,
-            "sequence": format_binary(to_binary(ss)),
+            "sequence": format_bits(ss),
             "short": format_short(ss),
             "pairs": [
                 {"value": p.value, "multiplicity": p.multiplicity, "source": p.source}
@@ -133,8 +134,7 @@ def _emit_spectrum(
 
 
 def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
-    # short-form text is never expanded to bits unless --verify or the
-    # structured output needs them
+    # short-form text is never expanded to bits unless --verify needs them
     ss = parse_runs(args.sequence)
     spec = full_spectrum_closed(ss, args.merge_tol)
     verify_info = None
@@ -229,7 +229,7 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
     if args.format != "structured":
         stream = out if args.format == "text" else err
         print(f"short={format_short(ss)}", file=stream)
-        print(f"sequence={format_binary(to_binary(ss))}", file=stream)
+        print(f"sequence={format_bits(ss)}", file=stream)
     _emit_spectrum(spec, ss, args.format, out, err)
     return EXIT_OK
 

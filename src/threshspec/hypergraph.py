@@ -69,9 +69,9 @@ def edge_total(ss: ShortSequence) -> int:
     ending in a ones block on positions a..b number
     binomial(b, k) - binomial(a-1, k)."""
     total = end = 0
-    for s, size in enumerate(ss.runs):
+    for size, ones in ss.blocks():
         end += size
-        if (s % 2 == 0) == ss.first_run_has_ones:
+        if ones:
             total += binomial(end, ss.k) - binomial(end - size, ss.k)
     return total
 
@@ -94,23 +94,22 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
     times, and `edge_total` counts the edges.  A mismatch raises
     RuntimeError.
     """
-    k, runs = ss.k, ss.runs
-    head_ones = ss.first_run_has_ones
-    profile = [0] * len(runs)
+    k = ss.k
+    profile = []
     after = 0  # edges through a fixed pair closed in the later blocks
     pairs = 0
-    end = sum(runs)
-    for s in range(len(runs) - 1, -1, -1):
-        size = runs[s]
+    end = ss.n
+    for size, ones in reversed(list(ss.blocks())):
         before = end - size
-        if (s % 2 == 0) == head_ones:
+        if ones:
             # in the merged head the ones start at k, but no earlier
             # block reads the `after` it leaves
             top = binomial(end - 2, k - 2)
-            g = profile[s] = after + top
+            g = after + top
             after += top - binomial(before - 2, k - 2)
         else:
-            g = profile[s] = after
+            g = after
+        profile.append(g)
         pairs += g * (size * before + size * (size - 1) // 2)
         end = before
     edges = edge_total(ss)
@@ -119,7 +118,7 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
             f"internal: pair counts of {format_short(ss)} sum to {pairs}, "
             f"but its {edges} edges give {k * (k - 1) // 2 * edges}"
         )
-    return tuple(profile)
+    return tuple(reversed(profile))
 
 
 @dataclass(frozen=True)

@@ -36,6 +36,7 @@ __all__ = [
     "parse_sequence",
     "parse_runs",
     "format_binary",
+    "format_bits",
     "format_short",
     "complement_sequence",
     "delete_vertex",
@@ -134,6 +135,14 @@ class ShortSequence:
             raise SequenceError(f"block index {t} out of range 0..{self.r}")
         return sum(self.runs[:t])
 
+    def blocks(self) -> Iterator[tuple[int, bool]]:
+        """(size, is_ones) of every block in order, `block_is_ones` without
+        its range check."""
+        ones = self.first_run_has_ones
+        for size in self.runs:
+            yield size, ones
+            ones = not ones
+
     def block_is_ones(self, t: int) -> bool:
         """True when block t ends with pseudodominant vertices.
 
@@ -170,8 +179,8 @@ def to_short(s: BinarySequence) -> ShortSequence:
 def to_binary(ss: ShortSequence) -> BinarySequence:
     """Expand runs back to bits; the unique preimage of `to_short`."""
     bits = []
-    for t, length in enumerate(ss.runs, start=1):
-        bits += [int(ss.block_is_ones(t))] * length
+    for size, ones in ss.blocks():
+        bits += [int(ones)] * size
     bits[: ss.k - 1] = [0] * (ss.k - 1)  # the merged head's forced zeros
     return BinarySequence(ss.k, tuple(bits))
 
@@ -230,6 +239,16 @@ def parse_runs(text: str) -> ShortSequence:
 
 def format_binary(s: BinarySequence) -> str:
     return f"k={s.k};" + ",".join(str(b) for b in s.bits)
+
+
+def format_bits(ss: ShortSequence) -> str:
+    """`format_binary(to_binary(ss))`, written from the runs: no bit list
+    is built, only the text."""
+    blocks = list(ss.blocks())
+    if ss.first_run_has_ones:
+        blocks[0:1] = [(ss.k - 1, False), (ss.runs[0] - ss.k + 1, True)]
+    body = "".join(("1," if ones else "0,") * size for size, ones in blocks)
+    return f"k={ss.k};{body[:-1]}"
 
 
 def format_short(ss: ShortSequence) -> str:

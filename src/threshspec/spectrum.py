@@ -6,13 +6,15 @@ only on the block of j: `block_profile` (from `hypergraph`) computes those
 r exact integers, gamma, from the run lengths in O(r), and they fix the
 whole matrix.  Every block of b >= 2 twin vertices contributes -gamma of
 that block with multiplicity b - 1, and the remaining r eigenvalues are
-those of the equitable quotient.  They are found by bisection and
-safeguarded Newton steps on an O(r) inertia count of a tridiagonal pencil
-congruent to the quotient problem.  The catalogued families enter their
-gamma by hand and share the rest of the route.  The numeric route
-serves as the oracle: it diagonalizes the full n x n matrix by Householder
-reduction to tridiagonal form and implicit QL, generic dense linear
-algebra that sees only the float matrix, and refuses n**3 above
+those of the equitable quotient: rational QL estimates them on a
+tridiagonal matrix reduced in O(r**2) from a pencil congruent to the
+quotient problem, and two O(r) inertia counts of the pencil certify each
+estimate (bisection on the counts replaces one that fails); no step calls
+`math.hypot`, whose last bit varies across CPython versions.  The
+catalogued families enter their gamma by hand and share the rest.  The
+numeric route serves as the oracle: it diagonalizes the full n x n matrix
+by Householder reduction to tridiagonal form and implicit QL, generic
+dense linear algebra that sees only the float matrix, and refuses n**3 above
 `DENSE_SOLVE_CAP` before building it.  The verify sweeps and the
 test-suite check the agreement of the two routes exhaustively on small
 instances.  `jacobi_eigenvalues`, the dense solver before QL, has no
@@ -356,8 +358,56 @@ def householder_ql_eigenvalues(
     return sorted(d, reverse=True)
 
 
+def _rational_ql(
+    d: list[float], e2: list[float], max_iterations: int = 30
+) -> list[float]:
+    """Eigenvalues, unsorted, of the symmetric tridiagonal matrix with
+    diagonal d and squared off-diagonal e2 (e2[i] couples d[i], d[i + 1]).
+
+    Root-free rational QL, tqlrat of EISPACK (Reinsch, CACM Algorithm 464,
+    1973) with sqrt(p * p + 1) for pythag.  An eigenvalue not converged
+    after max_iterations sweeps is returned as it stands, an estimate.
+    """
+    d, e2 = list(d), [*e2, 0.0]  # the zero stops every search for a split
+    f = t = b = c = 0.0
+    for l in range(len(d)):
+        h = abs(d[l]) + math.sqrt(e2[l])
+        if t < h:
+            t, b, c = h, _EPS * h, (_EPS * h) ** 2
+        m = l
+        while e2[m] > c:
+            m += 1
+        for _ in range(max_iterations if m > l else 0):
+            s = math.sqrt(e2[l])
+            g = d[l]
+            p = (d[l + 1] - g) / (2.0 * s)
+            r = math.sqrt(p * p + 1.0)
+            d[l] = s / (p + math.copysign(r, p))
+            h = g - d[l]
+            d[l + 1 :] = [v - h for v in d[l + 1 :]]
+            f += h
+            g = h = d[m] or b
+            s = 0.0
+            for i in range(m - 1, l - 1, -1):
+                p = g * h
+                r = p + e2[i]
+                e2[i + 1] = s * r
+                s = e2[i] / r
+                d[i + 1] = h + s * (h + d[i])
+                g = (d[i] - e2[i] / g) or b
+                h = g * p / r
+            e2[l] = s * g
+            d[l] = h
+            # e2[l] is held divided by h, which guards the test against underflow
+            if h == 0.0 or abs(e2[l]) <= abs(c / h) or e2[l] * h == 0.0:
+                break
+            e2[l] *= h
+        d[l] += f
+    return d
+
+
 class _Pencil:
-    """Tridiagonal pencil T(lam) whose inertia counts quotient eigenvalues.
+    """Tridiagonal pencil T(lam) whose eigenvalues are the quotient's.
 
     With m_s(lam) = (gamma_s + lam) / a_s and gamma_{r+1} = m_{r+1} = 0,
     T(lam) has diagonal (gamma_s - gamma_{s+1}) - m_s - m_{s+1} and
@@ -367,12 +417,17 @@ class _Pencil:
     det T(lam) is a degree-r polynomial whose roots are exactly those
     eigenvalues.
 
-    T is factored from the last block up.  With h_r = gamma_r, the pivots
-    are p_s = h_s - m_s and h_{s-1} = (gamma_{s-1} - gamma_s) - h_s m_s / p_s,
-    which is the textbook p_{s-1} = T_{s-1,s-1} - T_{s-1,s}^2 / p_s regrouped.
-    The grouping never subtracts the large terms that a tiny pivot creates;
-    the top-down textbook order loses up to 1e-13 |A|_F at r = 60, this one
-    stays within a few units of roundoff times |A|_F.
+    T(lam) = T(0) - lam B B^T, B upper bidiagonal, so the eigenvalues are
+    those of C = B^-1 T(0) B^-T: `tridiagonal` builds C in O(r**2),
+    `_rational_ql` estimates its eigenvalues and `count` certifies them.
+
+    `count` factors T from the last block up.  With h_r = gamma_r, the
+    pivots are p_s = h_s - m_s and
+    h_{s-1} = (gamma_{s-1} - gamma_s) - h_s m_s / p_s, which is the textbook
+    p_{s-1} = T_{s-1,s-1} - T_{s-1,s}^2 / p_s regrouped.  The grouping never
+    subtracts the large terms that a tiny pivot creates; the top-down
+    textbook order loses up to 1e-13 |A|_F at r = 60, this one stays within
+    a few units of roundoff times |A|_F.
     """
 
     def __init__(self, profile: Sequence[int], sizes: Sequence[int]) -> None:
@@ -387,6 +442,7 @@ class _Pencil:
             for s in range(self.r - 1, -1, -1)
         ]
         self.scale = max(1.0, math.sqrt(profile_frobenius_sq(profile, sizes)))
+        self.exact = list(zip(profile, sizes))  # (gamma_s, a_s) as integers
 
     def count(self, lam: float) -> int:
         """Negative pivots of T(lam).
@@ -414,106 +470,75 @@ class _Pencil:
             h = w - h * m / p
         return below
 
-    def newton(self, lam: float) -> tuple[int, float | None]:
-        """Count at lam and the Newton step -det T / (det T)' there.
-
-        The log-derivative of det T is the sum of p_s'/p_s, carried by the
-        same recurrence.  At an exact zero pivot, or a zero derivative,
-        there is no step.
-        """
-        h = self.top
-        dh = 0.0
-        below = 0
-        total = 0.0
-        for w, g, inv in self.rows:
-            m = (g + lam) * inv
-            p = h - m
-            if p <= 0.0:
-                if p == 0.0:
-                    return self.count(lam), None
-                below += 1
-            dp = dh - inv
-            t = m / p
-            ratio = h / p
-            total += dp / p
-            dh = -(dh * t + ratio * (inv - t * dp))
-            h = w - h * t
-        return below, (-1.0 / total if total else None)
+    def tridiagonal(self) -> tuple[list[float], list[float]]:
+        """Diagonal and squared off-diagonal of C up to an orthogonal
+        similarity (Crawford, CACM 16, 1973), with B_ss = a_s^(-1/2) and
+        B_{s,s+1} = -a_{s+1}^(-1/2).  From X = diag(a)^(1/2) T(0) diag(a)^(1/2),
+        for i = r-2 down to 0: add c_i = sqrt(a_i / a_{i+1}) times row and
+        column i+1 to row and column i, and chase the bulge left at (i, i+2)
+        off the end with Givens rotations on (q, q+1), q > i, which commute
+        with the row operations still to come (they touch no row > i)."""
+        nxt = self.exact[1:] + [(0, 1)]
+        c, d, e = [], [], []
+        for (g0, a0), (g1, a1) in zip(self.exact, nxt):
+            c.append(math.sqrt(a0 / a1))
+            d.append(float(a0 * (g0 - g1) - g0) - g1 * a0 / a1)
+            e.append(c[-1] * g1)  # e[-1] is 0 and stops every chase
+        for i in range(self.r - 2, -1, -1):
+            ci, di = c[i], d[i + 1]
+            d[i] += ci * (2.0 * e[i] + ci * di)
+            e[i] += ci * di
+            q = i + 1
+            bulge = ci * e[q]  # at (q - 1, q + 1)
+            while bulge:
+                x = e[q - 1]
+                rho = math.sqrt(x * x + bulge * bulge)
+                cs, sn = x / rho, bulge / rho
+                e[q - 1] = rho
+                v = sn * (d[q + 1] - d[q]) + 2.0 * cs * e[q]
+                d[q] += sn * v
+                d[q + 1] -= sn * v
+                e[q] = cs * v - e[q]
+                bulge = sn * e[q + 1]
+                e[q + 1] *= cs
+                q += 1
+        return d, [x * x for x in e[:-1]]
 
     def eigenvalues(self) -> list[float]:
-        """All r eigenvalues, descending.
+        """All r eigenvalues, descending, each within delta = 4 eps |A|_F
+        of its eigenvalue as the counts see it.
 
-        Bisection on [-|A|_F - 1, |A|_F + 1] isolates each eigenvalue, then
-        safeguarded Newton steps refine it.  Eigenvalues that stay together
-        in an interval of width 8 eps |A|_F are reported at its midpoint.
+        The i-th smallest estimate x is accepted when
+        count(x - delta) <= i < count(x + delta), else `_isolate` finds it.
         """
         delta = 4.0 * _EPS * self.scale
-        lo, hi = -self.scale - 1.0, self.scale + 1.0
-        if self.count(lo) != 0 or self.count(hi) != self.r:
+        bound = self.scale + 1.0
+        if self.count(-bound) != 0 or self.count(bound) != self.r:
             raise RuntimeError(
                 "internal: quotient eigenvalues escape the Frobenius bound"
             )
-        out: list[float] = []
-        stack = [(lo, 0, hi, self.r)]
-        while stack:
-            lo, below_lo, hi, below_hi = stack.pop()
-            if below_hi - below_lo == 1:
-                out.append(self._refine(lo, hi, below_lo, delta))
-                continue
-            if hi - lo <= 2.0 * delta:
-                out.extend([0.5 * (lo + hi)] * (below_hi - below_lo))
-                continue
-            mid = 0.5 * (lo + hi)
-            below = min(max(self.count(mid), below_lo), below_hi)
-            if below > below_lo:
-                stack.append((lo, below_lo, mid, below))
-            if below_hi > below:
-                stack.append((mid, below, hi, below_hi))
+        out = []
+        for i, x in enumerate(sorted(_rational_ql(*self.tridiagonal()))):
+            if not self.count(x - delta) <= i < self.count(x + delta):
+                x = self._isolate(i, x, delta, bound)
+            out.append(x)
         out.sort(reverse=True)
         return out
 
-    def _refine(self, lo: float, hi: float, below: int, delta: float) -> float:
-        """The one eigenvalue in (lo, hi], where count(lo) = below and
-        count(hi) = below + 1.
-
-        A Newton step is taken when it stays inside the bracket and at most
-        halves the previous step; otherwise the bracket is bisected.  Newton
-        has converged when its step, or the next step that quadratic
-        convergence predicts from two successive Newton steps, is below
-        eps |A|_F.  The value is accepted only when the counts at
-        value -/+ delta bracket it, even when rounding puts it on the
-        bracket edge; otherwise bisection finishes the job.
-        """
-        tol = _EPS * self.scale
-        use_newton = True
-        x = 0.5 * (lo + hi)
-        last = hi - lo
-        prev = 0.0
-        while True:
-            if use_newton:
-                below_x, step = self.newton(x)
-            else:
-                below_x, step = self.count(x), None
-            if below_x <= below:
-                lo = x
-            else:
-                hi = x
-            if step is not None:
-                size = abs(step)
-                if size <= tol or size * size * size <= tol * prev * prev:
-                    x += step
-                    if self.count(x - delta) <= below < self.count(x + delta):
-                        return x
-                    use_newton = False
-                elif lo < x + step < hi and size <= 0.5 * last:
-                    last = prev = size
-                    x += step
-                    continue
-            if hi - lo <= 2.0 * delta:
-                return 0.5 * (lo + hi)
-            last = 0.5 * (hi - lo)
-            prev = 0.0
-            x = lo + last
+    def _isolate(self, i: int, x: float, delta: float, bound: float) -> float:
+        """The i-th smallest eigenvalue: a bracket around x (around 0 if x
+        is not within the Frobenius bound) doubles in width until
+        count(lo) <= i < count(hi), then is bisected to width 2 delta."""
+        if not abs(x) < bound:
+            x = 0.0
+        lo, hi, step = x, x, delta
+        while self.count(lo) > i or self.count(hi) <= i:
+            lo, hi = max(x - step, -bound), min(x + step, bound)
+            step *= 2.0
+        while hi - lo > 2.0 * delta:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (lo, mid) if self.count(mid) > i else (mid, hi)
+        return 0.5 * (lo + hi)
 
 
 def quotient_inertia(

@@ -323,6 +323,32 @@ def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
     )
 
 
+def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):
+    # spectrum --format structured and family print the bit form of a
+    # short form without building its n bits
+    import threshspec.sequences as sequences
+
+    def no_expansion(ss):
+        raise AssertionError("short form expanded to bits")
+
+    monkeypatch.setattr(sequences, "to_binary", no_expansion)
+    monkeypatch.setattr(cli, "to_binary", no_expansion)
+    bits = "k=3;" + "0," * 3000 + "1"
+    code, out, err = run(capsys, "spectrum", "C(3000,1)_3", "--format", "structured")
+    assert (code, err, strict_json(out)["sequence"]) == (0, "", bits)
+    code, out, err = run(capsys, "family", "1", "--n", "3001", "--k", "3")
+    assert (code, err, out.splitlines()[1]) == (0, "", "sequence=" + bits)
+    code, out, err = run(
+        capsys, "family", "1", "--n", "3001", "--k", "3", "--format", "csv"
+    )
+    assert (code, err.splitlines()[1]) == (0, "sequence=" + bits)
+    code, out, err = run(
+        capsys, "family", "3", "--n", "3004", "--k", "3", "--format", "structured"
+    )
+    assert (code, err) == (0, "")
+    assert strict_json(out)["sequence"] == "k=3;0,0,1," + "0," * 3000 + "1"
+
+
 class TestAdjacencyCommand:
     def test_csv_rows(self, capsys):
         code, out, err = run(capsys, "adjacency", "C(3,1,1)_3")
@@ -456,10 +482,10 @@ class TestScanCommand:
         doc = json.loads(out, parse_constant=refuse)
         assert [row["min_quotient_gap"] for row in doc["rows"]] == [
             None,
-            2.8284271247461903,
+            2.8284271247461907,
             None,
         ]
-        assert doc["min_gap"] == 2.8284271247461903
+        assert doc["min_gap"] == 2.8284271247461907
         code, out, err = run(
             capsys, "scan", "--n-max", "1", "--k", "2", "--format", "structured"
         )

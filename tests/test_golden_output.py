@@ -9,23 +9,28 @@ step uses `math.hypot`, whose last bit can differ between CPython
 versions.
 
 After a deliberate output change, print the new digests with
-``PYTHONPATH=src python tests/test_golden_output.py``.
+``PYTHONPATH=src python tests/test_golden_output.py``.  With
+``--dump FILE`` the script writes every (argv, exit code, stdout, stderr)
+record as JSON instead, so two commits are audited by one diff of their
+dumps.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 from itertools import product
 
 from threshspec.cli import main
 
 GOLDEN = {
-    "spectrum": "b29b9359be748baf4d0abc93d79ae6bf36ffa8ac923726eee9b4d4ed9be4e907",
+    "spectrum": "21884ead00aa940783aeb73739f41466c1c10d297ac2ed073842a5d5688ce88f",
     "edges": "05fde20e092fb431c26019634d93b7c838908b385beda19f67bc8aefa7832cf3",
     "adjacency": "d1a14e50bef822e6cba70fc4e3436a29411784f137378c3c6cb37be87cbb321a",
-    "family": "6abe53dcef918ab5d14f3f10e3cc18ea37014dce77a0b67e79fa9f3a440ebad5",
+    "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
     "verify": "a0c3e16a401f9e64f299c513f9b663fae478b40054db9eff90816f8fbec74678",
-    "scan": "11a90457a2d479d006155ed773fef65333d13063f35a6872b47819bce6f293b1",
+    "scan": "90f9ec5af6838a0b658abef07d1c4857ae8dafbd6d55e430bbad62b13cb740ac",
 }
 
 
@@ -51,14 +56,19 @@ def _calls():
     yield ["scan", "--n-max", "10", "--k", "2,3,4"]
 
 
-def digests() -> dict[str, str]:
-    hashes = {name: hashlib.sha256() for name in GOLDEN}
+def records():
+    """(argv, exit code, stdout, stderr) of every call, in order."""
     for argv in _calls():
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
-        record = repr((argv, code, out.getvalue(), err.getvalue()))
-        hashes[argv[0]].update(record.encode())
+        yield argv, code, out.getvalue(), err.getvalue()
+
+
+def digests() -> dict[str, str]:
+    hashes = {name: hashlib.sha256() for name in GOLDEN}
+    for record in records():
+        hashes[record[0][0]].update(repr(record).encode())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
@@ -67,5 +77,12 @@ def test_cli_output_matches_golden_digests():
 
 
 if __name__ == "__main__":
-    for name, digest in digests().items():
-        print(f'    "{name}": "{digest}",')
+    cli = argparse.ArgumentParser(description="print the golden digests")
+    cli.add_argument("--dump", metavar="FILE", help="write the records as JSON")
+    dump = cli.parse_args().dump
+    if dump is None:
+        for name, digest in digests().items():
+            print(f'    "{name}": "{digest}",')
+    else:
+        with open(dump, "w") as fh:
+            json.dump([list(record) for record in records()], fh, indent=0)

@@ -10,6 +10,7 @@ from threshspec.sequences import (
     count_valid_sequences,
     delete_vertex,
     format_binary,
+    format_bits,
     format_short,
     iter_valid_sequences,
     parse_binary,
@@ -72,6 +73,9 @@ def test_short_block_geometry():
     assert [ss.block_is_ones(t) for t in range(1, 7)] == [
         True, False, True, False, True, False,
     ]
+    assert list(ss.blocks()) == [
+        (5, True), (2, False), (1, True), (3, False), (3, True), (1, False),
+    ]
     assert ss.block_of(1) == 1
     assert ss.block_of(5) == 1
     assert ss.block_of(6) == 2
@@ -80,6 +84,7 @@ def test_short_block_geometry():
 
     plain = ShortSequence(3, (4, 1))
     assert [plain.block_is_ones(t) for t in (1, 2)] == [False, True]
+    assert list(plain.blocks()) == [(4, False), (1, True)]
     assert plain.connected
     assert not ShortSequence(3, (4, 1, 1)).connected
 
@@ -161,6 +166,23 @@ def test_parse_sequence_dispatch():
 def test_format_binary():
     assert format_binary(BinarySequence(3, (0, 0, 1, 0, 1))) == "k=3;0,0,1,0,1"
     assert parse_binary(format_binary(LONG_B)) == LONG_B
+
+
+def test_format_bits_matches_the_expanded_bits():
+    # every short form of tests/test_golden_output.py that names a sequence,
+    # in both head layouts
+    checked = 0
+    for k in range(2, 6):
+        for r in range(1, 4):
+            for runs in itertools.product(range(7), repeat=r):
+                for merged in (False, True):
+                    try:
+                        ss = ShortSequence(k, runs, first_run_has_ones=merged)
+                    except SequenceError:
+                        continue
+                    assert format_bits(ss) == format_binary(to_binary(ss)), ss
+                    checked += 1
+    assert checked > 500
 
 
 def test_complement_flips_free_positions_only():

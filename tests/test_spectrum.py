@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -186,6 +187,123 @@ class TestClosedRouteStaysOffDense:
         assert main(["spectrum", "C(500000,500000)_3"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert sum(int(line.split()[1][5:]) for line in lines) == 10**6
+
+
+def assert_tridiagonal_matches_eigvalsh(d, e):
+    """Rational QL agrees with LAPACK within 1e-13 |T|_F."""
+    t = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    got = sorted(spectrum._rational_ql(list(d), [x * x for x in e]))
+    want = np.linalg.eigvalsh(t) if len(d) else []
+    bound = 1e-13 * max(1.0, float(np.linalg.norm(t)))
+    assert len(got) == len(want)
+    assert all(abs(a - b) <= bound for a, b in zip(got, want)), (d, e)
+
+
+class TestRationalQL:
+    def test_tiny_cases(self):
+        assert spectrum._rational_ql([], []) == []
+        assert spectrum._rational_ql([2.5], []) == [2.5]
+        lo, hi = sorted(spectrum._rational_ql([0.0, 0.0], [1.0]))
+        assert abs(hi - 1.0) < 1e-15 and abs(lo + 1.0) < 1e-15
+        assert_tridiagonal_matches_eigvalsh([3.0, 0.0], [6.0])
+        assert_tridiagonal_matches_eigvalsh([1e8, -1e-8], [1e-3])
+
+    def test_matches_numpy_on_random_tridiagonals(self):
+        rng = random.Random(20261018)
+        for n in range(1, 41):
+            for _ in range(3):
+                d = [rng.uniform(-10, 10) for _ in range(n)]
+                e = [rng.uniform(-10, 10) for _ in range(n - 1)]
+                assert_tridiagonal_matches_eigvalsh(d, e)
+
+    def test_matches_numpy_where_the_matrix_splits(self):
+        rng = random.Random(7)
+        for n in (2, 3, 8, 17):
+            for zeros in ({0}, {n - 2}, set(range(n - 1)), {1, n // 2}):
+                d = [float(rng.randint(-5, 5)) for _ in range(n)]
+                e = [float(rng.randint(-5, 5)) for _ in range(n - 1)]
+                e = [0.0 if i in zeros else x for i, x in enumerate(e)]
+                assert_tridiagonal_matches_eigvalsh(d, e)
+
+    def test_matches_numpy_on_repeated_eigenvalues(self):
+        # equal blocks split by a zero repeat every eigenvalue exactly;
+        # Wilkinson's W21+ has pairs that agree to about 1e-14
+        d, e = [2.0, -1.0, 3.0], [1.5, 0.5]
+        assert_tridiagonal_matches_eigvalsh(d * 3, e + [0.0] + e + [0.0] + e)
+        assert_tridiagonal_matches_eigvalsh([4.0] * 6, [0.0] * 5)
+        wilkinson = [abs(10.0 - i) for i in range(21)]
+        assert_tridiagonal_matches_eigvalsh(wilkinson, [1.0] * 20)
+
+    def test_stops_at_the_iteration_cap(self):
+        # no sweep leaves the diagonal as it stands: an estimate, not an error
+        assert spectrum._rational_ql([1.0, 2.0], [1.0], max_iterations=0) == [1.0, 2.0]
+
+
+class TestPencilReduction:
+    def test_matches_the_symmetrized_quotient(self):
+        for h in connected_hypergraphs(9, range(2, 6)):
+            ss = to_short(h.sequence)
+            profile = block_profile(ss)
+            d, e2 = spectrum._Pencil(profile, ss.runs).tridiagonal()
+            c = np.diag(d) + np.diag(np.sqrt(e2), 1) + np.diag(np.sqrt(e2), -1)
+            root = np.sqrt(np.array(ss.runs, dtype=float))
+            q = np.array(quotient_matrix(h).entries, dtype=float)
+            s = root[:, None] * q / root[None, :]
+            want = np.linalg.eigvalsh(0.5 * (s + s.T))
+            norm = math.sqrt(profile_frobenius_sq(profile, ss.runs))
+            assert np.max(np.abs(np.linalg.eigvalsh(c) - want)) <= 1e-13 * norm, h
+
+
+def _c_width(d, e2):
+    """The certificate width 4 eps |C|_F, where |C|_F <= |A|_F."""
+    frobenius = math.sqrt(sum(x * x for x in d) + 2.0 * sum(e2))
+    return 4.0 * sys.float_info.epsilon * max(1.0, frobenius)
+
+
+class TestCertificate:
+    @pytest.mark.parametrize(
+        "estimate",
+        [
+            lambda real, d, e2: [0.0] * len(d),
+            lambda real, d, e2: [x + 1e3 * _c_width(d, e2) for x in real(d, e2)],
+            lambda real, d, e2: real(d, e2, max_iterations=1),
+        ],
+        ids=["zeros", "shifted", "unconverged"],
+    )
+    def test_bad_estimates_are_repaired(self, monkeypatch, estimate):
+        real = spectrum._rational_ql
+        isolate = spectrum._Pencil._isolate
+        repairs = []
+
+        def counted(pencil, i, x, delta, bound):
+            repairs.append(i)
+            return isolate(pencil, i, x, delta, bound)
+
+        monkeypatch.setattr(
+            spectrum, "_rational_ql", lambda d, e2: estimate(real, d, e2)
+        )
+        monkeypatch.setattr(spectrum._Pencil, "_isolate", counted)
+        TestInertia().test_counts_bracket_every_eigenvalue()
+        assert len(repairs) > 100
+        sp = full_spectrum_closed(hg("k=3;" + ",".join("0011" * 20)))
+        assert sp.total_multiplicity() == 80
+
+    def test_closed_route_stays_off_hypot_and_dense_ql(self, monkeypatch, capsys):
+        # output must not hang on the last bit of math.hypot, which differs
+        # between CPython versions
+        alternating = "k=3;0," + ",".join("01" * 40)
+        inputs = ["C(1500,1500)_3", alternating, "C(4,1,4,1,5,9,2,6)_4"]
+        want = [full_spectrum_closed(hg(text)) for text in inputs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed route called a dense-route kernel")
+
+        monkeypatch.setattr(math, "hypot", refuse)
+        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
+        assert [full_spectrum_closed(hg(text)) for text in inputs] == want
+        assert main(["scan", "--n-max", "9", "--k", "2,3"]) == 0
+        assert main(["family", "2", "--n", "30", "--k", "4", "--j", "9"]) == 0
+        capsys.readouterr()
 
 
 class TestBlockEigenvalues:
