@@ -44,6 +44,7 @@ from .spectrum import (
     DEFAULT_SEQUENCE_BUDGET,
     DENSE_SOLVE_CAP,
     BlockEigenvalue,
+    BlockProfile,
     EigenPair,
     QuotientMatrix,
     ScanRow,
@@ -56,7 +57,6 @@ from .spectrum import (
     full_spectrum_numeric,
     householder_ql_eigenvalues,
     jacobi_eigenvalues,
-    profile_frobenius_sq,
     quotient_eigenvalues,
     quotient_inertia,
     quotient_matrix,

@@ -27,9 +27,17 @@ def binomial(n: int, k: int) -> int:
 
 
 def as_float(count: int) -> float:
-    """Convert an exact count to a double, refusing lossy conversions."""
+    """Convert an exact count to a double, refusing lossy conversions.
+
+    The refusal names the count in decimal, or by its bit length when it
+    has more digits than Python converts to text.
+    """
     if abs(count) > FLOAT_SAFE_LIMIT:
+        try:
+            text = str(count)
+        except ValueError:
+            text = f"of {count.bit_length()} bits"
         raise CountTooLargeError(
-            f"count {count} exceeds 2**53 and would round in double precision"
+            f"count {text} exceeds 2**53 and would round in double precision"
         )
     return float(count)

@@ -11,7 +11,7 @@ edges of one pair directly; both stay independent of `block_profile` and
 serve as its oracles.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 from itertools import combinations
 from typing import Iterable
@@ -32,6 +32,7 @@ __all__ = [
     "AdjacencyMatrix",
     "ThresholdHypergraph",
     "GeneralHypergraph",
+    "BlockProfile",
     "block_profile",
     "edge_total",
     "check_dense",
@@ -76,8 +77,49 @@ def edge_total(ss: ShortSequence) -> int:
     return total
 
 
-def block_profile(ss: ShortSequence) -> tuple[int, ...]:
-    """Pair count gamma_s of any vertex pair whose later vertex is in block s.
+@dataclass(frozen=True)
+class BlockProfile:
+    """The r pair counts gamma of a sequence, with exact invariants.
+
+    gamma[s] is the number of edges through any vertex pair whose later
+    vertex lies in block s, so it fixes the whole adjacency matrix.
+    Construction refuses a gamma without one entry per run, and one pass
+    over the blocks computes, exactly:
+
+    - `pair_total`, gamma summed over all vertex pairs, which counts every
+      edge binomial(k, 2) times;
+    - `frobenius_sq`, |A|_F**2: vertex j pairs with its j - 1 predecessors
+      at gamma of its block, and every such pair appears twice in the
+      symmetric matrix.
+    """
+
+    seq: ShortSequence
+    gamma: tuple[int, ...]
+    pair_total: int = field(init=False)
+    frobenius_sq: int = field(init=False)
+
+    def __post_init__(self) -> None:
+        gamma = tuple(int(g) for g in self.gamma)
+        if len(gamma) != self.seq.r:
+            raise ValueError(
+                f"need one pair count per run: {len(gamma)} for "
+                f"{self.seq.r} runs"
+            )
+        pairs = squares = before = 0
+        for g, a in zip(gamma, self.seq.runs):
+            # the pairs whose later vertex lies in this block
+            ending = a * before + a * (a - 1) // 2
+            pairs += g * ending
+            squares += g * g * ending
+            before += a
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "pair_total", pairs)
+        object.__setattr__(self, "frobenius_sq", 2 * squares)
+
+
+def block_profile(ss: ShortSequence) -> BlockProfile:
+    """The `BlockProfile` of ss: the pair count gamma_s of any vertex pair
+    whose later vertex is in block s, for every block s.
 
     For i < j the count depends on j alone: j closes binomial(j-2, k-2)
     edges through i when its bit is 1, and every later pseudodominant p
@@ -89,15 +131,14 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
     block up: O(r) exact binomials, whatever n is.  A block with no pair
     ending in it (a lone first vertex) reports 0.
 
-    The result is checked against an identity from the other binomial
-    family: summed over all pairs, gamma counts every edge binomial(k, 2)
-    times, and `edge_total` counts the edges.  A mismatch raises
-    RuntimeError.
+    The record's `pair_total` is checked against an identity from the
+    other binomial family: summed over all pairs, gamma counts every edge
+    binomial(k, 2) times, and `edge_total` counts the edges.  A mismatch
+    raises RuntimeError.
     """
     k = ss.k
     profile = []
     after = 0  # edges through a fixed pair closed in the later blocks
-    pairs = 0
     end = ss.n
     for size, ones in reversed(list(ss.blocks())):
         before = end - size
@@ -110,15 +151,16 @@ def block_profile(ss: ShortSequence) -> tuple[int, ...]:
         else:
             g = after
         profile.append(g)
-        pairs += g * (size * before + size * (size - 1) // 2)
         end = before
+    bp = BlockProfile(ss, tuple(reversed(profile)))
     edges = edge_total(ss)
-    if pairs != k * (k - 1) // 2 * edges:
+    if bp.pair_total != k * (k - 1) // 2 * edges:
         raise RuntimeError(
-            f"internal: pair counts of {format_short(ss)} sum to {pairs}, "
-            f"but its {edges} edges give {k * (k - 1) // 2 * edges}"
+            f"internal: pair counts of {format_short(ss)} sum to "
+            f"{bp.pair_total}, but its {edges} edges give "
+            f"{k * (k - 1) // 2 * edges}"
         )
-    return tuple(reversed(profile))
+    return bp
 
 
 @dataclass(frozen=True)
@@ -230,9 +272,9 @@ class ThresholdHypergraph:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
         max(i, j) off the diagonal, expanded from `block_profile`."""
         check_dense(self.n)
-        ss = to_short(self.sequence)
+        bp = block_profile(to_short(self.sequence))
         columns: list[int] = []
-        for g, a in zip(block_profile(ss), ss.runs):
+        for g, a in zip(bp.gamma, bp.seq.runs):
             columns += [g] * a
         c = tuple(columns)
         return AdjacencyMatrix(

@@ -34,7 +34,7 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import ThresholdHypergraph, block_profile
+from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
 from .sequences import (
     ShortSequence,
     count_valid_sequences,
@@ -51,8 +51,8 @@ __all__ = [
     "Spectrum",
     "QuotientMatrix",
     "ScanRow",
+    "BlockProfile",
     "block_profile",
-    "profile_frobenius_sq",
     "block_eigenvalues",
     "quotient_matrix",
     "quotient_inertia",
@@ -77,20 +77,6 @@ DEFAULT_SEQUENCE_BUDGET = 100_000
 DENSE_SOLVE_CAP = 10**9
 
 
-def profile_frobenius_sq(profile: Sequence[int], sizes: Sequence[int]) -> int:
-    """Exact squared Frobenius norm of the adjacency matrix from gamma.
-
-    Vertex j pairs with its j - 1 predecessors at count gamma of its block,
-    and every such pair appears twice in the symmetric matrix.
-    """
-    total = 0
-    before = 0
-    for g, a in zip(profile, sizes):
-        total += g * g * (a * before + a * (a - 1) // 2)
-        before += a
-    return 2 * total
-
-
 @dataclass(frozen=True)
 class BlockEigenvalue:
     """One closed-form eigenvalue with its guaranteed multiplicity."""
@@ -100,27 +86,25 @@ class BlockEigenvalue:
     block_index: int
 
 
-def block_eigenvalues(
-    ss: ShortSequence, profile: Sequence[int] | None = None
-) -> list[BlockEigenvalue]:
+def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue]:
     """Closed-form eigenvalues contributed by blocks of size >= 2.
 
     Each qualifying block j yields -gamma_j with multiplicity a_j - 1: the
-    difference of two twin indicator vectors is an eigenvector.  `profile`
-    passes gamma when the caller has already computed it.  The two-route
-    verify sweep checks each value against the direct pair count of the
-    block's first two vertices.
+    difference of two twin indicator vectors is an eigenvector.  Takes the
+    `BlockProfile` when the caller has already computed it, and computes
+    it from a `ShortSequence` otherwise.  The two-route verify sweep checks
+    each value against the direct pair count of the block's first two
+    vertices.
     """
-    if not ss.connected:
+    bp = seq if isinstance(seq, BlockProfile) else block_profile(seq)
+    if not bp.seq.connected:
         raise DisconnectedError(
             "disconnected sequence: closed-form eigenvalues need the last "
             "creation bit to be 1"
         )
-    if profile is None:
-        profile = block_profile(ss)
     return [
-        BlockEigenvalue(-profile[j - 1], size - 1, j)
-        for j, size in enumerate(ss.runs, start=1)
+        BlockEigenvalue(-g, size - 1, j)
+        for j, (g, size) in enumerate(zip(bp.gamma, bp.seq.runs), start=1)
         if size >= 2
     ]
 
@@ -168,12 +152,11 @@ def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
     gamma of the later block, and a_s - 1 twins at gamma_s:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
-    ss = to_short(h.sequence)
-    profile = block_profile(ss)
-    sizes = ss.runs
+    bp = block_profile(to_short(h.sequence))
+    gamma, sizes = bp.gamma, bp.seq.runs
     entries = tuple(
-        tuple((sizes[t] - (s == t)) * profile[max(s, t)] for t in range(ss.r))
-        for s in range(ss.r)
+        tuple((sizes[t] - (s == t)) * gamma[max(s, t)] for t in range(len(sizes)))
+        for s in range(len(sizes))
     )
     return QuotientMatrix(entries, sizes)
 
@@ -427,13 +410,19 @@ class _Pencil:
     p_{s-1} = T_{s-1,s-1} - T_{s-1,s}^2 / p_s regrouped.  The grouping never
     subtracts the large terms that a tiny pivot creates; the top-down
     textbook order loses up to 1e-13 |A|_F at r = 60, this one stays within
-    a few units of roundoff times |A|_F.
+    a few units of roundoff times |A|_F while neighbouring block sizes
+    differ by less than a factor of about 10**3.  Beyond that the counts
+    err further, and so do the eigenvalues they certify: on the star
+    C(N,1)_2 the result is 12 eps |A|_F off at N = 4000, 350 at N = 10**8
+    and 1.7e6 at N = 10**14, though `_rational_ql`'s estimate is within one
+    unit there; the counts reject it and `_isolate` returns their view.
+    Construction refuses, through `as_float`, a run length or a gamma
+    beyond 2**53.
     """
 
-    def __init__(self, profile: Sequence[int], sizes: Sequence[int]) -> None:
-        if len(profile) != len(sizes) or not sizes or min(sizes) < 1:
-            raise ValueError("need one positive block size per profile value")
-        gamma = [as_float(g) for g in profile]
+    def __init__(self, bp: BlockProfile) -> None:
+        sizes = [as_float(a) for a in bp.seq.runs]
+        gamma = [as_float(g) for g in bp.gamma]
         self.r = len(sizes)
         self.top = gamma[-1]
         # block s from the last up: (gamma_{s-1} - gamma_s, gamma_s, 1 / a_s)
@@ -441,8 +430,8 @@ class _Pencil:
             (gamma[s - 1] - gamma[s] if s else 0.0, gamma[s], 1.0 / sizes[s])
             for s in range(self.r - 1, -1, -1)
         ]
-        self.scale = max(1.0, math.sqrt(profile_frobenius_sq(profile, sizes)))
-        self.exact = list(zip(profile, sizes))  # (gamma_s, a_s) as integers
+        self.scale = max(1.0, math.sqrt(bp.frobenius_sq))
+        self.exact = list(zip(bp.gamma, bp.seq.runs))  # (gamma_s, a_s) as integers
 
     def count(self, lam: float) -> int:
         """Negative pivots of T(lam).
@@ -541,21 +530,17 @@ class _Pencil:
         return 0.5 * (lo + hi)
 
 
-def quotient_inertia(
-    profile: Sequence[int], sizes: Sequence[int], lam: float
-) -> int:
+def quotient_inertia(bp: BlockProfile, lam: float) -> int:
     """Number of quotient eigenvalues below lam, by an O(r) pivot count.
 
     An eigenvalue equal to lam may count either way.
     """
-    return _Pencil(profile, sizes).count(lam)
+    return _Pencil(bp).count(lam)
 
 
-def quotient_eigenvalues(
-    profile: Sequence[int], sizes: Sequence[int]
-) -> list[float]:
+def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
     """The r quotient eigenvalues from the block profile, descending."""
-    return _Pencil(profile, sizes).eigenvalues()
+    return _Pencil(bp).eigenvalues()
 
 
 @dataclass(frozen=True)
@@ -595,8 +580,9 @@ def _merge_entries(
 
     An exact block value represents its cluster only when every member
     lies within 8 eps |A|_F of it, the accuracy the quotient solver
-    certifies; otherwise the cluster is reported at its
-    multiplicity-weighted mean, which keeps the trace whatever tol is.
+    reaches while neighbouring block sizes differ by less than a factor
+    of about 10**3 (see `_Pencil`); otherwise the cluster is reported at
+    its multiplicity-weighted mean, which keeps the trace whatever tol is.
     |A|_F is read off the entries: the sum of m * v**2 is |A|_F**2.
     """
     ordered = sorted(entries, key=lambda t: -t[0])
@@ -624,10 +610,8 @@ def _merge_entries(
     return tuple(pairs)
 
 
-def _assemble(
-    ss: ShortSequence, profile: Sequence[int], merge_tol: float
-) -> Spectrum:
-    """Spectrum of a connected sequence from its gamma.
+def _assemble(bp: BlockProfile, merge_tol: float) -> Spectrum:
+    """Spectrum of a connected sequence from its block profile.
 
     Blocks of size a_j contribute -gamma_j with multiplicity a_j - 1 and
     the quotient contributes r values, which accounts for all n.  Values
@@ -635,14 +619,14 @@ def _assemble(
     """
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
-        for b in block_eigenvalues(ss, profile)
+        for b in block_eigenvalues(bp)
     ]
-    entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(profile, ss.runs))
+    entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(bp))
     pairs = _merge_entries(entries, merge_tol)
     total = sum(p.multiplicity for p in pairs)
-    if total != ss.n:
+    if total != bp.seq.n:
         raise RuntimeError(
-            f"internal: multiplicities sum to {total}, expected {ss.n}"
+            f"internal: multiplicities sum to {total}, expected {bp.seq.n}"
         )
     return Spectrum(pairs, merge_tol)
 
@@ -657,7 +641,7 @@ def full_spectrum_closed(
     are reported once with summed multiplicity.
     """
     ss = to_short(seq.sequence) if isinstance(seq, ThresholdHypergraph) else seq
-    return _assemble(ss, block_profile(ss), merge_tol)
+    return _assemble(block_profile(ss), merge_tol)
 
 
 def check_dense_solve(n: int) -> None:
@@ -742,8 +726,9 @@ def family_spectrum_symbolic(
 ) -> Spectrum:
     """Spectrum of a family member from its catalogued closed forms.
 
-    Each family's block profile is entered by hand and handed to the
-    assembler of the closed route: family 1 has
+    Each family's gamma is entered by hand, made into a `BlockProfile`
+    without `block_profile` and handed to the assembler of the closed
+    route: family 1 has
     (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
     (sum over the pseudodominants p of binomial(p-3, k-3),
     binomial(n-2, k-2)), and family 3 has
@@ -756,14 +741,14 @@ def family_spectrum_symbolic(
     a_cnt = binomial(n - 3, k - 3)
     b_cnt = binomial(n - 2, k - 2)
     if ss.r == 1:
-        profile: tuple[int, ...] = (b_cnt,)
+        gamma: tuple[int, ...] = (b_cnt,)
     elif family == 1:
-        profile = (a_cnt, b_cnt)
+        gamma = (a_cnt, b_cnt)
     elif family == 2:
-        profile = (sum(binomial(p - 3, k - 3) for p in range(j, n + 1)), b_cnt)
+        gamma = (sum(binomial(p - 3, k - 3) for p in range(j, n + 1)), b_cnt)
     else:
-        profile = (a_cnt + 1, a_cnt, b_cnt)
-    return _assemble(ss, profile, merge_tol)
+        gamma = (a_cnt + 1, a_cnt, b_cnt)
+    return _assemble(BlockProfile(ss, gamma), merge_tol)
 
 
 @dataclass(frozen=True)
@@ -798,8 +783,7 @@ def scan_quotient_simplicity(
     for k in k_set:
         for n in range(k, n_max + 1):
             for s in iter_valid_sequences(n, k, connected_only=True):
-                ss = to_short(s)
-                values = quotient_eigenvalues(block_profile(ss), ss.runs)
+                values = quotient_eigenvalues(block_profile(to_short(s)))
                 if len(values) > 1:
                     gap = min(
                         values[i] - values[i + 1] for i in range(len(values) - 1)

@@ -86,7 +86,7 @@ def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
         h = ThresholdHypergraph(s)
         res.checked += 1
         try:
-            values = block_eigenvalues(ss, block_profile(ss))
+            values = block_eigenvalues(block_profile(ss))
         except RuntimeError as exc:
             res.record(f"{format_binary(s)}: {exc}")
             continue

@@ -119,10 +119,20 @@ class TestSpectrumCommand:
         for args in (
             ["spectrum", "C(50,50)_20"],
             ["family", "1", "--n", "100", "--k", "20"],
+            # counts over Python's 4,300-digit limit on int-to-text conversion
+            ["spectrum", "C(9000,11000)_9000"],
+            ["family", "2", "--n", "20000", "--k", "9000", "--j", "9000"],
+            # a run over 2**53 must not reach the float solver; these printed
+            # wrong eigenvalues or failed as bad input
+            ["spectrum", f"C({10**30},1)_2"],
+            ["spectrum", f"C({10**60},1)_2"],
+            ["spectrum", f"C({10**300},1)_2"],
+            ["family", "1", "--n", str(10**19), "--k", "2"],
         ):
             code, out, err = run(capsys, *args)
             assert code == 3, args
             assert err.startswith("error: precision limit:")
+            assert out == "", args
 
     def test_csv_output(self, capsys):
         code, out, err = run(capsys, "spectrum", "C(3,1,1)_3", "--format", "csv")

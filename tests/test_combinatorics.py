@@ -55,3 +55,6 @@ def test_as_float_rejects_lossy_conversion():
         as_float(-(FLOAT_SAFE_LIMIT + 1))
     with pytest.raises(CountTooLargeError):
         as_float(binomial(120, 60))
+    # past the digit limit of int-to-text conversion: still a precision error
+    with pytest.raises(CountTooLargeError, match="of 16610 bits"):
+        as_float(10**5000)

@@ -22,6 +22,7 @@ from threshspec.sequences import (
     to_short,
 )
 from threshspec.spectrum import (
+    BlockProfile,
     QuotientMatrix,
     block_eigenvalues,
     block_profile,
@@ -31,7 +32,6 @@ from threshspec.spectrum import (
     full_spectrum_numeric,
     householder_ql_eigenvalues,
     jacobi_eigenvalues,
-    profile_frobenius_sq,
     quotient_eigenvalues,
     quotient_inertia,
     quotient_matrix,
@@ -66,19 +66,19 @@ class TestBlockProfile:
     def test_later_ones_block_counts(self):
         # a zeros block sees only the edges its pair closes in later ones
         # blocks: sum of binomial(p - 3, k - 3) over their positions p
-        assert block_profile(ShortSequence(3, (4, 1)))[0] == 1
-        assert block_profile(ShortSequence(3, (3, 2)))[0] == 2
-        assert block_profile(ShortSequence(4, (4, 2)))[0] == 5
+        assert block_profile(ShortSequence(3, (4, 1))).gamma[0] == 1
+        assert block_profile(ShortSequence(3, (3, 2))).gamma[0] == 2
+        assert block_profile(ShortSequence(4, (4, 2))).gamma[0] == 5
         merged = ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
-        assert block_profile(merged)[1] == 1
+        assert block_profile(merged).gamma[1] == 1
 
     def test_ones_block_counts(self):
         # a ones block adds binomial(P - 2, k - 2), P its last position
-        assert block_profile(ShortSequence(3, (4, 1)))[1] == 3
-        assert block_profile(ShortSequence(3, (3, 2)))[1] == 3
-        assert block_profile(ShortSequence(4, (4, 2)))[1] == 6
+        assert block_profile(ShortSequence(3, (4, 1))).gamma[1] == 3
+        assert block_profile(ShortSequence(3, (3, 2))).gamma[1] == 3
+        assert block_profile(ShortSequence(4, (4, 2))).gamma[1] == 6
         merged = ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
-        assert block_profile(merged) == (1 + 1, 1, 3)
+        assert block_profile(merged).gamma == (1 + 1, 1, 3)
 
     def test_matches_bruteforce_collapse(self):
         # every connected sequence with n <= 9, k = 2..5, against the
@@ -90,12 +90,12 @@ class TestBlockProfile:
             profile = block_profile(ss)
             q = quotient_matrix(h)
             assert q.entries == block_collapse(brute.entries, ss.runs)
-            fro_sq = profile_frobenius_sq(profile, ss.runs)
+            fro_sq = profile.frobenius_sq
             assert fro_sq == brute.frobenius_sq()
             root = np.sqrt(np.array(ss.runs, dtype=float))
             sym = np.array(q.entries, dtype=float) * root[:, None] / root[None, :]
             want = np.linalg.eigvalsh((sym + sym.T) / 2)[::-1]
-            got = quotient_eigenvalues(profile, ss.runs)
+            got = quotient_eigenvalues(profile)
             assert np.max(np.abs(np.array(got) - want)) <= 1e-13 * math.sqrt(fro_sq)
             checked += 1
         assert checked == sum(2 ** (n - k) for k in range(2, 6) for n in range(k, 10))
@@ -120,11 +120,11 @@ class TestInertia:
         for h in connected_hypergraphs(8, range(2, 6)):
             ss = to_short(h.sequence)
             profile = block_profile(ss)
-            delta = 4 * eps * math.sqrt(profile_frobenius_sq(profile, ss.runs))
-            ascending = sorted(quotient_eigenvalues(profile, ss.runs))
+            delta = 4 * eps * math.sqrt(profile.frobenius_sq)
+            ascending = sorted(quotient_eigenvalues(profile))
             for i, v in enumerate(ascending):
-                assert quotient_inertia(profile, ss.runs, v - delta) <= i
-                assert quotient_inertia(profile, ss.runs, v + delta) > i
+                assert quotient_inertia(profile, v - delta) <= i
+                assert quotient_inertia(profile, v + delta) > i
 
     def test_exact_zero_pivot(self):
         # at lam = gamma_r (a_r - 1) the first pivot gamma_r - m_r is exactly
@@ -132,7 +132,7 @@ class TestInertia:
         hits = 0
         for h in connected_hypergraphs(9, range(2, 6)):
             ss = to_short(h.sequence)
-            a, g = ss.runs[-1], block_profile(ss)[-1]
+            a, g = ss.runs[-1], block_profile(ss).gamma[-1]
             if a not in (1, 2, 4):
                 continue
             lam = float(g * (a - 1))
@@ -142,17 +142,18 @@ class TestInertia:
             if np.min(np.abs(w - lam)) < 1e-6:
                 continue  # lam is an eigenvalue (always so for r = 1)
             want = int(np.sum(w < lam))
-            assert quotient_inertia(block_profile(ss), ss.runs, lam) == want
+            assert quotient_inertia(block_profile(ss), lam) == want
             hits += 1
         assert hits > 100
         # k=2;0,0,1,1: quotient [[0, 2], [2, 1]] has one eigenvalue below 1
-        assert quotient_inertia((0, 1), (2, 2), 1.0) == 1
+        bp = BlockProfile(ShortSequence(2, (2, 2)), (0, 1))
+        assert quotient_inertia(bp, 1.0) == 1
 
     def test_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            quotient_inertia((1, 2), (3,), 0.0)
-        with pytest.raises(ValueError):
-            quotient_eigenvalues((1,), (0,))
+        with pytest.raises(ValueError, match="one pair count per run"):
+            BlockProfile(ShortSequence(3, (3,)), (1, 2))
+        with pytest.raises(ValueError, match="one pair count per run"):
+            BlockProfile(ShortSequence(3, (3, 1)), (1,))
 
 
 class TestClosedRouteStaysOffDense:
@@ -244,13 +245,13 @@ class TestPencilReduction:
         for h in connected_hypergraphs(9, range(2, 6)):
             ss = to_short(h.sequence)
             profile = block_profile(ss)
-            d, e2 = spectrum._Pencil(profile, ss.runs).tridiagonal()
+            d, e2 = spectrum._Pencil(profile).tridiagonal()
             c = np.diag(d) + np.diag(np.sqrt(e2), 1) + np.diag(np.sqrt(e2), -1)
             root = np.sqrt(np.array(ss.runs, dtype=float))
             q = np.array(quotient_matrix(h).entries, dtype=float)
             s = root[:, None] * q / root[None, :]
             want = np.linalg.eigvalsh(0.5 * (s + s.T))
-            norm = math.sqrt(profile_frobenius_sq(profile, ss.runs))
+            norm = math.sqrt(profile.frobenius_sq)
             assert np.max(np.abs(np.linalg.eigvalsh(c) - want)) <= 1e-13 * norm, h
 
 

@@ -1,10 +1,13 @@
-"""The runtime imports nothing outside the standard library.
+"""The runtime imports nothing outside the standard library, and every
+module exports only names it defines.
 
 numpy is installed for the tests, so an accidental third-party import in
-the package would still run here; this reads the imports instead.
+the package would still run here; this reads the imports instead.  A stale
+`__all__` entry still imports cleanly by name but breaks `import *`.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -28,3 +31,17 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+def test_every_exported_name_resolves():
+    unresolved = []
+    exported = 0
+    for path in SOURCES:
+        name = "threshspec" if path.stem == "__init__" else f"threshspec.{path.stem}"
+        module = importlib.import_module(name)
+        for attr in getattr(module, "__all__", ()):
+            exported += 1
+            if not hasattr(module, attr):
+                unresolved.append((name, attr))
+    assert exported
+    assert not unresolved

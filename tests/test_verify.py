@@ -2,7 +2,7 @@ import pytest
 
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph
+from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
 from threshspec.sequences import format_binary
 from threshspec.verify import (
     MAX_REPORTED,
@@ -67,12 +67,12 @@ def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
     real = verify.block_profile
 
     def off_by_one(ss):
-        profile = list(real(ss))
+        gamma = list(real(ss).gamma)
         for s, size in enumerate(ss.runs):
             if size >= 2:
-                profile[s] += 1
+                gamma[s] += 1
                 break
-        return tuple(profile)
+        return BlockProfile(ss, gamma)
 
     monkeypatch.setattr(verify, "block_profile", off_by_one)
     res = sweep_two_route(6, [3])
