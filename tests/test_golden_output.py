@@ -2,7 +2,7 @@
 
 Each subcommand gets one SHA-256 over ``repr((argv, exit code, stdout,
 stderr))`` of every call in a fixed input set: valid and invalid short
-forms, every short bit string, the catalogued families and two small
+forms, every short bit string, the catalogued families and three small
 sweeps.  A change that alters a byte of output or an exit code anywhere
 in the set fails here.  `spectrum --verify` is left out: its dense QL
 step uses `math.hypot`, whose last bit can differ between CPython
@@ -29,7 +29,7 @@ GOLDEN = {
     "edges": "05fde20e092fb431c26019634d93b7c838908b385beda19f67bc8aefa7832cf3",
     "adjacency": "d1a14e50bef822e6cba70fc4e3436a29411784f137378c3c6cb37be87cbb321a",
     "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
-    "verify": "a0c3e16a401f9e64f299c513f9b663fae478b40054db9eff90816f8fbec74678",
+    "verify": "9278b1e20e4b17048dd11c8e7ad23b6b31d252320b3890ad58c73705ffb85751",
     "scan": "90f9ec5af6838a0b658abef07d1c4857ae8dafbd6d55e430bbad62b13cb740ac",
 }
 
@@ -53,6 +53,7 @@ def _calls():
             extra = [] if j is None else ["--j", str(j)]
             yield ["family", str(family), "--n", str(n), "--k", str(k), *extra]
     yield ["verify", "--n-max", "9", "--k", "2,3,4"]
+    yield ["verify", "--n-max", "7", "--k", "2,5", "--format", "structured"]
     yield ["scan", "--n-max", "10", "--k", "2,3,4"]
 
 
