@@ -26,18 +26,20 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def as_float(count: int) -> float:
-    """Convert an exact count to a double, refusing lossy conversions.
+def count_text(count: int) -> str:
+    """A count in decimal, or by its bit length past the 4,300 digits
+    Python converts to text, so that a message never fails to name it."""
+    try:
+        return str(count)
+    except ValueError:
+        return f"a number of {count.bit_length()} bits"
 
-    The refusal names the count in decimal, or by its bit length when it
-    has more digits than Python converts to text.
-    """
+
+def as_float(count: int) -> float:
+    """Convert an exact count to a double, refusing lossy conversions."""
     if abs(count) > FLOAT_SAFE_LIMIT:
-        try:
-            text = str(count)
-        except ValueError:
-            text = f"of {count.bit_length()} bits"
         raise CountTooLargeError(
-            f"count {text} exceeds 2**53 and would round in double precision"
+            f"count {count_text(count)} exceeds 2**53 and would round in "
+            "double precision"
         )
     return float(count)

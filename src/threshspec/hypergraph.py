@@ -16,7 +16,7 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable
 
-from .combinatorics import as_float, binomial
+from .combinatorics import as_float, binomial, count_text
 from .errors import ResourceLimitError, SequenceError
 from .sequences import (
     BinarySequence,
@@ -38,6 +38,9 @@ __all__ = [
     "check_dense",
     "check_edge_cap",
     "adjacency_bruteforce",
+    "recount_pairs",
+    "edge_links",
+    "totally_replaceable",
     "load_replaceable_non_threshold_7_4",
 ]
 
@@ -52,8 +55,8 @@ def check_dense(n: int) -> None:
     """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
     if n * n > DENSE_CELL_CAP:
         raise ResourceLimitError(
-            f"a dense {n}x{n} matrix has {n * n} cells, over the cap of "
-            f"{DENSE_CELL_CAP}"
+            f"a dense {count_text(n)}x{count_text(n)} matrix has "
+            f"{count_text(n * n)} cells, over the cap of {DENSE_CELL_CAP}"
         )
 
 
@@ -61,7 +64,8 @@ def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
     """Refuse to list `total` edges when that is over `cap`."""
     if total > cap:
         raise ResourceLimitError(
-            f"{total} edges exceed the cap of {cap}; raise the cap to enumerate"
+            f"{count_text(total)} edges exceed the cap of {cap}; raise the cap "
+            "to enumerate"
         )
 
 
@@ -157,8 +161,8 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
     if bp.pair_total != k * (k - 1) // 2 * edges:
         raise RuntimeError(
             f"internal: pair counts of {format_short(ss)} sum to "
-            f"{bp.pair_total}, but its {edges} edges give "
-            f"{k * (k - 1) // 2 * edges}"
+            f"{count_text(bp.pair_total)}, but its {count_text(edges)} edges "
+            f"give {count_text(k * (k - 1) // 2 * edges)}"
         )
     return bp
 
@@ -296,11 +300,17 @@ class ThresholdHypergraph:
 def adjacency_bruteforce(
     h: ThresholdHypergraph, cap: int = DEFAULT_EDGE_CAP
 ) -> AdjacencyMatrix:
-    """Recount every pair by walking the edge list.  Oracle for `adjacency`."""
-    n = h.n
+    """Recount every pair by walking the edge list.  Oracle for `adjacency`;
+    the cell cap is checked before any edge is listed."""
+    check_dense(h.n)
+    return recount_pairs(h.n, h.edges(cap))
+
+
+def recount_pairs(n: int, edges: Iterable[Iterable[int]]) -> AdjacencyMatrix:
+    """Adjacency matrix of an edge list on vertices 1..n, counted edge by edge."""
     check_dense(n)
     rows = [[0] * n for _ in range(n)]
-    for e in h.edges(cap):
+    for e in edges:
         for a, b in combinations(e, 2):
             rows[a - 1][b - 1] += 1
             rows[b - 1][a - 1] += 1
@@ -347,17 +357,8 @@ class GeneralHypergraph:
         return frozenset(vertices) in self.edges
 
     def links(self) -> list[set[int]]:
-        """link(v) = {e - {v} : v in e} for every vertex v, indexed by v.
-
-        Each member is a vertex bitmask, bit v standing for vertex v (entry
-        0 is empty).  One pass over the edges builds all n links.
-        """
-        links: list[set[int]] = [set() for _ in range(self.n + 1)]
-        for e in self.edges:
-            mask = _mask(e)
-            for v in e:
-                links[v].add(mask ^ 1 << v)
-        return links
+        """The `edge_links` of this edge set."""
+        return edge_links(self.n, self.edges)
 
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
@@ -376,22 +377,37 @@ class GeneralHypergraph:
         return {_mask(e) ^ bit for e in self.edges if v in e}
 
     def is_totally_replaceable(self) -> bool:
-        """Every vertex pair is comparable under replaceability.
+        """Every vertex pair is comparable under replaceability."""
+        return totally_replaceable(self.links())
 
-        If y replaces x, the swap e -> e - {x} + {y} maps the edges through
-        x that avoid y one-to-one into the edges through y that avoid x, so
-        y has at least x's degree, and at equal degrees the map is onto and
-        x replaces y as well.  A pair is therefore comparable exactly when
-        the vertex of larger degree (|link|) replaces the other: one set
-        difference per pair.
-        """
-        links = self.links()
-        for x, y in combinations(range(1, self.n + 1), 2):
-            if len(links[x]) > len(links[y]):
-                x, y = y, x
-            if not _replaces(links[x], links[y], y):
-                return False
-        return True
+
+def edge_links(n: int, edges: Iterable[Iterable[int]]) -> list[set[int]]:
+    """link(v) = {e - {v} : v in e} for every vertex v of an edge list on
+    vertices 1..n, indexed by v.  Each member is a vertex bitmask, bit v
+    standing for vertex v (entry 0 is empty).  One pass over the edges."""
+    links: list[set[int]] = [set() for _ in range(n + 1)]
+    for e in edges:
+        mask = _mask(e)
+        for v in e:
+            links[v].add(mask ^ 1 << v)
+    return links
+
+
+def totally_replaceable(links: list[set[int]]) -> bool:
+    """Every vertex pair is comparable under replaceability, read off the
+    links of `edge_links`: n - 1 set differences, not one per pair.
+
+    If y replaces x, the swap e -> e - {x} + {y} maps x's edges that avoid
+    y one-to-one into y's that avoid x, so y has at least x's degree
+    |link|, and at equal degrees x replaces y too.  If z replaces y as
+    well, z replaces x: an edge e through x that avoids z reaches
+    e - {x} + {z} through e - {x} + {y} (y, then z) if y is not in e, and
+    through e - {y} + {z} (z, then y) if it is.  So, with the vertices in
+    degree order, every pair is comparable exactly when each vertex
+    replaces the one before it.
+    """
+    chain = sorted(range(1, len(links)), key=lambda v: len(links[v]))
+    return all(_replaces(links[x], links[y], y) for x, y in zip(chain, chain[1:]))
 
 
 def _mask(vertices: Iterable[int]) -> int:

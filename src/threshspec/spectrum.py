@@ -27,7 +27,7 @@ import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .combinatorics import as_float, binomial
+from .combinatorics import as_float, binomial, count_text
 from .errors import (
     ConvergenceError,
     DisconnectedError,
@@ -649,8 +649,8 @@ def check_dense_solve(n: int) -> None:
     `DENSE_SOLVE_CAP`, before the matrix is built."""
     if n**3 > DENSE_SOLVE_CAP:
         raise ResourceLimitError(
-            f"a dense eigensolve of a {n}x{n} matrix costs n**3 = {n**3}, "
-            f"over the cap of {DENSE_SOLVE_CAP}"
+            f"a dense eigensolve of a {count_text(n)}x{count_text(n)} matrix costs "
+            f"n**3 = {count_text(n**3)}, over the cap of {DENSE_SOLVE_CAP}"
         )
 
 

@@ -1,17 +1,23 @@
-"""Exhaustive verification sweeps over small creation sequences.
+"""Exhaustive verification over small creation sequences.
 
-Each sweep walks every valid sequence up to a size bound and checks one
-identity whose two sides are computed by unrelated code paths.  The CLI
-`verify` command runs all of them; the test-suite calls them directly at
-the bounds it pins.
+One walk visits every valid sequence up to a size bound once, k ascending,
+then n, then bits, and runs checks on it, each of an identity whose two
+sides are computed by unrelated code paths.  The CLI `verify` command runs
+all five checks in one walk; each `sweep_*` is the walk with one check.
 """
 
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .errors import ResourceLimitError
-from .hypergraph import ThresholdHypergraph, adjacency_bruteforce
+from .hypergraph import (
+    ThresholdHypergraph,
+    edge_links,
+    recount_pairs,
+    totally_replaceable,
+)
 from .sequences import (
     BinarySequence,
     complement_sequence,
@@ -53,23 +59,79 @@ class SweepResult:
             self.failures.append("...")
 
 
-def _sequences(
-    n_max: int, k_values: Iterable[int], connected_only: bool = False
-) -> Iterator[BinarySequence]:
+class _Visit:
+    """One sequence as the checks see it.  Each check is a method named
+    after its sweep that yields the sequence's failures; they share one
+    edge list and one closed-form adjacency, each built on first use."""
+
+    def __init__(self, s: BinarySequence, seen: dict[tuple, str]) -> None:
+        self.s, self.h, self.text = s, ThresholdHypergraph(s), format_binary(s)
+        self.edges, self.adjacency = cache(self.h.edges), cache(self.h.adjacency)
+        self.seen = seen  # adjacency entries of this size -> first sequence
+
+    def oracle_equivalence(self) -> Iterator[str]:
+        if self.adjacency() != recount_pairs(self.s.n, self.edges()):
+            yield self.text
+
+    def two_route(self) -> Iterator[str]:
+        ss = to_short(self.s)
+        try:
+            values = block_eigenvalues(block_profile(ss))
+        except RuntimeError as exc:
+            yield f"{self.text}: {exc}"
+            return
+        for b in values:
+            first = ss.prefix_sum(b.block_index - 1) + 1
+            direct = -self.h.pair_count(first, first + 1)
+            if b.value != direct:
+                yield (
+                    f"{self.text}: block {b.block_index} gives "
+                    f"{b.value} but the direct pair count gives {direct}"
+                )
+        if sum(b.multiplicity_lower_bound for b in values) != self.s.n - ss.r:
+            yield f"{self.text}: block multiplicities missed n-r"
+
+    def uniqueness(self) -> Iterator[str]:
+        key = self.adjacency().entries
+        if key in self.seen:
+            yield f"{self.seen[key]} collides with {self.text}"
+        else:
+            self.seen[key] = self.text
+
+    def replaceability_totality(self) -> Iterator[str]:
+        if not totally_replaceable(edge_links(self.s.n, self.edges())):
+            yield self.text
+
+    def complement_partition(self) -> Iterator[str]:
+        n, k = self.s.n, self.s.k
+        theirs = ThresholdHypergraph(complement_sequence(self.s)).edges()
+        if sorted(self.edges() + theirs) != list(combinations(range(1, n + 1), k)):
+            yield self.text
+
+
+#: The checks, in the order `_Visit` defines them and `run_all_sweeps` reports.
+_CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
+
+
+def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
+    results = [SweepResult(name) for name in names]
     for k in sorted(set(k_values)):
         for n in range(k - 1, n_max + 1):
-            yield from iter_valid_sequences(n, k, connected_only)
+            seen: dict[tuple, str] = {}
+            for s in iter_valid_sequences(n, k):
+                v = _Visit(s, seen)
+                for res in results:
+                    # the two routes meet on connected sequences only
+                    if s.connected or res.name != "two_route":
+                        res.checked += 1
+                        for failure in getattr(v, res.name)():
+                            res.record(failure)
+    return results
 
 
 def sweep_adjacency_oracle(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Closed-form adjacency equals the edge-list recount, entry for entry."""
-    res = SweepResult("oracle_equivalence")
-    for s in _sequences(n_max, k_values):
-        h = ThresholdHypergraph(s)
-        res.checked += 1
-        if h.adjacency() != adjacency_bruteforce(h):
-            res.record(format_binary(s))
-    return res
+    return _walk(n_max, k_values, "oracle_equivalence")[0]
 
 
 def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -80,55 +142,17 @@ def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
     first two vertices, an independent direct sum.  The sweep also confirms
     the block eigenvalue count is n - r.
     """
-    res = SweepResult("two_route")
-    for s in _sequences(n_max, k_values, connected_only=True):
-        ss = to_short(s)
-        h = ThresholdHypergraph(s)
-        res.checked += 1
-        try:
-            values = block_eigenvalues(block_profile(ss))
-        except RuntimeError as exc:
-            res.record(f"{format_binary(s)}: {exc}")
-            continue
-        for b in values:
-            first = ss.prefix_sum(b.block_index - 1) + 1
-            direct = -h.pair_count(first, first + 1)
-            if b.value != direct:
-                res.record(
-                    f"{format_binary(s)}: block {b.block_index} gives "
-                    f"{b.value} but the direct pair count gives {direct}"
-                )
-        if sum(b.multiplicity_lower_bound for b in values) != s.n - ss.r:
-            res.record(f"{format_binary(s)}: block multiplicities missed n-r")
-    return res
+    return _walk(n_max, k_values, "two_route")[0]
 
 
 def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Distinct sequences of the same size give distinct adjacency matrices."""
-    res = SweepResult("uniqueness")
-    for k in sorted(set(k_values)):
-        for n in range(k - 1, n_max + 1):
-            seen: dict[tuple, str] = {}
-            for s in iter_valid_sequences(n, k):
-                res.checked += 1
-                key = ThresholdHypergraph(s).adjacency().entries
-                text = format_binary(s)
-                if key in seen:
-                    res.record(f"{seen[key]} collides with {text}")
-                else:
-                    seen[key] = text
-    return res
+    return _walk(n_max, k_values, "uniqueness")[0]
 
 
 def sweep_replaceability(n_max: int, k_values: Iterable[int]) -> SweepResult:
     """Every vertex pair of a sequence hypergraph is replaceability-comparable."""
-    res = SweepResult("replaceability_totality")
-    for s in _sequences(n_max, k_values):
-        res.checked += 1
-        g = ThresholdHypergraph(s).to_general()
-        if not g.is_totally_replaceable():
-            res.record(format_binary(s))
-    return res
+    return _walk(n_max, k_values, "replaceability_totality")[0]
 
 
 def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -137,31 +161,18 @@ def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResu
     Both edge lists hold distinct sorted tuples, so they split the
     k-subsets exactly when their merged sort lists each k-subset once.
     """
-    res = SweepResult("complement_partition")
-    for s in _sequences(n_max, k_values):
-        res.checked += 1
-        ours = ThresholdHypergraph(s).edges()
-        theirs = ThresholdHypergraph(complement_sequence(s)).edges()
-        if sorted(ours + theirs) != list(combinations(range(1, s.n + 1), s.k)):
-            res.record(format_binary(s))
-    return res
+    return _walk(n_max, k_values, "complement_partition")[0]
 
 
 def run_all_sweeps(
     n_max: int, k_values: Iterable[int], *, budget: int = DEFAULT_SEQUENCE_BUDGET
 ) -> list[SweepResult]:
-    """All five sweeps, guarded up front by the sequence budget; the edge
-    lists inside them keep `ThresholdHypergraph.edges`' default cap."""
+    """All five sweeps in one walk, guarded up front by the sequence budget;
+    the edge lists inside it keep `ThresholdHypergraph.edges`' default cap."""
     k_set = sorted(set(k_values))
     total = count_valid_sequences(n_max, k_set)
     if total > budget:
         raise ResourceLimitError(
             f"sweeps would visit {total} sequences, over the budget of {budget}"
         )
-    return [
-        sweep_adjacency_oracle(n_max, k_set),
-        sweep_two_route(n_max, k_set),
-        sweep_uniqueness(n_max, k_set),
-        sweep_replaceability(n_max, k_set),
-        sweep_complement_partition(n_max, k_set),
-    ]
+    return _walk(n_max, k_set, *_CHECKS)

@@ -331,6 +331,15 @@ def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
         "error: 12497500 edges exceed the cap of 10000000; raise the cap to "
         "enumerate\n",
     )
+    # counts past the 4,300 digits Python converts to text are named by
+    # their bit length, and still refused as over the cap
+    for args, cap in (
+        (("edges", "C(9000,11000)_9000"), "exceed the cap of 10000000"),
+        (("adjacency", f"C({'9' * 4000},1)_2"), "over the cap of 10000000"),
+    ):
+        code, out, err = run(capsys, *args)
+        assert (code, out) == (3, ""), args
+        assert err.startswith("error: ") and " bits " in err and cap in err
 
 
 def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):

@@ -2,8 +2,10 @@ import math
 
 import pytest
 
-from threshspec.combinatorics import FLOAT_SAFE_LIMIT, as_float, binomial
-from threshspec.errors import CountTooLargeError
+from threshspec.combinatorics import FLOAT_SAFE_LIMIT, as_float, binomial, count_text
+from threshspec.errors import CountTooLargeError, ResourceLimitError
+from threshspec.hypergraph import check_dense, check_edge_cap
+from threshspec.spectrum import check_dense_solve
 
 
 def test_small_values():
@@ -58,3 +60,17 @@ def test_as_float_rejects_lossy_conversion():
     # past the digit limit of int-to-text conversion: still a precision error
     with pytest.raises(CountTooLargeError, match="of 16610 bits"):
         as_float(10**5000)
+
+
+def test_count_text_names_huge_counts_by_bit_length():
+    assert count_text(12) == "12"
+    assert count_text(-(10**4299)) == str(-(10**4299))
+    assert count_text(10**5000) == "a number of 16610 bits"
+    # a cap refusal never fails to name its count
+    for check, count in (
+        (check_edge_cap, 10**5000),
+        (check_dense, 10**2500),
+        (check_dense_solve, 10**2000),
+    ):
+        with pytest.raises(ResourceLimitError, match=" bits"):
+            check(count)

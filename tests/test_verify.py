@@ -2,8 +2,17 @@ import pytest
 
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
-from threshspec.sequences import format_binary
+from threshspec.hypergraph import (
+    AdjacencyMatrix,
+    BlockProfile,
+    GeneralHypergraph,
+    ThresholdHypergraph,
+)
+from threshspec.sequences import (
+    count_valid_sequences,
+    format_binary,
+    iter_valid_sequences,
+)
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
@@ -13,6 +22,14 @@ from threshspec.verify import (
     sweep_replaceability,
     sweep_two_route,
     sweep_uniqueness,
+)
+
+SWEEPS = (
+    sweep_adjacency_oracle,
+    sweep_two_route,
+    sweep_uniqueness,
+    sweep_replaceability,
+    sweep_complement_partition,
 )
 
 
@@ -61,9 +78,40 @@ def test_budget_guard():
 def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
     # the direct pair count is the sweep's reference, so a profile that is
     # off by one in a block of twins must fail the sweep and the CLI
-    import threshspec.verify as verify
     from threshspec.cli import main
 
+    _off_by_one_profile(monkeypatch)
+    res = sweep_two_route(6, [3])
+    assert not res.passed
+    assert "direct pair count" in res.failures[0]
+    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "sweep=two_route checked=15 failed=" in out
+    assert out.splitlines()[-1] == "FAILED"
+
+
+def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
+    # the sweep reads replaceability off the edge list's links, so an edge
+    # list that lost one edge and with it the comparability of some pair
+    # must fail the sweep and the CLI
+    from threshspec.cli import main
+
+    broken = _drop_an_edge(monkeypatch)
+    res = sweep_replaceability(6, [3])
+    assert broken
+    n, edges = broken[0]
+    first = next(
+        s for s in iter_valid_sequences(n, 3) if ThresholdHypergraph(s).edges() == edges
+    )
+    assert not res.passed
+    assert res.failures[0] == format_binary(first)
+    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
+    out, err = capsys.readouterr()
+    assert "sweep=replaceability_totality checked=31 failed=" in out
+    assert out.splitlines()[-1] == "FAILED"
+
+
+def _off_by_one_profile(monkeypatch):
     real = verify.block_profile
 
     def off_by_one(ss):
@@ -75,61 +123,40 @@ def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
         return BlockProfile(ss, gamma)
 
     monkeypatch.setattr(verify, "block_profile", off_by_one)
-    res = sweep_two_route(6, [3])
-    assert not res.passed
-    assert "direct pair count" in res.failures[0]
-    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert "sweep=two_route checked=15 failed=" in out
-    assert out.splitlines()[-1] == "FAILED"
 
 
-def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
-    # the sweep reads replaceability off the explicit edge set, so an edge
-    # set that lost one edge and with it the comparability of some pair
-    # must fail the sweep and the CLI
+def _drop_an_edge(monkeypatch):
+    """Feed the links an edge list without its first edge whose loss makes
+    some pair incomparable; returns the (n, edges) it broke, in order."""
     from test_hypergraph import edge_walk_totally_replaceable
 
-    from threshspec.cli import main
-    from threshspec.hypergraph import (
-        DEFAULT_EDGE_CAP,
-        GeneralHypergraph,
-        ThresholdHypergraph,
-    )
-
-    real = ThresholdHypergraph.to_general
+    real = verify.edge_links
     broken = []
 
-    def drop_an_edge(self, cap=DEFAULT_EDGE_CAP):
-        g = real(self, cap)
-        for e in g.sorted_edges():
-            smaller = GeneralHypergraph(g.n, g.k, g.edges - {frozenset(e)})
+    def drop_an_edge(n, edges):
+        full = frozenset(map(frozenset, edges))
+        for e in edges:
+            smaller = GeneralHypergraph(n, len(e), full - {frozenset(e)})
             if not edge_walk_totally_replaceable(smaller):
-                broken.append(self.sequence)
-                return smaller
-        return g
+                broken.append((n, edges))
+                return real(n, smaller.edges)
+        return real(n, edges)
 
-    monkeypatch.setattr(ThresholdHypergraph, "to_general", drop_an_edge)
-    res = sweep_replaceability(6, [3])
-    assert broken
-    assert not res.passed
-    assert res.failures[0] == format_binary(broken[0])
-    assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
-    out, err = capsys.readouterr()
-    assert "sweep=replaceability_totality checked=31 failed=" in out
-    assert out.splitlines()[-1] == "FAILED"
+    monkeypatch.setattr(verify, "edge_links", drop_an_edge)
+    return broken
 
 
 def _raise_one_pair(monkeypatch):
-    real = verify.adjacency_bruteforce
+    real = verify.recount_pairs
 
-    def recount(h):
-        rows = [list(row) for row in real(h).entries]
-        rows[0][1] += 1
-        rows[1][0] += 1
+    def recount(n, edges):
+        rows = [list(row) for row in real(n, edges).entries]
+        if n >= 2:
+            rows[0][1] += 1
+            rows[1][0] += 1
         return AdjacencyMatrix(rows)
 
-    monkeypatch.setattr(verify, "adjacency_bruteforce", recount)
+    monkeypatch.setattr(verify, "recount_pairs", recount)
 
 
 def _failing_profile(monkeypatch):
@@ -194,3 +221,52 @@ def test_sweep_records_an_injected_fault(
     }
     assert failed[f"sweep={name}"] > 0
     assert f"{name}: {first}\n" in err
+
+
+@pytest.mark.parametrize(
+    "inject",
+    [
+        None,
+        _off_by_one_profile,
+        _drop_an_edge,
+        _raise_one_pair,
+        _failing_profile,
+        _zero_adjacency,
+        _identity_complement,
+    ],
+)
+def test_walk_matches_the_single_check_walks(monkeypatch, inject):
+    # one walk with all five checks reports what five walks with one check
+    # each report, field for field, also when a check fails
+    if inject is not None:
+        inject(monkeypatch)
+    walks = []
+    for n_max, ks in [(7, [2]), (6, [3, 4]), (7, [2, 2, 5]), (3, [5])]:
+        walks.append(run_all_sweeps(n_max, ks))
+        assert walks[-1] == [sweep(n_max, ks) for sweep in SWEEPS]
+    assert all(r.passed for walk in walks for r in walk) == (inject is None)
+    # k = 5 needs 4 vertices: nothing to visit
+    assert all(r.checked == 0 and r.passed for r in run_all_sweeps(3, [5]))
+
+
+def test_walk_lists_edges_twice_and_builds_adjacency_once(monkeypatch):
+    # per visited sequence: its own edge list and its complement's, one
+    # closed-form adjacency, and no explicit edge set
+    calls = {"edges": 0, "adjacency": 0, "to_general": 0}
+
+    def counted(name):
+        real = getattr(ThresholdHypergraph, name)
+
+        def wrapper(self, *args, **kwargs):
+            calls[name] += 1
+            return real(self, *args, **kwargs)
+
+        monkeypatch.setattr(ThresholdHypergraph, name, wrapper)
+
+    for name in calls:
+        counted(name)
+    results = run_all_sweeps(8, [2, 3, 4])
+    visited = count_valid_sequences(8, [2, 3, 4])
+    assert all(r.passed for r in results)
+    assert results[0].checked == visited
+    assert calls == {"edges": 2 * visited, "adjacency": visited, "to_general": 0}
