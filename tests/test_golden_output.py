@@ -2,11 +2,11 @@
 
 Each subcommand gets one SHA-256 over ``repr((argv, exit code, stdout,
 stderr))`` of every call in a fixed input set: valid and invalid short
-forms, every short bit string, the catalogued families and three small
-sweeps.  A change that alters a byte of output or an exit code anywhere
-in the set fails here.  `spectrum --verify` is left out: its dense QL
-step uses `math.hypot`, whose last bit can differ between CPython
-versions.
+forms, every short bit string, the catalogued families, three small
+sweeps and two budget refusals.  A change that alters a byte of output
+or an exit code anywhere in the set fails here.  `spectrum --verify` is
+left out: its dense QL step uses `math.hypot`, whose last bit can differ
+between CPython versions.
 
 After a deliberate output change, print the new digests with
 ``PYTHONPATH=src python tests/test_golden_output.py``.  With
@@ -29,8 +29,8 @@ GOLDEN = {
     "edges": "05fde20e092fb431c26019634d93b7c838908b385beda19f67bc8aefa7832cf3",
     "adjacency": "d1a14e50bef822e6cba70fc4e3436a29411784f137378c3c6cb37be87cbb321a",
     "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
-    "verify": "9278b1e20e4b17048dd11c8e7ad23b6b31d252320b3890ad58c73705ffb85751",
-    "scan": "90f9ec5af6838a0b658abef07d1c4857ae8dafbd6d55e430bbad62b13cb740ac",
+    "verify": "5b20f72cae99cdbd9ef344e36226e095913504f2b86a098390c6d43f9434bb31",
+    "scan": "86a591bd1bbb800e6f1a2c161bedd4276b12f225349a2bd49c7b1335456166dd",
 }
 
 
@@ -55,6 +55,9 @@ def _calls():
     yield ["verify", "--n-max", "9", "--k", "2,3,4"]
     yield ["verify", "--n-max", "7", "--k", "2,5", "--format", "structured"]
     yield ["scan", "--n-max", "10", "--k", "2,3,4"]
+    # budget refusals that name an exact count of 302 digits
+    yield ["verify", "--n-max", "1000", "--k", "2,3"]
+    yield ["scan", "--n-max", "1000", "--k", "3"]
 
 
 def records():
