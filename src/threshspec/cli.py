@@ -17,6 +17,7 @@ import os
 import sys
 from typing import TextIO
 
+from .combinatorics import read_decimal
 from .errors import (
     ConvergenceError,
     CountTooLargeError,
@@ -31,6 +32,7 @@ from .hypergraph import (
     edge_total,
 )
 from .sequences import (
+    DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
     format_binary,
     format_bits,
@@ -39,7 +41,6 @@ from .sequences import (
     to_binary,
 )
 from .spectrum import (
-    DEFAULT_SEQUENCE_BUDGET,
     Spectrum,
     check_dense_solve,
     family_sequence,
@@ -291,7 +292,7 @@ def _positive_float(text: str) -> float:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = read_decimal(text)
     except ValueError:
         value = 0
     if value < 1:

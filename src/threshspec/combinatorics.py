@@ -2,7 +2,9 @@
 
 Counting is done with native integers, which never overflow.  Counts only
 become lossy when converted to floating point, and `as_float` refuses any
-conversion that a double cannot represent exactly.
+conversion that a double cannot represent exactly.  Python converts at
+most 4,300 decimal digits between integers and text: `count_text` names a
+longer count by its bit length, and `read_decimal` reads longer digits.
 """
 
 import math
@@ -26,13 +28,41 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+#: Most decimal digits Python converts between an integer and text.
+TEXT_DIGITS = 4300
+
+
 def count_text(count: int) -> str:
     """A count in decimal, or by its bit length past the 4,300 digits
     Python converts to text, so that a message never fails to name it."""
     try:
         return str(count)
     except ValueError:
-        return f"a number of {count.bit_length()} bits"
+        return bits_text(count.bit_length())
+
+
+def bits_text(bits: int) -> str:
+    """`count_text` of a count past 4,300 digits, from its bit length alone,
+    so that a count too large to build is named too; a bit length past
+    4,300 digits is named by its own bit length in turn."""
+    return f"a number of {count_text(bits)} bits"
+
+
+def read_decimal(text: str) -> int:
+    """`int(text)` without the 4,300-digit limit.
+
+    Longer text must be decimal digits, surrounding whitespace allowed,
+    and is read in two halves, high * 10**len(low) + low, each half the
+    same way.
+    """
+    if len(text) <= TEXT_DIGITS:
+        return int(text)
+    digits = text.strip()
+    if not digits.isdecimal():
+        raise ValueError(f"not a decimal integer of {len(digits)} characters")
+    half = len(digits) // 2
+    high, low = digits[:half], digits[half:]
+    return read_decimal(high) * 10 ** len(low) + read_decimal(low)
 
 
 def as_float(count: int) -> float:

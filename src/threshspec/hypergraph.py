@@ -292,18 +292,17 @@ class ThresholdHypergraph:
         ones = tuple(i for i, b in enumerate(self.sequence.bits, 1) if b)
         return zeros, ones
 
-    def to_general(self, cap: int = DEFAULT_EDGE_CAP) -> "GeneralHypergraph":
-        edges = frozenset(frozenset(e) for e in self.edges(cap))
+    def to_general(self) -> "GeneralHypergraph":
+        edges = frozenset(frozenset(e) for e in self.edges())
         return GeneralHypergraph(self.n, self.k, edges)
 
 
-def adjacency_bruteforce(
-    h: ThresholdHypergraph, cap: int = DEFAULT_EDGE_CAP
-) -> AdjacencyMatrix:
-    """Recount every pair by walking the edge list.  Oracle for `adjacency`;
-    the cell cap is checked before any edge is listed."""
+def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
+    """Recount every pair by walking the edge list, listed under
+    `DEFAULT_EDGE_CAP`.  Oracle for `adjacency`; the cell cap is checked
+    before any edge is listed."""
     check_dense(h.n)
-    return recount_pairs(h.n, h.edges(cap))
+    return recount_pairs(h.n, h.edges())
 
 
 def recount_pairs(n: int, edges: Iterable[Iterable[int]]) -> AdjacencyMatrix:

@@ -16,6 +16,10 @@ Short-form text is read with the parity rule (an even run count means the
 k-th bit is 0), which is unambiguous exactly for connected hypergraphs;
 the in-memory type keeps the marker explicit so conversions round-trip
 for disconnected sequences as well, and refuses runs no bit sequence has.
+
+`sweep_space` owns the space the exhaustive sweeps (`verify`) and the
+quotient scan walk: every valid sequence up to a size bound, in one
+order, refused up front when its closed-form count is over a budget.
 """
 
 import re
@@ -24,7 +28,8 @@ from dataclasses import dataclass
 from itertools import accumulate, groupby, product
 from typing import Iterable, Iterator
 
-from .errors import SequenceError
+from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
+from .errors import ResourceLimitError, SequenceError
 
 __all__ = [
     "BinarySequence",
@@ -42,7 +47,11 @@ __all__ = [
     "delete_vertex",
     "iter_valid_sequences",
     "count_valid_sequences",
+    "sweep_space",
 ]
+
+#: Default cap on the number of sequences a sweep may visit.
+DEFAULT_SEQUENCE_BUDGET = 100_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +217,7 @@ def parse_short(text: str) -> ShortSequence:
     m = _RUN_RE.match(text)
     if not m:
         raise SequenceError(f"not a short-form sequence: {text!r}")
-    runs = tuple(int(a) for a in m.group(1).replace(" ", "").split(","))
+    runs = tuple(read_decimal(a) for a in m.group(1).replace(" ", "").split(","))
     k = int(m.group(2))
     return ShortSequence(k, runs, first_run_has_ones=len(runs) % 2 == 1)
 
@@ -302,17 +311,65 @@ def iter_valid_sequences(
         yield BinarySequence(k, head + tail)
 
 
+def _exponents(n_max: int, k_values: Iterable[int], connected_only: bool) -> list[int]:
+    """One e per distinct k that has a size up to `n_max`, largest first:
+    the k's sizes hold 2**e - 1 sequences."""
+    shift = 1 if connected_only else 2
+    ks = {k for k in k_values if 2 <= k <= n_max + 1}
+    return sorted((n_max - k + shift for k in ks), reverse=True)
+
+
 def count_valid_sequences(
     n_max: int, k_values: Iterable[int], connected_only: bool = False
 ) -> int:
-    """Size of the sweep space, computed without enumerating it."""
-    total = 0
-    for k in set(k_values):
-        if k < 2:
-            continue
-        for n in range(k - 1, n_max + 1):
-            if n == k - 1:
-                total += 0 if connected_only else 1
-            else:
-                total += 2 ** (n - k + (0 if connected_only else 1))
-    return total
+    """Size of the sweep space, in closed form.
+
+    For each k the sizes n = k-1..n_max hold 1 + 2 + ... + 2**(n_max-k+1)
+    = 2**(n_max-k+2) - 1 sequences, of which the connected ones, 2**(n-k)
+    for each n >= k, number 2**(n_max-k+1) - 1.
+    """
+    return sum((1 << e) - 1 for e in _exponents(n_max, k_values, connected_only))
+
+
+def _count_bits(n_max: int, k_values: Iterable[int], connected_only: bool) -> int:
+    """Bit length of `count_valid_sequences`, without building the count:
+    a sum of 2**e - 1 over distinct e has the bits of the largest e, one
+    more when another term is nonzero."""
+    es = _exponents(n_max, k_values, connected_only)
+    if not es:
+        return 0
+    return es[0] + (len(es) > 1 and es[1] > 0)
+
+
+def sweep_space(
+    n_max: int,
+    k_values: Iterable[int],
+    what: str,
+    budget: int,
+    connected_only: bool,
+) -> Iterator[Iterator[BinarySequence]]:
+    """Every valid sequence with at most `n_max` vertices, one iterator per
+    size: k ascending, then n from k-1 up, then `iter_valid_sequences`.
+
+    A space of more than `budget` sequences is refused up front with a
+    `ResourceLimitError` that says `what` would visit it.  A count with
+    more bits than the budget and than 4 * 4,300 (so more than 4,300
+    digits) is weighed and named by its bit length without being built,
+    so the refusal is immediate at any `n_max`.
+    """
+    k_set = sorted({k for k in k_values if k >= 2})
+    bits = _count_bits(n_max, k_set, connected_only)
+    if bits > max(budget.bit_length(), 4 * TEXT_DIGITS):
+        over = bits_text(bits)  # 2**(bits-1) has more than 4,300 digits
+    else:
+        total = count_valid_sequences(n_max, k_set, connected_only)
+        over = count_text(total) if total > budget else None
+    if over is not None:
+        raise ResourceLimitError(
+            f"{what} would visit {over} sequences, over the budget of {budget}"
+        )
+    return (
+        iter_valid_sequences(n, k, connected_only)
+        for k in k_set
+        for n in range(k - 1, n_max + 1)
+    )

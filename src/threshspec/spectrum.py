@@ -25,6 +25,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
 from .combinatorics import as_float, binomial, count_text
@@ -36,10 +37,10 @@ from .errors import (
 )
 from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
 from .sequences import (
+    DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
-    count_valid_sequences,
     format_binary,
-    iter_valid_sequences,
+    sweep_space,
     to_short,
 )
 
@@ -67,9 +68,6 @@ __all__ = [
     "family_spectrum_symbolic",
     "scan_quotient_simplicity",
 ]
-
-#: Default cap on the number of sequences a sweep may visit.
-DEFAULT_SEQUENCE_BUDGET = 100_000
 
 #: Cap on n**3 for a dense eigensolve of an n x n matrix, so n <= 1000.
 #: In pure Python the solve takes about 89 s at n = 1000 on a 2-vCPU Xeon
@@ -771,33 +769,25 @@ def scan_quotient_simplicity(
 
     A row is flagged when two quotient eigenvalues sit closer than tol,
     i.e. the quotient fails to separate them numerically.  Single-block
-    sequences report an infinite gap.
+    sequences report an infinite gap.  `sweep_space` gives the order and
+    refuses a space over `budget` before the first row.
     """
-    k_set = sorted({k for k in k_values})
-    total = count_valid_sequences(n_max, k_set, connected_only=True)
-    if total > budget:
-        raise ResourceLimitError(
-            f"scan would visit {total} sequences, over the budget of {budget}"
-        )
     out = []
-    for k in k_set:
-        for n in range(k, n_max + 1):
-            for s in iter_valid_sequences(n, k, connected_only=True):
-                values = quotient_eigenvalues(block_profile(to_short(s)))
-                if len(values) > 1:
-                    gap = min(
-                        values[i] - values[i + 1] for i in range(len(values) - 1)
-                    )
-                else:
-                    gap = math.inf
-                out.append(
-                    ScanRow(
-                        sequence=format_binary(s),
-                        n=n,
-                        k=k,
-                        r=len(values),
-                        min_quotient_gap=gap,
-                        flagged=gap < tol,
-                    )
-                )
+    space = sweep_space(n_max, k_values, "scan", budget, True)
+    for s in chain.from_iterable(space):
+        values = quotient_eigenvalues(block_profile(to_short(s)))
+        if len(values) > 1:
+            gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
+        else:
+            gap = math.inf
+        out.append(
+            ScanRow(
+                sequence=format_binary(s),
+                n=s.n,
+                k=s.k,
+                r=len(values),
+                min_quotient_gap=gap,
+                flagged=gap < tol,
+            )
+        )
     return out

@@ -1,9 +1,12 @@
 """Exhaustive verification over small creation sequences.
 
-One walk visits every valid sequence up to a size bound once, k ascending,
-then n, then bits, and runs checks on it, each of an identity whose two
-sides are computed by unrelated code paths.  The CLI `verify` command runs
-all five checks in one walk; each `sweep_*` is the walk with one check.
+One walk visits every valid sequence up to a size bound once, in the
+order of `sequences.sweep_space`, and runs checks on it, each of an
+identity whose two sides are computed by unrelated code paths.  The CLI
+`verify` command runs all five checks in one walk; each `sweep_*` is the
+walk with one check.  `sweep_space` refuses a walk over the sequence
+budget before it starts: `run_all_sweeps` takes the budget, the `sweep_*`
+functions use `DEFAULT_SEQUENCE_BUDGET`.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +14,6 @@ from functools import cache
 from itertools import combinations
 from typing import Iterable, Iterator
 
-from .errors import ResourceLimitError
 from .hypergraph import (
     ThresholdHypergraph,
     edge_links,
@@ -19,14 +21,14 @@ from .hypergraph import (
     totally_replaceable,
 )
 from .sequences import (
+    DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
     complement_sequence,
-    count_valid_sequences,
     format_binary,
-    iter_valid_sequences,
+    sweep_space,
     to_short,
 )
-from .spectrum import DEFAULT_SEQUENCE_BUDGET, block_eigenvalues, block_profile
+from .spectrum import block_eigenvalues, block_profile
 
 __all__ = [
     "SweepResult",
@@ -113,19 +115,23 @@ class _Visit:
 _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 
 
-def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
+def _walk(
+    n_max: int,
+    k_values: Iterable[int],
+    *names: str,
+    budget: int = DEFAULT_SEQUENCE_BUDGET,
+) -> list[SweepResult]:
     results = [SweepResult(name) for name in names]
-    for k in sorted(set(k_values)):
-        for n in range(k - 1, n_max + 1):
-            seen: dict[tuple, str] = {}
-            for s in iter_valid_sequences(n, k):
-                v = _Visit(s, seen)
-                for res in results:
-                    # the two routes meet on connected sequences only
-                    if s.connected or res.name != "two_route":
-                        res.checked += 1
-                        for failure in getattr(v, res.name)():
-                            res.record(failure)
+    for size in sweep_space(n_max, k_values, "sweeps", budget, False):
+        seen: dict[tuple, str] = {}
+        for s in size:
+            v = _Visit(s, seen)
+            for res in results:
+                # the two routes meet on connected sequences only
+                if s.connected or res.name != "two_route":
+                    res.checked += 1
+                    for failure in getattr(v, res.name)():
+                        res.record(failure)
     return results
 
 
@@ -169,10 +175,4 @@ def run_all_sweeps(
 ) -> list[SweepResult]:
     """All five sweeps in one walk, guarded up front by the sequence budget;
     the edge lists inside it keep `ThresholdHypergraph.edges`' default cap."""
-    k_set = sorted(set(k_values))
-    total = count_valid_sequences(n_max, k_set)
-    if total > budget:
-        raise ResourceLimitError(
-            f"sweeps would visit {total} sequences, over the budget of {budget}"
-        )
-    return _walk(n_max, k_set, *_CHECKS)
+    return _walk(n_max, k_values, *_CHECKS, budget=budget)

@@ -342,6 +342,60 @@ def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
         assert err.startswith("error: ") and " bits " in err and cap in err
 
 
+NINES = "9" * 4400  # past the 4,300 digits Python's int() reads
+
+
+def _args_id(args):
+    return " ".join(a if len(a) < 40 else "<4400 digits>" for a in args)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n-max", "30000", "--k", "3"],
+        ["scan", "--n-max", "30000", "--k", "2"],
+        ["spectrum", f"C({NINES},1)_2"],
+        ["edges", f"C({NINES},1)_2"],
+        ["adjacency", f"C({NINES},1)_2"],
+    ],
+    ids=_args_id,
+)
+def test_oversized_inputs_are_refused_with_exit_3(capsys, args):
+    # sizes past a cap, the budget or the precision limit are refused as
+    # such, whatever their number of digits, with one line and no output
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err and "Exceeds the limit" not in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["verify", "--n-max", "1000000000000", "--k", "2,3"],
+        ["verify", "--n-max", "1000000000000000000", "--k", "3"],
+        ["verify", "--n-max", NINES, "--k", "3"],
+        ["scan", "--n-max", "1000000000000", "--k", "2,3"],
+        ["scan", "--n-max", "1000000000000000000", "--k", "2"],
+        ["scan", "--n-max", NINES, "--k", "2"],
+    ],
+    ids=_args_id,
+)
+def test_budget_refusal_is_immediate_at_any_n_max(args):
+    # a fresh process under a timeout, so that a walk or a count that
+    # grows with n_max fails here instead of hanging
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "threshspec.cli", *args],
+        capture_output=True,
+        env=env,
+        timeout=30,
+    )
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    assert b" bits sequences, over the budget of 100000" in proc.stderr
+
+
 def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):
     # spectrum --format structured and family print the bit form of a
     # short form without building its n bits

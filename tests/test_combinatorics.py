@@ -1,8 +1,16 @@
 import math
+import random
 
 import pytest
 
-from threshspec.combinatorics import FLOAT_SAFE_LIMIT, as_float, binomial, count_text
+from threshspec.combinatorics import (
+    FLOAT_SAFE_LIMIT,
+    as_float,
+    binomial,
+    bits_text,
+    count_text,
+    read_decimal,
+)
 from threshspec.errors import CountTooLargeError, ResourceLimitError
 from threshspec.hypergraph import check_dense, check_edge_cap
 from threshspec.spectrum import check_dense_solve
@@ -74,3 +82,30 @@ def test_count_text_names_huge_counts_by_bit_length():
     ):
         with pytest.raises(ResourceLimitError, match=" bits"):
             check(count)
+
+
+def test_bits_text_names_a_count_it_never_sees():
+    assert bits_text(16610) == count_text(10**5000) == "a number of 16610 bits"
+    # a bit length past 4,300 digits is named by its own bit length
+    assert bits_text(10**4400) == "a number of a number of 14617 bits bits"
+
+
+def test_read_decimal_reads_any_length():
+    rng = random.Random(7)
+    for length in (1, 4300, 4301, 8601, 20000):
+        text = str(rng.randint(1, 9)) + "".join(
+            rng.choice("0123456789") for _ in range(length - 1)
+        )
+        value = 0
+        for i in range(0, length, 1000):  # reference, 1,000 digits at a time
+            chunk = text[i : i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        assert read_decimal(text) == value, length
+        assert read_decimal(f" {text}\n") == value, length
+    assert read_decimal("9" * 4400) == 10**4400 - 1
+    # up to 4,300 characters it is int() itself, signs and underscores too
+    for text in ("-12", "+7", "1_000", " 42 "):
+        assert read_decimal(text) == int(text)
+    for text in ("abc", "1" * 4400 + "x", "-" + "1" * 4400, "1_" * 2200):
+        with pytest.raises(ValueError):
+            read_decimal(text)

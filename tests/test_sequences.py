@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from threshspec.errors import DisconnectedError, SequenceError
+import threshspec.sequences as sequences
+from threshspec.errors import DisconnectedError, ResourceLimitError, SequenceError
 from threshspec.sequences import (
+    DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
     ShortSequence,
     complement_sequence,
@@ -16,9 +18,12 @@ from threshspec.sequences import (
     parse_binary,
     parse_sequence,
     parse_short,
+    sweep_space,
     to_binary,
     to_short,
 )
+from threshspec.spectrum import scan_quotient_simplicity
+from threshspec.verify import run_all_sweeps
 
 LONG_A = BinarySequence(3, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1))
 LONG_B = BinarySequence(4, (0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1))
@@ -228,3 +233,120 @@ def test_count_valid_sequences():
     assert count_valid_sequences(7, [2, 3]) == sum(
         2 ** (n - k + 1) for k in (2, 3) for n in range(k - 1, 8)
     )
+
+
+def _reference_count(n_max, k_values, connected_only=False):
+    # size by size, as the sweeps enumerate them
+    total = 0
+    for k in set(k_values):
+        if k < 2:
+            continue
+        for n in range(k - 1, n_max + 1):
+            if n == k - 1:
+                total += 0 if connected_only else 1
+            else:
+                total += 2 ** (n - k + (0 if connected_only else 1))
+    return total
+
+
+K_LISTS = (
+    [],
+    [1],
+    [2],
+    [3],
+    [7],
+    [2, 2],
+    [1, 2, 3],
+    [3, 3, 5, 1],
+    [7, 2, 4, 6],
+    [1, 7, 7],
+    [5, 6, 7],
+    [1, 2, 3, 4, 5, 6, 7],
+)
+
+
+def test_count_valid_sequences_matches_the_reference_loop():
+    # k > n_max + 1 has no size and k = 1 no sequence: both add nothing
+    for n_max in range(41):
+        for ks in K_LISTS:
+            for connected in (False, True):
+                count = count_valid_sequences(n_max, ks, connected)
+                assert count == _reference_count(n_max, ks, connected)
+                # the bit length the budget guard reads without the count
+                assert sequences._count_bits(n_max, ks, connected) == (
+                    count.bit_length()
+                ), (n_max, ks, connected)
+
+
+def test_sweep_space_order_and_sizes():
+    # k ascending, then n from k - 1 up, then the bits of each size
+    for n_max, ks in [(6, [4, 2, 2, 3]), (5, [1, 3]), (2, [5]), (7, [2])]:
+        for connected in (False, True):
+            sizes = [
+                list(size)
+                for size in sweep_space(n_max, ks, "demo", 10**6, connected)
+            ]
+            expected = [
+                list(iter_valid_sequences(n, k, connected))
+                for k in sorted({k for k in ks if k >= 2})
+                for n in range(k - 1, n_max + 1)
+            ]
+            assert sizes == expected
+            assert all(len({(s.n, s.k) for s in size}) <= 1 for size in sizes)
+            assert sum(map(len, sizes)) == count_valid_sequences(
+                n_max, ks, connected
+            )
+
+
+def test_sweep_space_refuses_before_building_a_sequence(monkeypatch):
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a sequence was built")
+
+    monkeypatch.setattr(sequences, "iter_valid_sequences", no_enumeration)
+    with pytest.raises(ResourceLimitError) as exc:
+        sweep_space(17, [2], "demo", DEFAULT_SEQUENCE_BUDGET, False)
+    assert str(exc.value) == (
+        "demo would visit 131071 sequences, over the budget of 100000"
+    )
+    # past 4,300 digits the count is named by its bit length: k = 2 and 3
+    # give 2**(n_max-1+s) - 1 + 2**(n_max-2+s) - 1 with s = 0, or 1 for all
+    for n_max in (20000, 40000):
+        for connected in (False, True):
+            bits = n_max + (not connected)
+            with pytest.raises(ResourceLimitError) as exc:
+                sweep_space(n_max, [2, 3], "demo", 10**9, connected)
+            assert str(exc.value) == (
+                f"demo would visit a number of {bits} bits sequences, "
+                "over the budget of 1000000000"
+            )
+    # exactly at the budget the space is walked
+    monkeypatch.undo()
+    space = sweep_space(10, [2], "demo", 2**10 - 1, False)
+    assert sum(1 for size in space for _ in size) == 2**10 - 1
+
+
+@pytest.mark.parametrize(
+    "walk, what, connected",
+    [(run_all_sweeps, "sweeps", False), (scan_quotient_simplicity, "scan", True)],
+)
+def test_refusal_names_the_count_on_each_side_of_4300_digits(walk, what, connected):
+    # k = 2 holds 2**n_max - 1 sequences, 2**(n_max - 1) - 1 connected ones:
+    # 4,300 digits up to 2**14284, 4,301 from 2**14285 on
+    last = 14284 + connected
+    for n_max in (last, last + 1):
+        reference = _reference_count(n_max, [2], connected)
+        with pytest.raises(ResourceLimitError) as exc:
+            walk(n_max, [2])
+        if n_max == last:
+            text = str(reference)
+            assert len(text) == 4300
+        else:
+            text = f"a number of {reference.bit_length()} bits"
+        assert str(exc.value) == (
+            f"{what} would visit {text} sequences, over the budget of 100000"
+        )
+
+
+def test_parse_short_reads_runs_past_4300_digits():
+    ss = parse_short(f"C({'9' * 4400},1)_2")
+    assert ss.runs == (10**4400 - 1, 1)

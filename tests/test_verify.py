@@ -1,5 +1,6 @@
 import pytest
 
+import threshspec.sequences as sequences
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import (
@@ -13,6 +14,7 @@ from threshspec.sequences import (
     format_binary,
     iter_valid_sequences,
 )
+from threshspec.spectrum import scan_quotient_simplicity
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
@@ -73,6 +75,22 @@ def test_checked_counts_match_sequence_space():
 def test_budget_guard():
     with pytest.raises(ResourceLimitError):
         run_all_sweeps(30, [3], budget=1000)
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [*SWEEPS, run_all_sweeps, scan_quotient_simplicity],
+    ids=lambda walk: walk.__name__,
+)
+def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
+    # the five sweeps have no budget parameter: the default one guards them
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a sequence was built")
+
+    monkeypatch.setattr(sequences, "iter_valid_sequences", no_enumeration)
+    for n_max in (30, 20000):
+        with pytest.raises(ResourceLimitError, match="over the budget of 100000"):
+            walk(n_max, [3])
 
 
 def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
