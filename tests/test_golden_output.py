@@ -2,11 +2,12 @@
 
 Each subcommand gets one SHA-256 over ``repr((argv, exit code, stdout,
 stderr))`` of every call in a fixed input set: valid and invalid short
-forms, every short bit string, the catalogued families, three small
-sweeps and two budget refusals.  A change that alters a byte of output
-or an exit code anywhere in the set fails here.  `spectrum --verify` is
-left out: its dense QL step uses `math.hypot`, whose last bit can differ
-between CPython versions.
+forms (with structured `edges` and `adjacency` up to two runs), every
+short bit string (with `edges` and `adjacency` up to seven bits), the
+catalogued families, three small sweeps and two budget refusals.  A
+change that alters a byte of output or an exit code anywhere in the set
+fails here.  `spectrum --verify` is left out: its dense QL step uses
+`math.hypot`, whose last bit can differ between CPython versions.
 
 After a deliberate output change, print the new digests with
 ``PYTHONPATH=src python tests/test_golden_output.py``.  With
@@ -26,8 +27,8 @@ from threshspec.cli import main
 
 GOLDEN = {
     "spectrum": "21884ead00aa940783aeb73739f41466c1c10d297ac2ed073842a5d5688ce88f",
-    "edges": "05fde20e092fb431c26019634d93b7c838908b385beda19f67bc8aefa7832cf3",
-    "adjacency": "d1a14e50bef822e6cba70fc4e3436a29411784f137378c3c6cb37be87cbb321a",
+    "edges": "0d527020915876eb2cb539462f4b134168ff3599ff47429a3fdfb8dde56cf393",
+    "adjacency": "d0c0fa7519e930cab74e54796514cc1d90909fcfa6feb33241b9a5a8fa615747",
     "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
     "verify": "5b20f72cae99cdbd9ef344e36226e095913504f2b86a098390c6d43f9434bb31",
     "scan": "86a591bd1bbb800e6f1a2c161bedd4276b12f225349a2bd49c7b1335456166dd",
@@ -44,10 +45,17 @@ def _calls():
                 yield ["spectrum", text, "--format", "structured"]
                 yield ["edges", text]
                 yield ["adjacency", text]
+                if r <= 2:
+                    yield ["edges", text, "--format", "structured"]
+                    yield ["adjacency", text, "--format", "structured"]
     for k in range(2, 5):
         for n in range(9):
             for bits in product("01", repeat=n):
-                yield ["spectrum", f"k={k};{','.join(bits)}"]
+                text = f"k={k};{','.join(bits)}"
+                yield ["spectrum", text]
+                if n <= 7:
+                    yield ["edges", text]
+                    yield ["adjacency", text]
     for family, n, k in product((1, 2, 3), range(1, 10), range(2, 6)):
         for j in (None, *range(1, 10)):
             extra = [] if j is None else ["--j", str(j)]
