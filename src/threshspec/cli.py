@@ -6,6 +6,11 @@ work cap, or an eigensolver's iteration cap) or the precision limit (an
 exact count beyond 2**53) was hit, 141 the reader closed stdout before
 all output was written (128 + SIGPIPE, the status of a tool SIGPIPE ends).
 Identical invocations produce byte-identical output.
+
+Every command reads its sequence to the run-length form and calls the
+library, which checks each size cap and the precision limit on the runs
+before any bit or matrix is built; the CLI holds no guard of its own.
+Integers on the command line may have any number of digits.
 """
 
 import argparse
@@ -24,25 +29,16 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import (
-    DEFAULT_EDGE_CAP,
-    ThresholdHypergraph,
-    check_dense,
-    check_edge_cap,
-    edge_total,
-)
+from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph, block_profile
 from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
-    format_binary,
     format_bits,
     format_short,
     parse_runs,
-    to_binary,
 )
 from .spectrum import (
     Spectrum,
-    check_dense_solve,
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
@@ -81,7 +77,7 @@ def _json_number(value: float) -> float | None:
 
 def _parse_k_list(text: str) -> list[int]:
     try:
-        values = [int(p) for p in text.split(",") if p.strip() != ""]
+        values = [read_decimal(p) for p in text.split(",") if p.strip() != ""]
     except ValueError as exc:
         raise SequenceError(f"bad uniformity list {text!r}") from exc
     if not values or any(k < 2 for k in values):
@@ -135,7 +131,7 @@ def _emit_spectrum(
 
 
 def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
-    # short-form text is never expanded to bits unless --verify needs them
+    # short-form text is never expanded to bits, --verify included
     ss = parse_runs(args.sequence)
     spec = full_spectrum_closed(ss, args.merge_tol)
     verify_info = None
@@ -143,11 +139,8 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     if args.verify:
         # unclustered dense eigenvalues: clustering would average distinct
         # values; deviations are relative to max(1, |A|_F), |A|_F exact
-        check_dense_solve(ss.n)
-        h = ThresholdHypergraph(to_binary(ss))
-        mat = h.adjacency()
-        dense = full_spectrum_numeric(h, cluster_tol=0.0, adjacency=mat)
-        scale = max(1.0, math.sqrt(mat.frobenius_sq()))
+        dense = full_spectrum_numeric(ThresholdHypergraph(ss), cluster_tol=0.0)
+        scale = max(1.0, math.sqrt(block_profile(ss).frobenius_sq))
         deviations = [
             abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())
         ]
@@ -161,16 +154,13 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_edges(args, out: TextIO, err: TextIO) -> int:
-    # the caps of edges and adjacency are checked before a short form expands
-    ss = parse_runs(args.sequence)
-    check_edge_cap(edge_total(ss), args.edge_cap)
-    h = ThresholdHypergraph(to_binary(ss))
+    h = ThresholdHypergraph.from_text(args.sequence)
     edges = h.edges(args.edge_cap)
     if args.format == "structured":
         doc = {
             "n": h.n,
             "k": h.k,
-            "sequence": format_binary(h.sequence),
+            "sequence": format_bits(h.runs),
             "edges": [list(e) for e in edges],
         }
         print(json.dumps(doc, indent=2), file=out)
@@ -181,15 +171,13 @@ def cmd_edges(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
-    ss = parse_runs(args.sequence)
-    check_dense(ss.n)
-    h = ThresholdHypergraph(to_binary(ss))
+    h = ThresholdHypergraph.from_text(args.sequence)
     mat = h.adjacency()
     if args.format == "structured":
         doc = {
             "n": h.n,
             "k": h.k,
-            "sequence": format_binary(h.sequence),
+            "sequence": format_bits(h.runs),
             "entries": [list(row) for row in mat.entries],
         }
         print(json.dumps(doc, indent=2), file=out)
@@ -290,6 +278,14 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _integer(text: str) -> int:
+    """argparse's `int`, without the 4,300-digit limit."""
+    try:
+        return read_decimal(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
     try:
         value = read_decimal(text)
@@ -350,9 +346,9 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("family", parents=[output, merging], help="catalogued families")
     p.add_argument("family", type=int, choices=(1, 2, 3))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--j", type=int, default=None)
+    p.add_argument("--n", type=_integer, required=True)
+    p.add_argument("--k", type=_integer, required=True)
+    p.add_argument("--j", type=_integer, default=None)
     p.set_defaults(handler=cmd_family)
 
     p = sub.add_parser("scan", help="quotient gap report")

@@ -28,6 +28,25 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_exceeds(n: int, k: int, limit: int) -> bool:
+    """binomial(n, k) > limit, under the same zero conventions, without
+    computing a binomial past the limit.
+
+    With k the smaller of k and n - k, step i holds binomial(n - k + i, i),
+    which grows with i and at least doubles at each step, so the product
+    stops within log2(limit) + 1 steps, whatever n and k are.
+    """
+    if k < 0 or n < 0 or k > n:
+        return 0 > limit
+    k = min(k, n - k)
+    value = 1
+    for i in range(1, k + 1):
+        value = value * (n - k + i) // i
+        if value > limit:
+            return True
+    return value > limit
+
+
 #: Most decimal digits Python converts between an integer and text.
 TEXT_DIGITS = 4300
 

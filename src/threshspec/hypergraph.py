@@ -9,9 +9,16 @@ closed spectral route works from them alone.  `adjacency_bruteforce`
 recounts every pair by walking the edge list, and `pair_count` sums the
 edges of one pair directly; both stay independent of `block_profile` and
 serve as its oracles.
+
+A `ThresholdHypergraph` keeps the run-length form and builds its n
+creation bits only for the methods that read single vertices.  The size
+caps (`check_edge_cap` on the closed-form edge count, `check_dense` on
+n) are checked on the runs inside each method, so a short form over a cap
+is refused before any bit is built, whoever calls.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 from itertools import combinations
 from typing import Iterable
@@ -22,7 +29,8 @@ from .sequences import (
     BinarySequence,
     ShortSequence,
     format_short,
-    parse_sequence,
+    parse_runs,
+    to_binary,
     to_short,
 )
 
@@ -203,23 +211,41 @@ class AdjacencyMatrix:
         return [",".join(str(x) for x in row) for row in self.entries]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ThresholdHypergraph:
-    """k-uniform hypergraph defined by a creation sequence."""
+    """k-uniform hypergraph defined by a creation sequence.
 
-    sequence: BinarySequence
+    Takes either encoding and keeps the run-length form, `runs`.  The bit
+    form, `sequence`, is the one given or is built on first use, and only
+    the methods that read single vertices (`edges`, `pair_count`,
+    `is_edge`, `split_partition`) use it; every size cap is checked on the
+    runs before that.
+    """
+
+    runs: ShortSequence
+
+    def __init__(self, seq: BinarySequence | ShortSequence) -> None:
+        if isinstance(seq, BinarySequence):
+            object.__setattr__(self, "sequence", seq)  # kept, not rebuilt
+            seq = to_short(seq)
+        object.__setattr__(self, "runs", seq)
 
     @classmethod
     def from_text(cls, text: str) -> "ThresholdHypergraph":
-        return cls(parse_sequence(text))
+        """Either encoding; short-form text is never expanded."""
+        return cls(parse_runs(text))
+
+    @cached_property
+    def sequence(self) -> BinarySequence:
+        return to_binary(self.runs)
 
     @property
     def n(self) -> int:
-        return self.sequence.n
+        return self.runs.n
 
     @property
     def k(self) -> int:
-        return self.sequence.k
+        return self.runs.k
 
     def pseudodominants(self) -> list[int]:
         """Vertices whose creation bit is 1, i.e. the possible edge maxima."""
@@ -235,13 +261,13 @@ class ThresholdHypergraph:
 
     def edge_count(self) -> int:
         """Total number of edges, in closed form."""
-        return edge_total(to_short(self.sequence))
+        return edge_total(self.runs)
 
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
 
         The closed-form count is checked against `cap` before anything is
-        materialized.
+        materialized, the bits included.
         """
         check_edge_cap(self.edge_count(), cap)
         k = self.k
@@ -276,7 +302,7 @@ class ThresholdHypergraph:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
         max(i, j) off the diagonal, expanded from `block_profile`."""
         check_dense(self.n)
-        bp = block_profile(to_short(self.sequence))
+        bp = block_profile(self.runs)
         columns: list[int] = []
         for g, a in zip(bp.gamma, bp.seq.runs):
             columns += [g] * a

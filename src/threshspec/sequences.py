@@ -73,8 +73,8 @@ class BinarySequence:
             raise SequenceError("creation sequence entries must be 0 or 1")
         if len(self.bits) < self.k - 1:
             raise SequenceError(
-                f"need at least {self.k - 1} entries for uniformity {self.k}, "
-                f"got {len(self.bits)}"
+                f"need at least {count_text(self.k - 1)} entries for uniformity "
+                f"{count_text(self.k)}, got {len(self.bits)}"
             )
         if any(self.bits[: self.k - 1]):
             raise SequenceError(
@@ -120,14 +120,15 @@ class ShortSequence:
         if self.first_run_has_ones:
             if first < k:
                 raise SequenceError(
-                    f"first run {first} cannot hold {k - 1} zeros plus a one"
+                    f"first run {count_text(first)} cannot hold "
+                    f"{count_text(k - 1)} zeros plus a one"
                 )
             return
         floor = k - 1 if self.r == 1 else k
         if first < floor:
             raise SequenceError(
-                f"first zero run {first} must reach position {floor} "
-                f"for uniformity {k}"
+                f"first zero run {count_text(first)} must reach position "
+                f"{count_text(floor)} for uniformity {count_text(k)}"
             )
 
     @property
@@ -203,7 +204,7 @@ def parse_binary(text: str) -> BinarySequence:
     m = _BIT_RE.match(text)
     if not m:
         raise SequenceError(f"not a bit-form sequence: {text!r}")
-    k = int(m.group(1))
+    k = read_decimal(m.group(1))
     bits = tuple(int(b) for b in m.group(2).replace(" ", "").split(","))
     return BinarySequence(k, bits)
 
@@ -218,7 +219,7 @@ def parse_short(text: str) -> ShortSequence:
     if not m:
         raise SequenceError(f"not a short-form sequence: {text!r}")
     runs = tuple(read_decimal(a) for a in m.group(1).replace(" ", "").split(","))
-    k = int(m.group(2))
+    k = read_decimal(m.group(2))
     return ShortSequence(k, runs, first_run_has_ones=len(runs) % 2 == 1)
 
 

@@ -28,9 +28,16 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, Sequence
 
-from .combinatorics import as_float, binomial, count_text
+from .combinatorics import (
+    FLOAT_SAFE_LIMIT,
+    as_float,
+    binomial,
+    binomial_exceeds,
+    count_text,
+)
 from .errors import (
     ConvergenceError,
+    CountTooLargeError,
     DisconnectedError,
     ResourceLimitError,
     SequenceError,
@@ -95,16 +102,20 @@ def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue
     vertices.
     """
     bp = seq if isinstance(seq, BlockProfile) else block_profile(seq)
-    if not bp.seq.connected:
-        raise DisconnectedError(
-            "disconnected sequence: closed-form eigenvalues need the last "
-            "creation bit to be 1"
-        )
+    _require_connected(bp.seq)
     return [
         BlockEigenvalue(-g, size - 1, j)
         for j, (g, size) in enumerate(zip(bp.gamma, bp.seq.runs), start=1)
         if size >= 2
     ]
+
+
+def _require_connected(ss: ShortSequence) -> None:
+    if not ss.connected:
+        raise DisconnectedError(
+            "disconnected sequence: closed-form eigenvalues need the last "
+            "creation bit to be 1"
+        )
 
 
 @dataclass(frozen=True)
@@ -150,7 +161,7 @@ def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
     gamma of the later block, and a_s - 1 twins at gamma_s:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
-    bp = block_profile(to_short(h.sequence))
+    bp = block_profile(h.runs)
     gamma, sizes = bp.gamma, bp.seq.runs
     entries = tuple(
         tuple((sizes[t] - (s == t)) * gamma[max(s, t)] for t in range(len(sizes)))
@@ -634,12 +645,33 @@ def full_spectrum_closed(
 ) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
-    Takes the run-length form; a hypergraph is converted to it once, and
-    all work after that grows with r, not n.  Values closer than merge_tol
-    are reported once with summed multiplicity.
+    Takes the run-length form, or a hypergraph's `runs`; all work grows
+    with r, not n.  `_check_closed` refuses what the route cannot answer
+    before any binomial is computed.  Values closer than merge_tol are
+    reported once with summed multiplicity.
     """
-    ss = to_short(seq.sequence) if isinstance(seq, ThresholdHypergraph) else seq
+    ss = seq.runs if isinstance(seq, ThresholdHypergraph) else seq
+    _check_closed(ss)
     return _assemble(block_profile(ss), merge_tol)
+
+
+def _check_closed(ss: ShortSequence) -> None:
+    """Refuse, before any exact binomial, a sequence that the closed route
+    cannot answer.
+
+    A disconnected one is refused as in `block_eigenvalues`.  Of a
+    connected one, the last two vertices have the largest pair count,
+    binomial(n-2, k-2): every pair lies in at most that many edges.  Past
+    2**53 it is refused as `_Pencil` would refuse it, but before the r
+    exact gammas are computed, whose cost grows with k without bound.
+    """
+    _require_connected(ss)
+    if binomial_exceeds(ss.n - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
+        raise CountTooLargeError(
+            f"the pair count binomial({count_text(ss.n - 2)}, "
+            f"{count_text(ss.k - 2)}) of the last two vertices exceeds 2**53 "
+            "and would round in double precision"
+        )
 
 
 def check_dense_solve(n: int) -> None:
@@ -691,10 +723,14 @@ def family_sequence(
     if k < 2:
         raise SequenceError(f"uniformity must be at least 2, got {k}")
     if j is not None and family != 2:
-        raise SequenceError(f"only family 2 takes j, got j={j} for family {family}")
+        raise SequenceError(
+            f"only family 2 takes j, got j={count_text(j)} for family {family}"
+        )
     if family == 1:
         if n < k:
-            raise SequenceError(f"family 1 needs n >= k, got n={n}, k={k}")
+            raise SequenceError(
+                f"family 1 needs n >= k, got n={count_text(n)}, k={count_text(k)}"
+            )
         if n == k:
             return ShortSequence(k, (n,), first_run_has_ones=True)
         return ShortSequence(k, (n - 1, 1))
@@ -703,14 +739,17 @@ def family_sequence(
             raise SequenceError("family 2 needs the first pseudodominant position j")
         if not k <= j <= n - 1:
             raise SequenceError(
-                f"family 2 needs k <= j <= n-1, got j={j}, n={n}, k={k}"
+                f"family 2 needs k <= j <= n-1, got j={count_text(j)}, "
+                f"n={count_text(n)}, k={count_text(k)}"
             )
         if j == k:
             return ShortSequence(k, (n,), first_run_has_ones=True)
         return ShortSequence(k, (j - 1, n - j + 1))
     if family == 3:
         if n < k + 2:
-            raise SequenceError(f"family 3 needs n >= k+2, got n={n}, k={k}")
+            raise SequenceError(
+                f"family 3 needs n >= k+2, got n={count_text(n)}, k={count_text(k)}"
+            )
         return ShortSequence(k, (k, n - k - 1, 1), first_run_has_ones=True)
     raise SequenceError(f"unknown family {family}; expected 1, 2 or 3")
 
@@ -728,14 +767,17 @@ def family_spectrum_symbolic(
     without `block_profile` and handed to the assembler of the closed
     route: family 1 has
     (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
-    (sum over the pseudodominants p of binomial(p-3, k-3),
-    binomial(n-2, k-2)), and family 3 has
+    (sum over the pseudodominants p = j..n of binomial(p-3, k-3),
+    binomial(n-2, k-2)), summed by the hockey stick to
+    binomial(n-2, k-2) - binomial(j-3, k-2), and family 3 has
     (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
     The complete-hypergraph boundaries (family 1 with n = k, family 2
     with j = k) are one block with (binomial(n-2, k-2),).  Always agrees
-    with `full_spectrum_closed`.
+    with `full_spectrum_closed`, and refuses what it refuses, before any
+    binomial.
     """
     ss = family_sequence(family, n, k, j)
+    _check_closed(ss)
     a_cnt = binomial(n - 3, k - 3)
     b_cnt = binomial(n - 2, k - 2)
     if ss.r == 1:
@@ -743,7 +785,7 @@ def family_spectrum_symbolic(
     elif family == 1:
         gamma = (a_cnt, b_cnt)
     elif family == 2:
-        gamma = (sum(binomial(p - 3, k - 3) for p in range(j, n + 1)), b_cnt)
+        gamma = (b_cnt - binomial(j - 3, k - 2), b_cnt)
     else:
         gamma = (a_cnt + 1, a_cnt, b_cnt)
     return _assemble(BlockProfile(ss, gamma), merge_tol)

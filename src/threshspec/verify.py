@@ -26,7 +26,6 @@ from .sequences import (
     complement_sequence,
     format_binary,
     sweep_space,
-    to_short,
 )
 from .spectrum import block_eigenvalues, block_profile
 
@@ -76,7 +75,7 @@ class _Visit:
             yield self.text
 
     def two_route(self) -> Iterator[str]:
-        ss = to_short(self.s)
+        ss = self.h.runs
         try:
             values = block_eigenvalues(block_profile(ss))
         except RuntimeError as exc:

@@ -312,13 +312,14 @@ class TestEdgesCommand:
 def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
     # edges and adjacency check their caps on the runs: a short form over
     # a cap is refused without its n bits ever being built
+    import threshspec.hypergraph as hypergraph
     import threshspec.sequences as sequences
 
     def no_expansion(ss):
         raise AssertionError("short form expanded to bits")
 
     monkeypatch.setattr(sequences, "to_binary", no_expansion)
-    monkeypatch.setattr(cli, "to_binary", no_expansion)
+    monkeypatch.setattr(hypergraph, "to_binary", no_expansion)
     assert run(capsys, "adjacency", "C(5000,1)_3") == (
         3,
         "",
@@ -384,28 +385,85 @@ def test_oversized_inputs_are_refused_with_exit_3(capsys, args):
 def test_budget_refusal_is_immediate_at_any_n_max(args):
     # a fresh process under a timeout, so that a walk or a count that
     # grows with n_max fails here instead of hanging
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "threshspec.cli", *args],
-        capture_output=True,
-        env=env,
-        timeout=30,
-    )
+    proc = _fresh(*args)
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
     assert b" bits sequences, over the budget of 100000" in proc.stderr
 
 
+def _fresh(*args):
+    """The CLI in a fresh process, under a timeout of 30 s."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    return subprocess.run(
+        [sys.executable, "-m", "threshspec.cli", *args],
+        capture_output=True,
+        env=env,
+        timeout=30,
+    )
+
+
+HUGE_K = "1" + "0" * 4399  # 10**4399, past the 4,300 digits of int()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "C(200000,1)_100000"],
+        ["spectrum", "C(2000000,1)_1000000"],
+        ["spectrum", f"C({HUGE_K},1)_{HUGE_K}"],
+        ["family", "1", "--n", "200000", "--k", "100000"],
+        ["family", "1", "--n", "2000000", "--k", "1000000"],
+        ["family", "1", "--n", HUGE_K, "--k", "2"],
+        ["family", "2", "--n", "100000000000000000", "--k", "3", "--j", "5"],
+    ],
+    ids=_args_id,
+)
+def test_precision_refusal_is_immediate_at_any_k(args):
+    # the largest pair count is weighed before any exact binomial is
+    # computed; these took seconds, or did not finish in a minute
+    proc = _fresh(*args)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"error: precision limit: ")
+    assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+
+def test_uniformities_of_any_length(capsys):
+    # a k past 4,300 digits is read like any other: no sequence has it up
+    # to n_max = 5, as none has k = 7
+    assert run(capsys, "verify", "--n-max", "5", "--k", HUGE_K) == run(
+        capsys, "verify", "--n-max", "5", "--k", "7"
+    )
+    assert run(capsys, "verify", "--n-max", "5", "--k", f"3,{HUGE_K}") == run(
+        capsys, "verify", "--n-max", "5", "--k", "3"
+    )
+    # bad input still exits 1, and names the huge k by its bit length
+    code, out, err = run(capsys, "spectrum", f"k={HUGE_K};0,1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: need at least a number of 14614 bits entries for uniformity "
+        "a number of 14614 bits, got 2\n"
+    )
+    code, out, err = run(capsys, "family", "1", "--n", "5", "--k", HUGE_K)
+    assert (code, out) == (1, "")
+    assert err == "error: family 1 needs n >= k, got n=5, k=a number of 14614 bits\n"
+    assert run(capsys, "family", "1", "--n", "x", "--k", "3") == (
+        1,
+        "",
+        "error: argument --n: invalid int value: 'x'\n",
+    )
+
+
 def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):
     # spectrum --format structured and family print the bit form of a
     # short form without building its n bits
+    import threshspec.hypergraph as hypergraph
     import threshspec.sequences as sequences
 
     def no_expansion(ss):
         raise AssertionError("short form expanded to bits")
 
     monkeypatch.setattr(sequences, "to_binary", no_expansion)
-    monkeypatch.setattr(cli, "to_binary", no_expansion)
+    monkeypatch.setattr(hypergraph, "to_binary", no_expansion)
     bits = "k=3;" + "0," * 3000 + "1"
     code, out, err = run(capsys, "spectrum", "C(3000,1)_3", "--format", "structured")
     assert (code, err, strict_json(out)["sequence"]) == (0, "", bits)

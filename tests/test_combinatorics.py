@@ -7,6 +7,7 @@ from threshspec.combinatorics import (
     FLOAT_SAFE_LIMIT,
     as_float,
     binomial,
+    binomial_exceeds,
     bits_text,
     count_text,
     read_decimal,
@@ -82,6 +83,25 @@ def test_count_text_names_huge_counts_by_bit_length():
     ):
         with pytest.raises(ResourceLimitError, match=" bits"):
             check(count)
+
+
+def test_binomial_exceeds_matches_the_exact_binomial():
+    for n in range(-2, 40):
+        for k in range(-2, n + 3):
+            for limit in (0, 1, 5, 10**6, FLOAT_SAFE_LIMIT):
+                assert binomial_exceeds(n, k, limit) == (binomial(n, k) > limit)
+    for n, k in ((56, 28), (57, 28), (99, 18), (10**17, 1), (10**17, 2)):
+        assert binomial_exceeds(n, k, FLOAT_SAFE_LIMIT) == (
+            binomial(n, k) > FLOAT_SAFE_LIMIT
+        ), (n, k)
+
+
+def test_binomial_exceeds_stops_near_the_limit():
+    # the product at least doubles at each step, so it passes 2**53 within
+    # 54 steps: these would not finish if it ran up to k
+    for n, k in ((10**4400, 10**4399), (2 * 10**6, 10**6), (10**30, 10**29)):
+        assert binomial_exceeds(n, k, FLOAT_SAFE_LIMIT), (n, k)
+    assert not binomial_exceeds(10**4400, 10**4400 - 1, 10**4401)
 
 
 def test_bits_text_names_a_count_it_never_sees():

@@ -14,7 +14,13 @@ from threshspec.hypergraph import (
     adjacency_bruteforce,
     load_replaceable_non_threshold_7_4,
 )
-from threshspec.sequences import BinarySequence, iter_valid_sequences
+from threshspec.sequences import (
+    BinarySequence,
+    iter_valid_sequences,
+    parse_runs,
+    to_short,
+)
+from threshspec.spectrum import full_spectrum_closed
 
 
 def hg(text):
@@ -135,6 +141,38 @@ class TestThresholdHypergraph:
         assert h.edge_count() == 0
         assert h.edges() == []
         assert h.adjacency().entries == ((0, 0), (0, 0))
+
+    def test_either_encoding_gives_the_same_hypergraph(self):
+        for seq in iter_valid_sequences(7, 3):
+            from_bits, from_runs = ThresholdHypergraph(seq), ThresholdHypergraph(
+                to_short(seq)
+            )
+            assert from_bits == from_runs and hash(from_bits) == hash(from_runs)
+            assert from_bits.runs == from_runs.runs == to_short(seq)
+            assert from_bits.sequence is seq  # the given bits are kept
+            assert from_runs.sequence == seq
+        h = hg("C(3,1,1)_3")
+        assert h.runs == parse_runs("C(3,1,1)_3")
+        assert (h.n, h.k, h.sequence.bits) == (5, 3, (0, 0, 1, 0, 1))
+
+    def test_caps_refuse_a_short_form_before_building_its_bits(self, monkeypatch):
+        # the library checks both caps on the runs: the bits of a billion
+        # vertices are never built, and the closed route answers from the runs
+        import threshspec.hypergraph as hypergraph
+        import threshspec.sequences as sequences
+
+        def no_expansion(ss):
+            raise AssertionError("short form expanded to bits")
+
+        monkeypatch.setattr(sequences, "to_binary", no_expansion)
+        monkeypatch.setattr(hypergraph, "to_binary", no_expansion)
+        h = hg("C(1000000000,1)_3")
+        with pytest.raises(ResourceLimitError, match="over the cap"):
+            h.adjacency()
+        with pytest.raises(ResourceLimitError, match="exceed the cap"):
+            h.edges()
+        assert h.edge_count() == 10**9 * (10**9 - 1) // 2
+        assert full_spectrum_closed(h).total_multiplicity() == 10**9 + 1
 
     def test_edge_cap(self):
         h = hg("k=3;0,0,1,0,1")

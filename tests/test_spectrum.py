@@ -5,8 +5,10 @@ import sys
 import numpy as np
 import pytest
 
+from threshspec.combinatorics import FLOAT_SAFE_LIMIT, binomial
 from threshspec.errors import (
     ConvergenceError,
+    CountTooLargeError,
     DisconnectedError,
     ResourceLimitError,
     SequenceError,
@@ -198,6 +200,48 @@ def assert_tridiagonal_matches_eigvalsh(d, e):
     bound = 1e-13 * max(1.0, float(np.linalg.norm(t)))
     assert len(got) == len(want)
     assert all(abs(a - b) <= bound for a, b in zip(got, want)), (d, e)
+
+
+class TestClosedRouteRefusals:
+    def test_precision_refusal_comes_before_the_binomials(self, monkeypatch):
+        # binomial(2*10**6 - 1, 10**6 - 2) alone took seconds; the refusal
+        # now reads no exact binomial at all
+        def refuse(*args):
+            raise AssertionError("an exact binomial was computed")
+
+        import threshspec.hypergraph as hypergraph
+
+        monkeypatch.setattr(hypergraph, "binomial", refuse)
+        monkeypatch.setattr(spectrum, "binomial", refuse)
+        for call in (
+            lambda: full_spectrum_closed(ShortSequence(10**6, (2 * 10**6, 1))),
+            lambda: family_spectrum_symbolic(1, 2 * 10**6, 10**6),
+            lambda: family_spectrum_symbolic(2, 10**17, 3, 5),
+            lambda: family_spectrum_symbolic(3, 10**17, 3),
+        ):
+            with pytest.raises(CountTooLargeError, match="pair count binomial"):
+                call()
+        # a disconnected sequence is still refused as such, whatever its size
+        with pytest.raises(DisconnectedError):
+            full_spectrum_closed(ShortSequence(10**6, (10**6, 10**6, 1)))
+
+    def test_precision_refusal_starts_where_the_largest_gamma_passes_2_53(self):
+        # the largest pair count of a connected sequence is its last gamma;
+        # the route answers up to the last n where it fits a double
+        for k in (8, 20, 40):
+            n = k
+            while binomial(n - 1, k - 2) <= FLOAT_SAFE_LIMIT:
+                n += 1
+            ss = family_sequence(1, n, k)
+            assert block_profile(ss).gamma[-1] <= FLOAT_SAFE_LIMIT
+            assert full_spectrum_closed(ss).total_multiplicity() == n
+            assert family_spectrum_symbolic(1, n, k) == full_spectrum_closed(ss)
+            for refused in (
+                lambda: full_spectrum_closed(family_sequence(1, n + 1, k)),
+                lambda: family_spectrum_symbolic(1, n + 1, k),
+            ):
+                with pytest.raises(CountTooLargeError):
+                    refused()
 
 
 class TestRationalQL:
@@ -691,6 +735,18 @@ class TestFamilies:
         monkeypatch.setattr(spectrum, "block_profile", refuse)
         for case, ref in zip(cases, want):
             assert family_spectrum_symbolic(*case) == ref, case
+
+    def test_family_2_gamma_is_the_hockey_stick_sum(self, monkeypatch):
+        # gamma_1 is entered as binomial(n-2, k-2) - binomial(j-3, k-2),
+        # the closed form of the sum over the pseudodominants p = j..n
+        seen = []
+        monkeypatch.setattr(spectrum, "_assemble", lambda bp, tol: seen.append(bp))
+        for k in range(2, 8):
+            for n in range(k + 1, 31):
+                for j in range(k + 1, n):
+                    family_spectrum_symbolic(2, n, k, j)
+                    literal = sum(binomial(p - 3, k - 3) for p in range(j, n + 1))
+                    assert seen.pop().gamma == (literal, binomial(n - 2, k - 2))
 
     def test_distinct_value_caps(self):
         for k in range(2, 6):
