@@ -4,8 +4,12 @@ Each subcommand gets one SHA-256 over ``repr((argv, exit code, stdout,
 stderr))`` of every call in a fixed input set: valid and invalid short
 forms (with structured `edges` and `adjacency` up to two runs), every
 short bit string (with `edges` and `adjacency` up to seven bits), the
-catalogued families, three small sweeps and two budget refusals.  A
-change that alters a byte of output or an exit code anywhere in the set
+catalogued families, three small sweeps and two budget refusals.  One
+more digest, `usage`, covers help and usage errors: the bare command,
+`-h`, an unknown command, an option before the command, and for every
+subcommand its `-h` and a missing required argument, a bad `--format`,
+a bad value and an unknown option.  Help is wrapped at a fixed `COLUMNS`.
+A change that alters a byte of output or an exit code anywhere in the set
 fails here.  `spectrum --verify` is left out: its dense QL step uses
 `math.hypot`, whose last bit can differ between CPython versions.
 
@@ -21,7 +25,9 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 from itertools import product
+from unittest import mock
 
 from threshspec.cli import main
 
@@ -32,10 +38,53 @@ GOLDEN = {
     "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
     "verify": "5b20f72cae99cdbd9ef344e36226e095913504f2b86a098390c6d43f9434bb31",
     "scan": "86a591bd1bbb800e6f1a2c161bedd4276b12f225349a2bd49c7b1335456166dd",
+    "usage": "42aaa403c6b960dc167a1bb6bb3f6fd98d90a8661cbe5e266ca632b63142ae3c",
+}
+
+#: One call of each subcommand that parses, for the usage errors to vary.
+_VALID = {
+    "spectrum": ["spectrum", "C(3,1)_3"],
+    "edges": ["edges", "C(3,1)_3"],
+    "adjacency": ["adjacency", "C(3,1)_3"],
+    "verify": ["verify", "--n-max", "4", "--k", "3"],
+    "family": ["family", "1", "--n", "4", "--k", "3"],
+    "scan": ["scan", "--n-max", "4", "--k", "3"],
+}
+
+#: A number each subcommand refuses at parse time; `adjacency` reads none
+#: and gets a second sequence instead.
+_BAD_VALUE = {
+    "spectrum": ["--tol", "0"],
+    "edges": ["--edge-cap", "0"],
+    "adjacency": ["C(4,1)_3"],
+    "verify": ["--n-max", "0"],
+    "family": ["--n", "x"],
+    "scan": ["--tol", "nan"],
 }
 
 
+def _usage_calls():
+    yield []
+    yield ["-h"]
+    yield ["spectra", "C(3,1)_3"]
+    yield ["--format", "csv", "spectrum", "C(3,1)_3"]
+    for name, valid in _VALID.items():
+        yield [name, "-h"]
+        yield valid[:1]  # a required argument missing
+        yield valid + ["--format", "yaml"]
+        yield valid + _BAD_VALUE[name]
+        yield valid + ["--bogus"]
+
+
 def _calls():
+    """(digest name, argv) of every call, in order."""
+    for argv in _usage_calls():
+        yield "usage", argv
+    for argv in _argv_calls():
+        yield argv[0], argv
+
+
+def _argv_calls():
     for k in range(2, 6):
         for r in range(1, 4):
             # run length 0 and short first runs are refused, on purpose
@@ -69,18 +118,23 @@ def _calls():
 
 
 def records():
-    """(argv, exit code, stdout, stderr) of every call, in order."""
-    for argv in _calls():
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        yield argv, code, out.getvalue(), err.getvalue()
+    """(digest name, (argv, exit code, stdout, stderr)) of every call, in
+    order; help exits by `SystemExit`, whose code is recorded."""
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        for name, argv in _calls():
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+            yield name, (argv, code, out.getvalue(), err.getvalue())
 
 
 def digests() -> dict[str, str]:
     hashes = {name: hashlib.sha256() for name in GOLDEN}
-    for record in records():
-        hashes[record[0][0]].update(repr(record).encode())
+    for name, record in records():
+        hashes[name].update(repr(record).encode())
     return {name: h.hexdigest() for name, h in hashes.items()}
 
 
@@ -97,4 +151,4 @@ if __name__ == "__main__":
             print(f'    "{name}": "{digest}",')
     else:
         with open(dump, "w") as fh:
-            json.dump([list(record) for record in records()], fh, indent=0)
+            json.dump([list(record) for _, record in records()], fh, indent=0)
