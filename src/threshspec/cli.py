@@ -141,10 +141,8 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
         # values; deviations are relative to max(1, |A|_F), |A|_F exact
         dense = full_spectrum_numeric(ThresholdHypergraph(ss), cluster_tol=0.0)
         scale = max(1.0, math.sqrt(block_profile(ss).frobenius_sq))
-        deviations = [
-            abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())
-        ]
-        max_dev = max(deviations, default=0.0) / scale
+        pairs = zip(spec.expanded(), dense.expanded())
+        max_dev = max((abs(x - y) for x, y in pairs), default=0.0) / scale
         ok = max_dev <= args.tol
         verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
         if not ok:
@@ -153,38 +151,27 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     return code
 
 
-def cmd_edges(args, out: TextIO, err: TextIO) -> int:
-    h = ThresholdHypergraph.from_text(args.sequence)
-    edges = h.edges(args.edge_cap)
-    if args.format == "structured":
-        doc = {
-            "n": h.n,
-            "k": h.k,
-            "sequence": format_bits(h.runs),
-            "edges": [list(e) for e in edges],
-        }
+def _emit_rows(h, key: str, rows, output_format: str, out: TextIO) -> int:
+    """Rows of integers as comma-separated lines, or as `key` of a
+    structured document."""
+    if output_format == "structured":
+        doc = {"n": h.n, "k": h.k, "sequence": format_bits(h.runs)}
+        doc[key] = [list(row) for row in rows]
         print(json.dumps(doc, indent=2), file=out)
     else:
-        for e in edges:
-            print(",".join(str(v) for v in e), file=out)
+        for row in rows:
+            print(",".join(map(str, row)), file=out)
     return EXIT_OK
+
+
+def cmd_edges(args, out: TextIO, err: TextIO) -> int:
+    h = ThresholdHypergraph.from_text(args.sequence)
+    return _emit_rows(h, "edges", h.edges(args.edge_cap), args.format, out)
 
 
 def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
     h = ThresholdHypergraph.from_text(args.sequence)
-    mat = h.adjacency()
-    if args.format == "structured":
-        doc = {
-            "n": h.n,
-            "k": h.k,
-            "sequence": format_bits(h.runs),
-            "entries": [list(row) for row in mat.entries],
-        }
-        print(json.dumps(doc, indent=2), file=out)
-    else:
-        for line in mat.csv_lines():
-            print(line, file=out)
-    return EXIT_OK
+    return _emit_rows(h, "entries", h.adjacency().entries, args.format, out)
 
 
 def cmd_verify(args, out: TextIO, err: TextIO) -> int:
@@ -251,20 +238,9 @@ def cmd_scan(args, out: TextIO, err: TextIO) -> int:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["sequence", "n", "k", "r", "min_quotient_gap", "flagged"])
         for row in rows:
-            writer.writerow(
-                [
-                    row.sequence,
-                    row.n,
-                    row.k,
-                    row.r,
-                    fmt(row.min_quotient_gap),
-                    int(row.flagged),
-                ]
-            )
-    print(
-        f"sequences={len(rows)} flagged={flagged} min_gap={fmt(min_gap)}",
-        file=err,
-    )
+            gap = fmt(row.min_quotient_gap)
+            writer.writerow([row.sequence, row.n, row.k, row.r, gap, int(row.flagged)])
+    print(f"sequences={len(rows)} flagged={flagged} min_gap={fmt(min_gap)}", file=err)
     return EXIT_OK
 
 
@@ -297,22 +273,19 @@ def _positive_int(text: str) -> int:
 
 
 def _add_format(parser: _Parser, *choices: str) -> None:
-    """`--format` over the formats a subcommand writes, the first the default."""
+    """`--format` over the formats a subcommand writes, the first the
+    default; text, csv and structured when none are named."""
+    choices = choices or ("text", "csv", "structured")
     parser.add_argument("--format", choices=choices, default=choices[0])
 
 
-def build_parser() -> _Parser:
-    output = _Parser(add_help=False)
-    _add_format(output, "text", "csv", "structured")
-    merging = _Parser(add_help=False)
-    merging.add_argument("--merge-tol", type=_positive_float, default=1e-9)
+def _add_merging(parser: _Parser) -> None:
+    parser.add_argument("--merge-tol", type=_positive_float, default=1e-9)
 
-    parser = _Parser(prog="threshspec", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser(
-        "spectrum", parents=[output, merging], help="closed-form spectrum"
-    )
+def _spectrum(p: _Parser) -> None:
+    _add_format(p)
+    _add_merging(p)
     p.add_argument("sequence")
     p.add_argument(
         "--verify",
@@ -326,62 +299,88 @@ def build_parser() -> _Parser:
         help="--verify tolerance on max_dev, the largest deviation divided by "
         "max(1, |A|_F) (default 1e-8)",
     )
-    p.set_defaults(handler=cmd_spectrum)
 
-    p = sub.add_parser("edges", parents=[output], help="edge list")
+
+def _edges(p: _Parser) -> None:
+    _add_format(p)
     p.add_argument("sequence")
     p.add_argument("--edge-cap", type=_positive_int, default=DEFAULT_EDGE_CAP)
-    p.set_defaults(handler=cmd_edges)
 
-    p = sub.add_parser("adjacency", parents=[output], help="pair-count matrix")
+
+def _adjacency(p: _Parser) -> None:
+    _add_format(p)
     p.add_argument("sequence")
-    p.set_defaults(handler=cmd_adjacency)
 
-    p = sub.add_parser("verify", help="exhaustive sweeps")
+
+def _verify(p: _Parser) -> None:
     _add_format(p, "text", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
-    p.set_defaults(handler=cmd_verify)
 
-    p = sub.add_parser("family", parents=[output, merging], help="catalogued families")
+
+def _family(p: _Parser) -> None:
+    _add_format(p)
+    _add_merging(p)
     p.add_argument("family", type=int, choices=(1, 2, 3))
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
     p.add_argument("--j", type=_integer, default=None)
-    p.set_defaults(handler=cmd_family)
 
-    p = sub.add_parser("scan", help="quotient gap report")
+
+def _scan(p: _Parser) -> None:
     _add_format(p, "csv", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
     p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
-    p.set_defaults(handler=cmd_scan)
 
+
+#: Subcommand name: (help line, function adding its arguments, handler).
+SUBCOMMANDS = {
+    "spectrum": ("closed-form spectrum", _spectrum, cmd_spectrum),
+    "edges": ("edge list", _edges, cmd_edges),
+    "adjacency": ("pair-count matrix", _adjacency, cmd_adjacency),
+    "verify": ("exhaustive sweeps", _verify, cmd_verify),
+    "family": ("catalogued families", _family, cmd_family),
+    "scan": ("quotient gap report", _scan, cmd_scan),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser with every subcommand, or with `command` alone."""
+    parser = _Parser(prog="threshspec", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, handler) in SUBCOMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            add_arguments(p)
+            p.set_defaults(handler=handler)
     return parser
 
 
 @functools.cache
-def _parser() -> _Parser:
-    """The parser, built on the first call rather than at import: each
-    build costs about a millisecond, more than a small `spectrum` call."""
-    return build_parser()
+def _parser(command: str | None) -> _Parser:
+    """The parser for an argv starting with `command`, built on first use,
+    not at import.  A call naming its subcommand builds that subparser
+    alone (each costs about 0.2 ms, as much as a small `spectrum` call);
+    any other argv gets them all, so help and usage errors read the same."""
+    return build_parser(command)
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = _parser().parse_args(argv)
+        args = _parser(command).parse_args(argv)
         code = args.handler(args, sys.stdout, sys.stderr)
         sys.stdout.flush()  # a closed pipe shows here when the output is short
         return code
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except CountTooLargeError as exc:
         print(f"error: precision limit: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SequenceError, ValueError, OverflowError) as exc:
+    except (_UsageError, SequenceError, ValueError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (ResourceLimitError, ConvergenceError) as exc:

@@ -12,9 +12,10 @@ serve as its oracles.
 
 A `ThresholdHypergraph` keeps the run-length form and builds its n
 creation bits only for the methods that read single vertices.  The size
-caps (`check_edge_cap` on the closed-form edge count, `check_dense` on
-n) are checked on the runs inside each method, so a short form over a cap
-is refused before any bit is built, whoever calls.
+caps (`check_edges` on the edge count, `check_dense` on n and
+`check_dense_digits` on the text of the matrix) are checked on the runs
+inside each method, so a short form over a cap is refused before any bit
+is built, whoever calls.
 """
 
 from dataclasses import dataclass, field
@@ -23,7 +24,14 @@ from importlib import resources
 from itertools import combinations
 from typing import Iterable
 
-from .combinatorics import as_float, binomial, count_text
+from .combinatorics import (
+    TEXT_DIGITS,
+    as_float,
+    binomial,
+    binomial_exceeds,
+    bits_text,
+    count_text,
+)
 from .errors import ResourceLimitError, SequenceError
 from .sequences import (
     BinarySequence,
@@ -37,6 +45,7 @@ from .sequences import (
 __all__ = [
     "DEFAULT_EDGE_CAP",
     "DENSE_CELL_CAP",
+    "DENSE_DIGIT_CAP",
     "AdjacencyMatrix",
     "ThresholdHypergraph",
     "GeneralHypergraph",
@@ -44,7 +53,9 @@ __all__ = [
     "block_profile",
     "edge_total",
     "check_dense",
+    "check_dense_digits",
     "check_edge_cap",
+    "check_edges",
     "adjacency_bruteforce",
     "recount_pairs",
     "edge_links",
@@ -58,6 +69,11 @@ DEFAULT_EDGE_CAP = 10**7
 #: Cap on the n * n cells of a dense matrix, checked before it is allocated.
 DENSE_CELL_CAP = 10**7
 
+#: Cap on the decimal digits of a dense pair-count matrix: its cells times
+#: the digits of binomial(n-2, k-2), which bounds every entry.  The cell
+#: cap at 16 digits a cell, so entries up to 2**53 always pass.
+DENSE_DIGIT_CAP = 16 * DENSE_CELL_CAP
+
 
 def check_dense(n: int) -> None:
     """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
@@ -68,6 +84,23 @@ def check_dense(n: int) -> None:
         )
 
 
+def check_dense_digits(ss: ShortSequence) -> None:
+    """Refuse the pair-count matrix of ss when its n * n cells times the
+    digits of binomial(n-2, k-2) are over `DENSE_DIGIT_CAP`.  That bound
+    is below 2**(n-2), of at most n - 2 digits, so only an n past the
+    digits a cell may have weighs it, by `binomial_exceeds` against a
+    power of ten, and no large binomial is built."""
+    n = ss.n
+    digits = DENSE_DIGIT_CAP // (n * n)  # the most a cell may have
+    if n - 2 > digits and binomial_exceeds(n - 2, ss.k - 2, 10**digits - 1):
+        raise ResourceLimitError(
+            f"a dense {count_text(n)}x{count_text(n)} matrix of pair counts "
+            f"up to binomial({count_text(n - 2)}, {count_text(ss.k - 2)}), "
+            f"more than {digits} digits each, is over the cap of "
+            f"{DENSE_DIGIT_CAP} digits"
+        )
+
+
 def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
     """Refuse to list `total` edges when that is over `cap`."""
     if total > cap:
@@ -75,6 +108,28 @@ def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
             f"{count_text(total)} edges exceed the cap of {cap}; raise the cap "
             "to enumerate"
         )
+
+
+def check_edges(ss: ShortSequence, cap: int = DEFAULT_EDGE_CAP) -> None:
+    """`check_edge_cap` on the edges of ss, weighing a lower bound first:
+    the last vertex with bit 1, at position e, closes binomial(e-1, k-1)
+    edges alone.  The exact total, which the message names, is computed
+    only when that bound has at most 4,300 digits, the most Python writes
+    out; past that the message names the bound's least bit length, and no
+    binomial much larger is built."""
+    end = last = 0
+    for size, ones in ss.blocks():
+        end += size
+        if ones:
+            last = end
+    if binomial_exceeds(last - 1, ss.k - 1, cap):
+        text_limit = 10**TEXT_DIGITS
+        if binomial_exceeds(last - 1, ss.k - 1, text_limit - 1):
+            raise ResourceLimitError(
+                f"at least {bits_text(text_limit.bit_length())} edges exceed "
+                f"the cap of {cap}; raise the cap to enumerate"
+            )
+    check_edge_cap(edge_total(ss), cap)
 
 
 def edge_total(ss: ShortSequence) -> int:
@@ -266,10 +321,10 @@ class ThresholdHypergraph:
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
 
-        The closed-form count is checked against `cap` before anything is
-        materialized, the bits included.
+        The count is checked against `cap` (`check_edges`) before anything
+        is materialized, the bits included.
         """
-        check_edge_cap(self.edge_count(), cap)
+        check_edges(self.runs, cap)
         k = self.k
         out = []
         for v in self.pseudodominants():
@@ -302,6 +357,7 @@ class ThresholdHypergraph:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
         max(i, j) off the diagonal, expanded from `block_profile`."""
         check_dense(self.n)
+        check_dense_digits(self.runs)
         bp = block_profile(self.runs)
         columns: list[int] = []
         for g, a in zip(bp.gamma, bp.seq.runs):

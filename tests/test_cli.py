@@ -225,8 +225,8 @@ class TestSpectrumCommand:
             assert out.splitlines()[-1].endswith("tol=1e-08 status=ok")
 
     def test_reused_parser_keeps_no_state(self, capsys):
-        # main builds its parser once per process; two calls in a row must
-        # print what two calls with freshly built parsers print
+        # main builds each subcommand's parser once per process; two calls
+        # in a row must print what two calls with freshly built parsers print
         plain = ["spectrum", "C(3,1,1)_3"]
         calls = [
             (plain + ["--verify"], plain),
@@ -240,7 +240,27 @@ class TestSpectrumCommand:
                 fresh.append(run(capsys, *args))
             assert [run(capsys, *first), run(capsys, *second)] == fresh
             assert "max_dev" not in fresh[1][1]
-        assert cli._parser() is cli._parser()
+        assert cli._parser("spectrum") is cli._parser("spectrum")
+        assert cli._parser("spectrum") is not cli._parser(None)
+
+    def test_a_call_builds_only_its_subparser(self, capsys, monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counted(parser, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counted)
+        cli._parser.cache_clear()
+        for _ in range(2):
+            code, out, err = run(capsys, "spectrum", "C(3,1,1)_3")
+            assert (code, err) == (0, "") and out.startswith("lambda=")
+        assert built == ["threshspec", "threshspec spectrum"]
+        # any other argv gets every subcommand, and no parent parsers
+        built.clear()
+        assert run(capsys, "spectra", "C(3,1,1)_3")[0] == 1
+        assert built == ["threshspec"] + [f"threshspec {c}" for c in cli.SUBCOMMANDS]
 
     def test_bad_inputs_exit_1(self, capsys):
         for args in (
@@ -402,6 +422,20 @@ def _fresh(*args):
     )
 
 
+@pytest.mark.parametrize("args", [["spectrum", "C(3,1,1)_3"], ["-h"]], ids=_args_id)
+def test_module_entry_point_reads_sys_argv(args, capsys, monkeypatch):
+    # `python -m threshspec.cli` calls main() with no argv, so main reads
+    # sys.argv itself; it must print what main(argv) prints
+    monkeypatch.setenv("COLUMNS", "80")
+    proc = _fresh(*args)
+    try:
+        expected = run(capsys, *args)
+    except SystemExit as exc:  # -h
+        expected = (exc.code, *capsys.readouterr())
+    assert (proc.returncode, proc.stdout.decode(), proc.stderr.decode()) == expected
+    assert proc.returncode == 0 and proc.stdout
+
+
 HUGE_K = "1" + "0" * 4399  # 10**4399, past the 4,300 digits of int()
 
 
@@ -425,6 +459,28 @@ def test_precision_refusal_is_immediate_at_any_k(args):
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr.startswith(b"error: precision limit: ")
     assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["edges", "C(200000,1)_100000"],
+        ["edges", "C(2000000,1)_1000000"],
+        ["adjacency", "C(2000,1)_1000"],
+    ],
+    ids=_args_id,
+)
+def test_size_refusal_is_immediate_at_any_k(args):
+    # edges weighed an exact total of 60,000 digits and more before its
+    # cap (1.6 s at k = 10**5); adjacency printed 2.4 GB and exited 0
+    proc = _fresh(*args)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+    message = {
+        "edges": b"at least a number of 14285 bits edges exceed the cap of 10000000",
+        "adjacency": b"more than 39 digits each",
+    }[args[0]]
+    assert message in proc.stderr
 
 
 def test_uniformities_of_any_length(capsys):

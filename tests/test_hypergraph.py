@@ -12,10 +12,15 @@ from threshspec.hypergraph import (
     GeneralHypergraph,
     ThresholdHypergraph,
     adjacency_bruteforce,
+    check_dense_digits,
+    check_edge_cap,
+    check_edges,
+    edge_total,
     load_replaceable_non_threshold_7_4,
 )
 from threshspec.sequences import (
     BinarySequence,
+    ShortSequence,
     iter_valid_sequences,
     parse_runs,
     to_short,
@@ -25,6 +30,12 @@ from threshspec.spectrum import full_spectrum_closed
 
 def hg(text):
     return ThresholdHypergraph.from_text(text)
+
+
+def check_message(check, args):
+    with pytest.raises(ResourceLimitError) as exc:
+        check(*args)
+    return str(exc.value)
 
 
 def edge_walk_replaceable(g, x, y):
@@ -179,6 +190,65 @@ class TestThresholdHypergraph:
         with pytest.raises(ResourceLimitError):
             h.edges(cap=6)
         assert len(h.edges(cap=7)) == 7
+
+    def test_edge_refusal_matches_the_exact_total(self):
+        # the lower bound decides nothing on its own: check_edges refuses
+        # exactly when the total is over the cap, with the same message
+        rng = random.Random(15)
+        cases = [
+            # a total past 4,300 digits whose bound is not: named by bits
+            (ShortSequence(2, (10**2200,), True), 10),
+            (ShortSequence(3, (3, 10**1500, 2)), DEFAULT_EDGE_CAP),
+        ]
+        for _ in range(400):
+            k = rng.randint(2, 6)
+            runs = [rng.randint(k, k + 30)] + [
+                rng.randint(1, 30) for _ in range(rng.randint(0, 4))
+            ]
+            ss = ShortSequence(k, tuple(runs), rng.random() < 0.5)
+            cases.append((ss, rng.choice((1, 5, 100, 5000, DEFAULT_EDGE_CAP))))
+        for ss, cap in cases:
+            try:
+                check_edge_cap(edge_total(ss), cap)
+                expected = None
+            except ResourceLimitError as exc:
+                expected = str(exc)
+            try:
+                check_edges(ss, cap)
+                got = None
+            except ResourceLimitError as exc:
+                got = str(exc)
+            assert got == expected, (ss, cap)
+        assert " bits edges exceed" in check_message(check_edges, cases[0])
+
+    def test_edge_refusal_weighs_a_bound_before_the_total(self, monkeypatch):
+        # binomial(e-1, k-1) of the last one bit already has over 4,300
+        # digits: the exact total, 60,000 digits and more, is never built
+        import threshspec.hypergraph as hypergraph
+
+        def no_total(ss):
+            raise AssertionError("exact edge total computed")
+
+        monkeypatch.setattr(hypergraph, "edge_total", no_total)
+        for text in ("C(200000,1)_100000", "C(2000000,1)_1000000"):
+            with pytest.raises(ResourceLimitError) as exc:
+                hg(text).edges()
+            assert str(exc.value) == (
+                "at least a number of 14285 bits edges exceed the cap of "
+                "10000000; raise the cap to enumerate"
+            )
+
+    def test_dense_digit_cap(self):
+        # cells times the digits of binomial(n-2, k-2): the cell cap passes
+        # with 16-digit entries and is refused with longer ones
+        n = math.isqrt(DENSE_CELL_CAP)
+        assert len(str(math.comb(n - 2, 5))) == 16
+        check_dense_digits(ShortSequence(7, (n - 1, 1)))
+        assert len(str(math.comb(n - 2, 6))) == 19
+        with pytest.raises(ResourceLimitError, match="more than 16 digits each"):
+            check_dense_digits(ShortSequence(8, (n - 1, 1)))
+        with pytest.raises(ResourceLimitError, match="more than 39 digits each"):
+            hg("C(2000,1)_1000").adjacency()
 
     def test_dense_cap(self):
         # one vertex past the cell cap: both dense builders refuse before
