@@ -69,9 +69,8 @@ DEFAULT_EDGE_CAP = 10**7
 #: Cap on the n * n cells of a dense matrix, checked before it is allocated.
 DENSE_CELL_CAP = 10**7
 
-#: Cap on the decimal digits of a dense pair-count matrix: its cells times
-#: the digits of binomial(n-2, k-2), which bounds every entry.  The cell
-#: cap at 16 digits a cell, so entries up to 2**53 always pass.
+#: Cap on the digits of a dense pair-count matrix, cells times the digits
+#: of binomial(n-2, k-2): the cell cap at 16 digits a cell.
 DENSE_DIGIT_CAP = 16 * DENSE_CELL_CAP
 
 
@@ -85,13 +84,11 @@ def check_dense(n: int) -> None:
 
 
 def check_dense_digits(ss: ShortSequence) -> None:
-    """Refuse the pair-count matrix of ss when its n * n cells times the
-    digits of binomial(n-2, k-2) are over `DENSE_DIGIT_CAP`.  That bound
-    is below 2**(n-2), of at most n - 2 digits, so only an n past the
-    digits a cell may have weighs it, by `binomial_exceeds` against a
-    power of ten, and no large binomial is built."""
+    """Refuse the pair-count matrix of ss over `DENSE_DIGIT_CAP` digits.
+    binomial(n-2, k-2), which bounds every entry, is below 2**(n-2), so
+    only an n past the digits a cell may have weighs it."""
     n = ss.n
-    digits = DENSE_DIGIT_CAP // (n * n)  # the most a cell may have
+    digits = DENSE_DIGIT_CAP // (n * n)
     if n - 2 > digits and binomial_exceeds(n - 2, ss.k - 2, 10**digits - 1):
         raise ResourceLimitError(
             f"a dense {count_text(n)}x{count_text(n)} matrix of pair counts "
@@ -111,17 +108,13 @@ def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
 
 
 def check_edges(ss: ShortSequence, cap: int = DEFAULT_EDGE_CAP) -> None:
-    """`check_edge_cap` on the edges of ss, weighing a lower bound first:
-    the last vertex with bit 1, at position e, closes binomial(e-1, k-1)
-    edges alone.  The exact total, which the message names, is computed
-    only when that bound has at most 4,300 digits, the most Python writes
-    out; past that the message names the bound's least bit length, and no
-    binomial much larger is built."""
-    end = last = 0
-    for size, ones in ss.blocks():
-        end += size
-        if ones:
-            last = end
+    """`check_edge_cap` on the edges of ss.  The last vertex with bit 1,
+    e, closes binomial(e-1, k-1) edges alone; the exact total is built
+    only when that bound has at most 4,300 digits, and a message past
+    them names the bound's least bit length."""
+    last = ss.n  # the last block ends on bit 1, or the one before it
+    if ss.first_run_has_ones != (ss.r % 2 == 1):
+        last -= ss.runs[-1]
     if binomial_exceeds(last - 1, ss.k - 1, cap):
         text_limit = 10**TEXT_DIGITS
         if binomial_exceeds(last - 1, ss.k - 1, text_limit - 1):
