@@ -141,8 +141,10 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
         # values; deviations are relative to max(1, |A|_F), |A|_F exact
         dense = full_spectrum_numeric(ThresholdHypergraph(ss), cluster_tol=0.0)
         scale = max(1.0, math.sqrt(block_profile(ss).frobenius_sq))
-        pairs = zip(spec.expanded(), dense.expanded())
-        max_dev = max((abs(x - y) for x, y in pairs), default=0.0) / scale
+        deviations = [
+            abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())
+        ]
+        max_dev = max(deviations, default=0.0) / scale
         ok = max_dev <= args.tol
         verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
         if not ok:
@@ -240,7 +242,10 @@ def cmd_scan(args, out: TextIO, err: TextIO) -> int:
         for row in rows:
             gap = fmt(row.min_quotient_gap)
             writer.writerow([row.sequence, row.n, row.k, row.r, gap, int(row.flagged)])
-    print(f"sequences={len(rows)} flagged={flagged} min_gap={fmt(min_gap)}", file=err)
+    print(
+        f"sequences={len(rows)} flagged={flagged} min_gap={fmt(min_gap)}",
+        file=err,
+    )
     return EXIT_OK
 
 
@@ -347,8 +352,13 @@ SUBCOMMANDS = {
 }
 
 
-def build_parser(command: str | None = None) -> _Parser:
-    """The parser with every subcommand, or with `command` alone."""
+@functools.cache
+def _parser(command: str | None) -> _Parser:
+    """The parser with the subparser of `command` alone, or of every
+    subcommand for None, built on first use rather than at import.  Each
+    subparser costs about 0.2 ms, as much as a small `spectrum` call, so
+    `main` asks for the one its argv names; any other argv gets them all,
+    and help and usage errors read the same either way."""
     parser = _Parser(prog="threshspec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, add_arguments, handler) in SUBCOMMANDS.items():
@@ -357,15 +367,6 @@ def build_parser(command: str | None = None) -> _Parser:
             add_arguments(p)
             p.set_defaults(handler=handler)
     return parser
-
-
-@functools.cache
-def _parser(command: str | None) -> _Parser:
-    """The parser for an argv starting with `command`, built on first use,
-    not at import.  A call naming its subcommand builds that subparser
-    alone (each costs about 0.2 ms, as much as a small `spectrum` call);
-    any other argv gets them all, so help and usage errors read the same."""
-    return build_parser(command)
 
 
 def main(argv: list[str] | None = None) -> int:
