@@ -70,7 +70,7 @@ DEFAULT_EDGE_CAP = 10**7
 DENSE_CELL_CAP = 10**7
 
 #: Cap on the digits of a dense pair-count matrix, cells times the digits
-#: of binomial(n-2, k-2): the cell cap at 16 digits a cell.
+#: of its largest possible entry: the cell cap at 16 digits a cell.
 DENSE_DIGIT_CAP = 16 * DENSE_CELL_CAP
 
 
@@ -83,16 +83,26 @@ def check_dense(n: int) -> None:
         )
 
 
+def _last_one(ss: ShortSequence) -> int:
+    """Position of the last vertex with bit 1, 0 when none has it: the last
+    block ends on bit 1, or the block before it does."""
+    last = ss.n
+    if ss.first_run_has_ones != (ss.r % 2 == 1):
+        last -= ss.runs[-1]
+    return last
+
+
 def check_dense_digits(ss: ShortSequence) -> None:
     """Refuse the pair-count matrix of ss over `DENSE_DIGIT_CAP` digits.
-    binomial(n-2, k-2), which bounds every entry, is below 2**(n-2), so
-    only an n past the digits a cell may have weighs it."""
-    n = ss.n
+    Every edge lies within the vertices up to the last with bit 1, e, so
+    binomial(e-2, k-2) bounds every entry; it is below 2**(e-2), so only
+    an e past the digits a cell may have weighs it."""
+    n, e = ss.n, _last_one(ss)
     digits = DENSE_DIGIT_CAP // (n * n)
-    if n - 2 > digits and binomial_exceeds(n - 2, ss.k - 2, 10**digits - 1):
+    if e - 2 > digits and binomial_exceeds(e - 2, ss.k - 2, 10**digits - 1):
         raise ResourceLimitError(
             f"a dense {count_text(n)}x{count_text(n)} matrix of pair counts "
-            f"up to binomial({count_text(n - 2)}, {count_text(ss.k - 2)}), "
+            f"up to binomial({count_text(e - 2)}, {count_text(ss.k - 2)}), "
             f"more than {digits} digits each, is over the cap of "
             f"{DENSE_DIGIT_CAP} digits"
         )
@@ -112,12 +122,10 @@ def check_edges(ss: ShortSequence, cap: int = DEFAULT_EDGE_CAP) -> None:
     e, closes binomial(e-1, k-1) edges alone; the exact total is built
     only when that bound has at most 4,300 digits, and a message past
     them names the bound's least bit length."""
-    last = ss.n  # the last block ends on bit 1, or the one before it
-    if ss.first_run_has_ones != (ss.r % 2 == 1):
-        last -= ss.runs[-1]
-    if binomial_exceeds(last - 1, ss.k - 1, cap):
+    e = _last_one(ss)
+    if binomial_exceeds(e - 1, ss.k - 1, cap):
         text_limit = 10**TEXT_DIGITS
-        if binomial_exceeds(last - 1, ss.k - 1, text_limit - 1):
+        if binomial_exceeds(e - 1, ss.k - 1, text_limit - 1):
             raise ResourceLimitError(
                 f"at least {bits_text(text_limit.bit_length())} edges exceed "
                 f"the cap of {cap}; raise the cap to enumerate"

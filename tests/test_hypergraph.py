@@ -12,6 +12,7 @@ from threshspec.hypergraph import (
     GeneralHypergraph,
     ThresholdHypergraph,
     adjacency_bruteforce,
+    block_profile,
     check_dense_digits,
     check_edge_cap,
     check_edges,
@@ -30,12 +31,6 @@ from threshspec.spectrum import full_spectrum_closed
 
 def hg(text):
     return ThresholdHypergraph.from_text(text)
-
-
-def check_message(check, args):
-    with pytest.raises(ResourceLimitError) as exc:
-        check(*args)
-    return str(exc.value)
 
 
 def edge_walk_replaceable(g, x, y):
@@ -219,7 +214,8 @@ class TestThresholdHypergraph:
             except ResourceLimitError as exc:
                 got = str(exc)
             assert got == expected, (ss, cap)
-        assert " bits edges exceed" in check_message(check_edges, cases[0])
+        with pytest.raises(ResourceLimitError, match=" bits edges exceed"):
+            check_edges(*cases[0])
 
     def test_edge_refusal_weighs_a_bound_before_the_total(self, monkeypatch):
         # binomial(e-1, k-1) of the last one bit already has over 4,300
@@ -247,6 +243,11 @@ class TestThresholdHypergraph:
         assert len(str(math.comb(n - 2, 6))) == 19
         with pytest.raises(ResourceLimitError, match="more than 16 digits each"):
             check_dense_digits(ShortSequence(8, (n - 1, 1)))
+        # every edge ends by the last vertex with bit 1: past it, n alone
+        # does not lengthen the entries
+        tail = to_short(BinarySequence(8, (0,) * 7 + (1,) + (0,) * (n - 8)))
+        check_dense_digits(tail)
+        assert max(block_profile(tail).gamma) == 1
         with pytest.raises(ResourceLimitError, match="more than 39 digits each"):
             hg("C(2000,1)_1000").adjacency()
 
