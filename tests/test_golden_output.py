@@ -4,11 +4,12 @@ Each subcommand gets one SHA-256 over ``repr((argv, exit code, stdout,
 stderr))`` of every call in a fixed input set: valid and invalid short
 forms (with structured `edges` and `adjacency` up to two runs), every
 short bit string (with `edges` and `adjacency` up to seven bits), the
-catalogued families, three small sweeps and two budget refusals.  One
-more digest, `usage`, covers help and usage errors: the bare command,
-`-h`, an unknown command, an option before the command, and for every
-subcommand its `-h` and a missing required argument, a bad `--format`,
-a bad value and an unknown option.  Help is wrapped at a fixed `COLUMNS`.
+catalogued families (in csv and structured form too at k = 2 and 3),
+three small sweeps and two budget refusals.  One more digest, `usage`,
+covers help and usage errors: the bare command, `-h`, an unknown command,
+an option before the command, and for every subcommand its `-h` and a
+missing required argument, a bad `--format`, a bad value and an unknown
+option.  Help is wrapped at a fixed `COLUMNS`.
 A change that alters a byte of output or an exit code anywhere in the set
 fails here.  `spectrum --verify` is left out: its dense QL step uses
 `math.hypot`, whose last bit can differ between CPython versions.
@@ -35,7 +36,7 @@ GOLDEN = {
     "spectrum": "21884ead00aa940783aeb73739f41466c1c10d297ac2ed073842a5d5688ce88f",
     "edges": "0d527020915876eb2cb539462f4b134168ff3599ff47429a3fdfb8dde56cf393",
     "adjacency": "d0c0fa7519e930cab74e54796514cc1d90909fcfa6feb33241b9a5a8fa615747",
-    "family": "10223a80a317bde7df26379d70cf8e10a91c5161fb968bec1ea40e9c711b6fa5",
+    "family": "e737d9fe425af2592c7d10fdc5a426f84751ce36dd2a634702bc007ae712e741",
     "verify": "5b20f72cae99cdbd9ef344e36226e095913504f2b86a098390c6d43f9434bb31",
     "scan": "86a591bd1bbb800e6f1a2c161bedd4276b12f225349a2bd49c7b1335456166dd",
     "usage": "42aaa403c6b960dc167a1bb6bb3f6fd98d90a8661cbe5e266ca632b63142ae3c",
@@ -109,6 +110,12 @@ def _argv_calls():
         for j in (None, *range(1, 10)):
             extra = [] if j is None else ["--j", str(j)]
             yield ["family", str(family), "--n", str(n), "--k", str(k), *extra]
+    for family, k, output_format in product((1, 2, 3), (2, 3), ("csv", "structured")):
+        for n in (k + 2, 12):
+            for j in range(k, n) if family == 2 else (None,):
+                extra = [] if j is None else ["--j", str(j)]
+                argv = ["family", str(family), "--n", str(n), "--k", str(k)]
+                yield [*argv, *extra, "--format", output_format]
     yield ["verify", "--n-max", "9", "--k", "2,3,4"]
     yield ["verify", "--n-max", "7", "--k", "2,5", "--format", "structured"]
     yield ["scan", "--n-max", "10", "--k", "2,3,4"]
