@@ -29,7 +29,6 @@ from .sequences import (
     ShortSequence,
     complement_sequence,
     count_valid_sequences,
-    delete_vertex,
     format_binary,
     format_short,
     iter_valid_sequences,
@@ -58,7 +57,6 @@ from .spectrum import (
     householder_ql_eigenvalues,
     jacobi_eigenvalues,
     quotient_eigenvalues,
-    quotient_inertia,
     quotient_matrix,
     scan_quotient_simplicity,
     symmetrize_quotient,

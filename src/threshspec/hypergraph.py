@@ -86,10 +86,7 @@ def check_dense(n: int) -> None:
 def _last_one(ss: ShortSequence) -> int:
     """Position of the last vertex with bit 1, 0 when none has it: the last
     block ends on bit 1, or the block before it does."""
-    last = ss.n
-    if ss.first_run_has_ones != (ss.r % 2 == 1):
-        last -= ss.runs[-1]
-    return last
+    return ss.n if ss.connected else ss.n - ss.runs[-1]
 
 
 def check_dense_digits(ss: ShortSequence) -> None:
@@ -263,9 +260,6 @@ class AdjacencyMatrix:
         """Double-precision copy; refuses entries beyond 2**53."""
         return [[as_float(x) for x in row] for row in self.entries]
 
-    def csv_lines(self) -> list[str]:
-        return [",".join(str(x) for x in row) for row in self.entries]
-
 
 @dataclass(frozen=True, init=False)
 class ThresholdHypergraph:
@@ -314,10 +308,6 @@ class ThresholdHypergraph:
         if e[0] < 1 or e[-1] > self.n:
             raise ValueError(f"vertex out of range 1..{self.n}")
         return self.sequence.bits[e[-1] - 1] == 1
-
-    def edge_count(self) -> int:
-        """Total number of edges, in closed form."""
-        return edge_total(self.runs)
 
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.

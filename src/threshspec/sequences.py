@@ -23,9 +23,8 @@ order, refused up front when its closed-form count is over a budget.
 """
 
 import re
-from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import accumulate, groupby, product
+from itertools import groupby, product
 from typing import Iterable, Iterator
 
 from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
@@ -44,7 +43,6 @@ __all__ = [
     "format_bits",
     "format_short",
     "complement_sequence",
-    "delete_vertex",
     "iter_valid_sequences",
     "count_valid_sequences",
     "sweep_space",
@@ -59,7 +57,7 @@ class BinarySequence:
     """Bit form of a creation sequence.
 
     Degenerate case: n = k-1 is allowed (necessarily all zeros, no edges)
-    so that vertex deletion stays closed on single-edge hypergraphs.
+    because `iter_valid_sequences` and the sweeps start at n = k-1.
     """
 
     k: int
@@ -146,35 +144,20 @@ class ShortSequence:
         return sum(self.runs[:t])
 
     def blocks(self) -> Iterator[tuple[int, bool]]:
-        """(size, is_ones) of every block in order, `block_is_ones` without
-        its range check."""
+        """(size, is_ones) of every block in order; is_ones is True when the
+        block ends with pseudodominant vertices.  The merged first run
+        counts as a ones block: its tail is ones even though it starts with
+        the forced zeros."""
         ones = self.first_run_has_ones
         for size in self.runs:
             yield size, ones
             ones = not ones
 
-    def block_is_ones(self, t: int) -> bool:
-        """True when block t ends with pseudodominant vertices.
-
-        The merged first run counts as a ones block: its tail is ones even
-        though it starts with the forced zeros.
-        """
-        if not 1 <= t <= self.r:
-            raise SequenceError(f"block index {t} out of range 1..{self.r}")
-        if self.first_run_has_ones:
-            return t % 2 == 1
-        return t % 2 == 0
-
-    def block_of(self, i: int) -> int:
-        """Index of the block containing vertex i."""
-        if not 1 <= i <= self.n:
-            raise SequenceError(f"vertex {i} out of range 1..{self.n}")
-        cuts = list(accumulate(self.runs))
-        return bisect_left(cuts, i) + 1
-
     @property
     def connected(self) -> bool:
-        return self.block_is_ones(self.r)
+        """True when the last block is a ones block: the kinds alternate,
+        so it has the first block's kind exactly when r is odd."""
+        return self.first_run_has_ones == (self.r % 2 == 1)
 
 
 def to_short(s: BinarySequence) -> ShortSequence:
@@ -273,26 +256,6 @@ def complement_sequence(s: BinarySequence) -> BinarySequence:
     """
     head = s.bits[: s.k - 1]
     return BinarySequence(s.k, head + tuple(1 - b for b in s.bits[s.k - 1 :]))
-
-
-def delete_vertex(s: BinarySequence, i: int) -> BinarySequence:
-    """Creation sequence of the subhypergraph induced on the other vertices.
-
-    Removing a forced-prefix zero while bit k is 1 also demotes that one to
-    a zero: in the smaller hypergraph the old vertex k sits at position k-1
-    and no longer has enough predecessors to close an edge.
-    """
-    if not 1 <= i <= s.n:
-        raise SequenceError(f"vertex {i} out of range 1..{s.n}")
-    if s.n - 1 < s.k - 1:
-        raise SequenceError(
-            f"cannot delete from a sequence with {s.n} entries at uniformity {s.k}"
-        )
-    bits = list(s.bits)
-    removed = bits.pop(i - 1)
-    if removed == 0 and i <= s.k - 1 and s.n >= s.k and s.bits[s.k - 1] == 1:
-        bits[s.k - 2] = 0
-    return BinarySequence(s.k, tuple(bits))
 
 
 def iter_valid_sequences(

@@ -63,7 +63,6 @@ __all__ = [
     "block_profile",
     "block_eigenvalues",
     "quotient_matrix",
-    "quotient_inertia",
     "quotient_eigenvalues",
     "symmetrize_quotient",
     "jacobi_eigenvalues",
@@ -539,14 +538,6 @@ class _Pencil:
         return 0.5 * (lo + hi)
 
 
-def quotient_inertia(bp: BlockProfile, lam: float) -> int:
-    """Number of quotient eigenvalues below lam, by an O(r) pivot count.
-
-    An eigenvalue equal to lam may count either way.
-    """
-    return _Pencil(bp).count(lam)
-
-
 def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
     """The r quotient eigenvalues from the block profile, descending."""
     return _Pencil(bp).eigenvalues()
@@ -569,9 +560,6 @@ class Spectrum:
     @property
     def distinct_count(self) -> int:
         return len(self.pairs)
-
-    def total_multiplicity(self) -> int:
-        return sum(p.multiplicity for p in self.pairs)
 
     def expanded(self) -> list[float]:
         """Every eigenvalue repeated by multiplicity, descending."""

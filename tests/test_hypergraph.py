@@ -91,10 +91,9 @@ class TestAdjacencyMatrix:
         m = AdjacencyMatrix(((0, 2, 1), (2, 0, 3), (1, 3, 0)))
         assert m.frobenius_sq() == 2 * (4 + 1 + 9)
 
-    def test_float_rows_and_csv(self):
+    def test_float_rows(self):
         m = AdjacencyMatrix(((0, 2), (2, 0)))
         assert m.to_float_rows() == [[0.0, 2.0], [2.0, 0.0]]
-        assert m.csv_lines() == ["0,2", "2,0"]
 
 
 class TestThresholdHypergraph:
@@ -139,12 +138,12 @@ class TestThresholdHypergraph:
         for h in all_hypergraphs(7):
             edges = h.edges()
             assert edges == sorted(edges)
-            assert len(edges) == h.edge_count()
+            assert len(edges) == edge_total(h.runs)
             assert len(set(edges)) == len(edges)
 
     def test_degenerate_sequence_has_no_edges(self):
         h = ThresholdHypergraph(BinarySequence(3, (0, 0)))
-        assert h.edge_count() == 0
+        assert edge_total(h.runs) == 0
         assert h.edges() == []
         assert h.adjacency().entries == ((0, 0), (0, 0))
 
@@ -177,8 +176,9 @@ class TestThresholdHypergraph:
             h.adjacency()
         with pytest.raises(ResourceLimitError, match="exceed the cap"):
             h.edges()
-        assert h.edge_count() == 10**9 * (10**9 - 1) // 2
-        assert full_spectrum_closed(h).total_multiplicity() == 10**9 + 1
+        assert edge_total(h.runs) == 10**9 * (10**9 - 1) // 2
+        spec = full_spectrum_closed(h)
+        assert sum(p.multiplicity for p in spec.pairs) == 10**9 + 1
 
     def test_edge_cap(self):
         h = hg("k=3;0,0,1,0,1")
@@ -256,7 +256,7 @@ class TestThresholdHypergraph:
         # allocating, although the edge count stays under the edge cap
         n = math.isqrt(DENSE_CELL_CAP) + 1
         h = ThresholdHypergraph(BinarySequence(3, (0,) * (n - 1) + (1,)))
-        assert h.edge_count() < DEFAULT_EDGE_CAP
+        assert edge_total(h.runs) < DEFAULT_EDGE_CAP
         for build in (h.adjacency, lambda: adjacency_bruteforce(h)):
             with pytest.raises(ResourceLimitError, match="over the cap"):
                 build()

@@ -10,7 +10,6 @@ from threshspec.sequences import (
     ShortSequence,
     complement_sequence,
     count_valid_sequences,
-    delete_vertex,
     format_binary,
     format_bits,
     format_short,
@@ -75,20 +74,13 @@ def test_short_block_geometry():
     assert ss.n == 15
     assert [ss.prefix_sum(t) for t in range(1, 7)] == [5, 7, 8, 11, 14, 15]
     # merged head counts as a ones run, then kinds alternate
-    assert [ss.block_is_ones(t) for t in range(1, 7)] == [
-        True, False, True, False, True, False,
-    ]
     assert list(ss.blocks()) == [
         (5, True), (2, False), (1, True), (3, False), (3, True), (1, False),
     ]
-    assert ss.block_of(1) == 1
-    assert ss.block_of(5) == 1
-    assert ss.block_of(6) == 2
-    assert ss.block_of(8) == 3
-    assert ss.block_of(15) == 6
+    assert not ss.connected
+    assert ShortSequence(3, (5, 2, 1), first_run_has_ones=True).connected
 
     plain = ShortSequence(3, (4, 1))
-    assert [plain.block_is_ones(t) for t in (1, 2)] == [False, True]
     assert list(plain.blocks()) == [(4, False), (1, True)]
     assert plain.connected
     assert not ShortSequence(3, (4, 1, 1)).connected
@@ -116,6 +108,7 @@ def test_to_binary_round_trip_exhaustive():
         for n in range(k - 1, 10):
             for seq in iter_valid_sequences(n, k):
                 assert to_binary(to_short(seq)) == seq
+                assert to_short(seq).connected == seq.connected
 
 
 def test_to_binary_rejects_short_first_run():
@@ -202,19 +195,6 @@ def test_complement_is_an_involution():
         for n in range(k - 1, 10):
             for seq in iter_valid_sequences(n, k):
                 assert complement_sequence(complement_sequence(seq)) == seq
-
-
-def test_delete_vertex_examples():
-    seq = BinarySequence(3, (0, 0, 1, 0, 1))
-    assert delete_vertex(seq, 1).bits == (0, 0, 0, 1)
-    assert delete_vertex(seq, 4).bits == (0, 0, 1, 1)
-    assert delete_vertex(seq, 5).bits == (0, 0, 1, 0)
-    with pytest.raises(SequenceError):
-        delete_vertex(seq, 0)
-    with pytest.raises(SequenceError):
-        delete_vertex(seq, 6)
-    with pytest.raises(SequenceError):
-        delete_vertex(BinarySequence(3, (0, 0)), 1)
 
 
 def test_iter_valid_sequences_counts_and_order():
