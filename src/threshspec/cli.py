@@ -206,8 +206,9 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
     spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j, args.merge_tol)
     if args.format != "structured":
         stream = out if args.format == "text" else err
+        bits = format_bits(ss)  # refused before the first line is printed
         print(f"short={format_short(ss)}", file=stream)
-        print(f"sequence={format_bits(ss)}", file=stream)
+        print(f"sequence={bits}", file=stream)
     _emit_spectrum(spec, ss, args.format, out, err)
     return EXIT_OK
 

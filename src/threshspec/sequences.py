@@ -31,6 +31,7 @@ from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
 from .errors import ResourceLimitError, SequenceError
 
 __all__ = [
+    "BIT_TEXT_CAP",
     "BinarySequence",
     "ShortSequence",
     "to_short",
@@ -50,6 +51,10 @@ __all__ = [
 
 #: Default cap on the number of sequences a sweep may visit.
 DEFAULT_SEQUENCE_BUDGET = 100_000
+
+#: Cap on the 2n - 1 characters of a bit form that `format_bits` writes,
+#: the digits `hypergraph.DENSE_DIGIT_CAP` admits for a dense matrix.
+BIT_TEXT_CAP = 16 * 10**7
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,13 @@ def format_binary(s: BinarySequence) -> str:
 
 def format_bits(ss: ShortSequence) -> str:
     """`format_binary(to_binary(ss))`, written from the runs: no bit list
-    is built, only the text."""
+    is built, only the text, and text over `BIT_TEXT_CAP` is refused
+    before any of it is."""
+    if 2 * ss.n - 1 > BIT_TEXT_CAP:
+        raise ResourceLimitError(
+            f"the bit form of {count_text(ss.n)} vertices has "
+            f"{count_text(2 * ss.n - 1)} characters, over the cap of {BIT_TEXT_CAP}"
+        )
     blocks = list(ss.blocks())
     if ss.first_run_has_ones:
         blocks[0:1] = [(ss.k - 1, False), (ss.runs[0] - ss.k + 1, True)]

@@ -536,6 +536,30 @@ def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):
     assert strict_json(out)["sequence"] == "k=3;0,0,1," + "0," * 3000 + "1"
 
 
+FAMILY_PAST_BIT_CAP = ["family", "1", "--n", "9007199254740993", "--k", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        FAMILY_PAST_BIT_CAP,
+        FAMILY_PAST_BIT_CAP + ["--format", "csv"],
+        FAMILY_PAST_BIT_CAP + ["--format", "structured"],
+        ["spectrum", "C(4503599627370496,3)_2", "--format", "structured"],
+    ],
+    ids=_args_id,
+)
+def test_bit_form_over_its_cap_is_refused_before_any_output(args):
+    # these printed `short=` and then died with a MemoryError traceback
+    # (exit 1) while writing the bit form, in a fresh process so that
+    # no failure of this kind reaches the test process
+    proc = _fresh(*args)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr.startswith(b"error: the bit form of ")
+    assert proc.stderr.count(b"\n") == 1 and b"Traceback" not in proc.stderr
+    assert b"characters, over the cap of 160000000" in proc.stderr
+
+
 class TestAdjacencyCommand:
     def test_csv_rows(self, capsys):
         code, out, err = run(capsys, "adjacency", "C(3,1,1)_3")

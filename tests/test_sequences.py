@@ -183,6 +183,13 @@ def test_format_bits_matches_the_expanded_bits():
     assert checked > 500
 
 
+def test_format_bits_refuses_text_over_its_cap(monkeypatch):
+    monkeypatch.setattr(sequences, "BIT_TEXT_CAP", 9)
+    assert format_bits(ShortSequence(3, (4, 1))) == "k=3;0,0,0,0,1"
+    with pytest.raises(ResourceLimitError, match="6 vertices has 11 characters"):
+        format_bits(ShortSequence(3, (3, 2, 1), first_run_has_ones=True))
+
+
 def test_complement_flips_free_positions_only():
     seq = BinarySequence(3, (0, 0, 1, 0, 1))
     comp = complement_sequence(seq)
