@@ -242,7 +242,7 @@ def format_binary(s: BinarySequence) -> str:
 def format_bits(ss: ShortSequence) -> str:
     """`format_binary(to_binary(ss))`, written from the runs: no bit list
     is built, only the text, and text over `BIT_TEXT_CAP` is refused
-    before any of it is."""
+    before any of it is built."""
     if 2 * ss.n - 1 > BIT_TEXT_CAP:
         raise ResourceLimitError(
             f"the bit form of {count_text(ss.n)} vertices has "
