@@ -550,9 +550,9 @@ FAMILY_PAST_BIT_CAP = ["family", "1", "--n", "9007199254740993", "--k", "2"]
     ids=_args_id,
 )
 def test_bit_form_over_its_cap_is_refused_before_any_output(args):
-    # these printed `short=` and then died with a MemoryError traceback
-    # (exit 1) while writing the bit form, in a fresh process so that
-    # no failure of this kind reaches the test process
+    # writing these bit forms died with a MemoryError traceback (exit 1),
+    # after `short=` in text; a fresh process keeps any such failure out
+    # of the test process
     proc = _fresh(*args)
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr.startswith(b"error: the bit form of ")
