@@ -19,12 +19,15 @@ from .hypergraph import (
     DEFAULT_EDGE_CAP,
     DENSE_CELL_CAP,
     AdjacencyMatrix,
+    BlockProfile,
     GeneralHypergraph,
     ThresholdHypergraph,
     adjacency_bruteforce,
+    block_profile,
     load_replaceable_non_threshold_7_4,
 )
 from .sequences import (
+    DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
     ShortSequence,
     complement_sequence,
@@ -40,16 +43,13 @@ from .sequences import (
     to_short,
 )
 from .spectrum import (
-    DEFAULT_SEQUENCE_BUDGET,
     DENSE_SOLVE_CAP,
     BlockEigenvalue,
-    BlockProfile,
     EigenPair,
     QuotientMatrix,
     ScanRow,
     Spectrum,
     block_eigenvalues,
-    block_profile,
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,

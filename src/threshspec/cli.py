@@ -20,6 +20,7 @@ import json
 import math
 import os
 import sys
+from itertools import islice
 from typing import TextIO
 
 from .combinatorics import read_decimal
@@ -75,6 +76,20 @@ def _json_number(value: float) -> float | None:
     return value if math.isfinite(value) else None
 
 
+#: Encoded JSON pieces per write: one write a piece (`json.dump`) takes
+#: nearly twice as long; one for the whole text (`json.dumps`) holds it all.
+_JSON_BATCH = 8192
+
+
+def _write_json(doc, out: TextIO) -> None:
+    """`doc` as JSON indented by 2 and a newline, written in batches as it
+    is encoded; no piece is empty, so an empty batch ends the pieces."""
+    pieces = json.JSONEncoder(indent=2).iterencode(doc)
+    while batch := "".join(islice(pieces, _JSON_BATCH)):
+        out.write(batch)
+    out.write("\n")
+
+
 def _parse_k_list(text: str) -> list[int]:
     try:
         values = [read_decimal(p) for p in text.split(",") if p.strip() != ""]
@@ -112,7 +127,7 @@ def _emit_spectrum(
         }
         if verify_info is not None:
             doc["verify"] = verify_info
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
         return
     if output_format == "text":
         for value, mult, source in _spectrum_rows(spec):
@@ -157,12 +172,10 @@ def _emit_rows(h, key: str, rows, output_format: str, out: TextIO) -> int:
     """Rows of integers as comma-separated lines, or as `key` of a
     structured document."""
     if output_format == "structured":
-        doc = {"n": h.n, "k": h.k, "sequence": format_bits(h.runs)}
-        doc[key] = [list(row) for row in rows]
-        print(json.dumps(doc, indent=2), file=out)
+        doc = {"n": h.n, "k": h.k, "sequence": format_bits(h.runs), key: rows}
+        _write_json(doc, out)
     else:
-        for row in rows:
-            print(",".join(map(str, row)), file=out)
+        out.writelines(",".join(map(str, row)) + "\n" for row in rows)
     return EXIT_OK
 
 
@@ -187,7 +200,7 @@ def cmd_verify(args, out: TextIO, err: TextIO) -> int:
             ],
             "ok": all_ok,
         }
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
     else:
         for r in results:
             print(
@@ -236,7 +249,7 @@ def cmd_scan(args, out: TextIO, err: TextIO) -> int:
             "flagged": flagged,
             "min_gap": _json_number(min_gap),
         }
-        print(json.dumps(doc, indent=2), file=out)
+        _write_json(doc, out)
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["sequence", "n", "k", "r", "min_quotient_gap", "flagged"])

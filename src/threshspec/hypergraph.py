@@ -11,7 +11,8 @@ edges of one pair directly; both stay independent of `block_profile` and
 serve as its oracles.
 
 A `ThresholdHypergraph` keeps the run-length form and builds its n
-creation bits only for the methods that read single vertices.  The size
+creation bits only for the two methods that read single vertices,
+`pseudodominants` (which `edges` lists from) and `pair_count`.  The size
 caps (`check_edges` on the edge count, `check_dense` on n and
 `check_dense_digits` on the text of the matrix) are checked on the runs
 inside each method, so a short form over a cap is refused before any bit
@@ -248,10 +249,6 @@ class AdjacencyMatrix:
         if entries != tuple(zip(*entries)):
             raise ValueError("adjacency matrix must be symmetric")
 
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
     def frobenius_sq(self) -> int:
         """Sum of squared entries, exact."""
         return sum(x * x for row in self.entries for x in row)
@@ -267,9 +264,9 @@ class ThresholdHypergraph:
 
     Takes either encoding and keeps the run-length form, `runs`.  The bit
     form, `sequence`, is the one given or is built on first use, and only
-    the methods that read single vertices (`edges`, `pair_count`,
-    `is_edge`, `split_partition`) use it; every size cap is checked on the
-    runs before that.
+    the methods that read single vertices (`pseudodominants`, for `edges`,
+    and `pair_count`) use it; every size cap is checked on the runs before
+    that.
     """
 
     runs: ShortSequence
@@ -300,14 +297,6 @@ class ThresholdHypergraph:
     def pseudodominants(self) -> list[int]:
         """Vertices whose creation bit is 1, i.e. the possible edge maxima."""
         return [i for i, b in enumerate(self.sequence.bits, start=1) if b]
-
-    def is_edge(self, vertices: Iterable[int]) -> bool:
-        e = sorted(set(vertices))
-        if len(e) != self.k:
-            raise ValueError(f"an edge needs exactly {self.k} distinct vertices")
-        if e[0] < 1 or e[-1] > self.n:
-            raise ValueError(f"vertex out of range 1..{self.n}")
-        return self.sequence.bits[e[-1] - 1] == 1
 
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
@@ -357,13 +346,6 @@ class ThresholdHypergraph:
         return AdjacencyMatrix(
             tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(self.n))
         )
-
-    def split_partition(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """(independent part, clique part): zero bits never finish an edge,
-        and any k one-bit vertices form an edge on their own."""
-        zeros = tuple(i for i, b in enumerate(self.sequence.bits, 1) if not b)
-        ones = tuple(i for i, b in enumerate(self.sequence.bits, 1) if b)
-        return zeros, ones
 
     def to_general(self) -> "GeneralHypergraph":
         edges = frozenset(frozenset(e) for e in self.edges())
@@ -425,13 +407,6 @@ class GeneralHypergraph:
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
-    def is_edge(self, vertices: Iterable[int]) -> bool:
-        return frozenset(vertices) in self.edges
-
-    def links(self) -> list[set[int]]:
-        """The `edge_links` of this edge set."""
-        return edge_links(self.n, self.edges)
-
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
@@ -444,13 +419,13 @@ class GeneralHypergraph:
         return _replaces(self._link(x), self._link(y), y)
 
     def _link(self, v: int) -> set[int]:
-        """link(v) alone, as in `links`, from the edges through v."""
+        """link(v) alone, as in `edge_links`, from the edges through v."""
         bit = 1 << v
         return {_mask(e) ^ bit for e in self.edges if v in e}
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability."""
-        return totally_replaceable(self.links())
+        return totally_replaceable(edge_links(self.n, self.edges))
 
 
 def edge_links(n: int, edges: Iterable[Iterable[int]]) -> list[set[int]]:

@@ -142,12 +142,6 @@ class ShortSequence:
     def n(self) -> int:
         return sum(self.runs)
 
-    def prefix_sum(self, t: int) -> int:
-        """Number of vertices in blocks 1..t (t = 0 gives 0)."""
-        if not 0 <= t <= self.r:
-            raise SequenceError(f"block index {t} out of range 0..{self.r}")
-        return sum(self.runs[:t])
-
     def blocks(self) -> Iterator[tuple[int, bool]]:
         """(size, is_ones) of every block in order; is_ones is True when the
         block ends with pseudodominant vertices.  The merged first run

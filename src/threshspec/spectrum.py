@@ -52,15 +52,12 @@ from .sequences import (
 )
 
 __all__ = [
-    "DEFAULT_SEQUENCE_BUDGET",
     "DENSE_SOLVE_CAP",
     "BlockEigenvalue",
     "EigenPair",
     "Spectrum",
     "QuotientMatrix",
     "ScanRow",
-    "BlockProfile",
-    "block_profile",
     "block_eigenvalues",
     "quotient_matrix",
     "quotient_eigenvalues",

@@ -16,6 +16,7 @@ from typing import Iterable, Iterator
 
 from .hypergraph import (
     ThresholdHypergraph,
+    block_profile,
     edge_links,
     recount_pairs,
     totally_replaceable,
@@ -27,7 +28,7 @@ from .sequences import (
     format_binary,
     sweep_space,
 )
-from .spectrum import block_eigenvalues, block_profile
+from .spectrum import block_eigenvalues
 
 __all__ = [
     "SweepResult",
@@ -82,7 +83,7 @@ class _Visit:
             yield f"{self.text}: {exc}"
             return
         for b in values:
-            first = ss.prefix_sum(b.block_index - 1) + 1
+            first = sum(ss.runs[: b.block_index - 1]) + 1
             direct = -self.h.pair_count(first, first + 1)
             if b.value != direct:
                 yield (

@@ -536,6 +536,30 @@ def test_sequence_field_is_written_from_the_runs(capsys, monkeypatch):
     assert strict_json(out)["sequence"] == "k=3;0,0,1," + "0," * 3000 + "1"
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum", "C(3,2)_3", "--verify"],
+        ["edges", "C(3,2)_3"],
+        ["adjacency", "C(3,2)_3"],
+        ["verify", "--n-max", "4", "--k", "2,3"],
+        ["family", "2", "--n", "6", "--k", "3", "--j", "4"],
+        ["scan", "--n-max", "4", "--k", "2"],
+    ],
+    ids=_args_id,
+)
+def test_structured_output_is_written_as_it_is_encoded(args, capsys, monkeypatch):
+    # json.dumps builds the whole text before writing it; `edges` peaked
+    # at about 600 bytes an edge that way, over five times the text form
+    def whole_text(*_, **__):
+        raise AssertionError("structured output built whole")
+
+    monkeypatch.setattr(json, "dumps", whole_text)
+    code, out, err = run(capsys, *args, "--format", "structured")
+    assert code == 0
+    assert strict_json(out)
+
+
 FAMILY_PAST_BIT_CAP = ["family", "1", "--n", "9007199254740993", "--k", "2"]
 
 
@@ -657,6 +681,9 @@ class TestFamilyCommand:
         ):
             code, out, err = run(capsys, *args)
             assert code == 1, args
+        code, out, err = run(capsys, "family", "1", "--n", "5", "--k", "1")
+        assert (code, out) == (1, "")
+        assert err == "error: uniformity must be at least 2, got 1\n"
 
 
 class TestScanCommand:

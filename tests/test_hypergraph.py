@@ -16,6 +16,7 @@ from threshspec.hypergraph import (
     check_dense_digits,
     check_edge_cap,
     check_edges,
+    edge_links,
     edge_total,
     load_replaceable_non_threshold_7_4,
 )
@@ -97,19 +98,6 @@ class TestAdjacencyMatrix:
 
 
 class TestThresholdHypergraph:
-    def test_membership(self):
-        h = hg("k=3;0,0,1,0,1")
-        assert h.is_edge((1, 2, 3))
-        assert h.is_edge((5, 2, 1))
-        assert not h.is_edge((1, 2, 4))
-        assert not h.is_edge((2, 3, 4))
-        with pytest.raises(ValueError):
-            h.is_edge((1, 2))
-        with pytest.raises(ValueError):
-            h.is_edge((1, 2, 2))  # duplicates collapse below size k
-        with pytest.raises(ValueError):
-            h.is_edge((1, 2, 6))
-
     def test_pseudodominants(self):
         assert hg("k=3;0,0,1,0,1").pseudodominants() == [3, 5]
         assert hg("k=4;0,0,0,1,1,0").pseudodominants() == [4, 5]
@@ -312,24 +300,23 @@ class TestThresholdHypergraph:
                     if i != j:
                         assert a[i - 1][j - 1] == h.pair_count(i, j)
 
-    def test_split_partition(self):
-        assert hg("k=3;0,0,1,0,1").split_partition() == ((1, 2, 4), (3, 5))
+    def test_zero_bits_independent_one_bits_a_clique(self):
+        # zero bits never finish an edge, and any k one-bit vertices form
+        # an edge on their own
         for h in all_hypergraphs(7):
-            zeros, ones = h.split_partition()
-            zero_set = set(zeros)
-            for e in h.edges():
-                assert not set(e) <= zero_set
-            if len(ones) >= h.k:
-                for e in combinations(ones, h.k):
-                    assert h.is_edge(e)
+            ones = h.pseudodominants()
+            zeros = set(range(1, h.n + 1)).difference(ones)
+            edges = set(h.edges())
+            assert not any(set(e) <= zeros for e in edges)
+            assert edges.issuperset(combinations(ones, h.k))
 
 
 class TestGeneralHypergraph:
     def test_from_edge_lines(self):
         g = GeneralHypergraph.from_edge_lines("1,2,3\n\n2,3,4\n", 4, 3)
         assert g.sorted_edges() == [(1, 2, 3), (2, 3, 4)]
-        assert g.is_edge((3, 2, 1))
-        assert not g.is_edge((1, 2, 4))
+        assert frozenset({1, 2, 3}) in g.edges
+        assert frozenset({1, 2, 4}) not in g.edges
         with pytest.raises(SequenceError):
             GeneralHypergraph.from_edge_lines("1,2,x", 4, 3)
         with pytest.raises(ValueError):
@@ -377,7 +364,7 @@ class TestGeneralHypergraph:
     def test_links(self):
         g = GeneralHypergraph.from_edge_lines("1,2,3\n2,3,4", 4, 3)
         # bit v stands for vertex v: link(2) = {{1, 3}, {3, 4}}
-        assert g.links() == [
+        assert edge_links(g.n, g.edges) == [
             set(),
             {0b1100},
             {0b1010, 0b11000},
@@ -391,6 +378,9 @@ class TestGeneralHypergraph:
         with pytest.raises(ValueError, match=r"edge \[0, 1, 2\] leaves the vertex"):
             GeneralHypergraph(4, 3, frozenset({frozenset({0, 1, 2})}))
         assert GeneralHypergraph(0, 2, frozenset()).is_totally_replaceable()
+        for n, k in ((3, 1), (-1, 2)):
+            with pytest.raises(ValueError, match="need k >= 2 and n >= 0"):
+                GeneralHypergraph(n, k, frozenset())
 
     def test_threshold_to_general_round_trip(self):
         h = hg("k=3;0,0,1,0,1")

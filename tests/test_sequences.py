@@ -72,7 +72,6 @@ def test_short_block_geometry():
     ss = ShortSequence(3, (5, 2, 1, 3, 3, 1), first_run_has_ones=True)
     assert ss.r == 6
     assert ss.n == 15
-    assert [ss.prefix_sum(t) for t in range(1, 7)] == [5, 7, 8, 11, 14, 15]
     # merged head counts as a ones run, then kinds alternate
     assert list(ss.blocks()) == [
         (5, True), (2, False), (1, True), (3, False), (3, True), (1, False),

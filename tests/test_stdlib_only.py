@@ -8,6 +8,7 @@ the package would still run here; this reads the imports instead.  A stale
 
 import ast
 import importlib
+import inspect
 import sys
 from pathlib import Path
 
@@ -33,15 +34,39 @@ def test_package_imports_only_the_standard_library():
     assert not outside
 
 
+def _assigned_names(path):
+    """Names bound by a top-level assignment in the source at path."""
+    names = set()
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
 def test_every_exported_name_resolves():
+    """Outside `__init__`, which gathers the public names, a module exports
+    a class or function only when that module defines it, and a constant
+    only when that module assigns it."""
     unresolved = []
+    foreign = []
     exported = 0
     for path in SOURCES:
         name = "threshspec" if path.stem == "__init__" else f"threshspec.{path.stem}"
         module = importlib.import_module(name)
+        assigned = _assigned_names(path)
         for attr in getattr(module, "__all__", ()):
             exported += 1
             if not hasattr(module, attr):
                 unresolved.append((name, attr))
+            elif path.stem != "__init__":
+                value = getattr(module, attr)
+                if inspect.isclass(value) or inspect.isroutine(value):
+                    if value.__module__ != name:
+                        foreign.append((name, attr))
+                elif attr not in assigned:
+                    foreign.append((name, attr))
     assert exported
     assert not unresolved
+    assert not foreign
