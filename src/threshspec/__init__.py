@@ -32,7 +32,6 @@ from .sequences import (
     ShortSequence,
     complement_sequence,
     count_valid_sequences,
-    format_binary,
     format_short,
     iter_valid_sequences,
     parse_binary,

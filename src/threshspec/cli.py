@@ -221,7 +221,7 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
         stream = out if args.format == "text" else err
         bits = format_bits(ss)  # refused before the first line is printed
         print(f"short={format_short(ss)}", file=stream)
-        print(f"sequence={bits}", file=stream)
+        print("sequence=", bits, sep="", file=stream)
     _emit_spectrum(spec, ss, args.format, out, err)
     return EXIT_OK
 

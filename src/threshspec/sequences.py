@@ -40,7 +40,6 @@ __all__ = [
     "parse_short",
     "parse_sequence",
     "parse_runs",
-    "format_binary",
     "format_bits",
     "format_short",
     "complement_sequence",
@@ -229,12 +228,8 @@ def parse_runs(text: str) -> ShortSequence:
     return to_short(parse_sequence(stripped))
 
 
-def format_binary(s: BinarySequence) -> str:
-    return f"k={s.k};" + ",".join(str(b) for b in s.bits)
-
-
 def format_bits(ss: ShortSequence) -> str:
-    """`format_binary(to_binary(ss))`, written from the runs: no bit list
+    """The bit form ``k=K;b1,...,bn``, written from the runs: no bit list
     is built, only the text, and text over `BIT_TEXT_CAP` is refused
     before any of it is built."""
     if 2 * ss.n - 1 > BIT_TEXT_CAP:
@@ -245,8 +240,12 @@ def format_bits(ss: ShortSequence) -> str:
     blocks = list(ss.blocks())
     if ss.first_run_has_ones:
         blocks[0:1] = [(ss.k - 1, False), (ss.runs[0] - ss.k + 1, True)]
-    body = "".join(("1," if ones else "0,") * size for size, ones in blocks)
-    return f"k={ss.k};{body[:-1]}"
+    # b1 is a forced zero that opens the text; every later bit follows its
+    # comma, so the one join leaves no trailing comma
+    blocks[0] = (blocks[0][0] - 1, False)
+    return "".join(
+        [f"k={ss.k};0", *((",1" if ones else ",0") * size for size, ones in blocks)]
+    )
 
 
 def format_short(ss: ShortSequence) -> str:

@@ -46,7 +46,7 @@ from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
 from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
-    format_binary,
+    format_bits,
     sweep_space,
     to_short,
 )
@@ -255,10 +255,10 @@ def householder_ql_eigenvalues(
     Householder reduction to tridiagonal form, then implicit QL with
     Wilkinson shifts on the tridiagonal matrix: the eigenvalues-only pair
     tred1 and tql1 of Wilkinson and Reinsch, Handbook for Automatic
-    Computation II (1971).  Input checks and the symmetry tolerance are
-    those of `jacobi_eigenvalues`.  Each eigenvalue may take at most
-    max_iterations QL steps, as tql1 allows 30.  The order of operations
-    is fixed, so identical inputs give identical output.
+    Computation II (1971).  The matrix must be square and symmetric within
+    1e-12 * max(1, |M|_F), else `ValueError`; it is averaged to exact
+    symmetry.  Each eigenvalue gets at most max_iterations QL steps (tql1
+    allows 30); the fixed order of operations makes the output repeatable.
     """
     n = len(matrix)
     a = [[float(x) for x in row] for row in matrix]
@@ -802,14 +802,15 @@ def scan_quotient_simplicity(
     out = []
     space = sweep_space(n_max, k_values, "scan", budget, True)
     for s in chain.from_iterable(space):
-        values = quotient_eigenvalues(block_profile(to_short(s)))
+        ss = to_short(s)
+        values = quotient_eigenvalues(block_profile(ss))
         if len(values) > 1:
             gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
         else:
             gap = math.inf
         out.append(
             ScanRow(
-                sequence=format_binary(s),
+                sequence=format_bits(ss),
                 n=s.n,
                 k=s.k,
                 r=len(values),

@@ -25,7 +25,7 @@ from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
     complement_sequence,
-    format_binary,
+    format_bits,
     sweep_space,
 )
 from .spectrum import block_eigenvalues
@@ -67,7 +67,8 @@ class _Visit:
     edge list and one closed-form adjacency, each built on first use."""
 
     def __init__(self, s: BinarySequence, seen: dict[tuple, str]) -> None:
-        self.s, self.h, self.text = s, ThresholdHypergraph(s), format_binary(s)
+        self.s, self.h = s, ThresholdHypergraph(s)
+        self.text = format_bits(self.h.runs)
         self.edges, self.adjacency = cache(self.h.edges), cache(self.h.adjacency)
         self.seen = seen  # adjacency entries of this size -> first sequence
 

@@ -10,7 +10,6 @@ from threshspec.sequences import (
     ShortSequence,
     complement_sequence,
     count_valid_sequences,
-    format_binary,
     format_bits,
     format_short,
     iter_valid_sequences,
@@ -160,26 +159,34 @@ def test_parse_sequence_dispatch():
         parse_sequence("threshold")
 
 
-def test_format_binary():
-    assert format_binary(BinarySequence(3, (0, 0, 1, 0, 1))) == "k=3;0,0,1,0,1"
-    assert parse_binary(format_binary(LONG_B)) == LONG_B
+def test_bit_form_round_trips():
+    for s in (LONG_A, LONG_B):
+        assert parse_binary(format_bits(to_short(s))) == s
 
 
 def test_format_bits_matches_the_expanded_bits():
     # every short form of tests/test_golden_output.py that names a sequence,
-    # in both head layouts
-    checked = 0
+    # in both head layouts, then every sequence that `verify` and `scan` label
+    shorts = []
     for k in range(2, 6):
         for r in range(1, 4):
             for runs in itertools.product(range(7), repeat=r):
                 for merged in (False, True):
                     try:
-                        ss = ShortSequence(k, runs, first_run_has_ones=merged)
+                        shorts.append(ShortSequence(k, runs, merged))
                     except SequenceError:
                         continue
-                    assert format_bits(ss) == format_binary(to_binary(ss)), ss
-                    checked += 1
-    assert checked > 500
+    assert len(shorts) > 500
+    swept = [
+        to_short(s)
+        for k in range(2, 6)
+        for n in range(13)
+        for s in iter_valid_sequences(n, k)
+    ]
+    assert len(swept) == count_valid_sequences(12, range(2, 6))
+    for ss in shorts + swept:
+        bits = to_binary(ss).bits
+        assert format_bits(ss) == f"k={ss.k};" + ",".join(map(str, bits)), ss
 
 
 def test_format_bits_refuses_text_over_its_cap(monkeypatch):

@@ -313,8 +313,10 @@ class TestCertificate:
             lambda real, d, e2: [0.0] * len(d),
             lambda real, d, e2: [x + 1e3 * _c_width(d, e2) for x in real(d, e2)],
             lambda real, d, e2: real(d, e2, max_iterations=1),
+            lambda real, d, e2: [math.nan] * len(d),
+            lambda real, d, e2: [math.inf] * len(d),
         ],
-        ids=["zeros", "shifted", "unconverged"],
+        ids=["zeros", "shifted", "unconverged", "nan", "inf"],
     )
     def test_bad_estimates_are_repaired(self, monkeypatch, estimate):
         real = spectrum._rational_ql

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 import threshspec.sequences as sequences
@@ -11,8 +13,9 @@ from threshspec.hypergraph import (
 )
 from threshspec.sequences import (
     count_valid_sequences,
-    format_binary,
+    format_bits,
     iter_valid_sequences,
+    to_short,
 )
 from threshspec.spectrum import scan_quotient_simplicity
 from threshspec.verify import (
@@ -122,7 +125,7 @@ def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
         s for s in iter_valid_sequences(n, 3) if ThresholdHypergraph(s).edges() == edges
     )
     assert not res.passed
-    assert res.failures[0] == format_binary(first)
+    assert res.failures[0] == format_bits(to_short(first))
     assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
     out, err = capsys.readouterr()
     assert "sweep=replaceability_totality checked=31 failed=" in out
@@ -184,6 +187,18 @@ def _failing_profile(monkeypatch):
     monkeypatch.setattr(verify, "block_profile", refuse)
 
 
+def _lowered_multiplicities(monkeypatch):
+    real = verify.block_eigenvalues
+
+    def lowered(bp):
+        return [
+            replace(b, multiplicity_lower_bound=b.multiplicity_lower_bound - 1)
+            for b in real(bp)
+        ]
+
+    monkeypatch.setattr(verify, "block_eigenvalues", lowered)
+
+
 def _zero_adjacency(monkeypatch):
     def zero(self):
         return AdjacencyMatrix([[0] * self.n for _ in range(self.n)])
@@ -204,6 +219,12 @@ def _identity_complement(monkeypatch):
             sweep_two_route,
             "two_route",
             "k=3;0,0,1: internal: injected profile failure",
+        ),
+        (
+            _lowered_multiplicities,
+            sweep_two_route,
+            "two_route",
+            "k=3;0,0,1: block multiplicities missed n-r",
         ),
         (
             _zero_adjacency,
