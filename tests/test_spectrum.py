@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import struct
 import sys
 
 import numpy as np
@@ -352,6 +354,57 @@ class TestCertificate:
         assert main(["scan", "--n-max", "9", "--k", "2,3"]) == 0
         assert main(["family", "2", "--n", "30", "--k", "4", "--j", "9"]) == 0
         capsys.readouterr()
+
+
+def kernel_inputs():
+    """Every connected sequence with n <= 11 and k = 2..5, then 300 seeded
+    run shapes with r up to 60, runs up to 10**6 and very unbalanced
+    neighbouring blocks, each one `_check_closed` accepts."""
+    for h in connected_hypergraphs(11, range(2, 6)):
+        yield to_short(h.sequence)
+    rng = random.Random(19)
+    kept = 0
+    while kept < 300:
+        k, r = rng.randint(2, 6), rng.randint(2, 60)
+        runs = [
+            rng.choice((1, 2, 3, 10, round(10 ** rng.uniform(1, 6))))
+            for _ in range(r)
+        ]
+        runs[0] = max(runs[0], k)
+        # the last block is a ones block, so the sequence is connected
+        ss = ShortSequence(k, tuple(runs), first_run_has_ones=r % 2 == 1)
+        try:
+            spectrum._check_closed(ss)
+        except CountTooLargeError:
+            continue
+        kept += 1
+        yield ss
+
+
+def pack_floats(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+class TestKernelDigest:
+    def test_kernels_are_pinned_bit_for_bit(self):
+        # the tridiagonal reduction, rational QL, the certified quotient
+        # values and the merged pairs, every float packed to the bit
+        digest = hashlib.sha256()
+        count = 0
+        for ss in kernel_inputs():
+            bp = block_profile(ss)
+            d, e2 = spectrum._Pencil(bp).tridiagonal()
+            digest.update(pack_floats(d) + pack_floats(e2))
+            digest.update(pack_floats(spectrum._rational_ql(d, e2)))
+            digest.update(pack_floats(quotient_eigenvalues(bp)))
+            for p in full_spectrum_closed(ss).pairs:
+                digest.update(pack_floats([p.value]))
+                digest.update(f"{p.multiplicity} {p.source};".encode())
+            count += 1
+        assert count == 1916 + 300
+        assert digest.hexdigest() == (
+            "7ad5c8dd38efe74281bf2e725c6165aea0660306be82564d37530b0122920aba"
+        )
 
 
 class TestBlockEigenvalues:
