@@ -626,6 +626,36 @@ class TestHouseholderQL:
             assert_matches_eigvalsh(h.adjacency().to_float_rows())
 
 
+class TestMergeEntries:
+    def test_a_lone_quotient_zero_is_reported_as_plus_zero(self):
+        (p,) = spectrum._merge_entries([(-0.0, 1, "quotient")], 1e-9)
+        assert (p.value, p.multiplicity, p.source) == (0.0, 1, "quotient")
+        assert math.copysign(1.0, p.value) == 1.0
+
+    def test_a_lone_block_value_stands(self):
+        (p,) = spectrum._merge_entries([(-2.0, 3, "block1")], 1e-9)
+        assert (p.value, p.multiplicity, p.source) == (-2.0, 3, "block1")
+        assert math.copysign(1.0, p.value) == -1.0
+
+    def test_two_member_clusters(self):
+        # a quotient value within 8 eps |A|_F of a block value takes the
+        # block value; two quotient values take their mean
+        near = math.nextafter(-2.0, 0.0)
+        pairs = spectrum._merge_entries(
+            [
+                (0.5, 1, "quotient"),
+                (-2.0, 3, "block1"),
+                (near, 1, "quotient"),
+                (0.5 + 1e-12, 1, "quotient"),
+            ],
+            1e-9,
+        )
+        assert [(p.value, p.multiplicity, p.source) for p in pairs] == [
+            ((0.5 + 1e-12 + 0.5) / 2, 2, "quotient"),
+            (-2.0, 4, "quotient+block1"),
+        ]
+
+
 class TestFullSpectrum:
     def test_disconnected_rejected(self):
         with pytest.raises(DisconnectedError):
