@@ -130,8 +130,10 @@ def _emit_spectrum(
         _write_json(doc, out)
         return
     if output_format == "text":
-        for value, mult, source in _spectrum_rows(spec):
-            print(f"lambda={value} mult={mult} source={source}", file=out)
+        out.writelines(
+            f"lambda={value} mult={mult} source={source}\n"
+            for value, mult, source in _spectrum_rows(spec)
+        )
     else:
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["lambda", "mult", "source"])
