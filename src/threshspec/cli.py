@@ -154,9 +154,8 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     verify_info = None
     code = EXIT_OK
     if args.verify:
-        # unclustered dense eigenvalues: clustering would average distinct
-        # values; deviations are relative to max(1, |A|_F), |A|_F exact
-        dense = full_spectrum_numeric(ThresholdHypergraph(ss), cluster_tol=0.0)
+        # deviations are relative to max(1, |A|_F), |A|_F exact
+        dense = full_spectrum_numeric(ThresholdHypergraph(ss))
         scale = max(1.0, math.sqrt(block_profile(ss).frobenius_sq))
         deviations = [
             abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())

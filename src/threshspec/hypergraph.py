@@ -27,7 +27,6 @@ from typing import Iterable
 
 from .combinatorics import (
     TEXT_DIGITS,
-    as_float,
     binomial,
     binomial_exceeds,
     bits_text,
@@ -253,10 +252,6 @@ class AdjacencyMatrix:
         """Sum of squared entries, exact."""
         return sum(x * x for row in self.entries for x in row)
 
-    def to_float_rows(self) -> list[list[float]]:
-        """Double-precision copy; refuses entries beyond 2**53."""
-        return [[as_float(x) for x in row] for row in self.entries]
-
 
 @dataclass(frozen=True, init=False)
 class ThresholdHypergraph:
@@ -410,18 +405,14 @@ class GeneralHypergraph:
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
-        edges.  Builds link(x) and link(y) only."""
+        edges.  Reads link(x) and link(y) from `edge_links`."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
         for v in (x, y):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        return _replaces(self._link(x), self._link(y), y)
-
-    def _link(self, v: int) -> set[int]:
-        """link(v) alone, as in `edge_links`, from the edges through v."""
-        bit = 1 << v
-        return {_mask(e) ^ bit for e in self.edges if v in e}
+        links = edge_links(self.n, self.edges)
+        return _replaces(links[x], links[y], y)
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability."""

@@ -14,7 +14,7 @@ estimate (bisection on the counts replaces one that fails); no step calls
 catalogued families enter their gamma by hand and share the rest.  The
 numeric route serves as the oracle: it diagonalizes the full n x n matrix
 by Householder reduction to tridiagonal form and implicit QL, generic
-dense linear algebra that sees only the float matrix, and refuses n**3 above
+dense linear algebra that sees only the matrix, and refuses n**3 above
 `DENSE_SOLVE_CAP` before building it.  The verify sweeps and the
 test-suite check the agreement of the two routes exhaustively on small
 instances.  `jacobi_eigenvalues`, the dense solver before QL, has no
@@ -703,29 +703,27 @@ def check_dense_solve(n: int) -> None:
         )
 
 
-def full_spectrum_numeric(
-    h: ThresholdHypergraph,
-    cluster_tol: float | None = None,
-    adjacency=None,
-) -> Spectrum:
+def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
     """Spectrum of the full adjacency matrix by direct diagonalization.
 
-    Oracle for the closed route: `householder_ql_eigenvalues` on the float
-    matrix, O(n**3), refused by `check_dense_solve` before the matrix is
-    built or converted.  `adjacency` may inject a matrix obtained
-    elsewhere (tests pass the brute-force recount so the routes share no
-    combinatorics).  The clustering tolerance defaults to 1e-6 times the
-    Frobenius norm.
+    Oracle for the closed route: `householder_ql_eigenvalues` on the exact
+    entries, O(n**3), refused by `check_dense_solve` before the matrix is
+    built.  An entry past 2**53 would round, and is refused.  `adjacency`
+    may inject a matrix obtained elsewhere (tests pass the brute-force
+    recount so the routes share no combinatorics); it must be h's size,
+    which the cap was checked on, else `ValueError`.  Only bit-equal values
+    are reported once: clustering within a tolerance would average distinct
+    values, and the comparison with the closed route must see each one.
     """
     check_dense_solve(h.n)
     mat = adjacency if adjacency is not None else h.adjacency()
-    rows = mat.to_float_rows()
-    values = householder_ql_eigenvalues(rows)
-    if cluster_tol is None:
-        norm = math.sqrt(sum(x * x for row in rows for x in row))
-        cluster_tol = max(1e-6 * norm, 1e-12)
-    pairs = _merge_entries([(v, 1, "numeric") for v in values], cluster_tol)
-    return Spectrum(pairs, cluster_tol)
+    size = len(mat.entries)
+    if size != h.n:
+        raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
+    # entries are non-negative, so the largest is the one that may round
+    as_float(max(map(max, mat.entries), default=0))
+    values = householder_ql_eigenvalues(mat.entries)
+    return Spectrum(_merge_entries([(v, 1, "numeric") for v in values], 0.0), 0.0)
 
 
 def family_sequence(

@@ -92,10 +92,6 @@ class TestAdjacencyMatrix:
         m = AdjacencyMatrix(((0, 2, 1), (2, 0, 3), (1, 3, 0)))
         assert m.frobenius_sq() == 2 * (4 + 1 + 9)
 
-    def test_float_rows(self):
-        m = AdjacencyMatrix(((0, 2), (2, 0)))
-        assert m.to_float_rows() == [[0.0, 2.0], [2.0, 0.0]]
-
 
 class TestThresholdHypergraph:
     def test_pseudodominants(self):

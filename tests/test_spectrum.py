@@ -17,7 +17,12 @@ from threshspec.errors import (
 )
 from threshspec import spectrum
 from threshspec.cli import main
-from threshspec.hypergraph import ThresholdHypergraph, adjacency_bruteforce
+from threshspec.hypergraph import (
+    AdjacencyMatrix,
+    ThresholdHypergraph,
+    adjacency_bruteforce,
+    recount_pairs,
+)
 from threshspec.sequences import (
     ShortSequence,
     format_short,
@@ -623,7 +628,7 @@ class TestHouseholderQL:
 
     def test_matches_numpy_on_threshold_adjacency(self):
         for h in connected_hypergraphs(9, range(2, 6)):
-            assert_matches_eigvalsh(h.adjacency().to_float_rows())
+            assert_matches_eigvalsh(h.adjacency().entries)
 
 
 class TestMergeEntries:
@@ -714,11 +719,34 @@ class TestFullSpectrum:
             assert all(abs(a - b) < 1e-8 for a, b in zip(closed, numeric))
 
     def test_numeric_clusters_repeated_values(self):
+        # only bit-equal values merge, and the last bit of the three -1s
+        # of K_4 follows math.hypot, which varies across CPython versions
         sp = full_spectrum_numeric(hg("k=2;0,1,1,1"))
-        assert [(round(p.value, 9), p.multiplicity) for p in sp.pairs] == [
-            (3.0, 1),
-            (-1.0, 3),
-        ]
+        assert sum(p.multiplicity for p in sp.pairs) == 4
+        want = (3.0, -1.0, -1.0, -1.0)
+        assert all(abs(a - b) <= 1e-12 for a, b in zip(sp.expanded(), want))
+
+    def test_numeric_takes_2_53_and_refuses_more(self):
+        edge = AdjacencyMatrix(((0, FLOAT_SAFE_LIMIT), (FLOAT_SAFE_LIMIT, 0)))
+        sp = full_spectrum_numeric(hg("k=2;0,1"), adjacency=edge)
+        top, bottom = sp.expanded()
+        assert math.isclose(top, 2.0**53) and math.isclose(bottom, -(2.0**53))
+        big = FLOAT_SAFE_LIMIT + 1
+        past = AdjacencyMatrix(((0, 1, 0), (1, 0, big), (0, big, 0)))
+        with pytest.raises(CountTooLargeError):
+            full_spectrum_numeric(hg("k=2;0,1,1"), adjacency=past)
+
+    def test_numeric_refuses_a_matrix_of_another_size(self, monkeypatch):
+        # the work cap is checked on h.n, so a larger injected matrix would
+        # be solved past it
+        def refuse(matrix):
+            raise AssertionError("the dense solve started")
+
+        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
+        h = hg("C(2)_2")
+        for n in (1, 3, 1001):
+            with pytest.raises(ValueError, match="injected"):
+                full_spectrum_numeric(h, adjacency=recount_pairs(n, []))
 
 
 class TestFamilies:

@@ -1,5 +1,5 @@
-"""The runtime imports nothing outside the standard library, and every
-module exports only names it defines.
+"""The runtime imports nothing outside the standard library, every module
+exports only names it defines, and every name a module imports is used.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -70,3 +70,34 @@ def test_every_exported_name_resolves():
     assert exported
     assert not unresolved
     assert not foreign
+
+
+def _unused_imports(path):
+    """Names bound by a module-level import at path that the module never
+    reads and does not list in `__all__`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name.split(".")[0]
+        for node in tree.body
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    }
+    read = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    module = importlib.import_module(f"threshspec.{path.stem}")
+    return imported - read - set(getattr(module, "__all__", ()))
+
+
+def test_every_import_is_used():
+    """Outside `__init__`, which imports to re-export, a deleted caller
+    leaves no import behind."""
+    unused = {
+        (path.name, name)
+        for path in SOURCES
+        if path.stem != "__init__"
+        for name in _unused_imports(path)
+    }
+    assert not unused
