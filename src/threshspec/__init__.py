@@ -11,7 +11,6 @@ from .combinatorics import FLOAT_SAFE_LIMIT, as_float, binomial
 from .errors import (
     ConvergenceError,
     CountTooLargeError,
-    DisconnectedError,
     ResourceLimitError,
     SequenceError,
 )

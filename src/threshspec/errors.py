@@ -5,10 +5,6 @@ class SequenceError(ValueError):
     """Malformed text or an invalid creation sequence."""
 
 
-class DisconnectedError(SequenceError):
-    """The operation needs a connected hypergraph (last creation bit 1)."""
-
-
 class ResourceLimitError(RuntimeError):
     """An enumeration would exceed the configured resource cap."""
 

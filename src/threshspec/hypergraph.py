@@ -83,18 +83,12 @@ def check_dense(n: int) -> None:
         )
 
 
-def _last_one(ss: ShortSequence) -> int:
-    """Position of the last vertex with bit 1, 0 when none has it: the last
-    block ends on bit 1, or the block before it does."""
-    return ss.n if ss.connected else ss.n - ss.runs[-1]
-
-
 def check_dense_digits(ss: ShortSequence) -> None:
     """Refuse the pair-count matrix of ss over `DENSE_DIGIT_CAP` digits.
     Every edge lies within the vertices up to the last with bit 1, e, so
     binomial(e-2, k-2) bounds every entry; it is below 2**(e-2), so only
     an e past the digits a cell may have weighs it."""
-    n, e = ss.n, _last_one(ss)
+    n, e = ss.n, ss.last_one
     digits = DENSE_DIGIT_CAP // (n * n)
     if e - 2 > digits and binomial_exceeds(e - 2, ss.k - 2, 10**digits - 1):
         raise ResourceLimitError(
@@ -119,7 +113,7 @@ def check_edges(ss: ShortSequence, cap: int = DEFAULT_EDGE_CAP) -> None:
     e, closes binomial(e-1, k-1) edges alone; the exact total is built
     only when that bound has at most 4,300 digits, and a message past
     them names the bound's least bit length."""
-    e = _last_one(ss)
+    e = ss.last_one
     if binomial_exceeds(e - 1, ss.k - 1, cap):
         text_limit = 10**TEXT_DIGITS
         if binomial_exceeds(e - 1, ss.k - 1, text_limit - 1):

@@ -157,6 +157,13 @@ class ShortSequence:
         so it has the first block's kind exactly when r is odd."""
         return self.first_run_has_ones == (self.r % 2 == 1)
 
+    @property
+    def last_one(self) -> int:
+        """Position of the last vertex with bit 1, 0 when none has it: the
+        last block ends on bit 1, or the block before it does.  No edge
+        holds a vertex past it."""
+        return self.n if self.connected else self.n - self.runs[-1]
+
 
 def to_short(s: BinarySequence) -> ShortSequence:
     """Run-length encode a bit sequence, merging the head when bit k is 1."""

@@ -10,7 +10,10 @@ those of the equitable quotient: rational QL estimates them on a
 tridiagonal matrix reduced in O(r**2) from a pencil congruent to the
 quotient problem, and two O(r) inertia counts of the pencil certify each
 estimate (bisection on the counts replaces one that fails); no step calls
-`math.hypot`, whose last bit varies across CPython versions.  The
+`math.hypot`, whose last bit varies across CPython versions.  A
+disconnected sequence takes the same route: no edge holds a vertex after
+the last bit 1, so its trailing zeros block has gamma 0 and a zero column,
+which yields 0 once per twin and once from the quotient.  The
 catalogued families enter their gamma by hand and share the rest.  The
 numeric route serves as the oracle: it diagonalizes the full n x n matrix
 by Householder reduction to tridiagonal form and implicit QL, generic
@@ -38,7 +41,6 @@ from .combinatorics import (
 from .errors import (
     ConvergenceError,
     CountTooLargeError,
-    DisconnectedError,
     ResourceLimitError,
     SequenceError,
 )
@@ -91,27 +93,19 @@ def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue
     """Closed-form eigenvalues contributed by blocks of size >= 2.
 
     Each qualifying block j yields -gamma_j with multiplicity a_j - 1: the
-    difference of two twin indicator vectors is an eigenvector.  Takes the
-    `BlockProfile` when the caller has already computed it, and computes
+    difference of two twin indicator vectors is an eigenvector.  A
+    trailing zeros block, whose vertices lie in no edge, yields 0.  Takes
+    the `BlockProfile` when the caller has already computed it, and computes
     it from a `ShortSequence` otherwise.  The two-route verify sweep checks
     each value against the direct pair count of the block's first two
     vertices.
     """
     bp = seq if isinstance(seq, BlockProfile) else block_profile(seq)
-    _require_connected(bp.seq)
     return [
         BlockEigenvalue(-g, size - 1, j)
         for j, (g, size) in enumerate(zip(bp.gamma, bp.seq.runs), start=1)
         if size >= 2
     ]
-
-
-def _require_connected(ss: ShortSequence) -> None:
-    if not ss.connected:
-        raise DisconnectedError(
-            "disconnected sequence: closed-form eigenvalues need the last "
-            "creation bit to be 1"
-        )
 
 
 @dataclass(frozen=True)
@@ -639,7 +633,7 @@ def _merge_entries(
 
 
 def _assemble(bp: BlockProfile, merge_tol: float) -> Spectrum:
-    """Spectrum of a connected sequence from its block profile.
+    """Spectrum of a sequence from its block profile.
 
     Blocks of size a_j contribute -gamma_j with multiplicity a_j - 1 and
     the quotient contributes r values, which accounts for all n.  Values
@@ -678,18 +672,20 @@ def _check_closed(ss: ShortSequence) -> None:
     """Refuse, before any exact binomial, a sequence that the closed route
     cannot answer.
 
-    A disconnected one is refused as in `block_eigenvalues`.  Of a
-    connected one, the last two vertices have the largest pair count,
-    binomial(n-2, k-2): every pair lies in at most that many edges.  Past
-    2**53 it is refused as `_Pencil` would refuse it, but before the r
-    exact gammas are computed, whose cost grows with k without bound.
+    No edge holds a vertex past the last one with bit 1, e (n when the
+    sequence is connected), so those vertices have pair count 0 and the
+    route answers them as it answers any block.  The last two vertices up
+    to e have the largest pair count, binomial(e-2, k-2): every pair lies
+    in at most that many edges.  Past 2**53 it is refused as `_Pencil`
+    would refuse it, but before the r exact gammas are computed, whose
+    cost grows with k without bound.
     """
-    _require_connected(ss)
-    if binomial_exceeds(ss.n - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
+    e = ss.last_one
+    if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
         raise CountTooLargeError(
-            f"the pair count binomial({count_text(ss.n - 2)}, "
-            f"{count_text(ss.k - 2)}) of the last two vertices exceeds 2**53 "
-            "and would round in double precision"
+            f"the pair count binomial({count_text(e - 2)}, "
+            f"{count_text(ss.k - 2)}) of the last two vertices in an edge "
+            "exceeds 2**53 and would round in double precision"
         )
 
 

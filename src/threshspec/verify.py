@@ -128,7 +128,8 @@ def _walk(
         for s in size:
             v = _Visit(s, seen)
             for res in results:
-                # the two routes meet on connected sequences only
+                # two_route walks connected sequences only: the golden
+                # verify digest and the benchmark's checker pin its count
                 if s.connected or res.name != "two_route":
                     res.checked += 1
                     for failure in getattr(v, res.name)():

@@ -267,7 +267,6 @@ class TestSpectrumCommand:
             [],
             ["spectrum"],
             ["spectrum", "garbage"],
-            ["spectrum", "k=3;0,0,1,0"],  # disconnected
             ["spectrum", "C(2,1)_4"],  # first run below position k
             ["spectrum", "k=3;0,0,1", "--format", "yaml"],
             ["spectrum", "k=3;0,0,1", "--merge-tol", "-1"],
@@ -300,8 +299,22 @@ class TestSpectrumCommand:
             code, out, err = run(capsys, *args)
             assert code == 1, args
             assert err.startswith("error:")
-            if args == ["spectrum", "k=3;0,0,1,0"]:
-                assert err.startswith("error: disconnected sequence")
+
+    def test_disconnected_sequence_is_answered(self, capsys):
+        # the trailing zero is an isolated vertex: its 0 comes from the
+        # quotient, and the three twins of block 1 give -1 twice
+        lines = [
+            "lambda=2 mult=1 source=quotient",
+            "lambda=0 mult=1 source=quotient",
+            "lambda=-1 mult=2 source=block1",
+        ]
+        code, out, err = run(capsys, "spectrum", "k=3;0,0,1,0")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == lines
+        code, out, err = run(capsys, "spectrum", "k=3;0,0,1,0", "--verify")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:3] == lines
+        assert out.splitlines()[3].endswith("status=ok")
 
 
 class TestEdgesCommand:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 import threshspec.sequences as sequences
-from threshspec.errors import DisconnectedError, ResourceLimitError, SequenceError
+from threshspec.errors import ResourceLimitError, SequenceError
 from threshspec.sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,

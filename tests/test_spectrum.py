@@ -11,7 +11,6 @@ from threshspec.combinatorics import FLOAT_SAFE_LIMIT, binomial
 from threshspec.errors import (
     ConvergenceError,
     CountTooLargeError,
-    DisconnectedError,
     ResourceLimitError,
     SequenceError,
 )
@@ -225,12 +224,22 @@ class TestClosedRouteRefusals:
             lambda: family_spectrum_symbolic(1, 2 * 10**6, 10**6),
             lambda: family_spectrum_symbolic(2, 10**17, 3, 5),
             lambda: family_spectrum_symbolic(3, 10**17, 3),
+            # disconnected: the pair count up to the last bit 1, at 2*10**6
+            lambda: full_spectrum_closed(ShortSequence(10**6, (10**6, 10**6, 1))),
         ):
             with pytest.raises(CountTooLargeError, match="pair count binomial"):
                 call()
-        # a disconnected sequence is still refused as such, whatever its size
-        with pytest.raises(DisconnectedError):
-            full_spectrum_closed(ShortSequence(10**6, (10**6, 10**6, 1)))
+
+    def test_a_long_zero_tail_is_not_a_precision_refusal(self, capsys):
+        # every gamma is at most 1; binomial(n-2, k-2) = binomial(22004, 4)
+        # would pass 2**53, but no edge reaches past vertex 6
+        text = "k=6;0,0,0,0,0,1" + ",0" * 22000
+        assert main(["spectrum", text]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "lambda=5 mult=1 source=quotient",
+            "lambda=0 mult=22000 source=block2+quotient",
+            "lambda=-1 mult=5 source=block1",
+        ]
 
     def test_precision_refusal_starts_where_the_largest_gamma_passes_2_53(self):
         # the largest pair count of a connected sequence is its last gamma;
@@ -431,9 +440,12 @@ class TestBlockEigenvalues:
         )
         assert (b.value, b.multiplicity_lower_bound) == (-2, 2)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
-            block_eigenvalues(ShortSequence(3, (4, 1, 1)))
+    def test_trailing_zeros_block_yields_zero(self):
+        # the last two vertices lie in no edge: gamma 0, a twin value 0
+        pairs = block_eigenvalues(ShortSequence(3, (4, 1, 2)))
+        assert [
+            (b.value, b.multiplicity_lower_bound, b.block_index) for b in pairs
+        ] == [(-1, 3, 1), (0, 1, 3)]
 
     def test_counts_and_direct_pair_agreement(self):
         # block_eigenvalues and adjacency() share the column counts, so
@@ -662,9 +674,27 @@ class TestMergeEntries:
 
 
 class TestFullSpectrum:
-    def test_disconnected_rejected(self):
-        with pytest.raises(DisconnectedError):
-            full_spectrum_closed(hg("k=3;0,0,1,0"))
+    def test_disconnected_matches_bruteforce_oracle(self):
+        # every disconnected sequence with n <= 10 and k = 2..5, 960 of
+        # them, against the dense solve of the edge-list recount
+        checked = 0
+        for k in range(2, 6):
+            for n in range(k - 1, 11):
+                for seq in iter_valid_sequences(n, k):
+                    h = ThresholdHypergraph(seq)
+                    if h.runs.connected:
+                        continue
+                    checked += 1
+                    brute = adjacency_bruteforce(h)
+                    closed = full_spectrum_closed(h)
+                    numeric = full_spectrum_numeric(h, adjacency=brute)
+                    assert sum(p.multiplicity for p in closed.pairs) == n
+                    bound = 1e-12 * max(1.0, math.sqrt(brute.frobenius_sq()))
+                    got = sorted(closed.expanded())
+                    want = sorted(numeric.expanded())
+                    assert len(got) == len(want) == n
+                    assert all(abs(a - b) <= bound for a, b in zip(got, want)), seq
+        assert checked == 960
 
     def test_single_pseudodominant_values(self):
         sp = full_spectrum_closed(hg("k=3;0,0,0,0,1"))

@@ -1,5 +1,6 @@
 """The runtime imports nothing outside the standard library, every module
-exports only names it defines, and every name a module imports is used.
+exports only names it defines, every name a module imports is used, and
+every exception type the package defines is raised.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -101,3 +102,28 @@ def test_every_import_is_used():
         for name in _unused_imports(path)
     }
     assert not unused
+
+
+def _raised_names(path):
+    """Names of the classes or instances raised by a `raise` at path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name):
+                yield exc.id
+
+
+def test_every_exception_type_is_raised():
+    """An error type that nothing raises is a contract no caller can meet:
+    a deleted refusal takes its exception class with it."""
+    errors = next(path for path in SOURCES if path.stem == "errors")
+    defined = {
+        node.name
+        for node in ast.parse(errors.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ClassDef)
+    }
+    raised = {
+        name for path in SOURCES if path != errors for name in _raised_names(path)
+    }
+    assert defined
+    assert not defined - raised
