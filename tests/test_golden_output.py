@@ -33,7 +33,7 @@ from unittest import mock
 from threshspec.cli import main
 
 GOLDEN = {
-    "spectrum": "21884ead00aa940783aeb73739f41466c1c10d297ac2ed073842a5d5688ce88f",
+    "spectrum": "fb7cd59d2f1dcae70960f0f6ae3cfec87a94edf3773164d282c4c431d9b995dc",
     "edges": "0d527020915876eb2cb539462f4b134168ff3599ff47429a3fdfb8dde56cf393",
     "adjacency": "d0c0fa7519e930cab74e54796514cc1d90909fcfa6feb33241b9a5a8fa615747",
     "family": "e737d9fe425af2592c7d10fdc5a426f84751ce36dd2a634702bc007ae712e741",
