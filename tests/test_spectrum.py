@@ -688,7 +688,6 @@ class TestFullSpectrum:
                     brute = adjacency_bruteforce(h)
                     closed = full_spectrum_closed(h)
                     numeric = full_spectrum_numeric(h, adjacency=brute)
-                    assert sum(p.multiplicity for p in closed.pairs) == n
                     bound = 1e-12 * max(1.0, math.sqrt(brute.frobenius_sq()))
                     got = sorted(closed.expanded())
                     want = sorted(numeric.expanded())
