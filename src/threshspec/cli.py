@@ -369,18 +369,26 @@ SUBCOMMANDS = {
 
 @functools.cache
 def _parser(command: str | None) -> _Parser:
-    """The parser with the subparser of `command` alone, or of every
-    subcommand for None, built on first use rather than at import.  Each
-    subparser costs about 0.2 ms, as much as a small `spectrum` call, so
-    `main` asks for the one its argv names; any other argv gets them all,
-    and help and usage errors read the same either way."""
-    parser = _Parser(prog="threshspec", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_line, add_arguments, handler) in SUBCOMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            add_arguments(p)
-            p.set_defaults(handler=handler)
+    """The parser of `command` alone, or the top-level parser of every
+    subcommand for None, built on first use rather than at import.  A
+    named call builds one `ArgumentParser` and parses its argv once; any
+    other argv (none, `-h`, an unknown command, an option first) gets the
+    top-level parser, whose subparsers are complete, so help and usage
+    errors read the same either way."""
+    if command is None:
+        parser = _Parser(prog="threshspec", description=__doc__)
+        sub = parser.add_subparsers(dest="command", required=True)
+        parsers = {
+            name: sub.add_parser(name, help=help_line)
+            for name, (help_line, _, _) in SUBCOMMANDS.items()
+        }
+    else:
+        parser = _Parser(prog=f"threshspec {command}")
+        parsers = {command: parser}
+    for name, p in parsers.items():
+        _, add_arguments, handler = SUBCOMMANDS[name]
+        add_arguments(p)
+        p.set_defaults(handler=handler)
     return parser
 
 
@@ -389,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = _parser(command).parse_args(argv)
+        args = _parser(command).parse_args(argv if command is None else argv[1:])
         code = args.handler(args, sys.stdout, sys.stderr)
         sys.stdout.flush()  # a closed pipe shows here when the output is short
         return code

@@ -244,23 +244,44 @@ class TestSpectrumCommand:
         assert cli._parser("spectrum") is not cli._parser(None)
 
     def test_a_call_builds_only_its_subparser(self, capsys, monkeypatch):
-        built = []
-        init = cli._Parser.__init__
+        built, passes = [], []
+        init, parse = cli._Parser.__init__, cli._Parser.parse_known_args
 
         def counted(parser, *args, **kwargs):
             built.append(kwargs.get("prog"))
             init(parser, *args, **kwargs)
 
+        def counted_parse(parser, *args, **kwargs):
+            passes.append(parser.prog)
+            return parse(parser, *args, **kwargs)
+
         monkeypatch.setattr(cli._Parser, "__init__", counted)
+        monkeypatch.setattr(cli._Parser, "parse_known_args", counted_parse)
         cli._parser.cache_clear()
         for _ in range(2):
+            passes.clear()
             code, out, err = run(capsys, "spectrum", "C(3,1,1)_3")
             assert (code, err) == (0, "") and out.startswith("lambda=")
-        assert built == ["threshspec", "threshspec spectrum"]
-        # any other argv gets every subcommand, and no parent parsers
+            assert passes == ["threshspec spectrum"]  # one argparse pass
+        assert built == ["threshspec spectrum"]
+        # any other argv gets the parent and every subcommand, and the
+        # parent hands the command's arguments to a second pass
         built.clear()
         assert run(capsys, "spectra", "C(3,1,1)_3")[0] == 1
         assert built == ["threshspec"] + [f"threshspec {c}" for c in cli.SUBCOMMANDS]
+        passes.clear()
+        assert run(capsys, "--bogus", "spectrum", "C(3,1,1)_3")[0] == 1
+        assert passes == ["threshspec", "threshspec spectrum"]
+
+    def test_a_token_before_the_command_reads_its_full_subparser(self, capsys):
+        # the parent rejects the first token, and its message depends on the
+        # arguments of the subparser named after it
+        for args, message in (
+            (["--bogus", "spectrum", "C(3,1)_3"], "unrecognized arguments: --bogus"),
+            (["--bogus", "spectrum"], "the following arguments are required: sequence"),
+            (["-x", "verify", "--n-max", "3", "--k", "3"], "unrecognized arguments: -x"),
+        ):
+            assert run(capsys, *args) == (1, "", f"error: {message}\n")
 
     def test_bad_inputs_exit_1(self, capsys):
         for args in (
