@@ -10,11 +10,12 @@ functions use `DEFAULT_SEQUENCE_BUDGET`.
 """
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Iterator
 
 from .hypergraph import (
+    AdjacencyMatrix,
     ThresholdHypergraph,
     block_profile,
     edge_links,
@@ -24,6 +25,7 @@ from .hypergraph import (
 from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
+    ShortSequence,
     complement_sequence,
     format_bits,
     sweep_space,
@@ -64,52 +66,64 @@ class SweepResult:
 class _Visit:
     """One sequence as the checks see it.  Each check is a method named
     after its sweep that yields the sequence's failures; they share one
-    edge list and one closed-form adjacency, each built on first use."""
+    edge list and one closed-form adjacency, each built on first use and
+    held on the visit.  The sequence's text is written only for a failure.
+    Helpers start with `_`, so that `_CHECKS` does not take them."""
 
-    def __init__(self, s: BinarySequence, seen: dict[tuple, str]) -> None:
+    def __init__(self, s: BinarySequence, seen: dict[tuple, ShortSequence]) -> None:
         self.s, self.h = s, ThresholdHypergraph(s)
-        self.text = format_bits(self.h.runs)
-        self.edges, self.adjacency = cache(self.h.edges), cache(self.h.adjacency)
         self.seen = seen  # adjacency entries of this size -> first sequence
 
+    @cached_property
+    def _edges(self) -> list[tuple[int, ...]]:
+        return self.h.edges()
+
+    @cached_property
+    def _adjacency(self) -> AdjacencyMatrix:
+        return self.h.adjacency()
+
+    @property
+    def _text(self) -> str:
+        return format_bits(self.h.runs)
+
     def oracle_equivalence(self) -> Iterator[str]:
-        if self.adjacency() != recount_pairs(self.s.n, self.edges()):
-            yield self.text
+        if self._adjacency != recount_pairs(self.s.n, self._edges):
+            yield self._text
 
     def two_route(self) -> Iterator[str]:
         ss = self.h.runs
         try:
             values = block_eigenvalues(block_profile(ss))
         except RuntimeError as exc:
-            yield f"{self.text}: {exc}"
+            yield f"{self._text}: {exc}"
             return
         for b in values:
             first = sum(ss.runs[: b.block_index - 1]) + 1
             direct = -self.h.pair_count(first, first + 1)
             if b.value != direct:
                 yield (
-                    f"{self.text}: block {b.block_index} gives "
+                    f"{self._text}: block {b.block_index} gives "
                     f"{b.value} but the direct pair count gives {direct}"
                 )
         if sum(b.multiplicity_lower_bound for b in values) != self.s.n - ss.r:
-            yield f"{self.text}: block multiplicities missed n-r"
+            yield f"{self._text}: block multiplicities missed n-r"
 
     def uniqueness(self) -> Iterator[str]:
-        key = self.adjacency().entries
+        key = self._adjacency.entries
         if key in self.seen:
-            yield f"{self.seen[key]} collides with {self.text}"
+            yield f"{format_bits(self.seen[key])} collides with {self._text}"
         else:
-            self.seen[key] = self.text
+            self.seen[key] = self.h.runs
 
     def replaceability_totality(self) -> Iterator[str]:
-        if not totally_replaceable(edge_links(self.s.n, self.edges())):
-            yield self.text
+        if not totally_replaceable(edge_links(self.s.n, self._edges)):
+            yield self._text
 
     def complement_partition(self) -> Iterator[str]:
         n, k = self.s.n, self.s.k
         theirs = ThresholdHypergraph(complement_sequence(self.s)).edges()
-        if sorted(self.edges() + theirs) != list(combinations(range(1, n + 1), k)):
-            yield self.text
+        if sorted(self._edges + theirs) != list(combinations(range(1, n + 1), k)):
+            yield self._text
 
 
 #: The checks, in the order `_Visit` defines them and `run_all_sweeps` reports.
@@ -124,7 +138,7 @@ def _walk(
 ) -> list[SweepResult]:
     results = [SweepResult(name) for name in names]
     for size in sweep_space(n_max, k_values, "sweeps", budget, False):
-        seen: dict[tuple, str] = {}
+        seen: dict[tuple, ShortSequence] = {}
         for s in size:
             v = _Visit(s, seen)
             for res in results:
