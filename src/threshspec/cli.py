@@ -11,6 +11,11 @@ Every command reads its sequence to the run-length form and calls the
 library, which checks each size cap and the precision limit on the runs
 before any bit or matrix is built; the CLI holds no guard of its own.
 Integers on the command line may have any number of digits.
+
+A call whose first argument names a subcommand builds one argument
+parser, that subcommand's alone, and reads the rest of its arguments in
+one pass; any other call builds the top-level parser of all six
+(`_parser`).  `-h` prints this docstring but for this last paragraph.
 """
 
 import argparse
@@ -371,12 +376,14 @@ SUBCOMMANDS = {
 def _parser(command: str | None) -> _Parser:
     """The parser of `command` alone, or the top-level parser of every
     subcommand for None, built on first use rather than at import.  A
-    named call builds one `ArgumentParser` and parses its argv once; any
+    named call builds one `ArgumentParser`, not a top-level parser and a
+    subparser, and reads its arguments in one argparse pass, not two; any
     other argv (none, `-h`, an unknown command, an option first) gets the
     top-level parser, whose subparsers are complete, so help and usage
     errors read the same either way."""
     if command is None:
-        parser = _Parser(prog="threshspec", description=__doc__)
+        description = __doc__.rsplit("\n\n", 1)[0]
+        parser = _Parser(prog="threshspec", description=description)
         sub = parser.add_subparsers(dest="command", required=True)
         parsers = {
             name: sub.add_parser(name, help=help_line)

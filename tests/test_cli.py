@@ -278,7 +278,10 @@ class TestSpectrumCommand:
         # arguments of the subparser named after it
         for args, message in (
             (["--bogus", "spectrum", "C(3,1)_3"], "unrecognized arguments: --bogus"),
-            (["--bogus", "spectrum"], "the following arguments are required: sequence"),
+            (
+                ["--bogus", "spectrum"],
+                "the following arguments are required: sequence",
+            ),
             (["-x", "verify", "--n-max", "3", "--k", "3"], "unrecognized arguments: -x"),
         ):
             assert run(capsys, *args) == (1, "", f"error: {message}\n")
