@@ -85,13 +85,24 @@ def _json_number(value: float) -> float | None:
 #: nearly twice as long; one for the whole text (`json.dumps`) holds it all.
 _JSON_BATCH = 8192
 
+#: Longest piece joined into a batch, and the size of the slices a longer
+#: one is written in: the `sequence` field has 2n - 1 characters.
+_JSON_SLICE = 1 << 16
+
 
 def _write_json(doc, out: TextIO) -> None:
     """`doc` as JSON indented by 2 and a newline, written in batches as it
-    is encoded; no piece is empty, so an empty batch ends the pieces."""
+    is encoded; no piece is empty, so an empty batch ends the pieces.  A
+    batch with a piece over `_JSON_SLICE` characters is written piece by
+    piece, each in slices, so that no copy of a long piece is made whole."""
     pieces = json.JSONEncoder(indent=2).iterencode(doc)
-    while batch := "".join(islice(pieces, _JSON_BATCH)):
-        out.write(batch)
+    while batch := list(islice(pieces, _JSON_BATCH)):
+        if max(map(len, batch)) <= _JSON_SLICE:
+            out.write("".join(batch))
+            continue
+        for piece in batch:
+            for start in range(0, len(piece), _JSON_SLICE):
+                out.write(piece[start : start + _JSON_SLICE])
     out.write("\n")
 
 

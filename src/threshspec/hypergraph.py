@@ -224,7 +224,18 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
 
 @dataclass(frozen=True)
 class AdjacencyMatrix:
-    """Symmetric matrix of exact pair counts with a zero diagonal."""
+    """Symmetric matrix of exact pair counts with a zero diagonal.
+
+    Construction checks all of this in O(n**2): integer entries, a square
+    shape, a zero diagonal, no negative count and symmetry.  The two
+    builders in this module skip that check, since their matrices hold it
+    by construction: `ThresholdHypergraph.adjacency` writes c_max(i,j) of
+    exact integer pair counts to both (i, j) and (j, i) and 0 on the
+    diagonal, and `recount_pairs` adds each edge's pairs to both cells from
+    zero, so only an edge that repeats a vertex can break it, by a count on
+    the diagonal, which it refuses in O(n).  Any other matrix, such as one
+    handed to `spectrum.full_spectrum_numeric`, is checked in full.
+    """
 
     entries: tuple[tuple[int, ...], ...]
 
@@ -332,7 +343,7 @@ class ThresholdHypergraph:
         for g, a in zip(bp.gamma, bp.seq.runs):
             columns += [g] * a
         c = tuple(columns)
-        return AdjacencyMatrix(
+        return _built_matrix(
             tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(self.n))
         )
 
@@ -350,14 +361,26 @@ def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
 
 
 def recount_pairs(n: int, edges: Iterable[Iterable[int]]) -> AdjacencyMatrix:
-    """Adjacency matrix of an edge list on vertices 1..n, counted edge by edge."""
+    """Adjacency matrix of an edge list on vertices 1..n, counted edge by
+    edge.  An edge that repeats a vertex is refused with ValueError."""
     check_dense(n)
     rows = [[0] * n for _ in range(n)]
     for e in edges:
         for a, b in combinations(e, 2):
             rows[a - 1][b - 1] += 1
             rows[b - 1][a - 1] += 1
-    return AdjacencyMatrix(tuple(tuple(row) for row in rows))
+    if any(rows[i][i] for i in range(n)):
+        raise ValueError("adjacency diagonal must be zero")
+    return _built_matrix(tuple(tuple(row) for row in rows))
+
+
+def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
+    """An `AdjacencyMatrix` of entries that hold its contract by
+    construction, without its O(n**2) check; only `adjacency` and
+    `recount_pairs` may call it."""
+    matrix = object.__new__(AdjacencyMatrix)
+    object.__setattr__(matrix, "entries", entries)
+    return matrix
 
 
 @dataclass(frozen=True)

@@ -18,8 +18,11 @@ the in-memory type keeps the marker explicit so conversions round-trip
 for disconnected sequences as well, and refuses runs no bit sequence has.
 
 `sweep_space` owns the space the exhaustive sweeps (`verify`) and the
-quotient scan walk: every valid sequence up to a size bound, in one
-order, refused up front when its closed-form count is over a budget.
+quotient scan walk: every (k, n) size up to a bound, in one order,
+refused up front when its closed-form count of sequences is over a
+budget.  Each walk then lists a size's sequences in lexicographic bit
+order, as bits (`iter_valid_sequences`) or as run shapes
+(`iter_short_sequences`).
 """
 
 import re
@@ -44,6 +47,7 @@ __all__ = [
     "format_short",
     "complement_sequence",
     "iter_valid_sequences",
+    "iter_short_sequences",
     "count_valid_sequences",
     "sweep_space",
 ]
@@ -286,6 +290,36 @@ def iter_valid_sequences(
         yield BinarySequence(k, head + tail)
 
 
+def iter_short_sequences(
+    n: int, k: int, connected_only: bool = False
+) -> Iterator[ShortSequence]:
+    """The run-length forms of `iter_valid_sequences(n, k, connected_only)`,
+    in its order, built from the run shapes with no bit list."""
+    if k < 2 or n < k - 1:
+        return
+    if n == k - 1:
+        if not connected_only:
+            yield ShortSequence(k, (n,))
+        return
+    # the k - 1 forced zeros join the first run; a tail that starts with 1
+    # makes it the merged head
+    for bit in (0, 1):
+        for runs in _tail_runs(n - k + 1, bit, connected_only):
+            yield ShortSequence(k, (k - 1 + runs[0], *runs[1:]), bool(bit))
+
+
+def _tail_runs(m: int, bit: int, connected_only: bool) -> Iterator[tuple[int, ...]]:
+    """Run lengths of every m-bit string that starts with `bit`, in
+    lexicographic order (ending in 1 when `connected_only`): a longer
+    first run of zeros comes first, a longer first run of ones last."""
+    for size in range(1, m + 1) if bit else range(m, 0, -1):
+        if size < m:
+            for rest in _tail_runs(m - size, 1 - bit, connected_only):
+                yield (size, *rest)
+        elif bit or not connected_only:
+            yield (m,)
+
+
 def _exponents(n_max: int, k_values: Iterable[int], connected_only: bool) -> list[int]:
     """One e per distinct k that has a size up to `n_max`, largest first:
     the k's sizes hold 2**e - 1 sequences."""
@@ -322,9 +356,11 @@ def sweep_space(
     what: str,
     budget: int,
     connected_only: bool,
-) -> Iterator[Iterator[BinarySequence]]:
-    """Every valid sequence with at most `n_max` vertices, one iterator per
-    size: k ascending, then n from k-1 up, then `iter_valid_sequences`.
+) -> list[tuple[int, int]]:
+    """The (k, n) sizes of a walk over every valid sequence with at most
+    `n_max` vertices, or every connected one: k ascending, then n from k-1
+    up.  The walk lists each size's sequences with `iter_valid_sequences`
+    or `iter_short_sequences`, passing them `connected_only`.
 
     A space of more than `budget` sequences is refused up front with a
     `ResourceLimitError` that says `what` would visit it.  A count with
@@ -343,8 +379,4 @@ def sweep_space(
         raise ResourceLimitError(
             f"{what} would visit {over} sequences, over the budget of {budget}"
         )
-    return (
-        iter_valid_sequences(n, k, connected_only)
-        for k in k_set
-        for n in range(k - 1, n_max + 1)
-    )
+    return [(k, n) for k in k_set for n in range(k - 1, n_max + 1)]

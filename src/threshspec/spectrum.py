@@ -28,7 +28,6 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterable, Sequence
 
 from .combinatorics import (
@@ -49,8 +48,8 @@ from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
     format_bits,
+    iter_short_sequences,
     sweep_space,
-    to_short,
 )
 
 __all__ = [
@@ -828,22 +827,21 @@ def scan_quotient_simplicity(
     refuses a space over `budget` before the first row.
     """
     out = []
-    space = sweep_space(n_max, k_values, "scan", budget, True)
-    for s in chain.from_iterable(space):
-        ss = to_short(s)
-        values = quotient_eigenvalues(block_profile(ss))
-        if len(values) > 1:
-            gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
-        else:
-            gap = math.inf
-        out.append(
-            ScanRow(
-                sequence=format_bits(ss),
-                n=s.n,
-                k=s.k,
-                r=len(values),
-                min_quotient_gap=gap,
-                flagged=gap < tol,
+    for k, n in sweep_space(n_max, k_values, "scan", budget, True):
+        for ss in iter_short_sequences(n, k, True):
+            values = quotient_eigenvalues(block_profile(ss))
+            if len(values) > 1:
+                gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
+            else:
+                gap = math.inf
+            out.append(
+                ScanRow(
+                    sequence=format_bits(ss),
+                    n=n,
+                    k=k,
+                    r=len(values),
+                    min_quotient_gap=gap,
+                    flagged=gap < tol,
+                )
             )
-        )
     return out

@@ -2,8 +2,9 @@
 
 One walk visits every valid sequence up to a size bound once, in the
 order of `sequences.sweep_space`, and runs checks on it, each of an
-identity whose two sides are computed by unrelated code paths.  The CLI
-`verify` command runs all five checks in one walk; each `sweep_*` is the
+identity whose two sides are computed by unrelated code paths.  What the
+checks compare against at one (k, n) size is built once per size.  The
+CLI `verify` command runs all five checks in one walk; each `sweep_*` is the
 walk with one check.  `sweep_space` refuses a walk over the sequence
 budget before it starts: `run_all_sweeps` takes the budget, the `sweep_*`
 functions use `DEFAULT_SEQUENCE_BUDGET`.
@@ -28,6 +29,7 @@ from .sequences import (
     ShortSequence,
     complement_sequence,
     format_bits,
+    iter_valid_sequences,
     sweep_space,
 )
 from .spectrum import block_eigenvalues
@@ -63,6 +65,21 @@ class SweepResult:
             self.failures.append("...")
 
 
+class _Size:
+    """What the visits of one (k, n) size share: the adjacency entries seen
+    so far, each with its first sequence, and the list of every k-subset.
+    The list is built at its first use, which follows the edge lists
+    under their cap: it is as long as the two lists together."""
+
+    def __init__(self, k: int, n: int) -> None:
+        self.k, self.n = k, n
+        self.seen: dict[tuple, ShortSequence] = {}
+
+    @cached_property
+    def subsets(self) -> list[tuple[int, ...]]:
+        return list(combinations(range(1, self.n + 1), self.k))
+
+
 class _Visit:
     """One sequence as the checks see it.  Each check is a method named
     after its sweep that yields the sequence's failures; they share one
@@ -70,9 +87,8 @@ class _Visit:
     held on the visit.  The sequence's text is written only for a failure.
     Helpers start with `_`, so that `_CHECKS` does not take them."""
 
-    def __init__(self, s: BinarySequence, seen: dict[tuple, ShortSequence]) -> None:
-        self.s, self.h = s, ThresholdHypergraph(s)
-        self.seen = seen  # adjacency entries of this size -> first sequence
+    def __init__(self, s: BinarySequence, size: _Size) -> None:
+        self.s, self.h, self.size = s, ThresholdHypergraph(s), size
 
     @cached_property
     def _edges(self) -> list[tuple[int, ...]]:
@@ -109,20 +125,19 @@ class _Visit:
             yield f"{self._text}: block multiplicities missed n-r"
 
     def uniqueness(self) -> Iterator[str]:
-        key = self._adjacency.entries
-        if key in self.seen:
-            yield f"{format_bits(self.seen[key])} collides with {self._text}"
+        key, seen = self._adjacency.entries, self.size.seen
+        if key in seen:
+            yield f"{format_bits(seen[key])} collides with {self._text}"
         else:
-            self.seen[key] = self.h.runs
+            seen[key] = self.h.runs
 
     def replaceability_totality(self) -> Iterator[str]:
         if not totally_replaceable(edge_links(self.s.n, self._edges)):
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        n, k = self.s.n, self.s.k
         theirs = ThresholdHypergraph(complement_sequence(self.s)).edges()
-        if sorted(self._edges + theirs) != list(combinations(range(1, n + 1), k)):
+        if sorted(self._edges + theirs) != self.size.subsets:
             yield self._text
 
 
@@ -137,10 +152,10 @@ def _walk(
     budget: int = DEFAULT_SEQUENCE_BUDGET,
 ) -> list[SweepResult]:
     results = [SweepResult(name) for name in names]
-    for size in sweep_space(n_max, k_values, "sweeps", budget, False):
-        seen: dict[tuple, ShortSequence] = {}
-        for s in size:
-            v = _Visit(s, seen)
+    for k, n in sweep_space(n_max, k_values, "sweeps", budget, False):
+        size = _Size(k, n)
+        for s in iter_valid_sequences(n, k):
+            v = _Visit(s, size)
             for res in results:
                 # two_route walks connected sequences only: the golden
                 # verify digest and the benchmark's checker pin its count

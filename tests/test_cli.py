@@ -597,6 +597,21 @@ def test_structured_output_is_written_as_it_is_encoded(args, capsys, monkeypatch
     assert strict_json(out)
 
 
+def test_a_long_piece_is_written_in_slices():
+    # the `sequence` field of a large n was joined whole into its batch, a
+    # third copy of it; the text stays that of json's encoder, with the
+    # long piece in a later batch than the first
+    class Writes(list):
+        write = list.append
+
+    long = "k=3;0" + ",0" * cli._JSON_SLICE
+    doc = {"pairs": [{"value": 1.5, "source": "block1"}] * 1000, "sequence": long}
+    out = Writes()
+    cli._write_json(doc, out)
+    assert "".join(out) == json.JSONEncoder(indent=2).encode(doc) + "\n"
+    assert max(map(len, out)) == cli._JSON_SLICE < len(long)
+
+
 FAMILY_PAST_BIT_CAP = ["family", "1", "--n", "9007199254740993", "--k", "2"]
 
 

@@ -19,6 +19,7 @@ from threshspec.hypergraph import (
     edge_links,
     edge_total,
     load_replaceable_non_threshold_7_4,
+    recount_pairs,
 )
 from threshspec.sequences import (
     BinarySequence,
@@ -91,6 +92,18 @@ class TestAdjacencyMatrix:
     def test_frobenius_sq_exact(self):
         m = AdjacencyMatrix(((0, 2, 1), (2, 0, 3), (1, 3, 0)))
         assert m.frobenius_sq() == 2 * (4 + 1 + 9)
+
+    def test_unchecked_builders_hold_the_checked_contract(self):
+        # `adjacency` and `recount_pairs` skip the O(n**2) check: what they
+        # build must pass it, with int entries
+        for h in all_hypergraphs(9, range(2, 6)):
+            for m in (h.adjacency(), adjacency_bruteforce(h)):
+                assert AdjacencyMatrix(m.entries) == m
+                assert all(type(x) is int for row in m.entries for x in row)
+
+    def test_recount_refuses_a_repeated_vertex(self):
+        with pytest.raises(ValueError, match="^adjacency diagonal must be zero$"):
+            recount_pairs(3, [(1, 1, 2)])
 
 
 class TestThresholdHypergraph:

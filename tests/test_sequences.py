@@ -12,6 +12,7 @@ from threshspec.sequences import (
     count_valid_sequences,
     format_bits,
     format_short,
+    iter_short_sequences,
     iter_valid_sequences,
     parse_binary,
     parse_sequence,
@@ -220,6 +221,20 @@ def test_iter_valid_sequences_counts_and_order():
     assert seqs == sorted(seqs)  # lexicographic, deterministic
 
 
+def test_iter_short_sequences_are_the_run_forms_in_bit_order():
+    for k in range(2, 6):
+        for n in range(13):
+            for connected in (False, True):
+                assert list(iter_short_sequences(n, k, connected)) == [
+                    to_short(s) for s in iter_valid_sequences(n, k, connected)
+                ], (n, k, connected)
+    # no sequence below the forced zeros or at a uniformity under 2
+    for n, k in [(0, 2), (1, 3), (3, 5), (5, 1), (5, 0), (0, 1)]:
+        for connected in (False, True):
+            assert list(iter_short_sequences(n, k, connected)) == []
+            assert list(iter_valid_sequences(n, k, connected)) == []
+
+
 def test_count_valid_sequences():
     assert count_valid_sequences(5, [3]) == 1 + 2 + 4 + 8
     assert count_valid_sequences(5, [3], connected_only=True) == 1 + 2 + 4
@@ -272,21 +287,20 @@ def test_count_valid_sequences_matches_the_reference_loop():
 
 
 def test_sweep_space_order_and_sizes():
-    # k ascending, then n from k - 1 up, then the bits of each size
+    # k ascending, then n from k - 1 up; a size's sequences are listed by
+    # the walk, and the sizes hold the whole counted space
     for n_max, ks in [(6, [4, 2, 2, 3]), (5, [1, 3]), (2, [5]), (7, [2])]:
         for connected in (False, True):
-            sizes = [
-                list(size)
-                for size in sweep_space(n_max, ks, "demo", 10**6, connected)
-            ]
-            expected = [
-                list(iter_valid_sequences(n, k, connected))
+            sizes = sweep_space(n_max, ks, "demo", 10**6, connected)
+            assert sizes == [
+                (k, n)
                 for k in sorted({k for k in ks if k >= 2})
                 for n in range(k - 1, n_max + 1)
             ]
-            assert sizes == expected
-            assert all(len({(s.n, s.k) for s in size}) <= 1 for size in sizes)
-            assert sum(map(len, sizes)) == count_valid_sequences(
+            listed = [list(iter_valid_sequences(n, k, connected)) for k, n in sizes]
+            for (k, n), size in zip(sizes, listed):
+                assert all((s.k, s.n) == (k, n) for s in size)
+            assert sum(map(len, listed)) == count_valid_sequences(
                 n_max, ks, connected
             )
 
@@ -315,7 +329,8 @@ def test_sweep_space_refuses_before_building_a_sequence(monkeypatch):
     # exactly at the budget the space is walked
     monkeypatch.undo()
     space = sweep_space(10, [2], "demo", 2**10 - 1, False)
-    assert sum(1 for size in space for _ in size) == 2**10 - 1
+    walked = sum(1 for k, n in space for _ in iter_valid_sequences(n, k))
+    assert walked == 2**10 - 1
 
 
 @pytest.mark.parametrize(

@@ -127,3 +127,47 @@ def test_every_exception_type_is_raised():
     }
     assert defined
     assert not defined - raised
+
+
+def _reads(tree, names):
+    """(innermost enclosing function or None, whether it is called) for
+    every read of one of `names` in tree, by name or as an attribute."""
+    called = {id(node.func) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    stack = [(tree, None)]
+    while stack:
+        node, function = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Name) and node.id in names:
+            yield function, id(node) in called
+        elif isinstance(node, ast.Attribute) and node.attr in names:
+            yield function, id(node) in called
+        stack.extend((child, function) for child in ast.iter_child_nodes(node))
+
+
+def test_only_the_package_builders_skip_the_matrix_check():
+    """`hypergraph._built_matrix` makes an `AdjacencyMatrix` without its
+    O(n**2) check, for the two builders whose matrices hold it by
+    construction.  Any other matrix, such as one injected into
+    `full_spectrum_numeric`, goes through the check: the helper is called
+    from those two builders only, and nothing else makes an instance past
+    `__init__`."""
+    helper = "_built_matrix"
+    hypergraph = next(path for path in SOURCES if path.stem == "hypergraph")
+    tree = ast.parse(hypergraph.read_text(encoding="utf-8"))
+    assert any(
+        isinstance(node, ast.FunctionDef) and node.name == helper
+        for node in tree.body
+    )
+    reads = {
+        (path.name, function, call)
+        for path in SOURCES
+        for function, call in _reads(
+            ast.parse(path.read_text(encoding="utf-8")), {helper, "__new__"}
+        )
+    }
+    assert reads == {
+        ("hypergraph.py", "adjacency", True),
+        ("hypergraph.py", "recount_pairs", True),
+        ("hypergraph.py", helper, True),  # its object.__new__
+    }

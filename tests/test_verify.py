@@ -3,6 +3,7 @@ from dataclasses import replace
 import pytest
 
 import threshspec.sequences as sequences
+import threshspec.spectrum as spectrum
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import (
@@ -86,11 +87,15 @@ def test_budget_guard():
     ids=lambda walk: walk.__name__,
 )
 def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
-    # the five sweeps have no budget parameter: the default one guards them
+    # the five sweeps have no budget parameter: the default one guards them;
+    # each walk lists sequences by bits or by runs, under the name it imports
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
-    monkeypatch.setattr(sequences, "iter_valid_sequences", no_enumeration)
+    for module in (sequences, verify, spectrum):
+        for name in ("iter_valid_sequences", "iter_short_sequences"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, no_enumeration)
     for n_max in (30, 20000):
         with pytest.raises(ResourceLimitError, match="over the budget of 100000"):
             walk(n_max, [3])
@@ -309,3 +314,37 @@ def test_walk_lists_edges_twice_and_builds_adjacency_once(monkeypatch):
     assert all(r.passed for r in results)
     assert results[0].checked == visited
     assert calls == {"edges": 2 * visited, "adjacency": visited, "to_general": 0}
+
+
+def test_walk_lists_the_k_subsets_once_per_size(monkeypatch):
+    # the complement check compares against one list of k-subsets per
+    # (k, n) size, not one per sequence
+    calls = []
+    real = verify.combinations
+
+    def counted(vertices, k):
+        calls.append((k, len(vertices)))
+        return real(vertices, k)
+
+    monkeypatch.setattr(verify, "combinations", counted)
+    results = run_all_sweeps(8, [2, 3, 4])
+    assert all(r.passed for r in results)
+    assert results[0].checked == count_valid_sequences(8, [2, 3, 4])
+    assert calls == [(k, n) for k in (2, 3, 4) for n in range(k - 1, 9)]
+
+
+def test_edge_cap_refuses_before_the_k_subsets_are_listed(monkeypatch):
+    # the list is as long as a sequence's edges and its complement's, so
+    # it waits for both lists, which the edge cap refuses past 10**7 each
+    def refused(self, cap=None):
+        raise ResourceLimitError("edges over the cap")
+
+    def no_subsets(*args):
+        raise AssertionError("k-subsets listed before the edges")
+
+    monkeypatch.setattr(ThresholdHypergraph, "edges", refused)
+    monkeypatch.setattr(verify, "combinations", no_subsets)
+    with pytest.raises(ResourceLimitError, match="edges over the cap"):
+        sweep_complement_partition(6, [3])
+    with pytest.raises(ResourceLimitError, match="edges over the cap"):
+        run_all_sweeps(6, [3])
