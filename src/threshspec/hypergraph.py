@@ -10,13 +10,13 @@ recounts every pair by walking the edge list, and `pair_count` sums the
 edges of one pair directly; both stay independent of `block_profile` and
 serve as its oracles.
 
-A `ThresholdHypergraph` keeps the run-length form and builds its n
-creation bits only for the two methods that read single vertices,
-`pseudodominants` (which `edges` lists from) and `pair_count`.  The size
-caps (`check_edges` on the edge count, `check_dense` on n and
-`check_dense_digits` on the text of the matrix) are checked on the runs
-inside each method, so a short form over a cap is refused before any bit
-is built, whoever calls.
+A `ThresholdHypergraph` computes on the run-length form alone and builds
+its n creation bits only when `sequence` is asked for.  `pseudodominants`
+(which `edges` lists from) and `pair_count` read the ones blocks off
+`ShortSequence.blocks()`, the one run decoding they share with
+`block_profile`.  The size caps (`check_edges` on the edge count,
+`check_dense` on n and `check_dense_digits` on the text of the matrix)
+are checked on the runs inside each method, whoever calls.
 """
 
 from dataclasses import dataclass, field
@@ -262,18 +262,16 @@ class AdjacencyMatrix:
 class ThresholdHypergraph:
     """k-uniform hypergraph defined by a creation sequence.
 
-    Takes either encoding and keeps the run-length form, `runs`.  The bit
-    form, `sequence`, is the one given or is built on first use, and only
-    the methods that read single vertices (`pseudodominants`, for `edges`,
-    and `pair_count`) use it; every size cap is checked on the runs before
-    that.
+    Takes either encoding and keeps only the run-length form, `runs`,
+    which every method reads; every size cap is checked on the runs.  The
+    bit form, `sequence`, is built from the runs on request and read by
+    no method.
     """
 
     runs: ShortSequence
 
     def __init__(self, seq: BinarySequence | ShortSequence) -> None:
         if isinstance(seq, BinarySequence):
-            object.__setattr__(self, "sequence", seq)  # kept, not rebuilt
             seq = to_short(seq)
         object.__setattr__(self, "runs", seq)
 
@@ -295,14 +293,20 @@ class ThresholdHypergraph:
         return self.runs.k
 
     def pseudodominants(self) -> list[int]:
-        """Vertices whose creation bit is 1, i.e. the possible edge maxima."""
-        return [i for i, b in enumerate(self.sequence.bits, start=1) if b]
+        """Vertices whose creation bit is 1, i.e. the possible edge maxima:
+        those of the ones blocks, from position k on in the merged head."""
+        out, end = [], 0
+        for size, ones in self.runs.blocks():
+            if ones:
+                out += range(max(end + 1, self.k), end + size + 1)
+            end += size
+        return out
 
     def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
 
         The count is checked against `cap` (`check_edges`) before anything
-        is materialized, the bits included.
+        is materialized.
         """
         check_edges(self.runs, cap)
         k = self.k
@@ -325,12 +329,10 @@ class ThresholdHypergraph:
         for v in (i, j):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        lo, hi = min(i, j), max(i, j)
-        k = self.k
-        own = binomial(hi - 2, k - 2) if self.sequence.bits[hi - 1] else 0
-        later = sum(
-            binomial(v - 3, k - 3) for v in self.pseudodominants() if v > hi
-        )
+        hi, k = max(i, j), self.k
+        ones = self.pseudodominants()
+        own = binomial(hi - 2, k - 2) if hi in ones else 0
+        later = sum(binomial(v - 3, k - 3) for v in ones if v > hi)
         return own + later
 
     def adjacency(self) -> AdjacencyMatrix:

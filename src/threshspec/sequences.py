@@ -20,14 +20,14 @@ for disconnected sequences as well, and refuses runs no bit sequence has.
 `sweep_space` owns the space the exhaustive sweeps (`verify`) and the
 quotient scan walk: every (k, n) size up to a bound, in one order,
 refused up front when its closed-form count of sequences is over a
-budget.  Each walk then lists a size's sequences in lexicographic bit
-order, as bits (`iter_valid_sequences`) or as run shapes
-(`iter_short_sequences`).
+budget.  Each walk lists a size's run shapes with `iter_short_sequences`.
+The package enumerates and computes on the run form only; bits are built
+from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 """
 
 import re
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from typing import Iterable, Iterator
 
 from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
@@ -62,10 +62,11 @@ BIT_TEXT_CAP = 16 * 10**7
 
 @dataclass(frozen=True)
 class BinarySequence:
-    """Bit form of a creation sequence.
+    """Bit form of a creation sequence, built only from text or on
+    request: the package computes on `ShortSequence`.
 
-    Degenerate case: n = k-1 is allowed (necessarily all zeros, no edges)
-    because `iter_valid_sequences` and the sweeps start at n = k-1.
+    Degenerate case: n = k-1 is allowed (necessarily all zeros, no edges),
+    the bit form of the lone zero run the sweeps start from.
     """
 
     k: int
@@ -263,38 +264,34 @@ def format_short(ss: ShortSequence) -> str:
     return f"C({','.join(str(a) for a in ss.runs)})_{ss.k}"
 
 
-def complement_sequence(s: BinarySequence) -> BinarySequence:
-    """Flip every entry from position k on.
+def complement_sequence(ss: ShortSequence) -> ShortSequence:
+    """Flip every entry from position k on: the same runs with the other
+    head layout, since the k-1 forced zeros join the first run either way.
+    At n = k-1 nothing flips, so the sequence is its own complement.
 
     The result's edges are exactly the k-subsets that are not edges of the
     original: any k-subset peaks at position >= k, where the bit flipped.
     """
-    head = s.bits[: s.k - 1]
-    return BinarySequence(s.k, head + tuple(1 - b for b in s.bits[s.k - 1 :]))
+    if ss.n == ss.k - 1:
+        return ss
+    return ShortSequence(ss.k, ss.runs, not ss.first_run_has_ones)
 
 
 def iter_valid_sequences(
     n: int, k: int, connected_only: bool = False
 ) -> Iterator[BinarySequence]:
-    """All creation sequences with the given size, in lexicographic bit order."""
-    if k < 2 or n < k - 1:
-        return
-    if n == k - 1:
-        if not connected_only:
-            yield BinarySequence(k, (0,) * n)
-        return
-    head = (0,) * (k - 1)
-    for tail in product((0, 1), repeat=n - k + 1):
-        if connected_only and tail[-1] != 1:
-            continue
-        yield BinarySequence(k, head + tail)
+    """The bit forms of `iter_short_sequences(n, k, connected_only)`, in
+    its order: all creation sequences of the size, in lexicographic bit
+    order."""
+    return map(to_binary, iter_short_sequences(n, k, connected_only))
 
 
 def iter_short_sequences(
     n: int, k: int, connected_only: bool = False
 ) -> Iterator[ShortSequence]:
-    """The run-length forms of `iter_valid_sequences(n, k, connected_only)`,
-    in its order, built from the run shapes with no bit list."""
+    """All creation sequences with the given size (only those ending in 1
+    when `connected_only`), in lexicographic bit order, built from the run
+    shapes with no bit list."""
     if k < 2 or n < k - 1:
         return
     if n == k - 1:
@@ -359,8 +356,8 @@ def sweep_space(
 ) -> list[tuple[int, int]]:
     """The (k, n) sizes of a walk over every valid sequence with at most
     `n_max` vertices, or every connected one: k ascending, then n from k-1
-    up.  The walk lists each size's sequences with `iter_valid_sequences`
-    or `iter_short_sequences`, passing them `connected_only`.
+    up.  The walk lists each size's sequences with `iter_short_sequences`,
+    passing it `connected_only`.
 
     A space of more than `budget` sequences is refused up front with a
     `ResourceLimitError` that says `what` would visit it.  A count with

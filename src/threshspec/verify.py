@@ -1,13 +1,14 @@
 """Exhaustive verification over small creation sequences.
 
 One walk visits every valid sequence up to a size bound once, in the
-order of `sequences.sweep_space`, and runs checks on it, each of an
-identity whose two sides are computed by unrelated code paths.  What the
-checks compare against at one (k, n) size is built once per size.  The
-CLI `verify` command runs all five checks in one walk; each `sweep_*` is the
-walk with one check.  `sweep_space` refuses a walk over the sequence
-budget before it starts: `run_all_sweeps` takes the budget, the `sweep_*`
-functions use `DEFAULT_SEQUENCE_BUDGET`.
+order of `sequences.sweep_space`, as the run shape that
+`iter_short_sequences` lists, and runs checks on it, each of an identity
+whose two sides are computed by unrelated code paths; no bit is built.
+What the checks compare against at one (k, n) size is built once per
+size.  The CLI `verify` command runs all five checks in one walk; each
+`sweep_*` is the walk with one check.  `sweep_space` refuses a walk over
+the sequence budget before it starts: `run_all_sweeps` takes the budget,
+the `sweep_*` functions use `DEFAULT_SEQUENCE_BUDGET`.
 """
 
 from dataclasses import dataclass, field
@@ -25,11 +26,10 @@ from .hypergraph import (
 )
 from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
-    BinarySequence,
     ShortSequence,
     complement_sequence,
     format_bits,
-    iter_valid_sequences,
+    iter_short_sequences,
     sweep_space,
 )
 from .spectrum import block_eigenvalues
@@ -87,8 +87,8 @@ class _Visit:
     held on the visit.  The sequence's text is written only for a failure.
     Helpers start with `_`, so that `_CHECKS` does not take them."""
 
-    def __init__(self, s: BinarySequence, size: _Size) -> None:
-        self.s, self.h, self.size = s, ThresholdHypergraph(s), size
+    def __init__(self, ss: ShortSequence, size: _Size) -> None:
+        self.h, self.size = ThresholdHypergraph(ss), size
 
     @cached_property
     def _edges(self) -> list[tuple[int, ...]]:
@@ -103,7 +103,7 @@ class _Visit:
         return format_bits(self.h.runs)
 
     def oracle_equivalence(self) -> Iterator[str]:
-        if self._adjacency != recount_pairs(self.s.n, self._edges):
+        if self._adjacency != recount_pairs(self.h.n, self._edges):
             yield self._text
 
     def two_route(self) -> Iterator[str]:
@@ -121,7 +121,7 @@ class _Visit:
                     f"{self._text}: block {b.block_index} gives "
                     f"{b.value} but the direct pair count gives {direct}"
                 )
-        if sum(b.multiplicity_lower_bound for b in values) != self.s.n - ss.r:
+        if sum(b.multiplicity_lower_bound for b in values) != ss.n - ss.r:
             yield f"{self._text}: block multiplicities missed n-r"
 
     def uniqueness(self) -> Iterator[str]:
@@ -132,11 +132,11 @@ class _Visit:
             seen[key] = self.h.runs
 
     def replaceability_totality(self) -> Iterator[str]:
-        if not totally_replaceable(edge_links(self.s.n, self._edges)):
+        if not totally_replaceable(edge_links(self.h.n, self._edges)):
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        theirs = ThresholdHypergraph(complement_sequence(self.s)).edges()
+        theirs = ThresholdHypergraph(complement_sequence(self.h.runs)).edges()
         if sorted(self._edges + theirs) != self.size.subsets:
             yield self._text
 
@@ -154,12 +154,12 @@ def _walk(
     results = [SweepResult(name) for name in names]
     for k, n in sweep_space(n_max, k_values, "sweeps", budget, False):
         size = _Size(k, n)
-        for s in iter_valid_sequences(n, k):
-            v = _Visit(s, size)
+        for ss in iter_short_sequences(n, k):
+            v = _Visit(ss, size)
             for res in results:
                 # two_route walks connected sequences only: the golden
                 # verify digest and the benchmark's checker pin its count
-                if s.connected or res.name != "two_route":
+                if ss.connected or res.name != "two_route":
                     res.checked += 1
                     for failure in getattr(v, res.name)():
                         res.record(failure)

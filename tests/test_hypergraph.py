@@ -1,6 +1,6 @@
 import math
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -151,11 +151,23 @@ class TestThresholdHypergraph:
             )
             assert from_bits == from_runs and hash(from_bits) == hash(from_runs)
             assert from_bits.runs == from_runs.runs == to_short(seq)
-            assert from_bits.sequence is seq  # the given bits are kept
+            assert from_bits.sequence == seq  # rebuilt from the runs
             assert from_runs.sequence == seq
         h = hg("C(3,1,1)_3")
         assert h.runs == parse_runs("C(3,1,1)_3")
         assert (h.n, h.k, h.sequence.bits) == (5, 3, (0, 0, 1, 0, 1))
+
+    def test_pseudodominants_are_the_one_positions_of_the_bits(self):
+        # the run decoding that edges and pair_count share with
+        # block_profile, held against the raw bits of every sequence
+        for k in range(2, 6):
+            for n in range(k - 1, 13):
+                for tail in product((0, 1), repeat=n - k + 1):
+                    bits = (0,) * (k - 1) + tail
+                    h = ThresholdHypergraph(BinarySequence(k, bits))
+                    assert h.pseudodominants() == [
+                        v for v, b in enumerate(bits, start=1) if b
+                    ], bits
 
     def test_caps_refuse_a_short_form_before_building_its_bits(self, monkeypatch):
         # the library checks both caps on the runs: the bits of a billion

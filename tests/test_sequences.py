@@ -24,6 +24,20 @@ from threshspec.sequences import (
 from threshspec.spectrum import scan_quotient_simplicity
 from threshspec.verify import run_all_sweeps
 
+
+def _product_bits(n, k, connected=False):
+    """Every valid bit string of n entries at uniformity k, in
+    lexicographic order (only those ending in 1 when `connected`), listed
+    by `itertools.product` with no package code."""
+    if k < 2 or n < k - 1:
+        return []
+    return [
+        (0,) * (k - 1) + tail
+        for tail in itertools.product((0, 1), repeat=n - k + 1)
+        if not connected or tail[-1:] == (1,)
+    ]
+
+
 LONG_A = BinarySequence(3, (0, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1))
 LONG_B = BinarySequence(4, (0, 0, 0, 1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1))
 
@@ -198,17 +212,24 @@ def test_format_bits_refuses_text_over_its_cap(monkeypatch):
 
 
 def test_complement_flips_free_positions_only():
-    seq = BinarySequence(3, (0, 0, 1, 0, 1))
-    comp = complement_sequence(seq)
-    assert comp.bits == (0, 0, 0, 1, 0)
-    assert comp.k == 3
+    comp = complement_sequence(ShortSequence(3, (3, 1, 1), first_run_has_ones=True))
+    assert comp == ShortSequence(3, (3, 1, 1))
+    assert to_binary(comp).bits == (0, 0, 0, 1, 0)
+    # the run form of the bit flip from position k on, for every sequence
+    for k in range(2, 7):
+        for n in range(k - 1, 13):
+            for bits in _product_bits(n, k):
+                flipped = bits[: k - 1] + tuple(1 - b for b in bits[k - 1 :])
+                comp = complement_sequence(to_short(BinarySequence(k, bits)))
+                assert comp == to_short(BinarySequence(k, flipped)), bits
 
 
 def test_complement_is_an_involution():
     for k in range(2, 7):
-        for n in range(k - 1, 10):
-            for seq in iter_valid_sequences(n, k):
-                assert complement_sequence(complement_sequence(seq)) == seq
+        for n in range(k - 1, 13):
+            for bits in _product_bits(n, k):
+                ss = to_short(BinarySequence(k, bits))
+                assert complement_sequence(complement_sequence(ss)) == ss
 
 
 def test_iter_valid_sequences_counts_and_order():
@@ -225,8 +246,12 @@ def test_iter_short_sequences_are_the_run_forms_in_bit_order():
     for k in range(2, 6):
         for n in range(13):
             for connected in (False, True):
+                expected = _product_bits(n, k, connected)
+                assert [
+                    s.bits for s in iter_valid_sequences(n, k, connected)
+                ] == expected, (n, k, connected)
                 assert list(iter_short_sequences(n, k, connected)) == [
-                    to_short(s) for s in iter_valid_sequences(n, k, connected)
+                    to_short(BinarySequence(k, bits)) for bits in expected
                 ], (n, k, connected)
     # no sequence below the forced zeros or at a uniformity under 2
     for n, k in [(0, 2), (1, 3), (3, 5), (5, 1), (5, 0), (0, 1)]:

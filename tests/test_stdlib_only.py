@@ -171,3 +171,33 @@ def test_only_the_package_builders_skip_the_matrix_check():
         ("hypergraph.py", "recount_pairs", True),
         ("hypergraph.py", helper, True),  # its object.__new__
     }
+
+
+def test_bits_are_built_only_from_text_or_on_request():
+    """The package computes on `ShortSequence`.  Outside sequences.py no
+    module constructs a `BinarySequence`, and `to_binary` is called only
+    by `ThresholdHypergraph.sequence`, which builds the bits on request;
+    inside sequences.py the bit form is made by the text readers and by
+    `to_binary`, which `iter_valid_sequences` maps over the run shapes."""
+    reads = {
+        name: {
+            (path.name, function, call)
+            for path in SOURCES
+            for function, call in _reads(
+                ast.parse(path.read_text(encoding="utf-8")), {name}
+            )
+        }
+        for name in ("BinarySequence", "to_binary")
+    }
+    constructed = {
+        (path, function) for path, function, call in reads["BinarySequence"] if call
+    }
+    assert constructed == {
+        ("sequences.py", "to_binary"),
+        ("sequences.py", "parse_binary"),
+    }
+    assert reads["to_binary"] == {
+        ("hypergraph.py", "sequence", True),
+        ("sequences.py", "parse_sequence", True),
+        ("sequences.py", "iter_valid_sequences", False),
+    }

@@ -1,3 +1,4 @@
+import sys
 from dataclasses import replace
 
 import pytest
@@ -88,7 +89,7 @@ def test_budget_guard():
 )
 def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
     # the five sweeps have no budget parameter: the default one guards them;
-    # each walk lists sequences by bits or by runs, under the name it imports
+    # each walk lists run shapes under the name it imports
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
@@ -348,3 +349,44 @@ def test_edge_cap_refuses_before_the_k_subsets_are_listed(monkeypatch):
         sweep_complement_partition(6, [3])
     with pytest.raises(ResourceLimitError, match="edges over the cap"):
         run_all_sweeps(6, [3])
+
+
+def _refuse_bits(monkeypatch):
+    """Make any bit form fail: `to_binary` under every name the package
+    imports it as, and the construction of any `BinarySequence`."""
+
+    def no_bits(*args, **kwargs):
+        raise AssertionError("a bit form was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "threshspec" and hasattr(module, "to_binary"):
+            monkeypatch.setattr(module, "to_binary", no_bits)
+    monkeypatch.setattr(sequences.BinarySequence, "__post_init__", no_bits)
+
+
+def test_the_walks_build_no_bits(monkeypatch):
+    # verify and scan walk run shapes and compute on them: with every bit
+    # form refused, both report what they report unpatched
+    sweeps = run_all_sweeps(8, [2, 3, 4])
+    rows = scan_quotient_simplicity(9, [2, 3, 4])
+    _refuse_bits(monkeypatch)
+    assert run_all_sweeps(8, [2, 3, 4]) == sweeps
+    assert scan_quotient_simplicity(9, [2, 3, 4]) == rows
+    assert all(r.passed and r.checked for r in sweeps) and rows
+
+
+@pytest.mark.parametrize("n_max", [200_000_000, 10**12])
+def test_a_lone_zero_run_over_the_cell_cap_exits_3(monkeypatch, capsys, n_max):
+    # k = n_max + 1 leaves one sequence, its n_max forced zeros: within the
+    # budget, so the walk visits it, and its adjacency is refused on the
+    # runs before any bit of it is built
+    from threshspec.cli import main
+
+    _refuse_bits(monkeypatch)
+    assert main(["verify", "--n-max", str(n_max), "--k", str(n_max + 1)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        f"error: a dense {n_max}x{n_max} matrix has {n_max * n_max} cells, "
+        "over the cap of 10000000\n"
+    )
