@@ -17,11 +17,11 @@ its n creation bits only when `sequence` is asked for.  `pseudodominants`
 `block_profile`.  The size caps (`check_edges` on the edge count,
 `check_dense` on n and `check_dense_digits` on the text of the matrix)
 are checked on the runs inside each method, whoever calls.
+`GeneralHypergraph` is any edge set, such as the paper's counterexample.
 """
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from importlib import resources
 from itertools import combinations
 from typing import Iterable
 
@@ -32,7 +32,7 @@ from .combinatorics import (
     bits_text,
     count_text,
 )
-from .errors import ResourceLimitError, SequenceError
+from .errors import ResourceLimitError
 from .sequences import (
     BinarySequence,
     ShortSequence,
@@ -403,35 +403,20 @@ class GeneralHypergraph:
             if not e <= vertices:
                 raise ValueError(f"edge {sorted(e)} leaves the vertex range")
 
-    @classmethod
-    def from_edge_lines(cls, text: str, n: int, k: int) -> "GeneralHypergraph":
-        """Parse one comma-separated edge per line (blank lines ignored)."""
-        edges = set()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                vertices = [int(p) for p in line.split(",")]
-            except ValueError as exc:
-                raise SequenceError(f"bad edge line: {line!r}") from exc
-            edges.add(frozenset(vertices))
-        return cls(n, k, frozenset(edges))
-
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
-        edges.  Reads link(x) and link(y) from `edge_links`."""
+        edges.  Builds only link(x) and link(y), from the edges through x or y."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
         for v in (x, y):
             if not 1 <= v <= self.n:
                 raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        links = edge_links(self.n, self.edges)
-        return _replaces(links[x], links[y], y)
+        lx, ly = ({_mask(e) ^ 1 << v for e in self.edges if v in e} for v in (x, y))
+        return _replaces(lx, ly, y)
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability."""
@@ -483,12 +468,8 @@ def _replaces(link_x: set[int], link_y: set[int], y: int) -> bool:
 
 
 def load_replaceable_non_threshold_7_4() -> GeneralHypergraph:
-    """Bundled 4-uniform example on 7 vertices: every vertex pair is
-    comparable under replaceability, yet no creation sequence produces its
-    edge set (under any vertex relabeling)."""
-    text = (
-        resources.files("threshspec")
-        .joinpath("data/replaceable_non_threshold_7_4.txt")
-        .read_text(encoding="ascii")
-    )
-    return GeneralHypergraph.from_edge_lines(text, n=7, k=4)
+    """The paper's 4-uniform example on 7 vertices: every vertex pair is
+    comparable under replaceability, yet no creation sequence produces
+    its edges {v, 5, 6, 7}, v = 1..4, under any vertex relabeling."""
+    edges = frozenset(frozenset((v, 5, 6, 7)) for v in range(1, 5))
+    return GeneralHypergraph(7, 4, edges)

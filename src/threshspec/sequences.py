@@ -92,11 +92,6 @@ class BinarySequence:
     def n(self) -> int:
         return len(self.bits)
 
-    @property
-    def connected(self) -> bool:
-        """True when the last vertex closes edges, tying everything together."""
-        return bool(self.bits) and self.bits[-1] == 1
-
 
 @dataclass(frozen=True)
 class ShortSequence:

@@ -610,9 +610,9 @@ def _merge_entries(
     pairs = []
     for members in clusters:
         if len(members) == 1:
-            # the general case's result for one member: a block value
-            # stands; any other is its own mean, (0 + v * m) / m as sum()
-            # computes it from the int 0, so -0.0 comes out +0.0
+            # kept for speed, with the general case's result for one member:
+            # a block value stands; any other is its own mean, (0 + v * m) / m
+            # as sum() computes it from the int 0, so -0.0 comes out +0.0
             ((v, m, src),) = members
             rep = v if src.startswith("block") else (0 + v * m) / m
             pairs.append(EigenPair(rep, m, src))

@@ -4,7 +4,7 @@ from itertools import combinations, product
 
 import pytest
 
-from threshspec.errors import ResourceLimitError, SequenceError
+from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import (
     DEFAULT_EDGE_CAP,
     DENSE_CELL_CAP,
@@ -333,33 +333,21 @@ class TestThresholdHypergraph:
 
 
 class TestGeneralHypergraph:
-    def test_from_edge_lines(self):
-        g = GeneralHypergraph.from_edge_lines("1,2,3\n\n2,3,4\n", 4, 3)
-        assert g.sorted_edges() == [(1, 2, 3), (2, 3, 4)]
-        assert frozenset({1, 2, 3}) in g.edges
-        assert frozenset({1, 2, 4}) not in g.edges
-        with pytest.raises(SequenceError):
-            GeneralHypergraph.from_edge_lines("1,2,x", 4, 3)
-        with pytest.raises(ValueError):
-            GeneralHypergraph.from_edge_lines("1,2", 4, 3)
-        with pytest.raises(ValueError):
-            GeneralHypergraph.from_edge_lines("1,2,9", 4, 3)
-
     def test_replaceable_validation(self):
-        g = GeneralHypergraph.from_edge_lines("1,2\n3,4", 4, 2)
+        g = GeneralHypergraph(4, 2, frozenset({frozenset({1, 2}), frozenset({3, 4})}))
         with pytest.raises(ValueError):
             g.replaceable(2, 2)
         with pytest.raises(ValueError):
             g.replaceable(1, 9)
 
     def test_disjoint_edges_are_incomparable(self):
-        g = GeneralHypergraph.from_edge_lines("1,2\n3,4", 4, 2)
+        g = GeneralHypergraph(4, 2, frozenset({frozenset({1, 2}), frozenset({3, 4})}))
         assert not g.replaceable(1, 3)
         assert not g.replaceable(3, 1)
         assert not g.is_totally_replaceable()
 
     def test_isolated_vertex_is_vacuously_replaceable(self):
-        g = GeneralHypergraph.from_edge_lines("1,2", 3, 2)
+        g = GeneralHypergraph(3, 2, frozenset({frozenset({1, 2})}))
         assert g.replaceable(3, 1)
         assert not g.replaceable(1, 3)
         assert g.is_totally_replaceable()
@@ -383,7 +371,10 @@ class TestGeneralHypergraph:
         assert 500 < incomparable < len(graphs) - 500
 
     def test_links(self):
-        g = GeneralHypergraph.from_edge_lines("1,2,3\n2,3,4", 4, 3)
+        g = GeneralHypergraph(
+            4, 3, frozenset({frozenset({1, 2, 3}), frozenset({2, 3, 4})})
+        )
+        assert g.sorted_edges() == [(1, 2, 3), (2, 3, 4)]
         # bit v stands for vertex v: link(2) = {{1, 3}, {3, 4}}
         assert edge_links(g.n, g.edges) == [
             set(),
@@ -398,6 +389,8 @@ class TestGeneralHypergraph:
             GeneralHypergraph(4, 3, frozenset({frozenset({1, 2})}))
         with pytest.raises(ValueError, match=r"edge \[0, 1, 2\] leaves the vertex"):
             GeneralHypergraph(4, 3, frozenset({frozenset({0, 1, 2})}))
+        with pytest.raises(ValueError, match=r"edge \[1, 2, 9\] leaves the vertex"):
+            GeneralHypergraph(4, 3, frozenset({frozenset({1, 2, 9})}))
         assert GeneralHypergraph(0, 2, frozenset()).is_totally_replaceable()
         for n, k in ((3, 1), (-1, 2)):
             with pytest.raises(ValueError, match="need k >= 2 and n >= 0"):

@@ -56,9 +56,10 @@ def test_binary_validation():
 
 
 def test_connected_flag():
-    assert BinarySequence(3, (0, 0, 1)).connected
-    assert not BinarySequence(3, (0, 0, 1, 0)).connected
-    assert not BinarySequence(3, (0, 0)).connected
+    # connected exactly when the last bit is 1
+    assert to_short(BinarySequence(3, (0, 0, 1))).connected
+    assert not to_short(BinarySequence(3, (0, 0, 1, 0))).connected
+    assert not to_short(BinarySequence(3, (0, 0))).connected
 
 
 def test_short_shape_validation():
@@ -121,7 +122,7 @@ def test_to_binary_round_trip_exhaustive():
         for n in range(k - 1, 10):
             for seq in iter_valid_sequences(n, k):
                 assert to_binary(to_short(seq)) == seq
-                assert to_short(seq).connected == seq.connected
+                assert to_short(seq).connected == (seq.bits[-1] == 1)
 
 
 def test_to_binary_rejects_short_first_run():

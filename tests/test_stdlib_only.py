@@ -1,6 +1,6 @@
-"""The runtime imports nothing outside the standard library, every module
-exports only names it defines, every name a module imports is used, and
-every exception type the package defines is raised.
+"""The runtime imports nothing outside the standard library and reads no
+file, every module exports only names it defines, every name a module
+imports is used, and every exception type the package defines is raised.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -13,7 +13,8 @@ import inspect
 import sys
 from pathlib import Path
 
-SOURCES = sorted((Path(__file__).parents[1] / "src" / "threshspec").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+SOURCES = sorted((ROOT / "src" / "threshspec").glob("*.py"))
 
 
 def _absolute_imports(path):
@@ -33,6 +34,39 @@ def test_package_imports_only_the_standard_library():
         if name.split(".")[0] not in sys.stdlib_module_names
     }
     assert not outside
+
+
+_READERS = ("importlib.resources", "pathlib", "open()")
+
+
+def _file_readers(path):
+    """The file-reading imports (`importlib.resources`, `pathlib`) and the
+    calls to the builtin `open` in the source at path."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module, *(f"{node.module}.{a.name}" for a in node.names)]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            names = [f"{node.func.id}()"]
+        else:
+            continue
+        yield from (n for n in names if n in _READERS)
+
+
+def test_the_package_reads_no_file_at_run_time():
+    """Everything the package knows is in its code: no module reads a
+    file, the package directory holds only modules, and pyproject.toml
+    ships no package data."""
+    readers = {(path.name, name) for path in SOURCES for name in _file_readers(path)}
+    assert not readers
+    others = [
+        path.relative_to(ROOT).as_posix()
+        for path in SOURCES[0].parent.rglob("*")
+        if "__pycache__" not in path.parts and path.suffix != ".py"
+    ]
+    assert not others
+    assert "package-data" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
 
 
 def _assigned_names(path):
