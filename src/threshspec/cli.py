@@ -10,7 +10,11 @@ Identical invocations produce byte-identical output.
 Every command reads its sequence to the run-length form and calls the
 library, which checks each size cap and the precision limit on the runs
 before any bit or matrix is built; the CLI holds no guard of its own.
-Integers on the command line may have any number of digits.
+Integers on the command line may have any number of digits.  No option
+sets a tolerance: the closed route reports values within 1e-9 once,
+`spectrum --verify` fails when the largest deviation from the dense
+route, divided by max(1, |A|_F), is over 1e-8, and `scan` flags a
+quotient gap under 1e-9.
 
 A call whose first argument names a subcommand builds one argument
 parser, that subcommand's alone, and reads the rest of its arguments in
@@ -44,6 +48,7 @@ from .sequences import (
     parse_runs,
 )
 from .spectrum import (
+    MERGE_TOL,
     Spectrum,
     family_sequence,
     family_spectrum_symbolic,
@@ -58,6 +63,10 @@ EXIT_INPUT = 1
 EXIT_DISAGREE = 2
 EXIT_BUDGET = 3
 EXIT_PIPE = 141
+
+#: `spectrum --verify` fails when max_dev, the largest deviation of the
+#: two routes divided by max(1, |A|_F), is over this.
+VERIFY_TOL = 1e-8
 
 
 class _UsageError(Exception):
@@ -139,7 +148,7 @@ def _emit_spectrum(
                 for p in spec.pairs
             ],
             "distinct_count": spec.distinct_count,
-            "merge_tol": spec.merge_tol,
+            "merge_tol": MERGE_TOL,
         }
         if verify_info is not None:
             doc["verify"] = verify_info
@@ -166,7 +175,7 @@ def _emit_spectrum(
 def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     # short-form text is never expanded to bits, --verify included
     ss = parse_runs(args.sequence)
-    spec = full_spectrum_closed(ss, args.merge_tol)
+    spec = full_spectrum_closed(ss)
     verify_info = None
     code = EXIT_OK
     if args.verify:
@@ -177,8 +186,8 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
             abs(x - y) for x, y in zip(spec.expanded(), dense.expanded())
         ]
         max_dev = max(deviations, default=0.0) / scale
-        ok = max_dev <= args.tol
-        verify_info = {"max_dev": max_dev, "tol": args.tol, "ok": ok}
+        ok = max_dev <= VERIFY_TOL
+        verify_info = {"max_dev": max_dev, "tol": VERIFY_TOL, "ok": ok}
         if not ok:
             code = EXIT_DISAGREE
     _emit_spectrum(spec, ss, args.format, out, err, verify_info)
@@ -233,7 +242,7 @@ def cmd_verify(args, out: TextIO, err: TextIO) -> int:
 
 def cmd_family(args, out: TextIO, err: TextIO) -> int:
     ss = family_sequence(args.family, args.n, args.k, args.j)
-    spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j, args.merge_tol)
+    spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j)
     if args.format != "structured":
         stream = out if args.format == "text" else err
         bits = format_bits(ss)  # refused before the first line is printed
@@ -245,7 +254,7 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
 
 def cmd_scan(args, out: TextIO, err: TextIO) -> int:
     rows = scan_quotient_simplicity(
-        args.n_max, _parse_k_list(args.k), args.tol, args.budget
+        args.n_max, _parse_k_list(args.k), budget=args.budget
     )
     flagged = sum(1 for row in rows if row.flagged)
     min_gap = min((row.min_quotient_gap for row in rows), default=float("inf"))
@@ -280,16 +289,6 @@ def cmd_scan(args, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def _positive_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        value = math.nan
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be finite and positive, got {text!r}")
-    return value
-
-
 def _integer(text: str) -> int:
     """argparse's `int`, without the 4,300-digit limit."""
     try:
@@ -315,25 +314,14 @@ def _add_format(parser: _Parser, *choices: str) -> None:
     parser.add_argument("--format", choices=choices, default=choices[0])
 
 
-def _add_merging(parser: _Parser) -> None:
-    parser.add_argument("--merge-tol", type=_positive_float, default=1e-9)
-
-
 def _spectrum(p: _Parser) -> None:
     _add_format(p)
-    _add_merging(p)
     p.add_argument("sequence")
     p.add_argument(
         "--verify",
         action="store_true",
-        help="compare with the eigenvalues of the dense matrix (exit 2 on mismatch)",
-    )
-    p.add_argument(
-        "--tol",
-        type=_positive_float,
-        default=1e-8,
-        help="--verify tolerance on max_dev, the largest deviation divided by "
-        "max(1, |A|_F) (default 1e-8)",
+        help="compare with the eigenvalues of the dense matrix (exit 2 when "
+        "max_dev, the largest deviation divided by max(1, |A|_F), is over 1e-8)",
     )
 
 
@@ -357,7 +345,6 @@ def _verify(p: _Parser) -> None:
 
 def _family(p: _Parser) -> None:
     _add_format(p)
-    _add_merging(p)
     p.add_argument("family", type=int, choices=(1, 2, 3))
     p.add_argument("--n", type=_integer, required=True)
     p.add_argument("--k", type=_integer, required=True)
@@ -368,7 +355,6 @@ def _scan(p: _Parser) -> None:
     _add_format(p, "csv", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--tol", type=_positive_float, default=1e-9)
     p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
 
 

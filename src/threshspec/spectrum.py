@@ -54,6 +54,7 @@ from .sequences import (
 
 __all__ = [
     "DENSE_SOLVE_CAP",
+    "MERGE_TOL",
     "BlockEigenvalue",
     "EigenPair",
     "Spectrum",
@@ -77,6 +78,11 @@ __all__ = [
 #: In pure Python the solve takes about 89 s at n = 1000 on a 2-vCPU Xeon
 #: VM (9e-8 s * n**3; 0.4 s at n = 200).
 DENSE_SOLVE_CAP = 10**9
+
+#: Absolute distance within which the closed route reports values once.
+#: Block values are exact integers; a quotient estimate within it of one
+#: is reported at that block value.
+MERGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -569,7 +575,6 @@ class Spectrum:
     """Eigenvalues with multiplicities, sorted descending."""
 
     pairs: tuple[EigenPair, ...]
-    merge_tol: float
 
     @property
     def distinct_count(self) -> int:
@@ -589,16 +594,11 @@ def _merge_entries(
     """Cluster (value, multiplicity, source) triples within tol of the
     cluster anchor.
 
-    An exact block value represents its cluster only when every member
-    lies within 8 eps |A|_F of it, the accuracy the quotient solver
-    reaches while neighbouring block sizes differ by less than a factor
-    of about 10**3 (see `_Pencil`); otherwise the cluster is reported at
-    its multiplicity-weighted mean, which keeps the trace whatever tol is.
-    |A|_F is read off the entries: the sum of m * v**2 is |A|_F**2.
+    A cluster that holds an exact block value is reported at it; any
+    other is reported at its multiplicity-weighted mean.  A block value is
+    an integer, so two distinct ones never share a cluster.
     """
     ordered = sorted(entries, key=lambda t: -t[0])
-    norm = math.sqrt(sum(m * v * v for v, m, _ in ordered))
-    certified = 8.0 * _EPS * max(1.0, norm)
     clusters: list[list[tuple[float, int, str]]] = []
     anchor = 0.0
     for item in ordered:
@@ -619,10 +619,7 @@ def _merge_entries(
             continue
         total = sum(m for _, m, _ in members)
         exact = [v for v, _, src in members if src.startswith("block")]
-        if exact and all(abs(v - exact[0]) <= certified for v, _, _ in members):
-            rep = exact[0]
-        else:
-            rep = sum(v * m for v, m, _ in members) / total
+        rep = exact[0] if exact else sum(v * m for v, m, _ in members) / total
         sources: list[str] = []
         for _, _, src in members:
             if src not in sources:
@@ -631,40 +628,38 @@ def _merge_entries(
     return tuple(pairs)
 
 
-def _assemble(bp: BlockProfile, merge_tol: float) -> Spectrum:
+def _assemble(bp: BlockProfile) -> Spectrum:
     """Spectrum of a sequence from its block profile.
 
     Blocks of size a_j contribute -gamma_j with multiplicity a_j - 1 and
     the quotient contributes r values, which accounts for all n.  Values
-    closer than merge_tol are reported once with summed multiplicity.
+    within `MERGE_TOL` are reported once with summed multiplicity.
     """
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
         for b in block_eigenvalues(bp)
     ]
     entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(bp))
-    pairs = _merge_entries(entries, merge_tol)
+    pairs = _merge_entries(entries, MERGE_TOL)
     total = sum(p.multiplicity for p in pairs)
     if total != bp.seq.n:
         raise RuntimeError(
             f"internal: multiplicities sum to {total}, expected {bp.seq.n}"
         )
-    return Spectrum(pairs, merge_tol)
+    return Spectrum(pairs)
 
 
-def full_spectrum_closed(
-    seq: ShortSequence | ThresholdHypergraph, merge_tol: float = 1e-9
-) -> Spectrum:
+def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
     Takes the run-length form, or a hypergraph's `runs`; all work grows
     with r, not n.  `_check_closed` refuses what the route cannot answer
-    before any binomial is computed.  Values closer than merge_tol are
+    before any binomial is computed.  Values within `MERGE_TOL` are
     reported once with summed multiplicity.
     """
     ss = seq.runs if isinstance(seq, ThresholdHypergraph) else seq
     _check_closed(ss)
-    return _assemble(block_profile(ss), merge_tol)
+    return _assemble(block_profile(ss))
 
 
 def _check_closed(ss: ShortSequence) -> None:
@@ -718,7 +713,7 @@ def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
     # entries are non-negative, so the largest is the one that may round
     as_float(max(map(max, mat.entries), default=0))
     values = householder_ql_eigenvalues(mat.entries)
-    return Spectrum(_merge_entries([(v, 1, "numeric") for v in values], 0.0), 0.0)
+    return Spectrum(_merge_entries([(v, 1, "numeric") for v in values], 0.0))
 
 
 def family_sequence(
@@ -771,7 +766,6 @@ def family_spectrum_symbolic(
     n: int,
     k: int,
     j: int | None = None,
-    merge_tol: float = 1e-9,
 ) -> Spectrum:
     """Spectrum of a family member from its catalogued closed forms.
 
@@ -800,7 +794,7 @@ def family_spectrum_symbolic(
         gamma = (b_cnt - binomial(j - 3, k - 2), b_cnt)
     else:
         gamma = (a_cnt + 1, a_cnt, b_cnt)
-    return _assemble(BlockProfile(ss, gamma), merge_tol)
+    return _assemble(BlockProfile(ss, gamma))
 
 
 @dataclass(frozen=True)

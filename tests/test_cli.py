@@ -97,11 +97,11 @@ class TestSpectrumCommand:
         adjacency = ThresholdHypergraph.from_text("C(3,2)_3").adjacency()
         scale = math.sqrt(adjacency.frobenius_sq())
 
-        def shifted(h, merge_tol):
-            spec = closed(h, merge_tol)
+        def shifted(h):
+            spec = closed(h)
             top, *rest = spec.pairs
             moved = EigenPair(top.value + 1e-6 * scale, top.multiplicity, top.source)
-            return Spectrum((moved, *rest), spec.merge_tol)
+            return Spectrum((moved, *rest))
 
         monkeypatch.setattr(cli, "full_spectrum_closed", shifted)
         code, out, err = run(capsys, "spectrum", "C(3,2)_3", "--verify")
@@ -159,21 +159,6 @@ class TestSpectrumCommand:
         assert [p["multiplicity"] for p in doc["pairs"]] == [1, 2, 1, 1]
         assert doc["pairs"][1]["value"] == -2.0
         assert doc["pairs"][1]["source"] == "block1"
-
-    def test_wide_merge_keeps_the_trace(self, capsys):
-        # a cluster far wider than the solver's accuracy is reported at its
-        # mean, not at an exact block value inside it, so merging all six
-        # eigenvalues keeps the trace 0 (it printed lambda=-3 mult=6)
-        for args in (
-            ["family", "2", "--n", "6", "--k", "3", "--j", "4"],
-            ["spectrum", "C(3,3)_3"],
-        ):
-            code, out, err = run(capsys, *args, "--merge-tol", "100")
-            assert code == 0, args
-            rows = [line.split() for line in out.splitlines() if "mult=" in line]
-            assert [row[1] for row in rows] == ["mult=6"]
-            trace = sum(float(v[7:]) * int(m[5:]) for v, m, _ in rows)
-            assert abs(trace) <= 1e-12, args
 
     def test_dense_size_cap_exits_3(self, capsys):
         for args in (

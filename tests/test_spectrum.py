@@ -655,8 +655,9 @@ class TestMergeEntries:
         assert math.copysign(1.0, p.value) == -1.0
 
     def test_two_member_clusters(self):
-        # a quotient value within 8 eps |A|_F of a block value takes the
-        # block value; two quotient values take their mean
+        # a quotient value within tol of a block value takes the block
+        # value, also one far outside 8 eps |A|_F (about 1e-14 here); two
+        # quotient values take their mean
         near = math.nextafter(-2.0, 0.0)
         pairs = spectrum._merge_entries(
             [
@@ -664,12 +665,15 @@ class TestMergeEntries:
                 (-2.0, 3, "block1"),
                 (near, 1, "quotient"),
                 (0.5 + 1e-12, 1, "quotient"),
+                (-5.0, 2, "block2"),
+                (-5.0 + 5e-10, 1, "quotient"),
             ],
             1e-9,
         )
         assert [(p.value, p.multiplicity, p.source) for p in pairs] == [
             ((0.5 + 1e-12 + 0.5) / 2, 2, "quotient"),
             (-2.0, 4, "quotient+block1"),
+            (-5.0, 3, "quotient+block2"),
         ]
 
 
@@ -883,7 +887,7 @@ class TestFamilies:
         # gamma_1 is entered as binomial(n-2, k-2) - binomial(j-3, k-2),
         # the closed form of the sum over the pseudodominants p = j..n
         seen = []
-        monkeypatch.setattr(spectrum, "_assemble", lambda bp, tol: seen.append(bp))
+        monkeypatch.setattr(spectrum, "_assemble", lambda bp: seen.append(bp))
         for k in range(2, 8):
             for n in range(k + 1, 31):
                 for j in range(k + 1, n):
