@@ -13,15 +13,18 @@ estimate (bisection on the counts replaces one that fails); no step calls
 `math.hypot`, whose last bit varies across CPython versions.  A
 disconnected sequence takes the same route: no edge holds a vertex after
 the last bit 1, so its trailing zeros block has gamma 0 and a zero column,
-which yields 0 once per twin and once from the quotient.  The
-catalogued families enter their gamma by hand and share the rest.  The
-numeric route serves as the oracle: it diagonalizes the full n x n matrix
-by Householder reduction to tridiagonal form and implicit QL, generic
-dense linear algebra that sees only the matrix, and refuses n**3 above
-`DENSE_SOLVE_CAP` before building it.  The verify sweeps and the
-test-suite check the agreement of the two routes exhaustively on small
-instances.  `jacobi_eigenvalues`, the dense solver before QL, has no
-caller left in the package.
+which yields 0 once per twin and once from the quotient.  Values within
+the fixed `MERGE_TOL` are reported once, at the block value when the
+group holds one.  The route refuses r**2 above `CLOSED_WORK_CAP` before
+gamma is computed.  The catalogued families enter their gamma by hand
+and share the rest.  The numeric route serves as the oracle: it
+diagonalizes the full n x n matrix, read off the direct pair counts and
+not off gamma, by Householder reduction to tridiagonal form and implicit
+QL, generic dense linear algebra that sees only the matrix, and refuses
+n**3 above `DENSE_SOLVE_CAP` before building it.  The verify sweeps and
+the test-suite check the agreement of the two routes exhaustively on
+small instances.  `jacobi_eigenvalues`, the dense solver before QL, has
+no caller left in the package.
 """
 
 import math
@@ -43,7 +46,14 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
+from .hypergraph import (
+    AdjacencyMatrix,
+    BlockProfile,
+    ThresholdHypergraph,
+    block_profile,
+    check_dense,
+    check_dense_digits,
+)
 from .sequences import (
     DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
@@ -54,6 +64,7 @@ from .sequences import (
 
 __all__ = [
     "DENSE_SOLVE_CAP",
+    "CLOSED_WORK_CAP",
     "MERGE_TOL",
     "BlockEigenvalue",
     "EigenPair",
@@ -78,6 +89,13 @@ __all__ = [
 #: In pure Python the solve takes about 89 s at n = 1000 on a 2-vCPU Xeon
 #: VM (9e-8 s * n**3; 0.4 s at n = 200).
 DENSE_SOLVE_CAP = 10**9
+
+#: Cap on r**2 for the closed route on r runs, so r <= 2000.  Its pencil
+#: reduction, rational QL and certificate counts cost O(r**2); on the
+#: alternating k = 2 sequence it takes 0.55 s at r = 1001 and 2.4 s at
+#: r = 2001 on a 2-vCPU Xeon VM, and a bit form that fits one argv string
+#: (128 KiB) reaches r of about 65,000.
+CLOSED_WORK_CAP = 4 * 10**6
 
 #: Absolute distance within which the closed route reports values once.
 #: Block values are exact integers; a quotient estimate within it of one
@@ -653,9 +671,10 @@ def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
     Takes the run-length form, or a hypergraph's `runs`; all work grows
-    with r, not n.  `_check_closed` refuses what the route cannot answer
-    before any binomial is computed.  Values within `MERGE_TOL` are
-    reported once with summed multiplicity.
+    with r, not n, as r**2.  `_check_closed` refuses what the route cannot
+    answer, or r**2 over `CLOSED_WORK_CAP`, before any binomial is
+    computed.  Values within `MERGE_TOL` are reported once with summed
+    multiplicity, at the block value when the group holds one.
     """
     ss = seq.runs if isinstance(seq, ThresholdHypergraph) else seq
     _check_closed(ss)
@@ -672,7 +691,8 @@ def _check_closed(ss: ShortSequence) -> None:
     to e have the largest pair count, binomial(e-2, k-2): every pair lies
     in at most that many edges.  Past 2**53 it is refused as `_Pencil`
     would refuse it, but before the r exact gammas are computed, whose
-    cost grows with k without bound.
+    cost grows with k without bound.  Then r**2 over `CLOSED_WORK_CAP` is
+    refused with `ResourceLimitError`.
     """
     e = ss.last_one
     if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
@@ -680,6 +700,11 @@ def _check_closed(ss: ShortSequence) -> None:
             f"the pair count binomial({count_text(e - 2)}, "
             f"{count_text(ss.k - 2)}) of the last two vertices in an edge "
             "exceeds 2**53 and would round in double precision"
+        )
+    if ss.r**2 > CLOSED_WORK_CAP:
+        raise ResourceLimitError(
+            f"the closed route on {count_text(ss.r)} runs costs "
+            f"r**2 = {count_text(ss.r**2)}, over the cap of {CLOSED_WORK_CAP}"
         )
 
 
@@ -698,15 +723,17 @@ def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
 
     Oracle for the closed route: `householder_ql_eigenvalues` on the exact
     entries, O(n**3), refused by `check_dense_solve` before the matrix is
-    built.  An entry past 2**53 would round, and is refused.  `adjacency`
-    may inject a matrix obtained elsewhere (tests pass the brute-force
-    recount so the routes share no combinatorics); it must be h's size,
-    which the cap was checked on, else `ValueError`.  Only bit-equal values
-    are reported once: clustering within a tolerance would average distinct
-    values, and the comparison with the closed route must see each one.
+    built.  An entry past 2**53 would round, and is refused.  By default
+    the matrix is `_pair_count_matrix`, read off the direct pair counts,
+    so a fault in `block_profile` shows as a disagreement; `adjacency` may
+    inject a matrix obtained elsewhere (tests pass the brute-force recount
+    of the edge list); it must be h's size, which the cap was checked on,
+    else `ValueError`.  Only bit-equal values are reported once:
+    clustering within a tolerance would average distinct values, and the
+    comparison with the closed route must see each one.
     """
     check_dense_solve(h.n)
-    mat = adjacency if adjacency is not None else h.adjacency()
+    mat = adjacency if adjacency is not None else _pair_count_matrix(h)
     size = len(mat.entries)
     if size != h.n:
         raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
@@ -714,6 +741,21 @@ def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
     as_float(max(map(max, mat.entries), default=0))
     values = householder_ql_eigenvalues(mat.entries)
     return Spectrum(_merge_entries([(v, 1, "numeric") for v in values], 0.0))
+
+
+def _pair_count_matrix(h: ThresholdHypergraph) -> AdjacencyMatrix:
+    """The adjacency matrix from the columns c_j = `pair_count(1, j)`:
+    for i != j the count depends on the later vertex alone, so
+    A[i][j] = c_max(i,j).  `pair_count` sums binomials over the
+    pseudodominants and shares no code with `block_profile`; O(n P)
+    binomials for P pseudodominants.  The size caps of `adjacency` are
+    checked first, and the matrix goes through the checked constructor."""
+    check_dense(h.n)
+    check_dense_digits(h.runs)
+    c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
+    return AdjacencyMatrix(
+        tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n))
+    )
 
 
 def family_sequence(
@@ -779,8 +821,8 @@ def family_spectrum_symbolic(
     (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
     The complete-hypergraph boundaries (family 1 with n = k, family 2
     with j = k) are one block with (binomial(n-2, k-2),).  Always agrees
-    with `full_spectrum_closed`, and refuses what it refuses, before any
-    binomial.
+    with `full_spectrum_closed`, merging at the same `MERGE_TOL`, and
+    refuses what it refuses, before any binomial.
     """
     ss = family_sequence(family, n, k, j)
     _check_closed(ss)

@@ -9,10 +9,11 @@ from pathlib import Path
 import pytest
 
 import threshspec.cli as cli
+import threshspec.hypergraph as hypergraph
 import threshspec.spectrum as spectrum
 from threshspec.cli import main
 from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import DENSE_CELL_CAP, ThresholdHypergraph
+from threshspec.hypergraph import DENSE_CELL_CAP, BlockProfile, ThresholdHypergraph
 from threshspec.spectrum import (
     DENSE_SOLVE_CAP,
     EigenPair,
@@ -114,6 +115,32 @@ class TestSpectrumCommand:
         info = strict_json(out)["verify"]
         assert sorted(info) == ["max_dev", "ok", "tol"]
         assert info["ok"] is False and info["max_dev"] > info["tol"]
+
+    def test_verify_catches_a_fault_in_gamma(self, capsys, monkeypatch):
+        # a fault in block_profile that keeps pair_total: on two runs,
+        # gamma_1 += e_2 and gamma_2 -= e_1, e_s counting the pairs whose
+        # later vertex lies in block s; --verify read the same faulty gamma
+        # through the dense matrix and passed it
+        true_profile = hypergraph.block_profile
+
+        def faulty(ss):
+            bp = true_profile(ss)
+            (g1, g2), (a1, a2) = bp.gamma, ss.runs
+            e1, e2 = a1 * (a1 - 1) // 2, a2 * a1 + a2 * (a2 - 1) // 2
+            bad = BlockProfile(ss, (g1 + e2, g2 - e1))
+            assert bad.pair_total == bp.pair_total
+            return bad
+
+        for text in ("C(3,2)_3", "C(4,3)_2", "C(5,4)_4"):
+            _, good, _ = run(capsys, "spectrum", text)
+            with monkeypatch.context() as patch:
+                for module in (spectrum, hypergraph, cli):
+                    patch.setattr(module, "block_profile", faulty)
+                code, out, err = run(capsys, "spectrum", text, "--verify")
+            assert code == 2, text
+            lines = out.splitlines()
+            assert lines[:-1] != good.splitlines(), text
+            assert lines[-1].endswith("status=mismatch"), text
 
     def test_precision_limit_exits_3(self, capsys):
         for args in (

@@ -241,6 +241,25 @@ class TestClosedRouteRefusals:
             "lambda=-1 mult=5 source=block1",
         ]
 
+    def test_work_cap_refuses_before_the_profile(self, monkeypatch, capsys):
+        # the closed route is O(r**2); a CLI argv reaches r of about 65,000
+        r = math.isqrt(spectrum.CLOSED_WORK_CAP) + 1
+        ss = ShortSequence(2, (2,) + (1,) * (r - 1))
+        assert ss.r == r and (r - 1) ** 2 <= spectrum.CLOSED_WORK_CAP
+        text = format_short(ss)
+
+        def refuse(ss):
+            raise AssertionError("block_profile ran past the work cap")
+
+        monkeypatch.setattr(spectrum, "block_profile", refuse)
+        with pytest.raises(ResourceLimitError, match=f"on {r} runs"):
+            full_spectrum_closed(ss)
+        assert main(["spectrum", text]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: the closed route on {r} runs costs r**2")
+        assert "over the cap" in err and "Traceback" not in err
+
     def test_precision_refusal_starts_where_the_largest_gamma_passes_2_53(self):
         # the largest pair count of a connected sequence is its last gamma;
         # the route answers up to the last n where it fits a double
