@@ -1,0 +1,84 @@
+"""Every size and work cap, hit from a child process.
+
+Each call runs the CLI in its own interpreter under an address-space
+limit of 1 GiB and a 10 s timeout, with an input just over one cap or
+far past it: an unbounded allocation dies of memory or of the timeout
+here, where an in-process test would take the test run down with it.
+A refusal exits 3 (1 for invalid input) with a message on stderr, no
+traceback and nothing on stdout.  Inputs under a cap, which may take
+long by design (`spectrum "C(999,1)_3" --verify`), are not run.
+"""
+
+import math
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from threshspec.sequences import ShortSequence, format_short
+from threshspec.spectrum import CLOSED_WORK_CAP
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+ADDRESS_SPACE = 1 << 30
+TIMEOUT_S = 10
+HUGE = str(10**18)
+
+
+def _over_the_closed_cap() -> str:
+    r = math.isqrt(CLOSED_WORK_CAP) + 1
+    return format_short(ShortSequence(2, (2,) + (1,) * (r - 1)))
+
+
+#: (argv, exit code, text the message holds)
+CALLS = [
+    # r**2 over CLOSED_WORK_CAP
+    (["spectrum", _over_the_closed_cap()], 3, "r**2"),
+    # a pair count past 2**53, by k and by a run length
+    (["spectrum", "C(100,1)_50"], 3, "precision limit"),
+    (["spectrum", f"C({HUGE},1)_2"], 3, "precision limit"),
+    (["family", "3", "--n", HUGE, "--k", "3"], 3, "precision limit"),
+    # the dense cells, digits and eigensolve work
+    (["adjacency", "C(5000,1)_2"], 3, "cells, over the cap"),
+    (["adjacency", "C(3000,1)_1000"], 3, "digits"),
+    (["spectrum", "C(1001,1)_2", "--verify"], 3, "dense eigensolve"),
+    # the edge list
+    (["edges", f"C({HUGE},1)_3"], 3, "edges exceed the cap"),
+    # the text of the creation bits; at n = 10**18 the run length is past
+    # 2**53 and the precision limit comes first
+    (["family", "1", "--n", str(10**15), "--k", "2"], 3, "the bit form of"),
+    (["family", "1", "--n", HUGE, "--k", "2"], 3, "precision limit"),
+    # the sequence budgets of both sweeps
+    (["verify", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
+    (["scan", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
+    (["verify", "--n-max", "200000000", "--k", "200000001"], 3, "cells, over"),
+    # invalid input at the same sizes
+    (["spectrum", f"C(3,1)_{HUGE}"], 1, "error:"),
+    (["family", "2", "--n", HUGE, "--k", "3", "--j", HUGE], 1, "family 2"),
+]
+
+
+def _limit_address_space() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE, ADDRESS_SPACE))
+
+
+@pytest.mark.parametrize(
+    ("argv", "code", "message"), CALLS, ids=[" ".join(c[0])[:48] for c in CALLS]
+)
+def test_a_call_over_a_cap_is_refused_in_bounded_memory(argv, code, message):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run(
+        [sys.executable, "-m", "threshspec.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=TIMEOUT_S,
+        env=env,
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == code, done.stderr
+    assert done.stdout == ""
+    assert done.stderr.startswith("error:")
+    assert message in done.stderr
+    assert "Traceback" not in done.stderr
