@@ -15,8 +15,8 @@ from .errors import (
     SequenceError,
 )
 from .hypergraph import (
-    DEFAULT_EDGE_CAP,
     DENSE_CELL_CAP,
+    EDGE_CAP,
     AdjacencyMatrix,
     BlockProfile,
     GeneralHypergraph,
@@ -26,7 +26,7 @@ from .hypergraph import (
     load_replaceable_non_threshold_7_4,
 )
 from .sequences import (
-    DEFAULT_SEQUENCE_BUDGET,
+    SEQUENCE_BUDGET,
     BinarySequence,
     ShortSequence,
     complement_sequence,

@@ -11,10 +11,11 @@ Every command reads its sequence to the run-length form and calls the
 library, which checks each size cap and the precision limit on the runs
 before any bit or matrix is built; the CLI holds no guard of its own.
 Integers on the command line may have any number of digits.  No option
-sets a tolerance: the closed route reports values within 1e-9 once,
-`spectrum --verify` fails when the largest deviation from the dense
-route, divided by max(1, |A|_F), is over 1e-8, and `scan` flags a
-quotient gap under 1e-9.
+sets a tolerance or raises a cap: the closed route reports values within
+1e-9 once, `spectrum --verify` fails when the largest deviation from the
+dense route, divided by max(1, |A|_F), is over 1e-8, `scan` flags a
+quotient gap under 1e-9, `edges` lists at most 10**7 edges, and `verify`
+and `scan` visit at most 100,000 sequences.
 
 A call whose first argument names a subcommand builds one argument
 parser, that subcommand's alone, and reads the rest of its arguments in
@@ -39,14 +40,8 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import DEFAULT_EDGE_CAP, ThresholdHypergraph, block_profile
-from .sequences import (
-    DEFAULT_SEQUENCE_BUDGET,
-    ShortSequence,
-    format_bits,
-    format_short,
-    parse_runs,
-)
+from .hypergraph import ThresholdHypergraph, block_profile
+from .sequences import ShortSequence, format_bits, format_short, parse_runs
 from .spectrum import (
     MERGE_TOL,
     Spectrum,
@@ -207,7 +202,7 @@ def _emit_rows(h, key: str, rows, output_format: str, out: TextIO) -> int:
 
 def cmd_edges(args, out: TextIO, err: TextIO) -> int:
     h = ThresholdHypergraph.from_text(args.sequence)
-    return _emit_rows(h, "edges", h.edges(args.edge_cap), args.format, out)
+    return _emit_rows(h, "edges", h.edges(), args.format, out)
 
 
 def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
@@ -216,7 +211,7 @@ def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_verify(args, out: TextIO, err: TextIO) -> int:
-    results = run_all_sweeps(args.n_max, _parse_k_list(args.k), budget=args.budget)
+    results = run_all_sweeps(args.n_max, _parse_k_list(args.k))
     all_ok = all(r.passed for r in results)
     if args.format == "structured":
         doc = {
@@ -253,9 +248,7 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
 
 
 def cmd_scan(args, out: TextIO, err: TextIO) -> int:
-    rows = scan_quotient_simplicity(
-        args.n_max, _parse_k_list(args.k), budget=args.budget
-    )
+    rows = scan_quotient_simplicity(args.n_max, _parse_k_list(args.k))
     flagged = sum(1 for row in rows if row.flagged)
     min_gap = min((row.min_quotient_gap for row in rows), default=float("inf"))
     if args.format == "structured":
@@ -314,9 +307,13 @@ def _add_format(parser: _Parser, *choices: str) -> None:
     parser.add_argument("--format", choices=choices, default=choices[0])
 
 
-def _spectrum(p: _Parser) -> None:
+def _sequence(p: _Parser) -> None:
     _add_format(p)
     p.add_argument("sequence")
+
+
+def _spectrum(p: _Parser) -> None:
+    _sequence(p)
     p.add_argument(
         "--verify",
         action="store_true",
@@ -325,22 +322,10 @@ def _spectrum(p: _Parser) -> None:
     )
 
 
-def _edges(p: _Parser) -> None:
-    _add_format(p)
-    p.add_argument("sequence")
-    p.add_argument("--edge-cap", type=_positive_int, default=DEFAULT_EDGE_CAP)
-
-
-def _adjacency(p: _Parser) -> None:
-    _add_format(p)
-    p.add_argument("sequence")
-
-
 def _verify(p: _Parser) -> None:
     _add_format(p, "text", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
 
 
 def _family(p: _Parser) -> None:
@@ -355,14 +340,13 @@ def _scan(p: _Parser) -> None:
     _add_format(p, "csv", "structured")
     p.add_argument("--n-max", type=_positive_int, required=True)
     p.add_argument("--k", required=True)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_SEQUENCE_BUDGET)
 
 
 #: Subcommand name: (help line, function adding its arguments, handler).
 SUBCOMMANDS = {
     "spectrum": ("closed-form spectrum", _spectrum, cmd_spectrum),
-    "edges": ("edge list", _edges, cmd_edges),
-    "adjacency": ("pair-count matrix", _adjacency, cmd_adjacency),
+    "edges": ("edge list", _sequence, cmd_edges),
+    "adjacency": ("pair-count matrix", _sequence, cmd_adjacency),
     "verify": ("exhaustive sweeps", _verify, cmd_verify),
     "family": ("catalogued families", _family, cmd_family),
     "scan": ("quotient gap report", _scan, cmd_scan),

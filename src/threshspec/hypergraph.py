@@ -43,7 +43,7 @@ from .sequences import (
 )
 
 __all__ = [
-    "DEFAULT_EDGE_CAP",
+    "EDGE_CAP",
     "DENSE_CELL_CAP",
     "DENSE_DIGIT_CAP",
     "AdjacencyMatrix",
@@ -54,7 +54,6 @@ __all__ = [
     "edge_total",
     "check_dense",
     "check_dense_digits",
-    "check_edge_cap",
     "check_edges",
     "adjacency_bruteforce",
     "recount_pairs",
@@ -63,8 +62,8 @@ __all__ = [
     "load_replaceable_non_threshold_7_4",
 ]
 
-#: Default cap on materialized edges and on brute-force subset iteration.
-DEFAULT_EDGE_CAP = 10**7
+#: Cap on materialized edges and on brute-force subset iteration.
+EDGE_CAP = 10**7
 
 #: Cap on the n * n cells of a dense matrix, checked before it is allocated.
 DENSE_CELL_CAP = 10**7
@@ -99,29 +98,24 @@ def check_dense_digits(ss: ShortSequence) -> None:
         )
 
 
-def check_edge_cap(total: int, cap: int = DEFAULT_EDGE_CAP) -> None:
-    """Refuse to list `total` edges when that is over `cap`."""
-    if total > cap:
-        raise ResourceLimitError(
-            f"{count_text(total)} edges exceed the cap of {cap}; raise the cap "
-            "to enumerate"
-        )
-
-
-def check_edges(ss: ShortSequence, cap: int = DEFAULT_EDGE_CAP) -> None:
-    """`check_edge_cap` on the edges of ss.  The last vertex with bit 1,
-    e, closes binomial(e-1, k-1) edges alone; the exact total is built
-    only when that bound has at most 4,300 digits, and a message past
-    them names the bound's least bit length."""
+def check_edges(ss: ShortSequence) -> None:
+    """Refuse to list the edges of ss when they are over `EDGE_CAP`.  The
+    last vertex with bit 1, e, closes binomial(e-1, k-1) edges alone; the
+    exact total is built only when that bound has at most 4,300 digits,
+    and a message past them names the bound's least bit length."""
     e = ss.last_one
-    if binomial_exceeds(e - 1, ss.k - 1, cap):
+    if binomial_exceeds(e - 1, ss.k - 1, EDGE_CAP):
         text_limit = 10**TEXT_DIGITS
         if binomial_exceeds(e - 1, ss.k - 1, text_limit - 1):
             raise ResourceLimitError(
                 f"at least {bits_text(text_limit.bit_length())} edges exceed "
-                f"the cap of {cap}; raise the cap to enumerate"
+                f"the cap of {EDGE_CAP}"
             )
-    check_edge_cap(edge_total(ss), cap)
+    total = edge_total(ss)
+    if total > EDGE_CAP:
+        raise ResourceLimitError(
+            f"{count_text(total)} edges exceed the cap of {EDGE_CAP}"
+        )
 
 
 def edge_total(ss: ShortSequence) -> int:
@@ -302,13 +296,13 @@ class ThresholdHypergraph:
             end += size
         return out
 
-    def edges(self, cap: int = DEFAULT_EDGE_CAP) -> list[tuple[int, ...]]:
+    def edges(self) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
 
-        The count is checked against `cap` (`check_edges`) before anything
-        is materialized.
+        The count is checked against `EDGE_CAP` (`check_edges`) before
+        anything is materialized.
         """
-        check_edges(self.runs, cap)
+        check_edges(self.runs)
         k = self.k
         out = []
         for v in self.pseudodominants():
@@ -356,7 +350,7 @@ class ThresholdHypergraph:
 
 def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
     """Recount every pair by walking the edge list, listed under
-    `DEFAULT_EDGE_CAP`.  Oracle for `adjacency`; the cell cap is checked
+    `EDGE_CAP`.  Oracle for `adjacency`; the cell cap is checked
     before any edge is listed."""
     check_dense(h.n)
     return recount_pairs(h.n, h.edges())

@@ -19,8 +19,9 @@ for disconnected sequences as well, and refuses runs no bit sequence has.
 
 `sweep_space` owns the space the exhaustive sweeps (`verify`) and the
 quotient scan walk: every (k, n) size up to a bound, in one order,
-refused up front when its closed-form count of sequences is over a
-budget.  Each walk lists a size's run shapes with `iter_short_sequences`.
+refused up front when its closed-form count of sequences is over
+`SEQUENCE_BUDGET`.  Each walk lists a size's run shapes with
+`iter_short_sequences`.
 The package enumerates and computes on the run form only; bits are built
 from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 """
@@ -35,6 +36,7 @@ from .errors import ResourceLimitError, SequenceError
 
 __all__ = [
     "BIT_TEXT_CAP",
+    "SEQUENCE_BUDGET",
     "BinarySequence",
     "ShortSequence",
     "to_short",
@@ -52,8 +54,8 @@ __all__ = [
     "sweep_space",
 ]
 
-#: Default cap on the number of sequences a sweep may visit.
-DEFAULT_SEQUENCE_BUDGET = 100_000
+#: Cap on the number of sequences a sweep may visit.
+SEQUENCE_BUDGET = 100_000
 
 #: Cap on the 2n - 1 characters of a bit form that `format_bits` writes,
 #: the digits `hypergraph.DENSE_DIGIT_CAP` admits for a dense matrix.
@@ -346,7 +348,6 @@ def sweep_space(
     n_max: int,
     k_values: Iterable[int],
     what: str,
-    budget: int,
     connected_only: bool,
 ) -> list[tuple[int, int]]:
     """The (k, n) sizes of a walk over every valid sequence with at most
@@ -354,21 +355,22 @@ def sweep_space(
     up.  The walk lists each size's sequences with `iter_short_sequences`,
     passing it `connected_only`.
 
-    A space of more than `budget` sequences is refused up front with a
-    `ResourceLimitError` that says `what` would visit it.  A count with
-    more bits than the budget and than 4 * 4,300 (so more than 4,300
+    A space of more than `SEQUENCE_BUDGET` sequences is refused up front
+    with a `ResourceLimitError` that says `what` would visit it.  A count
+    with more bits than the budget and than 4 * 4,300 (so more than 4,300
     digits) is weighed and named by its bit length without being built,
     so the refusal is immediate at any `n_max`.
     """
     k_set = sorted({k for k in k_values if k >= 2})
     bits = _count_bits(n_max, k_set, connected_only)
-    if bits > max(budget.bit_length(), 4 * TEXT_DIGITS):
+    if bits > max(SEQUENCE_BUDGET.bit_length(), 4 * TEXT_DIGITS):
         over = bits_text(bits)  # 2**(bits-1) has more than 4,300 digits
     else:
         total = count_valid_sequences(n_max, k_set, connected_only)
-        over = count_text(total) if total > budget else None
+        over = count_text(total) if total > SEQUENCE_BUDGET else None
     if over is not None:
         raise ResourceLimitError(
-            f"{what} would visit {over} sequences, over the budget of {budget}"
+            f"{what} would visit {over} sequences, over the budget of "
+            f"{SEQUENCE_BUDGET}"
         )
     return [(k, n) for k in k_set for n in range(k - 1, n_max + 1)]

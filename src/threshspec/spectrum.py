@@ -55,7 +55,6 @@ from .hypergraph import (
     check_dense_digits,
 )
 from .sequences import (
-    DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
     format_bits,
     iter_short_sequences,
@@ -853,17 +852,16 @@ def scan_quotient_simplicity(
     n_max: int,
     k_values: Iterable[int],
     tol: float = 1e-9,
-    budget: int = DEFAULT_SEQUENCE_BUDGET,
 ) -> list[ScanRow]:
     """Minimum quotient eigenvalue gap for every connected sequence.
 
     A row is flagged when two quotient eigenvalues sit closer than tol,
     i.e. the quotient fails to separate them numerically.  Single-block
     sequences report an infinite gap.  `sweep_space` gives the order and
-    refuses a space over `budget` before the first row.
+    refuses a space over `SEQUENCE_BUDGET` before the first row.
     """
     out = []
-    for k, n in sweep_space(n_max, k_values, "scan", budget, True):
+    for k, n in sweep_space(n_max, k_values, "scan", True):
         for ss in iter_short_sequences(n, k, True):
             values = quotient_eigenvalues(block_profile(ss))
             if len(values) > 1:

@@ -7,8 +7,8 @@ whose two sides are computed by unrelated code paths; no bit is built.
 What the checks compare against at one (k, n) size is built once per
 size.  The CLI `verify` command runs all five checks in one walk; each
 `sweep_*` is the walk with one check.  `sweep_space` refuses a walk over
-the sequence budget before it starts: `run_all_sweeps` takes the budget,
-the `sweep_*` functions use `DEFAULT_SEQUENCE_BUDGET`.
+`SEQUENCE_BUDGET` before it starts, and `ThresholdHypergraph.edges` an
+edge list over `EDGE_CAP`; neither can be raised.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +25,6 @@ from .hypergraph import (
     totally_replaceable,
 )
 from .sequences import (
-    DEFAULT_SEQUENCE_BUDGET,
     ShortSequence,
     complement_sequence,
     format_bits,
@@ -145,14 +144,9 @@ class _Visit:
 _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 
 
-def _walk(
-    n_max: int,
-    k_values: Iterable[int],
-    *names: str,
-    budget: int = DEFAULT_SEQUENCE_BUDGET,
-) -> list[SweepResult]:
+def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
     results = [SweepResult(name) for name in names]
-    for k, n in sweep_space(n_max, k_values, "sweeps", budget, False):
+    for k, n in sweep_space(n_max, k_values, "sweeps", False):
         size = _Size(k, n)
         for ss in iter_short_sequences(n, k):
             v = _Visit(ss, size)
@@ -201,9 +195,7 @@ def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResu
     return _walk(n_max, k_values, "complement_partition")[0]
 
 
-def run_all_sweeps(
-    n_max: int, k_values: Iterable[int], *, budget: int = DEFAULT_SEQUENCE_BUDGET
-) -> list[SweepResult]:
+def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     """All five sweeps in one walk, guarded up front by the sequence budget;
-    the edge lists inside it keep `ThresholdHypergraph.edges`' default cap."""
-    return _walk(n_max, k_values, *_CHECKS, budget=budget)
+    the edge lists inside it are listed under the edge cap."""
+    return _walk(n_max, k_values, *_CHECKS)

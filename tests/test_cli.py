@@ -373,9 +373,10 @@ class TestEdgesCommand:
         ]
 
     def test_cap_exits_3(self, capsys):
-        code, out, err = run(capsys, "edges", "C(9,1)_3", "--edge-cap", "5")
-        assert code == 3
-        assert "36 edges exceed the cap of 5" in err
+        # C(393, 3) edges, the fewest of any C(n,1)_4 over the cap
+        code, out, err = run(capsys, "edges", "C(393,1)_4")
+        assert (code, out) == (3, "")
+        assert err == "error: 10039316 edges exceed the cap of 10000000\n"
 
 
 def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
@@ -398,8 +399,7 @@ def test_caps_refuse_a_short_form_before_expanding_it(capsys, monkeypatch):
     assert run(capsys, "edges", "C(5000,1)_3") == (
         3,
         "",
-        "error: 12497500 edges exceed the cap of 10000000; raise the cap to "
-        "enumerate\n",
+        "error: 12497500 edges exceed the cap of 10000000\n",
     )
     # counts past the 4,300 digits Python converts to text are named by
     # their bit length, and still refused as over the cap
@@ -796,9 +796,8 @@ class TestScanCommand:
         assert err == "sequences=0 flagged=0 min_gap=inf\n"
 
     def test_budget_exits_3(self, capsys):
-        code, out, err = run(
-            capsys, "scan", "--n-max", "25", "--k", "2", "--budget", "50"
-        )
+        # 2**17 - 1 = 131,071 connected sequences
+        code, out, err = run(capsys, "scan", "--n-max", "18", "--k", "2")
         assert code == 3
         assert "over the budget" in err
 

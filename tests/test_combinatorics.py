@@ -13,7 +13,8 @@ from threshspec.combinatorics import (
     read_decimal,
 )
 from threshspec.errors import CountTooLargeError, ResourceLimitError
-from threshspec.hypergraph import check_dense, check_edge_cap
+from threshspec.hypergraph import check_dense, check_edges
+from threshspec.sequences import ShortSequence
 from threshspec.spectrum import check_dense_solve
 
 
@@ -75,14 +76,15 @@ def test_count_text_names_huge_counts_by_bit_length():
     assert count_text(12) == "12"
     assert count_text(-(10**4299)) == str(-(10**4299))
     assert count_text(10**5000) == "a number of 16610 bits"
-    # a cap refusal never fails to name its count
-    for check, count in (
-        (check_edge_cap, 10**5000),
+    # a cap refusal never fails to name its count; the edge total of a
+    # 10**2200-vertex star passes 4,300 digits
+    for check, arg in (
+        (check_edges, ShortSequence(2, (10**2200,), True)),
         (check_dense, 10**2500),
         (check_dense_solve, 10**2000),
     ):
         with pytest.raises(ResourceLimitError, match=" bits"):
-            check(count)
+            check(arg)
 
 
 def test_binomial_exceeds_matches_the_exact_binomial():

@@ -4,17 +4,18 @@ from itertools import combinations, product
 
 import pytest
 
+import threshspec.hypergraph as hypergraph
+from threshspec.combinatorics import count_text
 from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import (
-    DEFAULT_EDGE_CAP,
     DENSE_CELL_CAP,
+    EDGE_CAP,
     AdjacencyMatrix,
     GeneralHypergraph,
     ThresholdHypergraph,
     adjacency_bruteforce,
     block_profile,
     check_dense_digits,
-    check_edge_cap,
     check_edges,
     edge_links,
     edge_total,
@@ -172,7 +173,6 @@ class TestThresholdHypergraph:
     def test_caps_refuse_a_short_form_before_building_its_bits(self, monkeypatch):
         # the library checks both caps on the runs: the bits of a billion
         # vertices are never built, and the closed route answers from the runs
-        import threshspec.hypergraph as hypergraph
         import threshspec.sequences as sequences
 
         def no_expansion(ss):
@@ -189,20 +189,24 @@ class TestThresholdHypergraph:
         spec = full_spectrum_closed(h)
         assert sum(p.multiplicity for p in spec.pairs) == 10**9 + 1
 
-    def test_edge_cap(self):
+    def test_edge_cap(self, monkeypatch):
+        # the cap is a constant that edges() reads at each call
         h = hg("k=3;0,0,1,0,1")
+        monkeypatch.setattr(hypergraph, "EDGE_CAP", 6)
         with pytest.raises(ResourceLimitError):
-            h.edges(cap=6)
-        assert len(h.edges(cap=7)) == 7
+            h.edges()
+        monkeypatch.setattr(hypergraph, "EDGE_CAP", 7)
+        assert len(h.edges()) == 7
 
-    def test_edge_refusal_matches_the_exact_total(self):
+    def test_edge_refusal_matches_the_exact_total(self, monkeypatch):
         # the lower bound decides nothing on its own: check_edges refuses
-        # exactly when the total is over the cap, with the same message
+        # exactly when the total is over the cap, with the message that
+        # names the total
         rng = random.Random(15)
         cases = [
             # a total past 4,300 digits whose bound is not: named by bits
             (ShortSequence(2, (10**2200,), True), 10),
-            (ShortSequence(3, (3, 10**1500, 2)), DEFAULT_EDGE_CAP),
+            (ShortSequence(3, (3, 10**1500, 2)), EDGE_CAP),
         ]
         for _ in range(400):
             k = rng.randint(2, 6)
@@ -210,27 +214,26 @@ class TestThresholdHypergraph:
                 rng.randint(1, 30) for _ in range(rng.randint(0, 4))
             ]
             ss = ShortSequence(k, tuple(runs), rng.random() < 0.5)
-            cases.append((ss, rng.choice((1, 5, 100, 5000, DEFAULT_EDGE_CAP))))
+            cases.append((ss, rng.choice((1, 5, 100, 5000, EDGE_CAP))))
         for ss, cap in cases:
+            monkeypatch.setattr(hypergraph, "EDGE_CAP", cap)
+            total = edge_total(ss)
+            expected = None
+            if total > cap:
+                expected = f"{count_text(total)} edges exceed the cap of {cap}"
             try:
-                check_edge_cap(edge_total(ss), cap)
-                expected = None
-            except ResourceLimitError as exc:
-                expected = str(exc)
-            try:
-                check_edges(ss, cap)
+                check_edges(ss)
                 got = None
             except ResourceLimitError as exc:
                 got = str(exc)
             assert got == expected, (ss, cap)
+        monkeypatch.setattr(hypergraph, "EDGE_CAP", cases[0][1])
         with pytest.raises(ResourceLimitError, match=" bits edges exceed"):
-            check_edges(*cases[0])
+            check_edges(cases[0][0])
 
     def test_edge_refusal_weighs_a_bound_before_the_total(self, monkeypatch):
         # binomial(e-1, k-1) of the last one bit already has over 4,300
         # digits: the exact total, 60,000 digits and more, is never built
-        import threshspec.hypergraph as hypergraph
-
         def no_total(ss):
             raise AssertionError("exact edge total computed")
 
@@ -240,7 +243,7 @@ class TestThresholdHypergraph:
                 hg(text).edges()
             assert str(exc.value) == (
                 "at least a number of 14285 bits edges exceed the cap of "
-                "10000000; raise the cap to enumerate"
+                "10000000"
             )
 
     def test_dense_digit_cap(self):
@@ -265,7 +268,7 @@ class TestThresholdHypergraph:
         # allocating, although the edge count stays under the edge cap
         n = math.isqrt(DENSE_CELL_CAP) + 1
         h = ThresholdHypergraph(BinarySequence(3, (0,) * (n - 1) + (1,)))
-        assert edge_total(h.runs) < DEFAULT_EDGE_CAP
+        assert edge_total(h.runs) < EDGE_CAP
         for build in (h.adjacency, lambda: adjacency_bruteforce(h)):
             with pytest.raises(ResourceLimitError, match="over the cap"):
                 build()

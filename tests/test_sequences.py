@@ -5,7 +5,6 @@ import pytest
 import threshspec.sequences as sequences
 from threshspec.errors import ResourceLimitError, SequenceError
 from threshspec.sequences import (
-    DEFAULT_SEQUENCE_BUDGET,
     BinarySequence,
     ShortSequence,
     complement_sequence,
@@ -317,7 +316,7 @@ def test_sweep_space_order_and_sizes():
     # the walk, and the sizes hold the whole counted space
     for n_max, ks in [(6, [4, 2, 2, 3]), (5, [1, 3]), (2, [5]), (7, [2])]:
         for connected in (False, True):
-            sizes = sweep_space(n_max, ks, "demo", 10**6, connected)
+            sizes = sweep_space(n_max, ks, "demo", connected)
             assert sizes == [
                 (k, n)
                 for k in sorted({k for k in ks if k >= 2})
@@ -337,24 +336,27 @@ def test_sweep_space_refuses_before_building_a_sequence(monkeypatch):
 
     monkeypatch.setattr(sequences, "iter_valid_sequences", no_enumeration)
     with pytest.raises(ResourceLimitError) as exc:
-        sweep_space(17, [2], "demo", DEFAULT_SEQUENCE_BUDGET, False)
+        sweep_space(17, [2], "demo", False)
     assert str(exc.value) == (
         "demo would visit 131071 sequences, over the budget of 100000"
     )
     # past 4,300 digits the count is named by its bit length: k = 2 and 3
-    # give 2**(n_max-1+s) - 1 + 2**(n_max-2+s) - 1 with s = 0, or 1 for all
+    # give 2**(n_max-1+s) - 1 + 2**(n_max-2+s) - 1 with s = 0, or 1 for all;
+    # the budget is a constant that sweep_space reads at each call
+    monkeypatch.setattr(sequences, "SEQUENCE_BUDGET", 10**9)
     for n_max in (20000, 40000):
         for connected in (False, True):
             bits = n_max + (not connected)
             with pytest.raises(ResourceLimitError) as exc:
-                sweep_space(n_max, [2, 3], "demo", 10**9, connected)
+                sweep_space(n_max, [2, 3], "demo", connected)
             assert str(exc.value) == (
                 f"demo would visit a number of {bits} bits sequences, "
                 "over the budget of 1000000000"
             )
     # exactly at the budget the space is walked
     monkeypatch.undo()
-    space = sweep_space(10, [2], "demo", 2**10 - 1, False)
+    monkeypatch.setattr(sequences, "SEQUENCE_BUDGET", 2**10 - 1)
+    space = sweep_space(10, [2], "demo", False)
     walked = sum(1 for k, n in space for _ in iter_valid_sequences(n, k))
     assert walked == 2**10 - 1
 

@@ -944,4 +944,5 @@ class TestScan:
 
     def test_budget(self):
         with pytest.raises(ResourceLimitError):
-            scan_quotient_simplicity(20, [2], budget=100)
+            # 2**17 - 1 = 131,071 connected sequences
+            scan_quotient_simplicity(18, [2])

@@ -78,8 +78,9 @@ def test_checked_counts_match_sequence_space():
 
 
 def test_budget_guard():
+    # 2**17 - 1 = 131,071 sequences, one size over the budget of 100,000
     with pytest.raises(ResourceLimitError):
-        run_all_sweeps(30, [3], budget=1000)
+        run_all_sweeps(17, [2])
 
 
 @pytest.mark.parametrize(
@@ -88,8 +89,8 @@ def test_budget_guard():
     ids=lambda walk: walk.__name__,
 )
 def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
-    # the five sweeps have no budget parameter: the default one guards them;
-    # each walk lists run shapes under the name it imports
+    # no walk takes a budget: the one fixed budget guards them all; each
+    # walk lists run shapes under the name it imports
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
@@ -337,7 +338,7 @@ def test_walk_lists_the_k_subsets_once_per_size(monkeypatch):
 def test_edge_cap_refuses_before_the_k_subsets_are_listed(monkeypatch):
     # the list is as long as a sequence's edges and its complement's, so
     # it waits for both lists, which the edge cap refuses past 10**7 each
-    def refused(self, cap=None):
+    def refused(self):
         raise ResourceLimitError("edges over the cap")
 
     def no_subsets(*args):
