@@ -39,7 +39,7 @@ GOLDEN = {
     "family": "e737d9fe425af2592c7d10fdc5a426f84751ce36dd2a634702bc007ae712e741",
     "verify": "5b20f72cae99cdbd9ef344e36226e095913504f2b86a098390c6d43f9434bb31",
     "scan": "86a591bd1bbb800e6f1a2c161bedd4276b12f225349a2bd49c7b1335456166dd",
-    "usage": "4df3c2523703d12130adbabcf4fef03c245d2db12aa594da75926e5ad171cea5",
+    "usage": "5bd7a22be615ad1aabe9c48e0ada1aa6111e8e9fa61cc796eb8ae6abd1ea9b5f",
 }
 
 #: One call of each subcommand that parses, for the usage errors to vary.
@@ -52,15 +52,15 @@ _VALID = {
     "scan": ["scan", "--n-max", "4", "--k", "3"],
 }
 
-#: A number each subcommand refuses at parse time; `spectrum` and
-#: `adjacency` read none and get a second sequence instead.
+#: A number each subcommand refuses at parse time; `spectrum`, `edges`
+#: and `adjacency` read none and get a second sequence instead.
 _BAD_VALUE = {
     "spectrum": ["C(4,1)_3"],
-    "edges": ["--edge-cap", "0"],
+    "edges": ["C(4,1)_3"],
     "adjacency": ["C(4,1)_3"],
     "verify": ["--n-max", "0"],
     "family": ["--n", "x"],
-    "scan": ["--budget", "0"],
+    "scan": ["--n-max", "0"],
 }
 
 
