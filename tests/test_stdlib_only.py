@@ -1,6 +1,7 @@
 """The runtime imports nothing outside the standard library and reads no
 file, every module exports only names it defines, every name a module
-imports is used, and every exception type the package defines is raised.
+imports is used, every exception type the package defines is raised, and
+no caller can raise a cap.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -10,8 +11,11 @@ the package would still run here; this reads the imports instead.  A stale
 import ast
 import importlib
 import inspect
+import re
 import sys
 from pathlib import Path
+
+from threshspec import cli
 
 ROOT = Path(__file__).parents[1]
 SOURCES = sorted((ROOT / "src" / "threshspec").glob("*.py"))
@@ -235,3 +239,29 @@ def test_bits_are_built_only_from_text_or_on_request():
         ("sequences.py", "parse_sequence", True),
         ("sequences.py", "iter_valid_sequences", False),
     }
+
+
+_CAP_NAME = re.compile(r"(^|[-_])(cap|budget)([-_]|$)")
+
+
+def test_no_cap_or_budget_is_an_option():
+    """Every size cap and the sequence budget are constants, which no call
+    can raise: no function of the package has a parameter named for a cap
+    or a budget, and no subcommand an option."""
+    parameters = {
+        (path.name, node.name, arg.arg)
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if _CAP_NAME.search(arg.arg)
+    }
+    assert not parameters
+    options = {
+        (name, option)
+        for name in cli.SUBCOMMANDS
+        for action in cli._parser(name)._actions
+        for option in action.option_strings
+        if "cap" in option or "budget" in option
+    }
+    assert not options
