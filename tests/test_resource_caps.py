@@ -27,6 +27,7 @@ ADDRESS_SPACE = 1 << 30
 TIMEOUT_S = 10
 HUGE = str(10**18)
 HUGE_LESS_1 = str(10**18 - 1)
+JUST_OVER_BUDGET = "131071 sequences, over the budget of 100000"
 
 
 def _over_the_closed_cap() -> str:
@@ -58,8 +59,8 @@ CALLS = [
     (["family", "1", "--n", HUGE, "--k", "2"], 3, "precision limit"),
     (["family", "2", "--n", HUGE, "--k", "3", "--j", "3"], 3, "precision limit"),
     # the sequence budget of both sweeps, just over it and far past it
-    (["verify", "--n-max", "17", "--k", "2"], 3, "131071 sequences, over the"),
-    (["scan", "--n-max", "18", "--k", "2"], 3, "131071 sequences, over the"),
+    (["verify", "--n-max", "17", "--k", "2"], 3, JUST_OVER_BUDGET),
+    (["scan", "--n-max", "18", "--k", "2"], 3, JUST_OVER_BUDGET),
     (["verify", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
     (["scan", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
     (["verify", "--n-max", HUGE, "--k", "2,3,4"], 3, "over the budget"),
