@@ -6,7 +6,7 @@ class SequenceError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """An enumeration would exceed the configured resource cap."""
+    """The work would exceed one of the package's fixed resource caps."""
 
 
 class CountTooLargeError(OverflowError):

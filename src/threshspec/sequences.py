@@ -359,13 +359,13 @@ def sweep_space(
 
     A space of more than `SEQUENCE_BUDGET` sequences is refused up front
     with a `ResourceLimitError` that says `what` would visit it.  A count
-    with more bits than the budget and than 4 * 4,300 (so more than 4,300
-    digits) is weighed and named by its bit length without being built,
-    so the refusal is immediate at any `n_max`.
+    of more than 4 * 4,300 bits (so more than 4,300 digits, and far over
+    the budget) is weighed and named by its bit length without being
+    built, so the refusal is immediate at any `n_max`.
     """
     k_set = sorted({k for k in k_values if k >= 2})
     bits = _count_bits(n_max, k_set, connected_only)
-    if bits > max(SEQUENCE_BUDGET.bit_length(), 4 * TEXT_DIGITS):
+    if bits > 4 * TEXT_DIGITS:
         over = bits_text(bits)  # 2**(bits-1) has more than 4,300 digits
     else:
         total = count_valid_sequences(n_max, k_set, connected_only)

@@ -19,9 +19,11 @@ group holds one.  The route refuses r**2 above `CLOSED_WORK_CAP` before
 gamma is computed.  The catalogued families enter their gamma by hand
 and share the rest.  The numeric route serves as the oracle: it
 diagonalizes the full n x n matrix, read off the direct pair counts and
-not off gamma, by Householder reduction to tridiagonal form and implicit
-QL, generic dense linear algebra that sees only the matrix, and refuses
-n**3 above `DENSE_SOLVE_CAP` before building it.  The verify sweeps and
+not off gamma, by Householder reduction to tridiagonal form and the same
+rational QL, generic dense linear algebra that sees only the matrix, and
+refuses n**3 above `DENSE_SOLVE_CAP` before building it.  Sharing the QL
+cannot make the routes agree on a wrong value: the closed route keeps a
+QL value only where the counts confirm it.  The verify sweeps and
 the test-suite check the agreement of the two routes exhaustively on
 small instances.  `jacobi_eigenvalues`, the dense solver before QL, has
 no caller left in the package.
@@ -85,8 +87,9 @@ __all__ = [
 ]
 
 #: Cap on n**3 for a dense eigensolve of an n x n matrix, so n <= 1000.
-#: In pure Python the solve takes about 89 s at n = 1000 on a 2-vCPU Xeon
-#: VM (9e-8 s * n**3; 0.4 s at n = 200).
+#: In pure Python the solve takes 88 s on a random k = 3 sequence and 85 s
+#: on a random k = 2 one at n = 1000, on a 2-vCPU Xeon VM (9e-8 s * n**3;
+#: 0.4 s at n = 200).
 DENSE_SOLVE_CAP = 10**9
 
 #: Cap on r**2 for the closed route on r runs, so r <= 2000.  Its pencil
@@ -258,8 +261,8 @@ def jacobi_eigenvalues(
     )
 
 
-#: Machine epsilon; the QL deflation test and the pencil solver's
-#: tolerances are multiples of it.
+#: Machine epsilon; the rational QL's split test and the certificate
+#: width of the pencil's counts are multiples of it.
 _EPS = sys.float_info.epsilon
 
 
@@ -268,13 +271,14 @@ def householder_ql_eigenvalues(
 ) -> list[float]:
     """All eigenvalues of a symmetric matrix, sorted descending.
 
-    Householder reduction to tridiagonal form, then implicit QL with
-    Wilkinson shifts on the tridiagonal matrix: the eigenvalues-only pair
-    tred1 and tql1 of Wilkinson and Reinsch, Handbook for Automatic
-    Computation II (1971).  The matrix must be square and symmetric within
-    1e-12 * max(1, |M|_F), else `ValueError`; it is averaged to exact
-    symmetry.  Each eigenvalue gets at most max_iterations QL steps (tql1
-    allows 30); the fixed order of operations makes the output repeatable.
+    Householder reduction to tridiagonal form, tred1 of Wilkinson and
+    Reinsch, Handbook for Automatic Computation II (1971), then
+    `_rational_ql` (tqlrat) on the tridiagonal matrix: the eigenvalues-only
+    path of EISPACK's driver rs.  The matrix must be square and symmetric
+    within 1e-12 * max(1, |M|_F), else `ValueError`; it is averaged to
+    exact symmetry.  Each eigenvalue gets at most max_iterations QL sweeps
+    (tqlrat allows 30), else `ConvergenceError`; the fixed order of
+    operations makes the output repeatable.
     """
     n = len(matrix)
     a = [[float(x) for x in row] for row in matrix]
@@ -315,51 +319,8 @@ def householder_ql_eigenvalues(
             uj, qj = u[j], q[j]
             row[:i] = [v - uj * qk - qj * uk for v, uk, qk in zip(row, u, q)]
     d[0] = a[0][0]
-    # QL from the top: e[i] now couples d[i] and d[i + 1].  d[l] is final
-    # once e[l] is negligible next to its two diagonal neighbours.
-    e = e[1:] + [0.0]
-    for l in range(n):
-        iterations = 0
-        while True:
-            m = l
-            while m < n - 1 and abs(e[m]) > _EPS * (abs(d[m]) + abs(d[m + 1])):
-                m += 1
-            if m == l:
-                break
-            if iterations >= max_iterations:
-                raise ConvergenceError(
-                    f"QL iteration did not converge in {max_iterations} "
-                    f"iterations at eigenvalue {l + 1} of {n}"
-                )
-            iterations += 1
-            # shift: the eigenvalue of the leading 2 x 2 block nearer d[l]
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # the block split at i + 1: restart on the smaller one
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-            else:
-                d[l] -= p
-                e[l] = g
-                e[m] = 0.0
-    return sorted(d, reverse=True)
+    e2 = [x * x for x in e[1:]]  # e2[i] couples d[i] and d[i + 1]
+    return sorted(_rational_ql(d, e2, max_iterations), reverse=True)
 
 
 def _rational_ql(
@@ -373,8 +334,8 @@ def _rational_ql(
     from every diagonal entry below d[l] once, as tqlrat does, but the
     chase subtracts it as it reads the entry; only the entries past the
     block, which the chase never reads, are shifted in place.  An
-    eigenvalue not converged after max_iterations sweeps is returned as it
-    stands, an estimate.
+    eigenvalue not converged after max_iterations sweeps raises
+    `ConvergenceError`.
     """
     d, e2 = list(d), [*e2, 0.0]  # the zero stops every search for a split
     last = len(d) - 1
@@ -422,6 +383,12 @@ def _rational_ql(
             if h == 0.0 or abs(e2[l]) <= abs(c / h) or e2[l] * h == 0.0:
                 break
             e2[l] *= h
+        else:
+            if m > l:
+                raise ConvergenceError(
+                    f"QL iteration did not converge in {max_iterations} "
+                    f"iterations at eigenvalue {l + 1} of {len(d)}"
+                )
         d[l] += f
     return d
 
@@ -440,6 +407,8 @@ class _Pencil:
     T(lam) = T(0) - lam B B^T, B upper bidiagonal, so the eigenvalues are
     those of C = B^-1 T(0) B^-T: `tridiagonal` builds C in O(r**2),
     `_rational_ql` estimates its eigenvalues and `count` certifies them.
+    When `_rational_ql` raises `ConvergenceError`, every value is found by
+    bisection on the counts instead.
     The chase in `tridiagonal` keeps its working entries in locals but
     makes the same IEEE operations in the same order as the rotations
     written out entry by entry, so its results are identical to the bit;
@@ -544,6 +513,7 @@ class _Pencil:
 
         The i-th smallest estimate x is accepted when
         count(x - delta) <= i < count(x + delta), else `_isolate` finds it.
+        A `ConvergenceError` makes every estimate NaN, which none accepts.
         """
         delta = 4.0 * _EPS * self.scale
         bound = self.scale + 1.0
@@ -551,8 +521,12 @@ class _Pencil:
             raise RuntimeError(
                 "internal: quotient eigenvalues escape the Frobenius bound"
             )
+        try:
+            estimates = sorted(_rational_ql(*self.tridiagonal()))
+        except ConvergenceError:
+            estimates = [math.nan] * self.r
         out = []
-        for i, x in enumerate(sorted(_rational_ql(*self.tridiagonal()))):
+        for i, x in enumerate(estimates):
             if not self.count(x - delta) <= i < self.count(x + delta):
                 x = self._isolate(i, x, delta, bound)
             out.append(x)

@@ -229,7 +229,9 @@ class TestSpectrumCommand:
 
     def test_verify_at_larger_n(self, capsys):
         rng = random.Random(20261018)
-        for n, k in ((120, 3), (120, 6), (200, 3)):
+        # the k = 2 draws put 0 and -1 in clusters of dozens, which the
+        # QL must split without running out of iterations
+        for n, k in ((120, 3), (120, 6), (200, 3), (160, 2), (200, 2)):
             bits = [0] * (k - 1) + [rng.randint(0, 1) for _ in range(n - k)] + [1]
             text = f"k={k};" + ",".join(map(str, bits))
             code, out, err = run(capsys, "spectrum", text, "--verify")

@@ -11,7 +11,7 @@ an option before the command, and for every subcommand its `-h` and a
 missing required argument, a bad `--format`, a bad value and an unknown
 option.  Help is wrapped at a fixed `COLUMNS`.
 A change that alters a byte of output or an exit code anywhere in the set
-fails here.  `spectrum --verify` is left out: its dense QL step uses
+fails here.  `spectrum --verify` is left out: its Householder step uses
 `math.hypot`, whose last bit can differ between CPython versions.
 
 After a deliberate output change, print the new digests with

@@ -316,8 +316,14 @@ class TestRationalQL:
         assert_tridiagonal_matches_eigvalsh(wilkinson, [1.0] * 20)
 
     def test_stops_at_the_iteration_cap(self):
-        # no sweep leaves the diagonal as it stands: an estimate, not an error
-        assert spectrum._rational_ql([1.0, 2.0], [1.0], max_iterations=0) == [1.0, 2.0]
+        # an unconverged eigenvalue is an error, not an estimate
+        with pytest.raises(
+            ConvergenceError,
+            match="^QL iteration did not converge in 0 iterations at eigenvalue 1 of 2$",
+        ):
+            spectrum._rational_ql([1.0, 2.0], [1.0], max_iterations=0)
+        # a block that is already split needs no sweep
+        assert spectrum._rational_ql([1.0, 2.0], [0.0], max_iterations=0) == [1.0, 2.0]
 
 
 class TestPencilReduction:
@@ -762,7 +768,10 @@ class TestFullSpectrum:
             assert abs(power - fro) <= 1e-6 * fro
 
     def test_closed_matches_numeric_on_bruteforce_adjacency(self):
-        for h in connected_hypergraphs(7):
+        # two threshold graphs whose 0 and -1 each repeat 28 to 37 times,
+        # clusters the QL must split without running out of iterations
+        clustered = [hg("C(5" + ",4" * 23 + ")_2"), hg("C(3" + ",2" * 55 + ")_2")]
+        for h in [*connected_hypergraphs(7), *clustered]:
             closed = full_spectrum_closed(h).expanded()
             numeric = full_spectrum_numeric(
                 h, adjacency=adjacency_bruteforce(h)
