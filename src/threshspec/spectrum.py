@@ -20,19 +20,21 @@ gamma is computed.  The catalogued families enter their gamma by hand
 and share the rest.  The numeric route serves as the oracle: it
 diagonalizes the full n x n matrix, read off the direct pair counts and
 not off gamma, by Householder reduction to tridiagonal form and the same
-rational QL, generic dense linear algebra that sees only the matrix, and
-refuses n**3 above `DENSE_SOLVE_CAP` before building it.  Sharing the QL
+rational QL, generic dense linear algebra that sees only the matrix.  It
+refuses n**3 above `DENSE_SOLVE_CAP` and a pair count past 2**53 before
+it reads a column, and reports bit-equal values once.  Sharing the QL
 cannot make the routes agree on a wrong value: the closed route keeps a
-QL value only where the counts confirm it.  The verify sweeps and
-the test-suite check the agreement of the two routes exhaustively on
-small instances.  `jacobi_eigenvalues`, the dense solver before QL, has
-no caller left in the package.
+QL value only where the counts confirm it.  The verify sweeps and the
+test-suite check the agreement of the two routes exhaustively on small
+instances.  `jacobi_eigenvalues`, the dense solver before QL, has no
+caller left in the package.
 """
 
 import math
 import operator
 import sys
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, Sequence
 
 from .combinatorics import (
@@ -48,14 +50,7 @@ from .errors import (
     ResourceLimitError,
     SequenceError,
 )
-from .hypergraph import (
-    AdjacencyMatrix,
-    BlockProfile,
-    ThresholdHypergraph,
-    block_profile,
-    check_dense,
-    check_dense_digits,
-)
+from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
 from .sequences import (
     ShortSequence,
     format_bits,
@@ -579,31 +574,26 @@ class Spectrum:
         return out
 
 
-def _merge_entries(
-    entries: Iterable[tuple[float, int, str]], tol: float
-) -> tuple[EigenPair, ...]:
-    """Cluster (value, multiplicity, source) triples within tol of the
-    cluster anchor.
+def _merge_entries(entries: Iterable[tuple[float, int, str]]) -> tuple[EigenPair, ...]:
+    """The closed route's merge: cluster (value, multiplicity, source)
+    triples within `MERGE_TOL` of the cluster anchor.
 
-    A cluster that holds an exact block value is reported at it; any
-    other is reported at its multiplicity-weighted mean.  A block value is
-    an integer, so two distinct ones never share a cluster.
+    A cluster holding an exact block value is reported at it, any other
+    at its multiplicity-weighted mean summed from the int 0, so -0.0 comes
+    out +0.0.  Distinct block values, integers, never share a cluster.
     """
     ordered = sorted(entries, key=lambda t: -t[0])
     clusters: list[list[tuple[float, int, str]]] = []
     anchor = 0.0
     for item in ordered:
-        if clusters and anchor - item[0] <= tol:
+        if clusters and anchor - item[0] <= MERGE_TOL:
             clusters[-1].append(item)
         else:
             anchor = item[0]
             clusters.append([item])
     pairs = []
     for members in clusters:
-        if len(members) == 1:
-            # kept for speed, with the general case's result for one member:
-            # a block value stands; any other is its own mean, (0 + v * m) / m
-            # as sum() computes it from the int 0, so -0.0 comes out +0.0
+        if len(members) == 1:  # the general branch's pair, in half its time
             ((v, m, src),) = members
             rep = v if src.startswith("block") else (0 + v * m) / m
             pairs.append(EigenPair(rep, m, src))
@@ -611,11 +601,8 @@ def _merge_entries(
         total = sum(m for _, m, _ in members)
         exact = [v for v, _, src in members if src.startswith("block")]
         rep = exact[0] if exact else sum(v * m for v, m, _ in members) / total
-        sources: list[str] = []
-        for _, _, src in members:
-            if src not in sources:
-                sources.append(src)
-        pairs.append(EigenPair(rep, total, "+".join(sources)))
+        sources = "+".join(dict.fromkeys(src for _, _, src in members))
+        pairs.append(EigenPair(rep, total, sources))
     return tuple(pairs)
 
 
@@ -623,15 +610,15 @@ def _assemble(bp: BlockProfile) -> Spectrum:
     """Spectrum of a sequence from its block profile.
 
     Blocks of size a_j contribute -gamma_j with multiplicity a_j - 1 and
-    the quotient contributes r values, which accounts for all n.  Values
-    within `MERGE_TOL` are reported once with summed multiplicity.
+    the quotient contributes r values, which accounts for all n; values
+    within `MERGE_TOL` are reported once by `_merge_entries`, used only here.
     """
     entries = [
         (as_float(b.value), b.multiplicity_lower_bound, f"block{b.block_index}")
         for b in block_eigenvalues(bp)
     ]
     entries.extend((v, 1, "quotient") for v in quotient_eigenvalues(bp))
-    pairs = _merge_entries(entries, MERGE_TOL)
+    pairs = _merge_entries(entries)
     total = sum(p.multiplicity for p in pairs)
     if total != bp.seq.n:
         raise RuntimeError(
@@ -656,7 +643,8 @@ def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
 
 def _check_closed(ss: ShortSequence) -> None:
     """Refuse, before any exact binomial, a sequence that the closed route
-    cannot answer.
+    cannot answer; `full_spectrum_closed`, `family_spectrum_symbolic` and
+    `full_spectrum_numeric` call it first.
 
     No edge holds a vertex past the last one with bit 1, e (n when the
     sequence is connected), so those vertices have pair count 0 and the
@@ -665,7 +653,7 @@ def _check_closed(ss: ShortSequence) -> None:
     in at most that many edges.  Past 2**53 it is refused as `_Pencil`
     would refuse it, but before the r exact gammas are computed, whose
     cost grows with k without bound.  Then r**2 over `CLOSED_WORK_CAP` is
-    refused with `ResourceLimitError`.
+    refused with `ResourceLimitError` (never at r <= n <= 1000).
     """
     e = ss.last_one
     if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
@@ -695,40 +683,30 @@ def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
     """Spectrum of the full adjacency matrix by direct diagonalization.
 
     Oracle for the closed route: `householder_ql_eigenvalues` on the exact
-    entries, O(n**3), refused by `check_dense_solve` before the matrix is
-    built.  An entry past 2**53 would round, and is refused.  By default
-    the matrix is `_pair_count_matrix`, read off the direct pair counts,
-    so a fault in `block_profile` shows as a disagreement; `adjacency` may
-    inject a matrix obtained elsewhere (tests pass the brute-force recount
-    of the edge list); it must be h's size, which the cap was checked on,
-    else `ValueError`.  Only bit-equal values are reported once:
-    clustering within a tolerance would average distinct values, and the
-    comparison with the closed route must see each one.
+    entries, O(n**3).  `check_dense_solve`, then `_check_closed`'s 2**53
+    test, refuse before a column is read.  The rows are read off the
+    columns c_j = `pair_count(1, j)`, A[i][j] = c_max(i,j), and share no
+    code with `block_profile`, so a fault there shows as a disagreement.
+    `adjacency` may inject a matrix obtained elsewhere (tests pass the
+    brute-force recount); it must be h's size, else `ValueError`, and an
+    entry past 2**53 is refused.  Only bit-equal values are reported once,
+    at the solver's double: a tolerance would average distinct values,
+    which the comparison with the closed route must see.
     """
     check_dense_solve(h.n)
-    mat = adjacency if adjacency is not None else _pair_count_matrix(h)
-    size = len(mat.entries)
-    if size != h.n:
-        raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
-    # entries are non-negative, so the largest is the one that may round
-    as_float(max(map(max, mat.entries), default=0))
-    values = householder_ql_eigenvalues(mat.entries)
-    return Spectrum(_merge_entries([(v, 1, "numeric") for v in values], 0.0))
-
-
-def _pair_count_matrix(h: ThresholdHypergraph) -> AdjacencyMatrix:
-    """The adjacency matrix from the columns c_j = `pair_count(1, j)`:
-    for i != j the count depends on the later vertex alone, so
-    A[i][j] = c_max(i,j).  `pair_count` sums binomials over the
-    pseudodominants and shares no code with `block_profile`; O(n P)
-    binomials for P pseudodominants.  The size caps of `adjacency` are
-    checked first, and the matrix goes through the checked constructor."""
-    check_dense(h.n)
-    check_dense_digits(h.runs)
-    c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
-    return AdjacencyMatrix(
-        tuple((c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n))
-    )
+    _check_closed(h.runs)
+    if adjacency is None:
+        c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
+        rows = [(c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n)]
+    else:
+        rows = adjacency.entries
+        size = len(rows)
+        if size != h.n:
+            raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
+        # entries are non-negative, so the largest is the one that may round
+        as_float(max(map(max, rows), default=0))
+    groups = groupby(householder_ql_eigenvalues(rows))
+    return Spectrum(tuple(EigenPair(v, len(list(g)), "numeric") for v, g in groups))
 
 
 def family_sequence(
@@ -823,14 +801,16 @@ class ScanRow:
 
 
 def scan_quotient_simplicity(
-    n_max: int, k_values: Iterable[int], tol: float = 1e-9
+    n_max: int, k_values: Iterable[int], tol: float = MERGE_TOL
 ) -> list[ScanRow]:
     """Minimum quotient eigenvalue gap for every connected sequence.
 
     A row is flagged when two quotient eigenvalues sit closer than tol,
-    i.e. the quotient fails to separate them numerically.  Single-block
-    sequences report an infinite gap.  `sweep_space` gives the order and
-    refuses a space over `SEQUENCE_BUDGET` before the first row.
+    i.e. the quotient fails to separate them numerically; tol defaults to
+    `MERGE_TOL`, the distance within which the closed route reports values
+    once.  Single-block sequences report an infinite gap.  `sweep_space`
+    gives the order and refuses a space over `SEQUENCE_BUDGET` before the
+    first row.
     """
     out = []
     for k, n in sweep_space(n_max, k_values, "scan", True):

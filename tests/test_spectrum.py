@@ -670,12 +670,12 @@ class TestHouseholderQL:
 
 class TestMergeEntries:
     def test_a_lone_quotient_zero_is_reported_as_plus_zero(self):
-        (p,) = spectrum._merge_entries([(-0.0, 1, "quotient")], 1e-9)
+        (p,) = spectrum._merge_entries([(-0.0, 1, "quotient")])
         assert (p.value, p.multiplicity, p.source) == (0.0, 1, "quotient")
         assert math.copysign(1.0, p.value) == 1.0
 
     def test_a_lone_block_value_stands(self):
-        (p,) = spectrum._merge_entries([(-2.0, 3, "block1")], 1e-9)
+        (p,) = spectrum._merge_entries([(-2.0, 3, "block1")])
         assert (p.value, p.multiplicity, p.source) == (-2.0, 3, "block1")
         assert math.copysign(1.0, p.value) == -1.0
 
@@ -692,8 +692,7 @@ class TestMergeEntries:
                 (0.5 + 1e-12, 1, "quotient"),
                 (-5.0, 2, "block2"),
                 (-5.0 + 5e-10, 1, "quotient"),
-            ],
-            1e-9,
+            ]
         )
         assert [(p.value, p.multiplicity, p.source) for p in pairs] == [
             ((0.5 + 1e-12 + 0.5) / 2, 2, "quotient"),
@@ -778,6 +777,31 @@ class TestFullSpectrum:
             ).expanded()
             assert len(closed) == len(numeric) == h.n
             assert all(abs(a - b) < 1e-8 for a, b in zip(closed, numeric))
+
+    def test_numeric_reports_the_solver_doubles(self):
+        # bit-equal values are grouped, not averaged, so expanding the
+        # spectrum gives back the solver's output to the bit
+        clustered = [hg("C(5" + ",4" * 23 + ")_2"), hg("C(3" + ",2" * 55 + ")_2")]
+        for h in [*connected_hypergraphs(7), *clustered]:
+            brute = adjacency_bruteforce(h)
+            got = full_spectrum_numeric(h, adjacency=brute).expanded()
+            want = householder_ql_eigenvalues(brute.entries)
+            assert list(map(float.hex, got)) == list(map(float.hex, want)), h
+
+    def test_numeric_refuses_past_2_53_before_reading_a_column(self, monkeypatch):
+        # the closed route's precision test, made before any pair count
+        def refuse(self, i, j):
+            raise AssertionError("a pair count was read")
+
+        for text in ("C(200,1)_100", "C(999,1)_500"):
+            h = hg(text)
+            with pytest.raises(CountTooLargeError) as closed:
+                full_spectrum_closed(h)
+            with monkeypatch.context() as m:
+                m.setattr(ThresholdHypergraph, "pair_count", refuse)
+                with pytest.raises(CountTooLargeError) as numeric:
+                    full_spectrum_numeric(h)
+            assert str(numeric.value) == str(closed.value)
 
     def test_numeric_clusters_repeated_values(self):
         # only bit-equal values merge, and the last bit of the three -1s
