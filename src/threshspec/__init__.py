@@ -17,6 +17,7 @@ from .errors import (
 from .hypergraph import (
     DENSE_CELL_CAP,
     EDGE_CAP,
+    EDGE_ENTRY_CAP,
     AdjacencyMatrix,
     BlockProfile,
     GeneralHypergraph,

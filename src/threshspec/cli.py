@@ -30,8 +30,8 @@ import json
 import math
 import os
 import sys
+from io import TextIOBase
 from itertools import islice
-from typing import TextIO
 
 from .combinatorics import read_decimal
 from .errors import (
@@ -94,7 +94,7 @@ _JSON_BATCH = 8192
 _JSON_SLICE = 1 << 16
 
 
-def _write_json(doc, out: TextIO) -> None:
+def _write_json(doc, out: TextIOBase) -> None:
     """`doc` as JSON indented by 2 and a newline, written in batches as it
     is encoded; no piece is empty, so an empty batch ends the pieces.  A
     batch with a piece over `_JSON_SLICE` characters is written piece by
@@ -128,8 +128,8 @@ def _emit_spectrum(
     spec: Spectrum,
     ss: ShortSequence,
     output_format: str,
-    out: TextIO,
-    err: TextIO,
+    out: TextIOBase,
+    err: TextIOBase,
     verify_info: dict | None = None,
 ) -> None:
     if output_format == "structured":
@@ -167,7 +167,7 @@ def _emit_spectrum(
         )
 
 
-def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
+def cmd_spectrum(args, out: TextIOBase, err: TextIOBase) -> int:
     # short-form text is never expanded to bits, --verify included
     ss = parse_runs(args.sequence)
     spec = full_spectrum_closed(ss)
@@ -189,7 +189,7 @@ def cmd_spectrum(args, out: TextIO, err: TextIO) -> int:
     return code
 
 
-def _emit_rows(h, key: str, rows, output_format: str, out: TextIO) -> int:
+def _emit_rows(h, key: str, rows, output_format: str, out: TextIOBase) -> int:
     """Rows of integers as comma-separated lines, or as `key` of a
     structured document."""
     if output_format == "structured":
@@ -200,17 +200,17 @@ def _emit_rows(h, key: str, rows, output_format: str, out: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_edges(args, out: TextIO, err: TextIO) -> int:
+def cmd_edges(args, out: TextIOBase, err: TextIOBase) -> int:
     h = ThresholdHypergraph.from_text(args.sequence)
     return _emit_rows(h, "edges", h.edges(), args.format, out)
 
 
-def cmd_adjacency(args, out: TextIO, err: TextIO) -> int:
+def cmd_adjacency(args, out: TextIOBase, err: TextIOBase) -> int:
     h = ThresholdHypergraph.from_text(args.sequence)
     return _emit_rows(h, "entries", h.adjacency().entries, args.format, out)
 
 
-def cmd_verify(args, out: TextIO, err: TextIO) -> int:
+def cmd_verify(args, out: TextIOBase, err: TextIOBase) -> int:
     results = run_all_sweeps(args.n_max, _parse_k_list(args.k))
     all_ok = all(r.passed for r in results)
     if args.format == "structured":
@@ -235,7 +235,7 @@ def cmd_verify(args, out: TextIO, err: TextIO) -> int:
     return EXIT_OK if all_ok else EXIT_DISAGREE
 
 
-def cmd_family(args, out: TextIO, err: TextIO) -> int:
+def cmd_family(args, out: TextIOBase, err: TextIOBase) -> int:
     ss = family_sequence(args.family, args.n, args.k, args.j)
     spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j)
     if args.format != "structured":
@@ -247,7 +247,7 @@ def cmd_family(args, out: TextIO, err: TextIO) -> int:
     return EXIT_OK
 
 
-def cmd_scan(args, out: TextIO, err: TextIO) -> int:
+def cmd_scan(args, out: TextIOBase, err: TextIOBase) -> int:
     rows = scan_quotient_simplicity(args.n_max, _parse_k_list(args.k))
     flagged = sum(1 for row in rows if row.flagged)
     min_gap = min((row.min_quotient_gap for row in rows), default=float("inf"))

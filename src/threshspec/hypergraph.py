@@ -20,10 +20,9 @@ are constants, checked on the runs inside each method, whoever calls.
 `GeneralHypergraph` is any edge set, such as the paper's counterexample.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable
 
 from .combinatorics import (
     TEXT_DIGITS,
@@ -33,6 +32,7 @@ from .combinatorics import (
     count_text,
 )
 from .errors import ResourceLimitError
+from .records import FrozenRecord
 from .sequences import (
     BinarySequence,
     ShortSequence,
@@ -44,6 +44,7 @@ from .sequences import (
 
 __all__ = [
     "EDGE_CAP",
+    "EDGE_ENTRY_CAP",
     "DENSE_CELL_CAP",
     "DENSE_DIGIT_CAP",
     "AdjacencyMatrix",
@@ -66,6 +67,13 @@ __all__ = [
 #: 2-vCPU Xeon VM `edges "C(392,1)_4"` (9,962,680 edges of 4 vertices)
 #: takes 25 s at 856 MB peak RSS, and 1,975,354 edges 4.8 s at 185 MB.
 EDGE_CAP = 10**7
+
+#: Cap on the vertices an edge list holds, its edges times k, so that few
+#: edges of many vertices are refused too; every k <= 4 list under
+#: `EDGE_CAP` is under it.  On the same VM `edges "C(119,1)_5"`
+#: (7,940,751 edges, 39,703,755 entries) takes 22 s at 684 MB peak RSS,
+#: and `edges "C(24,2)_10"` (3,350,479 edges, 33,504,790) 12 s at 463 MB.
+EDGE_ENTRY_CAP = 4 * EDGE_CAP
 
 #: Cap on the n * n cells of a dense matrix, checked before it is allocated.
 DENSE_CELL_CAP = 10**7
@@ -101,10 +109,11 @@ def check_dense_digits(ss: ShortSequence) -> None:
 
 
 def check_edges(ss: ShortSequence) -> None:
-    """Refuse to list the edges of ss when they are over `EDGE_CAP`.  The
-    last vertex with bit 1, e, closes binomial(e-1, k-1) edges alone; the
-    exact total is built only when that bound has at most 4,300 digits,
-    and a message past them names the bound's least bit length."""
+    """Refuse to list the edges of ss when they are over `EDGE_CAP`, or
+    their k vertices each over `EDGE_ENTRY_CAP`.  The last vertex with
+    bit 1, e, closes binomial(e-1, k-1) edges alone; the exact total is
+    built only when that bound has at most 4,300 digits, and a message
+    past them names the bound's least bit length."""
     e = ss.last_one
     if binomial_exceeds(e - 1, ss.k - 1, EDGE_CAP):
         text_limit = 10**TEXT_DIGITS
@@ -117,6 +126,11 @@ def check_edges(ss: ShortSequence) -> None:
     if total > EDGE_CAP:
         raise ResourceLimitError(
             f"{count_text(total)} edges exceed the cap of {EDGE_CAP}"
+        )
+    if total * ss.k > EDGE_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"{count_text(total)} edges of {count_text(ss.k)} vertices hold "
+            f"{count_text(total * ss.k)} entries, over the cap of {EDGE_ENTRY_CAP}"
         )
 
 
@@ -132,8 +146,7 @@ def edge_total(ss: ShortSequence) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class BlockProfile:
+class BlockProfile(FrozenRecord):
     """The r pair counts gamma of a sequence, with exact invariants.
 
     gamma[s] is the number of edges through any vertex pair whose later
@@ -148,26 +161,26 @@ class BlockProfile:
       symmetric matrix.
     """
 
-    seq: ShortSequence
-    gamma: tuple[int, ...]
-    pair_total: int = field(init=False)
-    frobenius_sq: int = field(init=False)
+    _fields = ("seq", "gamma", "pair_total", "frobenius_sq")
+
+    def __init__(self, seq: ShortSequence, gamma: tuple[int, ...]) -> None:
+        object.__setattr__(self, "seq", seq)
+        object.__setattr__(self, "gamma", tuple(int(g) for g in gamma))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        gamma = tuple(int(g) for g in self.gamma)
-        if len(gamma) != self.seq.r:
+        if len(self.gamma) != self.seq.r:
             raise ValueError(
-                f"need one pair count per run: {len(gamma)} for "
+                f"need one pair count per run: {len(self.gamma)} for "
                 f"{self.seq.r} runs"
             )
         pairs = squares = before = 0
-        for g, a in zip(gamma, self.seq.runs):
+        for g, a in zip(self.gamma, self.seq.runs):
             # the pairs whose later vertex lies in this block
             ending = a * before + a * (a - 1) // 2
             pairs += g * ending
             squares += g * g * ending
             before += a
-        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "pair_total", pairs)
         object.__setattr__(self, "frobenius_sq", 2 * squares)
 
@@ -218,8 +231,7 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
     return bp
 
 
-@dataclass(frozen=True)
-class AdjacencyMatrix:
+class AdjacencyMatrix(FrozenRecord):
     """Symmetric matrix of exact pair counts with a zero diagonal.
 
     Construction checks all of this in O(n**2): integer entries, a square
@@ -233,11 +245,15 @@ class AdjacencyMatrix:
     handed to `spectrum.full_spectrum_numeric`, is checked in full.
     """
 
-    entries: tuple[tuple[int, ...], ...]
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(map(int, row)) for row in entries)
+        object.__setattr__(self, "entries", rows)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(map(int, row)) for row in self.entries)
-        object.__setattr__(self, "entries", entries)
+        entries = self.entries
         n = len(entries)
         for i, row in enumerate(entries):
             if len(row) != n:
@@ -254,8 +270,7 @@ class AdjacencyMatrix:
         return sum(x * x for row in self.entries for x in row)
 
 
-@dataclass(frozen=True, init=False)
-class ThresholdHypergraph:
+class ThresholdHypergraph(FrozenRecord):
     """k-uniform hypergraph defined by a creation sequence.
 
     Takes either encoding and keeps only the run-length form, `runs`,
@@ -264,7 +279,7 @@ class ThresholdHypergraph:
     no method.
     """
 
-    runs: ShortSequence
+    _fields = ("runs",)
 
     def __init__(self, seq: BinarySequence | ShortSequence) -> None:
         if isinstance(seq, BinarySequence):
@@ -301,8 +316,9 @@ class ThresholdHypergraph:
     def edges(self) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order.
 
-        The count is checked against `EDGE_CAP` (`check_edges`) before
-        anything is materialized.
+        The count is checked against `EDGE_CAP`, and the count times k
+        against `EDGE_ENTRY_CAP` (`check_edges`), before anything is
+        materialized.
         """
         check_edges(self.runs)
         k = self.k
@@ -381,13 +397,16 @@ def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
     return matrix
 
 
-@dataclass(frozen=True)
-class GeneralHypergraph:
+class GeneralHypergraph(FrozenRecord):
     """Arbitrary k-uniform hypergraph given by an explicit edge set."""
 
-    n: int
-    k: int
-    edges: frozenset[frozenset[int]]
+    _fields = ("n", "k", "edges")
+
+    def __init__(self, n: int, k: int, edges: frozenset[frozenset[int]]) -> None:
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "edges", edges)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.k < 2 or self.n < 0:

@@ -27,12 +27,12 @@ from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 """
 
 import re
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from itertools import groupby
-from typing import Iterable, Iterator
 
 from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
 from .errors import ResourceLimitError, SequenceError
+from .records import FrozenRecord
 
 __all__ = [
     "BIT_TEXT_CAP",
@@ -64,8 +64,7 @@ SEQUENCE_BUDGET = 100_000
 BIT_TEXT_CAP = 16 * 10**7
 
 
-@dataclass(frozen=True)
-class BinarySequence:
+class BinarySequence(FrozenRecord):
     """Bit form of a creation sequence, built only from text or on
     request: the package computes on `ShortSequence`.
 
@@ -73,11 +72,14 @@ class BinarySequence:
     the bit form of the lone zero run the sweeps start from.
     """
 
-    k: int
-    bits: tuple[int, ...]
+    _fields = ("k", "bits")
+
+    def __init__(self, k: int, bits: tuple[int, ...]) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if any(b not in (0, 1) for b in self.bits):
@@ -97,8 +99,7 @@ class BinarySequence:
         return len(self.bits)
 
 
-@dataclass(frozen=True)
-class ShortSequence:
+class ShortSequence(FrozenRecord):
     """Run-length form of a creation sequence.
 
     `first_run_has_ones` distinguishes the two block layouts: False means
@@ -110,12 +111,17 @@ class ShortSequence:
     of position k (of position k-1 for a lone zero run).
     """
 
-    k: int
-    runs: tuple[int, ...]
-    first_run_has_ones: bool = False
+    _fields = ("k", "runs", "first_run_has_ones")
+
+    def __init__(
+        self, k: int, runs: tuple[int, ...], first_run_has_ones: bool = False
+    ) -> None:
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "runs", tuple(int(a) for a in runs))
+        object.__setattr__(self, "first_run_has_ones", first_run_has_ones)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(int(a) for a in self.runs))
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if not self.runs:

@@ -33,9 +33,8 @@ caller left in the package.
 import math
 import operator
 import sys
-from dataclasses import dataclass
+from collections.abc import Iterable, Sequence
 from itertools import groupby
-from typing import Iterable, Sequence
 
 from .combinatorics import (
     FLOAT_SAFE_LIMIT,
@@ -51,6 +50,7 @@ from .errors import (
     SequenceError,
 )
 from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
+from .records import FrozenRecord
 from .sequences import (
     ShortSequence,
     format_bits,
@@ -100,13 +100,17 @@ CLOSED_WORK_CAP = 4 * 10**6
 MERGE_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class BlockEigenvalue:
+class BlockEigenvalue(FrozenRecord):
     """One closed-form eigenvalue with its guaranteed multiplicity."""
 
-    value: int
-    multiplicity_lower_bound: int
-    block_index: int
+    _fields = ("value", "multiplicity_lower_bound", "block_index")
+
+    def __init__(
+        self, value: int, multiplicity_lower_bound: int, block_index: int
+    ) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "multiplicity_lower_bound", multiplicity_lower_bound)
+        object.__setattr__(self, "block_index", block_index)
 
 
 def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue]:
@@ -128,22 +132,24 @@ def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue
     ]
 
 
-@dataclass(frozen=True)
-class QuotientMatrix:
+class QuotientMatrix(FrozenRecord):
     """Block row sums of the adjacency matrix, one row per block.
 
     Generally asymmetric, but balanced: entries[i][j] * a_i counts the
     edge incidences between blocks i and j and equals entries[j][i] * a_j.
     """
 
-    entries: tuple[tuple[int, ...], ...]
-    block_sizes: tuple[int, ...]
+    _fields = ("entries", "block_sizes")
+
+    def __init__(
+        self, entries: tuple[tuple[int, ...], ...], block_sizes: tuple[int, ...]
+    ) -> None:
+        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "block_sizes", tuple(int(a) for a in block_sizes))
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "entries", tuple(tuple(int(x) for x in row) for row in self.entries)
-        )
-        object.__setattr__(self, "block_sizes", tuple(int(a) for a in self.block_sizes))
         r = len(self.block_sizes)
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError("quotient matrix shape must match the block count")
@@ -549,18 +555,22 @@ def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
     return _Pencil(bp).eigenvalues()
 
 
-@dataclass(frozen=True)
-class EigenPair:
-    value: float
-    multiplicity: int
-    source: str
+class EigenPair(FrozenRecord):
+    _fields = ("value", "multiplicity", "source")
+
+    def __init__(self, value: float, multiplicity: int, source: str) -> None:
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "multiplicity", multiplicity)
+        object.__setattr__(self, "source", source)
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(FrozenRecord):
     """Eigenvalues with multiplicities, sorted descending."""
 
-    pairs: tuple[EigenPair, ...]
+    _fields = ("pairs",)
+
+    def __init__(self, pairs: tuple[EigenPair, ...]) -> None:
+        object.__setattr__(self, "pairs", pairs)
 
     @property
     def distinct_count(self) -> int:
@@ -790,14 +800,24 @@ def family_spectrum_symbolic(
     return _assemble(BlockProfile(ss, gamma))
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    sequence: str
-    n: int
-    k: int
-    r: int
-    min_quotient_gap: float
-    flagged: bool
+class ScanRow(FrozenRecord):
+    _fields = ("sequence", "n", "k", "r", "min_quotient_gap", "flagged")
+
+    def __init__(
+        self,
+        sequence: str,
+        n: int,
+        k: int,
+        r: int,
+        min_quotient_gap: float,
+        flagged: bool,
+    ) -> None:
+        object.__setattr__(self, "sequence", sequence)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "r", r)
+        object.__setattr__(self, "min_quotient_gap", min_quotient_gap)
+        object.__setattr__(self, "flagged", flagged)
 
 
 def scan_quotient_simplicity(

@@ -8,13 +8,12 @@ What the checks compare against at one (k, n) size is built once per
 size.  The CLI `verify` command runs all five checks in one walk; each
 `sweep_*` is the walk with one check.  `sweep_space` refuses a walk over
 `SEQUENCE_BUDGET` before it starts, and `ThresholdHypergraph.edges` an
-edge list over `EDGE_CAP`; neither can be raised.
+edge list over `EDGE_CAP` or `EDGE_ENTRY_CAP`; none can be raised.
 """
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Iterator
 
 from .hypergraph import (
     AdjacencyMatrix,
@@ -31,6 +30,7 @@ from .sequences import (
     iter_short_sequences,
     sweep_space,
 )
+from .records import Record
 from .spectrum import block_eigenvalues
 
 __all__ = [
@@ -47,11 +47,14 @@ __all__ = [
 MAX_REPORTED = 5
 
 
-@dataclass
-class SweepResult:
-    name: str
-    checked: int = 0
-    failures: list[str] = field(default_factory=list)
+class SweepResult(Record):
+    _fields = ("name", "checked", "failures")
+
+    def __init__(
+        self, name: str, checked: int = 0, failures: list[str] | None = None
+    ) -> None:
+        self.name, self.checked = name, checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:

@@ -10,6 +10,7 @@ from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import (
     DENSE_CELL_CAP,
     EDGE_CAP,
+    EDGE_ENTRY_CAP,
     AdjacencyMatrix,
     GeneralHypergraph,
     ThresholdHypergraph,
@@ -201,7 +202,7 @@ class TestThresholdHypergraph:
     def test_edge_refusal_matches_the_exact_total(self, monkeypatch):
         # the lower bound decides nothing on its own: check_edges refuses
         # exactly when the total is over the cap, with the message that
-        # names the total
+        # names the total, or else when its entries are over theirs
         rng = random.Random(15)
         cases = [
             # a total past 4,300 digits whose bound is not: named by bits
@@ -221,6 +222,11 @@ class TestThresholdHypergraph:
             expected = None
             if total > cap:
                 expected = f"{count_text(total)} edges exceed the cap of {cap}"
+            elif total * ss.k > EDGE_ENTRY_CAP:
+                expected = (
+                    f"{total} edges of {ss.k} vertices hold {total * ss.k} "
+                    f"entries, over the cap of {EDGE_ENTRY_CAP}"
+                )
             try:
                 check_edges(ss)
                 got = None

@@ -50,6 +50,8 @@ CALLS = [
     # the edge list, just over its cap and far past it
     (["edges", "C(393,1)_4"], 3, "10039316 edges exceed the cap of 10000000"),
     (["edges", f"C({HUGE},1)_3"], 3, "edges exceed the cap"),
+    # the vertices of the edge list, just over their cap
+    (["edges", "C(120,1)_5"], 3, "41072850 entries, over the cap of 40000000"),
     # k at n: one edge of all n vertices
     (["spectrum", f"C({HUGE})_{HUGE}"], 3, "precision limit"),
     (["adjacency", f"C({HUGE})_{HUGE}"], 3, "cells, over the cap"),
@@ -106,10 +108,5 @@ def test_a_call_over_a_cap_is_refused_in_bounded_memory(argv, code, message):
     _assert_refused(argv, code, message)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the edge cap counts edges, not their vertices: the one edge of "
-    "C(10**18)_10**18 is under it, and listing it dies of MemoryError",
-)
 def test_an_edge_of_every_vertex_is_refused_in_bounded_memory():
     _assert_refused(["edges", f"C({HUGE})_{HUGE}"], 3, "the cap")

@@ -1,5 +1,4 @@
 import sys
-from dataclasses import replace
 
 import pytest
 
@@ -19,7 +18,7 @@ from threshspec.sequences import (
     iter_valid_sequences,
     to_short,
 )
-from threshspec.spectrum import scan_quotient_simplicity
+from threshspec.spectrum import BlockEigenvalue, scan_quotient_simplicity
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
@@ -199,7 +198,7 @@ def _lowered_multiplicities(monkeypatch):
 
     def lowered(bp):
         return [
-            replace(b, multiplicity_lower_bound=b.multiplicity_lower_bound - 1)
+            BlockEigenvalue(b.value, b.multiplicity_lower_bound - 1, b.block_index)
             for b in real(bp)
         ]
 
