@@ -10,6 +10,8 @@ assignment or deletion, so its `__init__` stores through
 `object.__setattr__`.
 """
 
+from operator import attrgetter
+
 __all__ = ["Record", "FrozenRecord"]
 
 
@@ -19,8 +21,12 @@ class Record:
 
     _fields: tuple[str, ...] = ()
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
+    def __init_subclass__(cls) -> None:
+        # one getter of every field per class, in C: `verify` compares a
+        # matrix on every visit, and a Python loop over the names took
+        # three times as long
+        if cls._fields:
+            cls._values = attrgetter(*cls._fields)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
@@ -29,7 +35,7 @@ class Record:
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self._values(self) == other._values(other)
 
     __hash__ = None
 
@@ -39,7 +45,7 @@ class FrozenRecord(Record):
     fields."""
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash(self._values(self))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
