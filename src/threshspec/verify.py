@@ -23,6 +23,7 @@ from .hypergraph import (
     recount_pairs,
     totally_replaceable,
 )
+from .records import Record
 from .sequences import (
     ShortSequence,
     complement_sequence,
@@ -30,7 +31,6 @@ from .sequences import (
     iter_short_sequences,
     sweep_space,
 )
-from .records import Record
 from .spectrum import block_eigenvalues
 
 __all__ = [
