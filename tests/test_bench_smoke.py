@@ -11,9 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["few_runs", "many_runs"])
-def test_benchmark_run_is_correct(workload):
-    # 0.1 s is one round: few_runs then visits every (k, r) pair once
+def _run(workload, seconds, trace):
     done = subprocess.run(
         [
             sys.executable,
@@ -23,9 +21,9 @@ def test_benchmark_run_is_correct(workload):
             "--seed",
             "1",
             "--seconds",
-            "0.1",
+            seconds,
             "--trace",
-            "0",
+            trace,
         ],
         cwd=ROOT,
         capture_output=True,
@@ -38,5 +36,37 @@ def test_benchmark_run_is_correct(workload):
     assert result["correct"] is True
     assert result["failed"] == 0
     assert result["attempted"] >= 1
+    return result["metrics"]
+
+
+@pytest.mark.parametrize("workload", ["few_runs", "many_runs"])
+def test_benchmark_run_is_correct(workload):
+    # 0.1 s is one round: few_runs then visits every (k, r) pair once
+    metrics = _run(workload, "0.1", "0")
     for name in ("latency_p50_ms", "setup_s", "peak_rss_mb"):
-        assert result["metrics"][name]["value"] > 0
+        assert metrics[name]["value"] > 0
+
+
+#: Layers that the checks workload reaches through the package's own calls.
+#: A function the tracer still finds by name, but that the package no
+#: longer calls through that name, would read 0 here.
+TRACED_LAYERS = (
+    "hypergraph.adjacency_s",
+    "hypergraph.edges_s",
+    "hypergraph.edges_listed",
+    "hypergraph.pair_count_calls",
+    "sequences.parse_s",
+    "sequences.convert_s",
+    "spectrum.block_eigenvalues_s",
+    "spectrum.closed_self_s",
+    "spectrum.numeric_self_s",
+    "spectrum.scan_self_s",
+    "spectrum.scan_sequences",
+)
+
+
+def test_traced_checks_reach_every_working_layer():
+    # 2 s is one full round of nine operations per pass; a shorter run is
+    # cut by its deadline after three
+    metrics = _run("checks", "2", "1")
+    assert [name for name in TRACED_LAYERS if not metrics[name]["value"] > 0] == []
