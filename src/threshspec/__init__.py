@@ -20,10 +20,15 @@ from .hypergraph import (
     EDGE_ENTRY_CAP,
     AdjacencyMatrix,
     BlockProfile,
-    GeneralHypergraph,
     ThresholdHypergraph,
-    adjacency_bruteforce,
     block_profile,
+)
+from .oracle import (
+    DENSE_SOLVE_CAP,
+    GeneralHypergraph,
+    adjacency_bruteforce,
+    full_spectrum_numeric,
+    householder_ql_eigenvalues,
     load_replaceable_non_threshold_7_4,
 )
 from .sequences import (
@@ -42,7 +47,6 @@ from .sequences import (
     to_short,
 )
 from .spectrum import (
-    DENSE_SOLVE_CAP,
     BlockEigenvalue,
     EigenPair,
     QuotientMatrix,
@@ -52,8 +56,6 @@ from .spectrum import (
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
-    full_spectrum_numeric,
-    householder_ql_eigenvalues,
     jacobi_eigenvalues,
     quotient_eigenvalues,
     quotient_matrix,

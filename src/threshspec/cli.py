@@ -41,6 +41,7 @@ from .errors import (
     SequenceError,
 )
 from .hypergraph import ThresholdHypergraph, block_profile
+from .oracle import full_spectrum_numeric
 from .sequences import ShortSequence, format_bits, format_short, parse_runs
 from .spectrum import (
     MERGE_TOL,
@@ -48,7 +49,6 @@ from .spectrum import (
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
-    full_spectrum_numeric,
     scan_quotient_simplicity,
 )
 from .verify import run_all_sweeps

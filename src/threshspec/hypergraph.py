@@ -5,24 +5,18 @@ creation bit 1, and the adjacency matrix counts, for each vertex pair, the
 edges containing both.  For i < j that count depends only on the block
 (run) of j, and `block_profile` computes those r values, gamma, straight
 from the run lengths; `adjacency` expands them into the matrix and the
-closed spectral route works from them alone.  `adjacency_bruteforce`
-recounts every pair by walking the edge list, and `pair_count` sums the
-edges of one pair directly; both stay independent of `block_profile` and
-serve as its oracles.
+closed spectral route works from them alone.  The edge list, the direct
+pair count and the recount that check them are in `oracle`, which
+`ThresholdHypergraph.edges`, `pair_count` and `pseudodominants` call.
 
 A `ThresholdHypergraph` computes on the run-length form alone and builds
-its n creation bits only when `sequence` is asked for.  `pseudodominants`
-(which `edges` lists from) and `pair_count` read the ones blocks off
-`ShortSequence.blocks()`, the one run decoding they share with
-`block_profile`.  The size caps (`check_edges` on the edge count,
-`check_dense` on n and `check_dense_digits` on the text of the matrix)
-are constants, checked on the runs inside each method, whoever calls.
-`GeneralHypergraph` is any edge set, such as the paper's counterexample.
+its n creation bits only when `sequence` is asked for.  The size caps
+(`check_edges` on the edge count, `check_dense` on n and
+`check_dense_digits` on the text of the matrix) are constants, checked on
+the runs inside each function, whoever calls.
 """
 
-from collections.abc import Iterable
 from functools import cached_property
-from itertools import combinations
 
 from .combinatorics import (
     TEXT_DIGITS,
@@ -49,18 +43,12 @@ __all__ = [
     "DENSE_DIGIT_CAP",
     "AdjacencyMatrix",
     "ThresholdHypergraph",
-    "GeneralHypergraph",
     "BlockProfile",
     "block_profile",
     "edge_total",
     "check_dense",
     "check_dense_digits",
     "check_edges",
-    "adjacency_bruteforce",
-    "recount_pairs",
-    "edge_links",
-    "totally_replaceable",
-    "load_replaceable_non_threshold_7_4",
 ]
 
 #: Cap on materialized edges and on brute-force subset iteration.  On a
@@ -236,13 +224,14 @@ class AdjacencyMatrix(FrozenRecord):
 
     Construction checks all of this in O(n**2): integer entries, a square
     shape, a zero diagonal, no negative count and symmetry.  The two
-    builders in this module skip that check, since their matrices hold it
-    by construction: `ThresholdHypergraph.adjacency` writes c_max(i,j) of
+    builders skip that check, since their matrices hold it by
+    construction: `ThresholdHypergraph.adjacency` writes c_max(i,j) of
     exact integer pair counts to both (i, j) and (j, i) and 0 on the
-    diagonal, and `recount_pairs` adds each edge's pairs to both cells from
-    zero, so only an edge that repeats a vertex can break it, by a count on
-    the diagonal, which it refuses in O(n).  Any other matrix, such as one
-    handed to `spectrum.full_spectrum_numeric`, is checked in full.
+    diagonal, and `oracle.recount_pairs` adds each edge's pairs to both
+    cells from zero, so only an edge that repeats a vertex can break it,
+    by a count on the diagonal, which it refuses in O(n).  Any other
+    matrix, such as one handed to `oracle.full_spectrum_numeric`, is
+    checked in full.
     """
 
     _fields = ("entries",)
@@ -304,48 +293,23 @@ class ThresholdHypergraph(FrozenRecord):
         return self.runs.k
 
     def pseudodominants(self) -> list[int]:
-        """Vertices whose creation bit is 1, i.e. the possible edge maxima:
-        those of the ones blocks, from position k on in the merged head."""
-        out, end = [], 0
-        for size, ones in self.runs.blocks():
-            if ones:
-                out += range(max(end + 1, self.k), end + size + 1)
-            end += size
-        return out
+        """Vertices whose creation bit is 1 (`oracle.pseudodominants`)."""
+        from .oracle import pseudodominants
+
+        return pseudodominants(self.runs)
 
     def edges(self) -> list[tuple[int, ...]]:
-        """All edges as sorted tuples, in lexicographic order.
+        """All edges as sorted tuples, in lexicographic order, under the
+        edge caps (`oracle.edges`)."""
+        from .oracle import edges
 
-        The count is checked against `EDGE_CAP`, and the count times k
-        against `EDGE_ENTRY_CAP` (`check_edges`), before anything is
-        materialized.
-        """
-        check_edges(self.runs)
-        k = self.k
-        out = []
-        for v in self.pseudodominants():
-            for rest in combinations(range(1, v), k - 1):
-                out.append(rest + (v,))
-        out.sort()
-        return out
+        return edges(self.runs)
 
     def pair_count(self, i: int, j: int) -> int:
-        """Number of edges containing both v_i and v_j, in closed form.
+        """Number of edges containing both v_i and v_j (`oracle.pair_count`)."""
+        from .oracle import pair_count
 
-        Split by the edge's largest vertex: the later of i, j can be the
-        maximum itself, and any pseudodominant beyond it closes edges that
-        need k-3 further vertices below it.
-        """
-        if i == j:
-            raise ValueError("pair counts are defined for distinct vertices")
-        for v in (i, j):
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        hi, k = max(i, j), self.k
-        ones = self.pseudodominants()
-        own = binomial(hi - 2, k - 2) if hi in ones else 0
-        later = sum(binomial(v - 3, k - 3) for v in ones if v > hi)
-        return own + later
+        return pair_count(self.runs, i, j)
 
     def adjacency(self) -> AdjacencyMatrix:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
@@ -362,129 +326,30 @@ class ThresholdHypergraph(FrozenRecord):
         )
 
     def to_general(self) -> "GeneralHypergraph":
+        from .oracle import GeneralHypergraph
+
         edges = frozenset(frozenset(e) for e in self.edges())
         return GeneralHypergraph(self.n, self.k, edges)
-
-
-def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
-    """Recount every pair by walking the edge list, listed under
-    `EDGE_CAP`.  Oracle for `adjacency`; the cell cap is checked
-    before any edge is listed."""
-    check_dense(h.n)
-    return recount_pairs(h.n, h.edges())
-
-
-def recount_pairs(n: int, edges: Iterable[Iterable[int]]) -> AdjacencyMatrix:
-    """Adjacency matrix of an edge list on vertices 1..n, counted edge by
-    edge.  An edge that repeats a vertex is refused with ValueError."""
-    check_dense(n)
-    rows = [[0] * n for _ in range(n)]
-    for e in edges:
-        for a, b in combinations(e, 2):
-            rows[a - 1][b - 1] += 1
-            rows[b - 1][a - 1] += 1
-    if any(rows[i][i] for i in range(n)):
-        raise ValueError("adjacency diagonal must be zero")
-    return _built_matrix(tuple(tuple(row) for row in rows))
 
 
 def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
     """An `AdjacencyMatrix` of entries that hold its contract by
     construction, without its O(n**2) check; only `adjacency` and
-    `recount_pairs` may call it."""
+    `oracle.recount_pairs` may call it."""
     matrix = object.__new__(AdjacencyMatrix)
     object.__setattr__(matrix, "entries", entries)
     return matrix
 
 
-class GeneralHypergraph(FrozenRecord):
-    """Arbitrary k-uniform hypergraph given by an explicit edge set."""
+def __getattr__(name: str) -> object:
+    """The oracle names that the acceptance tests and the benchmark's
+    tracer look up in this module, served from `oracle` (PEP 562)."""
+    if name in (
+        "GeneralHypergraph",
+        "adjacency_bruteforce",
+        "load_replaceable_non_threshold_7_4",
+    ):
+        from . import oracle
 
-    _fields = ("n", "k", "edges")
-
-    def __init__(self, n: int, k: int, edges: frozenset[frozenset[int]]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.k < 2 or self.n < 0:
-            raise ValueError("need k >= 2 and n >= 0")
-        vertices = frozenset(range(1, self.n + 1))
-        for e in self.edges:
-            if len(e) != self.k:
-                raise ValueError(f"edge {sorted(e)} does not have {self.k} vertices")
-            if not e <= vertices:
-                raise ValueError(f"edge {sorted(e)} leaves the vertex range")
-
-    def sorted_edges(self) -> list[tuple[int, ...]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def replaceable(self, x: int, y: int) -> bool:
-        """True when y can stand in for x: swapping x out of any edge that
-        avoids y yields another edge.  Vacuously true when x has no such
-        edges.  Builds only link(x) and link(y), from the edges through x or y."""
-        if x == y:
-            raise ValueError("replaceability is defined for distinct vertices")
-        for v in (x, y):
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
-        lx, ly = ({_mask(e) ^ 1 << v for e in self.edges if v in e} for v in (x, y))
-        return _replaces(lx, ly, y)
-
-    def is_totally_replaceable(self) -> bool:
-        """Every vertex pair is comparable under replaceability."""
-        return totally_replaceable(edge_links(self.n, self.edges))
-
-
-def edge_links(n: int, edges: Iterable[Iterable[int]]) -> list[set[int]]:
-    """link(v) = {e - {v} : v in e} for every vertex v of an edge list on
-    vertices 1..n, indexed by v.  Each member is a vertex bitmask, bit v
-    standing for vertex v (entry 0 is empty).  One pass over the edges."""
-    links: list[set[int]] = [set() for _ in range(n + 1)]
-    for e in edges:
-        mask = _mask(e)
-        for v in e:
-            links[v].add(mask ^ 1 << v)
-    return links
-
-
-def totally_replaceable(links: list[set[int]]) -> bool:
-    """Every vertex pair is comparable under replaceability, read off the
-    links of `edge_links`: n - 1 set differences, not one per pair.
-
-    If y replaces x, the swap e -> e - {x} + {y} maps x's edges that avoid
-    y one-to-one into y's that avoid x, so y has at least x's degree
-    |link|, and at equal degrees x replaces y too.  If z replaces y as
-    well, z replaces x: an edge e through x that avoids z reaches
-    e - {x} + {z} through e - {x} + {y} (y, then z) if y is not in e, and
-    through e - {y} + {z} (z, then y) if it is.  So, with the vertices in
-    degree order, every pair is comparable exactly when each vertex
-    replaces the one before it.
-    """
-    chain = sorted(range(1, len(links)), key=lambda v: len(links[v]))
-    return all(_replaces(links[x], links[y], y) for x, y in zip(chain, chain[1:]))
-
-
-def _mask(vertices: Iterable[int]) -> int:
-    """Vertex bitmask, bit v standing for vertex v."""
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
-def _replaces(link_x: set[int], link_y: set[int], y: int) -> bool:
-    """y replaces x, read off the links: an edge e through x that avoids y
-    maps to the edge e - {x} + {y} exactly when e - {x} is in link(y), so
-    every member of link(x) - link(y) must be one that contains y."""
-    return all(map((1 << y).__and__, link_x - link_y))
-
-
-def load_replaceable_non_threshold_7_4() -> GeneralHypergraph:
-    """The paper's 4-uniform example on 7 vertices: every vertex pair is
-    comparable under replaceability, yet no creation sequence produces
-    its edges {v, 5, 6, 7}, v = 1..4, under any vertex relabeling."""
-    edges = frozenset(frozenset((v, 5, 6, 7)) for v in range(1, 5))
-    return GeneralHypergraph(7, 4, edges)
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

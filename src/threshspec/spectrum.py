@@ -1,40 +1,30 @@
 """Eigenvalues of threshold hypergraph adjacency matrices.
 
-Two routes are implemented.  The closed route builds neither the n x n
-matrix nor the n creation bits.  For i < j the pair count A[i][j] depends
-only on the block of j: `block_profile` (from `hypergraph`) computes those
-r exact integers, gamma, from the run lengths in O(r), and they fix the
-whole matrix.  Every block of b >= 2 twin vertices contributes -gamma of
-that block with multiplicity b - 1, and the remaining r eigenvalues are
-those of the equitable quotient: rational QL estimates them on a
-tridiagonal matrix reduced in O(r**2) from a pencil congruent to the
-quotient problem, and two O(r) inertia counts of the pencil certify each
-estimate (bisection on the counts replaces one that fails); no step calls
-`math.hypot`, whose last bit varies across CPython versions.  A
-disconnected sequence takes the same route: no edge holds a vertex after
-the last bit 1, so its trailing zeros block has gamma 0 and a zero column,
-which yields 0 once per twin and once from the quotient.  Values within
-the fixed `MERGE_TOL` are reported once, at the block value when the
-group holds one.  The route refuses r**2 above `CLOSED_WORK_CAP` before
-gamma is computed.  The catalogued families enter their gamma by hand
-and share the rest.  The numeric route serves as the oracle: it
-diagonalizes the full n x n matrix, read off the direct pair counts and
-not off gamma, by Householder reduction to tridiagonal form and the same
-rational QL, generic dense linear algebra that sees only the matrix.  It
-refuses n**3 above `DENSE_SOLVE_CAP` and a pair count past 2**53 before
-it reads a column, and reports bit-equal values once.  Sharing the QL
-cannot make the routes agree on a wrong value: the closed route keeps a
-QL value only where the counts confirm it.  The verify sweeps and the
-test-suite check the agreement of the two routes exhaustively on small
-instances.  `jacobi_eigenvalues`, the dense solver before QL, has no
-caller left in the package.
+The closed route builds neither the n x n matrix nor the n creation bits.
+For i < j the pair count A[i][j] depends only on the block of j:
+`block_profile` (from `hypergraph`) computes those r exact integers,
+gamma, from the run lengths in O(r), and they fix the whole matrix.  Every
+block of b >= 2 twin vertices contributes -gamma of that block with
+multiplicity b - 1, and the remaining r eigenvalues are those of the
+equitable quotient: rational QL estimates them on a tridiagonal matrix
+reduced in O(r**2) from a pencil congruent to the quotient problem, and
+two O(r) inertia counts of the pencil certify each estimate (bisection on
+the counts replaces one that fails); no step calls `math.hypot`, whose
+last bit varies across CPython versions.  A disconnected sequence takes
+the same route: no edge holds a vertex after the last bit 1, so its
+trailing zeros block has gamma 0 and a zero column, which yields 0 once
+per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
+are reported once, at the block value when the group holds one.  The route
+refuses r**2 above `CLOSED_WORK_CAP` before gamma is computed.  The
+catalogued families enter their gamma by hand and share the rest.  Its
+oracle, the dense solve `oracle.full_spectrum_numeric`, shares
+`_rational_ql` and `check_pair_counts` with it.  `jacobi_eigenvalues`, the
+dense solver before QL, has no caller left in the package.
 """
 
 import math
-import operator
 import sys
 from collections.abc import Iterable, Sequence
-from itertools import groupby
 
 from .combinatorics import (
     FLOAT_SAFE_LIMIT,
@@ -59,9 +49,9 @@ from .sequences import (
 )
 
 __all__ = [
-    "DENSE_SOLVE_CAP",
     "CLOSED_WORK_CAP",
     "MERGE_TOL",
+    "QL_ITERATIONS",
     "BlockEigenvalue",
     "EigenPair",
     "Spectrum",
@@ -72,20 +62,12 @@ __all__ = [
     "quotient_eigenvalues",
     "symmetrize_quotient",
     "jacobi_eigenvalues",
-    "householder_ql_eigenvalues",
-    "check_dense_solve",
+    "check_pair_counts",
     "full_spectrum_closed",
-    "full_spectrum_numeric",
     "family_sequence",
     "family_spectrum_symbolic",
     "scan_quotient_simplicity",
 ]
-
-#: Cap on n**3 for a dense eigensolve of an n x n matrix, so n <= 1000.
-#: In pure Python the solve takes 88 s on a random k = 3 sequence and 85 s
-#: on a random k = 2 one at n = 1000, on a 2-vCPU Xeon VM (9e-8 s * n**3;
-#: 0.4 s at n = 200).
-DENSE_SOLVE_CAP = 10**9
 
 #: Cap on r**2 for the closed route on r runs, so r <= 2000.  Its pencil
 #: reduction, rational QL and certificate counts cost O(r**2); on the
@@ -267,66 +249,12 @@ def jacobi_eigenvalues(
 _EPS = sys.float_info.epsilon
 
 
-def householder_ql_eigenvalues(
-    matrix: Sequence[Sequence[float]], max_iterations: int = 30
-) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted descending.
-
-    Householder reduction to tridiagonal form, tred1 of Wilkinson and
-    Reinsch, Handbook for Automatic Computation II (1971), then
-    `_rational_ql` (tqlrat) on the tridiagonal matrix: the eigenvalues-only
-    path of EISPACK's driver rs.  The matrix must be square and symmetric
-    within 1e-12 * max(1, |M|_F), else `ValueError`; it is averaged to
-    exact symmetry.  Each eigenvalue gets at most max_iterations QL sweeps
-    (tqlrat allows 30), else `ConvergenceError`; the fixed order of
-    operations makes the output repeatable.
-    """
-    n = len(matrix)
-    a = [[float(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return []
-    scale = max(1.0, math.sqrt(sum(x * x for row in a for x in row)))
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > 1e-12 * scale:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
-    # d is the diagonal, e[i] the entry at (i, i - 1).  Row i's reflector
-    # P = I - u u^T / h zeroes a[i][:i - 1] and acts on the leading i x i
-    # block, kept whole: A <- A - u q^T - q u^T with p = A u / h and
-    # q = p - (u.p / 2h) u.  u is x / |x| shifted at its last entry, so h
-    # is neither tiny nor huge.  A row that is already reduced is skipped.
-    d = [0.0] * n
-    e = [0.0] * n
-    for i in range(n - 1, 0, -1):
-        d[i] = a[i][i]
-        x = a[i][:i]
-        f = x[-1]
-        if not any(x[:-1]):
-            e[i] = f
-            continue
-        sigma = math.hypot(*x)
-        e[i] = -math.copysign(sigma, f)
-        u = [v / sigma for v in x]
-        u[-1] += math.copysign(1.0, f)
-        h = abs(u[-1])
-        p = [sum(map(operator.mul, a[j], u)) / h for j in range(i)]
-        half = sum(map(operator.mul, u, p)) / (2.0 * h)
-        q = [pj - half * uj for pj, uj in zip(p, u)]
-        for j in range(i):
-            row = a[j]
-            uj, qj = u[j], q[j]
-            row[:i] = [v - uj * qk - qj * uk for v, uk, qk in zip(row, u, q)]
-    d[0] = a[0][0]
-    e2 = [x * x for x in e[1:]]  # e2[i] couples d[i] and d[i + 1]
-    return sorted(_rational_ql(d, e2, max_iterations), reverse=True)
+#: QL sweeps allowed per eigenvalue before `_rational_ql` raises
+#: `ConvergenceError`: tqlrat's 30.
+QL_ITERATIONS = 30
 
 
-def _rational_ql(
-    d: list[float], e2: list[float], max_iterations: int = 30
-) -> list[float]:
+def _rational_ql(d: list[float], e2: list[float]) -> list[float]:
     """Eigenvalues, unsorted, of the symmetric tridiagonal matrix with
     diagonal d and squared off-diagonal e2 (e2[i] couples d[i], d[i + 1]).
 
@@ -335,7 +263,7 @@ def _rational_ql(
     from every diagonal entry below d[l] once, as tqlrat does, but the
     chase subtracts it as it reads the entry; only the entries past the
     block, which the chase never reads, are shifted in place.  An
-    eigenvalue not converged after max_iterations sweeps raises
+    eigenvalue not converged after `QL_ITERATIONS` sweeps raises
     `ConvergenceError`.
     """
     d, e2 = list(d), [*e2, 0.0]  # the zero stops every search for a split
@@ -348,7 +276,7 @@ def _rational_ql(
         m = l
         while e2[m] > c:
             m += 1
-        for _ in range(max_iterations if m > l else 0):
+        for _ in range(QL_ITERATIONS if m > l else 0):
             s = math.sqrt(e2[l])
             g = d[l]
             p = (d[l + 1] - g) / (2.0 * s)
@@ -387,7 +315,7 @@ def _rational_ql(
         else:
             if m > l:
                 raise ConvergenceError(
-                    f"QL iteration did not converge in {max_iterations} "
+                    f"QL iteration did not converge in {QL_ITERATIONS} "
                     f"iterations at eigenvalue {l + 1} of {len(d)}"
                 )
         d[l] += f
@@ -651,19 +579,16 @@ def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
     return _assemble(block_profile(ss))
 
 
-def _check_closed(ss: ShortSequence) -> None:
-    """Refuse, before any exact binomial, a sequence that the closed route
-    cannot answer; `full_spectrum_closed`, `family_spectrum_symbolic` and
-    `full_spectrum_numeric` call it first.
+def check_pair_counts(ss: ShortSequence) -> None:
+    """Refuse, before any exact binomial, a sequence whose pair counts
+    would round in double precision.
 
     No edge holds a vertex past the last one with bit 1, e (n when the
-    sequence is connected), so those vertices have pair count 0 and the
-    route answers them as it answers any block.  The last two vertices up
-    to e have the largest pair count, binomial(e-2, k-2): every pair lies
-    in at most that many edges.  Past 2**53 it is refused as `_Pencil`
-    would refuse it, but before the r exact gammas are computed, whose
-    cost grows with k without bound.  Then r**2 over `CLOSED_WORK_CAP` is
-    refused with `ResourceLimitError` (never at r <= n <= 1000).
+    sequence is connected), so those vertices have pair count 0.  The last
+    two vertices up to e have the largest pair count, binomial(e-2, k-2):
+    every pair lies in at most that many edges.  Past 2**53 it is refused
+    with `CountTooLargeError`, as `_Pencil` would refuse it, but before the
+    r exact gammas are computed, whose cost grows with k without bound.
     """
     e = ss.last_one
     if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
@@ -672,51 +597,25 @@ def _check_closed(ss: ShortSequence) -> None:
             f"{count_text(ss.k - 2)}) of the last two vertices in an edge "
             "exceeds 2**53 and would round in double precision"
         )
+
+
+def _check_closed(ss: ShortSequence) -> None:
+    """Refuse, before any exact binomial, a sequence that the closed route
+    cannot answer; `full_spectrum_closed` and `family_spectrum_symbolic`
+    call it first.
+
+    The vertices past the last one with bit 1 have pair count 0, and the
+    route answers them as it answers any block.  `check_pair_counts`
+    refuses a pair count past 2**53, which `oracle.full_spectrum_numeric`
+    refuses too.  Then r**2 over `CLOSED_WORK_CAP` is refused with
+    `ResourceLimitError` (never at r <= n <= 1000).
+    """
+    check_pair_counts(ss)
     if ss.r**2 > CLOSED_WORK_CAP:
         raise ResourceLimitError(
             f"the closed route on {count_text(ss.r)} runs costs "
             f"r**2 = {count_text(ss.r**2)}, over the cap of {CLOSED_WORK_CAP}"
         )
-
-
-def check_dense_solve(n: int) -> None:
-    """Refuse a dense eigensolve of an n x n matrix with n**3 over
-    `DENSE_SOLVE_CAP`, before the matrix is built."""
-    if n**3 > DENSE_SOLVE_CAP:
-        raise ResourceLimitError(
-            f"a dense eigensolve of a {count_text(n)}x{count_text(n)} matrix costs "
-            f"n**3 = {count_text(n**3)}, over the cap of {DENSE_SOLVE_CAP}"
-        )
-
-
-def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
-    """Spectrum of the full adjacency matrix by direct diagonalization.
-
-    Oracle for the closed route: `householder_ql_eigenvalues` on the exact
-    entries, O(n**3).  `check_dense_solve`, then `_check_closed`'s 2**53
-    test, refuse before a column is read.  The rows are read off the
-    columns c_j = `pair_count(1, j)`, A[i][j] = c_max(i,j), and share no
-    code with `block_profile`, so a fault there shows as a disagreement.
-    `adjacency` may inject a matrix obtained elsewhere (tests pass the
-    brute-force recount); it must be h's size, else `ValueError`, and an
-    entry past 2**53 is refused.  Only bit-equal values are reported once,
-    at the solver's double: a tolerance would average distinct values,
-    which the comparison with the closed route must see.
-    """
-    check_dense_solve(h.n)
-    _check_closed(h.runs)
-    if adjacency is None:
-        c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
-        rows = [(c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n)]
-    else:
-        rows = adjacency.entries
-        size = len(rows)
-        if size != h.n:
-            raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
-        # entries are non-negative, so the largest is the one that may round
-        as_float(max(map(max, rows), default=0))
-    groups = groupby(householder_ql_eigenvalues(rows))
-    return Spectrum(tuple(EigenPair(v, len(list(g)), "numeric") for v, g in groups))
 
 
 def family_sequence(
@@ -851,3 +750,14 @@ def scan_quotient_simplicity(
                 )
             )
     return out
+
+
+def __getattr__(name: str) -> object:
+    """`full_spectrum_numeric`, which the acceptance tests and the
+    benchmark's tracer look up in this module, served from `oracle`
+    (PEP 562)."""
+    if name == "full_spectrum_numeric":
+        from . import oracle
+
+        return oracle.full_spectrum_numeric
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -15,14 +15,8 @@ from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
 
-from .hypergraph import (
-    AdjacencyMatrix,
-    ThresholdHypergraph,
-    block_profile,
-    edge_links,
-    recount_pairs,
-    totally_replaceable,
-)
+from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
+from .oracle import edge_links, recount_pairs, totally_replaceable
 from .records import Record
 from .sequences import (
     ShortSequence,

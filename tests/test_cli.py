@@ -14,12 +14,8 @@ import threshspec.spectrum as spectrum
 from threshspec.cli import main
 from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import DENSE_CELL_CAP, BlockProfile, ThresholdHypergraph
-from threshspec.spectrum import (
-    DENSE_SOLVE_CAP,
-    EigenPair,
-    Spectrum,
-    full_spectrum_numeric,
-)
+from threshspec.oracle import DENSE_SOLVE_CAP, full_spectrum_numeric
+from threshspec.spectrum import EigenPair, Spectrum
 
 
 def run(capsys, *args):
@@ -215,12 +211,7 @@ class TestSpectrumCommand:
 
     def test_solver_iteration_cap_exits_3(self, capsys, monkeypatch):
         # an iteration budget is a resource budget: exit 3, no traceback
-        solve = spectrum.householder_ql_eigenvalues
-        monkeypatch.setattr(
-            spectrum,
-            "householder_ql_eigenvalues",
-            lambda matrix: solve(matrix, max_iterations=0),
-        )
+        monkeypatch.setattr(spectrum, "QL_ITERATIONS", 0)
         code, out, err = run(capsys, "spectrum", "C(3,2)_3", "--verify")
         assert code == 3
         assert out == ""

@@ -15,7 +15,7 @@ from threshspec.combinatorics import (
 from threshspec.errors import CountTooLargeError, ResourceLimitError
 from threshspec.hypergraph import check_dense, check_edges
 from threshspec.sequences import ShortSequence
-from threshspec.spectrum import check_dense_solve
+from threshspec.oracle import check_dense_solve
 
 
 def test_small_values():

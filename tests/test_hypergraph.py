@@ -12,14 +12,16 @@ from threshspec.hypergraph import (
     EDGE_CAP,
     EDGE_ENTRY_CAP,
     AdjacencyMatrix,
-    GeneralHypergraph,
     ThresholdHypergraph,
-    adjacency_bruteforce,
     block_profile,
     check_dense_digits,
     check_edges,
-    edge_links,
     edge_total,
+)
+from threshspec.oracle import (
+    GeneralHypergraph,
+    adjacency_bruteforce,
+    edge_links,
     load_replaceable_non_threshold_7_4,
     recount_pairs,
 )
@@ -106,6 +108,19 @@ class TestAdjacencyMatrix:
     def test_recount_refuses_a_repeated_vertex(self):
         with pytest.raises(ValueError, match="^adjacency diagonal must be zero$"):
             recount_pairs(3, [(1, 1, 2)])
+
+    @pytest.mark.parametrize(
+        "build, edge, vertex",
+        [
+            (recount_pairs, (0, 1), 0),  # used to count the pair (1, 3)
+            (recount_pairs, (1, 4), 4),  # used to raise IndexError
+            (recount_pairs, (-1, 2), -1),  # used to blame the diagonal
+            (edge_links, (0, 1, 2), 0),  # used to fill link(0)
+        ],
+    )
+    def test_an_edge_list_off_the_vertex_range_is_refused(self, build, edge, vertex):
+        with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 1..3$"):
+            build(3, [edge])
 
 
 class TestThresholdHypergraph:

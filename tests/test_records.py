@@ -4,12 +4,8 @@ change after construction."""
 
 import pytest
 
-from threshspec.hypergraph import (
-    AdjacencyMatrix,
-    BlockProfile,
-    GeneralHypergraph,
-    ThresholdHypergraph,
-)
+from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
+from threshspec.oracle import GeneralHypergraph
 from threshspec.sequences import BinarySequence, ShortSequence
 from threshspec.spectrum import (
     BlockEigenvalue,

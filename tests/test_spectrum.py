@@ -14,12 +14,13 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
-from threshspec import spectrum
+from threshspec import oracle, spectrum
 from threshspec.cli import main
-from threshspec.hypergraph import (
-    AdjacencyMatrix,
-    ThresholdHypergraph,
+from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph
+from threshspec.oracle import (
     adjacency_bruteforce,
+    full_spectrum_numeric,
+    householder_ql_eigenvalues,
     recount_pairs,
 )
 from threshspec.sequences import (
@@ -37,8 +38,6 @@ from threshspec.spectrum import (
     family_sequence,
     family_spectrum_symbolic,
     full_spectrum_closed,
-    full_spectrum_numeric,
-    householder_ql_eigenvalues,
     jacobi_eigenvalues,
     quotient_eigenvalues,
     quotient_matrix,
@@ -177,7 +176,7 @@ class TestClosedRouteStaysOffDense:
         monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
         monkeypatch.setattr(ThresholdHypergraph, "pair_count", refuse)
         monkeypatch.setattr(spectrum, "jacobi_eigenvalues", refuse)
-        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
+        monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
         sp = full_spectrum_closed(hg("C(1500,1500)_3"))
         assert sum(p.multiplicity for p in sp.pairs) == 3000
         assert main(["scan", "--n-max", "8", "--k", "3"]) == 0
@@ -315,15 +314,16 @@ class TestRationalQL:
         wilkinson = [abs(10.0 - i) for i in range(21)]
         assert_tridiagonal_matches_eigvalsh(wilkinson, [1.0] * 20)
 
-    def test_stops_at_the_iteration_cap(self):
+    def test_stops_at_the_iteration_cap(self, monkeypatch):
         # an unconverged eigenvalue is an error, not an estimate
+        monkeypatch.setattr(spectrum, "QL_ITERATIONS", 0)
         with pytest.raises(
             ConvergenceError,
             match="^QL iteration did not converge in 0 iterations at eigenvalue 1 of 2$",
         ):
-            spectrum._rational_ql([1.0, 2.0], [1.0], max_iterations=0)
+            spectrum._rational_ql([1.0, 2.0], [1.0])
         # a block that is already split needs no sweep
-        assert spectrum._rational_ql([1.0, 2.0], [0.0], max_iterations=0) == [1.0, 2.0]
+        assert spectrum._rational_ql([1.0, 2.0], [0.0]) == [1.0, 2.0]
 
 
 class TestPencilReduction:
@@ -347,13 +347,20 @@ def _c_width(d, e2):
     return 4.0 * sys.float_info.epsilon * max(1.0, frobenius)
 
 
+def one_sweep(real, d, e2):
+    """`real` allowed one QL sweep per eigenvalue."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(spectrum, "QL_ITERATIONS", 1)
+        return real(d, e2)
+
+
 class TestCertificate:
     @pytest.mark.parametrize(
         "estimate",
         [
             lambda real, d, e2: [0.0] * len(d),
             lambda real, d, e2: [x + 1e3 * _c_width(d, e2) for x in real(d, e2)],
-            lambda real, d, e2: real(d, e2, max_iterations=1),
+            one_sweep,
             lambda real, d, e2: [math.nan] * len(d),
             lambda real, d, e2: [math.inf] * len(d),
         ],
@@ -388,7 +395,7 @@ class TestCertificate:
             raise AssertionError("the closed route called a dense-route kernel")
 
         monkeypatch.setattr(math, "hypot", refuse)
-        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
+        monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
         assert [full_spectrum_closed(hg(text)) for text in inputs] == want
         assert main(["scan", "--n-max", "9", "--k", "2,3"]) == 0
         assert main(["family", "2", "--n", "30", "--k", "4", "--j", "9"]) == 0
@@ -615,9 +622,10 @@ class TestHouseholderQL:
         with pytest.raises(ValueError):
             householder_ql_eigenvalues([[0.0, 1.0], [2.0, 0.0]])
 
-    def test_iteration_cap(self):
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "QL_ITERATIONS", 0)
         with pytest.raises(ConvergenceError):
-            householder_ql_eigenvalues([[0.0, 1.0], [1.0, 0.0]], max_iterations=0)
+            householder_ql_eigenvalues([[0.0, 1.0], [1.0, 0.0]])
 
     def test_matches_numpy_on_random_symmetric(self):
         rng = random.Random(20261018)
@@ -827,7 +835,7 @@ class TestFullSpectrum:
         def refuse(matrix):
             raise AssertionError("the dense solve started")
 
-        monkeypatch.setattr(spectrum, "householder_ql_eigenvalues", refuse)
+        monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
         h = hg("C(2)_2")
         for n in (1, 3, 1001):
             with pytest.raises(ValueError, match="injected"):

@@ -206,7 +206,7 @@ def test_only_the_package_builders_skip_the_matrix_check():
     }
     assert reads == {
         ("hypergraph.py", "adjacency", True),
-        ("hypergraph.py", "recount_pairs", True),
+        ("oracle.py", "recount_pairs", True),
         ("hypergraph.py", helper, True),  # its object.__new__
     }
 

@@ -6,12 +6,8 @@ import threshspec.sequences as sequences
 import threshspec.spectrum as spectrum
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import (
-    AdjacencyMatrix,
-    BlockProfile,
-    GeneralHypergraph,
-    ThresholdHypergraph,
-)
+from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
+from threshspec.oracle import GeneralHypergraph
 from threshspec.sequences import (
     count_valid_sequences,
     format_bits,
