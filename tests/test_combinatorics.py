@@ -14,8 +14,8 @@ from threshspec.combinatorics import (
 )
 from threshspec.errors import CountTooLargeError, ResourceLimitError
 from threshspec.hypergraph import check_dense, check_edges
-from threshspec.sequences import ShortSequence
 from threshspec.oracle import check_dense_solve
+from threshspec.sequences import ShortSequence
 
 
 def test_small_values():

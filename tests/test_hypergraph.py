@@ -112,13 +112,15 @@ class TestAdjacencyMatrix:
     @pytest.mark.parametrize(
         "build, edge, vertex",
         [
-            (recount_pairs, (0, 1), 0),  # used to count the pair (1, 3)
-            (recount_pairs, (1, 4), 4),  # used to raise IndexError
-            (recount_pairs, (-1, 2), -1),  # used to blame the diagonal
-            (edge_links, (0, 1, 2), 0),  # used to fill link(0)
+            (recount_pairs, (0, 1), 0),
+            (recount_pairs, (1, 4), 4),
+            (recount_pairs, (-1, 2), -1),
+            (edge_links, (0, 1, 2), 0),
         ],
     )
     def test_an_edge_list_off_the_vertex_range_is_refused(self, build, edge, vertex):
+        # a row index of 0 or below wraps to another row, and one past n
+        # raises IndexError: each must be refused by name first
         with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 1..3$"):
             build(3, [edge])
 
