@@ -7,7 +7,16 @@ closed-form spectra through block eigenvalues plus an equitable quotient,
 and brute-force oracles to verify both, with a small CLI on top.
 """
 
-from .combinatorics import FLOAT_SAFE_LIMIT, as_float, binomial
+from .combinatorics import (
+    DENSE_CELL_CAP,
+    DENSE_SOLVE_CAP,
+    EDGE_CAP,
+    EDGE_ENTRY_CAP,
+    FLOAT_SAFE_LIMIT,
+    SEQUENCE_BUDGET,
+    as_float,
+    binomial,
+)
 from .errors import (
     ConvergenceError,
     CountTooLargeError,
@@ -15,16 +24,12 @@ from .errors import (
     SequenceError,
 )
 from .hypergraph import (
-    DENSE_CELL_CAP,
-    EDGE_CAP,
-    EDGE_ENTRY_CAP,
     AdjacencyMatrix,
     BlockProfile,
     ThresholdHypergraph,
     block_profile,
 )
 from .oracle import (
-    DENSE_SOLVE_CAP,
     GeneralHypergraph,
     adjacency_bruteforce,
     full_spectrum_numeric,
@@ -32,7 +37,6 @@ from .oracle import (
     load_replaceable_non_threshold_7_4,
 )
 from .sequences import (
-    SEQUENCE_BUDGET,
     BinarySequence,
     ShortSequence,
     complement_sequence,

@@ -137,7 +137,8 @@ def _emit_spectrum(
             "n": ss.n,
             "k": ss.k,
             "sequence": format_bits(ss),
-            "short": format_short(ss),
+            # the parity rule reads short-form text as connected only
+            "short": format_short(ss) if ss.connected else None,
             "pairs": [
                 {"value": p.value, "multiplicity": p.multiplicity, "source": p.source}
                 for p in spec.pairs

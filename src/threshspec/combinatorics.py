@@ -5,11 +5,16 @@ become lossy when converted to floating point, and `as_float` refuses any
 conversion that a double cannot represent exactly.  Python converts at
 most 4,300 decimal digits between integers and text: `count_text` names a
 longer count by its bit length, and `read_decimal` reads longer digits.
+
+Every fixed cap on the work or the text a call may build is here, with
+the check that refuses past it before the work starts, so that no other
+module raises `ResourceLimitError` or `CountTooLargeError`.  The checks
+read a `ShortSequence` by its attributes alone.
 """
 
 import math
 
-from .errors import CountTooLargeError
+from .errors import CountTooLargeError, ResourceLimitError
 
 #: Largest magnitude a double represents exactly (2**53).
 FLOAT_SAFE_LIMIT = 2**53
@@ -92,3 +97,181 @@ def as_float(count: int) -> float:
             "double precision"
         )
     return float(count)
+
+
+#: Cap on materialized edges and on brute-force subset iteration.  On a
+#: 2-vCPU Xeon VM `edges "C(392,1)_4"` (9,962,680 edges of 4 vertices)
+#: takes 25 s at 856 MB peak RSS, and 1,975,354 edges 4.8 s at 185 MB.
+EDGE_CAP = 10**7
+
+#: Cap on the vertices an edge list holds, its edges times k, so that few
+#: edges of many vertices are refused too; every k <= 4 list under
+#: `EDGE_CAP` is under it.  On the same VM `edges "C(119,1)_5"`
+#: (7,940,751 edges, 39,703,755 entries) takes 22 s at 684 MB peak RSS,
+#: and `edges "C(24,2)_10"` (3,350,479 edges, 33,504,790) 12 s at 463 MB.
+EDGE_ENTRY_CAP = 4 * EDGE_CAP
+
+#: Cap on the n * n cells of a dense matrix, checked before it is allocated.
+DENSE_CELL_CAP = 10**7
+
+#: Cap on the characters of text a call builds, the cell cap at 16 digits
+#: a cell: the digits of a dense pair-count matrix, cells times the digits
+#: of its largest possible entry, and the 2n - 1 characters of a bit form.
+TEXT_CAP = 16 * DENSE_CELL_CAP
+
+#: Cap on n**3 for a dense eigensolve of an n x n matrix, so n <= 1000.
+#: In pure Python the solve takes 88 s on a random k = 3 sequence and 85 s
+#: on a random k = 2 one at n = 1000, on a 2-vCPU Xeon VM (9e-8 s * n**3;
+#: 0.4 s at n = 200).
+DENSE_SOLVE_CAP = 10**9
+
+#: Cap on r**2 for the closed route on r runs, so r <= 2000.  Its pencil
+#: reduction, rational QL and certificate counts cost O(r**2); on the
+#: alternating k = 2 sequence it takes 0.55 s at r = 1001 and 2.4 s at
+#: r = 2001 on a 2-vCPU Xeon VM, and a bit form that fits one argv string
+#: (128 KiB) reaches r of about 65,000.
+CLOSED_WORK_CAP = 4 * 10**6
+
+#: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
+#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 46 s at 121 MB
+#: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
+SEQUENCE_BUDGET = 100_000
+
+
+def check_dense(n: int) -> None:
+    """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
+    if n * n > DENSE_CELL_CAP:
+        raise ResourceLimitError(
+            f"a dense {count_text(n)}x{count_text(n)} matrix has "
+            f"{count_text(n * n)} cells, over the cap of {DENSE_CELL_CAP}"
+        )
+
+
+def check_dense_digits(ss) -> None:
+    """Refuse the pair-count matrix of ss over `TEXT_CAP` digits.
+    Every edge lies within the vertices up to the last with bit 1, e, so
+    binomial(e-2, k-2) bounds every entry; it is below 2**(e-2), so only
+    an e past the digits a cell may have weighs it."""
+    n, e = ss.n, ss.last_one
+    digits = TEXT_CAP // (n * n)
+    if e - 2 > digits and binomial_exceeds(e - 2, ss.k - 2, 10**digits - 1):
+        raise ResourceLimitError(
+            f"a dense {count_text(n)}x{count_text(n)} matrix of pair counts "
+            f"up to binomial({count_text(e - 2)}, {count_text(ss.k - 2)}), "
+            f"more than {digits} digits each, is over the cap of "
+            f"{TEXT_CAP} digits"
+        )
+
+
+def check_bit_text(n: int) -> None:
+    """Refuse the bit form of n vertices, 2n - 1 characters, over
+    `TEXT_CAP`, before any of it is built."""
+    if 2 * n - 1 > TEXT_CAP:
+        raise ResourceLimitError(
+            f"the bit form of {count_text(n)} vertices has "
+            f"{count_text(2 * n - 1)} characters, over the cap of {TEXT_CAP}"
+        )
+
+
+def check_edges(ss) -> None:
+    """Refuse to list the edges of ss when they are over `EDGE_CAP`, or
+    their k vertices each over `EDGE_ENTRY_CAP`.  The last vertex with
+    bit 1, e, closes binomial(e-1, k-1) edges alone; the exact total is
+    built only when that bound has at most 4,300 digits, and a message
+    past them names the bound's least bit length."""
+    e = ss.last_one
+    if binomial_exceeds(e - 1, ss.k - 1, EDGE_CAP):
+        text_limit = 10**TEXT_DIGITS
+        if binomial_exceeds(e - 1, ss.k - 1, text_limit - 1):
+            raise ResourceLimitError(
+                f"at least {bits_text(text_limit.bit_length())} edges exceed "
+                f"the cap of {EDGE_CAP}"
+            )
+    total = edge_total(ss)
+    if total > EDGE_CAP:
+        raise ResourceLimitError(
+            f"{count_text(total)} edges exceed the cap of {EDGE_CAP}"
+        )
+    if total * ss.k > EDGE_ENTRY_CAP:
+        raise ResourceLimitError(
+            f"{count_text(total)} edges of {count_text(ss.k)} vertices hold "
+            f"{count_text(total * ss.k)} entries, over the cap of {EDGE_ENTRY_CAP}"
+        )
+
+
+def edge_total(ss) -> int:
+    """Number of edges, from the runs: by the hockey stick, the edges
+    ending in a ones block on positions a..b number
+    binomial(b, k) - binomial(a-1, k)."""
+    total = end = 0
+    for size, ones in ss.blocks():
+        end += size
+        if ones:
+            total += binomial(end, ss.k) - binomial(end - size, ss.k)
+    return total
+
+
+def check_dense_solve(n: int) -> None:
+    """Refuse a dense eigensolve of an n x n matrix with n**3 over
+    `DENSE_SOLVE_CAP`, before the matrix is built."""
+    if n**3 > DENSE_SOLVE_CAP:
+        raise ResourceLimitError(
+            f"a dense eigensolve of a {count_text(n)}x{count_text(n)} matrix costs "
+            f"n**3 = {count_text(n**3)}, over the cap of {DENSE_SOLVE_CAP}"
+        )
+
+
+def check_pair_counts(ss) -> None:
+    """Refuse, before any exact binomial, a sequence whose pair counts
+    would round in double precision.
+
+    No edge holds a vertex past the last one with bit 1, e (n when the
+    sequence is connected), so those vertices have pair count 0.  The last
+    two vertices up to e have the largest pair count, binomial(e-2, k-2):
+    every pair lies in at most that many edges.  Past 2**53 it is refused
+    with `CountTooLargeError`, as `_Pencil` would refuse it, but before the
+    r exact gammas are computed, whose cost grows with k without bound.
+    """
+    e = ss.last_one
+    if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
+        raise CountTooLargeError(
+            f"the pair count binomial({count_text(e - 2)}, "
+            f"{count_text(ss.k - 2)}) of the last two vertices in an edge "
+            "exceeds 2**53 and would round in double precision"
+        )
+
+
+def check_closed(ss) -> None:
+    """Refuse, before any exact binomial, a sequence that the closed route
+    cannot answer; `full_spectrum_closed` and `family_spectrum_symbolic`
+    call it first.
+
+    The vertices past the last one with bit 1 have pair count 0, and the
+    route answers them as it answers any block.  `check_pair_counts`
+    refuses a pair count past 2**53, which `oracle.full_spectrum_numeric`
+    refuses too.  Then r**2 over `CLOSED_WORK_CAP` is refused with
+    `ResourceLimitError` (never at r <= n <= 1000).
+    """
+    check_pair_counts(ss)
+    if ss.r**2 > CLOSED_WORK_CAP:
+        raise ResourceLimitError(
+            f"the closed route on {count_text(ss.r)} runs costs "
+            f"r**2 = {count_text(ss.r**2)}, over the cap of {CLOSED_WORK_CAP}"
+        )
+
+
+def check_sweep(what: str, bits: int, total: int | None) -> None:
+    """Refuse a sweep space of more than `SEQUENCE_BUDGET` sequences with
+    a `ResourceLimitError` that says `what` would visit it.  `total` is
+    the count of `bits` bits, None past 4 * 4,300 bits (so more than
+    4,300 digits, and far over the budget), where the count is weighed
+    and named by its bit length without being built."""
+    if total is None:
+        over = bits_text(bits)  # 2**(bits-1) has more than 4,300 digits
+    else:
+        over = count_text(total) if total > SEQUENCE_BUDGET else None
+    if over is not None:
+        raise ResourceLimitError(
+            f"{what} would visit {over} sequences, over the budget of "
+            f"{SEQUENCE_BUDGET}"
+        )

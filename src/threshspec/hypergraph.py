@@ -7,25 +7,21 @@ edges containing both.  For i < j that count depends only on the block
 from the run lengths; `adjacency` expands them into the matrix and the
 closed spectral route works from them alone.  The edge list, the direct
 pair count and the recount that check them are in `oracle`, which
-`ThresholdHypergraph.edges`, `pair_count` and `pseudodominants` call.
+`ThresholdHypergraph.edges` and `pair_count` call.
 
 A `ThresholdHypergraph` computes on the run-length form alone and builds
-its n creation bits only when `sequence` is asked for.  The size caps
-(`check_edges` on the edge count, `check_dense` on n and
-`check_dense_digits` on the text of the matrix) are constants, checked on
-the runs inside each function, whoever calls.
+its n creation bits only when `sequence` is asked for.
 """
 
 from functools import cached_property
 
 from .combinatorics import (
-    TEXT_DIGITS,
     binomial,
-    binomial_exceeds,
-    bits_text,
+    check_dense,
+    check_dense_digits,
     count_text,
+    edge_total,
 )
-from .errors import ResourceLimitError
 from .records import FrozenRecord
 from .sequences import (
     BinarySequence,
@@ -37,101 +33,11 @@ from .sequences import (
 )
 
 __all__ = [
-    "EDGE_CAP",
-    "EDGE_ENTRY_CAP",
-    "DENSE_CELL_CAP",
-    "DENSE_DIGIT_CAP",
     "AdjacencyMatrix",
     "ThresholdHypergraph",
     "BlockProfile",
     "block_profile",
-    "edge_total",
-    "check_dense",
-    "check_dense_digits",
-    "check_edges",
 ]
-
-#: Cap on materialized edges and on brute-force subset iteration.  On a
-#: 2-vCPU Xeon VM `edges "C(392,1)_4"` (9,962,680 edges of 4 vertices)
-#: takes 25 s at 856 MB peak RSS, and 1,975,354 edges 4.8 s at 185 MB.
-EDGE_CAP = 10**7
-
-#: Cap on the vertices an edge list holds, its edges times k, so that few
-#: edges of many vertices are refused too; every k <= 4 list under
-#: `EDGE_CAP` is under it.  On the same VM `edges "C(119,1)_5"`
-#: (7,940,751 edges, 39,703,755 entries) takes 22 s at 684 MB peak RSS,
-#: and `edges "C(24,2)_10"` (3,350,479 edges, 33,504,790) 12 s at 463 MB.
-EDGE_ENTRY_CAP = 4 * EDGE_CAP
-
-#: Cap on the n * n cells of a dense matrix, checked before it is allocated.
-DENSE_CELL_CAP = 10**7
-
-#: Cap on the digits of a dense pair-count matrix, cells times the digits
-#: of its largest possible entry: the cell cap at 16 digits a cell.
-DENSE_DIGIT_CAP = 16 * DENSE_CELL_CAP
-
-
-def check_dense(n: int) -> None:
-    """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
-    if n * n > DENSE_CELL_CAP:
-        raise ResourceLimitError(
-            f"a dense {count_text(n)}x{count_text(n)} matrix has "
-            f"{count_text(n * n)} cells, over the cap of {DENSE_CELL_CAP}"
-        )
-
-
-def check_dense_digits(ss: ShortSequence) -> None:
-    """Refuse the pair-count matrix of ss over `DENSE_DIGIT_CAP` digits.
-    Every edge lies within the vertices up to the last with bit 1, e, so
-    binomial(e-2, k-2) bounds every entry; it is below 2**(e-2), so only
-    an e past the digits a cell may have weighs it."""
-    n, e = ss.n, ss.last_one
-    digits = DENSE_DIGIT_CAP // (n * n)
-    if e - 2 > digits and binomial_exceeds(e - 2, ss.k - 2, 10**digits - 1):
-        raise ResourceLimitError(
-            f"a dense {count_text(n)}x{count_text(n)} matrix of pair counts "
-            f"up to binomial({count_text(e - 2)}, {count_text(ss.k - 2)}), "
-            f"more than {digits} digits each, is over the cap of "
-            f"{DENSE_DIGIT_CAP} digits"
-        )
-
-
-def check_edges(ss: ShortSequence) -> None:
-    """Refuse to list the edges of ss when they are over `EDGE_CAP`, or
-    their k vertices each over `EDGE_ENTRY_CAP`.  The last vertex with
-    bit 1, e, closes binomial(e-1, k-1) edges alone; the exact total is
-    built only when that bound has at most 4,300 digits, and a message
-    past them names the bound's least bit length."""
-    e = ss.last_one
-    if binomial_exceeds(e - 1, ss.k - 1, EDGE_CAP):
-        text_limit = 10**TEXT_DIGITS
-        if binomial_exceeds(e - 1, ss.k - 1, text_limit - 1):
-            raise ResourceLimitError(
-                f"at least {bits_text(text_limit.bit_length())} edges exceed "
-                f"the cap of {EDGE_CAP}"
-            )
-    total = edge_total(ss)
-    if total > EDGE_CAP:
-        raise ResourceLimitError(
-            f"{count_text(total)} edges exceed the cap of {EDGE_CAP}"
-        )
-    if total * ss.k > EDGE_ENTRY_CAP:
-        raise ResourceLimitError(
-            f"{count_text(total)} edges of {count_text(ss.k)} vertices hold "
-            f"{count_text(total * ss.k)} entries, over the cap of {EDGE_ENTRY_CAP}"
-        )
-
-
-def edge_total(ss: ShortSequence) -> int:
-    """Number of edges, from the runs: by the hockey stick, the edges
-    ending in a ones block on positions a..b number
-    binomial(b, k) - binomial(a-1, k)."""
-    total = end = 0
-    for size, ones in ss.blocks():
-        end += size
-        if ones:
-            total += binomial(end, ss.k) - binomial(end - size, ss.k)
-    return total
 
 
 class BlockProfile(FrozenRecord):
@@ -291,12 +197,6 @@ class ThresholdHypergraph(FrozenRecord):
     @property
     def k(self) -> int:
         return self.runs.k
-
-    def pseudodominants(self) -> list[int]:
-        """Vertices whose creation bit is 1 (`oracle.pseudodominants`)."""
-        from .oracle import pseudodominants
-
-        return pseudodominants(self.runs)
 
     def edges(self) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order, under the

@@ -10,26 +10,24 @@ them without gamma, so a fault there shows as a disagreement:
   with `recount_pairs`; `pair_count` sums the edges of one pair
   directly.  `pseudodominants` and `pair_count` read the ones blocks off
   `ShortSequence.blocks()`, the one run decoding they share with
-  `block_profile`.  `ThresholdHypergraph.edges`, `pair_count` and
-  `pseudodominants` hand their runs to these.
+  `block_profile`.  `ThresholdHypergraph.edges` and `pair_count` hand
+  their runs to these.
 - `full_spectrum_numeric` diagonalizes the full n x n matrix, read off
   the direct pair counts and not off gamma, by Householder reduction to
   tridiagonal form and the same rational QL, generic dense linear
-  algebra that sees only the matrix.  It refuses n**3 above
-  `DENSE_SOLVE_CAP` and a pair count past 2**53 before it reads a
-  column, and reports bit-equal values once.  Sharing the QL cannot make
-  the routes agree on a wrong value: the closed route keeps a QL value
-  only where the counts confirm it.
+  algebra that sees only the matrix.  It reports bit-equal values once.
+  Sharing the QL cannot make the routes agree on a wrong value: the
+  closed route keeps a QL value only where the counts confirm it.
 - `GeneralHypergraph` is any edge set, such as the paper's
   counterexample, and `edge_links` and `totally_replaceable` decide its
   replaceability.
 
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
-`spectrum` this module reads only the cap checks, the matrix and
-spectrum records, `ThresholdHypergraph` and the shared `_rational_ql`,
-and neither of them imports it at module level;
-`tests/test_oracle_boundary.py` holds both rules.
+`spectrum` this module reads only the matrix and spectrum records,
+`ThresholdHypergraph` and the shared `_rational_ql`, and neither of them
+imports it at module level; `tests/test_oracle_boundary.py` holds both
+rules.
 """
 
 import math
@@ -37,21 +35,20 @@ import operator
 from collections.abc import Collection, Iterable, Sequence
 from itertools import combinations, groupby
 
-from .combinatorics import as_float, binomial, count_text
-from .errors import ResourceLimitError
-from .hypergraph import (
-    AdjacencyMatrix,
-    ThresholdHypergraph,
-    _built_matrix,
+from .combinatorics import (
+    as_float,
+    binomial,
     check_dense,
+    check_dense_solve,
     check_edges,
+    check_pair_counts,
 )
+from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, _built_matrix
 from .records import FrozenRecord
 from .sequences import ShortSequence
-from .spectrum import EigenPair, Spectrum, _rational_ql, check_pair_counts
+from .spectrum import EigenPair, Spectrum, _rational_ql
 
 __all__ = [
-    "DENSE_SOLVE_CAP",
     "GeneralHypergraph",
     "pseudodominants",
     "edges",
@@ -62,16 +59,8 @@ __all__ = [
     "totally_replaceable",
     "load_replaceable_non_threshold_7_4",
     "householder_ql_eigenvalues",
-    "check_dense_solve",
     "full_spectrum_numeric",
 ]
-
-#: Cap on n**3 for a dense eigensolve of an n x n matrix, so n <= 1000.
-#: In pure Python the solve takes 88 s on a random k = 3 sequence and 85 s
-#: on a random k = 2 one at n = 1000, on a 2-vCPU Xeon VM (9e-8 s * n**3;
-#: 0.4 s at n = 200).
-DENSE_SOLVE_CAP = 10**9
-
 
 def pseudodominants(ss: ShortSequence) -> list[int]:
     """Vertices whose creation bit is 1, i.e. the possible edge maxima:
@@ -300,16 +289,6 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
     d[0] = a[0][0]
     e2 = [x * x for x in e[1:]]  # e2[i] couples d[i] and d[i + 1]
     return sorted(_rational_ql(d, e2), reverse=True)
-
-
-def check_dense_solve(n: int) -> None:
-    """Refuse a dense eigensolve of an n x n matrix with n**3 over
-    `DENSE_SOLVE_CAP`, before the matrix is built."""
-    if n**3 > DENSE_SOLVE_CAP:
-        raise ResourceLimitError(
-            f"a dense eigensolve of a {count_text(n)}x{count_text(n)} matrix costs "
-            f"n**3 = {count_text(n**3)}, over the cap of {DENSE_SOLVE_CAP}"
-        )
 
 
 def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:

@@ -19,9 +19,8 @@ for disconnected sequences as well, and refuses runs no bit sequence has.
 
 `sweep_space` owns the space the exhaustive sweeps (`verify`) and the
 quotient scan walk: every (k, n) size up to a bound, in one order,
-refused up front when its closed-form count of sequences is over
-`SEQUENCE_BUDGET`.  Each walk lists a size's run shapes with
-`iter_short_sequences`.
+weighed up front by its closed-form count of sequences.  Each walk lists
+a size's run shapes with `iter_short_sequences`.
 The package enumerates and computes on the run form only; bits are built
 from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 """
@@ -30,13 +29,17 @@ import re
 from collections.abc import Iterable, Iterator
 from itertools import groupby
 
-from .combinatorics import TEXT_DIGITS, bits_text, count_text, read_decimal
-from .errors import ResourceLimitError, SequenceError
+from .combinatorics import (
+    TEXT_DIGITS,
+    check_bit_text,
+    check_sweep,
+    count_text,
+    read_decimal,
+)
+from .errors import SequenceError
 from .records import FrozenRecord
 
 __all__ = [
-    "BIT_TEXT_CAP",
-    "SEQUENCE_BUDGET",
     "BinarySequence",
     "ShortSequence",
     "to_short",
@@ -53,16 +56,6 @@ __all__ = [
     "count_valid_sequences",
     "sweep_space",
 ]
-
-#: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
-#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 46 s at 121 MB
-#: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
-SEQUENCE_BUDGET = 100_000
-
-#: Cap on the 2n - 1 characters of a bit form that `format_bits` writes,
-#: the digits `hypergraph.DENSE_DIGIT_CAP` admits for a dense matrix.
-BIT_TEXT_CAP = 16 * 10**7
-
 
 class BinarySequence(FrozenRecord):
     """Bit form of a creation sequence, built only from text or on
@@ -247,13 +240,8 @@ def parse_runs(text: str) -> ShortSequence:
 
 def format_bits(ss: ShortSequence) -> str:
     """The bit form ``k=K;b1,...,bn``, written from the runs: no bit list
-    is built, only the text, and text over `BIT_TEXT_CAP` is refused
-    before any of it is built."""
-    if 2 * ss.n - 1 > BIT_TEXT_CAP:
-        raise ResourceLimitError(
-            f"the bit form of {count_text(ss.n)} vertices has "
-            f"{count_text(2 * ss.n - 1)} characters, over the cap of {BIT_TEXT_CAP}"
-        )
+    is built, only the text, and `check_bit_text` refuses it first."""
+    check_bit_text(ss.n)
     blocks = list(ss.blocks())
     if ss.first_run_has_ones:
         blocks[0:1] = [(ss.k - 1, False), (ss.runs[0] - ss.k + 1, True)]
@@ -363,22 +351,14 @@ def sweep_space(
     up.  The walk lists each size's sequences with `iter_short_sequences`,
     passing it `connected_only`.
 
-    A space of more than `SEQUENCE_BUDGET` sequences is refused up front
-    with a `ResourceLimitError` that says `what` would visit it.  A count
-    of more than 4 * 4,300 bits (so more than 4,300 digits, and far over
-    the budget) is weighed and named by its bit length without being
-    built, so the refusal is immediate at any `n_max`.
+    `check_sweep` refuses the space up front, saying that `what` would
+    visit it.  A count of more than 4 * 4,300 bits is not built, so the
+    refusal is immediate at any `n_max`.
     """
     k_set = sorted({k for k in k_values if k >= 2})
     bits = _count_bits(n_max, k_set, connected_only)
-    if bits > 4 * TEXT_DIGITS:
-        over = bits_text(bits)  # 2**(bits-1) has more than 4,300 digits
-    else:
+    total = None
+    if bits <= 4 * TEXT_DIGITS:
         total = count_valid_sequences(n_max, k_set, connected_only)
-        over = count_text(total) if total > SEQUENCE_BUDGET else None
-    if over is not None:
-        raise ResourceLimitError(
-            f"{what} would visit {over} sequences, over the budget of "
-            f"{SEQUENCE_BUDGET}"
-        )
+    check_sweep(what, bits, total)
     return [(k, n) for k in k_set for n in range(k - 1, n_max + 1)]

@@ -14,31 +14,19 @@ last bit varies across CPython versions.  A disconnected sequence takes
 the same route: no edge holds a vertex after the last bit 1, so its
 trailing zeros block has gamma 0 and a zero column, which yields 0 once
 per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
-are reported once, at the block value when the group holds one.  The route
-refuses r**2 above `CLOSED_WORK_CAP` before gamma is computed.  The
+are reported once, at the block value when the group holds one.  The
 catalogued families enter their gamma by hand and share the rest.  Its
 oracle, the dense solve `oracle.full_spectrum_numeric`, shares
-`_rational_ql` and `check_pair_counts` with it.  `jacobi_eigenvalues`, the
-dense solver before QL, has no caller left in the package.
+`_rational_ql` with it.  `jacobi_eigenvalues`, the dense solver before
+QL, has no caller left in the package.
 """
 
 import math
 import sys
 from collections.abc import Iterable, Sequence
 
-from .combinatorics import (
-    FLOAT_SAFE_LIMIT,
-    as_float,
-    binomial,
-    binomial_exceeds,
-    count_text,
-)
-from .errors import (
-    ConvergenceError,
-    CountTooLargeError,
-    ResourceLimitError,
-    SequenceError,
-)
+from .combinatorics import as_float, binomial, check_closed, count_text
+from .errors import ConvergenceError, SequenceError
 from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
 from .records import FrozenRecord
 from .sequences import (
@@ -49,7 +37,6 @@ from .sequences import (
 )
 
 __all__ = [
-    "CLOSED_WORK_CAP",
     "MERGE_TOL",
     "QL_ITERATIONS",
     "BlockEigenvalue",
@@ -62,19 +49,11 @@ __all__ = [
     "quotient_eigenvalues",
     "symmetrize_quotient",
     "jacobi_eigenvalues",
-    "check_pair_counts",
     "full_spectrum_closed",
     "family_sequence",
     "family_spectrum_symbolic",
     "scan_quotient_simplicity",
 ]
-
-#: Cap on r**2 for the closed route on r runs, so r <= 2000.  Its pencil
-#: reduction, rational QL and certificate counts cost O(r**2); on the
-#: alternating k = 2 sequence it takes 0.55 s at r = 1001 and 2.4 s at
-#: r = 2001 on a 2-vCPU Xeon VM, and a bit form that fits one argv string
-#: (128 KiB) reaches r of about 65,000.
-CLOSED_WORK_CAP = 4 * 10**6
 
 #: Absolute distance within which the closed route reports values once.
 #: Block values are exact integers; a quotient estimate within it of one
@@ -569,53 +548,14 @@ def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
     Takes the run-length form, or a hypergraph's `runs`; all work grows
-    with r, not n, as r**2.  `_check_closed` refuses what the route cannot
+    with r, not n, as r**2.  `check_closed` refuses what the route cannot
     answer, or r**2 over `CLOSED_WORK_CAP`, before any binomial is
     computed.  Values within `MERGE_TOL` are reported once with summed
     multiplicity, at the block value when the group holds one.
     """
     ss = seq.runs if isinstance(seq, ThresholdHypergraph) else seq
-    _check_closed(ss)
+    check_closed(ss)
     return _assemble(block_profile(ss))
-
-
-def check_pair_counts(ss: ShortSequence) -> None:
-    """Refuse, before any exact binomial, a sequence whose pair counts
-    would round in double precision.
-
-    No edge holds a vertex past the last one with bit 1, e (n when the
-    sequence is connected), so those vertices have pair count 0.  The last
-    two vertices up to e have the largest pair count, binomial(e-2, k-2):
-    every pair lies in at most that many edges.  Past 2**53 it is refused
-    with `CountTooLargeError`, as `_Pencil` would refuse it, but before the
-    r exact gammas are computed, whose cost grows with k without bound.
-    """
-    e = ss.last_one
-    if binomial_exceeds(e - 2, ss.k - 2, FLOAT_SAFE_LIMIT):
-        raise CountTooLargeError(
-            f"the pair count binomial({count_text(e - 2)}, "
-            f"{count_text(ss.k - 2)}) of the last two vertices in an edge "
-            "exceeds 2**53 and would round in double precision"
-        )
-
-
-def _check_closed(ss: ShortSequence) -> None:
-    """Refuse, before any exact binomial, a sequence that the closed route
-    cannot answer; `full_spectrum_closed` and `family_spectrum_symbolic`
-    call it first.
-
-    The vertices past the last one with bit 1 have pair count 0, and the
-    route answers them as it answers any block.  `check_pair_counts`
-    refuses a pair count past 2**53, which `oracle.full_spectrum_numeric`
-    refuses too.  Then r**2 over `CLOSED_WORK_CAP` is refused with
-    `ResourceLimitError` (never at r <= n <= 1000).
-    """
-    check_pair_counts(ss)
-    if ss.r**2 > CLOSED_WORK_CAP:
-        raise ResourceLimitError(
-            f"the closed route on {count_text(ss.r)} runs costs "
-            f"r**2 = {count_text(ss.r**2)}, over the cap of {CLOSED_WORK_CAP}"
-        )
 
 
 def family_sequence(
@@ -685,7 +625,7 @@ def family_spectrum_symbolic(
     refuses what it refuses, before any binomial.
     """
     ss = family_sequence(family, n, k, j)
-    _check_closed(ss)
+    check_closed(ss)
     a_cnt = binomial(n - 3, k - 3)
     b_cnt = binomial(n - 2, k - 2)
     if ss.r == 1:

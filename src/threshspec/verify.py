@@ -6,9 +6,7 @@ order of `sequences.sweep_space`, as the run shape that
 whose two sides are computed by unrelated code paths; no bit is built.
 What the checks compare against at one (k, n) size is built once per
 size.  The CLI `verify` command runs all five checks in one walk; each
-`sweep_*` is the walk with one check.  `sweep_space` refuses a walk over
-`SEQUENCE_BUDGET` before it starts, and `ThresholdHypergraph.edges` an
-edge list over `EDGE_CAP` or `EDGE_ENTRY_CAP`; none can be raised.
+`sweep_*` is the walk with one check.
 """
 
 from collections.abc import Iterable, Iterator

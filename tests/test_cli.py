@@ -13,8 +13,9 @@ import threshspec.hypergraph as hypergraph
 import threshspec.spectrum as spectrum
 from threshspec.cli import main
 from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import DENSE_CELL_CAP, BlockProfile, ThresholdHypergraph
-from threshspec.oracle import DENSE_SOLVE_CAP, full_spectrum_numeric
+from threshspec.combinatorics import DENSE_CELL_CAP, DENSE_SOLVE_CAP
+from threshspec.hypergraph import BlockProfile, ThresholdHypergraph
+from threshspec.oracle import full_spectrum_numeric
 from threshspec.spectrum import EigenPair, Spectrum
 
 
@@ -344,6 +345,26 @@ class TestSpectrumCommand:
         assert (code, err) == (0, "")
         assert out.splitlines()[:3] == lines
         assert out.splitlines()[3].endswith("status=ok")
+
+    @pytest.mark.parametrize(
+        "text, short",
+        [
+            ("k=3;0,0,1,0,0,0,1,0", None),
+            ("k=3;0,0,0,1,1,1,0,1", "C(3,3,1,1)_3"),
+            ("k=2;0,0", None),
+            ("k=2;0,1", "C(2)_2"),
+        ],
+    )
+    def test_structured_short_is_null_when_disconnected(self, capsys, text, short):
+        # short-form text is read as connected, so a disconnected sequence
+        # has none: each pair here once printed the same short form
+        code, out, err = run(capsys, "spectrum", text, "--format", "structured")
+        assert (code, err) == (0, "")
+        doc = strict_json(out)
+        assert doc["sequence"] == text and doc["short"] == short
+        if short is not None:
+            code, again, err = run(capsys, "spectrum", short, "--format", "structured")
+            assert json.loads(again)["sequence"] == text
 
 
 class TestEdgesCommand:

@@ -9,12 +9,16 @@ from threshspec.combinatorics import (
     binomial,
     binomial_exceeds,
     bits_text,
+    check_bit_text,
+    check_dense,
+    check_dense_digits,
+    check_dense_solve,
+    check_edges,
+    check_pair_counts,
     count_text,
     read_decimal,
 )
 from threshspec.errors import CountTooLargeError, ResourceLimitError
-from threshspec.hypergraph import check_dense, check_edges
-from threshspec.oracle import check_dense_solve
 from threshspec.sequences import ShortSequence
 
 
@@ -78,12 +82,16 @@ def test_count_text_names_huge_counts_by_bit_length():
     assert count_text(10**5000) == "a number of 16610 bits"
     # a cap refusal never fails to name its count; the edge total of a
     # 10**2200-vertex star passes 4,300 digits
-    for check, arg in (
-        (check_edges, ShortSequence(2, (10**2200,), True)),
-        (check_dense, 10**2500),
-        (check_dense_solve, 10**2000),
+    past = ShortSequence(3, (10**4400, 1))
+    for check, arg, error in (
+        (check_edges, ShortSequence(2, (10**2200,), True), ResourceLimitError),
+        (check_dense, 10**2500, ResourceLimitError),
+        (check_dense_solve, 10**2000, ResourceLimitError),
+        (check_dense_digits, past, ResourceLimitError),
+        (check_pair_counts, past, CountTooLargeError),
+        (check_bit_text, 10**4400, ResourceLimitError),
     ):
-        with pytest.raises(ResourceLimitError, match=" bits"):
+        with pytest.raises(error, match=" bits"):
             check(arg)
 
 

@@ -4,25 +4,25 @@ from itertools import combinations, product
 
 import pytest
 
+import threshspec.combinatorics as combinatorics
 import threshspec.hypergraph as hypergraph
-from threshspec.combinatorics import count_text
-from threshspec.errors import ResourceLimitError
-from threshspec.hypergraph import (
+from threshspec.combinatorics import (
     DENSE_CELL_CAP,
     EDGE_CAP,
     EDGE_ENTRY_CAP,
-    AdjacencyMatrix,
-    ThresholdHypergraph,
-    block_profile,
     check_dense_digits,
     check_edges,
+    count_text,
     edge_total,
 )
+from threshspec.errors import ResourceLimitError
+from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
 from threshspec.oracle import (
     GeneralHypergraph,
     adjacency_bruteforce,
     edge_links,
     load_replaceable_non_threshold_7_4,
+    pseudodominants,
     recount_pairs,
 )
 from threshspec.sequences import (
@@ -127,8 +127,8 @@ class TestAdjacencyMatrix:
 
 class TestThresholdHypergraph:
     def test_pseudodominants(self):
-        assert hg("k=3;0,0,1,0,1").pseudodominants() == [3, 5]
-        assert hg("k=4;0,0,0,1,1,0").pseudodominants() == [4, 5]
+        assert pseudodominants(hg("k=3;0,0,1,0,1").runs) == [3, 5]
+        assert pseudodominants(hg("k=4;0,0,0,1,1,0").runs) == [4, 5]
 
     def test_edges_almost_complete(self):
         assert hg("k=4;0,0,0,1,1,0").edges() == [
@@ -184,7 +184,7 @@ class TestThresholdHypergraph:
                 for tail in product((0, 1), repeat=n - k + 1):
                     bits = (0,) * (k - 1) + tail
                     h = ThresholdHypergraph(BinarySequence(k, bits))
-                    assert h.pseudodominants() == [
+                    assert pseudodominants(h.runs) == [
                         v for v, b in enumerate(bits, start=1) if b
                     ], bits
 
@@ -210,10 +210,10 @@ class TestThresholdHypergraph:
     def test_edge_cap(self, monkeypatch):
         # the cap is a constant that edges() reads at each call
         h = hg("k=3;0,0,1,0,1")
-        monkeypatch.setattr(hypergraph, "EDGE_CAP", 6)
+        monkeypatch.setattr(combinatorics, "EDGE_CAP", 6)
         with pytest.raises(ResourceLimitError):
             h.edges()
-        monkeypatch.setattr(hypergraph, "EDGE_CAP", 7)
+        monkeypatch.setattr(combinatorics, "EDGE_CAP", 7)
         assert len(h.edges()) == 7
 
     def test_edge_refusal_matches_the_exact_total(self, monkeypatch):
@@ -234,7 +234,7 @@ class TestThresholdHypergraph:
             ss = ShortSequence(k, tuple(runs), rng.random() < 0.5)
             cases.append((ss, rng.choice((1, 5, 100, 5000, EDGE_CAP))))
         for ss, cap in cases:
-            monkeypatch.setattr(hypergraph, "EDGE_CAP", cap)
+            monkeypatch.setattr(combinatorics, "EDGE_CAP", cap)
             total = edge_total(ss)
             expected = None
             if total > cap:
@@ -250,7 +250,7 @@ class TestThresholdHypergraph:
             except ResourceLimitError as exc:
                 got = str(exc)
             assert got == expected, (ss, cap)
-        monkeypatch.setattr(hypergraph, "EDGE_CAP", cases[0][1])
+        monkeypatch.setattr(combinatorics, "EDGE_CAP", cases[0][1])
         with pytest.raises(ResourceLimitError, match=" bits edges exceed"):
             check_edges(cases[0][0])
 
@@ -260,7 +260,7 @@ class TestThresholdHypergraph:
         def no_total(ss):
             raise AssertionError("exact edge total computed")
 
-        monkeypatch.setattr(hypergraph, "edge_total", no_total)
+        monkeypatch.setattr(combinatorics, "edge_total", no_total)
         for text in ("C(200000,1)_100000", "C(2000000,1)_1000000"):
             with pytest.raises(ResourceLimitError) as exc:
                 hg(text).edges()
@@ -351,7 +351,7 @@ class TestThresholdHypergraph:
         # zero bits never finish an edge, and any k one-bit vertices form
         # an edge on their own
         for h in all_hypergraphs(7):
-            ones = h.pseudodominants()
+            ones = pseudodominants(h.runs)
             zeros = set(range(1, h.n + 1)).difference(ones)
             edges = set(h.edges())
             assert not any(set(e) <= zeros for e in edges)

@@ -48,13 +48,9 @@ CLOSED_ROUTE = (
     ("spectrum", "scan_quotient_simplicity"),
 )
 
-#: What oracle.py may read from the closed route's modules: the cap
-#: checks, the records both routes return, and the QL they share.
+#: What oracle.py may read from the closed route's modules: the records
+#: both routes return and the QL they share.
 ALLOWED = {
-    "check_dense",
-    "check_dense_digits",
-    "check_edges",
-    "check_pair_counts",
     "AdjacencyMatrix",
     "_built_matrix",
     "ThresholdHypergraph",
@@ -249,7 +245,6 @@ def test_the_oracle_names_are_found():
     for key in (
         ("hypergraph", "ThresholdHypergraph.edges"),
         ("hypergraph", "ThresholdHypergraph.pair_count"),
-        ("hypergraph", "ThresholdHypergraph.pseudodominants"),
         ("cli", "cmd_spectrum"),
     ):
         assert package.reach(key) is not None, key

@@ -20,7 +20,7 @@ from pathlib import Path
 import pytest
 
 from threshspec.sequences import ShortSequence, format_short
-from threshspec.spectrum import CLOSED_WORK_CAP
+from threshspec.combinatorics import CLOSED_WORK_CAP
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 ADDRESS_SPACE = 1 << 30

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+import threshspec.combinatorics as combinatorics
 import threshspec.sequences as sequences
 from threshspec.errors import ResourceLimitError, SequenceError
 from threshspec.sequences import (
@@ -205,7 +206,7 @@ def test_format_bits_matches_the_expanded_bits():
 
 
 def test_format_bits_refuses_text_over_its_cap(monkeypatch):
-    monkeypatch.setattr(sequences, "BIT_TEXT_CAP", 9)
+    monkeypatch.setattr(combinatorics, "TEXT_CAP", 9)
     assert format_bits(ShortSequence(3, (4, 1))) == "k=3;0,0,0,0,1"
     with pytest.raises(ResourceLimitError, match="6 vertices has 11 characters"):
         format_bits(ShortSequence(3, (3, 2, 1), first_run_has_ones=True))
@@ -343,7 +344,7 @@ def test_sweep_space_refuses_before_building_a_sequence(monkeypatch):
     # past 4,300 digits the count is named by its bit length: k = 2 and 3
     # give 2**(n_max-1+s) - 1 + 2**(n_max-2+s) - 1 with s = 0, or 1 for all;
     # the budget is a constant that sweep_space reads at each call
-    monkeypatch.setattr(sequences, "SEQUENCE_BUDGET", 10**9)
+    monkeypatch.setattr(combinatorics, "SEQUENCE_BUDGET", 10**9)
     for n_max in (20000, 40000):
         for connected in (False, True):
             bits = n_max + (not connected)
@@ -355,7 +356,7 @@ def test_sweep_space_refuses_before_building_a_sequence(monkeypatch):
             )
     # exactly at the budget the space is walked
     monkeypatch.undo()
-    monkeypatch.setattr(sequences, "SEQUENCE_BUDGET", 2**10 - 1)
+    monkeypatch.setattr(combinatorics, "SEQUENCE_BUDGET", 2**10 - 1)
     space = sweep_space(10, [2], "demo", False)
     walked = sum(1 for k, n in space for _ in iter_valid_sequences(n, k))
     assert walked == 2**10 - 1

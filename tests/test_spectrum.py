@@ -14,7 +14,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
-from threshspec import oracle, spectrum
+from threshspec import combinatorics, oracle, spectrum
 from threshspec.cli import main
 from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph
 from threshspec.oracle import (
@@ -242,9 +242,9 @@ class TestClosedRouteRefusals:
 
     def test_work_cap_refuses_before_the_profile(self, monkeypatch, capsys):
         # the closed route is O(r**2); a CLI argv reaches r of about 65,000
-        r = math.isqrt(spectrum.CLOSED_WORK_CAP) + 1
+        r = math.isqrt(combinatorics.CLOSED_WORK_CAP) + 1
         ss = ShortSequence(2, (2,) + (1,) * (r - 1))
-        assert ss.r == r and (r - 1) ** 2 <= spectrum.CLOSED_WORK_CAP
+        assert ss.r == r and (r - 1) ** 2 <= combinatorics.CLOSED_WORK_CAP
         text = format_short(ss)
 
         def refuse(ss):
@@ -405,7 +405,7 @@ class TestCertificate:
 def kernel_inputs():
     """Every connected sequence with n <= 11 and k = 2..5, then 300 seeded
     run shapes with r up to 60, runs up to 10**6 and very unbalanced
-    neighbouring blocks, each one `_check_closed` accepts."""
+    neighbouring blocks, each one `check_closed` accepts."""
     for h in connected_hypergraphs(11, range(2, 6)):
         yield to_short(h.sequence)
     rng = random.Random(19)
@@ -420,7 +420,7 @@ def kernel_inputs():
         # the last block is a ones block, so the sequence is connected
         ss = ShortSequence(k, tuple(runs), first_run_has_ones=r % 2 == 1)
         try:
-            spectrum._check_closed(ss)
+            combinatorics.check_closed(ss)
         except CountTooLargeError:
             continue
         kept += 1

@@ -1,7 +1,8 @@
 """The runtime imports nothing outside the standard library and reads no
 file, every module exports only names it defines, every name a module
-imports is used, every exception type the package defines is raised, and
-no caller can raise a cap.
+imports is used, every exception type the package defines is raised, no
+caller can raise a cap, and only combinatorics.py holds a cap or refuses
+past one.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -14,6 +15,8 @@ import inspect
 import re
 import sys
 from pathlib import Path
+
+import pytest
 
 from threshspec import cli
 
@@ -73,10 +76,10 @@ def test_the_package_reads_no_file_at_run_time():
     assert "package-data" not in (ROOT / "pyproject.toml").read_text(encoding="utf-8")
 
 
-def _assigned_names(path):
-    """Names bound by a top-level assignment in the source at path."""
+def _assigned_names(text):
+    """Names bound by a top-level assignment in the source text."""
     names = set()
-    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+    for node in ast.parse(text).body:
         if isinstance(node, ast.Assign):
             names.update(t.id for t in node.targets if isinstance(t, ast.Name))
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
@@ -94,7 +97,7 @@ def test_every_exported_name_resolves():
     for path in SOURCES:
         name = "threshspec" if path.stem == "__init__" else f"threshspec.{path.stem}"
         module = importlib.import_module(name)
-        assigned = _assigned_names(path)
+        assigned = _assigned_names(path.read_text(encoding="utf-8"))
         for attr in getattr(module, "__all__", ()):
             exported += 1
             if not hasattr(module, attr):
@@ -142,9 +145,10 @@ def test_every_import_is_used():
     assert not unused
 
 
-def _raised_names(path):
-    """Names of the classes or instances raised by a `raise` at path."""
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+def _raised_names(text):
+    """Names of the classes or instances raised by a `raise` in the source
+    text."""
+    for node in ast.walk(ast.parse(text)):
         if isinstance(node, ast.Raise) and node.exc is not None:
             exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
             if isinstance(exc, ast.Name):
@@ -161,7 +165,10 @@ def test_every_exception_type_is_raised():
         if isinstance(node, ast.ClassDef)
     }
     raised = {
-        name for path in SOURCES if path != errors for name in _raised_names(path)
+        name
+        for path in SOURCES
+        if path != errors
+        for name in _raised_names(path.read_text(encoding="utf-8"))
     }
     assert defined
     assert not defined - raised
@@ -265,3 +272,54 @@ def test_no_cap_or_budget_is_an_option():
         if "cap" in option or "budget" in option
     }
     assert not options
+
+
+_REFUSALS = {"ResourceLimitError", "CountTooLargeError"}
+# the CLI's exit code for a refusal, EXIT_BUDGET, is not a cap
+_CAP_CONSTANT = re.compile(r"^(?!EXIT_).*_(CAP|BUDGET)$")
+
+
+def _caps_outside_combinatorics(sources):
+    """(module, name) for each cap refusal raised and each `*_CAP` or
+    `*_BUDGET` constant assigned in a module other than combinatorics."""
+    return {
+        (module, name)
+        for module, text in sources.items()
+        if module != "combinatorics"
+        for name in (
+            *(n for n in _raised_names(text) if n in _REFUSALS),
+            *(n for n in _assigned_names(text) if _CAP_CONSTANT.search(n)),
+        )
+    }
+
+
+def _package_sources():
+    return {path.stem: path.read_text(encoding="utf-8") for path in SOURCES}
+
+
+def test_every_cap_and_its_refusal_is_in_combinatorics():
+    """Each fixed cap, and the check that refuses past it, is written once:
+    no other module assigns a cap or raises `ResourceLimitError` or
+    `CountTooLargeError`; they call the checks."""
+    sources = _package_sources()
+    assert "combinatorics" in sources
+    assert _caps_outside_combinatorics(sources) == set()
+
+
+@pytest.mark.parametrize(
+    "line, found",
+    [
+        (
+            "def _planted():\n    raise ResourceLimitError('over')\n\n\n",
+            ("sequences", "ResourceLimitError"),
+        ),
+        ("SHORT_TEXT_CAP = 10\n\n\n", ("sequences", "SHORT_TEXT_CAP")),
+    ],
+    ids=["raise", "constant"],
+)
+def test_a_planted_cap_outside_combinatorics_is_caught(line, found):
+    sources = _package_sources()
+    anchor = "def format_short("
+    assert anchor in sources["sequences"]
+    sources["sequences"] = sources["sequences"].replace(anchor, line + anchor, 1)
+    assert _caps_outside_combinatorics(sources) == {found}
