@@ -135,9 +135,8 @@ class AdjacencyMatrix(FrozenRecord):
     exact integer pair counts to both (i, j) and (j, i) and 0 on the
     diagonal, and `oracle.recount_pairs` adds each edge's pairs to both
     cells from zero, so only an edge that repeats a vertex can break it,
-    by a count on the diagonal, which it refuses in O(n).  Any other
-    matrix, such as one handed to `oracle.full_spectrum_numeric`, is
-    checked in full.
+    by a count on the diagonal, which it refuses in O(n).  A matrix built
+    any other way is checked in full.
     """
 
     _fields = ("entries",)

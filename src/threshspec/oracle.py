@@ -13,11 +13,11 @@ them without gamma, so a fault there shows as a disagreement:
   `block_profile`.  `ThresholdHypergraph.edges` and `pair_count` hand
   their runs to these.
 - `full_spectrum_numeric` diagonalizes the full n x n matrix, read off
-  the direct pair counts and not off gamma, by Householder reduction to
-  tridiagonal form and the same rational QL, generic dense linear
-  algebra that sees only the matrix.  It reports bit-equal values once.
-  Sharing the QL cannot make the routes agree on a wrong value: the
-  closed route keeps a QL value only where the counts confirm it.
+  h's direct pair counts alone and not off gamma, by Householder
+  reduction to tridiagonal form and the same rational QL, generic dense
+  linear algebra that sees only the matrix.  It reports bit-equal values
+  once.  Sharing the QL cannot make the routes agree on a wrong value:
+  the closed route keeps a QL value only where the counts confirm it.
 - `GeneralHypergraph` is any edge set, such as the paper's
   counterexample, and `edge_links` and `totally_replaceable` decide its
   replaceability.
@@ -36,7 +36,6 @@ from collections.abc import Collection, Iterable, Sequence
 from itertools import combinations, groupby
 
 from .combinatorics import (
-    as_float,
     binomial,
     check_dense,
     check_dense_solve,
@@ -291,31 +290,21 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
     return sorted(_rational_ql(d, e2), reverse=True)
 
 
-def full_spectrum_numeric(h: ThresholdHypergraph, adjacency=None) -> Spectrum:
+def full_spectrum_numeric(h: ThresholdHypergraph) -> Spectrum:
     """Spectrum of the full adjacency matrix by direct diagonalization.
 
     Oracle for the closed route: `householder_ql_eigenvalues` on the exact
     entries, O(n**3).  `check_dense_solve`, then `check_pair_counts`'s
-    2**53 test, refuse before a column is read.  The rows are read off the
-    columns c_j = `pair_count(1, j)`, A[i][j] = c_max(i,j), and share no
-    code with `block_profile`, so a fault there shows as a disagreement.
-    `adjacency` may inject a matrix obtained elsewhere (tests pass the
-    brute-force recount); it must be h's size, else `ValueError`, and an
-    entry past 2**53 is refused.  Only bit-equal values are reported once,
-    at the solver's double: a tolerance would average distinct values,
-    which the comparison with the closed route must see.
+    2**53 test, refuse before a column is read.  The matrix is read off
+    h's pair counts alone: the columns c_j = `pair_count(1, j)`,
+    A[i][j] = c_max(i,j), share no code with `block_profile`, so a fault
+    there shows as a disagreement.  Only bit-equal values are reported
+    once, at the solver's double: a tolerance would average distinct
+    values, which the comparison with the closed route must see.
     """
     check_dense_solve(h.n)
     check_pair_counts(h.runs)
-    if adjacency is None:
-        c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
-        rows = [(c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n)]
-    else:
-        rows = adjacency.entries
-        size = len(rows)
-        if size != h.n:
-            raise ValueError(f"a {size}x{size} matrix injected for {h.n} vertices")
-        # entries are non-negative, so the largest is the one that may round
-        as_float(max(map(max, rows), default=0))
+    c = (0, *(h.pair_count(1, j) for j in range(2, h.n + 1)))
+    rows = [(c[i],) * i + (0,) + c[i + 1 :] for i in range(h.n)]
     groups = groupby(householder_ql_eigenvalues(rows))
     return Spectrum(tuple(EigenPair(v, len(list(g)), "numeric") for v, g in groups))

@@ -659,17 +659,15 @@ class ScanRow(FrozenRecord):
         object.__setattr__(self, "flagged", flagged)
 
 
-def scan_quotient_simplicity(
-    n_max: int, k_values: Iterable[int], tol: float = MERGE_TOL
-) -> list[ScanRow]:
+def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRow]:
     """Minimum quotient eigenvalue gap for every connected sequence.
 
-    A row is flagged when two quotient eigenvalues sit closer than tol,
-    i.e. the quotient fails to separate them numerically; tol defaults to
-    `MERGE_TOL`, the distance within which the closed route reports values
-    once.  Single-block sequences report an infinite gap.  `sweep_space`
-    gives the order and refuses a space over `SEQUENCE_BUDGET` before the
-    first row.
+    A row is flagged when two quotient eigenvalues sit closer than the
+    fixed `MERGE_TOL`, the distance within which the closed route reports
+    values once, i.e. the quotient fails to separate them numerically.
+    Single-block sequences report an infinite gap.  `sweep_space` gives
+    the order and refuses a space over `SEQUENCE_BUDGET` before the first
+    row.
     """
     out = []
     for k, n in sweep_space(n_max, k_values, "scan", True):
@@ -686,7 +684,7 @@ def scan_quotient_simplicity(
                     k=k,
                     r=len(values),
                     min_quotient_gap=gap,
-                    flagged=gap < tol,
+                    flagged=gap < MERGE_TOL,
                 )
             )
     return out

@@ -96,7 +96,7 @@ def sweep():
                         "closed_adj": h.adjacency(),
                         "brute_adj": brute,
                         "closed_spec": full_spectrum_closed(h),
-                        "numeric_spec": full_spectrum_numeric(h, adjacency=brute),
+                        "numeric_spec": full_spectrum_numeric(h),
                     }
                 )
     return {"rows": rows, "elapsed": time.perf_counter() - start}
@@ -268,11 +268,11 @@ def test_criterion_10_distinct_counts(sweep):
 
 @criterion(11, "graph quotient eigenvalues stay well separated")
 def test_criterion_11_graph_scan():
-    rows = scan_quotient_simplicity(7, [2], tol=1e-9)
+    rows = scan_quotient_simplicity(7, [2])
     assert len(rows) == sum(2 ** (n - 2) for n in range(2, 8))
     assert not any(row.flagged for row in rows)
     # larger uniformities: collect the same report, assert nothing
-    evidence = scan_quotient_simplicity(6, [3, 4], tol=1e-9)
+    evidence = scan_quotient_simplicity(6, [3, 4])
     assert len(evidence) == (1 + 2 + 4 + 8) + (1 + 2 + 4)
 
 

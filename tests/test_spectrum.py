@@ -16,12 +16,11 @@ from threshspec.errors import (
 )
 from threshspec import combinatorics, oracle, spectrum
 from threshspec.cli import main
-from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph
+from threshspec.hypergraph import ThresholdHypergraph
 from threshspec.oracle import (
     adjacency_bruteforce,
     full_spectrum_numeric,
     householder_ql_eigenvalues,
-    recount_pairs,
 )
 from threshspec.sequences import (
     ShortSequence,
@@ -616,6 +615,12 @@ class TestHouseholderQL:
         expect = [(3 + math.sqrt(153)) / 2, (3 - math.sqrt(153)) / 2]
         assert all(abs(a - b) < 1e-14 for a, b in zip(vals, expect))
 
+    def test_takes_2_53(self):
+        # the largest pair count a double holds exactly
+        edge = [[0, FLOAT_SAFE_LIMIT], [FLOAT_SAFE_LIMIT, 0]]
+        top, bottom = householder_ql_eigenvalues(edge)
+        assert math.isclose(top, 2.0**53) and math.isclose(bottom, -(2.0**53))
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             householder_ql_eigenvalues([[1.0, 2.0]])
@@ -723,10 +728,10 @@ class TestFullSpectrum:
                     checked += 1
                     brute = adjacency_bruteforce(h)
                     closed = full_spectrum_closed(h)
-                    numeric = full_spectrum_numeric(h, adjacency=brute)
+                    numeric = householder_ql_eigenvalues(brute.entries)
                     bound = 1e-12 * max(1.0, math.sqrt(brute.frobenius_sq()))
                     got = sorted(closed.expanded())
-                    want = sorted(numeric.expanded())
+                    want = sorted(numeric)
                     assert len(got) == len(want) == n
                     assert all(abs(a - b) <= bound for a, b in zip(got, want)), seq
         assert checked == 960
@@ -780,20 +785,26 @@ class TestFullSpectrum:
         clustered = [hg("C(5" + ",4" * 23 + ")_2"), hg("C(3" + ",2" * 55 + ")_2")]
         for h in [*connected_hypergraphs(7), *clustered]:
             closed = full_spectrum_closed(h).expanded()
-            numeric = full_spectrum_numeric(
-                h, adjacency=adjacency_bruteforce(h)
-            ).expanded()
+            numeric = householder_ql_eigenvalues(adjacency_bruteforce(h).entries)
             assert len(closed) == len(numeric) == h.n
             assert all(abs(a - b) < 1e-8 for a, b in zip(closed, numeric))
 
     def test_numeric_reports_the_solver_doubles(self):
         # bit-equal values are grouped, not averaged, so expanding the
-        # spectrum gives back the solver's output to the bit
+        # spectrum gives back the solver's output on the edge recount to
+        # the bit: every sequence with n <= 9 and k = 2..5, connected or
+        # not, 956 of them
         clustered = [hg("C(5" + ",4" * 23 + ")_2"), hg("C(3" + ",2" * 55 + ")_2")]
-        for h in [*connected_hypergraphs(7), *clustered]:
-            brute = adjacency_bruteforce(h)
-            got = full_spectrum_numeric(h, adjacency=brute).expanded()
-            want = householder_ql_eigenvalues(brute.entries)
+        swept = [
+            ThresholdHypergraph(seq)
+            for k in range(2, 6)
+            for n in range(k - 1, 10)
+            for seq in iter_valid_sequences(n, k)
+        ]
+        assert len(swept) == 956
+        for h in [*swept, *clustered]:
+            got = full_spectrum_numeric(h).expanded()
+            want = householder_ql_eigenvalues(adjacency_bruteforce(h).entries)
             assert list(map(float.hex, got)) == list(map(float.hex, want)), h
 
     def test_numeric_refuses_past_2_53_before_reading_a_column(self, monkeypatch):
@@ -818,28 +829,6 @@ class TestFullSpectrum:
         assert sum(p.multiplicity for p in sp.pairs) == 4
         want = (3.0, -1.0, -1.0, -1.0)
         assert all(abs(a - b) <= 1e-12 for a, b in zip(sp.expanded(), want))
-
-    def test_numeric_takes_2_53_and_refuses_more(self):
-        edge = AdjacencyMatrix(((0, FLOAT_SAFE_LIMIT), (FLOAT_SAFE_LIMIT, 0)))
-        sp = full_spectrum_numeric(hg("k=2;0,1"), adjacency=edge)
-        top, bottom = sp.expanded()
-        assert math.isclose(top, 2.0**53) and math.isclose(bottom, -(2.0**53))
-        big = FLOAT_SAFE_LIMIT + 1
-        past = AdjacencyMatrix(((0, 1, 0), (1, 0, big), (0, big, 0)))
-        with pytest.raises(CountTooLargeError):
-            full_spectrum_numeric(hg("k=2;0,1,1"), adjacency=past)
-
-    def test_numeric_refuses_a_matrix_of_another_size(self, monkeypatch):
-        # the work cap is checked on h.n, so a larger injected matrix would
-        # be solved past it
-        def refuse(matrix):
-            raise AssertionError("the dense solve started")
-
-        monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
-        h = hg("C(2)_2")
-        for n in (1, 3, 1001):
-            with pytest.raises(ValueError, match="injected"):
-                full_spectrum_numeric(h, adjacency=recount_pairs(n, []))
 
 
 class TestFamilies:
@@ -969,7 +958,7 @@ class TestFamilies:
 
 class TestScan:
     def test_graph_quotients_stay_simple(self):
-        rows = scan_quotient_simplicity(6, [2], tol=1e-9)
+        rows = scan_quotient_simplicity(6, [2])
         assert len(rows) == 1 + 2 + 4 + 8 + 16
         assert not any(row.flagged for row in rows)
         assert rows[0].sequence == "k=2;0,1"
@@ -977,7 +966,7 @@ class TestScan:
         assert math.isinf(rows[0].min_quotient_gap)
 
     def test_rows_are_consistent(self):
-        for row in scan_quotient_simplicity(6, [2, 3], tol=1e-9):
+        for row in scan_quotient_simplicity(6, [2, 3]):
             assert row.flagged == (row.min_quotient_gap < 1e-9)
             seq = ThresholdHypergraph.from_text(row.sequence)
             assert (seq.n, seq.k) == (row.n, row.k)

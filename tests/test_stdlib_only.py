@@ -1,8 +1,8 @@
 """The runtime imports nothing outside the standard library and reads no
 file, every module exports only names it defines, every name a module
 imports is used, every exception type the package defines is raised, no
-caller can raise a cap, and only combinatorics.py holds a cap or refuses
-past one.
+caller can raise a cap or set a tolerance, and only combinatorics.py
+holds a cap or refuses past one.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -193,10 +193,9 @@ def _reads(tree, names):
 def test_only_the_package_builders_skip_the_matrix_check():
     """`hypergraph._built_matrix` makes an `AdjacencyMatrix` without its
     O(n**2) check, for the two builders whose matrices hold it by
-    construction.  Any other matrix, such as one injected into
-    `full_spectrum_numeric`, goes through the check: the helper is called
-    from those two builders only, and nothing else makes an instance past
-    `__init__`."""
+    construction.  Any other matrix goes through the check: the helper is
+    called from those two builders only, and nothing else makes an
+    instance past `__init__`."""
     helper = "_built_matrix"
     hypergraph = next(path for path in SOURCES if path.stem == "hypergraph")
     tree = ast.parse(hypergraph.read_text(encoding="utf-8"))
@@ -248,6 +247,27 @@ def test_bits_are_built_only_from_text_or_on_request():
     }
 
 
+def _functions():
+    """(module, name, parameter names) for every function of the package."""
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = node.args
+                every = (*a.posonlyargs, *a.args, a.vararg, *a.kwonlyargs, a.kwarg)
+                yield path.stem, node.name, [p.arg for p in every if p is not None]
+
+
+def _options(*words):
+    """(subcommand, option) for every option that contains one of words."""
+    return {
+        (name, option)
+        for name in cli.SUBCOMMANDS
+        for action in cli._parser(name)._actions
+        for option in action.option_strings
+        if any(word in option for word in words)
+    }
+
+
 _CAP_NAME = re.compile(r"(^|[-_])(cap|budget)([-_]|$)")
 
 
@@ -256,22 +276,34 @@ def test_no_cap_or_budget_is_an_option():
     can raise: no function of the package has a parameter named for a cap
     or a budget, and no subcommand an option."""
     parameters = {
-        (path.name, node.name, arg.arg)
-        for path in SOURCES
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
-        if _CAP_NAME.search(arg.arg)
+        (module, function, name)
+        for module, function, names in _functions()
+        for name in names
+        if _CAP_NAME.search(name)
     }
     assert not parameters
-    options = {
-        (name, option)
-        for name in cli.SUBCOMMANDS
-        for action in cli._parser(name)._actions
-        for option in action.option_strings
-        if "cap" in option or "budget" in option
+    assert not _options("cap", "budget")
+
+
+def test_no_tolerance_or_matrix_is_an_option():
+    """Every tolerance is a constant, and each entry point has one input
+    path: no function of the package but `spectrum.jacobi_eigenvalues`,
+    which nothing in the package calls, has a parameter `tol` or `*_tol`;
+    `full_spectrum_numeric` takes only the hypergraph; and no subcommand
+    has a tolerance option."""
+    functions = list(_functions())
+    parameters = {
+        (module, function, name)
+        for module, function, names in functions
+        for name in names
+        if name == "tol" or name.endswith("_tol")
     }
-    assert not options
+    assert parameters <= {("spectrum", "jacobi_eigenvalues", "tol")}
+    numeric = [
+        names for _, function, names in functions if function == "full_spectrum_numeric"
+    ]
+    assert numeric == [["h"]]
+    assert not _options("tol")
 
 
 _REFUSALS = {"ResourceLimitError", "CountTooLargeError"}
