@@ -24,9 +24,7 @@ one pass; any other call builds the top-level parser of all six
 """
 
 import argparse
-import csv
 import functools
-import json
 import math
 import os
 import sys
@@ -41,7 +39,6 @@ from .errors import (
     SequenceError,
 )
 from .hypergraph import ThresholdHypergraph, block_profile
-from .oracle import full_spectrum_numeric
 from .sequences import ShortSequence, format_bits, format_short, parse_runs
 from .spectrum import (
     MERGE_TOL,
@@ -99,6 +96,8 @@ def _write_json(doc, out: TextIOBase) -> None:
     is encoded; no piece is empty, so an empty batch ends the pieces.  A
     batch with a piece over `_JSON_SLICE` characters is written piece by
     piece, each in slices, so that no copy of a long piece is made whole."""
+    import json
+
     pieces = json.JSONEncoder(indent=2).iterencode(doc)
     while batch := list(islice(pieces, _JSON_BATCH)):
         if max(map(len, batch)) <= _JSON_SLICE:
@@ -156,6 +155,8 @@ def _emit_spectrum(
             for value, mult, source in _spectrum_rows(spec)
         )
     else:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["lambda", "mult", "source"])
         writer.writerows(_spectrum_rows(spec))
@@ -175,7 +176,10 @@ def cmd_spectrum(args, out: TextIOBase, err: TextIOBase) -> int:
     verify_info = None
     code = EXIT_OK
     if args.verify:
-        # deviations are relative to max(1, |A|_F), |A|_F exact
+        # deviations are relative to max(1, |A|_F), |A|_F exact; only a
+        # call that runs the dense oracle imports it
+        from .oracle import full_spectrum_numeric
+
         dense = full_spectrum_numeric(ThresholdHypergraph(ss))
         scale = max(1.0, math.sqrt(block_profile(ss).frobenius_sq))
         deviations = [
@@ -271,6 +275,8 @@ def cmd_scan(args, out: TextIOBase, err: TextIOBase) -> int:
         }
         _write_json(doc, out)
     else:
+        import csv
+
         writer = csv.writer(out, lineterminator="\n")
         writer.writerow(["sequence", "n", "k", "r", "min_quotient_gap", "flagged"])
         for row in rows:

@@ -25,9 +25,9 @@ them without gamma, so a fault there shows as a disagreement:
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
 `spectrum` this module reads only the matrix and spectrum records,
-`ThresholdHypergraph` and the shared `_rational_ql`, and neither of them
-imports it at module level; `tests/test_oracle_boundary.py` holds both
-rules.
+`ThresholdHypergraph` and the shared `_rational_ql`, and no other module
+imports it at module level, so that only a call that runs an oracle
+loads it; `tests/test_oracle_boundary.py` holds both rules.
 """
 
 import math

@@ -5,16 +5,17 @@ order of `sequences.sweep_space`, as the run shape that
 `iter_short_sequences` lists, and runs checks on it, each of an identity
 whose two sides are computed by unrelated code paths; no bit is built.
 What the checks compare against at one (k, n) size is built once per
-size.  The CLI `verify` command runs all five checks in one walk; each
-`sweep_*` is the walk with one check.
+size, and a walk imports the oracles it checks against: importing this
+module does not.  The CLI `verify` command runs all five checks in one
+walk; each `sweep_*` is the walk with one check.
 """
 
 from collections.abc import Iterable, Iterator
 from functools import cached_property
 from itertools import combinations
+from types import ModuleType
 
 from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
-from .oracle import edge_links, recount_pairs, totally_replaceable
 from .records import Record
 from .sequences import (
     ShortSequence,
@@ -78,11 +79,12 @@ class _Visit:
     """One sequence as the checks see it.  Each check is a method named
     after its sweep that yields the sequence's failures; they share one
     edge list and one closed-form adjacency, each built on first use and
-    held on the visit.  The sequence's text is written only for a failure.
+    held on the visit, and call the oracles through the module the walk
+    imported.  The sequence's text is written only for a failure.
     Helpers start with `_`, so that `_CHECKS` does not take them."""
 
-    def __init__(self, ss: ShortSequence, size: _Size) -> None:
-        self.h, self.size = ThresholdHypergraph(ss), size
+    def __init__(self, ss: ShortSequence, size: _Size, oracle: ModuleType) -> None:
+        self.h, self.size, self.oracle = ThresholdHypergraph(ss), size, oracle
 
     @cached_property
     def _edges(self) -> list[tuple[int, ...]]:
@@ -97,7 +99,7 @@ class _Visit:
         return format_bits(self.h.runs)
 
     def oracle_equivalence(self) -> Iterator[str]:
-        if self._adjacency != recount_pairs(self.h.n, self._edges):
+        if self._adjacency != self.oracle.recount_pairs(self.h.n, self._edges):
             yield self._text
 
     def two_route(self) -> Iterator[str]:
@@ -126,7 +128,8 @@ class _Visit:
             seen[key] = self.h.runs
 
     def replaceability_totality(self) -> Iterator[str]:
-        if not totally_replaceable(edge_links(self.h.n, self._edges)):
+        links = self.oracle.edge_links(self.h.n, self._edges)
+        if not self.oracle.totally_replaceable(links):
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
@@ -140,11 +143,13 @@ _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 
 
 def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
+    from . import oracle
+
     results = [SweepResult(name) for name in names]
     for k, n in sweep_space(n_max, k_values, "sweeps", False):
         size = _Size(k, n)
         for ss in iter_short_sequences(n, k):
-            v = _Visit(ss, size)
+            v = _Visit(ss, size, oracle)
             for res in results:
                 # two_route walks connected sequences only: the golden
                 # verify digest and the benchmark's checker pin its count

@@ -1,6 +1,8 @@
-"""Importing the CLI loads none of the costly standard modules that only
-generate or describe code: `dataclasses`, `inspect` and `typing`.  In a
-fresh process these three cost about a quarter of the package's import
+"""Importing the CLI loads no module that a plain call does not need:
+`dataclasses`, `inspect` and `typing`, which only generate or describe
+code, `json` and `csv`, which only structured and CSV output use, and the
+package's oracles, which only a call that runs one imports.  In a fresh
+process the first three cost about a quarter of the package's import
 time, and the package builds its records without generated source."""
 
 import ast
@@ -11,25 +13,49 @@ from pathlib import Path
 ROOT = Path(__file__).parents[1]
 SRC = ROOT / "src"
 
+DEFERRED = {"dataclasses", "inspect", "typing", "json", "csv", "threshspec.oracle"}
+
 # -S: `site` may load `typing` itself, which would hide the package's own
 # imports
 _CHILD = f"""
 import sys
 sys.path.insert(0, {str(SRC)!r})
 import threshspec.cli
-print(sorted({{"dataclasses", "inspect", "typing"}} & set(sys.modules)))
+print(sorted({DEFERRED!r} & set(sys.modules)))
+"""
+
+# the spectrum goes to stdout; what the child found goes to stderr
+_ORACLE_CHILD = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+from threshspec.cli import main
+def loaded(argv):
+    code = main(argv)
+    print(code, "threshspec.oracle" in sys.modules, file=sys.stderr)
+loaded(["spectrum", "C(3,1)_3"])
+loaded(["spectrum", "C(3,1)_3", "--verify"])
 """
 
 
-def test_the_cli_imports_no_code_generating_module():
+def _run_child(source):
     done = subprocess.run(
-        [sys.executable, "-S", "-c", _CHILD],
+        [sys.executable, "-S", "-c", source],
         capture_output=True,
         text=True,
         timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "[]"
+    return done
+
+
+def test_the_cli_imports_no_module_a_plain_call_does_not_need():
+    assert _run_child(_CHILD).stdout.strip() == "[]"
+
+
+def test_only_a_call_that_runs_an_oracle_imports_it():
+    done = _run_child(_ORACLE_CHILD)
+    assert done.stderr.splitlines() == ["0 False", "0 True"]
+    assert done.stdout.endswith("status=ok\n")
 
 
 def test_the_package_runs_no_generated_source():

@@ -9,8 +9,9 @@ shows as a disagreement.  This reads the source, as
   directly or through the package functions it calls;
 - oracle.py reads from hypergraph.py and spectrum.py only the names in
   `ALLOWED`;
-- neither hypergraph.py nor spectrum.py imports oracle.py at module level,
-  so that importing the closed route need not import the oracles.
+- no module but oracle.py itself imports oracle.py at module level, so
+  that importing the package, the closed route or the CLI need not import
+  the oracles; only a call that runs one does.
 
 The call graph is an over-approximation: an attribute read `x.name` on
 anything but `self` or a module is taken to reach every package method
@@ -211,10 +212,10 @@ def oracle_reads_outside_allowed(sources):
 
 
 def module_level_oracle_imports(sources):
-    """(module, line) for each import of oracle.py that hypergraph.py or
-    spectrum.py runs at import time, outside any function."""
+    """(module, line) for each import of oracle.py that a module other than
+    oracle.py runs at import time, outside any function."""
     found = set()
-    for module in ("hypergraph", "spectrum"):
+    for module in sources.keys() - {ORACLE}:
         stack = list(ast.parse(sources[module]).body)
         while stack:
             node = stack.pop()
@@ -285,6 +286,15 @@ def test_a_planted_call_from_block_profile_is_caught(line):
 def test_a_planted_module_level_import_is_caught(module, line):
     sources = _planted(module, "from .records import FrozenRecord\n", line)
     assert module_level_oracle_imports(sources)
+
+
+def test_a_planted_import_at_the_top_of_the_cli_is_caught():
+    # cmd_spectrum imports full_spectrum_numeric in its --verify branch;
+    # the same import at the top of cli.py loads the oracles for every call
+    anchor = "from .sequences import "
+    sources = _planted("cli", anchor, "from .oracle import full_spectrum_numeric\n")
+    line = sources["cli"][: sources["cli"].index(anchor)].count("\n")
+    assert module_level_oracle_imports(sources) == {("cli", line)}
 
 
 def test_a_planted_read_of_gamma_in_the_oracles_is_caught():

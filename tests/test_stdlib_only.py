@@ -114,6 +114,33 @@ def test_every_exported_name_resolves():
     assert not foreign
 
 
+def test_the_star_import_binds_every_name_the_package_serves():
+    """`from threshspec import *` binds each name that `__init__` imports
+    and the five oracle names that its `__getattr__` serves, the oracles'
+    own objects, and nothing else."""
+    oracle_names = {
+        "GeneralHypergraph",
+        "adjacency_bruteforce",
+        "full_spectrum_numeric",
+        "householder_ql_eigenvalues",
+        "load_replaceable_non_threshold_7_4",
+    }
+    init = next(path for path in SOURCES if path.stem == "__init__")
+    imported = {
+        alias.asname or alias.name
+        for node in ast.parse(init.read_text(encoding="utf-8")).body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    namespace = {}
+    exec("from threshspec import *", namespace)
+    del namespace["__builtins__"]
+    assert len(imported) == 42
+    assert namespace.keys() == imported | oracle_names
+    oracle = importlib.import_module("threshspec.oracle")
+    assert all(namespace[name] is getattr(oracle, name) for name in oracle_names)
+
+
 def _unused_imports(path):
     """Names bound by a module-level import at path that the module never
     reads and does not list in `__all__`."""

@@ -2,6 +2,7 @@ import sys
 
 import pytest
 
+import threshspec.oracle as oracle
 import threshspec.sequences as sequences
 import threshspec.spectrum as spectrum
 import threshspec.verify as verify
@@ -153,7 +154,7 @@ def _drop_an_edge(monkeypatch):
     some pair incomparable; returns the (n, edges) it broke, in order."""
     from test_hypergraph import edge_walk_totally_replaceable
 
-    real = verify.edge_links
+    real = oracle.edge_links
     broken = []
 
     def drop_an_edge(n, edges):
@@ -165,12 +166,12 @@ def _drop_an_edge(monkeypatch):
                 return real(n, smaller.edges)
         return real(n, edges)
 
-    monkeypatch.setattr(verify, "edge_links", drop_an_edge)
+    monkeypatch.setattr(oracle, "edge_links", drop_an_edge)
     return broken
 
 
 def _raise_one_pair(monkeypatch):
-    real = verify.recount_pairs
+    real = oracle.recount_pairs
 
     def recount(n, edges):
         rows = [list(row) for row in real(n, edges).entries]
@@ -179,7 +180,7 @@ def _raise_one_pair(monkeypatch):
             rows[1][0] += 1
         return AdjacencyMatrix(rows)
 
-    monkeypatch.setattr(verify, "recount_pairs", recount)
+    monkeypatch.setattr(oracle, "recount_pairs", recount)
 
 
 def _failing_profile(monkeypatch):
