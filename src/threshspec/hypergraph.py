@@ -14,6 +14,7 @@ its n creation bits only when `sequence` is asked for.
 """
 
 from functools import cached_property
+from operator import index
 
 from .combinatorics import (
     binomial,
@@ -59,7 +60,7 @@ class BlockProfile(FrozenRecord):
 
     def __init__(self, seq: ShortSequence, gamma: tuple[int, ...]) -> None:
         object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "gamma", tuple(int(g) for g in gamma))
+        object.__setattr__(self, "gamma", tuple(map(index, gamma)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -142,7 +143,7 @@ class AdjacencyMatrix(FrozenRecord):
     _fields = ("entries",)
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
-        rows = tuple(tuple(map(int, row)) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "entries", rows)
         self.__post_init__()
 

@@ -241,11 +241,11 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
     Householder reduction to tridiagonal form, tred1 of Wilkinson and
     Reinsch, Handbook for Automatic Computation II (1971), then
     `_rational_ql` (tqlrat) on the tridiagonal matrix: the eigenvalues-only
-    path of EISPACK's driver rs.  The matrix must be square and symmetric
-    within 1e-12 * max(1, |M|_F), else `ValueError`; it is averaged to
-    exact symmetry.  Each eigenvalue gets at most `spectrum.QL_ITERATIONS`
-    QL sweeps (tqlrat's 30), else `ConvergenceError`; the fixed order of
-    operations makes the output repeatable.
+    path of EISPACK's driver rs.  The matrix must be square and exactly
+    symmetric, else `ValueError`.  Each eigenvalue gets at most
+    `spectrum.QL_ITERATIONS` QL sweeps (tqlrat's 30), else
+    `ConvergenceError`; the fixed order of operations makes the output
+    repeatable.
     """
     n = len(matrix)
     a = [[float(x) for x in row] for row in matrix]
@@ -253,12 +253,10 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
         raise ValueError("matrix must be square")
     if n == 0:
         return []
-    scale = max(1.0, math.sqrt(sum(x * x for row in a for x in row)))
     for i in range(n):
         for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > 1e-12 * scale:
+            if a[i][j] != a[j][i]:
                 raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
     # d is the diagonal, e[i] the entry at (i, i - 1).  Row i's reflector
     # P = I - u u^T / h zeroes a[i][:i - 1] and acts on the leading i x i
     # block, kept whole: A <- A - u q^T - q u^T with p = A u / h and

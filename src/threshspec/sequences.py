@@ -28,6 +28,7 @@ from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 import re
 from collections.abc import Iterable, Iterator
 from itertools import groupby
+from operator import index
 
 from .combinatorics import (
     TEXT_DIGITS,
@@ -68,8 +69,8 @@ class BinarySequence(FrozenRecord):
     _fields = ("k", "bits")
 
     def __init__(self, k: int, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "bits", tuple(int(b) for b in bits))
+        object.__setattr__(self, "k", index(k))
+        object.__setattr__(self, "bits", tuple(map(index, bits)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -109,8 +110,8 @@ class ShortSequence(FrozenRecord):
     def __init__(
         self, k: int, runs: tuple[int, ...], first_run_has_ones: bool = False
     ) -> None:
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "runs", tuple(int(a) for a in runs))
+        object.__setattr__(self, "k", index(k))
+        object.__setattr__(self, "runs", tuple(map(index, runs)))
         object.__setattr__(self, "first_run_has_ones", first_run_has_ones)
         self.__post_init__()
 

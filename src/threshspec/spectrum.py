@@ -24,10 +24,11 @@ QL, has no caller left in the package.
 import math
 import sys
 from collections.abc import Iterable, Sequence
+from operator import index
 
 from .combinatorics import as_float, binomial, check_closed, count_text
 from .errors import ConvergenceError, SequenceError
-from .hypergraph import BlockProfile, ThresholdHypergraph, block_profile
+from .hypergraph import BlockProfile, block_profile
 from .records import FrozenRecord
 from .sequences import (
     ShortSequence,
@@ -74,18 +75,15 @@ class BlockEigenvalue(FrozenRecord):
         object.__setattr__(self, "block_index", block_index)
 
 
-def block_eigenvalues(seq: BlockProfile | ShortSequence) -> list[BlockEigenvalue]:
+def block_eigenvalues(bp: BlockProfile) -> list[BlockEigenvalue]:
     """Closed-form eigenvalues contributed by blocks of size >= 2.
 
     Each qualifying block j yields -gamma_j with multiplicity a_j - 1: the
     difference of two twin indicator vectors is an eigenvector.  A
-    trailing zeros block, whose vertices lie in no edge, yields 0.  Takes
-    the `BlockProfile` when the caller has already computed it, and computes
-    it from a `ShortSequence` otherwise.  The two-route verify sweep checks
-    each value against the direct pair count of the block's first two
-    vertices.
+    trailing zeros block, whose vertices lie in no edge, yields 0.  The
+    two-route verify sweep checks each value against the direct pair count
+    of the block's first two vertices.
     """
-    bp = seq if isinstance(seq, BlockProfile) else block_profile(seq)
     return [
         BlockEigenvalue(-g, size - 1, j)
         for j, (g, size) in enumerate(zip(bp.gamma, bp.seq.runs), start=1)
@@ -105,9 +103,9 @@ class QuotientMatrix(FrozenRecord):
     def __init__(
         self, entries: tuple[tuple[int, ...], ...], block_sizes: tuple[int, ...]
     ) -> None:
-        rows = tuple(tuple(int(x) for x in row) for row in entries)
+        rows = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "block_sizes", tuple(int(a) for a in block_sizes))
+        object.__setattr__(self, "block_sizes", tuple(map(index, block_sizes)))
         self.__post_init__()
 
     def __post_init__(self) -> None:
@@ -131,14 +129,14 @@ class QuotientMatrix(FrozenRecord):
         return len(self.block_sizes)
 
 
-def quotient_matrix(h: ThresholdHypergraph) -> QuotientMatrix:
+def quotient_matrix(ss: ShortSequence) -> QuotientMatrix:
     """Block row sums of the adjacency matrix, read off the block profile.
 
     A vertex of block s sees a_t vertices of block t != s, all at count
     gamma of the later block, and a_s - 1 twins at gamma_s:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
     """
-    bp = block_profile(h.runs)
+    bp = block_profile(ss)
     gamma, sizes = bp.gamma, bp.seq.runs
     entries = tuple(
         tuple((sizes[t] - (s == t)) * gamma[max(s, t)] for t in range(len(sizes)))
@@ -544,16 +542,15 @@ def _assemble(bp: BlockProfile) -> Spectrum:
     return Spectrum(pairs)
 
 
-def full_spectrum_closed(seq: ShortSequence | ThresholdHypergraph) -> Spectrum:
+def full_spectrum_closed(ss: ShortSequence) -> Spectrum:
     """Complete spectrum from block eigenvalues plus the quotient.
 
-    Takes the run-length form, or a hypergraph's `runs`; all work grows
-    with r, not n, as r**2.  `check_closed` refuses what the route cannot
-    answer, or r**2 over `CLOSED_WORK_CAP`, before any binomial is
-    computed.  Values within `MERGE_TOL` are reported once with summed
-    multiplicity, at the block value when the group holds one.
+    Takes the run-length form; all work grows with r, not n, as r**2.
+    `check_closed` refuses what the route cannot answer, or r**2 over
+    `CLOSED_WORK_CAP`, before any binomial is computed.  Values within
+    `MERGE_TOL` are reported once with summed multiplicity, at the block
+    value when the group holds one.
     """
-    ss = seq.runs if isinstance(seq, ThresholdHypergraph) else seq
     check_closed(ss)
     return _assemble(block_profile(ss))
 

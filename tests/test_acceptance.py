@@ -19,6 +19,7 @@ from threshspec.cli import main
 from threshspec.hypergraph import (
     ThresholdHypergraph,
     adjacency_bruteforce,
+    block_profile,
     load_replaceable_non_threshold_7_4,
 )
 from threshspec.sequences import (
@@ -95,7 +96,7 @@ def sweep():
                         "h": h,
                         "closed_adj": h.adjacency(),
                         "brute_adj": brute,
-                        "closed_spec": full_spectrum_closed(h),
+                        "closed_spec": full_spectrum_closed(h.runs),
                         "numeric_spec": full_spectrum_numeric(h),
                     }
                 )
@@ -138,7 +139,7 @@ def test_criterion_02_tail_run_spectrum(capsys):
     assert abs(bot - (7 - root) / 2) <= 1e-10
     assert truncate2(top) == 10.86
     assert truncate2(bot) == -3.86
-    q = quotient_matrix(ThresholdHypergraph(parse_binary("k=3;0,0,0,1,1")))
+    q = quotient_matrix(ThresholdHypergraph(parse_binary("k=3;0,0,0,1,1")).runs)
     (q11, q12), (q21, q22) = q.entries
     linear = -(q11 + q22)
     constant = q11 * q22 - q12 * q21
@@ -203,7 +204,7 @@ def test_criterion_07_two_route_equality(sweep):
         entries = row["brute_adj"].entries
         first = 1
         by_block = {}
-        for b in block_eigenvalues(ss):
+        for b in block_eigenvalues(block_profile(ss)):
             by_block[b.block_index] = b
         for j, size in enumerate(ss.runs, start=1):
             start = first

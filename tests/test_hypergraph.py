@@ -204,7 +204,7 @@ class TestThresholdHypergraph:
         with pytest.raises(ResourceLimitError, match="exceed the cap"):
             h.edges()
         assert edge_total(h.runs) == 10**9 * (10**9 - 1) // 2
-        spec = full_spectrum_closed(h)
+        spec = full_spectrum_closed(h.runs)
         assert sum(p.multiplicity for p in spec.pairs) == 10**9 + 1
 
     def test_edge_cap(self, monkeypatch):

@@ -3,7 +3,7 @@
 The closed route gets every pair count and eigenvalue from gamma; the
 oracles in oracle.py recompute them without it, so that a fault in one
 shows as a disagreement.  This reads the source, as
-`tests/test_stdlib_only.py` does, and holds three rules:
+`tests/test_stdlib_only.py` does, and holds four rules:
 
 - no closed-route function reaches a name defined in oracle.py, either
   directly or through the package functions it calls;
@@ -11,7 +11,11 @@ shows as a disagreement.  This reads the source, as
   `ALLOWED`;
 - no module but oracle.py itself imports oracle.py at module level, so
   that importing the package, the closed route or the CLI need not import
-  the oracles; only a call that runs one does.
+  the oracles; only a call that runs one does;
+- the closed route reads the run form: no closed-route function but
+  `ThresholdHypergraph.adjacency` reaches the name `ThresholdHypergraph`,
+  directly or through the package functions it calls, and spectrum.py
+  imports from hypergraph.py only `RUN_FORM`.
 
 The call graph is an over-approximation: an attribute read `x.name` on
 anything but `self` or a module is taken to reach every package method
@@ -48,6 +52,12 @@ CLOSED_ROUTE = (
     ("spectrum", "family_spectrum_symbolic"),
     ("spectrum", "scan_quotient_simplicity"),
 )
+
+#: The one closed-route method that reads a `ThresholdHypergraph`.
+ADJACENCY = ("hypergraph", "ThresholdHypergraph.adjacency")
+
+#: What spectrum.py may import from hypergraph.py: the run form's profile.
+RUN_FORM = {"BlockProfile", "block_profile"}
 
 #: What oracle.py may read from the closed route's modules: the records
 #: both routes return and the QL they share.
@@ -157,9 +167,9 @@ class Package:
                 if not n.attr.startswith("__"):
                     yield from self.methods.get(n.attr, ())
 
-    def reach(self, root):
-        """The first oracle name that root reaches, with the path to it, or
-        None."""
+    def reach(self, root, hit=lambda target: target[0] == ORACLE):
+        """The first name that root reaches and `hit` accepts (by default
+        an oracle name), with the path to it, or None."""
         module, qualified = root
         start = [root]
         if isinstance(self.defs[root], ast.ClassDef):
@@ -170,7 +180,7 @@ class Package:
         while queue:
             key = queue.pop(0)
             for target in self.references(key):
-                if target[0] == ORACLE:
+                if hit(target):
                     return paths[key] + (target,)
                 for member in self.members(target):
                     if member not in paths:
@@ -227,6 +237,30 @@ def module_level_oracle_imports(sources):
     return found
 
 
+def closed_route_reaching_the_hypergraph(sources):
+    """{closed-route root: its path to the name `ThresholdHypergraph`} for
+    every root but `ADJACENCY` that reaches it, wherever the name is
+    bound."""
+    package = Package(sources)
+    paths = {
+        root: package.reach(root, lambda target: target[1] == "ThresholdHypergraph")
+        for root in CLOSED_ROUTE
+        if root != ADJACENCY
+    }
+    return {root: path for root, path in paths.items() if path}
+
+
+def spectrum_imports_outside_run_form(sources):
+    """Each name that spectrum.py imports from hypergraph.py, anywhere in
+    the module, and `RUN_FORM` does not list; None for the module itself."""
+    return {
+        name
+        for node in ast.walk(ast.parse(sources["spectrum"]))
+        for _, module, name in _imported(node)
+        if module == "hypergraph" and name not in RUN_FORM
+    }
+
+
 def test_the_closed_route_reaches_no_oracle():
     assert closed_route_reaching_oracle(SOURCES) == {}
 
@@ -237,6 +271,11 @@ def test_the_oracles_read_only_the_allowed_closed_route_names():
 
 def test_the_closed_route_does_not_import_the_oracles():
     assert module_level_oracle_imports(SOURCES) == set()
+
+
+def test_the_closed_route_reads_the_run_form():
+    assert closed_route_reaching_the_hypergraph(SOURCES) == {}
+    assert spectrum_imports_outside_run_form(SOURCES) == set()
 
 
 def test_the_oracle_names_are_found():
@@ -302,3 +341,31 @@ def test_a_planted_read_of_gamma_in_the_oracles_is_caught():
     planted = "from .hypergraph import block_profile\n"
     sources = _planted(ORACLE, anchor, planted)
     assert oracle_reads_outside_allowed(sources) == {("hypergraph", "block_profile")}
+
+
+FULL_SPECTRUM_BODY = "    check_closed(ss)\n    return _assemble("
+
+
+@pytest.mark.parametrize(
+    "line, imported",
+    [
+        ("    ThresholdHypergraph(ss)\n", set()),
+        (
+            "    from .hypergraph import ThresholdHypergraph\n\n"
+            "    ThresholdHypergraph(ss)\n",
+            {"ThresholdHypergraph"},
+        ),
+    ],
+    ids=["unbound", "imported"],
+)
+def test_a_planted_hypergraph_in_full_spectrum_closed_is_caught(line, imported):
+    sources = _planted("spectrum", FULL_SPECTRUM_BODY, line)
+    found = closed_route_reaching_the_hypergraph(sources)
+    assert ("spectrum", "full_spectrum_closed") in found
+    assert spectrum_imports_outside_run_form(sources) == imported
+
+
+def test_a_planted_import_of_the_hypergraph_module_is_caught():
+    anchor = "from .records import FrozenRecord\n"
+    sources = _planted("spectrum", anchor, "from . import hypergraph\n")
+    assert spectrum_imports_outside_run_form(sources) == {None}

@@ -2,6 +2,7 @@
 constructors, their repr, equality and hashing, and which of them can
 change after construction."""
 
+import numpy as np
 import pytest
 
 from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
@@ -170,3 +171,27 @@ def test_threshold_hypergraph_caches_its_bit_form():
     assert h.sequence is h.sequence
     assert "sequence" in vars(h)
     assert h == ThresholdHypergraph(ShortSequence(2, (2, 1)))
+
+
+#: One constructor call per record that used to truncate a float field
+#: to an integer; each must now refuse it.
+TRUNCATED = {
+    "ShortSequence": lambda: ShortSequence(3, (3.7, 1.2)),
+    "BinarySequence": lambda: BinarySequence(3, (0, 0, 0.9, 1)),
+    "AdjacencyMatrix": lambda: AdjacencyMatrix(((0, 1.5), (1.5, 0))),
+    "QuotientMatrix": lambda: QuotientMatrix(((0, 2.9), (2.9, 0)), (1, 1)),
+    "BlockProfile": lambda: BlockProfile(ShortSequence(3, (3, 1)), (0.5, 1.7)),
+}
+
+
+@pytest.mark.parametrize("build", TRUNCATED.values(), ids=TRUNCATED.keys())
+def test_integer_fields_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()
+
+
+def test_integer_fields_take_integer_types_as_int():
+    ss = ShortSequence(np.int64(3), (np.int64(3), True))
+    assert ss == ShortSequence(3, (3, 1))
+    assert [type(x) for x in (ss.k, *ss.runs)] == [int, int, int]
+    assert BinarySequence(True + True, (False, True)).bits == (0, 1)

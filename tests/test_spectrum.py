@@ -93,7 +93,7 @@ class TestBlockProfile:
             ss = to_short(h.sequence)
             brute = adjacency_bruteforce(h)
             profile = block_profile(ss)
-            q = quotient_matrix(h)
+            q = quotient_matrix(h.runs)
             assert q.entries == block_collapse(brute.entries, ss.runs)
             fro_sq = profile.frobenius_sq
             assert fro_sq == brute.frobenius_sq()
@@ -143,7 +143,7 @@ class TestInertia:
                 continue
             lam = float(g * (a - 1))
             assert g - (g + lam) * (1.0 / a) == 0.0
-            q = np.array(quotient_matrix(h).entries, dtype=float)
+            q = np.array(quotient_matrix(h.runs).entries, dtype=float)
             w = np.linalg.eigvals(q).real
             if np.min(np.abs(w - lam)) < 1e-6:
                 continue  # lam is an eigenvalue (always so for r = 1)
@@ -176,7 +176,7 @@ class TestClosedRouteStaysOffDense:
         monkeypatch.setattr(ThresholdHypergraph, "pair_count", refuse)
         monkeypatch.setattr(spectrum, "jacobi_eigenvalues", refuse)
         monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
-        sp = full_spectrum_closed(hg("C(1500,1500)_3"))
+        sp = full_spectrum_closed(hg("C(1500,1500)_3").runs)
         assert sum(p.multiplicity for p in sp.pairs) == 3000
         assert main(["scan", "--n-max", "8", "--k", "3"]) == 0
         assert capsys.readouterr().err.startswith("sequences=63 ")
@@ -333,7 +333,7 @@ class TestPencilReduction:
             d, e2 = spectrum._Pencil(profile).tridiagonal()
             c = np.diag(d) + np.diag(np.sqrt(e2), 1) + np.diag(np.sqrt(e2), -1)
             root = np.sqrt(np.array(ss.runs, dtype=float))
-            q = np.array(quotient_matrix(h).entries, dtype=float)
+            q = np.array(quotient_matrix(h.runs).entries, dtype=float)
             s = root[:, None] * q / root[None, :]
             want = np.linalg.eigvalsh(0.5 * (s + s.T))
             norm = math.sqrt(profile.frobenius_sq)
@@ -380,7 +380,7 @@ class TestCertificate:
         monkeypatch.setattr(spectrum._Pencil, "_isolate", counted)
         TestInertia().test_counts_bracket_every_eigenvalue()
         assert len(repairs) > 100
-        sp = full_spectrum_closed(hg("k=3;" + ",".join("0011" * 20)))
+        sp = full_spectrum_closed(hg("k=3;" + ",".join("0011" * 20)).runs)
         assert sum(p.multiplicity for p in sp.pairs) == 80
 
     def test_closed_route_stays_off_hypot_and_dense_ql(self, monkeypatch, capsys):
@@ -388,14 +388,14 @@ class TestCertificate:
         # between CPython versions
         alternating = "k=3;0," + ",".join("01" * 40)
         inputs = ["C(1500,1500)_3", alternating, "C(4,1,4,1,5,9,2,6)_4"]
-        want = [full_spectrum_closed(hg(text)) for text in inputs]
+        want = [full_spectrum_closed(hg(text).runs) for text in inputs]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the closed route called a dense-route kernel")
 
         monkeypatch.setattr(math, "hypot", refuse)
         monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
-        assert [full_spectrum_closed(hg(text)) for text in inputs] == want
+        assert [full_spectrum_closed(hg(text).runs) for text in inputs] == want
         assert main(["scan", "--n-max", "9", "--k", "2,3"]) == 0
         assert main(["family", "2", "--n", "30", "--k", "4", "--j", "9"]) == 0
         capsys.readouterr()
@@ -454,12 +454,12 @@ class TestKernelDigest:
 
 class TestBlockEigenvalues:
     def test_single_zero_block(self):
-        (b,) = block_eigenvalues(ShortSequence(3, (4, 1)))
+        (b,) = block_eigenvalues(block_profile(ShortSequence(3, (4, 1))))
         assert (b.value, b.multiplicity_lower_bound) == (-1, 3)
         assert b.block_index == 1
 
     def test_zero_and_one_blocks(self):
-        pairs = block_eigenvalues(ShortSequence(3, (3, 2)))
+        pairs = block_eigenvalues(block_profile(ShortSequence(3, (3, 2))))
         assert [(b.value, b.multiplicity_lower_bound) for b in pairs] == [
             (-2, 2),
             (-3, 1),
@@ -467,13 +467,13 @@ class TestBlockEigenvalues:
 
     def test_merged_head_block(self):
         (b,) = block_eigenvalues(
-            ShortSequence(3, (3, 1, 1), first_run_has_ones=True)
+            block_profile(ShortSequence(3, (3, 1, 1), first_run_has_ones=True))
         )
         assert (b.value, b.multiplicity_lower_bound) == (-2, 2)
 
     def test_trailing_zeros_block_yields_zero(self):
         # the last two vertices lie in no edge: gamma 0, a twin value 0
-        pairs = block_eigenvalues(ShortSequence(3, (4, 1, 2)))
+        pairs = block_eigenvalues(block_profile(ShortSequence(3, (4, 1, 2))))
         assert [
             (b.value, b.multiplicity_lower_bound, b.block_index) for b in pairs
         ] == [(-1, 3, 1), (0, 1, 3)]
@@ -483,7 +483,7 @@ class TestBlockEigenvalues:
         # recheck against the edge-list recount, which shares nothing
         for h in connected_hypergraphs(7):
             ss = to_short(h.sequence)
-            values = block_eigenvalues(ss)
+            values = block_eigenvalues(block_profile(ss))
             assert sum(b.multiplicity_lower_bound for b in values) == h.n - ss.r
             a = adjacency_bruteforce(h).entries
             by_block = {b.block_index: b for b in values}
@@ -497,7 +497,7 @@ class TestBlockEigenvalues:
     def test_multiplicity_bounds_hold_numerically(self):
         for h in connected_hypergraphs(7):
             w = np.linalg.eigvalsh(np.array(h.adjacency().entries, dtype=float))
-            for b in block_eigenvalues(to_short(h.sequence)):
+            for b in block_eigenvalues(block_profile(to_short(h.sequence))):
                 hits = int(np.sum(np.abs(w - b.value) < 1e-8))
                 assert hits >= b.multiplicity_lower_bound
 
@@ -513,28 +513,28 @@ class TestQuotient:
             QuotientMatrix(((0, 1), (1, 0)), (2, 0))
 
     def test_known_quotients(self):
-        q = quotient_matrix(hg("k=3;0,0,0,0,1"))
+        q = quotient_matrix(hg("k=3;0,0,0,0,1").runs)
         assert q.entries == ((3, 3), (12, 0))
         assert q.block_sizes == (4, 1)
 
-        q = quotient_matrix(hg("k=3;0,0,0,1,1"))
+        q = quotient_matrix(hg("k=3;0,0,0,1,1").runs)
         assert q.entries == ((4, 6), (9, 3))
         assert q.block_sizes == (3, 2)
 
-        q = quotient_matrix(hg("k=3;0,0,1,0,1"))
+        q = quotient_matrix(hg("k=3;0,0,1,0,1").runs)
         assert q.entries == ((4, 1, 3), (3, 0, 3), (9, 3, 0))
         assert q.block_sizes == (3, 1, 1)
 
     def test_quotient_rows_collapse_for_all(self):
         # block_profile raises internally if any block is inhomogeneous
         for h in connected_hypergraphs(7):
-            q = quotient_matrix(h)
+            q = quotient_matrix(h.runs)
             assert sum(q.block_sizes) == h.n
 
     def test_quotient_eigenvalues_sit_in_full_spectrum(self):
         for h in connected_hypergraphs(6):
             w = np.linalg.eigvalsh(np.array(h.adjacency().entries, dtype=float))
-            s = symmetrize_quotient(quotient_matrix(h))
+            s = symmetrize_quotient(quotient_matrix(h.runs))
             for v in np.linalg.eigvalsh(np.array(s)):
                 assert np.min(np.abs(w - v)) < 1e-8
 
@@ -626,6 +626,10 @@ class TestHouseholderQL:
             householder_ql_eigenvalues([[1.0, 2.0]])
         with pytest.raises(ValueError):
             householder_ql_eigenvalues([[0.0, 1.0], [2.0, 0.0]])
+        # symmetry is exact: one ulp off is refused, not averaged away
+        near = [[0.0, 1.0], [math.nextafter(1.0, 2.0), 0.0]]
+        with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
+            householder_ql_eigenvalues(near)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(spectrum, "QL_ITERATIONS", 0)
@@ -727,7 +731,7 @@ class TestFullSpectrum:
                         continue
                     checked += 1
                     brute = adjacency_bruteforce(h)
-                    closed = full_spectrum_closed(h)
+                    closed = full_spectrum_closed(h.runs)
                     numeric = householder_ql_eigenvalues(brute.entries)
                     bound = 1e-12 * max(1.0, math.sqrt(brute.frobenius_sq()))
                     got = sorted(closed.expanded())
@@ -737,7 +741,7 @@ class TestFullSpectrum:
         assert checked == 960
 
     def test_single_pseudodominant_values(self):
-        sp = full_spectrum_closed(hg("k=3;0,0,0,0,1"))
+        sp = full_spectrum_closed(hg("k=3;0,0,0,0,1").runs)
         assert [p.multiplicity for p in sp.pairs] == [1, 3, 1]
         assert sp.pairs[1].value == -1.0
         assert abs(sp.pairs[0].value - (3 + math.sqrt(153)) / 2) < 1e-10
@@ -747,7 +751,7 @@ class TestFullSpectrum:
 
     def test_complete_hypergraph(self):
         # single merged block: n-1 twin values and one quotient value
-        sp = full_spectrum_closed(hg("C(5)_3"))
+        sp = full_spectrum_closed(hg("C(5)_3").runs)
         assert [(round(p.value, 9), p.multiplicity) for p in sp.pairs] == [
             (12.0, 1),
             (-3.0, 4),
@@ -755,7 +759,7 @@ class TestFullSpectrum:
         assert sp.pairs[1].source == "block1"
 
     def test_merge_joins_equal_block_values(self):
-        sp = full_spectrum_closed(hg("k=2;0,0,1,0,0,1"))
+        sp = full_spectrum_closed(hg("k=2;0,0,1,0,0,1").runs)
         merged = [p for p in sp.pairs if p.multiplicity == 2]
         assert len(merged) == 1
         assert merged[0].value == 0.0
@@ -763,7 +767,7 @@ class TestFullSpectrum:
 
     def test_invariants_across_sweep(self):
         for h in connected_hypergraphs(7):
-            sp = full_spectrum_closed(h)
+            sp = full_spectrum_closed(h.runs)
             assert sum(p.multiplicity for p in sp.pairs) == h.n
             values = [p.value for p in sp.pairs]
             assert values == sorted(values, reverse=True)
@@ -772,7 +776,7 @@ class TestFullSpectrum:
 
     def test_trace_and_frobenius_identities(self):
         for h in connected_hypergraphs(7):
-            sp = full_spectrum_closed(h)
+            sp = full_spectrum_closed(h.runs)
             fro = float(h.adjacency().frobenius_sq())
             trace = sum(p.value * p.multiplicity for p in sp.pairs)
             power = sum(p.value**2 * p.multiplicity for p in sp.pairs)
@@ -784,7 +788,7 @@ class TestFullSpectrum:
         # clusters the QL must split without running out of iterations
         clustered = [hg("C(5" + ",4" * 23 + ")_2"), hg("C(3" + ",2" * 55 + ")_2")]
         for h in [*connected_hypergraphs(7), *clustered]:
-            closed = full_spectrum_closed(h).expanded()
+            closed = full_spectrum_closed(h.runs).expanded()
             numeric = householder_ql_eigenvalues(adjacency_bruteforce(h).entries)
             assert len(closed) == len(numeric) == h.n
             assert all(abs(a - b) < 1e-8 for a, b in zip(closed, numeric))
@@ -815,7 +819,7 @@ class TestFullSpectrum:
         for text in ("C(200,1)_100", "C(999,1)_500"):
             h = hg(text)
             with pytest.raises(CountTooLargeError) as closed:
-                full_spectrum_closed(h)
+                full_spectrum_closed(h.runs)
             with monkeypatch.context() as m:
                 m.setattr(ThresholdHypergraph, "pair_count", refuse)
                 with pytest.raises(CountTooLargeError) as numeric:
@@ -909,7 +913,7 @@ class TestFamilies:
         for family, n, k, j in cases:
             sym = family_spectrum_symbolic(family, n, k, j)
             h = ThresholdHypergraph(to_binary(family_sequence(family, n, k, j)))
-            ref = full_spectrum_closed(h)
+            ref = full_spectrum_closed(h.runs)
             assert sum(p.multiplicity for p in sym.pairs) == n
             got, want = sym.expanded(), ref.expanded()
             assert all(abs(a - b) < 1e-8 for a, b in zip(got, want))
