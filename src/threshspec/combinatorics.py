@@ -133,9 +133,17 @@ DENSE_SOLVE_CAP = 10**9
 CLOSED_WORK_CAP = 4 * 10**6
 
 #: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
-#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 46 s at 121 MB
+#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 32 s at 120 MB
 #: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
 SEQUENCE_BUDGET = 100_000
+
+#: Cap on the k-subsets a `verify` walk weighs: over its (k, n) sizes,
+#: the size's sequences times binomial(n, k), which bounds each
+#: sequence's edge list, its recount and its complement check.  On a
+#: 2-vCPU Xeon VM `verify --n-max 16 --k 2,3` (22,282,240 k-subsets)
+#: takes 32 s at 120 MB peak RSS.  A subset of more vertices costs more:
+#: `verify --n-max 19 --k 12` (15,737,854) takes 126 s at 92 MB.
+SUBSET_BUDGET = 23 * 10**6
 
 
 def check_dense(n: int) -> None:
@@ -274,4 +282,19 @@ def check_sweep(what: str, bits: int, total: int | None) -> None:
         raise ResourceLimitError(
             f"{what} would visit {over} sequences, over the budget of "
             f"{SEQUENCE_BUDGET}"
+        )
+
+
+def check_subsets(what: str, sizes: list[tuple[int, int]]) -> None:
+    """Refuse a sweep space of (k, n) `sizes` that weighs more than
+    `SUBSET_BUDGET` k-subsets with a `ResourceLimitError` that says `what`
+    would list them.  A size with n >= k holds 2**(n-k+1) sequences, and
+    n = k-1 only the lone zero run, which has none.  Call it after
+    `check_sweep`, which bounds every n - k, so the weight is cheap to
+    build."""
+    total = sum(binomial(n, k) << (n - k + 1) for k, n in sizes if n >= k)
+    if total > SUBSET_BUDGET:
+        raise ResourceLimitError(
+            f"{what} would list {count_text(total)} k-subsets, over the "
+            f"budget of {SUBSET_BUDGET}"
         )

@@ -358,19 +358,19 @@ class _Pencil:
         """
         h = self.top
         below = 0
-        skip = False
-        for w, g, inv in self.rows:
+        rows = iter(self.rows)
+        for w, g, inv in rows:
             m = (g + lam) * inv
-            if skip:
-                h = w - m
-                skip = False
-                continue
             p = h - m
             if p <= 0.0:
                 below += 1
                 if p == 0.0:
-                    skip = m != 0.0
                     h = w
+                    if m != 0.0:
+                        # the +inf pivot: its row only sets the next h
+                        for w, g, inv in rows:
+                            h = w - (g + lam) * inv
+                            break
                     continue
             h = w - h * m / p
         return below
@@ -383,10 +383,11 @@ class _Pencil:
         column i+1 to row and column i, and chase the bulge left at (i, i+2)
         off the end with Givens rotations on (q, q+1), q > i, which commute
         with the row operations still to come (they touch no row > i)."""
+        sqrt = math.sqrt
         nxt = self.exact[1:] + [(0, 1)]
         c, d, e = [], [], []
         for (g0, a0), (g1, a1) in zip(self.exact, nxt):
-            c.append(math.sqrt(a0 / a1))
+            c.append(sqrt(a0 / a1))
             d.append(float(a0 * (g0 - g1) - g0) - g1 * a0 / a1)
             e.append(c[-1] * g1)  # e[-1] is 0 and stops every chase
         for i in range(self.r - 2, -1, -1):
@@ -398,7 +399,7 @@ class _Pencil:
             bulge = ci * eq  # at (q - 1, q + 1)
             while bulge:
                 dn, en = d[q + 1], e[q + 1]
-                rho = math.sqrt(x * x + bulge * bulge)
+                rho = sqrt(x * x + bulge * bulge)
                 cs = x / rho
                 sn = bulge / rho
                 e[q - 1] = rho
@@ -421,9 +422,10 @@ class _Pencil:
         count(x - delta) <= i < count(x + delta), else `_isolate` finds it.
         A `ConvergenceError` makes every estimate NaN, which none accepts.
         """
+        count = self.count
         delta = 4.0 * _EPS * self.scale
         bound = self.scale + 1.0
-        if self.count(-bound) != 0 or self.count(bound) != self.r:
+        if count(-bound) != 0 or count(bound) != self.r:
             raise RuntimeError(
                 "internal: quotient eigenvalues escape the Frobenius bound"
             )
@@ -433,7 +435,7 @@ class _Pencil:
             estimates = [math.nan] * self.r
         out = []
         for i, x in enumerate(estimates):
-            if not self.count(x - delta) <= i < self.count(x + delta):
+            if not count(x - delta) <= i < count(x + delta):
                 x = self._isolate(i, x, delta, bound)
             out.append(x)
         out.sort(reverse=True)

@@ -1,21 +1,25 @@
 """Exhaustive verification over small creation sequences.
 
-One walk visits every valid sequence up to a size bound once, in the
-order of `sequences.sweep_space`, as the run shape that
-`iter_short_sequences` lists, and runs checks on it, each of an identity
-whose two sides are computed by unrelated code paths; no bit is built.
-What the checks compare against at one (k, n) size is built once per
-size, and a walk imports the oracles it checks against: importing this
-module does not.  The CLI `verify` command runs all five checks in one
-walk; each `sweep_*` is the walk with one check.
+One walk visits every valid sequence up to a size bound once, as the run
+shape that `iter_short_sequences` lists, and runs checks on it, each of
+an identity whose two sides are computed by unrelated code paths; no bit
+is built.  It takes the (k, n) sizes in the order of
+`sequences.sweep_space`, and each size's sequences as complement pairs:
+every zero-head sequence is followed by its complement, the same runs
+with the merged head, so the merged-head half is never listed on its
+own.  What the checks compare against at one size is built once per
+size, what the two sequences of a pair share once per pair, and a walk
+imports the oracles it checks against: importing this module does not.
+The CLI `verify` command runs all five checks in one walk; each
+`sweep_*` is the walk with one check.
 """
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from itertools import combinations
 from types import ModuleType
 
-from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
+from .combinatorics import check_subsets
+from .hypergraph import ThresholdHypergraph, block_profile
 from .records import Record
 from .sequences import (
     ShortSequence,
@@ -62,37 +66,49 @@ class SweepResult(Record):
 
 class _Size:
     """What the visits of one (k, n) size share: the adjacency entries seen
-    so far, each with its first sequence, and the list of every k-subset.
-    The list is built at its first use, which follows the edge lists
-    under their cap: it is as long as the two lists together."""
+    so far, each with its first sequence, and `subsets`, the list of every
+    k-subset.  The list is built at its first read, which follows the edge
+    lists under their cap: it is as long as the two lists together."""
 
     def __init__(self, k: int, n: int) -> None:
         self.k, self.n = k, n
         self.seen: dict[tuple, ShortSequence] = {}
 
-    @cached_property
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(1, self.n + 1), self.k))
+    def __getattr__(self, name: str) -> list[tuple[int, ...]]:
+        if name != "subsets":
+            raise AttributeError(name)
+        self.subsets = list(combinations(range(1, self.n + 1), self.k))
+        return self.subsets
 
 
 class _Visit:
     """One sequence as the checks see it.  Each check is a method named
     after its sweep that yields the sequence's failures; they share one
-    edge list and one closed-form adjacency, each built on first use and
-    held on the visit, and call the oracles through the module the walk
-    imported.  The sequence's text is written only for a failure.
+    edge list and one closed-form adjacency, `_edges` and `_adjacency`,
+    each built at its first read and then held as a plain attribute, and
+    call the oracles through the module the walk imported.  The
+    sequence's text is written only for a failure.
+
+    `mate` is the visit of the sequence's complement while the walk is at
+    their pair (the visit itself for a lone zero run): the complement
+    check reads the mate's edge list, and the pair's one comparison with
+    the k-subsets, `split`, when the complement is the mate.  The walk
+    drops the link after the pair, so that no cycle outlives it.
     Helpers start with `_`, so that `_CHECKS` does not take them."""
 
     def __init__(self, ss: ShortSequence, size: _Size, oracle: ModuleType) -> None:
         self.h, self.size, self.oracle = ThresholdHypergraph(ss), size, oracle
+        self.mate: _Visit | None = None
+        self.split: bool | None = None
 
-    @cached_property
-    def _edges(self) -> list[tuple[int, ...]]:
-        return self.h.edges()
-
-    @cached_property
-    def _adjacency(self) -> AdjacencyMatrix:
-        return self.h.adjacency()
+    def __getattr__(self, name: str) -> object:
+        if name == "_edges":
+            self._edges = self.h.edges()
+            return self._edges
+        if name == "_adjacency":
+            self._adjacency = self.h.adjacency()
+            return self._adjacency
+        raise AttributeError(name)
 
     @property
     def _text(self) -> str:
@@ -121,11 +137,10 @@ class _Visit:
             yield f"{self._text}: block multiplicities missed n-r"
 
     def uniqueness(self) -> Iterator[str]:
-        key, seen = self._adjacency.entries, self.size.seen
-        if key in seen:
-            yield f"{format_bits(seen[key])} collides with {self._text}"
-        else:
-            seen[key] = self.h.runs
+        runs = self.h.runs
+        first = self.size.seen.setdefault(self._adjacency.entries, runs)
+        if first is not runs:
+            yield f"{format_bits(first)} collides with {self._text}"
 
     def replaceability_totality(self) -> Iterator[str]:
         links = self.oracle.edge_links(self.h.n, self._edges)
@@ -133,8 +148,17 @@ class _Visit:
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        theirs = ThresholdHypergraph(complement_sequence(self.h.runs)).edges()
-        if sorted(self._edges + theirs) != self.size.subsets:
+        theirs, mate = complement_sequence(self.h.runs), self.mate
+        if theirs == mate.h.runs:
+            split = mate.split
+            if split is None:
+                split = self.split = (
+                    sorted(self._edges + mate._edges) == self.size.subsets
+                )
+        else:
+            theirs = ThresholdHypergraph(theirs).edges()
+            split = sorted(self._edges + theirs) == self.size.subsets
+        if not split:
             yield self._text
 
 
@@ -145,18 +169,33 @@ _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
     from . import oracle
 
+    sizes = sweep_space(n_max, k_values, "sweeps", False)
+    check_subsets("sweeps", sizes)
     results = [SweepResult(name) for name in names]
-    for k, n in sweep_space(n_max, k_values, "sweeps", False):
+    # each check bound once; two_route walks connected sequences only:
+    # the golden verify digest and the benchmark's checker pin its count
+    checks = [
+        (res, getattr(_Visit, res.name), res.name == "two_route") for res in results
+    ]
+    for k, n in sizes:
         size = _Size(k, n)
         for ss in iter_short_sequences(n, k):
-            v = _Visit(ss, size, oracle)
-            for res in results:
-                # two_route walks connected sequences only: the golden
-                # verify digest and the benchmark's checker pin its count
-                if ss.connected or res.name != "two_route":
-                    res.checked += 1
-                    for failure in getattr(v, res.name)():
-                        res.record(failure)
+            if ss.first_run_has_ones:
+                break  # the merged-head half: each of its sequences was a mate
+            pair = [_Visit(ss, size, oracle)]
+            if n >= k:  # else the lone zero run, its own complement
+                pair.append(_Visit(ShortSequence(k, ss.runs, True), size, oracle))
+            for v, mate in zip(pair, pair[::-1]):
+                v.mate = mate
+            for v in pair:
+                connected = v.h.runs.connected
+                for res, check, connected_only in checks:
+                    if connected or not connected_only:
+                        res.checked += 1
+                        for failure in check(v):
+                            res.record(failure)
+            for v in pair:
+                v.mate = None
     return results
 
 
@@ -196,6 +235,7 @@ def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResu
 
 
 def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
-    """All five sweeps in one walk, guarded up front by the sequence budget;
-    the edge lists inside it are listed under the edge cap."""
+    """All five sweeps in one walk, guarded up front by the sequence and
+    subset budgets; the edge lists inside it are listed under the edge
+    cap."""
     return _walk(n_max, k_values, *_CHECKS)

@@ -28,6 +28,7 @@ TIMEOUT_S = 10
 HUGE = str(10**18)
 HUGE_LESS_1 = str(10**18 - 1)
 JUST_OVER_BUDGET = "131071 sequences, over the budget of 100000"
+JUST_OVER_SUBSETS = "23658494 k-subsets, over the budget of 23000000"
 
 
 def _over_the_closed_cap() -> str:
@@ -67,6 +68,10 @@ CALLS = [
     (["scan", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
     (["verify", "--n-max", HUGE, "--k", "2,3,4"], 3, "over the budget"),
     (["scan", "--n-max", HUGE, "--k", "2,3,4"], 3, "over the budget"),
+    # the k-subsets of the verify walk, just over their budget and far
+    # past it within the sequence budget
+    (["verify", "--n-max", "16", "--k", "4"], 3, JUST_OVER_SUBSETS),
+    (["verify", "--n-max", "22", "--k", "8"], 3, "15276965886 k-subsets"),
     # k = n_max: the walks are within the budget, and their sequences not
     (["verify", "--n-max", HUGE, "--k", HUGE], 3, "cells, over"),
     (["scan", "--n-max", HUGE, "--k", HUGE], 3, "precision limit"),

@@ -1,3 +1,4 @@
+import gc
 import sys
 
 import pytest
@@ -10,8 +11,10 @@ from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
 from threshspec.oracle import GeneralHypergraph
 from threshspec.sequences import (
+    complement_sequence,
     count_valid_sequences,
     format_bits,
+    iter_short_sequences,
     iter_valid_sequences,
     to_short,
 )
@@ -97,6 +100,21 @@ def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
     for n_max in (30, 20000):
         with pytest.raises(ResourceLimitError, match="over the budget of 100000"):
             walk(n_max, [3])
+
+
+def test_subset_budget_guards_verify_before_a_sequence_is_built(monkeypatch):
+    # 65,535 sequences are within the sequence budget, but at k = 4 they
+    # hold 23,658,494 k-subsets, just over the subset budget
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("a sequence was built")
+
+    monkeypatch.setattr(verify, "iter_short_sequences", no_enumeration)
+    for walk in (*SWEEPS, run_all_sweeps):
+        with pytest.raises(
+            ResourceLimitError,
+            match="sweeps would list 23658494 k-subsets, over the budget of 23000000",
+        ):
+            walk(16, [4])
 
 
 def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
@@ -291,9 +309,9 @@ def test_walk_matches_the_single_check_walks(monkeypatch, inject):
     assert all(r.checked == 0 and r.passed for r in run_all_sweeps(3, [5]))
 
 
-def test_walk_lists_edges_twice_and_builds_adjacency_once(monkeypatch):
-    # per visited sequence: its own edge list and its complement's, one
-    # closed-form adjacency, and no explicit edge set
+def test_walk_lists_each_edge_list_once_and_builds_adjacency_once(monkeypatch):
+    # per visited sequence: its own edge list, which its mate's complement
+    # check reads too, one closed-form adjacency, and no explicit edge set
     calls = {"edges": 0, "adjacency": 0, "to_general": 0}
 
     def counted(name):
@@ -311,7 +329,57 @@ def test_walk_lists_edges_twice_and_builds_adjacency_once(monkeypatch):
     visited = count_valid_sequences(8, [2, 3, 4])
     assert all(r.passed for r in results)
     assert results[0].checked == visited
-    assert calls == {"edges": 2 * visited, "adjacency": visited, "to_general": 0}
+    assert calls == {"edges": visited, "adjacency": visited, "to_general": 0}
+
+
+def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
+    # each zero-head sequence, in the order `iter_short_sequences` lists
+    # them, is followed by its complement, the same runs with the merged
+    # head; the lone zero run of n = k - 1 is its own complement
+    visits = []
+    real = verify._Visit.oracle_equivalence
+
+    def recorded(self):
+        visits.append(self.h.runs)
+        return real(self)
+
+    monkeypatch.setattr(verify._Visit, "oracle_equivalence", recorded)
+    results = run_all_sweeps(8, [2, 3, 4])
+    assert all(r.passed for r in results)
+    listed = [
+        ss
+        for k in (2, 3, 4)
+        for n in range(k - 1, 9)
+        for ss in iter_short_sequences(n, k)
+    ]
+    assert len(visits) == len(set(visits)) == count_valid_sequences(8, [2, 3, 4])
+    assert set(visits) == set(listed)
+    heads = [ss for ss in visits if not ss.first_run_has_ones]
+    assert heads == [ss for ss in listed if not ss.first_run_has_ones]
+    i = 0
+    while i < len(visits):
+        ss = visits[i]
+        assert not ss.first_run_has_ones
+        if ss.n == ss.k - 1:
+            assert complement_sequence(ss) == ss
+            i += 1
+        else:
+            assert visits[i + 1] == complement_sequence(ss)
+            assert visits[i + 1].first_run_has_ones
+            i += 2
+
+
+def test_walk_leaves_no_reference_cycle():
+    # mates link each other only while the walk is at their pair, so the
+    # walk leaves nothing for the cycle collector
+    gc.collect()
+    gc.disable()
+    try:
+        results = run_all_sweeps(8, [2, 3, 4])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(r.passed for r in results)
 
 
 def test_walk_lists_the_k_subsets_once_per_size(monkeypatch):
