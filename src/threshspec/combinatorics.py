@@ -137,13 +137,19 @@ CLOSED_WORK_CAP = 4 * 10**6
 #: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
 SEQUENCE_BUDGET = 100_000
 
-#: Cap on the k-subsets a `verify` walk weighs: over its (k, n) sizes,
-#: the size's sequences times binomial(n, k), which bounds each
-#: sequence's edge list, its recount and its complement check.  On a
-#: 2-vCPU Xeon VM `verify --n-max 16 --k 2,3` (22,282,240 k-subsets)
-#: takes 32 s at 120 MB peak RSS.  A subset of more vertices costs more:
-#: `verify --n-max 19 --k 12` (15,737,854) takes 126 s at 92 MB.
-SUBSET_BUDGET = 23 * 10**6
+#: Cap on the work of a `verify` walk that lists edges, weighed in the
+#: ordered vertex pairs of its k-subsets: over its (k, n) sizes, the
+#: size's sequences times binomial(n, k) times k(k-1).  A sequence's edge
+#: list and its complement's hold each k-subset once, and the recount
+#: adds 1 per ordered pair of each edge's vertices.  On a 2-vCPU Xeon VM
+#: `verify --n-max 16 --k 2,3` (105,906,184) takes 30 s at 120 MB peak
+#: RSS: at k = 2 and 3 the rest of a sequence's work dominates, and
+#: `SEQUENCE_BUDGET` bounds it.  From k = 4 to k = 70 a unit costs 0.03
+#: to 0.1 us, the most at k = 4: the largest call the cap admits there,
+#: `--n-max 15 --k 4` (104,988,648), takes 11 s at 28 MB, `--n-max 15
+#: --k 8` (119,447,440) 5.9 s and `--n-max 72 --k 70` (100,145,220)
+#: 2.9 s.
+SUBSET_BUDGET = 12 * 10**7
 
 
 def check_dense(n: int) -> None:
@@ -287,14 +293,16 @@ def check_sweep(what: str, bits: int, total: int | None) -> None:
 
 def check_subsets(what: str, sizes: list[tuple[int, int]]) -> None:
     """Refuse a sweep space of (k, n) `sizes` that weighs more than
-    `SUBSET_BUDGET` k-subsets with a `ResourceLimitError` that says `what`
-    would list them.  A size with n >= k holds 2**(n-k+1) sequences, and
-    n = k-1 only the lone zero run, which has none.  Call it after
-    `check_sweep`, which bounds every n - k, so the weight is cheap to
-    build."""
-    total = sum(binomial(n, k) << (n - k + 1) for k, n in sizes if n >= k)
+    `SUBSET_BUDGET` ordered vertex pairs of k-subsets with a
+    `ResourceLimitError` that says `what` would count them.  A size with
+    n >= k holds 2**(n-k+1) sequences, and n = k-1 only the lone zero
+    run, which has no k-subset.  Call it after `check_sweep`, which
+    bounds every n - k, so the weight is cheap to build."""
+    total = sum(
+        binomial(n, k) * k * (k - 1) << (n - k + 1) for k, n in sizes if n >= k
+    )
     if total > SUBSET_BUDGET:
         raise ResourceLimitError(
-            f"{what} would list {count_text(total)} k-subsets, over the "
-            f"budget of {SUBSET_BUDGET}"
+            f"{what} would count {count_text(total)} vertex pairs of "
+            f"k-subsets, over the budget of {SUBSET_BUDGET}"
         )

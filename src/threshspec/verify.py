@@ -15,8 +15,10 @@ The CLI `verify` command runs all five checks in one walk; each
 """
 
 from collections.abc import Iterable, Iterator
+from functools import cached_property
 from itertools import combinations
 from types import ModuleType
+from weakref import ref
 
 from .combinatorics import check_subsets
 from .hypergraph import ThresholdHypergraph, block_profile
@@ -66,19 +68,17 @@ class SweepResult(Record):
 
 class _Size:
     """What the visits of one (k, n) size share: the adjacency entries seen
-    so far, each with its first sequence, and `subsets`, the list of every
-    k-subset.  The list is built at its first read, which follows the edge
-    lists under their cap: it is as long as the two lists together."""
+    so far, each with its first sequence, and the list of every k-subset.
+    The list is built at its first use, which follows the edge lists
+    under their cap: it is as long as the two lists together."""
 
     def __init__(self, k: int, n: int) -> None:
         self.k, self.n = k, n
         self.seen: dict[tuple, ShortSequence] = {}
 
-    def __getattr__(self, name: str) -> list[tuple[int, ...]]:
-        if name != "subsets":
-            raise AttributeError(name)
-        self.subsets = list(combinations(range(1, self.n + 1), self.k))
-        return self.subsets
+    @cached_property
+    def subsets(self) -> list[tuple[int, ...]]:
+        return list(combinations(range(1, self.n + 1), self.k))
 
 
 class _Visit:
@@ -89,16 +89,15 @@ class _Visit:
     call the oracles through the module the walk imported.  The
     sequence's text is written only for a failure.
 
-    `mate` is the visit of the sequence's complement while the walk is at
-    their pair (the visit itself for a lone zero run): the complement
-    check reads the mate's edge list, and the pair's one comparison with
-    the k-subsets, `split`, when the complement is the mate.  The walk
-    drops the link after the pair, so that no cycle outlives it.
-    Helpers start with `_`, so that `_CHECKS` does not take them."""
+    `mate` is a weak reference to the visit of the sequence's complement,
+    so that mates form no cycle (a lone zero run is its own mate): the
+    complement check reads the mate's edge list, and the pair's one
+    comparison with the k-subsets, `split`, held by the visit that made
+    it.  Helpers start with `_`, so that `_CHECKS` does not take them."""
 
     def __init__(self, ss: ShortSequence, size: _Size, oracle: ModuleType) -> None:
         self.h, self.size, self.oracle = ThresholdHypergraph(ss), size, oracle
-        self.mate: _Visit | None = None
+        self.mate: ref[_Visit] | None = None
         self.split: bool | None = None
 
     def __getattr__(self, name: str) -> object:
@@ -148,16 +147,15 @@ class _Visit:
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        theirs, mate = complement_sequence(self.h.runs), self.mate
-        if theirs == mate.h.runs:
-            split = mate.split
-            if split is None:
-                split = self.split = (
-                    sorted(self._edges + mate._edges) == self.size.subsets
-                )
-        else:
-            theirs = ThresholdHypergraph(theirs).edges()
-            split = sorted(self._edges + theirs) == self.size.subsets
+        mate = self.mate()
+        # the mate is the complement the walk built; by uniqueness no other
+        # sequence splits the k-subsets with this one
+        if complement_sequence(self.h.runs) != mate.h.runs:
+            yield self._text
+            return
+        split = mate.split
+        if split is None:
+            split = self.split = sorted(self._edges + mate._edges) == self.size.subsets
         if not split:
             yield self._text
 
@@ -165,12 +163,16 @@ class _Visit:
 #: The checks, in the order `_Visit` defines them and `run_all_sweeps` reports.
 _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 
+#: The checks that read edge lists, whose k-subsets `check_subsets` weighs.
+_LISTING = {"oracle_equivalence", "replaceability_totality", "complement_partition"}
+
 
 def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
     from . import oracle
 
     sizes = sweep_space(n_max, k_values, "sweeps", False)
-    check_subsets("sweeps", sizes)
+    if _LISTING.intersection(names):
+        check_subsets("sweeps", sizes)
     results = [SweepResult(name) for name in names]
     # each check bound once; two_route walks connected sequences only:
     # the golden verify digest and the benchmark's checker pin its count
@@ -186,7 +188,7 @@ def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]
             if n >= k:  # else the lone zero run, its own complement
                 pair.append(_Visit(ShortSequence(k, ss.runs, True), size, oracle))
             for v, mate in zip(pair, pair[::-1]):
-                v.mate = mate
+                v.mate = ref(mate)
             for v in pair:
                 connected = v.h.runs.connected
                 for res, check, connected_only in checks:
@@ -194,8 +196,6 @@ def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]
                         res.checked += 1
                         for failure in check(v):
                             res.record(failure)
-            for v in pair:
-                v.mate = None
     return results
 
 

@@ -28,7 +28,9 @@ TIMEOUT_S = 10
 HUGE = str(10**18)
 HUGE_LESS_1 = str(10**18 - 1)
 JUST_OVER_BUDGET = "131071 sequences, over the budget of 100000"
-JUST_OVER_SUBSETS = "23658494 k-subsets, over the budget of 23000000"
+JUST_OVER_SUBSETS = (
+    "120511624 vertex pairs of k-subsets, over the budget of 120000000"
+)
 
 
 def _over_the_closed_cap() -> str:
@@ -68,12 +70,14 @@ CALLS = [
     (["scan", "--n-max", HUGE, "--k", "3"], 3, "over the budget"),
     (["verify", "--n-max", HUGE, "--k", "2,3,4"], 3, "over the budget"),
     (["scan", "--n-max", HUGE, "--k", "2,3,4"], 3, "over the budget"),
-    # the k-subsets of the verify walk, just over their budget and far
-    # past it within the sequence budget
-    (["verify", "--n-max", "16", "--k", "4"], 3, JUST_OVER_SUBSETS),
-    (["verify", "--n-max", "22", "--k", "8"], 3, "15276965886 k-subsets"),
-    # k = n_max: the walks are within the budget, and their sequences not
-    (["verify", "--n-max", HUGE, "--k", HUGE], 3, "cells, over"),
+    # the vertex pairs of the verify walk's k-subsets, just over their
+    # budget and far past it within the sequence budget
+    (["verify", "--n-max", "15", "--k", "8,12"], 3, JUST_OVER_SUBSETS),
+    (["verify", "--n-max", "22", "--k", "8"], 3, "855510089616 vertex pairs"),
+    # k = n_max: the walks are within the sequence budget, and their
+    # sequences not; verify's one edge of every vertex is over the subset
+    # budget first, and the lone zero run of n = k - 1 has no k-subset
+    (["verify", "--n-max", HUGE, "--k", HUGE], 3, "vertex pairs of k-subsets"),
     (["scan", "--n-max", HUGE, "--k", HUGE], 3, "precision limit"),
     (["verify", "--n-max", "200000000", "--k", "200000001"], 3, "cells, over"),
     # invalid input at the same sizes, k at n + 1 among it

@@ -102,19 +102,32 @@ def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
             walk(n_max, [3])
 
 
-def test_subset_budget_guards_verify_before_a_sequence_is_built(monkeypatch):
-    # 65,535 sequences are within the sequence budget, but at k = 4 they
-    # hold 23,658,494 k-subsets, just over the subset budget
+def test_subset_budget_guards_the_edge_listing_walks_before_a_sequence_is_built(
+    monkeypatch,
+):
+    # 542 sequences are within the sequence budget, but their k-subsets
+    # hold 120,511,624 ordered vertex pairs, just over the subset budget;
+    # the walks that list no edge are not weighed
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
     monkeypatch.setattr(verify, "iter_short_sequences", no_enumeration)
-    for walk in (*SWEEPS, run_all_sweeps):
+    listing = (
+        sweep_adjacency_oracle,
+        sweep_replaceability,
+        sweep_complement_partition,
+        run_all_sweeps,
+    )
+    for walk in listing:
         with pytest.raises(
             ResourceLimitError,
-            match="sweeps would list 23658494 k-subsets, over the budget of 23000000",
+            match="sweeps would count 120511624 vertex pairs of k-subsets, "
+            "over the budget of 120000000",
         ):
-            walk(16, [4])
+            walk(15, [8, 12])
+    for walk in (sweep_two_route, sweep_uniqueness):
+        with pytest.raises(AssertionError, match="a sequence was built"):
+            walk(15, [8, 12])
 
 
 def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
@@ -370,8 +383,8 @@ def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
 
 
 def test_walk_leaves_no_reference_cycle():
-    # mates link each other only while the walk is at their pair, so the
-    # walk leaves nothing for the cycle collector
+    # a visit links its mate weakly, so the walk leaves nothing for the
+    # cycle collector
     gc.collect()
     gc.disable()
     try:
