@@ -133,8 +133,10 @@ DENSE_SOLVE_CAP = 10**9
 CLOSED_WORK_CAP = 4 * 10**6
 
 #: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
-#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 32 s at 120 MB
-#: peak RSS, and `scan --n-max 17 --k 2,3` (98,302) 15 s at 45 MB.
+#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 36-44 s at 18 MB
+#: peak RSS, as much memory as `--n-max 14 --k 2` takes: a walk keeps
+#: nothing per sequence.  `scan --n-max 17 --k 2,3` (98,302) takes 15 s
+#: at 45 MB.
 SEQUENCE_BUDGET = 100_000
 
 #: Cap on the work of a `verify` walk that lists edges, weighed in the
@@ -142,11 +144,11 @@ SEQUENCE_BUDGET = 100_000
 #: size's sequences times binomial(n, k) times k(k-1).  A sequence's edge
 #: list and its complement's hold each k-subset once, and the recount
 #: adds 1 per ordered pair of each edge's vertices.  On a 2-vCPU Xeon VM
-#: `verify --n-max 16 --k 2,3` (105,906,184) takes 30 s at 120 MB peak
+#: `verify --n-max 16 --k 2,3` (105,906,184) takes 36-44 s at 18 MB peak
 #: RSS: at k = 2 and 3 the rest of a sequence's work dominates, and
 #: `SEQUENCE_BUDGET` bounds it.  From k = 4 to k = 70 a unit costs 0.03
 #: to 0.1 us, the most at k = 4: the largest call the cap admits there,
-#: `--n-max 15 --k 4` (104,988,648), takes 11 s at 28 MB, `--n-max 15
+#: `--n-max 15 --k 4` (104,988,648), takes 11-16 s at 18 MB, `--n-max 15
 #: --k 8` (119,447,440) 5.9 s and `--n-max 72 --k 70` (100,145,220)
 #: 2.9 s.
 SUBSET_BUDGET = 12 * 10**7

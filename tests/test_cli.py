@@ -367,6 +367,40 @@ class TestSpectrumCommand:
             assert json.loads(again)["sequence"] == text
 
 
+class TestOpenOutputDefects:
+    """The closed route's known wrong outputs, each asserting the right
+    answer until the ROADMAP item named in its mark mends it."""
+
+    @staticmethod
+    def values(capsys, text):
+        code, out, err = run(capsys, "spectrum", text)
+        assert code == 0 and err == ""
+        return [line.split()[:2] for line in out.splitlines()]
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2(a): exact grouping at -gamma_t"
+    )
+    def test_a_block_value_and_an_equal_quotient_value_are_one_line(self, capsys):
+        values = self.values(capsys, "C(3,3,1,2096)_3")
+        lams = [lam for lam, _ in values]
+        assert len(lams) == len(set(lams)) == 6
+        assert ["lambda=-2101", "mult=2096"] in values
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4(b): isolation by exact counts"
+    )
+    def test_the_star_at_n_10_12_prints_plus_minus_10_6(self, capsys):
+        lams = [lam for lam, _ in self.values(capsys, "C(1000000000000,1)_2")]
+        assert lams == ["lambda=1000000", "lambda=0", "lambda=-1000000"]
+
+    @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 4(d): certified enclosures"
+    )
+    def test_an_exact_zero_quotient_value_prints_0(self, capsys):
+        lams = [lam for lam, _ in self.values(capsys, "k=3;0,0,1,0,0,0,1")]
+        assert "lambda=0" in lams
+
+
 class TestEdgesCommand:
     def test_text_output(self, capsys):
         code, out, err = run(capsys, "edges", "k=4;0,0,0,1,1,0")

@@ -1,5 +1,6 @@
 import gc
 import sys
+import tracemalloc
 
 import pytest
 
@@ -16,12 +17,14 @@ from threshspec.sequences import (
     format_bits,
     iter_short_sequences,
     iter_valid_sequences,
+    parse_runs,
     to_short,
 )
 from threshspec.spectrum import BlockEigenvalue, scan_quotient_simplicity
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
+    decode,
     run_all_sweeps,
     sweep_adjacency_oracle,
     sweep_complement_partition,
@@ -244,6 +247,36 @@ def _identity_complement(monkeypatch):
     monkeypatch.setattr(verify, "complement_sequence", lambda s: s)
 
 
+def _shared_matrix(monkeypatch):
+    """Give k=3;0,0,1,1 the matrix of k=3;0,0,0,1, a planted collision of
+    two sequences of one size."""
+    real = ThresholdHypergraph.adjacency
+    twin = ThresholdHypergraph.from_text("k=3;0,0,0,1")
+    collided = parse_runs("k=3;0,0,1,1")
+
+    def shared(self):
+        return real(twin if self.runs == collided else self)
+
+    monkeypatch.setattr(ThresholdHypergraph, "adjacency", shared)
+
+
+def _unreadable_matrix(monkeypatch):
+    """Give k=3;0,0,0,1 a first row that splits vertices 1 and 2 off as
+    a first run too short for k = 3."""
+    real = ThresholdHypergraph.adjacency
+    broken = parse_runs("k=3;0,0,0,1")
+
+    def unreadable(self):
+        m = real(self)
+        if self.runs != broken:
+            return m
+        rows = [list(row) for row in m.entries]
+        rows[0][1] = rows[1][0] = 5
+        return AdjacencyMatrix(rows)
+
+    monkeypatch.setattr(ThresholdHypergraph, "adjacency", unreadable)
+
+
 @pytest.mark.parametrize(
     "inject, sweep, name, first",
     [
@@ -264,7 +297,20 @@ def _identity_complement(monkeypatch):
             _zero_adjacency,
             sweep_uniqueness,
             "uniqueness",
-            "k=3;0,0,0 collides with k=3;0,0,1",
+            "k=3;0,0,1 reads back as k=3;0,0,0",
+        ),
+        (
+            _shared_matrix,
+            sweep_uniqueness,
+            "uniqueness",
+            "k=3;0,0,1,1 reads back as k=3;0,0,0,1",
+        ),
+        (
+            _unreadable_matrix,
+            sweep_uniqueness,
+            "uniqueness",
+            "k=3;0,0,0,1 reads back as no sequence: first run 2 cannot hold "
+            "2 zeros plus a one",
         ),
         (
             _identity_complement,
@@ -306,6 +352,7 @@ def test_sweep_records_an_injected_fault(
         _failing_profile,
         _zero_adjacency,
         _identity_complement,
+        _shared_matrix,
     ],
 )
 def test_walk_matches_the_single_check_walks(monkeypatch, inject):
@@ -468,3 +515,49 @@ def test_a_lone_zero_run_over_the_cell_cap_exits_3(monkeypatch, capsys, n_max):
         f"error: a dense {n_max}x{n_max} matrix has {n_max * n_max} cells, "
         "over the cap of 10000000\n"
     )
+
+
+def test_decode_reads_every_matrix_back_to_its_sequence():
+    # every sequence with n <= 11 and k = 2..5: n = 1, the lone zero runs,
+    # disconnected tails and both head layouts, read back from the
+    # brute-force recount, which shares no code with the closed form
+    seen = 0
+    for k in (2, 3, 4, 5):
+        for n in range(k - 1, 12):
+            for ss in iter_short_sequences(n, k):
+                h = ThresholdHypergraph(ss)
+                assert decode(oracle.adjacency_bruteforce(h).entries, k) == ss
+                seen += 1
+    assert seen == count_valid_sequences(11, [2, 3, 4, 5]) == 3836
+
+
+def test_uniqueness_keeps_no_store():
+    # each matrix is read back, not kept: the walk's traced peak (0.2 MiB)
+    # stays far below what a store of the 8,191 matrices of up to 13 x 13
+    # entries it visits would take (9.6 MiB)
+    sweep_uniqueness(13, [2])  # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        res = sweep_uniqueness(13, [2])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.passed and res.checked == 2**13 - 1
+    assert peak < 2 * 2**20
+
+
+def test_walk_scans_each_edge_list_for_its_vertex_range_once(monkeypatch):
+    # the recount and the links read the one edge list of a visit, checked
+    # once when it is listed
+    scans = []
+    real = oracle._check_vertices
+
+    def counted(n, edges):
+        if type(edges) is not oracle._InRange:
+            scans.append(n)
+        return real(n, edges)
+
+    monkeypatch.setattr(oracle, "_check_vertices", counted)
+    results = run_all_sweeps(8, [2, 3, 4])
+    assert all(r.passed for r in results)
+    assert len(scans) == count_valid_sequences(8, [2, 3, 4])
