@@ -135,8 +135,8 @@ CLOSED_WORK_CAP = 4 * 10**6
 #: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
 #: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 36-44 s at 18 MB
 #: peak RSS, as much memory as `--n-max 14 --k 2` takes: a walk keeps
-#: nothing per sequence.  `scan --n-max 17 --k 2,3` (98,302) takes 15 s
-#: at 45 MB.
+#: nothing per sequence.  `scan --n-max 17 --k 2,3` (98,302) takes 10 s
+#: at 43 MB, and `scan --n-max 17 --k 2` (65,535) 6.6-8.8 s at 34 MB.
 SEQUENCE_BUDGET = 100_000
 
 #: Cap on the work of a `verify` walk that lists edges, weighed in the
@@ -216,15 +216,21 @@ def check_edges(ss) -> None:
 
 
 def edge_total(ss) -> int:
-    """Number of edges, from the runs: by the hockey stick, the edges
-    ending in a ones block on positions a..b number
-    binomial(b, k) - binomial(a-1, k)."""
+    """Number of edges, from the runs: `edges_ending` summed over the
+    ones blocks."""
     total = end = 0
     for size, ones in ss.blocks():
         end += size
         if ones:
-            total += binomial(end, ss.k) - binomial(end - size, ss.k)
+            total += edges_ending(ss.k, end, size)
     return total
+
+
+def edges_ending(k: int, end: int, size: int) -> int:
+    """Edges whose last vertex lies in a ones block of `size` vertices
+    ending at position `end`: by the hockey stick, the block on positions
+    a..b closes binomial(b, k) - binomial(a-1, k)."""
+    return binomial(end, k) - binomial(end - size, k)
 
 
 def check_dense_solve(n: int) -> None:

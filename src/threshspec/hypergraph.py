@@ -23,7 +23,7 @@ from .combinatorics import (
     check_dense,
     check_dense_digits,
     count_text,
-    edge_total,
+    edges_ending,
 )
 from .records import FrozenRecord
 from .sequences import (
@@ -71,61 +71,83 @@ class BlockProfile(FrozenRecord):
                 f"need one pair count per run: {len(self.gamma)} for "
                 f"{self.seq.r} runs"
             )
-        pairs = squares = before = 0
+        pairs = squares = end = 0
         for g, a in zip(self.gamma, self.seq.runs):
-            # the pairs whose later vertex lies in this block
-            ending = a * before + a * (a - 1) // 2
-            pairs += g * ending
-            squares += g * g * ending
-            before += a
+            end += a
+            pairs, squares = pair_sums(pairs, squares, g, a, end)
         object.__setattr__(self, "pair_total", pairs)
         object.__setattr__(self, "frobenius_sq", 2 * squares)
 
 
+def pair_sums(
+    pairs: int, squares: int, g: int, size: int, end: int
+) -> tuple[int, int]:
+    """`pairs` and `squares` with one block's term added: the block of
+    `size` vertices ending at position `end`, at pair count g, closes the
+    pairs of each of its vertices with every earlier vertex, and each such
+    pair adds g to `pair_total` and g**2 to half of `frobenius_sq`."""
+    ending = size * (end - size) + size * (size - 1) // 2
+    return pairs + g * ending, squares + g * g * ending
+
+
 def block_profile(ss: ShortSequence) -> BlockProfile:
     """The `BlockProfile` of ss: the pair count gamma_s of any vertex pair
-    whose later vertex is in block s, for every block s.
+    whose later vertex is in block s, for every block s, folded by
+    `gamma_step` from the last block up: O(r) exact binomials, whatever
+    n is.
+
+    The record's `pair_total` is checked against an identity from the
+    other binomial family by `check_pair_total`.
+    """
+    k = ss.k
+    profile = []
+    after = edges = 0
+    end = ss.n
+    for size, ones in reversed(list(ss.blocks())):
+        g, after = gamma_step(k, end, size, ones, after)
+        if ones:
+            edges += edges_ending(k, end, size)
+        profile.append(g)
+        end -= size
+    bp = BlockProfile(ss, tuple(reversed(profile)))
+    check_pair_total(ss, bp.pair_total, edges)
+    return bp
+
+
+def gamma_step(
+    k: int, end: int, size: int, ones: bool, after: int
+) -> tuple[int, int]:
+    """gamma of the block of `size` vertices ending at position `end`, and
+    the `after` that the block before it reads, from the `after` that the
+    later blocks leave: the edges through a fixed pair that they close.
 
     For i < j the count depends on j alone: j closes binomial(j-2, k-2)
     edges through i when its bit is 1, and every later pseudodominant p
     closes binomial(p-3, k-3).  Over a ones block on positions a..b the
     hockey-stick identity sums the second kind to
     binomial(b-2, k-2) - binomial(a-3, k-2), so every vertex j of the
-    block sees `after` + binomial(b-2, k-2), where `after` sums the later
-    blocks, and a zeros block sees `after` alone.  One pass from the last
-    block up: O(r) exact binomials, whatever n is.  A block with no pair
-    ending in it (a lone first vertex) reports 0.
-
-    The record's `pair_total` is checked against an identity from the
-    other binomial family: summed over all pairs, gamma counts every edge
-    binomial(k, 2) times, and `edge_total` counts the edges.  A mismatch
-    raises RuntimeError.
+    block sees `after` + binomial(b-2, k-2), and a zeros block sees
+    `after` alone.  A block with no pair ending in it (a lone first
+    vertex) reports 0.  In the merged head the ones start at k, but no
+    earlier block reads the `after` it leaves.
     """
+    if not ones:
+        return after, after
+    top = binomial(end - 2, k - 2)
+    return after + top, after + top - binomial(end - size - 2, k - 2)
+
+
+def check_pair_total(ss: ShortSequence, pair_total: int, edges: int) -> None:
+    """Raise RuntimeError unless the pair counts of ss, summed over all
+    vertex pairs, count each of its `edges` binomial(k, 2) times: gamma
+    and `edges_ending` are sums of two independent binomial families."""
     k = ss.k
-    profile = []
-    after = 0  # edges through a fixed pair closed in the later blocks
-    end = ss.n
-    for size, ones in reversed(list(ss.blocks())):
-        before = end - size
-        if ones:
-            # in the merged head the ones start at k, but no earlier
-            # block reads the `after` it leaves
-            top = binomial(end - 2, k - 2)
-            g = after + top
-            after += top - binomial(before - 2, k - 2)
-        else:
-            g = after
-        profile.append(g)
-        end = before
-    bp = BlockProfile(ss, tuple(reversed(profile)))
-    edges = edge_total(ss)
-    if bp.pair_total != k * (k - 1) // 2 * edges:
+    if pair_total != k * (k - 1) // 2 * edges:
         raise RuntimeError(
             f"internal: pair counts of {format_short(ss)} sum to "
-            f"{count_text(bp.pair_total)}, but its {count_text(edges)} edges "
+            f"{count_text(pair_total)}, but its {count_text(edges)} edges "
             f"give {count_text(k * (k - 1) // 2 * edges)}"
         )
-    return bp
 
 
 class AdjacencyMatrix(FrozenRecord):

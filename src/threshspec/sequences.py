@@ -19,8 +19,9 @@ for disconnected sequences as well, and refuses runs no bit sequence has.
 
 `sweep_space` owns the space the exhaustive sweeps (`verify`) and the
 quotient scan walk: every (k, n) size up to a bound, in one order,
-weighed up front by its closed-form count of sequences.  Each walk lists
-a size's run shapes with `iter_short_sequences`.
+weighed up front by its closed-form count of sequences.  `verify` lists
+a size's run shapes with `iter_short_sequences`; the scan grows them as a
+tree of suffixes.
 The package enumerates and computes on the run form only; bits are built
 from text (`parse_binary`, `parse_sequence`) or on request (`to_binary`).
 """
@@ -349,8 +350,8 @@ def sweep_space(
 ) -> list[tuple[int, int]]:
     """The (k, n) sizes of a walk over every valid sequence with at most
     `n_max` vertices, or every connected one: k ascending, then n from k-1
-    up.  The walk lists each size's sequences with `iter_short_sequences`,
-    passing it `connected_only`.
+    up.  The walk lists each size's sequences itself, `connected_only`
+    ones when asked.
 
     `check_sweep` refuses the space up front, saying that `what` would
     visit it.  A count of more than 4 * 4,300 bits is not built, so the

@@ -15,7 +15,11 @@ the same route: no edge holds a vertex after the last bit 1, so its
 trailing zeros block has gamma 0 and a zero column, which yields 0 once
 per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
 are reported once, at the block value when the group holds one.  The
-catalogued families enter their gamma by hand and share the rest.  Its
+catalogued families enter their gamma by hand and share the rest.
+Everything before the rational QL is folded one block at a time from the
+last block up (`gamma_step`, `pair_sums` and `_Pencil.push`), and
+`scan_quotient_simplicity` folds the same steps along a tree of suffixes,
+so that the sequences ending in the same blocks share that work.  Its
 oracle, the dense solve `oracle.full_spectrum_numeric`, shares
 `_rational_ql` with it.  `jacobi_eigenvalues`, the dense solver before
 QL, has no caller left in the package.
@@ -26,16 +30,17 @@ import sys
 from collections.abc import Iterable, Sequence
 from operator import index
 
-from .combinatorics import as_float, binomial, check_closed, count_text
+from .combinatorics import as_float, binomial, check_closed, count_text, edges_ending
 from .errors import ConvergenceError, SequenceError
-from .hypergraph import BlockProfile, block_profile
-from .records import FrozenRecord
-from .sequences import (
-    ShortSequence,
-    format_bits,
-    iter_short_sequences,
-    sweep_space,
+from .hypergraph import (
+    BlockProfile,
+    block_profile,
+    check_pair_total,
+    gamma_step,
+    pair_sums,
 )
+from .records import FrozenRecord
+from .sequences import ShortSequence, format_bits, sweep_space
 
 __all__ = [
     "MERGE_TOL",
@@ -244,21 +249,22 @@ def _rational_ql(d: list[float], e2: list[float]) -> list[float]:
     `ConvergenceError`.
     """
     d, e2 = list(d), [*e2, 0.0]  # the zero stops every search for a split
+    sqrt, copysign = math.sqrt, math.copysign
     last = len(d) - 1
     f = t = b = c = 0.0
     for l in range(len(d)):
-        h = abs(d[l]) + math.sqrt(e2[l])
+        h = abs(d[l]) + sqrt(e2[l])
         if t < h:
             t, b, c = h, _EPS * h, (_EPS * h) ** 2
         m = l
         while e2[m] > c:
             m += 1
         for _ in range(QL_ITERATIONS if m > l else 0):
-            s = math.sqrt(e2[l])
+            s = sqrt(e2[l])
             g = d[l]
             p = (d[l + 1] - g) / (2.0 * s)
-            r = math.sqrt(p * p + 1.0)
-            dl = s / (p + math.copysign(r, p))
+            r = sqrt(p * p + 1.0)
+            dl = s / (p + copysign(r, p))
             shift = g - dl
             if m < last:
                 d[m + 1 :] = [v - shift for v in d[m + 1 :]]
@@ -311,11 +317,12 @@ class _Pencil:
     eigenvalues.
 
     T(lam) = T(0) - lam B B^T, B upper bidiagonal, so the eigenvalues are
-    those of C = B^-1 T(0) B^-T: `tridiagonal` builds C in O(r**2),
-    `_rational_ql` estimates its eigenvalues and `count` certifies them.
+    those of C = B^-1 T(0) B^-T: `push` reduces C one block at a time,
+    O(r**2) in all, `_rational_ql` estimates its eigenvalues and `count`
+    certifies them.
     When `_rational_ql` raises `ConvergenceError`, every value is found by
     bisection on the counts instead.
-    The chase in `tridiagonal` keeps its working entries in locals but
+    The chase in `push` keeps its working entries in locals but
     makes the same IEEE operations in the same order as the rotations
     written out entry by entry, so its results are identical to the bit;
     a digest in the test-suite pins them.
@@ -339,15 +346,64 @@ class _Pencil:
     def __init__(self, bp: BlockProfile) -> None:
         sizes = [as_float(a) for a in bp.seq.runs]
         gamma = [as_float(g) for g in bp.gamma]
-        self.r = len(sizes)
-        self.top = gamma[-1]
-        # block s from the last up: (gamma_{s-1} - gamma_s, gamma_s, 1 / a_s)
-        self.rows = [
-            (gamma[s - 1] - gamma[s] if s else 0.0, gamma[s], 1.0 / sizes[s])
-            for s in range(self.r - 1, -1, -1)
-        ]
-        self.scale = max(1.0, math.sqrt(bp.frobenius_sq))
-        self.exact = list(zip(bp.gamma, bp.seq.runs))  # (gamma_s, a_s) as integers
+        self._start()
+        for s in range(len(sizes) - 1, -1, -1):
+            self.push(bp.gamma[s], bp.seq.runs[s], gamma[s], sizes[s])
+        self.close(bp.frobenius_sq)
+
+    def _start(self) -> None:
+        """No block yet.  `push` holds the front block as (gamma, a, gamma
+        as a double, 1 / a), first the one past the last: gamma_r = 0, a_r = 1."""
+        self.rows, self._d, self._e, self._front = [], [], [], (0, 1, 0.0, 1.0)
+
+    def push(self, g: int, a: int, gf: float, af: float) -> None:
+        """Put block s, of gamma g and a vertices (gf and af as doubles),
+        in front of blocks s+1..r-1: complete block s+1's count row and run
+        step s of the reduction in `tridiagonal`, which touches no entry
+        above s.  d and e are held from the last block up (index j is
+        block r-1-j), and gamma_r = 0, a_r = 1 make e_{r-1} = 0, which
+        stops every chase."""
+        g1, a1, gf1, inv1 = self._front
+        d, e, sqrt = self._d, self._e, math.sqrt
+        if d:
+            self.rows.append((gf - gf1, gf1, inv1))
+        self._front = (g, a, gf, 1.0 / af)
+        c = sqrt(a / a1)
+        d.append(float(a * (g - g1) - g) - g1 * a / a1)
+        e.append(c * g1)
+        i = len(d) - 1
+        if not i:
+            return
+        dq = d[i - 1]
+        d[i] += c * (2.0 * e[i] + c * dq)
+        # x, dq and eq are e[q + 1], d[q] and e[q], held in locals while
+        # the chase moves down and written back when it stops
+        q, x, eq = i - 1, e[i] + c * dq, e[i - 1]
+        bulge = c * eq  # at (q + 1, q - 1)
+        while bulge:
+            dn, en = d[q - 1], e[q - 1]
+            rho = sqrt(x * x + bulge * bulge)
+            cs = x / rho
+            sn = bulge / rho
+            e[q + 1] = rho
+            v = sn * (dn - dq) + 2.0 * cs * eq
+            w = sn * v
+            d[q] = dq + w
+            dq = dn - w
+            x = cs * v - eq
+            bulge = sn * en
+            eq = en * cs
+            q -= 1
+        e[q + 1], d[q], e[q] = x, dq, eq
+
+    def close(self, frobenius_sq: int) -> None:
+        """Take the block pushed last as block 0: its count row has
+        gamma_{-1} - gamma_0 = 0.  `frobenius_sq` is |A|_F**2, exact."""
+        _, _, gf, inv = self._front
+        self.rows.append((0.0, gf, inv))
+        self.r = len(self.rows)
+        self.top = self.rows[0][1]
+        self.scale = max(1.0, math.sqrt(frobenius_sq))
 
     def count(self, lam: float) -> int:
         """Negative pivots of T(lam).
@@ -379,40 +435,11 @@ class _Pencil:
         """Diagonal and squared off-diagonal of C up to an orthogonal
         similarity (Crawford, CACM 16, 1973), with B_ss = a_s^(-1/2) and
         B_{s,s+1} = -a_{s+1}^(-1/2).  From X = diag(a)^(1/2) T(0) diag(a)^(1/2),
-        for i = r-2 down to 0: add c_i = sqrt(a_i / a_{i+1}) times row and
-        column i+1 to row and column i, and chase the bulge left at (i, i+2)
-        off the end with Givens rotations on (q, q+1), q > i, which commute
-        with the row operations still to come (they touch no row > i)."""
-        sqrt = math.sqrt
-        nxt = self.exact[1:] + [(0, 1)]
-        c, d, e = [], [], []
-        for (g0, a0), (g1, a1) in zip(self.exact, nxt):
-            c.append(sqrt(a0 / a1))
-            d.append(float(a0 * (g0 - g1) - g0) - g1 * a0 / a1)
-            e.append(c[-1] * g1)  # e[-1] is 0 and stops every chase
-        for i in range(self.r - 2, -1, -1):
-            ci, dq = c[i], d[i + 1]
-            d[i] += ci * (2.0 * e[i] + ci * dq)
-            # x, dq and eq are e[q - 1], d[q] and e[q], held in locals
-            # while the chase moves down and written back when it stops
-            q, x, eq = i + 1, e[i] + ci * dq, e[i + 1]
-            bulge = ci * eq  # at (q - 1, q + 1)
-            while bulge:
-                dn, en = d[q + 1], e[q + 1]
-                rho = sqrt(x * x + bulge * bulge)
-                cs = x / rho
-                sn = bulge / rho
-                e[q - 1] = rho
-                v = sn * (dn - dq) + 2.0 * cs * eq
-                w = sn * v
-                d[q] = dq + w
-                dq = dn - w
-                x = cs * v - eq
-                bulge = sn * en
-                eq = en * cs
-                q += 1
-            e[q - 1], d[q], e[q] = x, dq, eq
-        return d, [x * x for x in e[:-1]]
+        `push` ran i = r-2 down to 0: add c_i = sqrt(a_i / a_{i+1}) times row
+        and column i+1 to row and column i, and chase the bulge left at
+        (i, i+2) off the end with Givens rotations on (q, q+1), q > i, which
+        commute with the steps still to come (they touch no row > i)."""
+        return self._d[::-1], [x * x for x in self._e[:0:-1]]
 
     def eigenvalues(self) -> list[float]:
         """All r eigenvalues, descending, each within delta = 4 eps |A|_F
@@ -455,6 +482,21 @@ class _Pencil:
             mid = 0.5 * (lo + hi)
             lo, hi = (lo, mid) if self.count(mid) > i else (mid, hi)
         return 0.5 * (lo + hi)
+
+
+class _Suffix(_Pencil):
+    """The pencil of a suffix of blocks, grown by `push` along `scan`'s
+    tree and closed at each sequence."""
+
+    def __init__(self) -> None:
+        self._start()
+
+    def fork(self) -> "_Suffix":
+        """A copy that grows apart from this one."""
+        twin = _Suffix()
+        twin.rows, twin._d, twin._e = self.rows[:], self._d[:], self._e[:]
+        twin._front = self._front
+        return twin
 
 
 def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
@@ -665,13 +707,64 @@ def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRo
     fixed `MERGE_TOL`, the distance within which the closed route reports
     values once, i.e. the quotient fails to separate them numerically.
     Single-block sequences report an infinite gap.  `sweep_space` gives
-    the order and refuses a space over `SEQUENCE_BUDGET` before the first
-    row.
+    the order of the sizes and refuses a space over `SEQUENCE_BUDGET`
+    before the first row; within a size the rows are in lexicographic bit
+    order, which is the order of their bit text.
+
+    Each size's sequences are the leaves of a tree of suffixes
+    (`_scan_size`).  Everything the closed route computes before the
+    rational QL depends on n, k and a suffix of blocks alone: gamma, the
+    exact sums, the pencil's count rows and the reduction, whose step s
+    touches only blocks s..r-1, are all folded from the last block up.  A
+    node folds its block once for every sequence that ends in its suffix,
+    with the steps that `block_profile` and `_Pencil` fold over one
+    sequence, so each sequence gets the same exact sums and the same IEEE
+    operations in the same order as `quotient_eigenvalues(block_profile(ss))`.
     """
     out = []
     for k, n in sweep_space(n_max, k_values, "scan", True):
-        for ss in iter_short_sequences(n, k, True):
-            values = quotient_eigenvalues(block_profile(ss))
+        rows: list[ScanRow] = []
+        _scan_size(k, n, rows)
+        rows.sort(key=lambda row: row.sequence)
+        out += rows
+    return out
+
+
+def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
+    """Append the `ScanRow` of every connected sequence of size (k, n) to
+    out.  A node is a suffix of blocks that leaves positions 1..end in
+    front of it; the last block is a ones block and the kinds alternate.
+    A child puts one more block in front that leaves at least k positions,
+    or takes all of 1..end as the first block, which closes a sequence.
+    Each child but that first block gets a copy of the node's state.
+    """
+
+    def grow(end, ones, after, pairs, squares, edges, pencil, runs):
+        # the state of a suffix, `runs`, that starts after position `end`;
+        # each front_* is that state with one more block in front
+        for size in (*range(1, end - k + 1), end):
+            g, front_after = gamma_step(k, end, size, ones, after)
+            front_pairs, front_squares = pair_sums(pairs, squares, g, size, end)
+            front_edges = edges + edges_ending(k, end, size) if ones else edges
+            front = pencil if size == end else pencil.fork()
+            front.push(g, size, as_float(g), as_float(size))
+            front_runs = (size, *runs)
+            if size < end:
+                grow(
+                    end - size,
+                    not ones,
+                    front_after,
+                    front_pairs,
+                    front_squares,
+                    front_edges,
+                    front,
+                    front_runs,
+                )
+                continue
+            ss = ShortSequence(k, front_runs, ones)
+            check_pair_total(ss, front_pairs, front_edges)
+            front.close(2 * front_squares)
+            values = front.eigenvalues()
             if len(values) > 1:
                 gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
             else:
@@ -686,7 +779,9 @@ def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRo
                     flagged=gap < MERGE_TOL,
                 )
             )
-    return out
+
+    if n >= k:
+        grow(n, True, 0, 0, 0, 0, _Suffix(), ())
 
 
 def __getattr__(name: str) -> object:

@@ -38,7 +38,11 @@ ORACLE = "oracle"
 #: The closed route: (module, function, class or method).  A class stands
 #: for all of its methods.
 CLOSED_ROUTE = (
+    ("combinatorics", "edges_ending"),
     ("hypergraph", "block_profile"),
+    ("hypergraph", "gamma_step"),
+    ("hypergraph", "pair_sums"),
+    ("hypergraph", "check_pair_total"),
     ("hypergraph", "BlockProfile"),
     ("hypergraph", "ThresholdHypergraph.adjacency"),
     ("spectrum", "_Pencil"),
@@ -51,13 +55,22 @@ CLOSED_ROUTE = (
     ("spectrum", "full_spectrum_closed"),
     ("spectrum", "family_spectrum_symbolic"),
     ("spectrum", "scan_quotient_simplicity"),
+    ("spectrum", "_scan_size"),
 )
 
 #: The one closed-route method that reads a `ThresholdHypergraph`.
 ADJACENCY = ("hypergraph", "ThresholdHypergraph.adjacency")
 
-#: What spectrum.py may import from hypergraph.py: the run form's profile.
-RUN_FORM = {"BlockProfile", "block_profile"}
+#: What spectrum.py may import from hypergraph.py: the run form's profile,
+#: and the steps `block_profile` folds over one sequence, which `scan`
+#: folds over its tree of suffixes.
+RUN_FORM = {
+    "BlockProfile",
+    "block_profile",
+    "gamma_step",
+    "pair_sums",
+    "check_pair_total",
+}
 
 #: What oracle.py may read from the closed route's modules: the records
 #: both routes return and the QL they share.

@@ -24,14 +24,19 @@ from threshspec.oracle import (
 )
 from threshspec.sequences import (
     ShortSequence,
+    count_valid_sequences,
+    format_bits,
     format_short,
+    iter_short_sequences,
     iter_valid_sequences,
     to_binary,
     to_short,
 )
 from threshspec.spectrum import (
+    MERGE_TOL,
     BlockProfile,
     QuotientMatrix,
+    ScanRow,
     block_eigenvalues,
     block_profile,
     family_sequence,
@@ -980,3 +985,25 @@ class TestScan:
         with pytest.raises(ResourceLimitError):
             # 2**17 - 1 = 131,071 connected sequences
             scan_quotient_simplicity(18, [2])
+
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_the_tree_gives_the_rows_of_one_sequence_at_a_time(self, k):
+        # the walk over suffixes against the single-sequence closed route,
+        # in iter_short_sequences' order, every float to the bit
+        want = []
+        for n in range(k, 13):
+            for ss in iter_short_sequences(n, k, True):
+                values = quotient_eigenvalues(block_profile(ss))
+                gap = min(
+                    (values[i] - values[i + 1] for i in range(len(values) - 1)),
+                    default=math.inf,
+                )
+                want.append(
+                    ScanRow(format_bits(ss), n, k, len(values), gap, gap < MERGE_TOL)
+                )
+        rows = scan_quotient_simplicity(12, [k])
+        assert rows == want
+        assert [r.min_quotient_gap.hex() for r in rows] == [
+            r.min_quotient_gap.hex() for r in want
+        ]
+        assert len(rows) == count_valid_sequences(12, [k], True)

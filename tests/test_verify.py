@@ -91,13 +91,14 @@ def test_budget_guard():
     ids=lambda walk: walk.__name__,
 )
 def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
-    # no walk takes a budget: the one fixed budget guards them all; each
-    # walk lists run shapes under the name it imports
+    # no walk takes a budget: the one fixed budget guards them all; the
+    # sweeps list run shapes under the name they import, and scan grows
+    # them in `_scan_size`
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
     for module in (sequences, verify, spectrum):
-        for name in ("iter_valid_sequences", "iter_short_sequences"):
+        for name in ("iter_valid_sequences", "iter_short_sequences", "_scan_size"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_enumeration)
     for n_max in (30, 20000):
