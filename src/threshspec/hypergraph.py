@@ -63,9 +63,6 @@ class BlockProfile(FrozenRecord):
     def __init__(self, seq: ShortSequence, gamma: tuple[int, ...]) -> None:
         object.__setattr__(self, "seq", seq)
         object.__setattr__(self, "gamma", tuple(map(index, gamma)))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if len(self.gamma) != self.seq.r:
             raise ValueError(
                 f"need one pair count per run: {len(self.gamma)} for "
@@ -96,17 +93,16 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
     `gamma_step` from the last block up: O(r) exact binomials, whatever
     n is.
 
-    The record's `pair_total` is checked against an identity from the
-    other binomial family by `check_pair_total`.
+    The record's `pair_total` is checked by `check_pair_total` against the
+    edge count that the same steps return, an identity from the other
+    binomial family.
     """
     k = ss.k
     profile = []
     after = edges = 0
     end = ss.n
     for size, ones in reversed(list(ss.blocks())):
-        g, after = gamma_step(k, end, size, ones, after)
-        if ones:
-            edges += edges_ending(k, end, size)
+        g, after, edges = gamma_step(k, end, size, ones, after, edges)
         profile.append(g)
         end -= size
     bp = BlockProfile(ss, tuple(reversed(profile)))
@@ -115,11 +111,14 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
 
 
 def gamma_step(
-    k: int, end: int, size: int, ones: bool, after: int
-) -> tuple[int, int]:
-    """gamma of the block of `size` vertices ending at position `end`, and
-    the `after` that the block before it reads, from the `after` that the
-    later blocks leave: the edges through a fixed pair that they close.
+    k: int, end: int, size: int, ones: bool, after: int, edges: int
+) -> tuple[int, int, int]:
+    """One block's step, from the last block up, for the block of `size`
+    vertices ending at position `end`.  It reads `after`, the edges
+    through a fixed pair that the later blocks close, and `edges`, the
+    edges that end in the later blocks.  It returns the block's gamma, the
+    `after` that the block before it reads, and `edges` plus the edges
+    that end in this block (`edges_ending`; none end in a zeros block).
 
     For i < j the count depends on j alone: j closes binomial(j-2, k-2)
     edges through i when its bit is 1, and every later pseudodominant p
@@ -132,9 +131,13 @@ def gamma_step(
     earlier block reads the `after` it leaves.
     """
     if not ones:
-        return after, after
+        return after, after, edges
     top = binomial(end - 2, k - 2)
-    return after + top, after + top - binomial(end - size - 2, k - 2)
+    return (
+        after + top,
+        after + top - binomial(end - size - 2, k - 2),
+        edges + edges_ending(k, end, size),
+    )
 
 
 def check_pair_total(ss: ShortSequence, pair_total: int, edges: int) -> None:
@@ -169,19 +172,15 @@ class AdjacencyMatrix(FrozenRecord):
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "entries", rows)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        entries = self.entries
-        n = len(entries)
-        for i, row in enumerate(entries):
+        n = len(rows)
+        for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("adjacency matrix must be square")
             if row[i] != 0:
                 raise ValueError("adjacency diagonal must be zero")
             if min(row) < 0:
                 raise ValueError("pair counts cannot be negative")
-        if entries != tuple(zip(*entries)):
+        if rows != tuple(zip(*rows)):
             raise ValueError("adjacency matrix must be symmetric")
 
     def frobenius_sq(self) -> int:

@@ -165,9 +165,6 @@ class GeneralHypergraph(FrozenRecord):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "k", k)
         object.__setattr__(self, "edges", edges)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
         vertices = frozenset(range(1, self.n + 1))

@@ -2,10 +2,10 @@
 
 A record names its fields, in declaration order, in the class attribute
 `_fields`, and writes its own `__init__`, which stores each field and then
-calls `__post_init__`, the validation hook, where the class has one.  The
-base supplies the rest from `_fields`, with no generated code: the repr
-`Name(field=value, ...)` and equality between instances of the same
-class; a `FrozenRecord` is also hashed by its fields and refuses any
+checks them, where the class has a check: there is no separate validation
+hook.  The base supplies the rest from `_fields`, with no generated code:
+the repr `Name(field=value, ...)` and equality between instances of the
+same class; a `FrozenRecord` is also hashed by its fields and refuses any
 assignment or deletion, so its `__init__` stores through
 `object.__setattr__`.
 """

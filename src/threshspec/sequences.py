@@ -72,9 +72,6 @@ class BinarySequence(FrozenRecord):
     def __init__(self, k: int, bits: tuple[int, ...]) -> None:
         object.__setattr__(self, "k", index(k))
         object.__setattr__(self, "bits", tuple(map(index, bits)))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if any(b not in (0, 1) for b in self.bits):
@@ -114,9 +111,6 @@ class ShortSequence(FrozenRecord):
         object.__setattr__(self, "k", index(k))
         object.__setattr__(self, "runs", tuple(map(index, runs)))
         object.__setattr__(self, "first_run_has_ones", first_run_has_ones)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if not self.runs:
@@ -275,40 +269,41 @@ def complement_sequence(ss: ShortSequence) -> ShortSequence:
 def iter_valid_sequences(
     n: int, k: int, connected_only: bool = False
 ) -> Iterator[BinarySequence]:
-    """The bit forms of `iter_short_sequences(n, k, connected_only)`, in
-    its order: all creation sequences of the size, in lexicographic bit
-    order."""
-    return map(to_binary, iter_short_sequences(n, k, connected_only))
+    """The bit forms of `iter_short_sequences(n, k)`, in its lexicographic
+    bit order, keeping only the connected ones (ending in 1) when
+    `connected_only`: neither `iter_short_sequences` nor `_tail_runs`
+    takes that filter."""
+    return map(
+        to_binary,
+        (s for s in iter_short_sequences(n, k) if s.connected or not connected_only),
+    )
 
 
-def iter_short_sequences(
-    n: int, k: int, connected_only: bool = False
-) -> Iterator[ShortSequence]:
-    """All creation sequences with the given size (only those ending in 1
-    when `connected_only`), in lexicographic bit order, built from the run
-    shapes with no bit list."""
+def iter_short_sequences(n: int, k: int) -> Iterator[ShortSequence]:
+    """All creation sequences with the given size, in lexicographic bit
+    order, built from the run shapes with no bit list.  A caller that wants
+    the connected ones filters on `ShortSequence.connected`."""
     if k < 2 or n < k - 1:
         return
     if n == k - 1:
-        if not connected_only:
-            yield ShortSequence(k, (n,))
+        yield ShortSequence(k, (n,))
         return
     # the k - 1 forced zeros join the first run; a tail that starts with 1
     # makes it the merged head
     for bit in (0, 1):
-        for runs in _tail_runs(n - k + 1, bit, connected_only):
+        for runs in _tail_runs(n - k + 1, bit):
             yield ShortSequence(k, (k - 1 + runs[0], *runs[1:]), bool(bit))
 
 
-def _tail_runs(m: int, bit: int, connected_only: bool) -> Iterator[tuple[int, ...]]:
+def _tail_runs(m: int, bit: int) -> Iterator[tuple[int, ...]]:
     """Run lengths of every m-bit string that starts with `bit`, in
-    lexicographic order (ending in 1 when `connected_only`): a longer
-    first run of zeros comes first, a longer first run of ones last."""
+    lexicographic order: a longer first run of zeros comes first, a longer
+    first run of ones last."""
     for size in range(1, m + 1) if bit else range(m, 0, -1):
         if size < m:
-            for rest in _tail_runs(m - size, 1 - bit, connected_only):
+            for rest in _tail_runs(m - size, 1 - bit):
                 yield (size, *rest)
-        elif bit or not connected_only:
+        else:
             yield (m,)
 
 

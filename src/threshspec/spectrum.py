@@ -17,9 +17,11 @@ per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
 are reported once, at the block value when the group holds one.  The
 catalogued families enter their gamma by hand and share the rest.
 Everything before the rational QL is folded one block at a time from the
-last block up (`gamma_step`, `pair_sums` and `_Pencil.push`), and
-`scan_quotient_simplicity` folds the same steps along a tree of suffixes,
-so that the sequences ending in the same blocks share that work.  Its
+last block up by three steps: `gamma_step` (gamma and the edge count),
+`pair_sums` (the exact sums) and `_Pencil.push` (the reduction).
+`block_profile` and `_Pencil.of` fold them over one sequence, and
+`scan_quotient_simplicity` folds them along a tree of suffixes, so that
+the sequences ending in the same blocks share that work.  Its
 oracle, the dense solve `oracle.full_spectrum_numeric`, shares
 `_rational_ql` with it.  `jacobi_eigenvalues`, the dense solver before
 QL, has no caller left in the package.
@@ -30,7 +32,7 @@ import sys
 from collections.abc import Iterable, Sequence
 from operator import index
 
-from .combinatorics import as_float, binomial, check_closed, count_text, edges_ending
+from .combinatorics import as_float, binomial, check_closed, count_text
 from .errors import ConvergenceError, SequenceError
 from .hypergraph import (
     BlockProfile,
@@ -111,9 +113,6 @@ class QuotientMatrix(FrozenRecord):
         rows = tuple(tuple(map(index, row)) for row in entries)
         object.__setattr__(self, "entries", rows)
         object.__setattr__(self, "block_sizes", tuple(map(index, block_sizes)))
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
         r = len(self.block_sizes)
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError("quotient matrix shape must match the block count")
@@ -339,22 +338,38 @@ class _Pencil:
     C(N,1)_2 the result is 12 eps |A|_F off at N = 4000, 350 at N = 10**8
     and 1.7e6 at N = 10**14, though `_rational_ql`'s estimate is within one
     unit there; the counts reject it and `_isolate` returns their view.
-    Construction refuses, through `as_float`, a run length or a gamma
-    beyond 2**53.
+
+    `_Pencil()` is the pencil of no block.  `push` puts one block in front
+    and `close` ends the sequence; `fork` copies an open pencil, so that
+    `_scan_size` grows one suffix into several sequences.  `of` folds the
+    blocks of one profile and refuses, through `as_float`, a run length
+    or a gamma beyond 2**53.
     """
 
-    def __init__(self, bp: BlockProfile) -> None:
-        sizes = [as_float(a) for a in bp.seq.runs]
-        gamma = [as_float(g) for g in bp.gamma]
-        self._start()
-        for s in range(len(sizes) - 1, -1, -1):
-            self.push(bp.gamma[s], bp.seq.runs[s], gamma[s], sizes[s])
-        self.close(bp.frobenius_sq)
-
-    def _start(self) -> None:
+    def __init__(self) -> None:
         """No block yet.  `push` holds the front block as (gamma, a, gamma
         as a double, 1 / a), first the one past the last: gamma_r = 0, a_r = 1."""
         self.rows, self._d, self._e, self._front = [], [], [], (0, 1, 0.0, 1.0)
+
+    @classmethod
+    def of(cls, bp: BlockProfile) -> "_Pencil":
+        """The closed pencil of bp.  Every run, then every gamma, goes
+        through `as_float` before the first `push`, so a refusal names the
+        first count too large in that order."""
+        sizes = [as_float(a) for a in bp.seq.runs]
+        gamma = [as_float(g) for g in bp.gamma]
+        pencil = cls()
+        for s in range(len(sizes) - 1, -1, -1):
+            pencil.push(bp.gamma[s], bp.seq.runs[s], gamma[s], sizes[s])
+        pencil.close(bp.frobenius_sq)
+        return pencil
+
+    def fork(self) -> "_Pencil":
+        """A copy that grows apart from this one."""
+        twin = _Pencil()
+        twin.rows, twin._d, twin._e = self.rows[:], self._d[:], self._e[:]
+        twin._front = self._front
+        return twin
 
     def push(self, g: int, a: int, gf: float, af: float) -> None:
         """Put block s, of gamma g and a vertices (gf and af as doubles),
@@ -484,24 +499,9 @@ class _Pencil:
         return 0.5 * (lo + hi)
 
 
-class _Suffix(_Pencil):
-    """The pencil of a suffix of blocks, grown by `push` along `scan`'s
-    tree and closed at each sequence."""
-
-    def __init__(self) -> None:
-        self._start()
-
-    def fork(self) -> "_Suffix":
-        """A copy that grows apart from this one."""
-        twin = _Suffix()
-        twin.rows, twin._d, twin._e = self.rows[:], self._d[:], self._e[:]
-        twin._front = self._front
-        return twin
-
-
 def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
     """The r quotient eigenvalues from the block profile, descending."""
-    return _Pencil(bp).eigenvalues()
+    return _Pencil.of(bp).eigenvalues()
 
 
 class EigenPair(FrozenRecord):
@@ -717,7 +717,7 @@ def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRo
     exact sums, the pencil's count rows and the reduction, whose step s
     touches only blocks s..r-1, are all folded from the last block up.  A
     node folds its block once for every sequence that ends in its suffix,
-    with the steps that `block_profile` and `_Pencil` fold over one
+    with the steps that `block_profile` and `_Pencil.of` fold over one
     sequence, so each sequence gets the same exact sums and the same IEEE
     operations in the same order as `quotient_eigenvalues(block_profile(ss))`.
     """
@@ -743,9 +743,10 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
         # the state of a suffix, `runs`, that starts after position `end`;
         # each front_* is that state with one more block in front
         for size in (*range(1, end - k + 1), end):
-            g, front_after = gamma_step(k, end, size, ones, after)
+            g, front_after, front_edges = gamma_step(
+                k, end, size, ones, after, edges
+            )
             front_pairs, front_squares = pair_sums(pairs, squares, g, size, end)
-            front_edges = edges + edges_ending(k, end, size) if ones else edges
             front = pencil if size == end else pencil.fork()
             front.push(g, size, as_float(g), as_float(size))
             front_runs = (size, *runs)
@@ -781,7 +782,7 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
             )
 
     if n >= k:
-        grow(n, True, 0, 0, 0, 0, _Suffix(), ())
+        grow(n, True, 0, 0, 0, 0, _Pencil(), ())
 
 
 def __getattr__(name: str) -> object:

@@ -144,7 +144,7 @@ class Package:
         if isinstance(node, ast.ClassDef):
             return [
                 (key[0], f"{key[1]}.{name}")
-                for name in ("__init__", "__post_init__")
+                for name in ("__init__",)
                 if (key[0], f"{key[1]}.{name}") in self.defs
             ]
         return []

@@ -333,6 +333,35 @@ def test_no_tolerance_or_matrix_is_an_option():
     assert not _options("tol")
 
 
+def test_one_construction_path_and_no_enumeration_flag():
+    """Each record validates in its own `__init__`, so no class has a
+    `__post_init__` hook; the pencil is one class, which scan grows with
+    `fork`, so none in spectrum.py subclasses `_Pencil`; and the run-shape
+    enumerators take only the size, since the connected filter lives in
+    `iter_valid_sequences` alone."""
+    functions = list(_functions())
+    assert not [
+        (module, name) for module, name, _ in functions if name == "__post_init__"
+    ]
+    spectrum = next(path for path in SOURCES if path.stem == "spectrum")
+    subclasses = [
+        node.name
+        for node in ast.walk(ast.parse(spectrum.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "_Pencil" for b in node.bases)
+    ]
+    assert not subclasses
+    enumerators = {
+        name: names
+        for module, name, names in functions
+        if module == "sequences" and name in ("iter_short_sequences", "_tail_runs")
+    }
+    assert enumerators == {
+        "iter_short_sequences": ["n", "k"],
+        "_tail_runs": ["m", "bit"],
+    }
+
+
 _REFUSALS = {"ResourceLimitError", "CountTooLargeError"}
 # the CLI's exit code for a refusal, EXIT_BUDGET, is not a cap
 _CAP_CONSTANT = re.compile(r"^(?!EXIT_).*_(CAP|BUDGET)$")

@@ -487,7 +487,7 @@ def _refuse_bits(monkeypatch):
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "threshspec" and hasattr(module, "to_binary"):
             monkeypatch.setattr(module, "to_binary", no_bits)
-    monkeypatch.setattr(sequences.BinarySequence, "__post_init__", no_bits)
+    monkeypatch.setattr(sequences.BinarySequence, "__init__", no_bits)
 
 
 def test_the_walks_build_no_bits(monkeypatch):
