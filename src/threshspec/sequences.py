@@ -235,18 +235,23 @@ def parse_runs(text: str) -> ShortSequence:
 
 
 def format_bits(ss: ShortSequence) -> str:
-    """The bit form ``k=K;b1,...,bn``, written from the runs: no bit list
-    is built, only the text, and `check_bit_text` refuses it first."""
+    """The bit form ``k=K;b1,...,bn``: `head_text` and a `block_text` for
+    each later block, refused first by `check_bit_text`; no bit list."""
     check_bit_text(ss.n)
-    blocks = list(ss.blocks())
-    if ss.first_run_has_ones:
-        blocks[0:1] = [(ss.k - 1, False), (ss.runs[0] - ss.k + 1, True)]
-    # b1 is a forced zero that opens the text; every later bit follows its
-    # comma, so the one join leaves no trailing comma
-    blocks[0] = (blocks[0][0] - 1, False)
-    return "".join(
-        [f"k={ss.k};0", *((",1" if ones else ",0") * size for size, ones in blocks)]
-    )
+    blocks = ss.blocks()
+    head = head_text(ss.k, *next(blocks))
+    return "".join([head, *(block_text(size, ones) for size, ones in blocks)])
+
+
+def block_text(size: int, ones: bool) -> str:
+    """A block after the first: a comma before each of its bits."""
+    return (",1" if ones else ",0") * size
+
+
+def head_text(k: int, first: int, ones: bool) -> str:
+    """``k=K;`` and the first block's bits; a merged head turns to ones at bit k."""
+    zeros = k - 1 if ones else first
+    return f"k={k};0" + ",0" * (zeros - 1) + ",1" * (first - zeros)
 
 
 def format_short(ss: ShortSequence) -> str:

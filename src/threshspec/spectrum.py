@@ -20,19 +20,19 @@ Everything before the rational QL is folded one block at a time from the
 last block up by three steps: `gamma_step` (gamma and the edge count),
 `pair_sums` (the exact sums) and `_Pencil.push` (the reduction).
 `block_profile` and `_Pencil.of` fold them over one sequence, and
-`scan_quotient_simplicity` folds them along a tree of suffixes, so that
-the sequences ending in the same blocks share that work.  Its
-oracle, the dense solve `oracle.full_spectrum_numeric`, shares
-`_rational_ql` with it.  `jacobi_eigenvalues`, the dense solver before
-QL, has no caller left in the package.
+`scan_quotient_simplicity` folds them and the bit text (`block_text`)
+along a tree of suffixes, so that the sequences ending in the same blocks
+share that work.  The dense oracle `oracle.full_spectrum_numeric` shares
+`_rational_ql` with the closed route.  `jacobi_eigenvalues`, the dense
+solver before QL, has no caller left in the package.
 """
 
 import math
 import sys
 from collections.abc import Iterable, Sequence
-from operator import index
+from operator import index, sub
 
-from .combinatorics import as_float, binomial, check_closed, count_text
+from .combinatorics import as_float, binomial, check_bit_text, check_closed, count_text
 from .errors import ConvergenceError, SequenceError
 from .hypergraph import (
     BlockProfile,
@@ -42,7 +42,7 @@ from .hypergraph import (
     pair_sums,
 )
 from .records import FrozenRecord
-from .sequences import ShortSequence, format_bits, sweep_space
+from .sequences import ShortSequence, block_text, head_text, sweep_space
 
 __all__ = [
     "MERGE_TOL",
@@ -713,13 +713,14 @@ def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRo
 
     Each size's sequences are the leaves of a tree of suffixes
     (`_scan_size`).  Everything the closed route computes before the
-    rational QL depends on n, k and a suffix of blocks alone: gamma, the
-    exact sums, the pencil's count rows and the reduction, whose step s
-    touches only blocks s..r-1, are all folded from the last block up.  A
-    node folds its block once for every sequence that ends in its suffix,
-    with the steps that `block_profile` and `_Pencil.of` fold over one
-    sequence, so each sequence gets the same exact sums and the same IEEE
-    operations in the same order as `quotient_eigenvalues(block_profile(ss))`.
+    rational QL depends on n, k and a suffix of blocks alone, and so does
+    the bit text after the first block: gamma, the exact sums, the pencil's
+    count rows, the reduction, whose step s touches only blocks s..r-1, and
+    the text are folded from the last block up.  A node folds its block once
+    for every sequence that ends in its suffix, with the steps and pieces
+    that `block_profile`, `_Pencil.of` and `format_bits` use on one sequence,
+    so each sequence gets the same text, exact sums and IEEE operations in
+    the same order as `quotient_eigenvalues(block_profile(ss))`.
     """
     out = []
     for k, n in sweep_space(n_max, k_values, "scan", True):
@@ -737,10 +738,13 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
     A child puts one more block in front that leaves at least k positions,
     or takes all of 1..end as the first block, which closes a sequence.
     Each child but that first block gets a copy of the node's state.
+
+    The text is folded too, so a size is checked once, before the first
+    step: past 2**53 (its one-block run), then over the text cap.
     """
 
-    def grow(end, ones, after, pairs, squares, edges, pencil, runs):
-        # the state of a suffix, `runs`, that starts after position `end`;
+    def grow(end, ones, after, pairs, squares, edges, pencil, runs, text):
+        # the state of a suffix, `runs` or `text`, after position `end`;
         # each front_* is that state with one more block in front
         for size in (*range(1, end - k + 1), end):
             g, front_after, front_edges = gamma_step(
@@ -749,7 +753,6 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
             front_pairs, front_squares = pair_sums(pairs, squares, g, size, end)
             front = pencil if size == end else pencil.fork()
             front.push(g, size, as_float(g), as_float(size))
-            front_runs = (size, *runs)
             if size < end:
                 grow(
                     end - size,
@@ -759,30 +762,22 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
                     front_squares,
                     front_edges,
                     front,
-                    front_runs,
+                    (size, *runs),
+                    block_text(size, ones) + text,
                 )
                 continue
-            ss = ShortSequence(k, front_runs, ones)
+            ss = ShortSequence(k, (size, *runs), ones)
             check_pair_total(ss, front_pairs, front_edges)
             front.close(2 * front_squares)
             values = front.eigenvalues()
-            if len(values) > 1:
-                gap = min(values[i] - values[i + 1] for i in range(len(values) - 1))
-            else:
-                gap = math.inf
-            out.append(
-                ScanRow(
-                    sequence=format_bits(ss),
-                    n=n,
-                    k=k,
-                    r=len(values),
-                    min_quotient_gap=gap,
-                    flagged=gap < MERGE_TOL,
-                )
-            )
+            gap = min(map(sub, values, values[1:]), default=math.inf)
+            sequence = head_text(k, size, ones) + text
+            out.append(ScanRow(sequence, n, k, len(values), gap, gap < MERGE_TOL))
 
     if n >= k:
-        grow(n, True, 0, 0, 0, 0, _Pencil(), ())
+        as_float(n)
+        check_bit_text(n)
+        grow(n, True, 0, 0, 0, 0, _Pencil(), (), "")
 
 
 def __getattr__(name: str) -> object:

@@ -986,6 +986,21 @@ class TestScan:
             # 2**17 - 1 = 131,071 connected sequences
             scan_quotient_simplicity(18, [2])
 
+    def test_a_size_is_refused_before_its_first_step(self, monkeypatch):
+        # a whole size is refused once, before any block is folded: past
+        # 2**53 first, as each leaf's run would be, then over the text cap
+        def no_step(*args):
+            raise AssertionError("a block was folded")
+
+        monkeypatch.setattr(spectrum, "gamma_step", no_step)
+        with pytest.raises(ResourceLimitError, match="the bit form of"):
+            spectrum._scan_size(2, combinatorics.TEXT_CAP // 2 + 1, [])
+        with pytest.raises(CountTooLargeError):
+            spectrum._scan_size(2, FLOAT_SAFE_LIMIT + 1, [])
+        rows = []  # n = k - 1 has no connected sequence, so no refusal
+        spectrum._scan_size(FLOAT_SAFE_LIMIT + 2, FLOAT_SAFE_LIMIT + 1, rows)
+        assert rows == []
+
     @pytest.mark.parametrize("k", range(2, 7))
     def test_the_tree_gives_the_rows_of_one_sequence_at_a_time(self, k):
         # the walk over suffixes against the single-sequence closed route,

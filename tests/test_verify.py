@@ -484,10 +484,15 @@ def _refuse_bits(monkeypatch):
     def no_bits(*args, **kwargs):
         raise AssertionError("a bit form was built")
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "threshspec" and hasattr(module, "to_binary"):
-            monkeypatch.setattr(module, "to_binary", no_bits)
+    _bind_everywhere(monkeypatch, "to_binary", no_bits)
     monkeypatch.setattr(sequences.BinarySequence, "__init__", no_bits)
+
+
+def _bind_everywhere(monkeypatch, name, value):
+    """Bind `name` to value in every module of the package that binds it."""
+    for module_name, module in list(sys.modules.items()):
+        if module_name.split(".")[0] == "threshspec" and hasattr(module, name):
+            monkeypatch.setattr(module, name, value)
 
 
 def test_the_walks_build_no_bits(monkeypatch):
@@ -499,6 +504,20 @@ def test_the_walks_build_no_bits(monkeypatch):
     assert run_all_sweeps(8, [2, 3, 4]) == sweeps
     assert scan_quotient_simplicity(9, [2, 3, 4]) == rows
     assert all(r.passed and r.checked for r in sweeps) and rows
+
+
+def test_no_scan_leaf_formats_its_own_text(monkeypatch):
+    # scan folds each row's bit text along its tree of suffixes: with
+    # format_bits refused wherever the package binds it, the rows are the
+    # same
+    rows = scan_quotient_simplicity(9, [2, 3, 4])
+
+    def no_text(ss):
+        raise AssertionError(f"{ss} was formatted")
+
+    _bind_everywhere(monkeypatch, "format_bits", no_text)
+    assert scan_quotient_simplicity(9, [2, 3, 4]) == rows
+    assert len(rows) == count_valid_sequences(9, [2, 3, 4], True)
 
 
 @pytest.mark.parametrize("n_max", [200_000_000, 10**12])
