@@ -133,10 +133,10 @@ DENSE_SOLVE_CAP = 10**9
 CLOSED_WORK_CAP = 4 * 10**6
 
 #: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
-#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 36-44 s at 18 MB
-#: peak RSS, as much memory as `--n-max 14 --k 2` takes: a walk keeps
-#: nothing per sequence.  `scan --n-max 17 --k 2,3` (98,302) takes 8.0-9.4 s
-#: at 43 MB (was 10 s), and `--k 2` (65,535) 5.0-5.9 s at 34 MB (was 6.6-8.8 s).
+#: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 36-44 s at 18 MB peak
+#: RSS, as much memory as `--n-max 14 --k 2` takes: a walk keeps nothing per
+#: sequence.  `scan --n-max 17 --k 2,3` (98,302) takes 7.1-8.7 s at 42 MB (was
+#: 8.0-9.4 s at 43 MB), `--k 2` (65,535) 5.1-6.0 s at 34 MB (was 5.0-5.9 s).
 SEQUENCE_BUDGET = 100_000
 
 #: Cap on the work of a `verify` walk that lists edges, weighed in the

@@ -95,7 +95,7 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
 
     The record's `pair_total` is checked by `check_pair_total` against the
     edge count that the same steps return, an identity from the other
-    binomial family.
+    binomial family; a failure names ss in its short form.
     """
     k = ss.k
     profile = []
@@ -106,7 +106,7 @@ def block_profile(ss: ShortSequence) -> BlockProfile:
         profile.append(g)
         end -= size
     bp = BlockProfile(ss, tuple(reversed(profile)))
-    check_pair_total(ss, bp.pair_total, edges)
+    check_pair_total(k, bp.pair_total, edges, ss)
     return bp
 
 
@@ -140,14 +140,16 @@ def gamma_step(
     )
 
 
-def check_pair_total(ss: ShortSequence, pair_total: int, edges: int) -> None:
-    """Raise RuntimeError unless the pair counts of ss, summed over all
-    vertex pairs, count each of its `edges` binomial(k, 2) times: gamma
-    and `edges_ending` are sums of two independent binomial families."""
-    k = ss.k
+def check_pair_total(
+    k: int, pair_total: int, edges: int, sequence: ShortSequence | str
+) -> None:
+    """Raise RuntimeError unless the pair counts of `sequence` sum to
+    binomial(k, 2) times its `edges`, gamma and `edges_ending` being two
+    independent binomial families; only a failure formats a record."""
     if pair_total != k * (k - 1) // 2 * edges:
+        name = sequence if isinstance(sequence, str) else format_short(sequence)
         raise RuntimeError(
-            f"internal: pair counts of {format_short(ss)} sum to "
+            f"internal: pair counts of {name} sum to "
             f"{count_text(pair_total)}, but its {count_text(edges)} edges "
             f"give {count_text(k * (k - 1) // 2 * edges)}"
         )

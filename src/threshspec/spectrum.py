@@ -22,9 +22,10 @@ last block up by three steps: `gamma_step` (gamma and the edge count),
 `block_profile` and `_Pencil.of` fold them over one sequence, and
 `scan_quotient_simplicity` folds them and the bit text (`block_text`)
 along a tree of suffixes, so that the sequences ending in the same blocks
-share that work.  The dense oracle `oracle.full_spectrum_numeric` shares
-`_rational_ql` with the closed route.  `jacobi_eigenvalues`, the dense
-solver before QL, has no caller left in the package.
+share that work, and builds no sequence record.  The dense oracle
+`oracle.full_spectrum_numeric` shares `_rational_ql` with the closed
+route.  `jacobi_eigenvalues`, the dense solver before QL, has no caller
+left in the package.
 """
 
 import math
@@ -720,20 +721,18 @@ def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRo
     for every sequence that ends in its suffix, with the steps and pieces
     that `block_profile`, `_Pencil.of` and `format_bits` use on one sequence,
     so each sequence gets the same text, exact sums and IEEE operations in
-    the same order as `quotient_eigenvalues(block_profile(ss))`.
+    the same order as `quotient_eigenvalues(block_profile(ss))`, and its
+    `check_pair_total`, which names a failure by the row's bit text.
     """
     out = []
     for k, n in sweep_space(n_max, k_values, "scan", True):
-        rows: list[ScanRow] = []
-        _scan_size(k, n, rows)
-        rows.sort(key=lambda row: row.sequence)
-        out += rows
+        out += _scan_size(k, n)
     return out
 
 
-def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
-    """Append the `ScanRow` of every connected sequence of size (k, n) to
-    out.  A node is a suffix of blocks that leaves positions 1..end in
+def _scan_size(k: int, n: int) -> list[ScanRow]:
+    """The `ScanRow` of every connected sequence of size (k, n), sorted by
+    bit text.  A node is a suffix of blocks that leaves positions 1..end in
     front of it; the last block is a ones block and the kinds alternate.
     A child puts one more block in front that leaves at least k positions,
     or takes all of 1..end as the first block, which closes a sequence.
@@ -742,10 +741,10 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
     The text is folded too, so a size is checked once, before the first
     step: past 2**53 (its one-block run), then over the text cap.
     """
+    out = []
 
-    def grow(end, ones, after, pairs, squares, edges, pencil, runs, text):
-        # the state of a suffix, `runs` or `text`, after position `end`;
-        # each front_* is that state with one more block in front
+    def grow(end, ones, after, pairs, squares, edges, pencil, text):
+        # the suffix after position `end`; front_* puts one more block in front
         for size in (*range(1, end - k + 1), end):
             g, front_after, front_edges = gamma_step(
                 k, end, size, ones, after, edges
@@ -762,22 +761,21 @@ def _scan_size(k: int, n: int, out: list[ScanRow]) -> None:
                     front_squares,
                     front_edges,
                     front,
-                    (size, *runs),
                     block_text(size, ones) + text,
                 )
                 continue
-            ss = ShortSequence(k, (size, *runs), ones)
-            check_pair_total(ss, front_pairs, front_edges)
+            sequence = head_text(k, size, ones) + text
+            check_pair_total(k, front_pairs, front_edges, sequence)
             front.close(2 * front_squares)
             values = front.eigenvalues()
             gap = min(map(sub, values, values[1:]), default=math.inf)
-            sequence = head_text(k, size, ones) + text
             out.append(ScanRow(sequence, n, k, len(values), gap, gap < MERGE_TOL))
 
     if n >= k:
         as_float(n)
         check_bit_text(n)
-        grow(n, True, 0, 0, 0, 0, _Pencil(), (), "")
+        grow(n, True, 0, 0, 0, 0, _Pencil(), "")
+    return sorted(out, key=lambda row: row.sequence)
 
 
 def __getattr__(name: str) -> object:

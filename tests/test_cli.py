@@ -387,6 +387,22 @@ class TestOpenOutputDefects:
         assert ["lambda=-2101", "mult=2096"] in values
 
     @pytest.mark.xfail(
+        strict=True, reason="ROADMAP item 2(a): exact grouping at -gamma_t"
+    )
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "k=3;0,0,1,0,0,0,1,0",
+            "k=3;0,0,1,1,1,0,0,1,1,1,1,0",
+            "k=5;0,0,0,0,1,1,1,1,0,0,1,0",
+        ],
+    )
+    def test_a_double_zero_of_a_trailing_zeros_block_prints_0(self, capsys, text):
+        # 0 is -gamma of the trailing zeros block and a double quotient
+        # root; each prints a tiny nonzero with the right multiplicity
+        assert ["lambda=0", "mult=2"] in self.values(capsys, text)
+
+    @pytest.mark.xfail(
         strict=True, reason="ROADMAP item 4(b): isolation by exact counts"
     )
     def test_the_star_at_n_10_12_prints_plus_minus_10_6(self, capsys):

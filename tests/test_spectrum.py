@@ -14,7 +14,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
-from threshspec import combinatorics, oracle, spectrum
+from threshspec import combinatorics, oracle, sequences, spectrum
 from threshspec.cli import main
 from threshspec.hypergraph import ThresholdHypergraph
 from threshspec.oracle import (
@@ -994,12 +994,38 @@ class TestScan:
 
         monkeypatch.setattr(spectrum, "gamma_step", no_step)
         with pytest.raises(ResourceLimitError, match="the bit form of"):
-            spectrum._scan_size(2, combinatorics.TEXT_CAP // 2 + 1, [])
+            spectrum._scan_size(2, combinatorics.TEXT_CAP // 2 + 1)
         with pytest.raises(CountTooLargeError):
-            spectrum._scan_size(2, FLOAT_SAFE_LIMIT + 1, [])
-        rows = []  # n = k - 1 has no connected sequence, so no refusal
-        spectrum._scan_size(FLOAT_SAFE_LIMIT + 2, FLOAT_SAFE_LIMIT + 1, rows)
-        assert rows == []
+            spectrum._scan_size(2, FLOAT_SAFE_LIMIT + 1)
+        # n = k - 1 has no connected sequence, so no refusal
+        assert spectrum._scan_size(FLOAT_SAFE_LIMIT + 2, FLOAT_SAFE_LIMIT + 1) == []
+
+    def test_a_leaf_builds_no_sequence_record(self, monkeypatch):
+        # a row needs only its counts and its bit text, so no leaf builds
+        # and validates a `ShortSequence` from its runs
+        want = scan_quotient_simplicity(9, [2, 3, 4])
+        calls = []
+        init = ShortSequence.__init__
+
+        def counted(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(sequences.ShortSequence, "__init__", counted)
+        assert scan_quotient_simplicity(9, [2, 3, 4]) == want
+        assert calls == []
+
+    def test_a_leaf_names_a_failed_identity_by_its_bit_text(self, monkeypatch):
+        # as in test_unequal_block_raises: a broken binomial breaks the
+        # identity, here at the one leaf of (3, 3)
+        import threshspec.hypergraph as hypergraph
+
+        def broken(n, k):
+            return math.comb(n, k) + n if 0 <= k <= n else 0
+
+        monkeypatch.setattr(hypergraph, "binomial", broken)
+        with pytest.raises(RuntimeError, match="pair counts of k=3;0,0,1 sum to"):
+            scan_quotient_simplicity(5, [3])
 
     @pytest.mark.parametrize("k", range(2, 7))
     def test_the_tree_gives_the_rows_of_one_sequence_at_a_time(self, k):
