@@ -1,26 +1,25 @@
 """Exhaustive verification over small creation sequences.
 
-One walk visits every valid sequence up to a size bound once, as the run
-shape that `iter_short_sequences` lists, and runs checks on it, each of
-an identity whose two sides are computed by unrelated code paths; no bit
-is built.  It takes the (k, n) sizes in the order of
-`sequences.sweep_space`, and each size's sequences as complement pairs:
-every zero-head sequence is followed by its complement, the same runs
-with the merged head, so the merged-head half is never listed on its
-own.  The one list of a size's k-subsets is built once per size, what
-the two sequences of a pair share once per pair, and nothing else
-outlives a visit: uniqueness reads each matrix back to its sequence
-(`decode`) instead of keeping the matrices seen, so a walk's memory does
-not grow with n_max.  A walk imports the oracles it checks against:
-importing this module does not.  The CLI `verify` command runs all five
-checks in one walk; each `sweep_*` is the walk with one check.
+One walk, `run_all_sweeps`, visits every valid sequence up to a size
+bound once, as the run shape that `iter_short_sequences` lists, and runs
+five checks on it, each of an identity whose two sides are computed by
+unrelated code paths; no bit is built.  It takes the (k, n) sizes in the
+order of `sequences.sweep_space`, and each size's sequences as
+complement pairs: every zero-head sequence is followed by its
+complement, the same runs with the merged head, so the merged-head half
+is never listed on its own.  The one list of a size's k-subsets is built
+once per size, what the two sequences of a pair share once per pair,
+and nothing else outlives a visit: uniqueness reads each matrix back to
+its sequence (`decode`) instead of keeping the matrices seen, so a
+walk's memory does not grow with n_max.  A walk imports the oracles it
+checks against: importing this module does not.  The CLI `verify`
+command runs the walk; each `sweep_*` runs it too and returns its own
+check's result.
 """
 
 from collections.abc import Iterable, Iterator
-from functools import cached_property
 from itertools import combinations, groupby
 from types import ModuleType
-from weakref import ref
 
 from .combinatorics import check_subsets
 from .errors import SequenceError
@@ -103,47 +102,23 @@ def decode(entries: tuple[tuple[int, ...], ...], k: int) -> ShortSequence:
     return ShortSequence(k, tuple(runs), (len(runs) % 2 == 1) == last_ones)
 
 
-class _Size:
-    """The list of every k-subset of one (k, n) size, which the visits of
-    the size share.  It is built at its first use, which follows the edge
-    lists under their cap: it is as long as the two lists together."""
-
-    def __init__(self, k: int, n: int) -> None:
-        self.k, self.n = k, n
-
-    @cached_property
-    def subsets(self) -> list[tuple[int, ...]]:
-        return list(combinations(range(1, self.n + 1), self.k))
-
-
 class _Visit:
     """One sequence as the checks see it.  Each check is a method named
     after its sweep that yields the sequence's failures; they share one
-    edge list and one closed-form adjacency, `_edges` and `_adjacency`,
-    each built at its first read and then held as a plain attribute, and
-    call the oracles through the module the walk imported.  The
-    sequence's text is written only for a failure.
+    closed-form adjacency and one edge list, built in that order with the
+    visit, so the cell cap refuses a lone zero run of huge n before its
+    edge list's vertex range is checked.  They call the oracles through
+    the module the walk imported, and write the sequence's text only for
+    a failure.  The walk gives each visit its mate's runs and the pair's
+    one comparison with the k-subsets as plain values, `mate_runs` and
+    `split`, so no visit holds another (a lone zero run is its own mate).
+    Helpers start with `_`, so that `_CHECKS` does not take them."""
 
-    `mate` is a weak reference to the visit of the sequence's complement,
-    so that mates form no cycle (a lone zero run is its own mate): the
-    complement check reads the mate's edge list, and the pair's one
-    comparison with the k-subsets, `split`, held by the visit that made
-    it.  Helpers start with `_`, so that `_CHECKS` does not take them."""
-
-    def __init__(self, ss: ShortSequence, size: _Size, oracle: ModuleType) -> None:
-        self.h, self.size, self.oracle = ThresholdHypergraph(ss), size, oracle
-        self.mate: ref[_Visit] | None = None
-        self.split: bool | None = None
-
-    def __getattr__(self, name: str) -> object:
-        if name == "_edges":
-            # vertex range checked once, for the recount and the links
-            self._edges = self.oracle._InRange(self.h.n, self.h.edges())
-            return self._edges
-        if name == "_adjacency":
-            self._adjacency = self.h.adjacency()
-            return self._adjacency
-        raise AttributeError(name)
+    def __init__(self, ss: ShortSequence, oracle: ModuleType) -> None:
+        self.h, self.oracle = ThresholdHypergraph(ss), oracle
+        self._adjacency = self.h.adjacency()
+        # vertex range checked once, for the recount and the links
+        self._edges = oracle._InRange(self.h.n, self.h.edges())
 
     @property
     def _text(self) -> str:
@@ -186,61 +161,20 @@ class _Visit:
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        mate = self.mate()
         # the mate is the complement the walk built; by uniqueness no other
         # sequence splits the k-subsets with this one
-        if complement_sequence(self.h.runs) != mate.h.runs:
-            yield self._text
-            return
-        split = mate.split
-        if split is None:
-            split = self.split = sorted(self._edges + mate._edges) == self.size.subsets
-        if not split:
+        if complement_sequence(self.h.runs) != self.mate_runs or not self.split:
             yield self._text
 
 
 #: The checks, in the order `_Visit` defines them and `run_all_sweeps` reports.
 _CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
 
-#: The checks that read edge lists, whose k-subsets `check_subsets` weighs.
-_LISTING = {"oracle_equivalence", "replaceability_totality", "complement_partition"}
-
-
-def _walk(n_max: int, k_values: Iterable[int], *names: str) -> list[SweepResult]:
-    from . import oracle
-
-    sizes = sweep_space(n_max, k_values, "sweeps", False)
-    if _LISTING.intersection(names):
-        check_subsets("sweeps", sizes)
-    results = [SweepResult(name) for name in names]
-    # each check bound once; two_route walks connected sequences only:
-    # the golden verify digest and the benchmark's checker pin its count
-    checks = [
-        (res, getattr(_Visit, res.name), res.name == "two_route") for res in results
-    ]
-    for k, n in sizes:
-        size = _Size(k, n)
-        for ss in iter_short_sequences(n, k):
-            if ss.first_run_has_ones:
-                break  # the merged-head half: each of its sequences was a mate
-            pair = [_Visit(ss, size, oracle)]
-            if n >= k:  # else the lone zero run, its own complement
-                pair.append(_Visit(ShortSequence(k, ss.runs, True), size, oracle))
-            for v, mate in zip(pair, pair[::-1]):
-                v.mate = ref(mate)
-            for v in pair:
-                connected = v.h.runs.connected
-                for res, check, connected_only in checks:
-                    if connected or not connected_only:
-                        res.checked += 1
-                        for failure in check(v):
-                            res.record(failure)
-    return results
-
 
 def sweep_adjacency_oracle(n_max: int, k_values: Iterable[int]) -> SweepResult:
-    """Closed-form adjacency equals the edge-list recount, entry for entry."""
-    return _walk(n_max, k_values, "oracle_equivalence")[0]
+    """Closed-form adjacency equals the edge-list recount, entry for entry:
+    the first result of `run_all_sweeps`."""
+    return run_all_sweeps(n_max, k_values)[0]
 
 
 def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -249,9 +183,10 @@ def sweep_two_route(n_max: int, k_values: Iterable[int]) -> SweepResult:
     This is where the two routes meet: each block eigenvalue -gamma_s, from
     `block_profile`, must equal minus `pair_count` of the block's
     first two vertices, an independent direct sum.  The sweep also confirms
-    the block eigenvalue count is n - r.
+    the block eigenvalue count is n - r.  The second result of
+    `run_all_sweeps`, so both budgets weigh it.
     """
-    return _walk(n_max, k_values, "two_route")[0]
+    return run_all_sweeps(n_max, k_values)[1]
 
 
 def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -259,15 +194,17 @@ def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
 
     Each closed-form matrix is read back to its sequence by `decode`, so
     the walk keeps no matrix: as fresh processes on a 2-vCPU Xeon VM,
-    `verify --n-max 14 --k 2` peaks at 17.7 MB RSS and `--n-max 16 --k 2`
-    at 18.3 MB, all five checks included.
+    `verify --n-max 14 --k 2` peaks at 17.9 MB RSS (was 17.7 MB) and
+    `--n-max 16 --k 2` at 18.5 MB (was 18.3 MB).  The third result of
+    `run_all_sweeps`, so both budgets weigh it.
     """
-    return _walk(n_max, k_values, "uniqueness")[0]
+    return run_all_sweeps(n_max, k_values)[2]
 
 
 def sweep_replaceability(n_max: int, k_values: Iterable[int]) -> SweepResult:
-    """Every vertex pair of a sequence hypergraph is replaceability-comparable."""
-    return _walk(n_max, k_values, "replaceability_totality")[0]
+    """Every vertex pair of a sequence hypergraph is replaceability-comparable:
+    the fourth result of `run_all_sweeps`."""
+    return run_all_sweeps(n_max, k_values)[3]
 
 
 def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -275,12 +212,44 @@ def sweep_complement_partition(n_max: int, k_values: Iterable[int]) -> SweepResu
 
     Both edge lists hold distinct sorted tuples, so they split the
     k-subsets exactly when their merged sort lists each k-subset once.
+    The fifth result of `run_all_sweeps`.
     """
-    return _walk(n_max, k_values, "complement_partition")[0]
+    return run_all_sweeps(n_max, k_values)[4]
 
 
 def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     """All five sweeps in one walk, guarded up front by the sequence and
     subset budgets; the edge lists inside it are listed under the edge
-    cap."""
-    return _walk(n_max, k_values, *_CHECKS)
+    cap, and a size's k-subsets after its first pair's two edge lists,
+    since the list is as long as the two together."""
+    from . import oracle
+
+    sizes = sweep_space(n_max, k_values, "sweeps", False)
+    check_subsets("sweeps", sizes)
+    results = [SweepResult(name) for name in _CHECKS]
+    # each check bound once; two_route walks connected sequences only:
+    # the golden verify digest and the benchmark's checker pin its count
+    checks = [
+        (res, getattr(_Visit, res.name), res.name == "two_route") for res in results
+    ]
+    for k, n in sizes:
+        subsets = None
+        for ss in iter_short_sequences(n, k):
+            if ss.first_run_has_ones:
+                break  # the merged-head half: each of its sequences was a mate
+            pair = [_Visit(ss, oracle)]
+            if n >= k:  # else the lone zero run, its own complement
+                pair.append(_Visit(ShortSequence(k, ss.runs, True), oracle))
+            if subsets is None:
+                subsets = list(combinations(range(1, n + 1), k))
+            split = sorted(pair[0]._edges + pair[-1]._edges) == subsets
+            for v, mate in zip(pair, pair[::-1]):
+                v.mate_runs, v.split = mate.h.runs, split
+            for v in pair:
+                connected = v.h.runs.connected
+                for res, check, connected_only in checks:
+                    if connected or not connected_only:
+                        res.checked += 1
+                        for failure in check(v):
+                            res.record(failure)
+    return results

@@ -1,6 +1,8 @@
+import ast
 import gc
 import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -106,31 +108,21 @@ def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
             walk(n_max, [3])
 
 
-def test_subset_budget_guards_the_edge_listing_walks_before_a_sequence_is_built(
-    monkeypatch,
-):
+def test_subset_budget_guards_every_walk_before_a_sequence_is_built(monkeypatch):
     # 542 sequences are within the sequence budget, but their k-subsets
     # hold 120,511,624 ordered vertex pairs, just over the subset budget;
-    # the walks that list no edge are not weighed
+    # each sweep is the five-check walk, which lists edges, so each is
+    # weighed
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
     monkeypatch.setattr(verify, "iter_short_sequences", no_enumeration)
-    listing = (
-        sweep_adjacency_oracle,
-        sweep_replaceability,
-        sweep_complement_partition,
-        run_all_sweeps,
-    )
-    for walk in listing:
+    for walk in (*SWEEPS, run_all_sweeps):
         with pytest.raises(
             ResourceLimitError,
             match="sweeps would count 120511624 vertex pairs of k-subsets, "
             "over the budget of 120000000",
         ):
-            walk(15, [8, 12])
-    for walk in (sweep_two_route, sweep_uniqueness):
-        with pytest.raises(AssertionError, match="a sequence was built"):
             walk(15, [8, 12])
 
 
@@ -357,8 +349,8 @@ def test_sweep_records_an_injected_fault(
     ],
 )
 def test_walk_matches_the_single_check_walks(monkeypatch, inject):
-    # one walk with all five checks reports what five walks with one check
-    # each report, field for field, also when a check fails
+    # each sweep reports its own entry of the one five-check walk, field
+    # for field, also when a check fails
     if inject is not None:
         inject(monkeypatch)
     walks = []
@@ -370,9 +362,13 @@ def test_walk_matches_the_single_check_walks(monkeypatch, inject):
     assert all(r.checked == 0 and r.passed for r in run_all_sweeps(3, [5]))
 
 
-def test_walk_lists_each_edge_list_once_and_builds_adjacency_once(monkeypatch):
+@pytest.mark.parametrize(
+    "walk", [run_all_sweeps, *SWEEPS], ids=lambda walk: walk.__name__
+)
+def test_walk_lists_each_edge_list_once_and_builds_adjacency_once(monkeypatch, walk):
     # per visited sequence: its own edge list, which its mate's complement
-    # check reads too, one closed-form adjacency, and no explicit edge set
+    # check reads too, one closed-form adjacency, and no explicit edge set;
+    # each sweep is the same walk
     calls = {"edges": 0, "adjacency": 0, "to_general": 0}
 
     def counted(name):
@@ -386,10 +382,13 @@ def test_walk_lists_each_edge_list_once_and_builds_adjacency_once(monkeypatch):
 
     for name in calls:
         counted(name)
-    results = run_all_sweeps(8, [2, 3, 4])
+    results = walk(8, [2, 3, 4])
+    results = results if walk is run_all_sweeps else [results]
     visited = count_valid_sequences(8, [2, 3, 4])
     assert all(r.passed for r in results)
-    assert results[0].checked == visited
+    assert results[0].checked == count_valid_sequences(
+        8, [2, 3, 4], results[0].name == "two_route"
+    )
     assert calls == {"edges": visited, "adjacency": visited, "to_general": 0}
 
 
@@ -431,8 +430,8 @@ def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
 
 
 def test_walk_leaves_no_reference_cycle():
-    # a visit links its mate weakly, so the walk leaves nothing for the
-    # cycle collector
+    # a visit holds its mate's runs and the pair's split, not its mate,
+    # so the walk leaves nothing for the cycle collector
     gc.collect()
     gc.disable()
     try:
@@ -441,6 +440,33 @@ def test_walk_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert all(r.passed for r in results)
+
+
+def test_verify_has_one_walk():
+    # run_all_sweeps is the only walk: verify imports no weak reference or
+    # cached property, builds no attribute on first read, and lists run
+    # shapes nowhere else
+    tree = ast.parse(Path(verify.__file__).read_text())
+    imported = {
+        alias.name
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Import)
+        for alias in n.names
+    } | {n.module for n in ast.walk(tree) if isinstance(n, ast.ImportFrom)}
+    assert not imported & {"weakref", "functools"}
+    functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
+    assert "__getattr__" not in {f.name for f in functions}
+
+    def listings(node):
+        return sum(
+            isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Name)
+            and n.func.id == "iter_short_sequences"
+            for n in ast.walk(node)
+        )
+
+    (walk,) = [f for f in functions if f.name == "run_all_sweeps"]
+    assert listings(tree) == listings(walk) == 1
 
 
 def test_walk_lists_the_k_subsets_once_per_size(monkeypatch):
@@ -552,7 +578,7 @@ def test_decode_reads_every_matrix_back_to_its_sequence():
 
 
 def test_uniqueness_keeps_no_store():
-    # each matrix is read back, not kept: the walk's traced peak (0.2 MiB)
+    # each matrix is read back, not kept: the walk's traced peak (0.1 MiB)
     # stays far below what a store of the 8,191 matrices of up to 13 x 13
     # entries it visits would take (9.6 MiB)
     sweep_uniqueness(13, [2])  # warm-up: imports and caches
