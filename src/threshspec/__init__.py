@@ -7,6 +7,8 @@ closed-form spectra through block eigenvalues plus an equitable quotient,
 and brute-force oracles to verify both, with a small CLI on top.
 """
 
+import types
+
 from .combinatorics import (
     DENSE_CELL_CAP,
     DENSE_SOLVE_CAP,
@@ -60,55 +62,20 @@ from .spectrum import (
     symmetrize_quotient,
 )
 
-__all__ = [
-    "DENSE_CELL_CAP",
-    "DENSE_SOLVE_CAP",
-    "EDGE_CAP",
-    "EDGE_ENTRY_CAP",
-    "FLOAT_SAFE_LIMIT",
-    "SEQUENCE_BUDGET",
-    "as_float",
-    "binomial",
-    "ConvergenceError",
-    "CountTooLargeError",
-    "ResourceLimitError",
-    "SequenceError",
-    "AdjacencyMatrix",
-    "BlockProfile",
-    "ThresholdHypergraph",
-    "block_profile",
+_ORACLE_NAMES = (
     "GeneralHypergraph",
     "adjacency_bruteforce",
     "full_spectrum_numeric",
     "householder_ql_eigenvalues",
     "load_replaceable_non_threshold_7_4",
-    "BinarySequence",
-    "ShortSequence",
-    "complement_sequence",
-    "count_valid_sequences",
-    "format_short",
-    "iter_valid_sequences",
-    "parse_binary",
-    "parse_runs",
-    "parse_sequence",
-    "parse_short",
-    "to_binary",
-    "to_short",
-    "BlockEigenvalue",
-    "EigenPair",
-    "QuotientMatrix",
-    "ScanRow",
-    "Spectrum",
-    "block_eigenvalues",
-    "family_sequence",
-    "family_spectrum_symbolic",
-    "full_spectrum_closed",
-    "jacobi_eigenvalues",
-    "quotient_eigenvalues",
-    "quotient_matrix",
-    "scan_quotient_simplicity",
-    "symmetrize_quotient",
-]
+)
+
+# the public names the imports bind, not the submodules, then the oracles'
+__all__ = [
+    name
+    for name, value in list(globals().items())
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+] + list(_ORACLE_NAMES)
 
 __version__ = "0.1.0"
 
@@ -116,13 +83,7 @@ __version__ = "0.1.0"
 def __getattr__(name: str) -> object:
     """The oracle names, served from `oracle` on first use (PEP 562), so
     that importing the package does not import the oracles."""
-    if name in (
-        "GeneralHypergraph",
-        "adjacency_bruteforce",
-        "full_spectrum_numeric",
-        "householder_ql_eigenvalues",
-        "load_replaceable_non_threshold_7_4",
-    ):
+    if name in _ORACLE_NAMES:
         from . import oracle
 
         return getattr(oracle, name)

@@ -33,7 +33,14 @@ import sys
 from collections.abc import Iterable, Sequence
 from operator import index, sub
 
-from .combinatorics import as_float, binomial, check_bit_text, check_closed, count_text
+from .combinatorics import (
+    as_float,
+    binomial,
+    check_bit_text,
+    check_closed,
+    count_text,
+    edge_total,
+)
 from .errors import ConvergenceError, SequenceError
 from .hypergraph import (
     BlockProfile,
@@ -342,9 +349,8 @@ class _Pencil:
 
     `_Pencil()` is the pencil of no block.  `push` puts one block in front
     and `close` ends the sequence; `fork` copies an open pencil, so that
-    `_scan_size` grows one suffix into several sequences.  `of` folds the
-    blocks of one profile and refuses, through `as_float`, a run length
-    or a gamma beyond 2**53.
+    `_scan_size` grows one suffix into several sequences, and `of` folds
+    the blocks of one profile.
     """
 
     def __init__(self) -> None:
@@ -354,14 +360,10 @@ class _Pencil:
 
     @classmethod
     def of(cls, bp: BlockProfile) -> "_Pencil":
-        """The closed pencil of bp.  Every run, then every gamma, goes
-        through `as_float` before the first `push`, so a refusal names the
-        first count too large in that order."""
-        sizes = [as_float(a) for a in bp.seq.runs]
-        gamma = [as_float(g) for g in bp.gamma]
+        """The closed pencil of bp, its blocks pushed from the last up."""
         pencil = cls()
-        for s in range(len(sizes) - 1, -1, -1):
-            pencil.push(bp.gamma[s], bp.seq.runs[s], gamma[s], sizes[s])
+        for g, a in zip(reversed(bp.gamma), reversed(bp.seq.runs)):
+            pencil.push(g, a)
         pencil.close(bp.frobenius_sq)
         return pencil
 
@@ -372,13 +374,15 @@ class _Pencil:
         twin._front = self._front
         return twin
 
-    def push(self, g: int, a: int, gf: float, af: float) -> None:
-        """Put block s, of gamma g and a vertices (gf and af as doubles),
-        in front of blocks s+1..r-1: complete block s+1's count row and run
-        step s of the reduction in `tridiagonal`, which touches no entry
-        above s.  d and e are held from the last block up (index j is
+    def push(self, g: int, a: int) -> None:
+        """Put block s, of gamma g and a vertices, in front of blocks
+        s+1..r-1: complete block s+1's count row and run step s of the
+        reduction in `tridiagonal`, which touches no entry above s.  g,
+        then a, goes through `as_float`, which refuses a count beyond
+        2**53.  d and e are held from the last block up (index j is
         block r-1-j), and gamma_r = 0, a_r = 1 make e_{r-1} = 0, which
         stops every chase."""
+        gf, af = as_float(g), as_float(a)
         g1, a1, gf1, inv1 = self._front
         d, e, sqrt = self._d, self._e, math.sqrt
         if d:
@@ -662,9 +666,11 @@ def family_spectrum_symbolic(
     binomial(n-2, k-2) - binomial(j-3, k-2), and family 3 has
     (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
     The complete-hypergraph boundaries (family 1 with n = k, family 2
-    with j = k) are one block with (binomial(n-2, k-2),).  Always agrees
-    with `full_spectrum_closed`, merging at the same `MERGE_TOL`, and
-    refuses what it refuses, before any binomial.
+    with j = k) are one block with (binomial(n-2, k-2),).  The hand-entered
+    gamma is held to the pair-total identity that `block_profile` checks,
+    `check_pair_total` against `edge_total`.  Always agrees with
+    `full_spectrum_closed`, merging at the same `MERGE_TOL`, and refuses
+    what it refuses, before any binomial.
     """
     ss = family_sequence(family, n, k, j)
     check_closed(ss)
@@ -678,7 +684,9 @@ def family_spectrum_symbolic(
         gamma = (b_cnt - binomial(j - 3, k - 2), b_cnt)
     else:
         gamma = (a_cnt + 1, a_cnt, b_cnt)
-    return _assemble(BlockProfile(ss, gamma))
+    bp = BlockProfile(ss, gamma)
+    check_pair_total(k, bp.pair_total, edge_total(ss), ss)
+    return _assemble(bp)
 
 
 class ScanRow(FrozenRecord):
@@ -751,7 +759,7 @@ def _scan_size(k: int, n: int) -> list[ScanRow]:
             )
             front_pairs, front_squares = pair_sums(pairs, squares, g, size, end)
             front = pencil if size == end else pencil.fork()
-            front.push(g, size, as_float(g), as_float(size))
+            front.push(g, size)
             if size < end:
                 grow(
                     end - size,

@@ -953,6 +953,17 @@ class TestFamilies:
                     literal = sum(binomial(p - 3, k - 3) for p in range(j, n + 1))
                     assert seen.pop().gamma == (literal, binomial(n - 2, k - 2))
 
+    def test_a_wrong_hand_gamma_fails_the_pair_total_identity(self, monkeypatch):
+        # family 2 at n = 9, k = 3, j = 5 enters gamma_0 as
+        # binomial(7, 1) - binomial(2, 1); a binomial(2, 1) one too large
+        # leaves gamma_0 one too small, which the edge count catches
+        def off_by_one(m, t):
+            return binomial(m, t) + ((m, t) == (2, 1))
+
+        monkeypatch.setattr(spectrum, "binomial", off_by_one)
+        with pytest.raises(RuntimeError, match=r"pair counts of C\("):
+            family_spectrum_symbolic(2, 9, 3, 5)
+
     def test_distinct_value_caps(self):
         for k in range(2, 6):
             for n in range(k, 13):

@@ -141,6 +141,44 @@ def test_the_star_import_binds_every_name_the_package_serves():
     assert all(namespace[name] is getattr(oracle, name) for name in oracle_names)
 
 
+def test_each_public_name_and_each_count_enters_once():
+    """`__init__` writes each name it imports once, so no string constant
+    in it equals one and `__all__` is read off the imports; `_Pencil.push`
+    takes a block's two exact counts and converts them itself, so
+    `_Pencil.of` converts none."""
+    init = next(path for path in SOURCES if path.stem == "__init__")
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    strings = {
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+    }
+    assert imported
+    assert not imported & strings
+    push = [
+        names
+        for module, function, names in _functions()
+        if (module, function) == ("spectrum", "push")
+    ]
+    assert push == [["self", "g", "a"]]
+    spectrum = next(path for path in SOURCES if path.stem == "spectrum")
+    of = [
+        method
+        for node in ast.walk(ast.parse(spectrum.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef) and node.name == "_Pencil"
+        for method in node.body
+        if isinstance(method, ast.FunctionDef) and method.name == "of"
+    ]
+    assert len(of) == 1
+    assert not list(_reads(of[0], {"as_float"}))
+
+
 def _unused_imports(path):
     """Names bound by a module-level import at path that the module never
     reads and does not list in `__all__`."""
