@@ -17,19 +17,23 @@ dense route, divided by max(1, |A|_F), is over 1e-8, `scan` flags a
 quotient gap under 1e-9, `edges` lists at most 10**7 edges, and `verify`
 and `scan` visit at most 100,000 sequences.
 
-A call whose first argument names a subcommand builds one argument
-parser, that subcommand's alone, and reads the rest of its arguments in
-one pass; any other call builds the top-level parser of all six
-(`_parser`).  `-h` prints this docstring but for this last paragraph.
+A call whose first argument names a subcommand, followed by that
+subcommand's arguments in their plain form, is read from the table in
+`SUBCOMMANDS` without argparse (`_read`).  Any other call (help, an
+abbreviation, `--opt=value`, a usage error) is read by argparse from the
+same table, which builds that subcommand's parser alone, or the
+top-level parser of all six when no subcommand comes first (`_parser`),
+so help and usage errors are argparse's own.  `-h` prints this docstring
+but for this last paragraph.
 """
 
-import argparse
 import functools
 import math
 import os
 import sys
 from io import TextIOBase
 from itertools import islice
+from types import SimpleNamespace
 
 from .combinatorics import read_decimal
 from .errors import (
@@ -63,13 +67,6 @@ VERIFY_TOL = 1e-8
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as exit code 1, not 2."""
-
-    def error(self, message: str) -> None:
-        raise _UsageError(message)
 
 
 def fmt(value: float) -> str:
@@ -294,6 +291,8 @@ def _integer(text: str) -> int:
     try:
         return read_decimal(text)
     except ValueError:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
@@ -303,86 +302,135 @@ def _positive_int(text: str) -> int:
     except ValueError:
         value = 0
     if value < 1:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
     return value
 
 
-def _add_format(parser: _Parser, *choices: str) -> None:
+def _format(*choices: str) -> tuple:
     """`--format` over the formats a subcommand writes, the first the
-    default; text, csv and structured when none are named."""
-    choices = choices or ("text", "csv", "structured")
-    parser.add_argument("--format", choices=choices, default=choices[0])
+    default."""
+    return "--format", {"choices": choices, "default": choices[0]}
 
 
-def _sequence(p: _Parser) -> None:
-    _add_format(p)
-    p.add_argument("sequence")
+_FORMAT = _format("text", "csv", "structured")
+_SEQUENCE = _FORMAT, ("sequence", {})
+_SWEEP = (
+    ("--n-max", {"type": _positive_int, "required": True}),
+    ("--k", {"required": True}),
+)
+_VERIFY = "--verify", {
+    "action": "store_true",
+    "help": "compare with the eigenvalues of the dense matrix (exit 2 when "
+    "max_dev, the largest deviation divided by max(1, |A|_F), is over 1e-8)",
+}
+_FAMILY = (
+    _FORMAT,
+    ("family", {"type": int, "choices": (1, 2, 3)}),
+    ("--n", {"type": _integer, "required": True}),
+    ("--k", {"type": _integer, "required": True}),
+    ("--j", {"type": _integer, "default": None}),
+)
 
-
-def _spectrum(p: _Parser) -> None:
-    _sequence(p)
-    p.add_argument(
-        "--verify",
-        action="store_true",
-        help="compare with the eigenvalues of the dense matrix (exit 2 when "
-        "max_dev, the largest deviation divided by max(1, |A|_F), is over 1e-8)",
-    )
-
-
-def _verify(p: _Parser) -> None:
-    _add_format(p, "text", "structured")
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--k", required=True)
-
-
-def _family(p: _Parser) -> None:
-    _add_format(p)
-    p.add_argument("family", type=int, choices=(1, 2, 3))
-    p.add_argument("--n", type=_integer, required=True)
-    p.add_argument("--k", type=_integer, required=True)
-    p.add_argument("--j", type=_integer, default=None)
-
-
-def _scan(p: _Parser) -> None:
-    _add_format(p, "csv", "structured")
-    p.add_argument("--n-max", type=_positive_int, required=True)
-    p.add_argument("--k", required=True)
-
-
-#: Subcommand name: (help line, function adding its arguments, handler).
+#: Subcommand name: (help line, handler, its arguments in help order, each
+#: (flag, `add_argument` keywords)), read by `_parser` and `_read` alike.
 SUBCOMMANDS = {
-    "spectrum": ("closed-form spectrum", _spectrum, cmd_spectrum),
-    "edges": ("edge list", _sequence, cmd_edges),
-    "adjacency": ("pair-count matrix", _sequence, cmd_adjacency),
-    "verify": ("exhaustive sweeps", _verify, cmd_verify),
-    "family": ("catalogued families", _family, cmd_family),
-    "scan": ("quotient gap report", _scan, cmd_scan),
+    "spectrum": ("closed-form spectrum", cmd_spectrum, (*_SEQUENCE, _VERIFY)),
+    "edges": ("edge list", cmd_edges, _SEQUENCE),
+    "adjacency": ("pair-count matrix", cmd_adjacency, _SEQUENCE),
+    "verify": (
+        "exhaustive sweeps",
+        cmd_verify,
+        (_format("text", "structured"), *_SWEEP),
+    ),
+    "family": ("catalogued families", cmd_family, _FAMILY),
+    "scan": ("quotient gap report", cmd_scan, (_format("csv", "structured"), *_SWEEP)),
 }
 
 
+def _read(command: str, args: list[str]) -> SimpleNamespace | None:
+    """What `_parser(command).parse_args(args)` returns, read without
+    argparse when `args` has the plain form: each option by its exact
+    string, given once, its value the next token, and the positionals in
+    any order.  Anything else (help, an abbreviation, `--opt=value`, `--`,
+    any other token starting with `-`, a repeat, a missing or extra
+    argument, a value that its type or choices refuse) gives None, and
+    argparse reads it and reports; this never prints or raises."""
+    _, handler, arguments = SUBCOMMANDS[command]
+    keywords = dict(arguments)
+    positionals = (flag for flag, _ in arguments if flag[0] != "-")
+    given = {}
+    tokens = iter(args)
+    for token in tokens:
+        option = token[:1] == "-"
+        flag = token if option else next(positionals, None)
+        kw = keywords.get(flag)
+        if kw is None or flag in given:
+            return None
+        if "action" in kw:  # store_true, the only action in the table
+            given[flag] = True
+            continue
+        value = next(tokens, "-") if option else token
+        if value[:1] == "-":
+            return None
+        try:
+            value = kw.get("type", str)(value)
+        except Exception:  # ArgumentTypeError among them; argparse reports
+            return None
+        if value not in kw.get("choices", (value,)):
+            return None
+        given[flag] = value
+    namespace = SimpleNamespace(handler=handler)
+    for flag, kw in arguments:
+        if flag not in given and (flag[0] != "-" or kw.get("required")):
+            return None
+        default = kw.get("default", False if "action" in kw else None)
+        setattr(namespace, flag.lstrip("-").replace("-", "_"), given.get(flag, default))
+    return namespace
+
+
+def __getattr__(name: str) -> type:
+    """`_Parser` is defined on first use, so that importing `cli` does not
+    import argparse."""
+    if name != "_Parser":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse that reports usage problems as exit code 1, not 2."""
+
+        def error(self, message: str) -> None:
+            raise _UsageError(message)
+
+    globals()[name] = _Parser
+    return _Parser
+
+
 @functools.cache
-def _parser(command: str | None) -> _Parser:
-    """The parser of `command` alone, or the top-level parser of every
-    subcommand for None, built on first use rather than at import.  A
-    named call builds one `ArgumentParser`, not a top-level parser and a
-    subparser, and reads its arguments in one argparse pass, not two; any
-    other argv (none, `-h`, an unknown command, an option first) gets the
-    top-level parser, whose subparsers are complete, so help and usage
-    errors read the same either way."""
+def _parser(command: str | None):
+    """The argparse parser of `command` alone, or the top-level parser of
+    every subcommand for None, built on first use rather than at import.
+    Only a call that `_read` refuses builds one: a named call gets its
+    subcommand's parser, any other argv (none, `-h`, an unknown command,
+    an option first) the top-level parser, whose subparsers are complete,
+    so help and usage errors read the same either way."""
+    parser_class = globals().get("_Parser") or __getattr__("_Parser")
     if command is None:
         description = __doc__.rsplit("\n\n", 1)[0]
-        parser = _Parser(prog="threshspec", description=description)
+        parser = parser_class(prog="threshspec", description=description)
         sub = parser.add_subparsers(dest="command", required=True)
         parsers = {
             name: sub.add_parser(name, help=help_line)
             for name, (help_line, _, _) in SUBCOMMANDS.items()
         }
     else:
-        parser = _Parser(prog=f"threshspec {command}")
+        parser = parser_class(prog=f"threshspec {command}")
         parsers = {command: parser}
     for name, p in parsers.items():
-        _, add_arguments, handler = SUBCOMMANDS[name]
-        add_arguments(p)
+        _, handler, arguments = SUBCOMMANDS[name]
+        for flag, kw in arguments:
+            p.add_argument(flag, **kw)
         p.set_defaults(handler=handler)
     return parser
 
@@ -392,7 +440,9 @@ def main(argv: list[str] | None = None) -> int:
         argv = sys.argv[1:]
     command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = _parser(command).parse_args(argv if command is None else argv[1:])
+        args = _read(command, argv[1:]) if command else None
+        if args is None:
+            args = _parser(command).parse_args(argv if command is None else argv[1:])
         code = args.handler(args, sys.stdout, sys.stderr)
         sys.stdout.flush()  # a closed pipe shows here when the output is short
         return code

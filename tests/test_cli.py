@@ -265,11 +265,10 @@ class TestSpectrumCommand:
         monkeypatch.setattr(cli._Parser, "parse_known_args", counted_parse)
         cli._parser.cache_clear()
         for _ in range(2):
-            passes.clear()
             code, out, err = run(capsys, "spectrum", "C(3,1,1)_3")
             assert (code, err) == (0, "") and out.startswith("lambda=")
-            assert passes == ["threshspec spectrum"]  # one argparse pass
-        assert built == ["threshspec spectrum"]
+        # a plain call is read without argparse
+        assert built == passes == []
         # any other argv gets the parent and every subcommand, and the
         # parent hands the command's arguments to a second pass
         built.clear()
@@ -278,6 +277,19 @@ class TestSpectrumCommand:
         passes.clear()
         assert run(capsys, "--bogus", "spectrum", "C(3,1,1)_3")[0] == 1
         assert passes == ["threshspec", "threshspec spectrum"]
+
+    def test_the_benchmark_argv_shapes_are_read_without_argparse(self):
+        # each shape the benchmark sends; argparse would cost its first call
+        # a parser build, which sets its p90 latency
+        for argv in (
+            ["spectrum", "C(412,388)_3"],
+            ["spectrum", "k=6;0,0,0,0,0,1,0,1,1", "--verify"],
+            ["verify", "--n-max", "8", "--k", "3,6"],
+            ["scan", "--n-max", "10", "--k", "6"],
+        ):
+            args = cli._read(argv[0], argv[1:])
+            assert args is not None, argv
+            assert vars(args) == vars(cli._parser(argv[0]).parse_args(argv[1:]))
 
     def test_a_token_before_the_command_reads_its_full_subparser(self, capsys):
         # the parent rejects the first token, and its message depends on the
@@ -891,3 +903,69 @@ def test_closed_stdout_exits_141(args, lines):
         err = proc.stderr.read()
     assert proc.wait(timeout=60) == cli.EXIT_PIPE == 141
     assert err == b""
+
+
+class TestReader:
+    """`cli._read` reads a plain command line as argparse does, or refuses
+    it and leaves it to argparse: it never returns what `parse_args` would
+    not."""
+
+    @staticmethod
+    def _read_alike(argv):
+        """Whether `_read` took argv; when it did, its namespace must be
+        argparse's."""
+        command, args = argv[0], argv[1:]
+        ours = cli._read(command, args)
+        if ours is None:
+            return False
+        try:
+            theirs = cli._parser(command).parse_args(args)
+        except (cli._UsageError, SystemExit) as exc:
+            pytest.fail(f"{argv}: read as {vars(ours)}, argparse refused: {exc}")
+        assert vars(ours) == vars(theirs), argv
+        return True
+
+    def test_every_golden_call_reads_alike(self, capsys):
+        from test_golden_output import _calls, _usage_calls
+
+        named = [argv for _, argv in _calls() if argv and argv[0] in cli.SUBCOMMANDS]
+        refused = [argv for argv in named if not self._read_alike(argv)]
+        assert capsys.readouterr() == ("", "")
+        # argparse reports every usage error, and nothing else is left to it
+        assert refused == [a for a in _usage_calls() if a and a[0] in cli.SUBCOMMANDS]
+
+    def test_fuzzed_command_lines_read_alike(self, capsys):
+        options = ["--format", "--verify", "--n-max", "--k", "--n", "--j"]
+        odd = [
+            "--form", "--verif", "--n-m", "--f", "-n",  # abbreviations
+            "--format=csv", "--k=3", "--n-max=4", "--verify=1",
+            "--", "-", "-h", "--help", "-1", "-3", "-0.5", "", " ",
+        ]
+        values = [
+            "text", "csv", "structured", "yaml", "1", "2", "3", "4", "0", "01",
+            " 2", "x", "2,3", "5_0", "٣", "C(3,1)_3", "k=3;0,0,1", "sequence",
+        ]
+        rng = random.Random(20261020)
+        taken = 0
+        for _ in range(20000):
+            command = rng.choice(list(cli.SUBCOMMANDS))
+            _, _, arguments = cli.SUBCOMMANDS[command]
+            # a plain command line in any order, some arguments left out
+            args = []
+            for flag, kw in rng.sample(arguments, len(arguments)):
+                if rng.random() < 0.2:
+                    continue
+                if flag[0] == "-":
+                    args.append(flag)
+                if "action" not in kw:
+                    args.append(rng.choice(values))
+            # then up to two tokens dropped, or added: odd, repeated or extra
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                if args and rng.random() < 0.3:
+                    del args[rng.randrange(len(args))]
+                else:
+                    pool = rng.choice((options, odd, values, args or values))
+                    args.insert(rng.randrange(len(args) + 1), rng.choice(pool))
+            taken += self._read_alike([command, *args])
+        assert capsys.readouterr() == ("", "")
+        assert taken > 1000  # the fuzz reaches the reader's namespaces
