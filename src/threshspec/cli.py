@@ -20,10 +20,9 @@ and `scan` visit at most 100,000 sequences.
 A call whose first argument names a subcommand, followed by that
 subcommand's arguments in their plain form, is read from the table in
 `SUBCOMMANDS` without argparse (`_read`).  Any other call (help, an
-abbreviation, `--opt=value`, a usage error) is read by argparse from the
-same table, which builds that subcommand's parser alone, or the
-top-level parser of all six when no subcommand comes first (`_parser`),
-so help and usage errors are argparse's own.  `-h` prints this docstring
+abbreviation, `--opt=value`, a usage error) is read by the top-level
+argparse parser of all six, built from the same table (`_parser`), so
+help and usage errors are argparse's own.  `-h` prints this docstring
 but for this last paragraph.
 """
 
@@ -350,13 +349,14 @@ SUBCOMMANDS = {
 
 
 def _read(command: str, args: list[str]) -> SimpleNamespace | None:
-    """What `_parser(command).parse_args(args)` returns, read without
-    argparse when `args` has the plain form: each option by its exact
-    string, given once, its value the next token, and the positionals in
-    any order.  Anything else (help, an abbreviation, `--opt=value`, `--`,
-    any other token starting with `-`, a repeat, a missing or extra
-    argument, a value that its type or choices refuse) gives None, and
-    argparse reads it and reports; this never prints or raises."""
+    """What `_parser().parse_args([command, *args])` returns less its
+    `command`, read without argparse when `args` has the plain form: each
+    option by its exact string, given once, its value the next token, and
+    the positionals in any order.  Anything else (help, an abbreviation,
+    `--opt=value`, `--`, any other token starting with `-`, a repeat, a
+    missing or extra argument, a value that its type or choices refuse)
+    gives None, and argparse reads it and reports; this never prints or
+    raises."""
     _, handler, arguments = SUBCOMMANDS[command]
     keywords = dict(arguments)
     positionals = (flag for flag, _ in arguments if flag[0] != "-")
@@ -390,11 +390,11 @@ def _read(command: str, args: list[str]) -> SimpleNamespace | None:
     return namespace
 
 
-def __getattr__(name: str) -> type:
-    """`_Parser` is defined on first use, so that importing `cli` does not
-    import argparse."""
-    if name != "_Parser":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+@functools.cache
+def _parser():
+    """The top-level argparse parser of every subcommand, built on first
+    use rather than at import: only a call that `_read` refuses imports
+    argparse."""
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -403,32 +403,11 @@ def __getattr__(name: str) -> type:
         def error(self, message: str) -> None:
             raise _UsageError(message)
 
-    globals()[name] = _Parser
-    return _Parser
-
-
-@functools.cache
-def _parser(command: str | None):
-    """The argparse parser of `command` alone, or the top-level parser of
-    every subcommand for None, built on first use rather than at import.
-    Only a call that `_read` refuses builds one: a named call gets its
-    subcommand's parser, any other argv (none, `-h`, an unknown command,
-    an option first) the top-level parser, whose subparsers are complete,
-    so help and usage errors read the same either way."""
-    parser_class = globals().get("_Parser") or __getattr__("_Parser")
-    if command is None:
-        description = __doc__.rsplit("\n\n", 1)[0]
-        parser = parser_class(prog="threshspec", description=description)
-        sub = parser.add_subparsers(dest="command", required=True)
-        parsers = {
-            name: sub.add_parser(name, help=help_line)
-            for name, (help_line, _, _) in SUBCOMMANDS.items()
-        }
-    else:
-        parser = parser_class(prog=f"threshspec {command}")
-        parsers = {command: parser}
-    for name, p in parsers.items():
-        _, handler, arguments = SUBCOMMANDS[name]
+    description = __doc__.rsplit("\n\n", 1)[0]
+    parser = _Parser(prog="threshspec", description=description)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, handler, arguments) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
         for flag, kw in arguments:
             p.add_argument(flag, **kw)
         p.set_defaults(handler=handler)
@@ -438,11 +417,10 @@ def _parser(command: str | None):
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    command = argv[0] if argv and argv[0] in SUBCOMMANDS else None
     try:
-        args = _read(command, argv[1:]) if command else None
-        if args is None:
-            args = _parser(command).parse_args(argv if command is None else argv[1:])
+        args = argv and argv[0] in SUBCOMMANDS and _read(argv[0], argv[1:])
+        if not args:
+            args = _parser().parse_args(argv)
         code = args.handler(args, sys.stdout, sys.stderr)
         sys.stdout.flush()  # a closed pipe shows here when the output is short
         return code

@@ -134,10 +134,9 @@ CLOSED_WORK_CAP = 4 * 10**6
 
 #: Cap on the number of sequences a sweep may visit.  On a 2-vCPU Xeon VM
 #: `verify --n-max 16 --k 2,3` (98,302 sequences) takes 23.6-25.5 s at
-#: 18.6 MB peak RSS (was 36-44 s at 18 MB), about as much memory as
-#: `--n-max 14 --k 2` takes: a walk keeps nothing per sequence.  `scan
-#: --n-max 17 --k 2,3` (98,302) takes 7.1-8.7 s at 42 MB (was 8.0-9.4 s at
-#: 43 MB), `--k 2` (65,535) 5.1-6.0 s at 34 MB (was 5.0-5.9 s).
+#: 18.6 MB peak RSS, about as much memory as `--n-max 14 --k 2` takes: a
+#: walk keeps nothing per sequence.  `scan --n-max 17 --k 2,3` (98,302)
+#: takes 7.1-8.7 s at 42 MB, `--k 2` (65,535) 5.1-6.0 s at 34 MB.
 SEQUENCE_BUDGET = 100_000
 
 #: Cap on the work of a `verify` walk, weighed in the ordered vertex
@@ -145,13 +144,13 @@ SEQUENCE_BUDGET = 100_000
 #: times binomial(n, k) times k(k-1).  A sequence's edge list and its
 #: complement's hold each k-subset once, and the recount adds 1 per
 #: ordered pair of each edge's vertices.  On a 2-vCPU Xeon VM `verify
-#: --n-max 16 --k 2,3` (105,906,184) takes 23.6-25.5 s at 18.6 MB peak RSS
-#: (was 36-44 s at 18 MB): at k = 2 and 3 the rest of a sequence's work
-#: dominates, and `SEQUENCE_BUDGET` bounds it.  From k = 4 to k = 70 a
-#: unit costs 0.03 to 0.1 us, the most at k = 4: the largest call the cap
-#: admits there, `--n-max 15 --k 4` (104,988,648), takes 9.7-10.6 s at
-#: 18.1 MB (was 11-16 s at 18 MB), `--n-max 15 --k 8` (119,447,440) 5.9 s
-#: and `--n-max 72 --k 70` (100,145,220) 2.9 s.
+#: --n-max 16 --k 2,3` (105,906,184) takes 23.6-25.5 s at 18.6 MB peak
+#: RSS: at k = 2 and 3 the rest of a sequence's work dominates, and
+#: `SEQUENCE_BUDGET` bounds it.  From k = 4 to k = 70 a unit costs 0.03 to
+#: 0.1 us, the most at k = 4: the largest call the cap admits there,
+#: `--n-max 15 --k 4` (104,988,648), takes 9.7-10.6 s at 18.1 MB,
+#: `--n-max 15 --k 8` (119,447,440) 5.9 s and `--n-max 72 --k 70`
+#: (100,145,220) 2.9 s.
 SUBSET_BUDGET = 12 * 10**7
 
 

@@ -276,8 +276,7 @@ def iter_valid_sequences(
 ) -> Iterator[BinarySequence]:
     """The bit forms of `iter_short_sequences(n, k)`, in its lexicographic
     bit order, keeping only the connected ones (ending in 1) when
-    `connected_only`: neither `iter_short_sequences` nor `_tail_runs`
-    takes that filter."""
+    `connected_only`."""
     return map(
         to_binary,
         (s for s in iter_short_sequences(n, k) if s.connected or not connected_only),

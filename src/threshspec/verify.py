@@ -194,9 +194,9 @@ def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
 
     Each closed-form matrix is read back to its sequence by `decode`, so
     the walk keeps no matrix: as fresh processes on a 2-vCPU Xeon VM,
-    `verify --n-max 14 --k 2` peaks at 17.9 MB RSS (was 17.7 MB) and
-    `--n-max 16 --k 2` at 18.5 MB (was 18.3 MB).  The third result of
-    `run_all_sweeps`, so both budgets weigh it.
+    `verify --n-max 14 --k 2` peaks at 17.9 MB RSS and `--n-max 16 --k 2`
+    at 18.5 MB.  The third result of `run_all_sweeps`, so both budgets
+    weigh it.
     """
     return run_all_sweeps(n_max, k_values)[2]
 

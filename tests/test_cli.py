@@ -231,7 +231,7 @@ class TestSpectrumCommand:
             assert out.splitlines()[-1].endswith("tol=1e-08 status=ok")
 
     def test_reused_parser_keeps_no_state(self, capsys):
-        # main builds each subcommand's parser once per process; two calls
+        # main builds the argparse tree once per process; two calls
         # in a row must print what two calls with freshly built parsers print
         plain = ["spectrum", "C(3,1,1)_3"]
         calls = [
@@ -246,12 +246,14 @@ class TestSpectrumCommand:
                 fresh.append(run(capsys, *args))
             assert [run(capsys, *first), run(capsys, *second)] == fresh
             assert "max_dev" not in fresh[1][1]
-        assert cli._parser("spectrum") is cli._parser("spectrum")
-        assert cli._parser("spectrum") is not cli._parser(None)
+        assert cli._parser() is cli._parser()
 
-    def test_a_call_builds_only_its_subparser(self, capsys, monkeypatch):
+    def test_only_a_refused_call_builds_the_parser_tree(self, capsys, monkeypatch):
+        import argparse
+
         built, passes = [], []
-        init, parse = cli._Parser.__init__, cli._Parser.parse_known_args
+        parser_class = argparse.ArgumentParser
+        init, parse = parser_class.__init__, parser_class.parse_known_args
 
         def counted(parser, *args, **kwargs):
             built.append(kwargs.get("prog"))
@@ -261,22 +263,27 @@ class TestSpectrumCommand:
             passes.append(parser.prog)
             return parse(parser, *args, **kwargs)
 
-        monkeypatch.setattr(cli._Parser, "__init__", counted)
-        monkeypatch.setattr(cli._Parser, "parse_known_args", counted_parse)
+        monkeypatch.setattr(parser_class, "__init__", counted)
+        monkeypatch.setattr(parser_class, "parse_known_args", counted_parse)
         cli._parser.cache_clear()
         for _ in range(2):
             code, out, err = run(capsys, "spectrum", "C(3,1,1)_3")
             assert (code, err) == (0, "") and out.startswith("lambda=")
         # a plain call is read without argparse
         assert built == passes == []
-        # any other argv gets the parent and every subcommand, and the
-        # parent hands the command's arguments to a second pass
-        built.clear()
-        assert run(capsys, "spectra", "C(3,1,1)_3")[0] == 1
-        assert built == ["threshspec"] + [f"threshspec {c}" for c in cli.SUBCOMMANDS]
+        # any other argv, a named usage error among them, gets the parent
+        # and every subcommand, and the parent hands the command's
+        # arguments to a second pass
+        tree = ["threshspec"] + [f"threshspec {c}" for c in cli.SUBCOMMANDS]
+        for argv in (["spectra", "C(3,1,1)_3"], ["spectrum", "--bogus", "C(3,1)_3"]):
+            cli._parser.cache_clear()
+            built.clear()
+            assert run(capsys, *argv)[0] == 1
+            assert built == tree, argv
         passes.clear()
         assert run(capsys, "--bogus", "spectrum", "C(3,1,1)_3")[0] == 1
         assert passes == ["threshspec", "threshspec spectrum"]
+        assert built == tree  # built once per process
 
     def test_the_benchmark_argv_shapes_are_read_without_argparse(self):
         # each shape the benchmark sends; argparse would cost its first call
@@ -289,7 +296,9 @@ class TestSpectrumCommand:
         ):
             args = cli._read(argv[0], argv[1:])
             assert args is not None, argv
-            assert vars(args) == vars(cli._parser(argv[0]).parse_args(argv[1:]))
+            theirs = vars(cli._parser().parse_args(argv))
+            assert theirs.pop("command") == argv[0]
+            assert vars(args) == theirs
 
     def test_a_token_before_the_command_reads_its_full_subparser(self, capsys):
         # the parent rejects the first token, and its message depends on the
@@ -919,11 +928,34 @@ class TestReader:
         if ours is None:
             return False
         try:
-            theirs = cli._parser(command).parse_args(args)
+            theirs = vars(cli._parser().parse_args(argv))
         except (cli._UsageError, SystemExit) as exc:
             pytest.fail(f"{argv}: read as {vars(ours)}, argparse refused: {exc}")
-        assert vars(ours) == vars(theirs), argv
+        assert theirs.pop("command") == command, argv
+        assert vars(ours) == theirs, argv
         return True
+
+    @pytest.mark.parametrize(
+        "plain, other",
+        [
+            ("spectrum C(3,1)_3 --format csv", "spectrum C(3,1)_3 --form csv"),
+            ("spectrum C(3,1)_3 --format csv", "spectrum --format=csv C(3,1)_3"),
+            ("spectrum C(3,1)_3", "spectrum -- C(3,1)_3"),
+            ("spectrum C(3,1)_3 --verify", "spectrum C(3,1)_3 --verif"),
+            ("verify --n-max 4 --k 3", "verify --n-max=4 --k=3"),
+            ("scan --n-max 5 --k 3", "scan --n-m 5 --k 3"),
+            ("family 1 --n 5 --k 3", "family 1 --n=5 --k 3"),
+        ],
+    )
+    def test_a_form_only_argparse_reads_prints_the_plain_form(
+        self, capsys, plain, other
+    ):
+        plain, other = plain.split(), other.split()
+        assert cli._read(plain[0], plain[1:]) is not None
+        assert cli._read(other[0], other[1:]) is None
+        expected = run(capsys, *plain)
+        assert expected[0] == 0 and expected[1]
+        assert run(capsys, *other) == expected
 
     def test_every_golden_call_reads_alike(self, capsys):
         from test_golden_output import _calls, _usage_calls

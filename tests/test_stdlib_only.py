@@ -326,10 +326,9 @@ def _options(*words):
     """(subcommand, option) for every option that contains one of words."""
     return {
         (name, option)
-        for name in cli.SUBCOMMANDS
-        for action in cli._parser(name)._actions
-        for option in action.option_strings
-        if any(word in option for word in words)
+        for name, (_, _, arguments) in cli.SUBCOMMANDS.items()
+        for option, _ in arguments
+        if option[0] == "-" and any(word in option for word in words)
     }
 
 
