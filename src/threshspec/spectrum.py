@@ -539,35 +539,33 @@ class Spectrum(FrozenRecord):
 
 
 def _merge_entries(entries: Iterable[tuple[float, int, str]]) -> tuple[EigenPair, ...]:
-    """The closed route's merge: cluster (value, multiplicity, source)
-    triples within `MERGE_TOL` of the cluster anchor.
+    """The closed route's merge, in one pass over the (value,
+    multiplicity, source) triples, largest value first: a triple joins the
+    group when within `MERGE_TOL` below its first value, else starts one.
 
-    A cluster holding an exact block value is reported at it, any other
-    at its multiplicity-weighted mean summed from the int 0, so -0.0 comes
-    out +0.0.  Distinct block values, integers, never share a cluster.
+    A group keeps its first value, summed multiplicity, multiplicity-
+    weighted sum from the int 0, first block value and sources in
+    first-seen order.  Whatever its size, it is reported at its block value
+    if it holds one, else at weighted sum / multiplicity, so a lone -0.0
+    comes out +0.0.  Distinct block values, integers, never share a group.
     """
-    ordered = sorted(entries, key=lambda t: -t[0])
-    clusters: list[list[tuple[float, int, str]]] = []
-    anchor = 0.0
-    for item in ordered:
-        if clusters and anchor - item[0] <= MERGE_TOL:
-            clusters[-1].append(item)
+    groups: list[list] = []
+    for v, m, src in sorted(entries, key=lambda t: -t[0]):
+        block = v if src.startswith("block") else None
+        if groups and group[0] - v <= MERGE_TOL:
+            group[1] += m
+            group[2] += v * m
+            if group[3] is None:
+                group[3] = block
+            if src not in group[4]:
+                group[4].append(src)
         else:
-            anchor = item[0]
-            clusters.append([item])
-    pairs = []
-    for members in clusters:
-        if len(members) == 1:  # the general branch's pair, in half its time
-            ((v, m, src),) = members
-            rep = v if src.startswith("block") else (0 + v * m) / m
-            pairs.append(EigenPair(rep, m, src))
-            continue
-        total = sum(m for _, m, _ in members)
-        exact = [v for v, _, src in members if src.startswith("block")]
-        rep = exact[0] if exact else sum(v * m for v, m, _ in members) / total
-        sources = "+".join(dict.fromkeys(src for _, _, src in members))
-        pairs.append(EigenPair(rep, total, sources))
-    return tuple(pairs)
+            group = [v, m, 0 + v * m, block, [src]]
+            groups.append(group)
+    return tuple(
+        EigenPair(weighted / total if exact is None else exact, total, "+".join(srcs))
+        for _, total, weighted, exact, srcs in groups
+    )
 
 
 def _assemble(bp: BlockProfile) -> Spectrum:

@@ -722,6 +722,103 @@ class TestMergeEntries:
             (-5.0, 3, "quotient+block2"),
         ]
 
+    @staticmethod
+    def _two_pass_merge(entries):
+        """The earlier two-pass merge, kept as the reference: clusters
+        first, then one pair per cluster, with a branch of its own for a
+        cluster of one."""
+        ordered = sorted(entries, key=lambda t: -t[0])
+        clusters = []
+        anchor = 0.0
+        for item in ordered:
+            if clusters and anchor - item[0] <= MERGE_TOL:
+                clusters[-1].append(item)
+            else:
+                anchor = item[0]
+                clusters.append([item])
+        pairs = []
+        for members in clusters:
+            if len(members) == 1:
+                ((v, m, src),) = members
+                rep = v if src.startswith("block") else (0 + v * m) / m
+                pairs.append((rep, m, src))
+                continue
+            total = sum(m for _, m, _ in members)
+            exact = [v for v, _, src in members if src.startswith("block")]
+            rep = exact[0] if exact else sum(v * m for v, m, _ in members) / total
+            sources = "+".join(dict.fromkeys(src for _, _, src in members))
+            pairs.append((rep, total, sources))
+        return pairs
+
+    @staticmethod
+    def _random_entries(rng):
+        """Block values, some equal across blocks and some signed zeros,
+        and chains of quotient values placed at, just inside or just past
+        `MERGE_TOL` of a block value or of the value before them."""
+        steps = [
+            0.0,
+            MERGE_TOL,
+            math.nextafter(MERGE_TOL, 0.0),
+            math.nextafter(MERGE_TOL, 1.0),
+            MERGE_TOL / 2,
+            3 * MERGE_TOL,
+        ]
+        blocks = rng.sample(range(1, 9), rng.randint(0, 4))
+        entries = [
+            (rng.choice([0.0, -0.0, -1.0, -2.0, -3.0]), rng.randint(1, 4), f"block{b}")
+            for b in blocks
+        ]
+        for _ in range(rng.randint(1, 3)):
+            v = rng.choice([v for v, _, _ in entries] + [0.0, -0.0, 0.5, -1.0])
+            for _ in range(rng.randint(1, 4)):
+                v += rng.choice([-1.0, 1.0]) * rng.choice(steps)
+                entries.append((v, rng.randint(1, 2), "quotient"))
+        rng.shuffle(entries)
+        return entries
+
+    def test_one_pass_matches_the_two_pass_merge_bit_for_bit(self):
+        rng = random.Random(46)
+        many_member_lists = 0
+        for _ in range(20_000):
+            entries = self._random_entries(rng)
+            want = self._two_pass_merge(entries)
+            got = spectrum._merge_entries(entries)
+            assert [(p.value.hex(), p.multiplicity, p.source) for p in got] == [
+                (v.hex(), m, src) for v, m, src in want
+            ], entries
+            many_member_lists += len(want) < len(entries)
+        assert many_member_lists > 10_000
+
+
+class TestInternalGuards:
+    """The closed route's two internal checks, each fed a planted fault."""
+
+    def test_quotient_eigenvalues_past_the_frobenius_bound_are_refused(
+        self, monkeypatch
+    ):
+        count = spectrum._Pencil.count
+
+        def blind_at_the_bound(pencil, lam):
+            return 0 if lam == pencil.scale + 1.0 else count(pencil, lam)
+
+        monkeypatch.setattr(spectrum._Pencil, "count", blind_at_the_bound)
+        with pytest.raises(RuntimeError) as err:
+            full_spectrum_closed(hg("C(3,2,1)_3").runs)
+        assert str(err.value) == (
+            "internal: quotient eigenvalues escape the Frobenius bound"
+        )
+
+    def test_a_merge_that_loses_a_pair_is_refused(self, monkeypatch):
+        ss = hg("C(3,2,1)_3").runs
+        last = full_spectrum_closed(ss).pairs[-1].multiplicity
+        merge = spectrum._merge_entries
+        monkeypatch.setattr(spectrum, "_merge_entries", lambda e: merge(e)[:-1])
+        with pytest.raises(RuntimeError) as err:
+            full_spectrum_closed(ss)
+        assert str(err.value) == (
+            f"internal: multiplicities sum to {ss.n - last}, expected {ss.n}"
+        )
+
 
 class TestFullSpectrum:
     def test_disconnected_matches_bruteforce_oracle(self):
