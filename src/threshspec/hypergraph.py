@@ -13,10 +13,8 @@ A `ThresholdHypergraph` computes on the run-length form alone and builds
 its n creation bits only when `sequence` is asked for.
 """
 
-import sys
 from functools import cached_property
 from operator import index
-from types import ModuleType
 
 from .combinatorics import (
     binomial,
@@ -226,11 +224,15 @@ class ThresholdHypergraph(FrozenRecord):
     def edges(self) -> list[tuple[int, ...]]:
         """All edges as sorted tuples, in lexicographic order, under the
         edge caps (`oracle.edges`)."""
-        return _oracle().edges(self.runs)
+        from . import oracle
+
+        return oracle.edges(self.runs)
 
     def pair_count(self, i: int, j: int) -> int:
         """Number of edges containing both v_i and v_j (`oracle.pair_count`)."""
-        return _oracle().pair_count(self.runs, i, j)
+        from . import oracle
+
+        return oracle.pair_count(self.runs, i, j)
 
     def adjacency(self) -> AdjacencyMatrix:
         """Closed-form adjacency matrix: A[i][j] = gamma of the block of
@@ -247,24 +249,10 @@ class ThresholdHypergraph(FrozenRecord):
         )
 
     def to_general(self) -> "GeneralHypergraph":
-        edges = frozenset(frozenset(e) for e in self.edges())
-        return _oracle().GeneralHypergraph(self.n, self.k, edges)
-
-
-#: The key of `oracle` in `sys.modules`.
-_ORACLE = f"{__package__}.oracle"
-
-
-def _oracle() -> ModuleType:
-    """The `oracle` module, imported by the first call that runs an oracle
-    and looked up in `sys.modules` by every later one: `pair_count(1, 4)`
-    on `C(3,2)_3` took 3.6 us with an import in each call, 2.2 us so."""
-    try:
-        return sys.modules[_ORACLE]
-    except KeyError:
         from . import oracle
 
-        return oracle
+        edges = frozenset(frozenset(e) for e in self.edges())
+        return oracle.GeneralHypergraph(self.n, self.k, edges)
 
 
 def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
@@ -284,5 +272,7 @@ def __getattr__(name: str) -> object:
         "adjacency_bruteforce",
         "load_replaceable_non_threshold_7_4",
     ):
-        return getattr(_oracle(), name)
+        from . import oracle
+
+        return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

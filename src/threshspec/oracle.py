@@ -118,26 +118,10 @@ def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
 
 def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> None:
     """Refuse an edge list with a vertex outside 1..n, in one pass over
-    its entries at C speed; an `_InRange` list on 1..n passes at once."""
-    if type(edges) is _InRange and edges.n == n:
-        return
+    its entries at C speed."""
     outside = set().union(*edges).difference(range(1, n + 1))
     if outside:
         raise ValueError(f"vertex {min(outside)} out of range 1..{n}")
-
-
-class _InRange(list):
-    """An edge list whose vertices construction found within 1..n, so
-    that `recount_pairs` and `edge_links` read it without scanning it
-    again.  Only a `verify` visit holds one, its own edge list, and it
-    never changes it."""
-
-    __slots__ = ("n",)
-
-    def __init__(self, n: int, edges: list[tuple[int, ...]]) -> None:
-        _check_vertices(n, edges)
-        super().__init__(edges)
-        self.n = n
 
 
 def recount_pairs(n: int, edges: Collection[Iterable[int]]) -> AdjacencyMatrix:

@@ -6,15 +6,15 @@ five checks on it, each of an identity whose two sides are computed by
 unrelated code paths; no bit is built.  It takes the (k, n) sizes in the
 order of `sequences.sweep_space`, and each size's sequences as
 complement pairs: every zero-head sequence is followed by its
-complement, the same runs with the merged head, so the merged-head half
-is never listed on its own.  The one list of a size's k-subsets is built
-once per size, what the two sequences of a pair share once per pair,
-and nothing else outlives a visit: uniqueness reads each matrix back to
-its sequence (`decode`) instead of keeping the matrices seen, so a
-walk's memory does not grow with n_max.  A walk imports the oracles it
-checks against: importing this module does not.  The CLI `verify`
-command runs the walk; each `sweep_*` runs it too and returns its own
-check's result.
+complement, which `complement_sequence` gives as the same runs with the
+merged head, so the merged-head half is never listed on its own.  The
+one list of a size's k-subsets is built once per size, what the two
+sequences of a pair share once per pair, and nothing else outlives a
+visit: uniqueness reads each matrix back to its sequence (`decode`)
+instead of keeping the matrices seen, so a walk's memory does not grow
+with n_max.  A walk imports the oracles it checks against: importing
+this module does not.  The CLI `verify` command runs the walk; each
+`sweep_*` runs it too and returns its own check's result.
 """
 
 from collections.abc import Iterable, Iterator
@@ -107,18 +107,17 @@ class _Visit:
     after its sweep that yields the sequence's failures; they share one
     closed-form adjacency and one edge list, built in that order with the
     visit, so the cell cap refuses a lone zero run of huge n before its
-    edge list's vertex range is checked.  They call the oracles through
-    the module the walk imported, and write the sequence's text only for
-    a failure.  The walk gives each visit its mate's runs and the pair's
-    one comparison with the k-subsets as plain values, `mate_runs` and
-    `split`, so no visit holds another (a lone zero run is its own mate).
-    Helpers start with `_`, so that `_CHECKS` does not take them."""
+    edge list is listed.  They call the oracles through the module the
+    walk imported, and write the sequence's text only for a failure.  The
+    walk gives each visit the pair's one comparison with the k-subsets as
+    a plain value, `split`, so no visit holds another (a lone zero run is
+    its own mate).  Helpers start with `_`, so that `_CHECKS` does not
+    take them."""
 
     def __init__(self, ss: ShortSequence, oracle: ModuleType) -> None:
         self.h, self.oracle = ThresholdHypergraph(ss), oracle
         self._adjacency = self.h.adjacency()
-        # vertex range checked once, for the recount and the links
-        self._edges = oracle._InRange(self.h.n, self.h.edges())
+        self._edges = self.h.edges()
 
     @property
     def _text(self) -> str:
@@ -161,9 +160,9 @@ class _Visit:
             yield self._text
 
     def complement_partition(self) -> Iterator[str]:
-        # the mate is the complement the walk built; by uniqueness no other
-        # sequence splits the k-subsets with this one
-        if complement_sequence(self.h.runs) != self.mate_runs or not self.split:
+        # the mate is `complement_sequence`'s; by uniqueness only the true
+        # complement's edges split the k-subsets with this one's
+        if not self.split:
             yield self._text
 
 
@@ -237,15 +236,15 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
         for ss in iter_short_sequences(n, k):
             if ss.first_run_has_ones:
                 break  # the merged-head half: each of its sequences was a mate
+            mate = complement_sequence(ss)
             pair = [_Visit(ss, oracle)]
-            if n >= k:  # else the lone zero run, its own complement
-                pair.append(_Visit(ShortSequence(k, ss.runs, True), oracle))
+            if mate != ss:  # else the lone zero run, its own complement
+                pair.append(_Visit(mate, oracle))
             if subsets is None:
                 subsets = list(combinations(range(1, n + 1), k))
             split = sorted(pair[0]._edges + pair[-1]._edges) == subsets
-            for v, mate in zip(pair, pair[::-1]):
-                v.mate_runs, v.split = mate.h.runs, split
             for v in pair:
+                v.split = split
                 connected = v.h.runs.connected
                 for res, check, connected_only in checks:
                     if connected or not connected_only:

@@ -3,7 +3,7 @@
 The closed route gets every pair count and eigenvalue from gamma; the
 oracles in oracle.py recompute them without it, so that a fault in one
 shows as a disagreement.  This reads the source, as
-`tests/test_stdlib_only.py` does, and holds four rules:
+`tests/test_stdlib_only.py` does, and holds five rules:
 
 - no closed-route function reaches a name defined in oracle.py, either
   directly or through the package functions it calls;
@@ -15,7 +15,11 @@ shows as a disagreement.  This reads the source, as
 - the closed route reads the run form: no closed-route function but
   `ThresholdHypergraph.adjacency` reaches the name `ThresholdHypergraph`,
   directly or through the package functions it calls, and spectrum.py
-  imports from hypergraph.py only `RUN_FORM`.
+  imports from hypergraph.py only `RUN_FORM`;
+- the oracles are reached only through their public functions: no module
+  reads `sys.modules`, oracle.py defines no `list` subclass for a checked
+  edge list, and verify.py builds a `ShortSequence` only in `decode`,
+  taking each complement from `complement_sequence`.
 
 The call graph is an over-approximation: an attribute read `x.name` on
 anything but `self` or a module is taken to reach every package method
@@ -274,6 +278,39 @@ def spectrum_imports_outside_run_form(sources):
     }
 
 
+def sys_modules_readers(sources):
+    """Each module that reads `sys.modules`."""
+    return {
+        module
+        for module, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "modules"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "sys"
+    }
+
+
+def list_subclasses(text):
+    """The classes a module defines on `list`."""
+    return {
+        node.name
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(b, ast.Name) and b.id == "list" for b in node.bases)
+    }
+
+
+def short_sequence_calls(tree):
+    """How many `ShortSequence(...)` calls the tree holds."""
+    return sum(
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None))
+        == "ShortSequence"
+        for node in ast.walk(tree)
+    )
+
+
 def test_the_closed_route_reaches_no_oracle():
     assert closed_route_reaching_oracle(SOURCES) == {}
 
@@ -289,6 +326,18 @@ def test_the_closed_route_does_not_import_the_oracles():
 def test_the_closed_route_reads_the_run_form():
     assert closed_route_reaching_the_hypergraph(SOURCES) == {}
     assert spectrum_imports_outside_run_form(SOURCES) == set()
+
+
+def test_the_oracles_are_reached_only_through_their_public_functions():
+    assert sys_modules_readers(SOURCES) == set()
+    assert list_subclasses(SOURCES[ORACLE]) == set()
+    verify = ast.parse(SOURCES["verify"])
+    (decode,) = (
+        node
+        for node in verify.body
+        if isinstance(node, ast.FunctionDef) and node.name == "decode"
+    )
+    assert short_sequence_calls(verify) == short_sequence_calls(decode) == 1
 
 
 def test_the_oracle_names_are_found():

@@ -592,18 +592,17 @@ def test_uniqueness_keeps_no_store():
     assert peak < 2 * 2**20
 
 
-def test_walk_scans_each_edge_list_for_its_vertex_range_once(monkeypatch):
-    # the recount and the links read the one edge list of a visit, checked
-    # once when it is listed
-    scans = []
-    real = oracle._check_vertices
+def test_walk_refuses_an_edge_list_off_the_vertex_range(monkeypatch):
+    # a vertex outside 1..n in a visit's edge list is refused by name
+    # before the recount reads it, not wrapped to another row
+    real = oracle.edges
 
-    def counted(n, edges):
-        if type(edges) is not oracle._InRange:
-            scans.append(n)
-        return real(n, edges)
+    def planted(ss):
+        out = real(ss)
+        if ss.n == 5:
+            out.append((0, 5))
+        return out
 
-    monkeypatch.setattr(oracle, "_check_vertices", counted)
-    results = run_all_sweeps(8, [2, 3, 4])
-    assert all(r.passed for r in results)
-    assert len(scans) == count_valid_sequences(8, [2, 3, 4])
+    monkeypatch.setattr(oracle, "edges", planted)
+    with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.5$"):
+        run_all_sweeps(6, [3])
