@@ -48,43 +48,45 @@ from .sequences import (
 from .spectrum import (
     BlockEigenvalue,
     EigenPair,
-    QuotientMatrix,
-    ScanRow,
     Spectrum,
     block_eigenvalues,
-    family_sequence,
-    family_spectrum_symbolic,
     full_spectrum_closed,
-    jacobi_eigenvalues,
     quotient_eigenvalues,
-    quotient_matrix,
-    scan_quotient_simplicity,
-    symmetrize_quotient,
 )
 
-_ORACLE_NAMES = (
-    "GeneralHypergraph",
-    "adjacency_bruteforce",
-    "full_spectrum_numeric",
-    "householder_ql_eigenvalues",
-    "load_replaceable_non_threshold_7_4",
-)
+#: The public names that `__getattr__` serves, each with its module: the
+#: oracles, the quotient-gap walk, the families and the explicit quotient.
+_SERVED = {
+    "GeneralHypergraph": "oracle",
+    "adjacency_bruteforce": "oracle",
+    "full_spectrum_numeric": "oracle",
+    "householder_ql_eigenvalues": "oracle",
+    "load_replaceable_non_threshold_7_4": "oracle",
+    "ScanRow": "scan",
+    "scan_quotient_simplicity": "scan",
+    "family_sequence": "families",
+    "family_spectrum_symbolic": "families",
+    "QuotientMatrix": "quotient",
+    "quotient_matrix": "quotient",
+    "symmetrize_quotient": "quotient",
+    "jacobi_eigenvalues": "quotient",
+}
 
-# the public names the imports bind, not the submodules, then the oracles'
+# the public names the imports bind, not the submodules, then the served ones
 __all__ = [
     name
     for name, value in list(globals().items())
     if not name.startswith("_") and not isinstance(value, types.ModuleType)
-] + list(_ORACLE_NAMES)
+] + list(_SERVED)
 
 __version__ = "0.1.0"
 
 
 def __getattr__(name: str) -> object:
-    """The oracle names, served from `oracle` on first use (PEP 562), so
-    that importing the package does not import the oracles."""
-    if name in _ORACLE_NAMES:
-        from . import oracle
+    """A name of `_SERVED`, from its module, imported on first use (PEP
+    562), so that importing the package loads none of those modules."""
+    if name in _SERVED:
+        from importlib import import_module
 
-        return getattr(oracle, name)
+        return getattr(import_module(f".{_SERVED[name]}", __name__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

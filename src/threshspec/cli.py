@@ -43,14 +43,7 @@ from .errors import (
 )
 from .hypergraph import ThresholdHypergraph, block_profile
 from .sequences import ShortSequence, format_bits, format_short, parse_runs
-from .spectrum import (
-    MERGE_TOL,
-    Spectrum,
-    family_sequence,
-    family_spectrum_symbolic,
-    full_spectrum_closed,
-    scan_quotient_simplicity,
-)
+from .spectrum import MERGE_TOL, Spectrum, full_spectrum_closed
 from .verify import run_all_sweeps
 
 EXIT_OK = 0
@@ -237,6 +230,9 @@ def cmd_verify(args, out: TextIOBase, err: TextIOBase) -> int:
 
 
 def cmd_family(args, out: TextIOBase, err: TextIOBase) -> int:
+    # as the oracles, the families and the scan walk load only for their call
+    from .families import family_sequence, family_spectrum_symbolic
+
     ss = family_sequence(args.family, args.n, args.k, args.j)
     spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j)
     if args.format != "structured":
@@ -249,6 +245,8 @@ def cmd_family(args, out: TextIOBase, err: TextIOBase) -> int:
 
 
 def cmd_scan(args, out: TextIOBase, err: TextIOBase) -> int:
+    from .scan import scan_quotient_simplicity
+
     rows = scan_quotient_simplicity(args.n_max, _parse_k_list(args.k))
     flagged = sum(1 for row in rows if row.flagged)
     min_gap = min((row.min_quotient_gap for row in rows), default=float("inf"))

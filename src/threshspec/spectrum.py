@@ -15,42 +15,27 @@ the same route: no edge holds a vertex after the last bit 1, so its
 trailing zeros block has gamma 0 and a zero column, which yields 0 once
 per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
 are reported once, at the block value when the group holds one.  The
-catalogued families enter their gamma by hand and share the rest.
-Everything before the rational QL is folded one block at a time from the
-last block up by three steps: `gamma_step` (gamma and the edge count),
-`pair_sums` (the exact sums) and `_Pencil.push` (the reduction).
-`block_profile` and `_Pencil.of` fold them over one sequence, and
-`scan_quotient_simplicity` folds them and the bit text (`block_text`)
-along a tree of suffixes, so that the sequences ending in the same blocks
-share that work, and builds no sequence record.  The dense oracle
-`oracle.full_spectrum_numeric` shares `_rational_ql` with the closed
-route.  `jacobi_eigenvalues`, the dense solver before QL, has no caller
-left in the package.
+catalogued families (`families`) enter their gamma by hand and share the
+rest.  Everything before the rational QL is folded one block at a time
+from the last block up by three steps: `gamma_step` (gamma and the edge
+count), `pair_sums` (the exact sums) and `_Pencil.push` (the reduction).
+`block_profile` and `_Pencil.of` fold them over one sequence, and the
+quotient-gap walk in `scan` folds them along a tree of suffixes.  The
+dense oracle `oracle.full_spectrum_numeric` shares `_rational_ql` with
+the closed route.  The quotient as an explicit r x r matrix and the dense
+Jacobi solver are in `quotient`.  A `spectrum` call loads none of
+`families`, `scan` and `quotient`.
 """
 
 import math
 import sys
-from collections.abc import Iterable, Sequence
-from operator import index, sub
+from collections.abc import Iterable
 
-from .combinatorics import (
-    as_float,
-    binomial,
-    check_bit_text,
-    check_closed,
-    count_text,
-    edge_total,
-)
-from .errors import ConvergenceError, SequenceError
-from .hypergraph import (
-    BlockProfile,
-    block_profile,
-    check_pair_total,
-    gamma_step,
-    pair_sums,
-)
+from .combinatorics import as_float, check_closed
+from .errors import ConvergenceError
+from .hypergraph import BlockProfile, block_profile
 from .records import FrozenRecord
-from .sequences import ShortSequence, block_text, head_text, sweep_space
+from .sequences import ShortSequence
 
 __all__ = [
     "MERGE_TOL",
@@ -58,17 +43,9 @@ __all__ = [
     "BlockEigenvalue",
     "EigenPair",
     "Spectrum",
-    "QuotientMatrix",
-    "ScanRow",
     "block_eigenvalues",
-    "quotient_matrix",
     "quotient_eigenvalues",
-    "symmetrize_quotient",
-    "jacobi_eigenvalues",
     "full_spectrum_closed",
-    "family_sequence",
-    "family_spectrum_symbolic",
-    "scan_quotient_simplicity",
 ]
 
 #: Absolute distance within which the closed route reports values once.
@@ -104,133 +81,6 @@ def block_eigenvalues(bp: BlockProfile) -> list[BlockEigenvalue]:
         for j, (g, size) in enumerate(zip(bp.gamma, bp.seq.runs), start=1)
         if size >= 2
     ]
-
-
-class QuotientMatrix(FrozenRecord):
-    """Block row sums of the adjacency matrix, one row per block.
-
-    Generally asymmetric, but balanced: entries[i][j] * a_i counts the
-    edge incidences between blocks i and j and equals entries[j][i] * a_j.
-    """
-
-    _fields = ("entries", "block_sizes")
-
-    def __init__(
-        self, entries: tuple[tuple[int, ...], ...], block_sizes: tuple[int, ...]
-    ) -> None:
-        rows = tuple(tuple(map(index, row)) for row in entries)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "block_sizes", tuple(map(index, block_sizes)))
-        r = len(self.block_sizes)
-        if len(self.entries) != r or any(len(row) != r for row in self.entries):
-            raise ValueError("quotient matrix shape must match the block count")
-        if any(a < 1 for a in self.block_sizes):
-            raise ValueError("block sizes must be positive")
-        for i in range(r):
-            for j in range(r):
-                lhs = self.entries[i][j] * self.block_sizes[i]
-                rhs = self.entries[j][i] * self.block_sizes[j]
-                if lhs != rhs:
-                    raise ValueError(
-                        f"unbalanced quotient: entry ({i},{j}) weighted {lhs} "
-                        f"vs ({j},{i}) weighted {rhs}"
-                    )
-
-    @property
-    def r(self) -> int:
-        return len(self.block_sizes)
-
-
-def quotient_matrix(ss: ShortSequence) -> QuotientMatrix:
-    """Block row sums of the adjacency matrix, read off the block profile.
-
-    A vertex of block s sees a_t vertices of block t != s, all at count
-    gamma of the later block, and a_s - 1 twins at gamma_s:
-    Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
-    """
-    bp = block_profile(ss)
-    gamma, sizes = bp.gamma, bp.seq.runs
-    entries = tuple(
-        tuple((sizes[t] - (s == t)) * gamma[max(s, t)] for t in range(len(sizes)))
-        for s in range(len(sizes))
-    )
-    return QuotientMatrix(entries, sizes)
-
-
-def symmetrize_quotient(q: QuotientMatrix) -> list[list[float]]:
-    """Similar symmetric matrix sqrt(a_i/a_j) * q_ij; same eigenvalues.
-
-    The balance identity makes the two mirror expressions equal in exact
-    arithmetic; entries are computed once and mirrored so the result is
-    symmetric to the bit.
-    """
-    r = q.r
-    out = [[0.0] * r for _ in range(r)]
-    for i in range(r):
-        for j in range(i, r):
-            scale = math.sqrt(q.block_sizes[i] / q.block_sizes[j])
-            out[i][j] = out[j][i] = scale * as_float(q.entries[i][j])
-    return out
-
-
-def jacobi_eigenvalues(
-    matrix: Sequence[Sequence[float]],
-    tol: float = 1e-12,
-    max_sweeps: int = 100,
-) -> list[float]:
-    """All eigenvalues of a symmetric matrix, sorted descending.
-
-    Cyclic-by-row Jacobi rotations; a sweep visits every upper off-diagonal
-    entry in a fixed order, so identical inputs give identical output.
-    Converged when the off-diagonal Frobenius norm drops below tol times
-    the Frobenius norm of the input.
-    """
-    n = len(matrix)
-    a = [[float(x) for x in row] for row in matrix]
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    if n == 0:
-        return []
-    norm = math.sqrt(sum(x * x for row in a for x in row))
-    scale = max(1.0, norm)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(a[i][j] - a[j][i]) > 1e-12 * scale:
-                raise ValueError(f"matrix is not symmetric at ({i},{j})")
-            a[i][j] = a[j][i] = 0.5 * (a[i][j] + a[j][i])
-    for _ in range(max_sweeps):
-        off = math.sqrt(
-            2.0 * sum(a[i][j] ** 2 for i in range(n) for j in range(i + 1, n))
-        )
-        if off <= tol * norm:
-            return sorted((a[i][i] for i in range(n)), reverse=True)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p][q]
-                if apq == 0.0:
-                    continue
-                tau = (a[q][q] - a[p][p]) / (2.0 * apq)
-                if abs(tau) > 1e150:
-                    # rotation angle is tiny; avoid overflow in tau*tau
-                    t = 1.0 / (2.0 * tau)
-                elif tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                a[p][p] -= t * apq
-                a[q][q] += t * apq
-                a[p][q] = a[q][p] = 0.0
-                for i in range(n):
-                    if i == p or i == q:
-                        continue
-                    aip, aiq = a[i][p], a[i][q]
-                    a[i][p] = a[p][i] = c * aip - s * aiq
-                    a[i][q] = a[q][i] = s * aip + c * aiq
-    raise ConvergenceError(
-        f"jacobi iteration did not converge in {max_sweeps} sweeps"
-    )
 
 
 #: Machine epsilon; the rational QL's split test and the certificate
@@ -349,7 +199,7 @@ class _Pencil:
 
     `_Pencil()` is the pencil of no block.  `push` puts one block in front
     and `close` ends the sequence; `fork` copies an open pencil, so that
-    `_scan_size` grows one suffix into several sequences, and `of` folds
+    `scan._scan_size` grows one suffix into several sequences, and `of` folds
     the blocks of one profile.
     """
 
@@ -602,194 +452,25 @@ def full_spectrum_closed(ss: ShortSequence) -> Spectrum:
     return _assemble(block_profile(ss))
 
 
-def family_sequence(
-    family: int, n: int, k: int, j: int | None = None
-) -> ShortSequence:
-    """Short sequence of one of the three catalogued families.
-
-    Family 1: a lone pseudodominant after n-1 silent vertices.
-    Family 2: pseudodominants from position j through n (needs j).
-    Family 3: a k-clique head, a silent middle, one late pseudodominant.
-    Boundary cases that set bit k (family 1 with n = k, family 2 with
-    j = k) collapse to the complete hypergraph, a single merged run.
-    """
-    if k < 2:
-        raise SequenceError(f"uniformity must be at least 2, got {k}")
-    if j is not None and family != 2:
-        raise SequenceError(
-            f"only family 2 takes j, got j={count_text(j)} for family {family}"
-        )
-    if family == 1:
-        if n < k:
-            raise SequenceError(
-                f"family 1 needs n >= k, got n={count_text(n)}, k={count_text(k)}"
-            )
-        if n == k:
-            return ShortSequence(k, (n,), first_run_has_ones=True)
-        return ShortSequence(k, (n - 1, 1))
-    if family == 2:
-        if j is None:
-            raise SequenceError("family 2 needs the first pseudodominant position j")
-        if not k <= j <= n - 1:
-            raise SequenceError(
-                f"family 2 needs k <= j <= n-1, got j={count_text(j)}, "
-                f"n={count_text(n)}, k={count_text(k)}"
-            )
-        if j == k:
-            return ShortSequence(k, (n,), first_run_has_ones=True)
-        return ShortSequence(k, (j - 1, n - j + 1))
-    if family == 3:
-        if n < k + 2:
-            raise SequenceError(
-                f"family 3 needs n >= k+2, got n={count_text(n)}, k={count_text(k)}"
-            )
-        return ShortSequence(k, (k, n - k - 1, 1), first_run_has_ones=True)
-    raise SequenceError(f"unknown family {family}; expected 1, 2 or 3")
-
-
-def family_spectrum_symbolic(
-    family: int,
-    n: int,
-    k: int,
-    j: int | None = None,
-) -> Spectrum:
-    """Spectrum of a family member from its catalogued closed forms.
-
-    Each family's gamma is entered by hand, made into a `BlockProfile`
-    without `block_profile` and handed to the assembler of the closed
-    route: family 1 has
-    (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
-    (sum over the pseudodominants p = j..n of binomial(p-3, k-3),
-    binomial(n-2, k-2)), summed by the hockey stick to
-    binomial(n-2, k-2) - binomial(j-3, k-2), and family 3 has
-    (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
-    The complete-hypergraph boundaries (family 1 with n = k, family 2
-    with j = k) are one block with (binomial(n-2, k-2),).  The hand-entered
-    gamma is held to the pair-total identity that `block_profile` checks,
-    `check_pair_total` against `edge_total`.  Always agrees with
-    `full_spectrum_closed`, merging at the same `MERGE_TOL`, and refuses
-    what it refuses, before any binomial.
-    """
-    ss = family_sequence(family, n, k, j)
-    check_closed(ss)
-    a_cnt = binomial(n - 3, k - 3)
-    b_cnt = binomial(n - 2, k - 2)
-    if ss.r == 1:
-        gamma: tuple[int, ...] = (b_cnt,)
-    elif family == 1:
-        gamma = (a_cnt, b_cnt)
-    elif family == 2:
-        gamma = (b_cnt - binomial(j - 3, k - 2), b_cnt)
-    else:
-        gamma = (a_cnt + 1, a_cnt, b_cnt)
-    bp = BlockProfile(ss, gamma)
-    check_pair_total(k, bp.pair_total, edge_total(ss), ss)
-    return _assemble(bp)
-
-
-class ScanRow(FrozenRecord):
-    _fields = ("sequence", "n", "k", "r", "min_quotient_gap", "flagged")
-
-    def __init__(
-        self,
-        sequence: str,
-        n: int,
-        k: int,
-        r: int,
-        min_quotient_gap: float,
-        flagged: bool,
-    ) -> None:
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "min_quotient_gap", min_quotient_gap)
-        object.__setattr__(self, "flagged", flagged)
-
-
-def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRow]:
-    """Minimum quotient eigenvalue gap for every connected sequence.
-
-    A row is flagged when two quotient eigenvalues sit closer than the
-    fixed `MERGE_TOL`, the distance within which the closed route reports
-    values once, i.e. the quotient fails to separate them numerically.
-    Single-block sequences report an infinite gap.  `sweep_space` gives
-    the order of the sizes and refuses a space over `SEQUENCE_BUDGET`
-    before the first row; within a size the rows are in lexicographic bit
-    order, which is the order of their bit text.
-
-    Each size's sequences are the leaves of a tree of suffixes
-    (`_scan_size`).  Everything the closed route computes before the
-    rational QL depends on n, k and a suffix of blocks alone, and so does
-    the bit text after the first block: gamma, the exact sums, the pencil's
-    count rows, the reduction, whose step s touches only blocks s..r-1, and
-    the text are folded from the last block up.  A node folds its block once
-    for every sequence that ends in its suffix, with the steps and pieces
-    that `block_profile`, `_Pencil.of` and `format_bits` use on one sequence,
-    so each sequence gets the same text, exact sums and IEEE operations in
-    the same order as `quotient_eigenvalues(block_profile(ss))`, and its
-    `check_pair_total`, which names a failure by the row's bit text.
-    """
-    out = []
-    for k, n in sweep_space(n_max, k_values, "scan", True):
-        out += _scan_size(k, n)
-    return out
-
-
-def _scan_size(k: int, n: int) -> list[ScanRow]:
-    """The `ScanRow` of every connected sequence of size (k, n), sorted by
-    bit text.  A node is a suffix of blocks that leaves positions 1..end in
-    front of it; the last block is a ones block and the kinds alternate.
-    A child puts one more block in front that leaves at least k positions,
-    or takes all of 1..end as the first block, which closes a sequence.
-    Each child but that first block gets a copy of the node's state.
-
-    The text is folded too, so a size is checked once, before the first
-    step: past 2**53 (its one-block run), then over the text cap.
-    """
-    out = []
-
-    def grow(end, ones, after, pairs, squares, edges, pencil, text):
-        # the suffix after position `end`; front_* puts one more block in front
-        for size in (*range(1, end - k + 1), end):
-            g, front_after, front_edges = gamma_step(
-                k, end, size, ones, after, edges
-            )
-            front_pairs, front_squares = pair_sums(pairs, squares, g, size, end)
-            front = pencil if size == end else pencil.fork()
-            front.push(g, size)
-            if size < end:
-                grow(
-                    end - size,
-                    not ones,
-                    front_after,
-                    front_pairs,
-                    front_squares,
-                    front_edges,
-                    front,
-                    block_text(size, ones) + text,
-                )
-                continue
-            sequence = head_text(k, size, ones) + text
-            check_pair_total(k, front_pairs, front_edges, sequence)
-            front.close(2 * front_squares)
-            values = front.eigenvalues()
-            gap = min(map(sub, values, values[1:]), default=math.inf)
-            out.append(ScanRow(sequence, n, k, len(values), gap, gap < MERGE_TOL))
-
-    if n >= k:
-        as_float(n)
-        check_bit_text(n)
-        grow(n, True, 0, 0, 0, 0, _Pencil(), "")
-    return sorted(out, key=lambda row: row.sequence)
+#: The names that the acceptance tests and the benchmark's tracer look up
+#: in this module.  None is defined here: the package serves each from the
+#: module that holds it.
+_SERVED = (
+    "full_spectrum_numeric",
+    "jacobi_eigenvalues",
+    "symmetrize_quotient",
+    "quotient_matrix",
+    "scan_quotient_simplicity",
+    "family_sequence",
+    "family_spectrum_symbolic",
+)
 
 
 def __getattr__(name: str) -> object:
-    """`full_spectrum_numeric`, which the acceptance tests and the
-    benchmark's tracer look up in this module, served from `oracle`
-    (PEP 562)."""
-    if name == "full_spectrum_numeric":
-        from . import oracle
+    """A name of `_SERVED`, from the package, which imports its module on
+    first use (PEP 562), so that the closed route loads none of them."""
+    if name in _SERVED:
+        from importlib import import_module
 
-        return oracle.full_spectrum_numeric
+        return getattr(import_module(__package__), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

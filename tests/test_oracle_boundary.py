@@ -7,15 +7,15 @@ shows as a disagreement.  This reads the source, as
 
 - no closed-route function reaches a name defined in oracle.py, either
   directly or through the package functions it calls;
-- oracle.py reads from hypergraph.py and spectrum.py only the names in
-  `ALLOWED`;
+- oracle.py reads from hypergraph.py and the modules of `SPECTRUM` only
+  the names in `ALLOWED`;
 - no module but oracle.py itself imports oracle.py at module level, so
   that importing the package, the closed route or the CLI need not import
   the oracles; only a call that runs one does;
 - the closed route reads the run form: no closed-route function but
   `ThresholdHypergraph.adjacency` reaches the name `ThresholdHypergraph`,
-  directly or through the package functions it calls, and spectrum.py
-  imports from hypergraph.py only `RUN_FORM`;
+  directly or through the package functions it calls, and each module of
+  `SPECTRUM` imports from hypergraph.py only `RUN_FORM`;
 - the oracles are reached only through their public functions: no module
   reads `sys.modules`, oracle.py defines no `list` subclass for a checked
   edge list, and verify.py builds a `ShortSequence` only in `decode`,
@@ -55,19 +55,23 @@ CLOSED_ROUTE = (
     ("spectrum", "_assemble"),
     ("spectrum", "block_eigenvalues"),
     ("spectrum", "quotient_eigenvalues"),
-    ("spectrum", "quotient_matrix"),
     ("spectrum", "full_spectrum_closed"),
-    ("spectrum", "family_spectrum_symbolic"),
-    ("spectrum", "scan_quotient_simplicity"),
-    ("spectrum", "_scan_size"),
+    ("quotient", "quotient_matrix"),
+    ("families", "family_spectrum_symbolic"),
+    ("scan", "scan_quotient_simplicity"),
+    ("scan", "_scan_size"),
 )
+
+#: The closed route's modules past gamma: spectrum.py, and the quotient-gap
+#: walk, the families and the explicit quotient, which load on first use.
+SPECTRUM = ("spectrum", "scan", "families", "quotient")
 
 #: The one closed-route method that reads a `ThresholdHypergraph`.
 ADJACENCY = ("hypergraph", "ThresholdHypergraph.adjacency")
 
-#: What spectrum.py may import from hypergraph.py: the run form's profile,
-#: and the steps `block_profile` folds over one sequence, which `scan`
-#: folds over its tree of suffixes.
+#: What a module of `SPECTRUM` may import from hypergraph.py: the run
+#: form's profile, and the steps `block_profile` folds over one sequence,
+#: which `scan` folds over its tree of suffixes.
 RUN_FORM = {
     "BlockProfile",
     "block_profile",
@@ -215,10 +219,10 @@ def closed_route_reaching_oracle(sources):
 
 
 def oracle_reads_outside_allowed(sources):
-    """(module, name) for every hypergraph or spectrum name that oracle.py
-    reads and `ALLOWED` does not list."""
+    """(module, name) for every name of hypergraph or a module of
+    `SPECTRUM` that oracle.py reads and `ALLOWED` does not list."""
     tree = ast.parse(sources[ORACLE])
-    closed = {"hypergraph", "spectrum"}
+    closed = {"hypergraph", *SPECTRUM}
     modules = set()
     reads = set()
     for node in ast.walk(tree):
@@ -268,11 +272,13 @@ def closed_route_reaching_the_hypergraph(sources):
 
 
 def spectrum_imports_outside_run_form(sources):
-    """Each name that spectrum.py imports from hypergraph.py, anywhere in
-    the module, and `RUN_FORM` does not list; None for the module itself."""
+    """(module, name) for each name that a module of `SPECTRUM` imports
+    from hypergraph.py, anywhere in the module, and `RUN_FORM` does not
+    list; name is None for the hypergraph module itself."""
     return {
-        name
-        for node in ast.walk(ast.parse(sources["spectrum"]))
+        (importer, name)
+        for importer in SPECTRUM
+        for node in ast.walk(ast.parse(sources[importer]))
         for _, module, name in _imported(node)
         if module == "hypergraph" and name not in RUN_FORM
     }
@@ -380,7 +386,7 @@ def test_a_planted_call_from_block_profile_is_caught(line):
     assert ("hypergraph", "ThresholdHypergraph.adjacency") in found
 
 
-@pytest.mark.parametrize("module", ["hypergraph", "spectrum"])
+@pytest.mark.parametrize("module", ["hypergraph", "spectrum", "scan"])
 @pytest.mark.parametrize(
     "line", ["from .oracle import pair_count\n", "from . import oracle\n"]
 )
@@ -415,7 +421,7 @@ FULL_SPECTRUM_BODY = "    check_closed(ss)\n    return _assemble("
         (
             "    from .hypergraph import ThresholdHypergraph\n\n"
             "    ThresholdHypergraph(ss)\n",
-            {"ThresholdHypergraph"},
+            {("spectrum", "ThresholdHypergraph")},
         ),
     ],
     ids=["unbound", "imported"],
@@ -430,4 +436,4 @@ def test_a_planted_hypergraph_in_full_spectrum_closed_is_caught(line, imported):
 def test_a_planted_import_of_the_hypergraph_module_is_caught():
     anchor = "from .records import FrozenRecord\n"
     sources = _planted("spectrum", anchor, "from . import hypergraph\n")
-    assert spectrum_imports_outside_run_form(sources) == {None}
+    assert spectrum_imports_outside_run_form(sources) == {("spectrum", None)}

@@ -7,14 +7,10 @@ import pytest
 
 from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
 from threshspec.oracle import GeneralHypergraph
+from threshspec.quotient import QuotientMatrix
+from threshspec.scan import ScanRow
 from threshspec.sequences import BinarySequence, ShortSequence
-from threshspec.spectrum import (
-    BlockEigenvalue,
-    EigenPair,
-    QuotientMatrix,
-    ScanRow,
-    Spectrum,
-)
+from threshspec.spectrum import BlockEigenvalue, EigenPair, Spectrum
 from threshspec.verify import SweepResult
 
 SS = "ShortSequence(k=2, runs=(2, 1), first_run_has_ones=False)"

@@ -14,7 +14,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
-from threshspec import combinatorics, oracle, sequences, spectrum
+from threshspec import combinatorics, families, oracle, quotient, scan, sequences, spectrum
 from threshspec.cli import main
 from threshspec.hypergraph import ThresholdHypergraph
 from threshspec.oracle import (
@@ -32,21 +32,21 @@ from threshspec.sequences import (
     to_binary,
     to_short,
 )
+from threshspec.families import family_sequence, family_spectrum_symbolic
+from threshspec.quotient import (
+    QuotientMatrix,
+    jacobi_eigenvalues,
+    quotient_matrix,
+    symmetrize_quotient,
+)
+from threshspec.scan import ScanRow, scan_quotient_simplicity
 from threshspec.spectrum import (
     MERGE_TOL,
     BlockProfile,
-    QuotientMatrix,
-    ScanRow,
     block_eigenvalues,
     block_profile,
-    family_sequence,
-    family_spectrum_symbolic,
     full_spectrum_closed,
-    jacobi_eigenvalues,
     quotient_eigenvalues,
-    quotient_matrix,
-    scan_quotient_simplicity,
-    symmetrize_quotient,
 )
 
 
@@ -172,14 +172,12 @@ class TestClosedRouteStaysOffDense:
         # the dense matrix and the dense solvers belong to the numeric
         # oracle and the direct pair count to the two-route sweep; none runs
         # on this route
-        import threshspec.spectrum as spectrum
-
         def refuse(*args, **kwargs):
             raise AssertionError("the closed route left its own code path")
 
         monkeypatch.setattr(ThresholdHypergraph, "adjacency", refuse)
         monkeypatch.setattr(ThresholdHypergraph, "pair_count", refuse)
-        monkeypatch.setattr(spectrum, "jacobi_eigenvalues", refuse)
+        monkeypatch.setattr(quotient, "jacobi_eigenvalues", refuse)
         monkeypatch.setattr(oracle, "householder_ql_eigenvalues", refuse)
         sp = full_spectrum_closed(hg("C(1500,1500)_3").runs)
         assert sum(p.multiplicity for p in sp.pairs) == 3000
@@ -221,7 +219,7 @@ class TestClosedRouteRefusals:
         import threshspec.hypergraph as hypergraph
 
         monkeypatch.setattr(hypergraph, "binomial", refuse)
-        monkeypatch.setattr(spectrum, "binomial", refuse)
+        monkeypatch.setattr(families, "binomial", refuse)
         for call in (
             lambda: full_spectrum_closed(ShortSequence(10**6, (2 * 10**6, 1))),
             lambda: family_spectrum_symbolic(1, 2 * 10**6, 10**6),
@@ -1031,10 +1029,15 @@ class TestFamilies:
         assert (1, 4, 4, None) in cases and (2, 9, 3, 3) in cases
         want = [full_spectrum_closed(family_sequence(*c)) for c in cases]
 
-        def refuse(ss):
+        def refuse(*args):
             raise AssertionError("family route computed gamma from the runs")
 
+        # block_profile folds gamma_step, read from hypergraph, whichever
+        # module calls it
+        import threshspec.hypergraph as hypergraph
+
         monkeypatch.setattr(spectrum, "block_profile", refuse)
+        monkeypatch.setattr(hypergraph, "gamma_step", refuse)
         for case, ref in zip(cases, want):
             assert family_spectrum_symbolic(*case) == ref, case
 
@@ -1042,7 +1045,7 @@ class TestFamilies:
         # gamma_1 is entered as binomial(n-2, k-2) - binomial(j-3, k-2),
         # the closed form of the sum over the pseudodominants p = j..n
         seen = []
-        monkeypatch.setattr(spectrum, "_assemble", lambda bp: seen.append(bp))
+        monkeypatch.setattr(families, "_assemble", lambda bp: seen.append(bp))
         for k in range(2, 8):
             for n in range(k + 1, 31):
                 for j in range(k + 1, n):
@@ -1057,7 +1060,7 @@ class TestFamilies:
         def off_by_one(m, t):
             return binomial(m, t) + ((m, t) == (2, 1))
 
-        monkeypatch.setattr(spectrum, "binomial", off_by_one)
+        monkeypatch.setattr(families, "binomial", off_by_one)
         with pytest.raises(RuntimeError, match=r"pair counts of C\("):
             family_spectrum_symbolic(2, 9, 3, 5)
 
@@ -1100,13 +1103,13 @@ class TestScan:
         def no_step(*args):
             raise AssertionError("a block was folded")
 
-        monkeypatch.setattr(spectrum, "gamma_step", no_step)
+        monkeypatch.setattr(scan, "gamma_step", no_step)
         with pytest.raises(ResourceLimitError, match="the bit form of"):
-            spectrum._scan_size(2, combinatorics.TEXT_CAP // 2 + 1)
+            scan._scan_size(2, combinatorics.TEXT_CAP // 2 + 1)
         with pytest.raises(CountTooLargeError):
-            spectrum._scan_size(2, FLOAT_SAFE_LIMIT + 1)
+            scan._scan_size(2, FLOAT_SAFE_LIMIT + 1)
         # n = k - 1 has no connected sequence, so no refusal
-        assert spectrum._scan_size(FLOAT_SAFE_LIMIT + 2, FLOAT_SAFE_LIMIT + 1) == []
+        assert scan._scan_size(FLOAT_SAFE_LIMIT + 2, FLOAT_SAFE_LIMIT + 1) == []
 
     def test_a_leaf_builds_no_sequence_record(self, monkeypatch):
         # a row needs only its counts and its bit text, so no leaf builds

@@ -116,14 +116,22 @@ def test_every_exported_name_resolves():
 
 def test_the_star_import_binds_every_name_the_package_serves():
     """`from threshspec import *` binds each name that `__init__` imports
-    and the five oracle names that its `__getattr__` serves, the oracles'
-    own objects, and nothing else."""
-    oracle_names = {
-        "GeneralHypergraph",
-        "adjacency_bruteforce",
-        "full_spectrum_numeric",
-        "householder_ql_eigenvalues",
-        "load_replaceable_non_threshold_7_4",
+    and the thirteen names that its `__getattr__` serves, each the object
+    of the module that holds it, and nothing else."""
+    served = {
+        "GeneralHypergraph": "oracle",
+        "adjacency_bruteforce": "oracle",
+        "full_spectrum_numeric": "oracle",
+        "householder_ql_eigenvalues": "oracle",
+        "load_replaceable_non_threshold_7_4": "oracle",
+        "ScanRow": "scan",
+        "scan_quotient_simplicity": "scan",
+        "family_sequence": "families",
+        "family_spectrum_symbolic": "families",
+        "QuotientMatrix": "quotient",
+        "quotient_matrix": "quotient",
+        "symmetrize_quotient": "quotient",
+        "jacobi_eigenvalues": "quotient",
     }
     init = next(path for path in SOURCES if path.stem == "__init__")
     imported = {
@@ -135,10 +143,12 @@ def test_the_star_import_binds_every_name_the_package_serves():
     namespace = {}
     exec("from threshspec import *", namespace)
     del namespace["__builtins__"]
-    assert len(imported) == 42
-    assert namespace.keys() == imported | oracle_names
-    oracle = importlib.import_module("threshspec.oracle")
-    assert all(namespace[name] is getattr(oracle, name) for name in oracle_names)
+    assert len(imported) == 34
+    assert namespace.keys() == imported | served.keys()
+    assert all(
+        namespace[name] is getattr(importlib.import_module(f"threshspec.{module}"), name)
+        for name, module in served.items()
+    )
 
 
 def test_each_public_name_and_each_count_enters_once():
@@ -351,7 +361,7 @@ def test_no_cap_or_budget_is_an_option():
 
 def test_no_tolerance_or_matrix_is_an_option():
     """Every tolerance is a constant, and each entry point has one input
-    path: no function of the package but `spectrum.jacobi_eigenvalues`,
+    path: no function of the package but `quotient.jacobi_eigenvalues`,
     which nothing in the package calls, has a parameter `tol` or `*_tol`;
     `full_spectrum_numeric` takes only the hypergraph; and no subcommand
     has a tolerance option."""
@@ -362,7 +372,7 @@ def test_no_tolerance_or_matrix_is_an_option():
         for name in names
         if name == "tol" or name.endswith("_tol")
     }
-    assert parameters <= {("spectrum", "jacobi_eigenvalues", "tol")}
+    assert parameters <= {("quotient", "jacobi_eigenvalues", "tol")}
     numeric = [
         names for _, function, names in functions if function == "full_spectrum_numeric"
     ]
@@ -373,17 +383,17 @@ def test_no_tolerance_or_matrix_is_an_option():
 def test_one_construction_path_and_no_enumeration_flag():
     """Each record validates in its own `__init__`, so no class has a
     `__post_init__` hook; the pencil is one class, which scan grows with
-    `fork`, so none in spectrum.py subclasses `_Pencil`; and the run-shape
+    `fork`, so no module subclasses `_Pencil`; and the run-shape
     enumerators take only the size, since the connected filter lives in
     `iter_valid_sequences` alone."""
     functions = list(_functions())
     assert not [
         (module, name) for module, name, _ in functions if name == "__post_init__"
     ]
-    spectrum = next(path for path in SOURCES if path.stem == "spectrum")
     subclasses = [
         node.name
-        for node in ast.walk(ast.parse(spectrum.read_text(encoding="utf-8")))
+        for path in SOURCES
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.ClassDef)
         and any(isinstance(b, ast.Name) and b.id == "_Pencil" for b in node.bases)
     ]

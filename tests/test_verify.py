@@ -7,8 +7,8 @@ from pathlib import Path
 import pytest
 
 import threshspec.oracle as oracle
+import threshspec.scan as scan
 import threshspec.sequences as sequences
-import threshspec.spectrum as spectrum
 import threshspec.verify as verify
 from threshspec.errors import ResourceLimitError
 from threshspec.hypergraph import AdjacencyMatrix, BlockProfile, ThresholdHypergraph
@@ -22,7 +22,8 @@ from threshspec.sequences import (
     parse_runs,
     to_short,
 )
-from threshspec.spectrum import BlockEigenvalue, scan_quotient_simplicity
+from threshspec.scan import scan_quotient_simplicity
+from threshspec.spectrum import BlockEigenvalue
 from threshspec.verify import (
     MAX_REPORTED,
     SweepResult,
@@ -99,7 +100,7 @@ def test_every_walk_is_guarded_before_a_sequence_is_built(monkeypatch, walk):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("a sequence was built")
 
-    for module in (sequences, verify, spectrum):
+    for module in (sequences, verify, scan):
         for name in ("iter_valid_sequences", "iter_short_sequences", "_scan_size"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, no_enumeration)
@@ -430,8 +431,8 @@ def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
 
 
 def test_walk_leaves_no_reference_cycle():
-    # a visit holds its mate's runs and the pair's split, not its mate,
-    # so the walk leaves nothing for the cycle collector
+    # a visit holds only the pair's split, not its mate, so the walk
+    # leaves nothing for the cycle collector
     gc.collect()
     gc.disable()
     try:
