@@ -16,6 +16,7 @@ its n creation bits only when `sequence` is asked for.
 from functools import cached_property
 from operator import index
 
+from . import _served
 from .combinatorics import (
     binomial,
     check_dense,
@@ -265,14 +266,7 @@ def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
 
 
 def __getattr__(name: str) -> object:
-    """The oracle names that the acceptance tests and the benchmark's
-    tracer look up in this module, served from `oracle` (PEP 562)."""
-    if name in (
-        "GeneralHypergraph",
-        "adjacency_bruteforce",
-        "load_replaceable_non_threshold_7_4",
-    ):
-        from . import oracle
-
-        return getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A name of the package's `_SERVED`, the one list of the names served
+    on first use, from its module (PEP 562): the acceptance tests and the
+    benchmark's tracer read oracle names here."""
+    return _served(__name__, name)

@@ -7,7 +7,7 @@ profile in O(r**2), `symmetrize_quotient` gives a similar symmetric
 matrix, and `jacobi_eigenvalues`, the dense solver before the rational QL,
 solves it.  Nothing in the package calls the three; the acceptance tests
 and the benchmark's tracer reach them through `spectrum`, which serves
-them from here on first use.
+them from here on first use, as the package's `_SERVED` lists them.
 """
 
 import math

@@ -24,13 +24,16 @@ quotient-gap walk in `scan` folds them along a tree of suffixes.  The
 dense oracle `oracle.full_spectrum_numeric` shares `_rational_ql` with
 the closed route.  The quotient as an explicit r x r matrix and the dense
 Jacobi solver are in `quotient`.  A `spectrum` call loads none of
-`families`, `scan` and `quotient`.
+`families`, `scan` and `quotient`: this module serves their public names,
+and the oracles', on first use through the package's `_SERVED`, the one
+list of them.
 """
 
 import math
 import sys
 from collections.abc import Iterable
 
+from . import _served
 from .combinatorics import as_float, check_closed
 from .errors import ConvergenceError
 from .hypergraph import BlockProfile, block_profile
@@ -452,25 +455,8 @@ def full_spectrum_closed(ss: ShortSequence) -> Spectrum:
     return _assemble(block_profile(ss))
 
 
-#: The names that the acceptance tests and the benchmark's tracer look up
-#: in this module.  None is defined here: the package serves each from the
-#: module that holds it.
-_SERVED = (
-    "full_spectrum_numeric",
-    "jacobi_eigenvalues",
-    "symmetrize_quotient",
-    "quotient_matrix",
-    "scan_quotient_simplicity",
-    "family_sequence",
-    "family_spectrum_symbolic",
-)
-
-
 def __getattr__(name: str) -> object:
-    """A name of `_SERVED`, from the package, which imports its module on
-    first use (PEP 562), so that the closed route loads none of them."""
-    if name in _SERVED:
-        from importlib import import_module
-
-        return getattr(import_module(__package__), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    """A name of the package's `_SERVED`, the one list of the names served
+    on first use, from its module (PEP 562), so that the closed route
+    loads none of them."""
+    return _served(__name__, name)

@@ -4,9 +4,11 @@ code, `json` and `csv`, which only structured and CSV output use,
 `argparse` and its `gettext`, which only help and usage errors use, the
 package's oracles, which only a call that runs one imports, and the
 `scan` walk, the families and the explicit quotient, which only their own
-command or name loads.  In a fresh process the first three cost about a
-quarter of the package's import time, and the package builds its records
-without generated source."""
+command or name loads; a probe of `spectrum` or `hypergraph` for
+`__path__`, which the import system makes, loads none of them.  In a
+fresh process the first three cost about a quarter of the package's
+import time, and the package builds its records without generated
+source."""
 
 import ast
 import subprocess
@@ -83,6 +85,21 @@ loaded(["spectrum", "-h"])
 """
 
 
+# the import system asks a module for `__path__`; `spectrum` and
+# `hypergraph` answer it through the package's resolver, which refuses it
+# and loads nothing
+_PROBE_CHILD = f"""
+import sys
+sys.path.insert(0, {str(SRC)!r})
+import threshspec.hypergraph, threshspec.spectrum
+print(
+    hasattr(threshspec.spectrum, "__path__"),
+    hasattr(threshspec.hypergraph, "__path__"),
+)
+print(sorted({DEFERRED!r} & set(sys.modules)))
+"""
+
+
 def _run_child(source):
     done = subprocess.run(
         [sys.executable, "-S", "-c", source],
@@ -134,3 +151,7 @@ def test_the_package_runs_no_generated_source():
         and node.func.id in {"exec", "eval", "compile"}
     }
     assert not calls
+
+
+def test_a_path_probe_of_a_serving_module_loads_nothing():
+    assert _run_child(_PROBE_CHILD).stdout.splitlines() == ["False False", "[]"]

@@ -1,8 +1,9 @@
 """The runtime imports nothing outside the standard library and reads no
-file, every module exports only names it defines, every name a module
-imports is used, every exception type the package defines is raised, no
-caller can raise a cap or set a tolerance, and only combinatorics.py
-holds a cap or refuses past one.
+file, every module exports only names it defines, one table says where
+each served name lives, every name a module imports is used, every
+exception type the package defines is raised, no caller can raise a cap
+or set a tolerance, and only combinatorics.py holds a cap or refuses
+past one.
 
 numpy is installed for the tests, so an accidental third-party import in
 the package would still run here; this reads the imports instead.  A stale
@@ -18,6 +19,7 @@ from pathlib import Path
 
 import pytest
 
+import threshspec
 from threshspec import cli
 
 ROOT = Path(__file__).parents[1]
@@ -149,6 +151,67 @@ def test_the_star_import_binds_every_name_the_package_serves():
         namespace[name] is getattr(importlib.import_module(f"threshspec.{module}"), name)
         for name, module in served.items()
     )
+
+
+def _strings_outside_annotations(path):
+    """The string constants of the source at path, bar those inside an
+    annotation, which name a type rather than say where it lives."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    annotations = {
+        id(inner)
+        for node in ast.walk(tree)
+        for note in (
+            getattr(node, "annotation", None),
+            getattr(node, "returns", None),
+        )
+        if note is not None
+        for inner in ast.walk(note)
+    }
+    return [
+        node.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and id(node) not in annotations
+    ]
+
+
+def test_one_table_says_where_each_served_name_lives():
+    """Outside the module that defines it, each served name is written as a
+    string once, as a key of the package's `_SERVED`: `spectrum` and
+    `hypergraph` serve it through the package's resolver, with no list of
+    their own.  The defining module's `__all__` names the object, not where
+    it is served from."""
+    strings = {path.stem: _strings_outside_annotations(path) for path in SOURCES}
+    written = {
+        name: [
+            (stem, found.count(name))
+            for stem, found in strings.items()
+            if stem != module and name in found
+        ]
+        for name, module in threshspec._SERVED.items()
+    }
+    assert len(written) == 13
+    assert written == {name: [("__init__", 1)] for name in written}
+
+
+SERVING = ["threshspec", "threshspec.spectrum", "threshspec.hypergraph"]
+
+
+@pytest.mark.parametrize("asked", SERVING)
+def test_each_served_name_is_the_object_of_its_module(asked):
+    module = importlib.import_module(asked)
+    for name, home in threshspec._SERVED.items():
+        held = getattr(importlib.import_module(f"threshspec.{home}"), name)
+        assert getattr(module, name) is held, name
+
+
+@pytest.mark.parametrize("asked", SERVING)
+def test_an_unknown_name_is_missing_from_the_module_asked(asked):
+    module = importlib.import_module(asked)
+    message = f"module {asked!r} has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=f"^{re.escape(message)}$"):
+        module.no_such_name
 
 
 def test_each_public_name_and_each_count_enters_once():
