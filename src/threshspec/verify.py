@@ -8,13 +8,15 @@ order of `sequences.sweep_space`, and each size's sequences as
 complement pairs: every zero-head sequence is followed by its
 complement, which `complement_sequence` gives as the same runs with the
 merged head, so the merged-head half is never listed on its own.  The
-one list of a size's k-subsets is built once per size, what the two
-sequences of a pair share once per pair, and nothing else outlives a
-visit: uniqueness reads each matrix back to its sequence (`decode`)
-instead of keeping the matrices seen, so a walk's memory does not grow
-with n_max.  A walk imports the oracles it checks against: importing
-this module does not.  The CLI `verify` command runs the walk; each
-`sweep_*` runs it too and returns its own check's result.
+walk builds each sequence's closed-form adjacency and edge list, and
+one generator, `_failures`, runs the five checks on them in the order
+of `_CHECKS`.  The one list of a size's k-subsets is built once per
+size, the pair's comparison with it once per pair, and nothing else
+outlives a pair: uniqueness reads each matrix back to its sequence
+(`decode`) instead of keeping the matrices seen, so a walk's memory does
+not grow with n_max.  A walk imports the oracles it checks against:
+importing this module does not.  The CLI `verify` command runs the walk;
+each `sweep_*` runs it too and returns its own check's result.
 """
 
 from collections.abc import Iterable, Iterator
@@ -23,7 +25,7 @@ from types import ModuleType
 
 from .combinatorics import check_subsets
 from .errors import SequenceError
-from .hypergraph import ThresholdHypergraph, block_profile
+from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
 from .records import Record
 from .sequences import (
     ShortSequence,
@@ -102,72 +104,63 @@ def decode(entries: tuple[tuple[int, ...], ...], k: int) -> ShortSequence:
     return ShortSequence(k, tuple(runs), (len(runs) % 2 == 1) == last_ones)
 
 
-class _Visit:
-    """One sequence as the checks see it.  Each check is a method named
-    after its sweep that yields the sequence's failures; they share one
-    closed-form adjacency and one edge list, built in that order with the
-    visit, so the cell cap refuses a lone zero run of huge n before its
-    edge list is listed.  They call the oracles through the module the
-    walk imported, and write the sequence's text only for a failure.  The
-    walk gives each visit the pair's one comparison with the k-subsets as
-    a plain value, `split`, so no visit holds another (a lone zero run is
-    its own mate).  Helpers start with `_`, so that `_CHECKS` does not
-    take them."""
+#: The checks, in the order `_failures` runs them and `run_all_sweeps`
+#: reports them.
+_CHECKS = (
+    "oracle_equivalence",
+    "two_route",
+    "uniqueness",
+    "replaceability_totality",
+    "complement_partition",
+)
 
-    def __init__(self, ss: ShortSequence, oracle: ModuleType) -> None:
-        self.h, self.oracle = ThresholdHypergraph(ss), oracle
-        self._adjacency = self.h.adjacency()
-        self._edges = self.h.edges()
 
-    @property
-    def _text(self) -> str:
-        return format_bits(self.h.runs)
-
-    def oracle_equivalence(self) -> Iterator[str]:
-        if self._adjacency != self.oracle.recount_pairs(self.h.n, self._edges):
-            yield self._text
-
-    def two_route(self) -> Iterator[str]:
-        ss = self.h.runs
+def _failures(
+    h: ThresholdHypergraph,
+    adjacency: AdjacencyMatrix,
+    edges: list[tuple[int, ...]],
+    split: bool,
+    oracle: ModuleType,
+) -> Iterator[tuple[int, str]]:
+    """Each failure of the five checks on one sequence, as its check's
+    index in `_CHECKS` and its message, in that order.  The checks share
+    the sequence's closed-form adjacency and edge list, and read the
+    pair's one comparison with the k-subsets as `split`; they call the
+    oracles through the module the walk imported.  The sequence's text is
+    written only for a failure.  `two_route` runs on connected sequences
+    only."""
+    ss = h.runs
+    if adjacency != oracle.recount_pairs(h.n, edges):
+        yield 0, format_bits(ss)
+    if ss.connected:
         try:
             values = block_eigenvalues(block_profile(ss))
         except RuntimeError as exc:
-            yield f"{self._text}: {exc}"
-            return
-        for b in values:
-            first = sum(ss.runs[: b.block_index - 1]) + 1
-            direct = -self.h.pair_count(first, first + 1)
-            if b.value != direct:
-                yield (
-                    f"{self._text}: block {b.block_index} gives "
-                    f"{b.value} but the direct pair count gives {direct}"
-                )
-        if sum(b.multiplicity_lower_bound for b in values) != ss.n - ss.r:
-            yield f"{self._text}: block multiplicities missed n-r"
-
-    def uniqueness(self) -> Iterator[str]:
-        try:
-            back = decode(self._adjacency.entries, self.h.k)
-        except SequenceError as exc:
-            yield f"{self._text} reads back as no sequence: {exc}"
-            return
-        if back != self.h.runs:
-            yield f"{self._text} reads back as {format_bits(back)}"
-
-    def replaceability_totality(self) -> Iterator[str]:
-        links = self.oracle.edge_links(self.h.n, self._edges)
-        if not self.oracle.totally_replaceable(links):
-            yield self._text
-
-    def complement_partition(self) -> Iterator[str]:
-        # the mate is `complement_sequence`'s; by uniqueness only the true
-        # complement's edges split the k-subsets with this one's
-        if not self.split:
-            yield self._text
-
-
-#: The checks, in the order `_Visit` defines them and `run_all_sweeps` reports.
-_CHECKS = tuple(name for name in vars(_Visit) if not name.startswith("_"))
+            yield 1, f"{format_bits(ss)}: {exc}"
+        else:
+            for b in values:
+                first = sum(ss.runs[: b.block_index - 1]) + 1
+                direct = -h.pair_count(first, first + 1)
+                if b.value != direct:
+                    yield 1, (
+                        f"{format_bits(ss)}: block {b.block_index} gives "
+                        f"{b.value} but the direct pair count gives {direct}"
+                    )
+            if sum(b.multiplicity_lower_bound for b in values) != ss.n - ss.r:
+                yield 1, f"{format_bits(ss)}: block multiplicities missed n-r"
+    try:
+        back = decode(adjacency.entries, h.k)
+    except SequenceError as exc:
+        yield 2, f"{format_bits(ss)} reads back as no sequence: {exc}"
+    else:
+        if back != ss:
+            yield 2, f"{format_bits(ss)} reads back as {format_bits(back)}"
+    if not oracle.totally_replaceable(oracle.edge_links(h.n, edges)):
+        yield 3, format_bits(ss)
+    # the mate is `complement_sequence`'s; by uniqueness only the true
+    # complement's edges split the k-subsets with this one's
+    if not split:
+        yield 4, format_bits(ss)
 
 
 def sweep_adjacency_oracle(n_max: int, k_values: Iterable[int]) -> SweepResult:
@@ -226,29 +219,28 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     sizes = sweep_space(n_max, k_values, "sweeps", False)
     check_subsets("sweeps", sizes)
     results = [SweepResult(name) for name in _CHECKS]
-    # each check bound once; two_route walks connected sequences only:
-    # the golden verify digest and the benchmark's checker pin its count
-    checks = [
-        (res, getattr(_Visit, res.name), res.name == "two_route") for res in results
-    ]
     for k, n in sizes:
         subsets = None
         for ss in iter_short_sequences(n, k):
             if ss.first_run_has_ones:
                 break  # the merged-head half: each of its sequences was a mate
             mate = complement_sequence(ss)
-            pair = [_Visit(ss, oracle)]
-            if mate != ss:  # else the lone zero run, its own complement
-                pair.append(_Visit(mate, oracle))
+            # the lone zero run is its own complement; each member's
+            # adjacency comes before its edges, so the cell cap refuses
+            # a huge lone zero run before its edge list is listed
+            members = (ss,) if mate == ss else (ss, mate)
+            pair = [
+                (h, h.adjacency(), h.edges())
+                for h in map(ThresholdHypergraph, members)
+            ]
             if subsets is None:
                 subsets = list(combinations(range(1, n + 1), k))
-            split = sorted(pair[0]._edges + pair[-1]._edges) == subsets
-            for v in pair:
-                v.split = split
-                connected = v.h.runs.connected
-                for res, check, connected_only in checks:
-                    if connected or not connected_only:
-                        res.checked += 1
-                        for failure in check(v):
-                            res.record(failure)
+            split = sorted(pair[0][2] + pair[-1][2]) == subsets
+            for h, adjacency, edges in pair:
+                # two_route counts connected sequences only: the golden
+                # verify digest and the benchmark's checker pin its count
+                for i, res in enumerate(results):
+                    res.checked += i != 1 or h.runs.connected
+                for i, message in _failures(h, adjacency, edges, split, oracle):
+                    results[i].record(message)
     return results

@@ -276,6 +276,12 @@ def _unreadable_matrix(monkeypatch):
     [
         (_raise_one_pair, sweep_adjacency_oracle, "oracle_equivalence", "k=3;0,0"),
         (
+            _off_by_one_profile,
+            sweep_two_route,
+            "two_route",
+            "k=3;0,0,1: block 1 gives -2 but the direct pair count gives -1",
+        ),
+        (
             _failing_profile,
             sweep_two_route,
             "two_route",
@@ -398,13 +404,13 @@ def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
     # them, is followed by its complement, the same runs with the merged
     # head; the lone zero run of n = k - 1 is its own complement
     visits = []
-    real = verify._Visit.oracle_equivalence
+    real = ThresholdHypergraph.adjacency
 
     def recorded(self):
-        visits.append(self.h.runs)
+        visits.append(self.runs)
         return real(self)
 
-    monkeypatch.setattr(verify._Visit, "oracle_equivalence", recorded)
+    monkeypatch.setattr(ThresholdHypergraph, "adjacency", recorded)
     results = run_all_sweeps(8, [2, 3, 4])
     assert all(r.passed for r in results)
     listed = [
@@ -431,8 +437,9 @@ def test_walk_visits_each_sequence_once_in_complement_pairs(monkeypatch):
 
 
 def test_walk_leaves_no_reference_cycle():
-    # a visit holds only the pair's split, not its mate, so the walk
-    # leaves nothing for the cycle collector
+    # the walk holds each pair as plain tuples of a hypergraph, its
+    # matrix and its edge list, which refer to nothing that refers back,
+    # so it leaves nothing for the cycle collector
     gc.collect()
     gc.disable()
     try:
@@ -445,8 +452,9 @@ def test_walk_leaves_no_reference_cycle():
 
 def test_verify_has_one_walk():
     # run_all_sweeps is the only walk: verify imports no weak reference or
-    # cached property, builds no attribute on first read, and lists run
-    # shapes nowhere else
+    # cached property, builds no attribute on first read, defines no class
+    # but its result record, reads no check list off a namespace with
+    # `vars`, and lists run shapes nowhere else
     tree = ast.parse(Path(verify.__file__).read_text())
     imported = {
         alias.name
@@ -457,6 +465,11 @@ def test_verify_has_one_walk():
     assert not imported & {"weakref", "functools"}
     functions = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)]
     assert "__getattr__" not in {f.name for f in functions}
+    classes = [n.name for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+    assert classes == ["SweepResult"]
+    assert not any(
+        isinstance(n, ast.Name) and n.id == "vars" for n in ast.walk(tree)
+    )
 
     def listings(node):
         return sum(
