@@ -1,23 +1,23 @@
 """The base of the package's record classes.
 
 A record names its fields, in declaration order, in the class attribute
-`_fields`, and writes its own `__init__`, which stores each field and then
-checks them, where the class has a check: there is no separate validation
-hook.  The base supplies the rest from `_fields`, with no generated code:
-the repr `Name(field=value, ...)` and equality between instances of the
-same class; a `FrozenRecord` is also hashed by its fields and refuses any
-assignment or deletion, so its `__init__` stores through
-`object.__setattr__`.
+`_fields`, and writes its own `__init__`, which stores each field through
+`object.__setattr__` and then checks them, where the class has a check:
+there is no separate validation hook.  The one base, `FrozenRecord`,
+supplies the rest from `_fields`, with no generated code: the repr
+`Name(field=value, ...)`, equality between instances of the same class,
+and a hash of the fields; it refuses any assignment or deletion, so
+every record is frozen.
 """
 
 from operator import attrgetter
 
-__all__ = ["Record", "FrozenRecord"]
+__all__ = ["FrozenRecord"]
 
 
-class Record:
-    """Repr and equality read off `_fields`; unhashable, since the fields
-    may change."""
+class FrozenRecord:
+    """Repr, equality and hash read off `_fields`; no assignment or
+    deletion changes an instance."""
 
     _fields: tuple[str, ...] = ()
 
@@ -36,13 +36,6 @@ class Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._values(self) == other._values(other)
-
-    __hash__ = None
-
-
-class FrozenRecord(Record):
-    """A `Record` that no assignment or deletion changes, hashed by its
-    fields."""
 
     def __hash__(self) -> int:
         return hash(self._values(self))

@@ -16,7 +16,8 @@ outlives a pair: uniqueness reads each matrix back to its sequence
 (`decode`) instead of keeping the matrices seen, so a walk's memory does
 not grow with n_max.  A walk imports the oracles it checks against:
 importing this module does not.  The CLI `verify` command runs the walk;
-each `sweep_*` runs it too and returns its own check's result.
+each `sweep_*` runs it too and returns its own check's frozen result,
+which counts every failure and keeps the first `MAX_REPORTED` messages.
 """
 
 from collections.abc import Iterable, Iterator
@@ -26,7 +27,7 @@ from types import ModuleType
 from .combinatorics import check_subsets
 from .errors import SequenceError
 from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_profile
-from .records import Record
+from .records import FrozenRecord
 from .sequences import (
     ShortSequence,
     complement_sequence,
@@ -47,28 +48,26 @@ __all__ = [
     "decode",
 ]
 
-#: How many offending sequences a sweep records before truncating.
+#: How many failure messages a result keeps; `failed` counts them all.
 MAX_REPORTED = 5
 
 
-class SweepResult(Record):
-    _fields = ("name", "checked", "failures")
+class SweepResult(FrozenRecord):
+    """One check over a walk: sequences checked, failed, first messages."""
+
+    _fields = ("name", "checked", "failed", "failures")
 
     def __init__(
-        self, name: str, checked: int = 0, failures: list[str] | None = None
+        self, name: str, checked: int, failed: int, failures: tuple[str, ...]
     ) -> None:
-        self.name, self.checked = name, checked
-        self.failures = [] if failures is None else failures
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "checked", checked)
+        object.__setattr__(self, "failed", failed)
+        object.__setattr__(self, "failures", failures)
 
     @property
     def passed(self) -> bool:
-        return not self.failures
-
-    def record(self, message: str) -> None:
-        if len(self.failures) < MAX_REPORTED:
-            self.failures.append(message)
-        elif len(self.failures) == MAX_REPORTED:
-            self.failures.append("...")
+        return self.failed == 0
 
 
 def decode(entries: tuple[tuple[int, ...], ...], k: int) -> ShortSequence:
@@ -213,12 +212,15 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     """All five sweeps in one walk, guarded up front by the sequence and
     subset budgets; the edge lists inside it are listed under the edge
     cap, and a size's k-subsets after its first pair's two edge lists,
-    since the list is as long as the two together."""
+    since the list is as long as the two together.  The results are
+    built once, after the walk, from each check's tallies."""
     from . import oracle
 
     sizes = sweep_space(n_max, k_values, "sweeps", False)
     check_subsets("sweeps", sizes)
-    results = [SweepResult(name) for name in _CHECKS]
+    failed = [0] * len(_CHECKS)
+    logs = [[] for _ in _CHECKS]
+    visited = connected = 0
     for k, n in sizes:
         subsets = None
         for ss in iter_short_sequences(n, k):
@@ -237,10 +239,15 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
                 subsets = list(combinations(range(1, n + 1), k))
             split = sorted(pair[0][2] + pair[-1][2]) == subsets
             for h, adjacency, edges in pair:
-                # two_route counts connected sequences only: the golden
-                # verify digest and the benchmark's checker pin its count
-                for i, res in enumerate(results):
-                    res.checked += i != 1 or h.runs.connected
+                visited += 1
+                connected += h.runs.connected
                 for i, message in _failures(h, adjacency, edges, split, oracle):
-                    results[i].record(message)
-    return results
+                    failed[i] += 1
+                    if failed[i] <= MAX_REPORTED:
+                        logs[i].append(message)
+    # two_route counts connected sequences only: the golden verify digest
+    # and the benchmark's checker pin its count
+    return [
+        SweepResult(name, connected if i == 1 else visited, failed[i], tuple(logs[i]))
+        for i, name in enumerate(_CHECKS)
+    ]

@@ -1,5 +1,6 @@
 import ast
 import gc
+import json
 import sys
 import tracemalloc
 from pathlib import Path
@@ -26,7 +27,6 @@ from threshspec.scan import scan_quotient_simplicity
 from threshspec.spectrum import BlockEigenvalue
 from threshspec.verify import (
     MAX_REPORTED,
-    SweepResult,
     decode,
     run_all_sweeps,
     sweep_adjacency_oracle,
@@ -43,16 +43,6 @@ SWEEPS = (
     sweep_replaceability,
     sweep_complement_partition,
 )
-
-
-def test_sweep_result_truncates_failure_log():
-    res = SweepResult("demo")
-    assert res.passed
-    for i in range(MAX_REPORTED + 3):
-        res.record(f"failure {i}")
-    assert not res.passed
-    assert len(res.failures) == MAX_REPORTED + 1
-    assert res.failures[-1] == "..."
 
 
 def test_all_sweeps_pass_at_small_sizes():
@@ -161,6 +151,40 @@ def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
     out, err = capsys.readouterr()
     assert "sweep=replaceability_totality checked=31 failed=" in out
     assert out.splitlines()[-1] == "FAILED"
+
+
+@pytest.mark.parametrize("fmt", ["text", "structured"])
+def test_verify_counts_every_failure_and_lists_the_first_few(
+    monkeypatch, capsys, fmt
+):
+    # a check that fails on all 31 sequences of k = 3 up to n = 6 reports
+    # all 31 in both formats, though its frozen result keeps only the
+    # first MAX_REPORTED messages and stderr marks the rest with one "..."
+    from threshspec.cli import main
+
+    monkeypatch.setattr(oracle, "totally_replaceable", lambda links: False)
+    results = run_all_sweeps(6, [3])
+    res = results[3]
+    assert (res.name, res.checked, res.failed) == ("replaceability_totality", 31, 31)
+    assert not res.passed
+    assert isinstance(res.failures, tuple) and len(res.failures) == MAX_REPORTED
+    assert "..." not in res.failures
+    assert [r.failed for r in results] == [0, 0, 0, 31, 0]
+    assert main(["verify", "--n-max", "6", "--k", "3", "--format", fmt]) == 2
+    out, err = capsys.readouterr()
+    if fmt == "structured":
+        doc = json.loads(out)
+        assert doc["ok"] is False
+        failed = [s["failed"] for s in doc["sweeps"]]
+    else:
+        lines = out.splitlines()
+        assert lines[3] == "sweep=replaceability_totality checked=31 failed=31"
+        assert lines[-1] == "FAILED"
+        failed = [int(line.split("failed=")[1]) for line in lines[:-1]]
+    assert failed == [0, 0, 0, 31, 0]
+    assert err.splitlines() == [
+        f"replaceability_totality: {message}" for message in res.failures
+    ] + ["replaceability_totality: ..."]
 
 
 def _off_by_one_profile(monkeypatch):
