@@ -22,6 +22,10 @@ them without gamma, so a fault there shows as a disagreement:
   counterexample, and `edge_links` and `totally_replaceable` decide its
   replaceability.
 
+Every oracle reads a vertex by one rule, `_check_vertices`: an int (a
+bool counts) in 1..n, decided in O(1) per distinct vertex, whatever n.
+The least vertex outside the rule is named in the refusal.
+
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
 `spectrum` this module reads only the matrix and spectrum records,
@@ -41,6 +45,7 @@ from .combinatorics import (
     check_dense_solve,
     check_edges,
     check_pair_counts,
+    check_vertex_walk,
 )
 from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, _built_matrix
 from .records import FrozenRecord
@@ -98,9 +103,8 @@ def pair_count(ss: ShortSequence, i: int, j: int) -> int:
     """
     if i == j:
         raise ValueError("pair counts are defined for distinct vertices")
-    for v in (i, j):
-        if not 1 <= v <= ss.n:
-            raise ValueError(f"vertex {v} out of range 1..{ss.n}")
+    _check_vertices(ss.n, [(i, j)])
+    check_vertex_walk(ss.n)
     hi, k = max(i, j), ss.k
     ones = pseudodominants(ss)
     own = binomial(hi - 2, k - 2) if hi in ones else 0
@@ -117,9 +121,10 @@ def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
 
 
 def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> None:
-    """Refuse an edge list with a vertex outside 1..n, in one pass over
-    its entries at C speed."""
-    outside = set().union(*edges).difference(range(1, n + 1))
+    """Refuse an edge list with a vertex that is not an int in 1..n,
+    naming the least: each distinct vertex is decided in O(1), whatever n."""
+    vertices = set().union(*edges)
+    outside = [v for v in vertices if not (isinstance(v, int) and 1 <= v <= n)]
     if outside:
         raise ValueError(f"vertex {min(outside)} out of range 1..{n}")
 
@@ -151,12 +156,10 @@ class GeneralHypergraph(FrozenRecord):
         object.__setattr__(self, "edges", edges)
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
-        vertices = frozenset(range(1, self.n + 1))
         for e in self.edges:
             if len(e) != self.k:
                 raise ValueError(f"edge {sorted(e)} does not have {self.k} vertices")
-            if not e <= vertices:
-                raise ValueError(f"edge {sorted(e)} leaves the vertex range")
+        _check_vertices(self.n, self.edges)
 
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
@@ -167,9 +170,7 @@ class GeneralHypergraph(FrozenRecord):
         edges.  Builds only link(x) and link(y), from the edges through x or y."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
-        for v in (x, y):
-            if not 1 <= v <= self.n:
-                raise ValueError(f"vertex {v} out of range 1..{self.n}")
+        _check_vertices(self.n, [(x, y)])
         lx, ly = ({_mask(e) ^ 1 << v for e in self.edges if v in e} for v in (x, y))
         return _replaces(lx, ly, y)
 

@@ -14,7 +14,7 @@ import math
 from collections.abc import Sequence
 from operator import index
 
-from .combinatorics import as_float
+from .combinatorics import as_float, check_closed
 from .errors import ConvergenceError
 from .hypergraph import block_profile
 from .records import FrozenRecord
@@ -68,8 +68,10 @@ def quotient_matrix(ss: ShortSequence) -> QuotientMatrix:
 
     A vertex of block s sees a_t vertices of block t != s, all at count
     gamma of the later block, and a_s - 1 twins at gamma_s:
-    Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].
+    Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].  `check_closed` refuses
+    first what the closed route would refuse.
     """
+    check_closed(ss)
     bp = block_profile(ss)
     gamma, sizes = bp.gamma, bp.seq.runs
     entries = tuple(

@@ -174,7 +174,9 @@ def to_short(s: BinarySequence) -> ShortSequence:
 
 
 def to_binary(ss: ShortSequence) -> BinarySequence:
-    """Expand runs back to bits; the unique preimage of `to_short`."""
+    """Expand runs back to bits; the unique preimage of `to_short`.
+    `check_bit_text` refuses first a bit form over its cap."""
+    check_bit_text(ss.n)
     bits = []
     for size, ones in ss.blocks():
         bits += [int(ones)] * size
@@ -331,16 +333,6 @@ def count_valid_sequences(
     return sum((1 << e) - 1 for e in _exponents(n_max, k_values, connected_only))
 
 
-def _count_bits(n_max: int, k_values: Iterable[int], connected_only: bool) -> int:
-    """Bit length of `count_valid_sequences`, without building the count:
-    a sum of 2**e - 1 over distinct e has the bits of the largest e, one
-    more when another term is nonzero."""
-    es = _exponents(n_max, k_values, connected_only)
-    if not es:
-        return 0
-    return es[0] + (len(es) > 1 and es[1] > 0)
-
-
 def sweep_space(
     n_max: int,
     k_values: Iterable[int],
@@ -353,13 +345,15 @@ def sweep_space(
     ones when asked.
 
     `check_sweep` refuses the space up front, saying that `what` would
-    visit it.  A count of more than 4 * 4,300 bits is not built, so the
-    refusal is immediate at any `n_max`.
+    visit it.  A count whose largest exponent is past 4 * 4,300 is not
+    built, so the refusal is immediate at any `n_max`.
     """
     k_set = sorted({k for k in k_values if k >= 2})
-    bits = _count_bits(n_max, k_set, connected_only)
-    total = None
-    if bits <= 4 * TEXT_DIGITS:
-        total = count_valid_sequences(n_max, k_set, connected_only)
-    check_sweep(what, bits, total)
+    es = _exponents(n_max, k_set, connected_only)
+    if es and es[0] > 4 * TEXT_DIGITS:
+        # a sum of 2**e - 1 over distinct e has the bits of the largest e,
+        # one more when another term is nonzero
+        check_sweep(what, es[0] + (len(es) > 1 and es[1] > 0), None)
+    total = sum((1 << e) - 1 for e in es)
+    check_sweep(what, total.bit_length(), total)
     return [(k, n) for k in k_set for n in range(k - 1, n_max + 1)]

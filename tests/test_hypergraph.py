@@ -22,6 +22,7 @@ from threshspec.oracle import (
     adjacency_bruteforce,
     edge_links,
     load_replaceable_non_threshold_7_4,
+    pair_count,
     pseudodominants,
     recount_pairs,
 )
@@ -116,13 +117,35 @@ class TestAdjacencyMatrix:
             (recount_pairs, (1, 4), 4),
             (recount_pairs, (-1, 2), -1),
             (edge_links, (0, 1, 2), 0),
+            (recount_pairs, (1.0, 2.0), 1.0),
+            (edge_links, (1.0, 2.0), 1.0),
+            (
+                lambda n, es: GeneralHypergraph(n, 2, frozenset(map(frozenset, es))),
+                (1.0, 2.0),
+                1.0,
+            ),
         ],
     )
     def test_an_edge_list_off_the_vertex_range_is_refused(self, build, edge, vertex):
-        # a row index of 0 or below wraps to another row, and one past n
-        # raises IndexError: each must be refused by name first
+        # a row index of 0 or below wraps to another row, one past n raises
+        # IndexError, and 1.0 equals 1 but is no index: each must be
+        # refused by name first
         with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 1..3$"):
             build(3, [edge])
+
+    @pytest.mark.parametrize(
+        "i, j, vertex",
+        [(1.5, 3, "1\\.5"), (3, 1.5, "1\\.5"), (9, 0, "0")],
+        ids=["float-first", "float-second", "both-outside"],
+    )
+    def test_a_vertex_pair_is_read_by_the_one_vertex_rule(self, i, j, vertex):
+        # a vertex is an int in 1..n, and of two outside it the lesser is
+        # named, in the direct pair count as in replaceability
+        ss = parse_runs("C(2,2)_2")
+        g = GeneralHypergraph(4, 2, frozenset({frozenset({1, 2})}))
+        for call in (lambda: pair_count(ss, i, j), lambda: g.replaceable(i, j)):
+            with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 1..4$"):
+                call()
 
     @pytest.mark.parametrize("build", [recount_pairs, edge_links])
     def test_an_edge_list_checked_on_one_range_is_refused_on_a_smaller(self, build):
@@ -224,6 +247,14 @@ class TestThresholdHypergraph:
             h.edges()
         monkeypatch.setattr(combinatorics, "EDGE_CAP", 7)
         assert len(h.edges()) == 7
+
+    def test_pair_count_walk_cap(self, monkeypatch):
+        # the direct pair count walks the vertices: over the edge cap it
+        # is refused before the walk
+        monkeypatch.setattr(combinatorics, "EDGE_CAP", 4)
+        assert pair_count(parse_runs("C(2,2)_2"), 1, 2) == 0
+        with pytest.raises(ResourceLimitError, match="^a walk over 5 vertices"):
+            pair_count(parse_runs("C(2,3)_2"), 1, 2)
 
     def test_edge_refusal_matches_the_exact_total(self, monkeypatch):
         # the lower bound decides nothing on its own: check_edges refuses
@@ -422,9 +453,10 @@ class TestGeneralHypergraph:
     def test_post_init_names_the_first_bad_edge(self):
         with pytest.raises(ValueError, match=r"edge \[1, 2\] does not have 3"):
             GeneralHypergraph(4, 3, frozenset({frozenset({1, 2})}))
-        with pytest.raises(ValueError, match=r"edge \[0, 1, 2\] leaves the vertex"):
+        # an edge off the vertex range is named by its vertex
+        with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.4$"):
             GeneralHypergraph(4, 3, frozenset({frozenset({0, 1, 2})}))
-        with pytest.raises(ValueError, match=r"edge \[1, 2, 9\] leaves the vertex"):
+        with pytest.raises(ValueError, match=r"^vertex 9 out of range 1\.\.4$"):
             GeneralHypergraph(4, 3, frozenset({frozenset({1, 2, 9})}))
         assert GeneralHypergraph(0, 2, frozenset()).is_totally_replaceable()
         for n, k in ((3, 1), (-1, 2)):

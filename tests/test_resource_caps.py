@@ -8,6 +8,10 @@ A refusal exits 3 (1 for invalid input) with a message on stderr, no
 traceback and nothing on stdout.  No option raises a cap, so the grid
 holds every call over one.  Inputs under a cap, which may take long by
 design (`spectrum "C(999,1)_3" --verify`), are not run.
+
+The library probe runs single library calls the same way, each under
+its own timeout: a call answers, or raises `ResourceLimitError` or
+`CountTooLargeError`; a `MemoryError` or a timeout fails it.
 """
 
 import math
@@ -119,3 +123,91 @@ def test_a_call_over_a_cap_is_refused_in_bounded_memory(argv, code, message):
 
 def test_an_edge_of_every_vertex_is_refused_in_bounded_memory():
     _assert_refused(["edges", f"C({HUGE})_{HUGE}"], 3, "the cap")
+
+
+#: (id, call, the outcome it prints, timeout in s)
+PROBES = [
+    # a vertex is decided in O(1), without the range 1..n
+    ("check_vertices", "oracle._check_vertices(10**12, [(1, 2)])", "answered", 5),
+    (
+        "general_hypergraph",
+        "oracle.GeneralHypergraph(10**12, 2, frozenset({frozenset({1, 2})}))",
+        "answered",
+        5,
+    ),
+    # refused before the allocation
+    (
+        "quotient_matrix",
+        "spectrum.quotient_matrix(sequences.ShortSequence(2, (2,) + (1,) * 30000))",
+        "ResourceLimitError: the closed route on 30001 runs",
+        TIMEOUT_S,
+    ),
+    (
+        "to_binary",
+        'sequences.parse_sequence("C(2,1000000000000)_2")',
+        "ResourceLimitError: the bit form of 1000000000002 vertices",
+        TIMEOUT_S,
+    ),
+    (
+        "pair_count",
+        'oracle.pair_count(sequences.parse_short("C(1000000000000)_2"), 1, 2)',
+        "ResourceLimitError: a walk over 1000000000000 vertices",
+        TIMEOUT_S,
+    ),
+]
+
+#: (id, call) of the calls that still allocate without bound
+UNBOUNDED = [
+    # its n + 1 link sets
+    ("edge_links", "oracle.edge_links(10**12, [])"),
+    # every eigenvalue repeated by its multiplicity
+    (
+        "expanded",
+        "spectrum.full_spectrum_closed("
+        'sequences.parse_short("C(1000000000000000,1)_2")).expanded()',
+    ),
+    # a count of 10**12 bits
+    ("count_valid_sequences", "sequences.count_valid_sequences(10**12, [2])"),
+]
+
+_PROBE = """\
+from threshspec import oracle, sequences, spectrum
+from threshspec.errors import CountTooLargeError, ResourceLimitError
+try:
+    {call}
+except (CountTooLargeError, ResourceLimitError) as exc:
+    print(f"{{type(exc).__name__}}: {{exc}}")
+else:
+    print("answered")
+"""
+
+
+def _probe(call: str, timeout: float) -> str:
+    """What a library call prints in a child under the caps' limits; a
+    `MemoryError` exits nonzero and fails here."""
+    done = subprocess.run(
+        [sys.executable, "-c", _PROBE.format(call=call)],
+        capture_output=True,
+        text=True,
+        timeout=timeout,
+        env=dict(os.environ, PYTHONPATH=SRC),
+        preexec_fn=_limit_address_space,
+    )
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize(
+    ("call", "outcome", "timeout"), [p[1:] for p in PROBES], ids=[p[0] for p in PROBES]
+)
+def test_a_library_call_answers_or_is_refused_in_bounded_memory(
+    call, outcome, timeout
+):
+    assert _probe(call, timeout).startswith(outcome)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 29: unbounded allocations")
+@pytest.mark.parametrize("call", [c for _, c in UNBOUNDED], ids=[i for i, _ in UNBOUNDED])
+def test_a_library_call_that_still_allocates_without_bound(call):
+    outcome = _probe(call, TIMEOUT_S)
+    assert outcome.startswith(("answered", "ResourceLimitError", "CountTooLargeError"))

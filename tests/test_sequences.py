@@ -212,6 +212,14 @@ def test_format_bits_refuses_text_over_its_cap(monkeypatch):
         format_bits(ShortSequence(3, (3, 2, 1), first_run_has_ones=True))
 
 
+def test_to_binary_refuses_bits_over_the_text_cap(monkeypatch):
+    # the bit form's text cap is checked before the bit list is built
+    monkeypatch.setattr(combinatorics, "TEXT_CAP", 9)
+    assert to_binary(ShortSequence(3, (4, 1))).bits == (0, 0, 0, 0, 1)
+    with pytest.raises(ResourceLimitError, match="6 vertices has 11 characters"):
+        to_binary(ShortSequence(3, (3, 2, 1), first_run_has_ones=True))
+
+
 def test_complement_flips_free_positions_only():
     comp = complement_sequence(ShortSequence(3, (3, 1, 1), first_run_has_ones=True))
     assert comp == ShortSequence(3, (3, 1, 1))
@@ -308,10 +316,6 @@ def test_count_valid_sequences_matches_the_reference_loop():
             for connected in (False, True):
                 count = count_valid_sequences(n_max, ks, connected)
                 assert count == _reference_count(n_max, ks, connected)
-                # the bit length the budget guard reads without the count
-                assert sequences._count_bits(n_max, ks, connected) == (
-                    count.bit_length()
-                ), (n_max, ks, connected)
 
 
 def test_sweep_space_order_and_sizes():

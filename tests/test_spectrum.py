@@ -528,6 +528,15 @@ class TestQuotient:
         assert q.entries == ((4, 1, 3), (3, 0, 3), (9, 3, 0))
         assert q.block_sizes == (3, 1, 1)
 
+    def test_refuses_what_the_closed_route_refuses(self, monkeypatch):
+        # `check_closed` first: no gamma past 2**53, no r**2 over its cap
+        with pytest.raises(CountTooLargeError):
+            quotient_matrix(ShortSequence(50, (100, 1)))
+        monkeypatch.setattr(combinatorics, "CLOSED_WORK_CAP", 8)
+        assert quotient_matrix(ShortSequence(2, (2, 1))).r == 2
+        with pytest.raises(ResourceLimitError, match="r\\*\\*2 = 9"):
+            quotient_matrix(ShortSequence(2, (2, 1, 1), True))
+
     def test_quotient_rows_collapse_for_all(self):
         # block_profile raises internally if any block is inhomogeneous
         for h in connected_hypergraphs(7):
