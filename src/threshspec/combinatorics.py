@@ -156,6 +156,16 @@ SEQUENCE_BUDGET = 100_000
 #: (100,145,220) 2.9 s.
 SUBSET_BUDGET = 12 * 10**7
 
+#: Cap on the eigenvalues a spectrum lists repeated by multiplicity
+#: (`Spectrum.expanded`), its total multiplicity.  On a 2-vCPU Xeon VM
+#: `C(10000000,1)_2` expands in 0.1 s at 167 MB peak RSS.
+EXPANDED_CAP = 10**7
+
+#: Cap on the bits of a sequence count built in closed form
+#: (`count_valid_sequences`).  On a 2-vCPU Xeon VM a count of 10**8 bits
+#: takes 0.024 s at 40 MB peak RSS.
+COUNT_BIT_CAP = 10**8
+
 
 def check_dense(n: int) -> None:
     """Refuse a dense n x n matrix over `DENSE_CELL_CAP` cells."""
@@ -308,6 +318,25 @@ def check_sweep(what: str, bits: int, total: int | None) -> None:
         raise ResourceLimitError(
             f"{what} would visit {over} sequences, over the budget of "
             f"{SEQUENCE_BUDGET}"
+        )
+
+
+def check_expanded(total: int) -> None:
+    """Refuse to list a spectrum's eigenvalues repeated by multiplicity
+    when their `total` is over `EXPANDED_CAP`, before any is listed."""
+    if total > EXPANDED_CAP:
+        raise ResourceLimitError(
+            f"{count_text(total)} eigenvalues repeated by multiplicity, over "
+            f"the cap of {EXPANDED_CAP}"
+        )
+
+
+def check_count_bits(bits: int) -> None:
+    """Refuse to build a count of `bits` bits over `COUNT_BIT_CAP`."""
+    if bits > COUNT_BIT_CAP:
+        raise ResourceLimitError(
+            f"a count of {count_text(bits)} bits is over the cap of "
+            f"{COUNT_BIT_CAP} bits"
         )
 
 

@@ -20,11 +20,14 @@ them without gamma, so a fault there shows as a disagreement:
   the closed route keeps a QL value only where the counts confirm it.
 - `GeneralHypergraph` is any edge set, such as the paper's
   counterexample, and `edge_links` and `totally_replaceable` decide its
-  replaceability.
+  replaceability.  `edge_links` is the one code that builds a link: it
+  keys the links by the edges' vertices, so a vertex in no edge costs
+  nothing, and `replaceable(x, y)` reads the same map.
 
 Every oracle reads a vertex by one rule, `_check_vertices`: an int (a
 bool counts) in 1..n, decided in O(1) per distinct vertex, whatever n.
-The least vertex outside the rule is named in the refusal.
+The refusal names the least int or float outside the rule, else the
+least by type name and repr, so that it never compares two types.
 
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
@@ -120,13 +123,18 @@ def adjacency_bruteforce(h: ThresholdHypergraph) -> AdjacencyMatrix:
     return recount_pairs(h.n, h.edges())
 
 
-def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> None:
-    """Refuse an edge list with a vertex that is not an int in 1..n,
-    naming the least: each distinct vertex is decided in O(1), whatever n."""
+def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> set[int]:
+    """The distinct vertices of an edge list, each decided in O(1),
+    whatever n.  A vertex that is not an int in 1..n is refused by name:
+    the least int or float among them, else the least by type name and
+    repr, an order that compares no two types and reads no hash."""
     vertices = set().union(*edges)
     outside = [v for v in vertices if not (isinstance(v, int) and 1 <= v <= n)]
     if outside:
-        raise ValueError(f"vertex {min(outside)} out of range 1..{n}")
+        numbers = [v for v in outside if isinstance(v, (int, float))]
+        by_type = min(outside, key=lambda v: (type(v).__name__, repr(v)))
+        raise ValueError(f"vertex {min(numbers, default=by_type)} out of range 1..{n}")
+    return vertices
 
 
 def recount_pairs(n: int, edges: Collection[Iterable[int]]) -> AdjacencyMatrix:
@@ -167,25 +175,26 @@ class GeneralHypergraph(FrozenRecord):
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
-        edges.  Builds only link(x) and link(y), from the edges through x or y."""
+        edges.  Read off `edge_links`, where a vertex in no edge has no key
+        and the empty link."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
         _check_vertices(self.n, [(x, y)])
-        lx, ly = ({_mask(e) ^ 1 << v for e in self.edges if v in e} for v in (x, y))
-        return _replaces(lx, ly, y)
+        links = edge_links(self.n, self.edges)
+        return _replaces(links.get(x, set()), links.get(y, set()), y)
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability."""
         return totally_replaceable(edge_links(self.n, self.edges))
 
 
-def edge_links(n: int, edges: Collection[Iterable[int]]) -> list[set[int]]:
+def edge_links(n: int, edges: Collection[Iterable[int]]) -> dict[int, set[int]]:
     """link(v) = {e - {v} : v in e} for every vertex v of an edge list on
-    vertices 1..n, indexed by v.  Each member is a vertex bitmask, bit v
-    standing for vertex v (entry 0 is empty).  One pass over the edges;
-    a vertex outside 1..n is refused with ValueError."""
-    _check_vertices(n, edges)
-    links: list[set[int]] = [set() for _ in range(n + 1)]
+    vertices 1..n, keyed by v: the vertices of the edges are the keys, and
+    no other vertex is, so nothing is sized by n.  Each member is a vertex
+    bitmask, bit v standing for vertex v.  One pass over the edges; a
+    vertex outside 1..n is refused with ValueError."""
+    links = {v: set() for v in _check_vertices(n, edges)}
     for e in edges:
         mask = _mask(e)
         for v in e:
@@ -193,9 +202,10 @@ def edge_links(n: int, edges: Collection[Iterable[int]]) -> list[set[int]]:
     return links
 
 
-def totally_replaceable(links: list[set[int]]) -> bool:
+def totally_replaceable(links: dict[int, set[int]]) -> bool:
     """Every vertex pair is comparable under replaceability, read off the
-    links of `edge_links`: n - 1 set differences, not one per pair.
+    links of `edge_links`: len(links) - 1 set differences, not one per
+    pair.
 
     If y replaces x, the swap e -> e - {x} + {y} maps x's edges that avoid
     y one-to-one into y's that avoid x, so y has at least x's degree
@@ -205,8 +215,12 @@ def totally_replaceable(links: list[set[int]]) -> bool:
     through e - {y} + {z} (z, then y) if it is.  So, with the vertices in
     degree order, every pair is comparable exactly when each vertex
     replaces the one before it.
+
+    A vertex in no edge has the empty link, so every vertex replaces it,
+    and only the keys, the vertices of the edges, are chained: leaving the
+    others out changes no answer.
     """
-    chain = sorted(range(1, len(links)), key=lambda v: len(links[v]))
+    chain = sorted(links, key=lambda v: len(links[v]))
     return all(_replaces(links[x], links[y], y) for x, y in zip(chain, chain[1:]))
 
 

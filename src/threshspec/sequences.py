@@ -34,6 +34,7 @@ from operator import index
 from .combinatorics import (
     TEXT_DIGITS,
     check_bit_text,
+    check_count_bits,
     check_sweep,
     count_text,
     read_decimal,
@@ -328,9 +329,19 @@ def count_valid_sequences(
 
     For each k the sizes n = k-1..n_max hold 1 + 2 + ... + 2**(n_max-k+1)
     = 2**(n_max-k+2) - 1 sequences, of which the connected ones, 2**(n-k)
-    for each n >= k, number 2**(n_max-k+1) - 1.
+    for each n >= k, number 2**(n_max-k+1) - 1.  A count over
+    `COUNT_BIT_CAP` bits is refused (`check_count_bits`) before it is built.
     """
-    return sum((1 << e) - 1 for e in _exponents(n_max, k_values, connected_only))
+    es = _exponents(n_max, k_values, connected_only)
+    check_count_bits(_count_bits(es))
+    return sum((1 << e) - 1 for e in es)
+
+
+def _count_bits(es: list[int]) -> int:
+    """Bit length of the sum of 2**e - 1 over the distinct exponents `es`,
+    largest first: the bits of the largest e, one more when another term
+    is nonzero."""
+    return es[0] + (len(es) > 1 and es[1] > 0) if es else 0
 
 
 def sweep_space(
@@ -345,15 +356,13 @@ def sweep_space(
     ones when asked.
 
     `check_sweep` refuses the space up front, saying that `what` would
-    visit it.  A count whose largest exponent is past 4 * 4,300 is not
-    built, so the refusal is immediate at any `n_max`.
+    visit it.  A count of more than 4 * 4,300 bits is not built, so the
+    refusal is immediate at any `n_max`.
     """
     k_set = sorted({k for k in k_values if k >= 2})
-    es = _exponents(n_max, k_set, connected_only)
-    if es and es[0] > 4 * TEXT_DIGITS:
-        # a sum of 2**e - 1 over distinct e has the bits of the largest e,
-        # one more when another term is nonzero
-        check_sweep(what, es[0] + (len(es) > 1 and es[1] > 0), None)
-    total = sum((1 << e) - 1 for e in es)
-    check_sweep(what, total.bit_length(), total)
+    bits = _count_bits(_exponents(n_max, k_set, connected_only))
+    total = None
+    if bits <= 4 * TEXT_DIGITS:
+        total = count_valid_sequences(n_max, k_set, connected_only)
+    check_sweep(what, bits, total)
     return [(k, n) for k in k_set for n in range(k - 1, n_max + 1)]

@@ -34,7 +34,7 @@ import sys
 from collections.abc import Iterable
 
 from . import _served
-from .combinatorics import as_float, check_closed
+from .combinatorics import as_float, check_closed, check_expanded
 from .errors import ConvergenceError
 from .hypergraph import BlockProfile, block_profile
 from .records import FrozenRecord
@@ -384,7 +384,9 @@ class Spectrum(FrozenRecord):
         return len(self.pairs)
 
     def expanded(self) -> list[float]:
-        """Every eigenvalue repeated by multiplicity, descending."""
+        """Every eigenvalue repeated by multiplicity, descending; a total
+        multiplicity over `EXPANDED_CAP` is refused (`check_expanded`)."""
+        check_expanded(sum(p.multiplicity for p in self.pairs))
         out = []
         for p in self.pairs:
             out.extend([p.value] * p.multiplicity)

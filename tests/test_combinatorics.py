@@ -4,16 +4,20 @@ import random
 import pytest
 
 from threshspec.combinatorics import (
+    COUNT_BIT_CAP,
+    EXPANDED_CAP,
     FLOAT_SAFE_LIMIT,
     as_float,
     binomial,
     binomial_exceeds,
     bits_text,
     check_bit_text,
+    check_count_bits,
     check_dense,
     check_dense_digits,
     check_dense_solve,
     check_edges,
+    check_expanded,
     check_pair_counts,
     count_text,
     read_decimal,
@@ -90,9 +94,20 @@ def test_count_text_names_huge_counts_by_bit_length():
         (check_dense_digits, past, ResourceLimitError),
         (check_pair_counts, past, CountTooLargeError),
         (check_bit_text, 10**4400, ResourceLimitError),
+        (check_expanded, 10**4400, ResourceLimitError),
+        (check_count_bits, 10**4400, ResourceLimitError),
     ):
         with pytest.raises(error, match=" bits"):
             check(arg)
+
+
+@pytest.mark.parametrize(
+    "check, cap", [(check_expanded, EXPANDED_CAP), (check_count_bits, COUNT_BIT_CAP)]
+)
+def test_a_size_at_its_cap_passes_and_one_over_is_refused(check, cap):
+    check(cap)
+    with pytest.raises(ResourceLimitError, match=f"over the cap of {cap}"):
+        check(cap + 1)
 
 
 def test_binomial_exceeds_matches_the_exact_binomial():

@@ -124,12 +124,18 @@ class TestAdjacencyMatrix:
                 (1.0, 2.0),
                 1.0,
             ),
+            (recount_pairs, ("a", 0), 0),
+            (recount_pairs, (None, 0), 0),
+            (recount_pairs, (1.5, "x"), 1.5),
+            (recount_pairs, ("b", "a"), "a"),
         ],
     )
     def test_an_edge_list_off_the_vertex_range_is_refused(self, build, edge, vertex):
         # a row index of 0 or below wraps to another row, one past n raises
         # IndexError, and 1.0 equals 1 but is no index: each must be
-        # refused by name first
+        # refused by name first.  Offenders of mixed types are named
+        # without comparing two types (a number first), and strings by
+        # repr, not in the hash-seeded order of a set
         with pytest.raises(ValueError, match=f"^vertex {vertex} out of range 1..3$"):
             build(3, [edge])
 
@@ -442,13 +448,14 @@ class TestGeneralHypergraph:
         )
         assert g.sorted_edges() == [(1, 2, 3), (2, 3, 4)]
         # bit v stands for vertex v: link(2) = {{1, 3}, {3, 4}}
-        assert edge_links(g.n, g.edges) == [
-            set(),
-            {0b1100},
-            {0b1010, 0b11000},
-            {0b110, 0b10100},
-            {0b1100},
-        ]
+        assert edge_links(g.n, g.edges) == {
+            1: {0b1100},
+            2: {0b1010, 0b11000},
+            3: {0b110, 0b10100},
+            4: {0b1100},
+        }
+        # a vertex in no edge has no key
+        assert edge_links(6, g.edges).keys() == {1, 2, 3, 4}
 
     def test_post_init_names_the_first_bad_edge(self):
         with pytest.raises(ValueError, match=r"edge \[1, 2\] does not have 3"):

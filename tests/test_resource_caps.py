@@ -154,20 +154,30 @@ PROBES = [
         "ResourceLimitError: a walk over 1000000000000 vertices",
         TIMEOUT_S,
     ),
-]
-
-#: (id, call) of the calls that still allocate without bound
-UNBOUNDED = [
-    # its n + 1 link sets
-    ("edge_links", "oracle.edge_links(10**12, [])"),
+    # the links are keyed by the edges' vertices, none sized by n
+    ("edge_links", "oracle.edge_links(10**12, [])", "answered", 5),
+    (
+        "is_totally_replaceable",
+        "oracle.GeneralHypergraph("
+        "10**12, 2, frozenset({frozenset({1, 2})})).is_totally_replaceable()",
+        "answered",
+        5,
+    ),
     # every eigenvalue repeated by its multiplicity
     (
         "expanded",
         "spectrum.full_spectrum_closed("
         'sequences.parse_short("C(1000000000000000,1)_2")).expanded()',
+        "ResourceLimitError: 1000000000000001 eigenvalues repeated",
+        TIMEOUT_S,
     ),
     # a count of 10**12 bits
-    ("count_valid_sequences", "sequences.count_valid_sequences(10**12, [2])"),
+    (
+        "count_valid_sequences",
+        "sequences.count_valid_sequences(10**12, [2])",
+        "ResourceLimitError: a count of 1000000000000 bits",
+        TIMEOUT_S,
+    ),
 ]
 
 _PROBE = """\
@@ -204,10 +214,3 @@ def test_a_library_call_answers_or_is_refused_in_bounded_memory(
     call, outcome, timeout
 ):
     assert _probe(call, timeout).startswith(outcome)
-
-
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 29: unbounded allocations")
-@pytest.mark.parametrize("call", [c for _, c in UNBOUNDED], ids=[i for i, _ in UNBOUNDED])
-def test_a_library_call_that_still_allocates_without_bound(call):
-    outcome = _probe(call, TIMEOUT_S)
-    assert outcome.startswith(("answered", "ResourceLimitError", "CountTooLargeError"))
