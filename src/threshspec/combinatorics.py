@@ -102,10 +102,16 @@ def as_float(count: int) -> float:
 #: Cap on materialized edges and on brute-force subset iteration.  On a
 #: 2-vCPU Xeon VM `edges "C(392,1)_4"` (9,962,680 edges of 4 vertices)
 #: takes 25 s at 856 MB peak RSS, and 1,975,354 edges 4.8 s at 185 MB.
-#: It caps the vertices of `oracle.pair_count`'s walk too
-#: (`check_vertex_walk`): on `C(10000000)_3` it takes 1.6 s at 397 MB,
-#: and on `C(10000000)_30` 20 s, its binomials growing with k.
 EDGE_CAP = 10**7
+
+#: Cap on the work of `oracle.pair_count`'s direct sum, weighed as n times
+#: min(k, n - k): it walks up to n pseudodominants, each adding a binomial
+#: of about min(k, n - k) factors.  On a 2-vCPU Xeon VM the calls at the
+#: cap take 1.0-1.6 s up to k = 100 (`C(10000000)_2` at 397 MB peak RSS,
+#: `C(200000)_100` at 22 MB) and up to 3.1 s where the binomials grow
+#: long (`C(10000)_2000`, at 15 MB); `C(1000000)_1000`, 50 times over,
+#: did not finish in 120 s.  At k = 2 it admits the n up to `EDGE_CAP`.
+PAIR_WALK_CAP = 2 * 10**7
 
 #: Cap on the vertices an edge list holds, its edges times k, so that few
 #: edges of many vertices are refused too; every k <= 4 list under
@@ -202,12 +208,15 @@ def check_bit_text(n: int) -> None:
         )
 
 
-def check_vertex_walk(n: int) -> None:
-    """Refuse a brute-force walk over the n vertices of a sequence, such
-    as `oracle.pair_count`'s, over `EDGE_CAP` vertices."""
-    if n > EDGE_CAP:
+def check_pair_walk(n: int, k: int) -> None:
+    """Refuse `oracle.pair_count`'s walk over the n vertices of a sequence
+    of uniformity k when n * min(k, n - k) is over `PAIR_WALK_CAP`."""
+    weight = n * min(k, n - k)
+    if weight > PAIR_WALK_CAP:
         raise ResourceLimitError(
-            f"a walk over {count_text(n)} vertices exceeds the cap of {EDGE_CAP}"
+            f"a walk over {count_text(n)} vertices at uniformity "
+            f"{count_text(k)} weighs {count_text(weight)}, over the cap of "
+            f"{PAIR_WALK_CAP}"
         )
 
 

@@ -60,19 +60,16 @@ class BlockProfile(FrozenRecord):
     _fields = ("seq", "gamma", "pair_total", "frobenius_sq")
 
     def __init__(self, seq: ShortSequence, gamma: tuple[int, ...]) -> None:
-        object.__setattr__(self, "seq", seq)
-        object.__setattr__(self, "gamma", tuple(map(index, gamma)))
-        if len(self.gamma) != self.seq.r:
+        gamma = tuple(map(index, gamma))
+        if len(gamma) != seq.r:
             raise ValueError(
-                f"need one pair count per run: {len(self.gamma)} for "
-                f"{self.seq.r} runs"
+                f"need one pair count per run: {len(gamma)} for {seq.r} runs"
             )
         pairs = squares = end = 0
-        for g, a in zip(self.gamma, self.seq.runs):
+        for g, a in zip(gamma, seq.runs):
             end += a
             pairs, squares = pair_sums(pairs, squares, g, a, end)
-        object.__setattr__(self, "pair_total", pairs)
-        object.__setattr__(self, "frobenius_sq", 2 * squares)
+        super().__init__(seq, gamma, pairs, 2 * squares)
 
 
 def pair_sums(
@@ -172,7 +169,7 @@ class AdjacencyMatrix(FrozenRecord):
 
     def __init__(self, entries: tuple[tuple[int, ...], ...]) -> None:
         rows = tuple(tuple(map(index, row)) for row in entries)
-        object.__setattr__(self, "entries", rows)
+        super().__init__(rows)
         n = len(rows)
         for i, row in enumerate(rows):
             if len(row) != n:
@@ -203,7 +200,7 @@ class ThresholdHypergraph(FrozenRecord):
     def __init__(self, seq: BinarySequence | ShortSequence) -> None:
         if isinstance(seq, BinarySequence):
             seq = to_short(seq)
-        object.__setattr__(self, "runs", seq)
+        super().__init__(seq)
 
     @classmethod
     def from_text(cls, text: str) -> "ThresholdHypergraph":
@@ -261,7 +258,7 @@ def _built_matrix(entries: tuple[tuple[int, ...], ...]) -> AdjacencyMatrix:
     construction, without its O(n**2) check; only `adjacency` and
     `oracle.recount_pairs` may call it."""
     matrix = object.__new__(AdjacencyMatrix)
-    object.__setattr__(matrix, "entries", entries)
+    FrozenRecord.__init__(matrix, entries)
     return matrix
 
 

@@ -40,6 +40,7 @@ loads it; `tests/test_oracle_boundary.py` holds both rules.
 import math
 import operator
 from collections.abc import Collection, Iterable, Sequence
+from functools import cached_property
 from itertools import combinations, groupby
 
 from .combinatorics import (
@@ -48,7 +49,7 @@ from .combinatorics import (
     check_dense_solve,
     check_edges,
     check_pair_counts,
-    check_vertex_walk,
+    check_pair_walk,
 )
 from .hypergraph import AdjacencyMatrix, ThresholdHypergraph, _built_matrix
 from .records import FrozenRecord
@@ -107,7 +108,7 @@ def pair_count(ss: ShortSequence, i: int, j: int) -> int:
     if i == j:
         raise ValueError("pair counts are defined for distinct vertices")
     _check_vertices(ss.n, [(i, j)])
-    check_vertex_walk(ss.n)
+    check_pair_walk(ss.n, ss.k)
     hi, k = max(i, j), ss.k
     ones = pseudodominants(ss)
     own = binomial(hi - 2, k - 2) if hi in ones else 0
@@ -159,9 +160,7 @@ class GeneralHypergraph(FrozenRecord):
     _fields = ("n", "k", "edges")
 
     def __init__(self, n: int, k: int, edges: frozenset[frozenset[int]]) -> None:
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "edges", edges)
+        super().__init__(n, k, edges)
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
         for e in self.edges:
@@ -172,20 +171,25 @@ class GeneralHypergraph(FrozenRecord):
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
 
+    @cached_property
+    def links(self) -> dict[int, set[int]]:
+        """The `edge_links` of the edges, built on first use and kept."""
+        return edge_links(self.n, self.edges)
+
     def replaceable(self, x: int, y: int) -> bool:
         """True when y can stand in for x: swapping x out of any edge that
         avoids y yields another edge.  Vacuously true when x has no such
-        edges.  Read off `edge_links`, where a vertex in no edge has no key
-        and the empty link."""
+        edges.  Read off `links`, where a vertex in no edge has no key and
+        the empty link."""
         if x == y:
             raise ValueError("replaceability is defined for distinct vertices")
         _check_vertices(self.n, [(x, y)])
-        links = edge_links(self.n, self.edges)
+        links = self.links
         return _replaces(links.get(x, set()), links.get(y, set()), y)
 
     def is_totally_replaceable(self) -> bool:
         """Every vertex pair is comparable under replaceability."""
-        return totally_replaceable(edge_links(self.n, self.edges))
+        return totally_replaceable(self.links)
 
 
 def edge_links(n: int, edges: Collection[Iterable[int]]) -> dict[int, set[int]]:
@@ -193,10 +197,13 @@ def edge_links(n: int, edges: Collection[Iterable[int]]) -> dict[int, set[int]]:
     vertices 1..n, keyed by v: the vertices of the edges are the keys, and
     no other vertex is, so nothing is sized by n.  Each member is a vertex
     bitmask, bit v standing for vertex v.  One pass over the edges; a
-    vertex outside 1..n is refused with ValueError."""
+    vertex outside 1..n, or an edge that repeats a vertex, is refused
+    with ValueError, as `recount_pairs` refuses them."""
     links = {v: set() for v in _check_vertices(n, edges)}
     for e in edges:
         mask = _mask(e)
+        if mask.bit_count() != len(e):
+            raise ValueError(f"edge {tuple(e)} repeats a vertex")
         for v in e:
             links[v].add(mask ^ 1 << v)
     return links

@@ -41,8 +41,7 @@ class QuotientMatrix(FrozenRecord):
         self, entries: tuple[tuple[int, ...], ...], block_sizes: tuple[int, ...]
     ) -> None:
         rows = tuple(tuple(map(index, row)) for row in entries)
-        object.__setattr__(self, "entries", rows)
-        object.__setattr__(self, "block_sizes", tuple(map(index, block_sizes)))
+        super().__init__(rows, tuple(map(index, block_sizes)))
         r = len(self.block_sizes)
         if len(self.entries) != r or any(len(row) != r for row in self.entries):
             raise ValueError("quotient matrix shape must match the block count")

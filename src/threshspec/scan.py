@@ -24,22 +24,6 @@ __all__ = ["ScanRow", "scan_quotient_simplicity"]
 class ScanRow(FrozenRecord):
     _fields = ("sequence", "n", "k", "r", "min_quotient_gap", "flagged")
 
-    def __init__(
-        self,
-        sequence: str,
-        n: int,
-        k: int,
-        r: int,
-        min_quotient_gap: float,
-        flagged: bool,
-    ) -> None:
-        object.__setattr__(self, "sequence", sequence)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "r", r)
-        object.__setattr__(self, "min_quotient_gap", min_quotient_gap)
-        object.__setattr__(self, "flagged", flagged)
-
 
 def scan_quotient_simplicity(n_max: int, k_values: Iterable[int]) -> list[ScanRow]:
     """Minimum quotient eigenvalue gap for every connected sequence.

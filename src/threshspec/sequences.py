@@ -71,8 +71,7 @@ class BinarySequence(FrozenRecord):
     _fields = ("k", "bits")
 
     def __init__(self, k: int, bits: tuple[int, ...]) -> None:
-        object.__setattr__(self, "k", index(k))
-        object.__setattr__(self, "bits", tuple(map(index, bits)))
+        super().__init__(index(k), tuple(map(index, bits)))
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if any(b not in (0, 1) for b in self.bits):
@@ -109,9 +108,7 @@ class ShortSequence(FrozenRecord):
     def __init__(
         self, k: int, runs: tuple[int, ...], first_run_has_ones: bool = False
     ) -> None:
-        object.__setattr__(self, "k", index(k))
-        object.__setattr__(self, "runs", tuple(map(index, runs)))
-        object.__setattr__(self, "first_run_has_ones", first_run_has_ones)
+        super().__init__(index(k), tuple(map(index, runs)), first_run_has_ones)
         if self.k < 2:
             raise SequenceError(f"uniformity must be at least 2, got {self.k}")
         if not self.runs:

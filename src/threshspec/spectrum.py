@@ -62,13 +62,6 @@ class BlockEigenvalue(FrozenRecord):
 
     _fields = ("value", "multiplicity_lower_bound", "block_index")
 
-    def __init__(
-        self, value: int, multiplicity_lower_bound: int, block_index: int
-    ) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "multiplicity_lower_bound", multiplicity_lower_bound)
-        object.__setattr__(self, "block_index", block_index)
-
 
 def block_eigenvalues(bp: BlockProfile) -> list[BlockEigenvalue]:
     """Closed-form eigenvalues contributed by blocks of size >= 2.
@@ -365,19 +358,11 @@ def quotient_eigenvalues(bp: BlockProfile) -> list[float]:
 class EigenPair(FrozenRecord):
     _fields = ("value", "multiplicity", "source")
 
-    def __init__(self, value: float, multiplicity: int, source: str) -> None:
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "multiplicity", multiplicity)
-        object.__setattr__(self, "source", source)
-
 
 class Spectrum(FrozenRecord):
     """Eigenvalues with multiplicities, sorted descending."""
 
     _fields = ("pairs",)
-
-    def __init__(self, pairs: tuple[EigenPair, ...]) -> None:
-        object.__setattr__(self, "pairs", pairs)
 
     @property
     def distinct_count(self) -> int:

@@ -57,14 +57,6 @@ class SweepResult(FrozenRecord):
 
     _fields = ("name", "checked", "failed", "failures")
 
-    def __init__(
-        self, name: str, checked: int, failed: int, failures: tuple[str, ...]
-    ) -> None:
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "checked", checked)
-        object.__setattr__(self, "failed", failed)
-        object.__setattr__(self, "failures", failures)
-
     @property
     def passed(self) -> bool:
         return self.failed == 0

@@ -6,10 +6,12 @@ import pytest
 
 import threshspec.combinatorics as combinatorics
 import threshspec.hypergraph as hypergraph
+import threshspec.oracle as oracle
 from threshspec.combinatorics import (
     DENSE_CELL_CAP,
     EDGE_CAP,
     EDGE_ENTRY_CAP,
+    PAIR_WALK_CAP,
     check_dense_digits,
     check_edges,
     count_text,
@@ -109,6 +111,14 @@ class TestAdjacencyMatrix:
     def test_recount_refuses_a_repeated_vertex(self):
         with pytest.raises(ValueError, match="^adjacency diagonal must be zero$"):
             recount_pairs(3, [(1, 1, 2)])
+
+    def test_links_refuse_a_repeated_vertex(self):
+        # an edge that repeats a vertex is no k-subset: its links would be
+        # those of a smaller edge
+        with pytest.raises(ValueError, match=r"^edge \(1, 2, 2\) repeats a vertex$"):
+            edge_links(4, [(1, 2, 2), (3, 4, 4)])
+        with pytest.raises(ValueError, match=r"^edge \(1, True\) repeats a vertex$"):
+            edge_links(2, [(1, True)])
 
     @pytest.mark.parametrize(
         "build, edge, vertex",
@@ -255,9 +265,19 @@ class TestThresholdHypergraph:
         assert len(h.edges()) == 7
 
     def test_pair_count_walk_cap(self, monkeypatch):
-        # the direct pair count walks the vertices: over the edge cap it
-        # is refused before the walk
-        monkeypatch.setattr(combinatorics, "EDGE_CAP", 4)
+        # the direct pair count walks the vertices, each adding a binomial
+        # of about min(k, n - k) factors: over the cap on that weight it
+        # is refused before the walk.  Three pseudodominants make the call
+        # just under the cap quick
+        assert PAIR_WALK_CAP == 20_000_000
+        assert pair_count(parse_runs("C(6666663,3)_3"), 1, 2) == 3
+        with pytest.raises(
+            ResourceLimitError,
+            match="^a walk over 6666667 vertices at uniformity 3 weighs "
+            "20000001, over the cap of 20000000$",
+        ):
+            pair_count(parse_runs("C(6666664,3)_3"), 1, 2)
+        monkeypatch.setattr(combinatorics, "PAIR_WALK_CAP", 8)
         assert pair_count(parse_runs("C(2,2)_2"), 1, 2) == 0
         with pytest.raises(ResourceLimitError, match="^a walk over 5 vertices"):
             pair_count(parse_runs("C(2,3)_2"), 1, 2)
@@ -456,6 +476,31 @@ class TestGeneralHypergraph:
         }
         # a vertex in no edge has no key
         assert edge_links(6, g.edges).keys() == {1, 2, 3, 4}
+
+    @pytest.mark.parametrize("seed", [None, 54], ids=["example_7_4", "seeded"])
+    def test_links_are_built_once(self, seed, monkeypatch):
+        # every pair and the total read the one cached link map, of the
+        # paper's example or of 200 seeded 4-subsets of 12 vertices
+        if seed is None:
+            g = load_replaceable_non_threshold_7_4()
+        else:
+            subsets = list(combinations(range(1, 13), 4))
+            edges = random.Random(seed).sample(subsets, 200)
+            g = GeneralHypergraph(12, 4, frozenset(map(frozenset, edges)))
+        calls = []
+
+        def counted(n, edges):
+            calls.append(n)
+            return edge_links(n, edges)
+
+        monkeypatch.setattr(oracle, "edge_links", counted)
+        for x in range(1, g.n + 1):
+            for y in range(1, g.n + 1):
+                if x != y:
+                    assert g.replaceable(x, y) == edge_walk_replaceable(g, x, y)
+        assert g.is_totally_replaceable() == edge_walk_totally_replaceable(g)
+        assert calls == [g.n]
+        assert g.links is g.links
 
     def test_post_init_names_the_first_bad_edge(self):
         with pytest.raises(ValueError, match=r"edge \[1, 2\] does not have 3"):

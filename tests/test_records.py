@@ -3,6 +3,7 @@ constructors, their repr, equality and hashing, and that none of them
 changes after construction."""
 
 import ast
+import re
 from pathlib import Path
 
 import numpy as np
@@ -189,3 +190,51 @@ def test_integer_fields_take_integer_types_as_int():
     assert ss == ShortSequence(3, (3, 1))
     assert [type(x) for x in (ss.k, *ss.runs)] == [int, int, int]
     assert BinarySequence(True + True, (False, True)).bits == (0, 1)
+
+
+PLAIN = (BlockEigenvalue, EigenPair, Spectrum, SweepResult, ScanRow)
+
+
+def test_only_the_base_writes_fields():
+    # no module but records.py calls object.__setattr__ or writes an
+    # instance's __dict__, and the plain records keep the base's __init__
+    src = Path(records.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        if path.name == "records.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                setattr_call = (
+                    node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "object"
+                )
+                assert not setattr_call, f"{path.name}:{node.lineno}"
+                assert node.attr != "__dict__", f"{path.name}:{node.lineno}"
+    for cls in PLAIN:
+        assert "__init__" not in vars(cls)
+        assert cls.__init__ is records.FrozenRecord.__init__
+
+
+@pytest.mark.parametrize("cls", PLAIN, ids=[cls.__name__ for cls in PLAIN])
+def test_the_base_binds_each_field_once(cls):
+    kwargs = next(case[1] for case in CASES if case[0] is cls)
+    values = list(kwargs.values())
+    made = cls(*values)
+    # positional, keyword and every mixed split give the same record
+    for cut in range(len(values) + 1):
+        rest = dict(list(kwargs.items())[cut:])
+        assert cls(*values[:cut], **rest) == made
+    name = cls.__qualname__
+    first = next(iter(kwargs))
+    fields = re.escape(repr(cls._fields))
+    # missing, extra, unknown, twice given, and missing when all are named
+    for build in (
+        lambda: cls(*values[:-1]),
+        lambda: cls(*values, values[-1]),
+        lambda: cls(*values, colour=1),
+        lambda: cls(*values, **{first: kwargs[first]}),
+        lambda: cls(**dict(list(kwargs.items())[1:])),
+    ):
+        with pytest.raises(TypeError, match=rf"^{name} takes .*{fields}"):
+            build()

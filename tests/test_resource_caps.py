@@ -154,6 +154,13 @@ PROBES = [
         "ResourceLimitError: a walk over 1000000000000 vertices",
         TIMEOUT_S,
     ),
+    # few vertices, but each adds a binomial of a thousand factors
+    (
+        "pair_count_binomials",
+        'oracle.pair_count(sequences.parse_short("C(1000000)_1000"), 1, 2)',
+        "ResourceLimitError: a walk over 1000000 vertices at uniformity 1000",
+        TIMEOUT_S,
+    ),
     # the links are keyed by the edges' vertices, none sized by n
     ("edge_links", "oracle.edge_links(10**12, [])", "answered", 5),
     (

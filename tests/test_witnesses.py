@@ -12,17 +12,30 @@ Jacobs, Trevisan and Tura (LAA 439, 2013) proved that no threshold graph
 has an eigenvalue in (-1, 0).  At k = 2 the closed route agrees on every
 connected threshold graph with n <= 12; at k = 3 the interval is not
 empty.
+
+The head block's value -gamma_1 is never a quotient eigenvalue of a
+connected sequence with r >= 2, so such a sequence has at least r + 1
+distinct eigenvalues.  This is measured, not proved: det(Q + gamma_1 I) is
+decided exactly on every connected sequence with n <= 12 and k = 2..6, and
+on a fixed seeded sample of longer runs.
 """
 
 import math
+import random
 from itertools import combinations
 
 import numpy as np
 import pytest
 
-from threshspec.hypergraph import ThresholdHypergraph
+from threshspec.hypergraph import ThresholdHypergraph, block_profile
 from threshspec.oracle import recount_pairs
-from threshspec.sequences import format_short, iter_short_sequences
+from threshspec.quotient import quotient_matrix
+from threshspec.sequences import (
+    ShortSequence,
+    format_short,
+    iter_short_sequences,
+    parse_short,
+)
 from threshspec.spectrum import full_spectrum_closed
 
 EPS = np.finfo(float).eps
@@ -151,3 +164,83 @@ class TestJacobsTrevisanTura:
         assert [(text, round(v, 3)) for text, v in witnesses] == [
             ("C(3,1,1)_3", -0.489)
         ]
+
+
+def bareiss_det(rows):
+    """The determinant of a square integer matrix by fraction-free
+    (Bareiss) elimination: every division is exact, so it is exact."""
+    m = [list(row) for row in rows]
+    sign, prev = 1, 1
+    for i in range(len(m) - 1):
+        if m[i][i] == 0:
+            swap = next((r for r in range(i + 1, len(m)) if m[r][i]), None)
+            if swap is None:
+                return 0
+            m[i], m[swap] = m[swap], m[i]
+            sign = -sign
+        for r in range(i + 1, len(m)):
+            for c in range(i + 1, len(m)):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * m[-1][-1] if m else 1
+
+
+def head_value_is_a_root(ss):
+    """True when -gamma_1 is an eigenvalue of ss's quotient matrix."""
+    gamma = block_profile(ss).gamma[0]
+    q = quotient_matrix(ss).entries
+    shifted = [
+        [q[s][t] + gamma * (s == t) for t in range(len(q))] for s in range(len(q))
+    ]
+    return bareiss_det(shifted) == 0
+
+
+def sample_shapes(count, seed):
+    """`count` connected sequences with k = 2..6 and r = 2..12, each run
+    drawn from 1, 2, 3, 10 or 10**U(1, 3), the first at least k."""
+    rng = random.Random(seed)
+    shapes = []
+    for _ in range(count):
+        k, r = rng.randint(2, 6), rng.randint(2, 12)
+        runs = [
+            rng.choice([1, 2, 3, 10, round(10 ** rng.uniform(1, 3))])
+            for _ in range(r)
+        ]
+        runs[0] = max(runs[0], k)
+        # the last block is a ones block exactly when this holds
+        shapes.append(ShortSequence(k, tuple(runs), r % 2 == 1))
+    return shapes
+
+
+class TestHeadValueIsNoQuotientRoot:
+    def test_the_determinant_is_exact(self):
+        rng = np.random.default_rng(7)
+        for size in range(1, 6):
+            for _ in range(20):
+                a = rng.integers(-9, 10, size=(size, size))
+                assert bareiss_det(a.tolist()) == round(np.linalg.det(a))
+        assert bareiss_det([[0, 1], [1, 0]]) == -1
+        assert bareiss_det([[1, 2], [2, 4]]) == 0
+        # C(6,1)_3's quotient has eigenvalues 15 and -10
+        q = quotient_matrix(parse_short("C(6,1)_3")).entries
+        assert q == ((5, 5), (30, 0))
+        for value in (15, -10):
+            assert bareiss_det([[5 - value, 5], [30, -value]]) == 0
+        assert bareiss_det(q) == -150
+
+    def test_census_at_n_up_to_12(self):
+        checked = [
+            ss
+            for n in range(2, 13)
+            for k in range(2, 7)
+            for ss in iter_short_sequences(n, k)
+            if ss.connected and ss.r >= 2
+        ]
+        assert len(checked) == 3918
+        assert [format_short(ss) for ss in checked if head_value_is_a_root(ss)] == []
+
+    def test_seeded_sample_of_long_runs(self):
+        shapes = sample_shapes(300, seed=22)
+        assert all(ss.connected and ss.r >= 2 for ss in shapes)
+        assert max(ss.n for ss in shapes) >= 1000
+        assert [format_short(ss) for ss in shapes if head_value_is_a_root(ss)] == []
