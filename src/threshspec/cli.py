@@ -230,10 +230,10 @@ def cmd_verify(args, out: TextIOBase, err: TextIOBase) -> int:
 
 def cmd_family(args, out: TextIOBase, err: TextIOBase) -> int:
     # as the oracles, the families and the scan walk load only for their call
-    from .families import family_sequence, family_spectrum_symbolic
+    from .families import family_sequence
 
     ss = family_sequence(args.family, args.n, args.k, args.j)
-    spec = family_spectrum_symbolic(args.family, args.n, args.k, args.j)
+    spec = full_spectrum_closed(ss)
     if args.format != "structured":
         stream = out if args.format == "text" else err
         bits = format_bits(ss)  # refused before the first line is printed

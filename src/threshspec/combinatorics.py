@@ -296,8 +296,8 @@ def check_pair_counts(ss) -> None:
 
 def check_closed(ss) -> None:
     """Refuse, before any exact binomial, a sequence that the closed route
-    cannot answer; `full_spectrum_closed` and `family_spectrum_symbolic`
-    call it first.
+    cannot answer; `full_spectrum_closed` and `quotient_matrix` call it
+    first.
 
     The vertices past the last one with bit 1 have pair count 0, and the
     route answers them as it answers any block.  `check_pair_counts`

@@ -1,16 +1,17 @@
 """The three catalogued families of threshold hypergraphs.
 
-`family_sequence` gives a member's short sequence.  `family_spectrum_symbolic`
-enters the member's gamma by hand, from the catalogued closed forms, and
-shares the rest of the closed route in `spectrum`: the block eigenvalues,
-the quotient's pencil and the merge.
+Each family is a template of run lengths: `family_sequence` gives a
+member's short sequence, and `family_spectrum_symbolic` hands it to
+`full_spectrum_closed`, so a member's gamma comes from `block_profile`,
+as every sequence's does.  `tests/test_spectrum.py` holds that gamma to
+the catalogued closed forms.  A new family is one more branch of
+`family_sequence`.
 """
 
-from .combinatorics import binomial, check_closed, count_text, edge_total
+from .combinatorics import count_text
 from .errors import SequenceError
-from .hypergraph import BlockProfile, check_pair_total
 from .sequences import ShortSequence
-from .spectrum import Spectrum, _assemble
+from .spectrum import Spectrum, full_spectrum_closed
 
 __all__ = ["family_sequence", "family_spectrum_symbolic"]
 
@@ -66,35 +67,7 @@ def family_spectrum_symbolic(
     k: int,
     j: int | None = None,
 ) -> Spectrum:
-    """Spectrum of a family member from its catalogued closed forms.
-
-    Each family's gamma is entered by hand, made into a `BlockProfile`
-    without `block_profile` and handed to the assembler of the closed
-    route: family 1 has
-    (binomial(n-3, k-3), binomial(n-2, k-2)), family 2 has
-    (sum over the pseudodominants p = j..n of binomial(p-3, k-3),
-    binomial(n-2, k-2)), summed by the hockey stick to
-    binomial(n-2, k-2) - binomial(j-3, k-2), and family 3 has
-    (binomial(n-3, k-3) + 1, binomial(n-3, k-3), binomial(n-2, k-2)).
-    The complete-hypergraph boundaries (family 1 with n = k, family 2
-    with j = k) are one block with (binomial(n-2, k-2),).  The hand-entered
-    gamma is held to the pair-total identity that `block_profile` checks,
-    `check_pair_total` against `edge_total`.  Always agrees with
-    `full_spectrum_closed`, merging at the same `MERGE_TOL`, and refuses
-    what it refuses, before any binomial.
-    """
-    ss = family_sequence(family, n, k, j)
-    check_closed(ss)
-    a_cnt = binomial(n - 3, k - 3)
-    b_cnt = binomial(n - 2, k - 2)
-    if ss.r == 1:
-        gamma: tuple[int, ...] = (b_cnt,)
-    elif family == 1:
-        gamma = (a_cnt, b_cnt)
-    elif family == 2:
-        gamma = (b_cnt - binomial(j - 3, k - 2), b_cnt)
-    else:
-        gamma = (a_cnt + 1, a_cnt, b_cnt)
-    bp = BlockProfile(ss, gamma)
-    check_pair_total(k, bp.pair_total, edge_total(ss), ss)
-    return _assemble(bp)
+    """Spectrum of a family member: `full_spectrum_closed` of its
+    `family_sequence`, so its gamma comes from `block_profile` and it
+    refuses what the closed route refuses."""
+    return full_spectrum_closed(family_sequence(family, n, k, j))

@@ -27,7 +27,9 @@ them without gamma, so a fault there shows as a disagreement:
 Every oracle reads a vertex by one rule, `_check_vertices`: an int (a
 bool counts) in 1..n, decided in O(1) per distinct vertex, whatever n.
 The refusal names the least int or float outside the rule, else the
-least by type name and repr, so that it never compares two types.
+least by type name and repr, so that it never compares two types.  An
+edge list must be a collection that can be read twice: a one-shot
+iterator is refused with TypeError.
 
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
@@ -128,7 +130,13 @@ def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> set[int]:
     """The distinct vertices of an edge list, each decided in O(1),
     whatever n.  A vertex that is not an int in 1..n is refused by name:
     the least int or float among them, else the least by type name and
-    repr, an order that compares no two types and reads no hash."""
+    repr, an order that compares no two types and reads no hash.  A
+    one-shot iterable, which this pass would leave empty for the caller's
+    own, is refused with TypeError."""
+    if iter(edges) is edges:
+        raise TypeError(
+            f"edges must be a collection, not a one-shot {type(edges).__name__}"
+        )
     vertices = set().union(*edges)
     outside = [v for v in vertices if not (isinstance(v, int) and 1 <= v <= n)]
     if outside:
@@ -260,8 +268,8 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
     Householder reduction to tridiagonal form, tred1 of Wilkinson and
     Reinsch, Handbook for Automatic Computation II (1971), then
     `_rational_ql` (tqlrat) on the tridiagonal matrix: the eigenvalues-only
-    path of EISPACK's driver rs.  The matrix must be square and exactly
-    symmetric, else `ValueError`.  Each eigenvalue gets at most
+    path of EISPACK's driver rs.  The matrix must be square, finite and
+    exactly symmetric, else `ValueError`.  Each eigenvalue gets at most
     `spectrum.QL_ITERATIONS` QL sweeps (tqlrat's 30), else
     `ConvergenceError`; the fixed order of operations makes the output
     repeatable.
@@ -272,6 +280,10 @@ def householder_ql_eigenvalues(matrix: Sequence[Sequence[float]]) -> list[float]
         raise ValueError("matrix must be square")
     if n == 0:
         return []
+    for i, row in enumerate(a):
+        if not all(map(math.isfinite, row)):
+            j = next(j for j, x in enumerate(row) if not math.isfinite(x))
+            raise ValueError(f"matrix entry at ({i},{j}) is {row[j]}, not finite")
     for i in range(n):
         for j in range(i + 1, n):
             if a[i][j] != a[j][i]:

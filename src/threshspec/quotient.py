@@ -69,6 +69,31 @@ def quotient_matrix(ss: ShortSequence) -> QuotientMatrix:
     gamma of the later block, and a_s - 1 twins at gamma_s:
     Q[s][t] = (a_t - [s = t]) * gamma[max(s, t)].  `check_closed` refuses
     first what the closed route would refuse.
+
+    A block value -g_t is also a quotient value exactly when
+    det(Q + g_t I) = 0.  With g_s = gamma of block s, counted from 1, the
+    determinant factors at r = 2 as
+
+        t = 1:  a_1 (g_1 - g_2) (g_1 + a_2 g_2)
+        t = 2:  (a_1 - 1) a_2 g_2 (g_1 - g_2)
+
+    and at r = 3 as
+
+        t = 1:  a_1 (g_1 - g_2) L,
+                L = a_2 a_3 g_3 (g_2 - g_3) + (g_1 - g_3)(g_1 + a_2 g_2 + a_3 g_3)
+        t = 2:  (a_1 - 1) a_2 (g_1 - g_2) (g_2 - g_3) (g_2 + a_3 g_3)
+        t = 3:  a_3 g_3 (g_2 - g_3) E,
+                E = (a_1 - 1)(a_2 - 1) g_1 - a_1 a_2 g_2 + (a_1 + a_2 - 1) g_3
+
+    (`tests/test_witnesses.py` holds each as an integer identity).  So a
+    connected two-run sequence has exactly 3 distinct eigenvalues when its
+    last run is 1, and 4 otherwise.  Its head is a zeros run of
+    a_1 >= k >= 2 vertices, and g_1 = g_2 - binomial(a_1 - 2, k - 2) by
+    the hockey stick, so g_1 < g_2 and g_2 = binomial(n - 2, k - 2) >= 1:
+    both factors are nonzero, and neither block value -g_1 (multiplicity
+    a_1 - 1) nor -g_2 (a_2 - 1, present when a_2 >= 2) is a quotient
+    value.  Q is similar to the symmetric 2 x 2 matrix with off-diagonal
+    sqrt(a_1 a_2) g_2 > 0, so its two values differ.
     """
     check_closed(ss)
     bp = block_profile(ss)

@@ -15,10 +15,11 @@ the same route: no edge holds a vertex after the last bit 1, so its
 trailing zeros block has gamma 0 and a zero column, which yields 0 once
 per twin and once from the quotient.  Values within the fixed `MERGE_TOL`
 are reported once, at the block value when the group holds one.  The
-catalogued families (`families`) enter their gamma by hand and share the
-rest.  Everything before the rational QL is folded one block at a time
-from the last block up by three steps: `gamma_step` (gamma and the edge
-count), `pair_sums` (the exact sums) and `_Pencil.push` (the reduction).
+catalogued families (`families`) are templates of run lengths, answered
+as any sequence is.  Everything before the rational QL is folded one
+block at a time from the last block up by three steps: `gamma_step`
+(gamma and the edge count), `pair_sums` (the exact sums) and
+`_Pencil.push` (the reduction).
 `block_profile` and `_Pencil.of` fold them over one sequence, and the
 quotient-gap walk in `scan` folds them along a tree of suffixes.  The
 dense oracle `oracle.full_spectrum_numeric` shares `_rational_ql` with

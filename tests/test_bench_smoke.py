@@ -39,11 +39,15 @@ def _run(workload, seconds, trace):
     return result["metrics"]
 
 
-@pytest.mark.parametrize("workload", ["few_runs", "many_runs"])
-def test_benchmark_run_is_correct(workload):
-    # 0.1 s is one round: few_runs then visits every (k, r) pair once
-    metrics = _run(workload, "0.1", "0")
-    for name in ("latency_p50_ms", "setup_s", "peak_rss_mb"):
+@pytest.mark.parametrize(
+    "workload, seconds",
+    # 0.1 s is one round: few_runs then visits every (k, r) pair once;
+    # checks needs 2 s for its one round of nine operations
+    [("few_runs", "0.1"), ("many_runs", "0.1"), ("checks", "2")],
+)
+def test_benchmark_run_is_correct(workload, seconds):
+    metrics = _run(workload, seconds, "0")
+    for name in ("latency_p50_ms", "setup_s", "peak_rss_mb", "sweep_seq_per_s"):
         assert metrics[name]["value"] > 0
 
 

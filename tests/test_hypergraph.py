@@ -164,6 +164,16 @@ class TestAdjacencyMatrix:
                 call()
 
     @pytest.mark.parametrize("build", [recount_pairs, edge_links])
+    def test_a_one_shot_edge_iterable_is_refused(self, build):
+        # the vertex check would consume a generator, and the count that
+        # follows would see no edge: an all-zero matrix, or four empty links
+        once = "^edges must be a collection, not a one-shot generator$"
+        with pytest.raises(TypeError, match=once):
+            build(4, (e for e in [(1, 2, 3), (2, 3, 4)]))
+        with pytest.raises(TypeError, match="one-shot list_iterator$"):
+            build(4, iter([(1, 2, 3)]))
+
+    @pytest.mark.parametrize("build", [recount_pairs, edge_links])
     def test_an_edge_list_checked_on_one_range_is_refused_on_a_smaller(self, build):
         # each call checks the list it is given: a list that passed on one
         # range is not trusted on another

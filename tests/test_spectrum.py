@@ -14,7 +14,7 @@ from threshspec.errors import (
     ResourceLimitError,
     SequenceError,
 )
-from threshspec import combinatorics, families, oracle, quotient, scan, sequences, spectrum
+from threshspec import combinatorics, oracle, quotient, scan, sequences, spectrum
 from threshspec.cli import main
 from threshspec.hypergraph import ThresholdHypergraph
 from threshspec.oracle import (
@@ -219,7 +219,6 @@ class TestClosedRouteRefusals:
         import threshspec.hypergraph as hypergraph
 
         monkeypatch.setattr(hypergraph, "binomial", refuse)
-        monkeypatch.setattr(families, "binomial", refuse)
         for call in (
             lambda: full_spectrum_closed(ShortSequence(10**6, (2 * 10**6, 1))),
             lambda: family_spectrum_symbolic(1, 2 * 10**6, 10**6),
@@ -642,6 +641,17 @@ class TestHouseholderQL:
         near = [[0.0, 1.0], [math.nextafter(1.0, 2.0), 0.0]]
         with pytest.raises(ValueError, match=r"not symmetric at \(0,1\)"):
             householder_ql_eigenvalues(near)
+        # a non-finite entry is refused by place, before the symmetry test:
+        # inf gave [0.0, 0.0] or ConvergenceError, and nan came back as nan
+        inf, nan = math.inf, math.nan
+        for m, place in (
+            ([[0.0, inf], [inf, 0.0]], "0,1"),
+            ([[nan]], "0,0"),
+            ([[1.0, nan], [nan, 1.0]], "0,1"),
+            ([[0.0, 1.0, inf], [1.0, 0.0, 1.0], [inf, 1.0, 0.0]], "0,2"),
+        ):
+            with pytest.raises(ValueError, match=rf"^matrix entry at \({place}\) is"):
+                householder_ql_eigenvalues(m)
 
     def test_iteration_cap(self, monkeypatch):
         monkeypatch.setattr(spectrum, "QL_ITERATIONS", 0)
@@ -1027,51 +1037,28 @@ class TestFamilies:
             got, want = sym.expanded(), ref.expanded()
             assert all(abs(a - b) < 1e-8 for a, b in zip(got, want))
 
-    def test_symbolic_route_uses_only_the_hand_entered_gamma(self, monkeypatch):
+    def test_block_profile_gives_the_catalogued_gamma(self):
+        # the families' gamma comes from block_profile; here it is held to
+        # their catalogued closed forms, with the complete-hypergraph
+        # boundaries (family 1 with n = k, family 2 with j = k) one block
         cases = []
-        for k in range(2, 6):
-            for n in range(k, 13):
-                cases.append((1, n, k, None))
-                cases.extend((2, n, k, j) for j in range(k, n))
-                if n >= k + 2:
-                    cases.append((3, n, k, None))
-        assert (1, 4, 4, None) in cases and (2, 9, 3, 3) in cases
-        want = [full_spectrum_closed(family_sequence(*c)) for c in cases]
-
-        def refuse(*args):
-            raise AssertionError("family route computed gamma from the runs")
-
-        # block_profile folds gamma_step, read from hypergraph, whichever
-        # module calls it
-        import threshspec.hypergraph as hypergraph
-
-        monkeypatch.setattr(spectrum, "block_profile", refuse)
-        monkeypatch.setattr(hypergraph, "gamma_step", refuse)
-        for case, ref in zip(cases, want):
-            assert family_spectrum_symbolic(*case) == ref, case
-
-    def test_family_2_gamma_is_the_hockey_stick_sum(self, monkeypatch):
-        # gamma_1 is entered as binomial(n-2, k-2) - binomial(j-3, k-2),
-        # the closed form of the sum over the pseudodominants p = j..n
-        seen = []
-        monkeypatch.setattr(families, "_assemble", lambda bp: seen.append(bp))
         for k in range(2, 8):
-            for n in range(k + 1, 31):
+            for n in range(k, 31):
+                a_cnt, b_cnt = binomial(n - 3, k - 3), binomial(n - 2, k - 2)
+                cases.append(((1, n, k), (b_cnt,) if n == k else (a_cnt, b_cnt)))
+                if n > k:
+                    cases.append(((2, n, k, k), (b_cnt,)))
                 for j in range(k + 1, n):
-                    family_spectrum_symbolic(2, n, k, j)
+                    # the sum over the pseudodominants p = j..n, by the
+                    # hockey stick
                     literal = sum(binomial(p - 3, k - 3) for p in range(j, n + 1))
-                    assert seen.pop().gamma == (literal, binomial(n - 2, k - 2))
-
-    def test_a_wrong_hand_gamma_fails_the_pair_total_identity(self, monkeypatch):
-        # family 2 at n = 9, k = 3, j = 5 enters gamma_0 as
-        # binomial(7, 1) - binomial(2, 1); a binomial(2, 1) one too large
-        # leaves gamma_0 one too small, which the edge count catches
-        def off_by_one(m, t):
-            return binomial(m, t) + ((m, t) == (2, 1))
-
-        monkeypatch.setattr(families, "binomial", off_by_one)
-        with pytest.raises(RuntimeError, match=r"pair counts of C\("):
-            family_spectrum_symbolic(2, 9, 3, 5)
+                    assert literal == b_cnt - binomial(j - 3, k - 2)
+                    cases.append(((2, n, k, j), (literal, b_cnt)))
+                if n >= k + 2:
+                    cases.append(((3, n, k), (a_cnt + 1, a_cnt, b_cnt)))
+        assert len(cases) == 2342
+        for args, gamma in cases:
+            assert block_profile(family_sequence(*args)).gamma == gamma, args
 
     def test_distinct_value_caps(self):
         for k in range(2, 6):

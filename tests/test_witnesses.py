@@ -17,7 +17,11 @@ The head block's value -gamma_1 is never a quotient eigenvalue of a
 connected sequence with r >= 2, so such a sequence has at least r + 1
 distinct eigenvalues.  This is measured, not proved: det(Q + gamma_1 I) is
 decided exactly on every connected sequence with n <= 12 and k = 2..6, and
-on a fixed seeded sample of longer runs.
+on a fixed seeded sample of longer runs.  At r = 2 and r = 3 the
+determinant det(Q + gamma_t I) factors in closed form, as
+`quotient_matrix`'s docstring states; the factors are held here as
+integer identities, and at r = 2 they prove that a connected sequence has
+3 distinct eigenvalues when its last run is 1, and 4 otherwise.
 """
 
 import math
@@ -185,14 +189,15 @@ def bareiss_det(rows):
     return sign * m[-1][-1] if m else 1
 
 
+def shifted(q, x):
+    """The square matrix q + x I."""
+    return [[q[s][t] + x * (s == t) for t in range(len(q))] for s in range(len(q))]
+
+
 def head_value_is_a_root(ss):
     """True when -gamma_1 is an eigenvalue of ss's quotient matrix."""
     gamma = block_profile(ss).gamma[0]
-    q = quotient_matrix(ss).entries
-    shifted = [
-        [q[s][t] + gamma * (s == t) for t in range(len(q))] for s in range(len(q))
-    ]
-    return bareiss_det(shifted) == 0
+    return bareiss_det(shifted(quotient_matrix(ss).entries, gamma)) == 0
 
 
 def sample_shapes(count, seed):
@@ -244,3 +249,66 @@ class TestHeadValueIsNoQuotientRoot:
         assert all(ss.connected and ss.r >= 2 for ss in shapes)
         assert max(ss.n for ss in shapes) >= 1000
         assert [format_short(ss) for ss in shapes if head_value_is_a_root(ss)] == []
+
+
+def quotient_rows(a, g):
+    """Q[s][t] = (a_t - [s = t]) * g[max(s, t)] for run lengths a and
+    gammas g."""
+    r = len(a)
+    return [[(a[t] - (s == t)) * g[max(s, t)] for t in range(r)] for s in range(r)]
+
+
+def closed_factor(a, g, t):
+    """det(Q + g_t I) in the closed form of `quotient_matrix`'s docstring."""
+    if len(a) == 2:
+        (a1, a2), (g1, g2) = a, g
+        if t == 1:
+            return a1 * (g1 - g2) * (g1 + a2 * g2)
+        return (a1 - 1) * a2 * g2 * (g1 - g2)
+    (a1, a2, a3), (g1, g2, g3) = a, g
+    if t == 1:
+        l_factor = a2 * a3 * g3 * (g2 - g3) + (g1 - g3) * (g1 + a2 * g2 + a3 * g3)
+        return a1 * (g1 - g2) * l_factor
+    if t == 2:
+        return (a1 - 1) * a2 * (g1 - g2) * (g2 - g3) * (g2 + a3 * g3)
+    e_factor = (a1 - 1) * (a2 - 1) * g1 - a1 * a2 * g2 + (a1 + a2 - 1) * g3
+    return a3 * g3 * (g2 - g3) * e_factor
+
+
+class TestClosedQuotientFactors:
+    def test_each_factor_is_an_integer_identity(self):
+        rng = random.Random(32)
+        for _ in range(2000):
+            r = rng.choice((2, 3))
+            a = [rng.randint(-50, 50) for _ in range(r)]
+            g = [rng.randint(-50, 50) for _ in range(r)]
+            q = quotient_rows(a, g)
+            for t in range(1, r + 1):
+                det = bareiss_det(shifted(q, g[t - 1]))
+                assert det == closed_factor(a, g, t), (a, g, t)
+            if r == 3:
+                # the -g_1 case splits off a_1 (g_1 - g_2) from a quadratic
+                head = a[0] * (g[0] - g[1])
+                det = bareiss_det(shifted(q, g[0]))
+                assert det == 0 if head == 0 else det % head == 0
+
+    def test_the_factors_on_every_short_connected_sequence(self):
+        counted = {2: 0, 3: 0}
+        for n in range(2, 15):
+            for k in range(2, 7):
+                for ss in iter_short_sequences(n, k):
+                    if not ss.connected or ss.r not in counted:
+                        continue
+                    counted[ss.r] += 1
+                    a, g = ss.runs, block_profile(ss).gamma
+                    q = quotient_matrix(ss).entries
+                    for t in range(1, ss.r + 1):
+                        det = bareiss_det(shifted(q, g[t - 1]))
+                        assert det == closed_factor(a, g, t), format_short(ss)
+                    if ss.r == 2:
+                        # neither block value is a quotient value, so the
+                        # sequence has 3 distinct values when a_2 = 1, else 4
+                        assert closed_factor(a, g, 1) != 0 != closed_factor(a, g, 2)
+                        want = 3 if a[1] == 1 else 4
+                        assert full_spectrum_closed(ss).distinct_count == want
+        assert counted == {2: 280, 3: 875}
