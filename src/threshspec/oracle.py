@@ -28,8 +28,8 @@ Every oracle reads a vertex by one rule, `_check_vertices`: an int (a
 bool counts) in 1..n, decided in O(1) per distinct vertex, whatever n.
 The refusal names the least int or float outside the rule, else the
 least by type name and repr, so that it never compares two types.  An
-edge list must be a collection that can be read twice: a one-shot
-iterator is refused with TypeError.
+edge list and each of its edges must be collections that can be read
+twice: a one-shot iterator is refused with TypeError.
 
 The verify sweeps and the test-suite check the agreement of the two
 routes exhaustively on small instances.  From `hypergraph` and
@@ -131,12 +131,16 @@ def _check_vertices(n: int, edges: Collection[Iterable[int]]) -> set[int]:
     whatever n.  A vertex that is not an int in 1..n is refused by name:
     the least int or float among them, else the least by type name and
     repr, an order that compares no two types and reads no hash.  A
-    one-shot iterable, which this pass would leave empty for the caller's
-    own, is refused with TypeError."""
+    one-shot iterable, of edges or as an edge, which this pass would leave
+    empty for the caller's own, is refused with TypeError."""
     if iter(edges) is edges:
         raise TypeError(
             f"edges must be a collection, not a one-shot {type(edges).__name__}"
         )
+    try:
+        sum(map(len, edges))
+    except TypeError as exc:
+        raise TypeError(f"edges must be collections: {exc}") from None
     vertices = set().union(*edges)
     outside = [v for v in vertices if not (isinstance(v, int) and 1 <= v <= n)]
     if outside:
@@ -171,10 +175,10 @@ class GeneralHypergraph(FrozenRecord):
         super().__init__(n, k, edges)
         if self.k < 2 or self.n < 0:
             raise ValueError("need k >= 2 and n >= 0")
+        _check_vertices(self.n, self.edges)
         for e in self.edges:
             if len(e) != self.k:
                 raise ValueError(f"edge {sorted(e)} does not have {self.k} vertices")
-        _check_vertices(self.n, self.edges)
 
     def sorted_edges(self) -> list[tuple[int, ...]]:
         return sorted(tuple(sorted(e)) for e in self.edges)

@@ -23,8 +23,8 @@ block at a time from the last block up by three steps: `gamma_step`
 `block_profile` and `_Pencil.of` fold them over one sequence, and the
 quotient-gap walk in `scan` folds them along a tree of suffixes.  The
 dense oracle `oracle.full_spectrum_numeric` shares `_rational_ql` with
-the closed route.  The quotient as an explicit r x r matrix and the dense
-Jacobi solver are in `quotient`.  A `spectrum` call loads none of
+the closed route.  The quotient as an explicit r x r matrix and its dense
+solve are in `quotient`.  A `spectrum` call loads none of
 `families`, `scan` and `quotient`: this module serves their public names,
 and the oracles', on first use through the package's `_SERVED`, the one
 list of them.

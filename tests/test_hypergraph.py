@@ -172,6 +172,10 @@ class TestAdjacencyMatrix:
             build(4, (e for e in [(1, 2, 3), (2, 3, 4)]))
         with pytest.raises(TypeError, match="one-shot list_iterator$"):
             build(4, iter([(1, 2, 3)]))
+        # so would a one-shot edge inside a list
+        member = "^edges must be collections: .* 'tuple_iterator' has no len"
+        with pytest.raises(TypeError, match=member):
+            build(4, [(2, 3, 4), iter((1, 2, 3))])
 
     @pytest.mark.parametrize("build", [recount_pairs, edge_links])
     def test_an_edge_list_checked_on_one_range_is_refused_on_a_smaller(self, build):
@@ -520,6 +524,10 @@ class TestGeneralHypergraph:
             GeneralHypergraph(4, 3, frozenset({frozenset({0, 1, 2})}))
         with pytest.raises(ValueError, match=r"^vertex 9 out of range 1\.\.4$"):
             GeneralHypergraph(4, 3, frozenset({frozenset({1, 2, 9})}))
+        # a one-shot edge is refused as the edge-list oracles refuse it
+        once = "^edges must be collections: .* 'tuple_iterator' has no len"
+        with pytest.raises(TypeError, match=once):
+            GeneralHypergraph(4, 3, frozenset({iter((1, 2, 3))}))
         assert GeneralHypergraph(0, 2, frozenset()).is_totally_replaceable()
         for n, k in ((3, 1), (-1, 2)):
             with pytest.raises(ValueError, match="need k >= 2 and n >= 0"):

@@ -582,6 +582,8 @@ class TestJacobi:
                     for j in range(i, n):
                         m[i][j] = m[j][i] = rng.uniform(-10, 10)
                 got = jacobi_eigenvalues(m)
+                # the one dense solver answers, to the bit
+                assert got == householder_ql_eigenvalues(m)
                 want = sorted(np.linalg.eigvalsh(np.array(m)), reverse=True)
                 scale = max(1.0, float(np.abs(np.array(m)).max()) * n)
                 assert all(
@@ -593,10 +595,16 @@ class TestJacobi:
             jacobi_eigenvalues([[1.0, 2.0]])
         with pytest.raises(ValueError):
             jacobi_eigenvalues([[0.0, 1.0], [2.0, 0.0]])
-
-    def test_sweep_budget(self):
-        with pytest.raises(ConvergenceError):
-            jacobi_eigenvalues([[0.0, 1.0], [1.0, 0.0]], max_sweeps=0)
+        # a non-finite entry is refused by place, as the dense solver does
+        inf, nan = math.inf, math.nan
+        for m, place in (
+            ([[0.0, inf], [inf, 0.0]], "0,1"),
+            ([[nan]], "0,0"),
+            ([[1.0, nan], [nan, 1.0]], "0,1"),
+            ([[0.0, 1.0, inf], [1.0, 0.0, 1.0], [inf, 1.0, 0.0]], "0,2"),
+        ):
+            with pytest.raises(ValueError, match=rf"^matrix entry at \({place}\) is"):
+                jacobi_eigenvalues(m)
 
 
 def assert_matches_eigvalsh(m):

@@ -424,8 +424,7 @@ def test_no_cap_or_budget_is_an_option():
 
 def test_no_tolerance_or_matrix_is_an_option():
     """Every tolerance is a constant, and each entry point has one input
-    path: no function of the package but `quotient.jacobi_eigenvalues`,
-    which nothing in the package calls, has a parameter `tol` or `*_tol`;
+    path: no function of the package has a parameter `tol` or `*_tol`;
     `full_spectrum_numeric` takes only the hypergraph; and no subcommand
     has a tolerance option."""
     functions = list(_functions())
@@ -435,7 +434,7 @@ def test_no_tolerance_or_matrix_is_an_option():
         for name in names
         if name == "tol" or name.endswith("_tol")
     }
-    assert parameters <= {("quotient", "jacobi_eigenvalues", "tol")}
+    assert not parameters
     numeric = [
         names for _, function, names in functions if function == "full_spectrum_numeric"
     ]
