@@ -606,6 +606,17 @@ class TestJacobi:
             with pytest.raises(ValueError, match=rf"^matrix entry at \({place}\) is"):
                 jacobi_eigenvalues(m)
 
+    def test_no_tolerance_or_sweep_budget(self):
+        # the matrix a zero sweep budget once failed on is answered, and
+        # neither knob is taken any more
+        m = [[0.0, 1.0], [1.0, 0.0]]
+        assert jacobi_eigenvalues(m) == householder_ql_eigenvalues(m)
+        for knob in ({"max_sweeps": 0}, {"tol": 1e-12}):
+            with pytest.raises(TypeError, match="unexpected keyword argument"):
+                jacobi_eigenvalues(m, **knob)
+        with pytest.raises(TypeError):
+            jacobi_eigenvalues(m, 1e-12)
+
 
 def assert_matches_eigvalsh(m):
     """Householder plus QL agrees with LAPACK within 1e-13 |A|_F."""
