@@ -5,9 +5,10 @@ The closed route (`block_profile` in `hypergraph`, and `spectrum`) gets
 every pair count and eigenvalue from gamma.  The code here recomputes
 them without gamma, so a fault there shows as a disagreement:
 
-- `edges` lists the edges, each closed by one of the `pseudodominants`,
-  and `adjacency_bruteforce` recounts every pair by walking that list
-  with `recount_pairs`; `pair_count` sums the edges of one pair
+- `edges` lists the edges: for each of the `pseudodominants` v, the set
+  E_v of the k-subsets whose largest vertex is v, which `closed_edges`
+  lists.  `adjacency_bruteforce` recounts every pair by walking that
+  list with `recount_pairs`; `pair_count` sums the edges of one pair
   directly.  `pseudodominants` and `pair_count` read the ones blocks off
   `ShortSequence.blocks()`, the one run decoding they share with
   `block_profile`.  `ThresholdHypergraph.edges` and `pair_count` hand
@@ -61,6 +62,7 @@ from .spectrum import EigenPair, Spectrum, _rational_ql
 __all__ = [
     "GeneralHypergraph",
     "pseudodominants",
+    "closed_edges",
     "edges",
     "pair_count",
     "adjacency_bruteforce",
@@ -91,13 +93,18 @@ def edges(ss: ShortSequence) -> list[tuple[int, ...]]:
     materialized.
     """
     check_edges(ss)
-    k = ss.k
     out = []
     for v in pseudodominants(ss):
-        for rest in combinations(range(1, v), k - 1):
-            out.append(rest + (v,))
+        out += closed_edges(v, ss.k)
     out.sort()
     return out
+
+
+def closed_edges(v: int, k: int) -> list[tuple[int, ...]]:
+    """E_v, the k-subsets of 1..v whose largest vertex is v, as sorted
+    tuples in lexicographic order: the edges that v closes when its
+    creation bit is 1, the same for every sequence.  Empty for v < k."""
+    return [rest + (v,) for rest in combinations(range(1, v), k - 1)]
 
 
 def pair_count(ss: ShortSequence, i: int, j: int) -> int:

@@ -8,20 +8,28 @@ order of `sequences.sweep_space`, and each size's sequences as
 complement pairs: every zero-head sequence is followed by its
 complement, which `complement_sequence` gives as the same runs with the
 merged head, so the merged-head half is never listed on its own.  The
-walk builds each sequence's closed-form adjacency and edge list, and
-one generator, `_failures`, runs the five checks on them in the order
-of `_CHECKS`.  The one list of a size's k-subsets is built once per
-size, the pair's comparison with it once per pair, and nothing else
-outlives a pair: uniqueness reads each matrix back to its sequence
-(`decode`) instead of keeping the matrices seen, so a walk's memory does
-not grow with n_max.  A walk imports the oracles it checks against:
-importing this module does not.  The CLI `verify` command runs the walk;
-each `sweep_*` runs it too and returns its own check's frozen result,
-which counts every failure and keeps the first `MAX_REPORTED` messages.
+walk builds each sequence's closed-form adjacency and edge list, which
+feeds the complement check, and its brute-force recount and links from
+per-vertex pieces: an edge has one largest vertex, so the edge set is
+the disjoint union of the sets E_v (`oracle.closed_edges`) that its
+`pseudodominants` v close, and E_v is the same for every sequence of a
+size.  So each E_v's recount and links are built once per size, on
+first use, and a visit's recount is the sum of its closing vertices'
+recounts and its links their union.  One generator, `_failures`, runs
+the five checks in the order of `_CHECKS`.  The one list of a size's
+k-subsets and its pieces are built once per size and dropped when the
+size ends, the pair's comparison with the list once per pair, and
+nothing else outlives a pair: uniqueness reads each matrix back to its
+sequence (`decode`) instead of keeping the matrices seen, so a walk's
+memory does not grow with n_max.  A walk imports the oracles it checks
+against: importing this module does not.  The CLI `verify` command runs
+the walk; each `sweep_*` runs it too and returns its own check's frozen
+result, which counts every failure and keeps the first `MAX_REPORTED`
+messages.
 """
 
 from collections.abc import Iterable, Iterator
-from itertools import combinations, groupby
+from itertools import chain, combinations, groupby
 from types import ModuleType
 
 from .combinatorics import check_subsets
@@ -109,19 +117,21 @@ _CHECKS = (
 def _failures(
     h: ThresholdHypergraph,
     adjacency: AdjacencyMatrix,
-    edges: list[tuple[int, ...]],
+    recount: tuple[int, ...],
+    links: dict[int, set[int]],
     split: bool,
     oracle: ModuleType,
 ) -> Iterator[tuple[int, str]]:
     """Each failure of the five checks on one sequence, as its check's
     index in `_CHECKS` and its message, in that order.  The checks share
-    the sequence's closed-form adjacency and edge list, and read the
-    pair's one comparison with the k-subsets as `split`; they call the
-    oracles through the module the walk imported.  The sequence's text is
+    the sequence's closed-form adjacency, read its recount (row-major)
+    and links as `_merged` builds them, and read the pair's one
+    comparison with the k-subsets as `split`; they call the oracles
+    through the module the walk imported.  The sequence's text is
     written only for a failure.  `two_route` runs on connected sequences
     only."""
     ss = h.runs
-    if adjacency != oracle.recount_pairs(h.n, edges):
+    if recount != _flat(adjacency):
         yield 0, format_bits(ss)
     if ss.connected:
         try:
@@ -146,7 +156,7 @@ def _failures(
     else:
         if back != ss:
             yield 2, f"{format_bits(ss)} reads back as {format_bits(back)}"
-    if not oracle.totally_replaceable(oracle.edge_links(h.n, edges)):
+    if not oracle.totally_replaceable(links):
         yield 3, format_bits(ss)
     # the mate is `complement_sequence`'s; by uniqueness only the true
     # complement's edges split the k-subsets with this one's
@@ -154,9 +164,33 @@ def _failures(
         yield 4, format_bits(ss)
 
 
+def _flat(matrix: AdjacencyMatrix) -> tuple[int, ...]:
+    """The entries of a matrix in row-major order."""
+    return tuple(chain.from_iterable(matrix.entries))
+
+
+def _merged(
+    base: tuple[int, ...],
+    pieces: list[tuple[tuple[int, ...], dict[int, set[int]]]],
+) -> tuple[tuple[int, ...], dict[int, set[int]]]:
+    """A visit's recount, row-major, and links from the pieces of its
+    closing vertices, each E_v's row-major recount and links.  An edge
+    has exactly one largest vertex, so both add up over the pieces: the
+    recount is `base`, the size's recount of no edge, plus the pieces'
+    recounts, entry for entry, and each vertex's link is the union of
+    its links in the pieces, a new set, so no piece's set is changed."""
+    recount = tuple(map(sum, zip(base, *(p[0] for p in pieces))))
+    parts = {}
+    for _, piece in pieces:
+        for u, link in piece.items():
+            parts.setdefault(u, []).append(link)
+    return recount, {u: set().union(*links) for u, links in parts.items()}
+
+
 def sweep_adjacency_oracle(n_max: int, k_values: Iterable[int]) -> SweepResult:
-    """Closed-form adjacency equals the edge-list recount, entry for entry:
-    the first result of `run_all_sweeps`."""
+    """Closed-form adjacency equals the edge-list recount, entry for entry,
+    summed over the edges each closing vertex closes: the first result of
+    `run_all_sweeps`."""
     return run_all_sweeps(n_max, k_values)[0]
 
 
@@ -177,8 +211,8 @@ def sweep_uniqueness(n_max: int, k_values: Iterable[int]) -> SweepResult:
 
     Each closed-form matrix is read back to its sequence by `decode`, so
     the walk keeps no matrix: as fresh processes on a 2-vCPU Xeon VM,
-    `verify --n-max 14 --k 2` peaks at 17.9 MB RSS and `--n-max 16 --k 2`
-    at 18.5 MB.  The third result of `run_all_sweeps`, so both budgets
+    `verify --n-max 14 --k 2` peaks at 18.0 MB RSS and `--n-max 16 --k 2`
+    at 18.1 MB.  The third result of `run_all_sweeps`, so both budgets
     weigh it.
     """
     return run_all_sweeps(n_max, k_values)[2]
@@ -204,7 +238,11 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     """All five sweeps in one walk, guarded up front by the sequence and
     subset budgets; the edge lists inside it are listed under the edge
     cap, and a size's k-subsets after its first pair's two edge lists,
-    since the list is as long as the two together.  The results are
+    since the list is as long as the two together.  The listing feeds
+    the complement check; the recount and the links are built from
+    per-vertex pieces: for each (k, n) size, the recount of no edge once,
+    at the first pair, and each E_v's recount and links once, when a
+    visit first reads v, all dropped when the size ends.  The results are
     built once, after the walk, from each check's tallies."""
     from . import oracle
 
@@ -214,7 +252,8 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
     logs = [[] for _ in _CHECKS]
     visited = connected = 0
     for k, n in sizes:
-        subsets = None
+        subsets = base = None
+        pieces = {}
         for ss in iter_short_sequences(n, k):
             if ss.first_run_has_ones:
                 break  # the merged-head half: each of its sequences was a mate
@@ -229,11 +268,24 @@ def run_all_sweeps(n_max: int, k_values: Iterable[int]) -> list[SweepResult]:
             ]
             if subsets is None:
                 subsets = list(combinations(range(1, n + 1), k))
+                base = _flat(oracle.recount_pairs(n, []))
             split = sorted(pair[0][2] + pair[-1][2]) == subsets
-            for h, adjacency, edges in pair:
+            for h, adjacency, _ in pair:
+                closing = oracle.pseudodominants(h.runs)
+                for v in closing:
+                    if v not in pieces:
+                        closed = oracle.closed_edges(v, k)
+                        pieces[v] = (
+                            _flat(oracle.recount_pairs(n, closed)),
+                            oracle.edge_links(n, closed),
+                        )
                 visited += 1
                 connected += h.runs.connected
-                for i, message in _failures(h, adjacency, edges, split, oracle):
+                # the merged recount and links live in the generator alone,
+                # so they are freed when it ends, before the next merge
+                parts = [pieces[v] for v in closing]
+                checks = _failures(h, adjacency, *_merged(base, parts), split, oracle)
+                for i, message in checks:
                     failed[i] += 1
                     if failed[i] <= MAX_REPORTED:
                         logs[i].append(message)

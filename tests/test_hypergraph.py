@@ -22,6 +22,7 @@ from threshspec.hypergraph import AdjacencyMatrix, ThresholdHypergraph, block_pr
 from threshspec.oracle import (
     GeneralHypergraph,
     adjacency_bruteforce,
+    closed_edges,
     edge_links,
     load_replaceable_non_threshold_7_4,
     pair_count,
@@ -191,6 +192,17 @@ class TestThresholdHypergraph:
     def test_pseudodominants(self):
         assert pseudodominants(hg("k=3;0,0,1,0,1").runs) == [3, 5]
         assert pseudodominants(hg("k=4;0,0,0,1,1,0").runs) == [4, 5]
+
+    def test_closed_edges_are_the_k_subsets_ending_at_v(self):
+        # E_v, the edges v closes, is the same for every sequence; a
+        # vertex before k closes none
+        for k in range(2, 7):
+            for v in range(11):
+                expected = [
+                    c for c in combinations(range(1, v + 1), k) if c[-1] == v
+                ]
+                assert closed_edges(v, k) == expected
+                assert (expected == []) == (v < k)
 
     def test_edges_almost_complete(self):
         assert hg("k=4;0,0,0,1,1,0").edges() == [

@@ -19,9 +19,7 @@ from threshspec.sequences import (
     count_valid_sequences,
     format_bits,
     iter_short_sequences,
-    iter_valid_sequences,
     parse_runs,
-    to_short,
 )
 from threshspec.scan import scan_quotient_simplicity
 from threshspec.spectrum import BlockEigenvalue
@@ -133,24 +131,43 @@ def test_two_route_sweep_catches_a_wrong_profile(monkeypatch, capsys):
 
 
 def test_replaceability_sweep_catches_a_missing_edge(monkeypatch, capsys):
-    # the sweep reads replaceability off the edge list's links, so an edge
-    # list that lost one edge and with it the comparability of some pair
-    # must fail the sweep and the CLI
+    # the sweep reads replaceability off links merged from per-vertex
+    # pieces, so a piece that lost one edge, and with it the comparability
+    # of some pair in the sequences it closes, must fail the sweep and the
+    # CLI on exactly the sequences that an edge-by-edge walk finds
+    from test_hypergraph import edge_walk_totally_replaceable
+
     from threshspec.cli import main
 
     broken = _drop_an_edge(monkeypatch)
     res = sweep_replaceability(6, [3])
-    assert broken
-    n, edges = broken[0]
-    first = next(
-        s for s in iter_valid_sequences(n, 3) if ThresholdHypergraph(s).edges() == edges
-    )
+    dropped = dict(broken)
+    assert dropped == {5: (1, 2, 5), 6: (1, 2, 5)}
+    expected = []
+    for ss in _walk_order(6, 3):
+        edges = set(ThresholdHypergraph(ss).edges())
+        if 5 in oracle.pseudodominants(ss):
+            edges.remove(dropped[ss.n])
+        smaller = GeneralHypergraph(ss.n, 3, frozenset(map(frozenset, edges)))
+        if not edge_walk_totally_replaceable(smaller):
+            expected.append(format_bits(ss))
+    assert "k=3;0,0,1,0,1" in expected
     assert not res.passed
-    assert res.failures[0] == format_bits(to_short(first))
+    assert (res.failed, res.failures) == (len(expected), tuple(expected[:MAX_REPORTED]))
     assert main(["verify", "--n-max", "6", "--k", "3"]) == 2
     out, err = capsys.readouterr()
-    assert "sweep=replaceability_totality checked=31 failed=" in out
+    assert f"sweep=replaceability_totality checked=31 failed={len(expected)}" in out
     assert out.splitlines()[-1] == "FAILED"
+
+
+def _walk_order(n_max, k):
+    """The sequences of uniformity k up to n_max in the walk's order: each
+    size's zero-head half, each followed by its complement."""
+    for n in range(k - 1, n_max + 1):
+        for ss in iter_short_sequences(n, k):
+            if ss.first_run_has_ones:
+                break
+            yield from dict.fromkeys((ss, complement_sequence(ss)))
 
 
 @pytest.mark.parametrize("fmt", ["text", "structured"])
@@ -202,20 +219,17 @@ def _off_by_one_profile(monkeypatch):
 
 
 def _drop_an_edge(monkeypatch):
-    """Feed the links an edge list without its first edge whose loss makes
-    some pair incomparable; returns the (n, edges) it broke, in order."""
-    from test_hypergraph import edge_walk_totally_replaceable
-
+    """Build the links of the piece closed by vertex 5, E_5, without its
+    first edge, in every size; returns each (n, edge) dropped, in order.
+    One piece stays totally replaceable without an edge, but a sequence
+    that vertex 5 closes can lose the comparability of some pair."""
     real = oracle.edge_links
     broken = []
 
     def drop_an_edge(n, edges):
-        full = frozenset(map(frozenset, edges))
-        for e in edges:
-            smaller = GeneralHypergraph(n, len(e), full - {frozenset(e)})
-            if not edge_walk_totally_replaceable(smaller):
-                broken.append((n, edges))
-                return real(n, smaller.edges)
+        if edges and edges[0][-1] == 5:
+            broken.append((n, edges[0]))
+            return real(n, edges[1:])
         return real(n, edges)
 
     monkeypatch.setattr(oracle, "edge_links", drop_an_edge)
@@ -524,6 +538,83 @@ def test_walk_lists_the_k_subsets_once_per_size(monkeypatch):
     assert calls == [(k, n) for k in (2, 3, 4) for n in range(k - 1, 9)]
 
 
+def test_merged_pieces_equal_the_per_visit_recount_and_links(monkeypatch):
+    # the recount and the links add up over the pieces E_v, since an edge
+    # has exactly one largest vertex: for every sequence with n <= 9 and
+    # k = 2..5, the walk's sums equal the recount and links of its whole
+    # edge list, the per-visit path they replace
+    seen = []
+    real = verify._failures
+
+    def checked(h, adjacency, recount, links, split, module):
+        edges = oracle.edges(h.runs)
+        whole = oracle.recount_pairs(h.n, edges).entries
+        assert recount == tuple(x for row in whole for x in row)
+        assert links == oracle.edge_links(h.n, edges)
+        seen.append(h.runs)
+        return real(h, adjacency, recount, links, split, module)
+
+    monkeypatch.setattr(verify, "_failures", checked)
+    results = run_all_sweeps(9, [2, 3, 4, 5])
+    assert all(r.passed for r in results)
+    assert len(seen) == len(set(seen)) == count_valid_sequences(9, [2, 3, 4, 5])
+
+
+def test_walk_builds_each_piece_once_per_size(monkeypatch):
+    # per (k, n) size: one recount of no edge, and for each vertex v that
+    # closes a visit's edges, E_v listed, recounted and linked once; the
+    # size's sequences close at every v from k to n between them.  Each
+    # visit still lists its whole edge list once, through `closed_edges`
+    calls = []
+
+    def counted(name, key):
+        real = getattr(oracle, name)
+
+        def wrapper(first, second):
+            calls.append((name, first, key(second)))
+            return real(first, second)
+
+        monkeypatch.setattr(oracle, name, wrapper)
+
+    def closing(edges):
+        """The vertices that close the edges a recount or links call reads."""
+        return tuple(sorted({e[-1] for e in edges}))
+
+    counted("closed_edges", lambda k: k)
+    counted("recount_pairs", closing)
+    counted("edge_links", closing)
+    real_edges = ThresholdHypergraph.edges
+
+    def listed(self):
+        start = len(calls)
+        out = real_edges(self)
+        assert calls[start:] == [
+            ("closed_edges", v, self.k) for v in oracle.pseudodominants(self.runs)
+        ]
+        calls[start:] = [("edges", self.k, self.n)]
+        return out
+
+    monkeypatch.setattr(ThresholdHypergraph, "edges", listed)
+    results = run_all_sweeps(8, [2, 3, 4])
+    assert all(r.passed for r in results)
+    sizes = {}
+    for call in calls:
+        if call[0] == "edges":
+            made = sizes.setdefault(call[1:], [])
+        made.append(call)
+    assert list(sizes) == [(k, n) for k in (2, 3, 4) for n in range(k - 1, 9)]
+    for (k, n), made in sizes.items():
+        closers = range(k, n + 1)
+        pieces = [(n, (v,)) for v in closers]
+        assert made.count(("edges", k, n)) == (2 ** len(closers) if closers else 1)
+        assert sorted(c[1:] for c in made if c[0] == "closed_edges") == [
+            (v, k) for v in closers
+        ]
+        assert sorted(c[1:] for c in made if c[0] == "edge_links") == pieces
+        recounts = sorted(c[1:] for c in made if c[0] == "recount_pairs")
+        assert recounts == [(n, ())] + pieces
+
+
 def test_edge_cap_refuses_before_the_k_subsets_are_listed(monkeypatch):
     # the list is as long as a sequence's edges and its complement's, so
     # it waits for both lists, which the edge cap refuses past 10**7 each
@@ -631,16 +722,17 @@ def test_uniqueness_keeps_no_store():
 
 
 def test_walk_refuses_an_edge_list_off_the_vertex_range(monkeypatch):
-    # a vertex outside 1..n in a visit's edge list is refused by name
-    # before the recount reads it, not wrapped to another row
-    real = oracle.edges
+    # a vertex outside 1..n in the edges a vertex closes, the list the
+    # recount reads, is refused by name before the recount reads it, not
+    # wrapped to another row
+    real = oracle.closed_edges
 
-    def planted(ss):
-        out = real(ss)
-        if ss.n == 5:
+    def planted(v, k):
+        out = real(v, k)
+        if v == 5:
             out.append((0, 5))
         return out
 
-    monkeypatch.setattr(oracle, "edges", planted)
+    monkeypatch.setattr(oracle, "closed_edges", planted)
     with pytest.raises(ValueError, match=r"^vertex 0 out of range 1\.\.5$"):
         run_all_sweeps(6, [3])
